@@ -12,10 +12,15 @@
 //! increasing position tuples, so distinct assignments are distinct
 //! incident sets and the DP count equals `|incL(p)|`.
 //!
+//! The chain's atoms are resolved to activity ids once per query, and the
+//! DP runs over each instance's activity-id column of a
+//! [`LogIndex`](wlq_log::LogIndex) with two buffers reused across
+//! instances.
+//!
 //! [`Query::count`](crate::Query::count) uses this fast path
 //! automatically when the (optimized) plan is a supported chain.
 
-use wlq_log::Log;
+use wlq_log::{ActivityId, Log, LogIndex};
 use wlq_pattern::{Atom, Op, Pattern};
 
 /// The operator linking two adjacent chain atoms: a strict subset of
@@ -39,10 +44,6 @@ struct Chain {
 }
 
 impl Chain {
-    fn len(&self) -> usize {
-        1 + self.tail.len()
-    }
-
     /// The atoms in order, paired with the operator *before* each
     /// (`None` exactly for the first).
     fn steps(&self) -> impl Iterator<Item = (Option<ChainOp>, &Atom)> {
@@ -103,9 +104,112 @@ fn as_chain(pattern: &Pattern) -> Option<Chain> {
     })
 }
 
+/// A chain resolved against one index, with the DP's buffers: built once
+/// per query, then run over each instance's activity-id column.
+struct ChainCounter<'i> {
+    index: &'i LogIndex,
+    /// Per chain atom: the operator before it (`None` exactly for the
+    /// first), its activity id (`None` if the log never runs it) and
+    /// whether it is negated.
+    steps: Vec<(Option<ChainOp>, Option<ActivityId>, bool)>,
+    /// `cum[j]`: assignments of the first `j+1` atoms whose last record
+    /// lies strictly before the current position.
+    cum: Vec<usize>,
+    /// `exact[j]`: the same, with the last record at the current
+    /// position.
+    exact: Vec<usize>,
+}
+
+impl<'i> ChainCounter<'i> {
+    fn new(chain: &Chain, index: &'i LogIndex) -> Self {
+        let steps: Vec<_> = chain
+            .steps()
+            .map(|(op, atom)| (op, index.activity_id(atom.activity.as_str()), atom.negated))
+            .collect();
+        let k = steps.len();
+        ChainCounter {
+            index,
+            steps,
+            cum: vec![0; k],
+            exact: vec![0; k],
+        }
+    }
+
+    /// Whether a positive atom names an activity the log never runs, so
+    /// no instance can match.
+    fn unmatchable(&self) -> bool {
+        self.steps
+            .iter()
+            .any(|&(_, id, negated)| id.is_none() && !negated)
+    }
+
+    /// `|incL(chain)|` within instance `ordinal`.
+    fn instance(&mut self, ordinal: usize) -> usize {
+        self.cum.fill(0);
+        self.exact.fill(0);
+        for &activity in self.index.instance_activities(ordinal) {
+            // Highest j first: `exact[j - 1]` still holds the previous
+            // position's value when `~>` reads it.
+            for j in (0..self.steps.len()).rev() {
+                let (op_before, id, negated) = self.steps[j];
+                self.exact[j] = if (Some(activity) == id) == negated {
+                    0
+                } else {
+                    match op_before {
+                        None => 1,
+                        Some(ChainOp::Seq) => self.cum[j - 1],
+                        Some(ChainOp::Cons) => self.exact[j - 1],
+                    }
+                };
+            }
+            // Fold this position into the cumulative counts *after*
+            // computing exact (cum must lag by one position).
+            for (cum, exact) in self.cum.iter_mut().zip(&self.exact) {
+                *cum += exact;
+            }
+        }
+        self.cum.last().copied().unwrap_or(0)
+    }
+
+    fn total(mut self) -> usize {
+        if self.unmatchable() {
+            return 0;
+        }
+        (0..self.index.num_instances())
+            .map(|ordinal| self.instance(ordinal))
+            .sum()
+    }
+
+    /// Whether some instance has a match; stops at the first.
+    fn any(mut self) -> bool {
+        !self.unmatchable()
+            && (0..self.index.num_instances()).any(|ordinal| self.instance(ordinal) > 0)
+    }
+}
+
+/// [`fast_count`] over a prebuilt index.
+pub(crate) fn chain_count(index: &LogIndex, pattern: &Pattern) -> Option<usize> {
+    Some(ChainCounter::new(&as_chain(pattern)?, index).total())
+}
+
+/// Whether a chain pattern has an incident, by the same DP, stopping at
+/// the first instance that has one; `None` if the pattern is not a
+/// supported chain.
+pub(crate) fn chain_exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> {
+    Some(ChainCounter::new(&as_chain(pattern)?, index).any())
+}
+
+/// [`chain_exists`] for a log without an index; builds one only for
+/// supported chains.
+pub(crate) fn fast_exists(log: &Log, pattern: &Pattern) -> Option<bool> {
+    let chain = as_chain(pattern)?;
+    Some(ChainCounter::new(&chain, &LogIndex::build(log)).any())
+}
+
 /// Counts `|incL(pattern)|` without materialising incidents, if the
 /// pattern is a supported chain. Returns `None` (caller falls back to
-/// full evaluation) otherwise.
+/// full evaluation) otherwise. The log is indexed only for supported
+/// chains; the DP then runs over the index's activity-id column.
 ///
 /// # Examples
 ///
@@ -120,42 +224,7 @@ fn as_chain(pattern: &Pattern) -> Option<Chain> {
 #[must_use]
 pub fn fast_count(log: &Log, pattern: &Pattern) -> Option<usize> {
     let chain = as_chain(pattern)?;
-    let k = chain.len();
-    let mut total = 0usize;
-    for wid in log.wids() {
-        // exact[j]: assignments of the first j+1 atoms whose last record
-        // is the *current* position. cum[j]: same but last record at any
-        // position strictly before the current one.
-        let mut cum = vec![0usize; k];
-        let mut exact = vec![0usize; k];
-        for record in log.instance(wid) {
-            let activity = record.activity();
-            // Compute this position's `exact` from the *previous*
-            // position's state, highest j first (no self-interference
-            // needed since we read prev via `cum`/`prev_exact`).
-            let prev_exact: Vec<usize> = exact.clone();
-            for (j, (op_before, atom)) in chain.steps().enumerate() {
-                let matches = if atom.negated {
-                    activity != &atom.activity
-                } else {
-                    activity == &atom.activity
-                };
-                exact[j] = match (matches, op_before) {
-                    (false, _) => 0,
-                    (true, None) => 1,
-                    (true, Some(ChainOp::Seq)) => cum[j - 1],
-                    (true, Some(ChainOp::Cons)) => prev_exact[j - 1],
-                };
-            }
-            // Fold this position into the cumulative counts *after*
-            // computing exact (cum must lag by one position).
-            for j in 0..k {
-                cum[j] += exact[j];
-            }
-        }
-        total += cum[k - 1];
-    }
-    Some(total)
+    Some(ChainCounter::new(&chain, &LogIndex::build(log)).total())
 }
 
 #[cfg(test)]
@@ -163,7 +232,7 @@ mod tests {
     use super::*;
     use crate::eval::Evaluator;
     use proptest::prelude::{prop, proptest, ProptestConfig};
-    use wlq_log::{attrs, paper, LogBuilder};
+    use wlq_log::{attrs, paper, LogBuilder, LogRecord};
 
     use crate::eval::Strategy;
 
@@ -268,19 +337,33 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random logs × random chains: DP count ≡ enumeration count.
+        /// Random multi-instance logs with sparse wids × random chains:
+        /// DP count ≡ enumeration count, and the early-exit existence
+        /// check ≡ count > 0.
         #[test]
         fn fast_count_equals_enumeration(
-            activities in prop::collection::vec(0..3usize, 0..14),
-            chain in prop::collection::vec((0..3usize, prop::bool::ANY, prop::bool::ANY), 1..4),
+            instances in prop::collection::vec(prop::collection::vec(0..3usize, 0..10), 1..5),
+            chain in prop::collection::vec((0..4usize, prop::bool::ANY, prop::bool::ANY), 1..4),
         ) {
-            const NAMES: [&str; 3] = ["A", "B", "C"];
-            let mut b = LogBuilder::new();
-            let w = b.start_instance();
-            for &a in &activities {
-                b.append(w, NAMES[a], attrs! {}, attrs! {}).unwrap();
+            // "D" never occurs in the log: an unknown activity in a chain.
+            const NAMES: [&str; 4] = ["A", "B", "C", "D"];
+            // `LogBuilder` numbers instances 1..=n; `Log::new` takes any.
+            const WIDS: [u64; 4] = [3, 7, 1_000_000, u64::MAX - 1];
+            // Instances interleave round-robin, each opening with START.
+            let mut records = Vec::new();
+            let longest = instances.iter().map(Vec::len).max().unwrap_or(0);
+            for step in 0..=longest {
+                for (tasks, wid) in instances.iter().zip(WIDS) {
+                    let lsn = records.len() as u64 + 1;
+                    if step == 0 {
+                        records.push(LogRecord::start(lsn, wid));
+                    } else if let Some(&t) = tasks.get(step - 1) {
+                        let is_lsn = step as u32 + 1;
+                        records.push(LogRecord::new(lsn, wid, is_lsn, NAMES[t], attrs! {}, attrs! {}));
+                    }
+                }
             }
-            let log = b.build().unwrap();
+            let log = Log::new(records).unwrap();
 
             let mut pattern: Option<Pattern> = None;
             for &(name, negated, consecutive) in &chain {
@@ -297,8 +380,12 @@ mod tests {
             }
             let pattern = pattern.expect("nonempty chain");
             let fast = fast_count(&log, &pattern).expect("chain supported");
-            let slow = Evaluator::new(&log).count(&pattern);
+            let slow = Evaluator::with_strategy(&log, Strategy::NaivePaper).count(&pattern);
             assert_eq!(fast, slow, "{pattern} on {log}");
+            let planned = Evaluator::new(&log);
+            assert_eq!(planned.count(&pattern), slow, "{pattern} on {log}");
+            assert_eq!(planned.exists(&pattern), slow > 0, "{pattern} on {log}");
+            assert_eq!(fast_exists(&log, &pattern), Some(slow > 0), "{pattern} on {log}");
         }
     }
 }

@@ -1,11 +1,18 @@
 //! The evaluator: strategies, leaf evaluation, and the per-instance
-//! recursive evaluation driver.
+//! evaluation driver.
+//!
+//! Batch and planned evaluation first turn the query into an [`Exec`]
+//! tree whose atoms are resolved to the index's activity ids, once per
+//! query; the per-instance loops then run over instance ordinals and ids
+//! only.
 
-use wlq_log::{IsLsn, Log, LogIndex, Wid};
+use std::ops::ControlFlow;
+
+use wlq_log::{ActivityId, IsLsn, Log, LogIndex, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::{BatchArena, IncidentBatch};
-use crate::counting::fast_count;
+use crate::counting;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
 use crate::planner::{PhysOp, PhysicalPlan, PlanNode, Planner};
@@ -67,19 +74,59 @@ pub fn combine(strategy: Strategy, op: Op, left: &[Incident], right: &[Incident]
     }
 }
 
-/// Whether one record satisfies an atom's attribute predicates.
-fn atom_admits(atom: &Atom, log: &Log, wid: Wid, position: IsLsn) -> bool {
-    if atom.predicates.is_empty() {
-        return true;
+/// An atom resolved against an index: its activity id, `None` when the
+/// activity never occurs in the log.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Leaf<'p> {
+    atom: &'p Atom,
+    id: Option<ActivityId>,
+}
+
+impl<'p> Leaf<'p> {
+    fn resolve(atom: &'p Atom, index: &LogIndex) -> Self {
+        Leaf {
+            atom,
+            id: index.activity_id(atom.activity.as_str()),
+        }
     }
-    // Index positions always exist in the log the index was built from; a
-    // miss (impossible by construction) conservatively admits nothing.
-    let Some(record) = log.record(wid, position) else {
-        return false;
-    };
-    atom.predicates
-        .iter()
-        .all(|pred| pred.matches(record.input(), record.output()))
+
+    /// Calls `emit` with every matching position of instance `ordinal`,
+    /// ascending: the activity's postings for `t`, a walk of the id column
+    /// for `¬t` (the whole instance when `t` never occurs), each filtered
+    /// by the atom's attribute predicates (extension).
+    fn scan(self, log: &Log, index: &LogIndex, ordinal: usize, mut emit: impl FnMut(IsLsn)) {
+        let admits = |p: IsLsn| {
+            if self.atom.predicates.is_empty() {
+                return true;
+            }
+            // Index positions always have a record in the log the index
+            // was built from; a miss conservatively admits nothing.
+            let Some(record) = index
+                .record_offset(ordinal, p)
+                .and_then(|offset| log.records().get(offset))
+            else {
+                return false;
+            };
+            self.atom
+                .predicates
+                .iter()
+                .all(|pred| pred.matches(record.input(), record.output()))
+        };
+        if self.atom.negated {
+            for (p, &id) in (1..).zip(index.instance_activities(ordinal)) {
+                let p = IsLsn(p);
+                if Some(id) != self.id && admits(p) {
+                    emit(p);
+                }
+            }
+        } else if let Some(id) = self.id {
+            for &p in index.instance_postings(ordinal, id) {
+                if admits(p) {
+                    emit(p);
+                }
+            }
+        }
+    }
 }
 
 /// The incidents of an atomic pattern in one instance: every record whose
@@ -87,24 +134,13 @@ fn atom_admits(atom: &Atom, log: &Log, wid: Wid, position: IsLsn) -> bool {
 /// attribute predicates (extension).
 #[must_use]
 pub fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec<Incident> {
-    if atom.negated {
-        index
-            .complement_postings(wid, atom.activity.as_str())
-            .into_iter()
-            .filter(|&p| atom_admits(atom, log, wid, p))
-            .map(|p| Incident::singleton(wid, p))
-            .collect()
-    } else {
-        // Predicate-free positive atoms map the borrowed posting slice
-        // straight to singletons — no intermediate position clone.
-        index
-            .postings(wid, atom.activity.as_str())
-            .iter()
-            .copied()
-            .filter(|&p| atom_admits(atom, log, wid, p))
-            .map(|p| Incident::singleton(wid, p))
-            .collect()
+    let mut out = Vec::new();
+    if let Some(ordinal) = index.ordinal(wid) {
+        Leaf::resolve(atom, index).scan(log, index, ordinal, |p| {
+            out.push(Incident::singleton(wid, p));
+        });
     }
+    out
 }
 
 /// Like [`leaf_incidents`], emitting straight into a pooled
@@ -118,20 +154,57 @@ pub fn leaf_batch(
     arena: &mut BatchArena,
 ) -> IncidentBatch {
     let mut batch = arena.alloc(wid);
-    if atom.negated {
-        for p in index.complement_postings(wid, atom.activity.as_str()) {
-            if atom_admits(atom, log, wid, p) {
-                batch.push_singleton(p);
-            }
-        }
-    } else {
-        for &p in index.postings(wid, atom.activity.as_str()) {
-            if atom_admits(atom, log, wid, p) {
-                batch.push_singleton(p);
-            }
-        }
+    if let Some(ordinal) = index.ordinal(wid) {
+        Leaf::resolve(atom, index).scan(log, index, ordinal, |p| batch.push_singleton(p));
     }
     batch
+}
+
+/// A query tree over the batch kernels with its atoms resolved, built
+/// once per query and run once per instance.
+#[derive(Debug)]
+pub(crate) enum Exec<'p> {
+    Leaf(Leaf<'p>),
+    Join {
+        op: Op,
+        phys: PhysOp,
+        left: Box<Exec<'p>>,
+        right: Box<Exec<'p>>,
+    },
+}
+
+impl<'p> Exec<'p> {
+    /// A physical plan, with the operators it chose.
+    fn plan(node: &'p PlanNode, index: &LogIndex) -> Self {
+        match node {
+            PlanNode::Leaf { atom, .. } => Exec::Leaf(Leaf::resolve(atom, index)),
+            PlanNode::Join {
+                op,
+                phys,
+                left,
+                right,
+                ..
+            } => Exec::Join {
+                op: *op,
+                phys: *phys,
+                left: Box::new(Exec::plan(left, index)),
+                right: Box::new(Exec::plan(right, index)),
+            },
+        }
+    }
+
+    /// A pattern as written, with the batch kernel at every join.
+    fn pattern(pattern: &'p Pattern, index: &LogIndex) -> Self {
+        match pattern {
+            Pattern::Atom(atom) => Exec::Leaf(Leaf::resolve(atom, index)),
+            Pattern::Binary { op, left, right } => Exec::Join {
+                op: *op,
+                phys: PhysOp::BatchKernel,
+                left: Box::new(Exec::pattern(left, index)),
+                right: Box::new(Exec::pattern(right, index)),
+            },
+        }
+    }
 }
 
 /// Evaluates incident-pattern queries over one log.
@@ -214,31 +287,49 @@ impl<'a> Evaluator<'a> {
         self.planner.as_ref().map(|pl| pl.plan(pattern))
     }
 
-    /// Executes one physical plan node for one instance, drawing and
-    /// retiring batches in the caller's arena.
-    #[must_use]
-    pub fn execute_plan_in(
+    /// What the batch paths run for `pattern`: the plan's tree under
+    /// [`Strategy::Planned`], the pattern itself under
+    /// [`Strategy::Batch`], and `None` for the classic operators.
+    pub(crate) fn exec<'p>(
         &self,
-        node: &PlanNode,
+        pattern: &'p Pattern,
+        plan: Option<&'p PhysicalPlan>,
+    ) -> Option<Exec<'p>> {
+        match plan {
+            Some(plan) => Some(Exec::plan(plan.root(), &self.index)),
+            None if self.strategy == Strategy::Batch => Some(Exec::pattern(pattern, &self.index)),
+            None => None,
+        }
+    }
+
+    /// Executes `exec` for instance `ordinal`, drawing and retiring
+    /// batches in the caller's arena.
+    fn run(
+        &self,
+        exec: &Exec<'_>,
+        ordinal: usize,
         wid: Wid,
         arena: &mut BatchArena,
     ) -> IncidentBatch {
-        match node {
-            PlanNode::Leaf { atom, .. } => leaf_batch(atom, self.log, &self.index, wid, arena),
-            PlanNode::Join {
+        match exec {
+            Exec::Leaf(leaf) => {
+                let mut batch = arena.alloc(wid);
+                leaf.scan(self.log, &self.index, ordinal, |p| batch.push_singleton(p));
+                batch
+            }
+            Exec::Join {
                 op,
                 phys,
                 left,
                 right,
-                ..
             } => {
-                let l = self.execute_plan_in(left, wid, arena);
+                let l = self.run(left, ordinal, wid, arena);
                 // Short-circuit: for the three conjunctive operators an
                 // empty side forces an empty result.
                 if l.is_empty() && *op != Op::Choice {
                     return l;
                 }
-                let r = self.execute_plan_in(right, wid, arena);
+                let r = self.run(right, ordinal, wid, arena);
                 let mut out = arena.alloc(wid);
                 match phys {
                     PhysOp::NestedLoop => kernels::nested_loop_kernel(*op, &l, &r, &mut out),
@@ -252,8 +343,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Executes a physical plan for one instance and materializes the
-    /// result as classic incidents.
+    /// Executes `exec` for instance `ordinal` and materializes the result
+    /// as classic incidents.
     ///
     /// The root join gets the late-materialization treatment: when it is
     /// a `⊙`/`→` node, [`kernels::materialize_join`] writes each union
@@ -261,25 +352,26 @@ impl<'a> Evaluator<'a> {
     /// output through a batch pool plus [`IncidentBatch::drain_incidents`]
     /// — at the query boundary that round-trip is pure overhead, and for
     /// wide joins it re-copies every emitted position.
-    pub(crate) fn materialize_plan_in(
+    fn materialize(
         &self,
-        node: &PlanNode,
+        exec: &Exec<'_>,
+        ordinal: usize,
         wid: Wid,
         arena: &mut BatchArena,
     ) -> Vec<Incident> {
-        if let PlanNode::Join {
+        if let Exec::Join {
             op: op @ (Op::Consecutive | Op::Sequential),
             left,
             right,
             ..
-        } = node
+        } = exec
         {
-            let l = self.execute_plan_in(left, wid, arena);
+            let l = self.run(left, ordinal, wid, arena);
             if l.is_empty() {
                 arena.recycle(l);
                 return Vec::new();
             }
-            let r = self.execute_plan_in(right, wid, arena);
+            let r = self.run(right, ordinal, wid, arena);
             let direct = kernels::materialize_join(*op, &l, &r);
             if let Some(incidents) = direct {
                 arena.recycle(l);
@@ -294,10 +386,46 @@ impl<'a> Evaluator<'a> {
             arena.recycle(out);
             return incidents;
         }
-        let mut batch = self.execute_plan_in(node, wid, arena);
+        let mut batch = self.run(exec, ordinal, wid, arena);
         let incidents = batch.drain_incidents();
         arena.recycle(batch);
         incidents
+    }
+
+    /// Runs `exec` over the instances in ordinal order, handing each
+    /// result to `visit` until it breaks.
+    fn sweep(
+        &self,
+        exec: &Exec<'_>,
+        mut visit: impl FnMut(Wid, &IncidentBatch) -> ControlFlow<()>,
+    ) {
+        let mut arena = BatchArena::new();
+        for (ordinal, &wid) in self.index.instance_wids().iter().enumerate() {
+            let batch = self.run(exec, ordinal, wid, &mut arena);
+            let flow = visit(wid, &batch);
+            arena.recycle(batch);
+            if flow.is_break() {
+                return;
+            }
+        }
+    }
+
+    /// Materializes `exec` for every instance in `ordinals` (a range of
+    /// ordinals, or all of them).
+    pub(crate) fn materialize_instances(
+        &self,
+        exec: &Exec<'_>,
+        ordinals: impl IntoIterator<Item = usize>,
+        arena: &mut BatchArena,
+    ) -> Vec<(Wid, Vec<Incident>)> {
+        let wids = self.index.instance_wids();
+        ordinals
+            .into_iter()
+            .filter_map(|ordinal| {
+                let wid = *wids.get(ordinal)?;
+                Some((wid, self.materialize(exec, ordinal, wid, arena)))
+            })
+            .collect()
     }
 
     /// Computes `incL(p)`: all incidents of `p` in the log.
@@ -310,38 +438,31 @@ impl<'a> Evaluator<'a> {
     /// physical tree per instance, materializing the root join directly.
     #[must_use]
     pub fn evaluate(&self, pattern: &Pattern) -> IncidentSet {
-        let mut parts = Vec::new();
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(pattern);
-            let mut arena = BatchArena::new();
-            for wid in self.index.wids() {
-                parts.push((wid, self.materialize_plan_in(plan.root(), wid, &mut arena)));
-            }
-        } else if self.strategy == Strategy::Batch {
-            let mut arena = BatchArena::new();
-            for wid in self.index.wids() {
-                let mut batch = self.evaluate_instance_batch_in(pattern, wid, &mut arena);
-                parts.push((wid, batch.drain_incidents()));
-                arena.recycle(batch);
-            }
-        } else {
-            for wid in self.index.wids() {
-                parts.push((wid, self.evaluate_instance(pattern, wid)));
-            }
-        }
+        let plan = self.physical_plan(pattern);
+        let parts = match self.exec(pattern, plan.as_ref()) {
+            Some(exec) => self.materialize_instances(
+                &exec,
+                0..self.index.num_instances(),
+                &mut BatchArena::new(),
+            ),
+            None => self
+                .index
+                .wids()
+                .map(|wid| (wid, self.evaluate_instance(pattern, wid)))
+                .collect(),
+        };
         IncidentSet::from_partitions(parts)
     }
 
     /// Computes the incidents of `p` within a single instance.
     #[must_use]
     pub fn evaluate_instance(&self, pattern: &Pattern, wid: Wid) -> Vec<Incident> {
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(pattern);
-            let mut arena = BatchArena::new();
-            return self.materialize_plan_in(plan.root(), wid, &mut arena);
-        }
-        if self.strategy == Strategy::Batch {
-            return self.evaluate_instance_batch(pattern, wid).into_incidents();
+        let plan = self.physical_plan(pattern);
+        if let Some(exec) = self.exec(pattern, plan.as_ref()) {
+            let Some(ordinal) = self.index.ordinal(wid) else {
+                return Vec::new();
+            };
+            return self.materialize(&exec, ordinal, wid, &mut BatchArena::new());
         }
         match pattern {
             Pattern::Atom(atom) => leaf_incidents(atom, self.log, &self.index, wid),
@@ -363,71 +484,48 @@ impl<'a> Evaluator<'a> {
     #[must_use]
     pub fn evaluate_instance_batch(&self, pattern: &Pattern, wid: Wid) -> IncidentBatch {
         let mut arena = BatchArena::new();
-        self.evaluate_instance_batch_in(pattern, wid, &mut arena)
-    }
-
-    /// Like [`evaluate_instance_batch`](Self::evaluate_instance_batch),
-    /// drawing every batch from — and retiring operator inputs to — the
-    /// caller's arena. Parallel workers pass a worker-local arena so
-    /// allocations are reused across the instances each worker sweeps.
-    #[must_use]
-    pub fn evaluate_instance_batch_in(
-        &self,
-        pattern: &Pattern,
-        wid: Wid,
-        arena: &mut BatchArena,
-    ) -> IncidentBatch {
-        match pattern {
-            Pattern::Atom(atom) => leaf_batch(atom, self.log, &self.index, wid, arena),
-            Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_instance_batch_in(left, wid, arena);
-                // Short-circuit: for the three conjunctive operators an
-                // empty side forces an empty result.
-                if l.is_empty() && *op != Op::Choice {
-                    return l;
-                }
-                let r = self.evaluate_instance_batch_in(right, wid, arena);
-                let mut out = arena.alloc(wid);
-                kernels::combine_batch_into(*op, &l, &r, &mut out);
-                arena.recycle(l);
-                arena.recycle(r);
-                out
-            }
+        match self.index.ordinal(wid) {
+            Some(ordinal) => self.run(
+                &Exec::pattern(pattern, &self.index),
+                ordinal,
+                wid,
+                &mut arena,
+            ),
+            None => arena.alloc(wid),
         }
     }
 
-    /// Whether any incident of `p` exists (early-exits per instance;
-    /// under [`Strategy::Planned`] chain patterns skip enumeration via the
-    /// counting DP).
+    /// Whether any incident of `p` exists. Stops at the first instance
+    /// with one; under [`Strategy::Planned`] chain patterns skip
+    /// enumeration via the counting DP.
     #[must_use]
     pub fn exists(&self, pattern: &Pattern) -> bool {
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(pattern);
-            if plan.is_counting_chain() {
-                if let Some(n) = fast_count(self.log, plan.pattern()) {
-                    return n > 0;
-                }
+        let plan = self.physical_plan(pattern);
+        if let Some(found) = plan
+            .as_ref()
+            .filter(|plan| plan.is_counting_chain())
+            .and_then(|plan| counting::chain_exists(&self.index, plan.pattern()))
+        {
+            return found;
+        }
+        match self.exec(pattern, plan.as_ref()) {
+            Some(exec) => {
+                let mut found = false;
+                self.sweep(&exec, |_, batch| {
+                    found = !batch.is_empty();
+                    if found {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                found
             }
-            let mut arena = BatchArena::new();
-            return self.index.wids().any(|wid| {
-                let batch = self.execute_plan_in(plan.root(), wid, &mut arena);
-                let found = !batch.is_empty();
-                arena.recycle(batch);
-                found
-            });
+            None => self
+                .index
+                .wids()
+                .any(|wid| !self.evaluate_instance(pattern, wid).is_empty()),
         }
-        if self.strategy == Strategy::Batch {
-            let mut arena = BatchArena::new();
-            return self.index.wids().any(|wid| {
-                let batch = self.evaluate_instance_batch_in(pattern, wid, &mut arena);
-                let found = !batch.is_empty();
-                arena.recycle(batch);
-                found
-            });
-        }
-        self.index
-            .wids()
-            .any(|wid| !self.evaluate_instance(pattern, wid).is_empty())
     }
 
     /// Number of incidents of `p` in the log, `|incL(p)|`.
@@ -435,82 +533,56 @@ impl<'a> Evaluator<'a> {
     /// Under [`Strategy::Batch`] this counts [`IncidentBatch`] refs
     /// directly — no incident is ever materialized. Under
     /// [`Strategy::Planned`], `~>`/`->` chains of predicate-free atoms
-    /// additionally skip enumeration entirely via [`fast_count`]'s
-    /// `O(m·k)` dynamic program.
+    /// additionally skip enumeration entirely via the `O(m·k)` dynamic
+    /// program of [`fast_count`](crate::fast_count).
     #[must_use]
     pub fn count(&self, pattern: &Pattern) -> usize {
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(pattern);
-            if plan.is_counting_chain() {
-                if let Some(n) = fast_count(self.log, plan.pattern()) {
-                    return n;
-                }
+        let plan = self.physical_plan(pattern);
+        if let Some(n) = plan
+            .as_ref()
+            .filter(|plan| plan.is_counting_chain())
+            .and_then(|plan| counting::chain_count(&self.index, plan.pattern()))
+        {
+            return n;
+        }
+        match self.exec(pattern, plan.as_ref()) {
+            Some(exec) => {
+                let mut n = 0;
+                self.sweep(&exec, |_, batch| {
+                    n += batch.len();
+                    ControlFlow::Continue(())
+                });
+                n
             }
-            let mut arena = BatchArena::new();
-            return self
+            None => self
                 .index
                 .wids()
-                .map(|wid| {
-                    let batch = self.execute_plan_in(plan.root(), wid, &mut arena);
-                    let n = batch.len();
-                    arena.recycle(batch);
-                    n
-                })
-                .sum();
+                .map(|wid| self.evaluate_instance(pattern, wid).len())
+                .sum(),
         }
-        if self.strategy == Strategy::Batch {
-            let mut arena = BatchArena::new();
-            return self
-                .index
-                .wids()
-                .map(|wid| {
-                    let batch = self.evaluate_instance_batch_in(pattern, wid, &mut arena);
-                    let n = batch.len();
-                    arena.recycle(batch);
-                    n
-                })
-                .sum();
-        }
-        self.index
-            .wids()
-            .map(|wid| self.evaluate_instance(pattern, wid).len())
-            .sum()
     }
 
     /// The instances containing at least one incident of `p`.
     #[must_use]
     pub fn matching_instances(&self, pattern: &Pattern) -> Vec<Wid> {
-        if let Some(planner) = &self.planner {
-            let plan = planner.plan(pattern);
-            let mut arena = BatchArena::new();
-            return self
+        let plan = self.physical_plan(pattern);
+        match self.exec(pattern, plan.as_ref()) {
+            Some(exec) => {
+                let mut wids = Vec::new();
+                self.sweep(&exec, |wid, batch| {
+                    if !batch.is_empty() {
+                        wids.push(wid);
+                    }
+                    ControlFlow::Continue(())
+                });
+                wids
+            }
+            None => self
                 .index
                 .wids()
-                .filter(|&wid| {
-                    let batch = self.execute_plan_in(plan.root(), wid, &mut arena);
-                    let found = !batch.is_empty();
-                    arena.recycle(batch);
-                    found
-                })
-                .collect();
+                .filter(|&wid| !self.evaluate_instance(pattern, wid).is_empty())
+                .collect(),
         }
-        if self.strategy == Strategy::Batch {
-            let mut arena = BatchArena::new();
-            return self
-                .index
-                .wids()
-                .filter(|&wid| {
-                    let batch = self.evaluate_instance_batch_in(pattern, wid, &mut arena);
-                    let found = !batch.is_empty();
-                    arena.recycle(batch);
-                    found
-                })
-                .collect();
-        }
-        self.index
-            .wids()
-            .filter(|&wid| !self.evaluate_instance(pattern, wid).is_empty())
-            .collect()
     }
 }
 

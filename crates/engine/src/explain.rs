@@ -51,8 +51,8 @@ impl Explain {
     /// plan.
     #[must_use]
     pub fn run(log: &Log, pattern: &Pattern, optimize: bool, strategy: Strategy) -> Explain {
-        let stats = LogStats::compute(log);
-        let optimizer = Optimizer::new(stats);
+        let index = LogIndex::build(log);
+        let optimizer = Optimizer::new(LogStats::from_index(&index));
         let plan = if optimize {
             optimizer.optimize(pattern)
         } else {
@@ -60,7 +60,6 @@ impl Explain {
         };
         let model = optimizer.model();
 
-        let index = LogIndex::build(log);
         let physical_plan = (strategy == Strategy::Planned)
             .then(|| Planner::new(log, &index).plan(&plan).to_string());
         let tree = IncidentTree::from_pattern(&plan);

@@ -83,48 +83,47 @@ impl Evaluator<'_> {
         if num_threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let wids: Vec<Wid> = self.index().wids().collect();
-        if num_threads == 1 || wids.len() <= 1 {
+        let instances = self.index().num_instances();
+        if num_threads == 1 || instances <= 1 {
             return Ok(self.evaluate(pattern));
         }
-        // Plan once, outside the scope; workers share the immutable plan.
-        let plan = self.planner().map(|pl| pl.plan(pattern));
+        // Plan and resolve once, outside the scope; workers share the
+        // immutable tree.
+        let plan = self.physical_plan(pattern);
+        let exec = self.exec(pattern, plan.as_ref());
 
         // One entry per worker: the (wid, incidents) pairs it swept.
         type WorkerParts = Vec<Vec<(Wid, Vec<Incident>)>>;
 
         let next = AtomicUsize::new(0);
-        let workers = num_threads.min(wids.len());
+        let workers = num_threads.min(instances);
         let scope_result: std::thread::Result<Result<WorkerParts, EngineError>> =
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        let wids = &wids;
                         let next = &next;
-                        let plan = &plan;
+                        let exec = &exec;
                         scope.spawn(move |_| {
-                            let mut out = Vec::new();
-                            // Each worker owns its arena: batches for the
-                            // instances it sweeps recycle worker-locally,
-                            // with no cross-thread sharing.
-                            let mut arena = BatchArena::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&wid) = wids.get(i) else { break };
-                                let incidents = if let Some(plan) = plan {
-                                    self.materialize_plan_in(plan.root(), wid, &mut arena)
-                                } else if self.strategy() == Strategy::Batch {
-                                    let mut batch =
-                                        self.evaluate_instance_batch_in(pattern, wid, &mut arena);
-                                    let incidents = batch.drain_incidents();
-                                    arena.recycle(batch);
-                                    incidents
-                                } else {
-                                    self.evaluate_instance(pattern, wid)
-                                };
-                                out.push((wid, incidents));
+                            // Instances are claimed one ordinal at a time.
+                            let claims = std::iter::from_fn(|| {
+                                let ordinal = next.fetch_add(1, Ordering::Relaxed);
+                                (ordinal < instances).then_some(ordinal)
+                            });
+                            match exec {
+                                // Each worker owns its arena: batches for
+                                // the instances it sweeps recycle
+                                // worker-locally, with no cross-thread
+                                // sharing.
+                                Some(exec) => {
+                                    self.materialize_instances(exec, claims, &mut BatchArena::new())
+                                }
+                                None => claims
+                                    .filter_map(|ordinal| {
+                                        let wid = *self.index().instance_wids().get(ordinal)?;
+                                        Some((wid, self.evaluate_instance(pattern, wid)))
+                                    })
+                                    .collect(),
                             }
-                            out
                         })
                     })
                     .collect();

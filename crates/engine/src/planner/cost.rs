@@ -152,8 +152,7 @@ mod tests {
 
     fn cost() -> PlanCost {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
-        PlanCost::new(PlanStats::compute(&log, &index))
+        PlanCost::new(PlanStats::compute(&LogIndex::build(&log)))
     }
 
     fn shape(n1: f64, n2: f64, k1: f64, k2: f64, out: f64) -> JoinShape {

@@ -334,10 +334,12 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Builds a planner from a log and its activity index.
+    /// Builds a planner for a log from its activity index. The index
+    /// must have been built from `log`; the statistics are read off the
+    /// index alone.
     #[must_use]
-    pub fn new(log: &Log, index: &LogIndex) -> Self {
-        let stats = PlanStats::compute(log, index);
+    pub fn new(_log: &Log, index: &LogIndex) -> Self {
+        let stats = PlanStats::compute(index);
         let optimizer = Optimizer::new(stats.log_stats().clone());
         Planner {
             cost: PlanCost::new(stats),

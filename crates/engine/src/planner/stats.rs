@@ -1,41 +1,38 @@
 //! Per-task cardinality and span statistics feeding the planner.
 //!
-//! [`wlq_log::LogStats`] already carries whole-log activity counts — the
-//! input to the pattern-level cost model. The planner additionally wants
+//! [`wlq_log::LogStats`] carries whole-log activity counts — the input to
+//! the pattern-level cost model. The planner additionally wants
 //! *per-instance* shape: how many postings of each activity the densest
 //! instance holds (the per-`wid` join sizes the kernels actually see),
-//! and how skewed that distribution is. Both come straight from the
-//! evaluator's existing [`wlq_log::LogIndex`], so collecting them costs
-//! one pass over the posting lists and no new index structure.
+//! and how skewed that distribution is. The evaluator's
+//! [`wlq_log::LogIndex`] records both while it is built, so collecting
+//! them costs one read of its symbol table and instance offsets, and no
+//! pass over the log.
 
 use std::collections::BTreeMap;
 
-use wlq_log::{Log, LogIndex, LogStats};
+use wlq_log::{Activity, ActivityId, LogIndex, LogStats};
 
 /// Statistics driving plan selection: whole-log counts plus per-instance
 /// posting maxima.
 #[derive(Debug, Clone)]
 pub struct PlanStats {
     log_stats: LogStats,
-    max_postings: BTreeMap<String, usize>,
+    max_postings: BTreeMap<Activity, usize>,
 }
 
 impl PlanStats {
-    /// Collects statistics from a log and its activity index.
+    /// Reads the statistics off a log's activity index.
     #[must_use]
-    pub fn compute(log: &Log, index: &LogIndex) -> Self {
-        let log_stats = LogStats::compute(log);
-        let mut max_postings = BTreeMap::new();
-        for activity in log_stats.activity_counts.keys() {
-            let max = index
-                .wids()
-                .map(|wid| index.postings(wid, activity.as_str()).len())
-                .max()
-                .unwrap_or(0);
-            max_postings.insert(activity.as_str().to_string(), max);
-        }
+    pub fn compute(index: &LogIndex) -> Self {
+        let max_postings = index
+            .activities()
+            .iter()
+            .zip(0..)
+            .map(|(name, id)| (name.clone(), index.max_instance_postings(ActivityId(id))))
+            .collect();
         PlanStats {
-            log_stats,
+            log_stats: LogStats::from_index(index),
             max_postings,
         }
     }
@@ -86,8 +83,7 @@ mod tests {
 
     fn stats() -> PlanStats {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
-        PlanStats::compute(&log, &index)
+        PlanStats::compute(&LogIndex::build(&log))
     }
 
     #[test]

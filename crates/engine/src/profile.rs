@@ -1,9 +1,9 @@
 //! Instrumented evaluation (cargo feature `profiling`).
 //!
 //! The profiled executors here mirror the engine's unprofiled paths —
-//! [`Evaluator::execute_plan_in`] for [`Strategy::Planned`],
-//! [`Evaluator::evaluate_instance_batch_in`] for [`Strategy::Batch`], and
-//! [`Evaluator::evaluate_instance`] classically — recursion shape,
+//! the evaluator's batch executor over the physical plan for
+//! [`Strategy::Planned`] and over the pattern for [`Strategy::Batch`],
+//! and [`Evaluator::evaluate_instance`] classically — recursion shape,
 //! short-circuits, kernels, and arena discipline included, while
 //! accumulating per-node [`NodeMetrics`] into a plain `Vec` indexed by
 //! the node's pre-order position. The unprofiled hot path is never
@@ -138,7 +138,7 @@ impl Evaluator<'_> {
                 Some(plan.rule().to_string()),
             ),
             None => {
-                let optimizer = Optimizer::new(LogStats::compute(self.log()));
+                let optimizer = Optimizer::new(LogStats::from_index(self.index()));
                 let mut shapes = Vec::new();
                 pattern_shapes(pattern, 0, optimizer.model(), &mut shapes);
                 (shapes, pattern.to_string(), None)
@@ -311,7 +311,7 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Profiled mirror of [`Evaluator::execute_plan_in`]: same kernels,
+    /// Profiled mirror of the evaluator's plan executor: same kernels,
     /// same short-circuit, same arena discipline; `idx` walks the plan in
     /// pre-order and skips the indices of unexecuted subtrees so node
     /// positions stay aligned with the plan's rows.
@@ -374,8 +374,8 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Profiled mirror of
-    /// [`Evaluator::evaluate_instance_batch_in`].
+    /// Profiled mirror of the evaluator's batch executor over a pattern
+    /// as written.
     fn evaluate_batch_profiled(
         &self,
         pattern: &Pattern,

@@ -143,8 +143,8 @@ impl Query {
             return Err(EngineError::NoWorkers);
         }
         let plan = self.plan(log);
-        if let Some(count) = crate::counting::fast_count(log, &plan) {
-            return Ok(count > 0);
+        if let Some(found) = crate::counting::fast_exists(log, &plan) {
+            return Ok(found);
         }
         Ok(Evaluator::with_strategy(log, self.strategy).exists(&plan))
     }

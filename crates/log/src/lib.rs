@@ -50,7 +50,7 @@ pub mod paper;
 pub use attrs::AttrMap;
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
-pub use index::LogIndex;
+pub use index::{ActivityId, LogIndex};
 pub use log::Log;
 pub use names::{Activity, AttrName, END_ACTIVITY, START_ACTIVITY};
 pub use record::{IsLsn, LogRecord, Lsn, Wid};

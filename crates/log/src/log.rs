@@ -149,6 +149,12 @@ impl Log {
         self.by_wid.keys().copied()
     }
 
+    /// Each instance with the offsets of its records in
+    /// [`records`](Self::records), in is-lsn order; wids ascending.
+    pub(crate) fn instance_offsets(&self) -> impl Iterator<Item = (Wid, &[usize])> + '_ {
+        self.by_wid.iter().map(|(&wid, ps)| (wid, ps.as_slice()))
+    }
+
     /// Number of distinct workflow instances.
     #[must_use]
     pub fn num_instances(&self) -> usize {

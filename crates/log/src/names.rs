@@ -1,9 +1,12 @@
-//! Interned names for activities and attributes.
+//! Names for activities and attributes.
 //!
 //! The paper assumes pairwise-disjoint countably infinite sets `T` of
-//! activity names and `A` of attribute names. Both are represented as cheap
+//! activity names and `A` of attribute names. Both are represented as
 //! reference-counted strings with newtypes keeping the two namespaces apart
-//! at the type level ([C-NEWTYPE]).
+//! at the type level ([C-NEWTYPE]). Names are not interned: each decoded
+//! record holds its own `Arc<str>`, and clones share it. The one interned
+//! form is the [`LogIndex`](crate::LogIndex) symbol table, which maps each
+//! distinct activity name to a dense [`ActivityId`](crate::ActivityId).
 
 use std::borrow::Borrow;
 use std::fmt;

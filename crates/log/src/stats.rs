@@ -4,8 +4,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::index::{ActivityId, LogIndex};
 use crate::log::Log;
-use crate::names::Activity;
+use crate::names::{Activity, END_ACTIVITY};
 
 /// Summary statistics of a [`Log`].
 ///
@@ -55,6 +56,39 @@ impl LogStats {
         LogStats {
             num_records: log.len(),
             num_instances: log.num_instances(),
+            completed_instances: completed,
+            activity_counts,
+            min_instance_len: if min_len == usize::MAX { 0 } else { min_len },
+            max_instance_len: max_len,
+        }
+    }
+
+    /// The same statistics read off an index of the log, without
+    /// another pass over its records: counts come from the symbol table,
+    /// lengths from the instance offsets.
+    #[must_use]
+    pub fn from_index(index: &LogIndex) -> Self {
+        let end = index.activity_id(END_ACTIVITY);
+        let mut min_len = usize::MAX;
+        let mut max_len = 0;
+        let mut completed = 0;
+        for ordinal in 0..index.num_instances() {
+            let column = index.instance_activities(ordinal);
+            min_len = min_len.min(column.len());
+            max_len = max_len.max(column.len());
+            if end.is_some() && column.last().copied() == end {
+                completed += 1;
+            }
+        }
+        let activity_counts = index
+            .activities()
+            .iter()
+            .zip(0..)
+            .map(|(name, id)| (name.clone(), index.activity_count(ActivityId(id))))
+            .collect();
+        LogStats {
+            num_records: index.num_records(),
+            num_instances: index.num_instances(),
             completed_instances: completed,
             activity_counts,
             min_instance_len: if min_len == usize::MAX { 0 } else { min_len },
@@ -131,6 +165,21 @@ mod tests {
         assert_eq!(stats.activity_count("Missing"), 0);
         assert_eq!(stats.min_instance_len, 2);
         assert_eq!(stats.max_instance_len, 9);
+    }
+
+    #[test]
+    fn index_statistics_equal_a_log_pass() {
+        let log = paper::figure3_log();
+        let index = LogIndex::build(&log);
+        assert_eq!(LogStats::from_index(&index), LogStats::compute(&log));
+        let mut b = crate::LogBuilder::new();
+        let w = b.start_instance();
+        b.start_instance();
+        b.end_instance(w).unwrap();
+        let log = b.build().unwrap();
+        let stats = LogStats::from_index(&LogIndex::build(&log));
+        assert_eq!(stats.completed_instances, 1);
+        assert_eq!(stats, LogStats::compute(&log));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum Value {
     /// A 64-bit float. Compared with [`f64::total_cmp`], so `NaN` is
     /// permitted and ordered after all other floats.
     Float(f64),
-    /// An interned string (states, identifiers, names).
+    /// A shared string (states, identifiers, names).
     Str(Arc<str>),
 }
 
