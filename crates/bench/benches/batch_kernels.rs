@@ -1,24 +1,17 @@
-//! Flat arena-backed kernels vs the incident-list operators.
-//!
-//! Two levels of comparison:
-//!
-//! * **Kernels** — `optimized::*_eval` over `Vec<Incident>` against
-//!   [`wlq_engine::combine_batch_into`] over prebuilt [`IncidentBatch`]
-//!   inputs with a recycled output batch (exactly how the evaluator
-//!   drives the kernels). The join workloads (⊙/→) are the ones the
-//!   flat layout targets: unions become bump-appends into the shared
-//!   position pool and no per-incident `Vec` is ever allocated.
-//! * **End to end** — `Evaluator` with `Strategy::Optimized` vs
-//!   `Strategy::Batch` on adversarial pair logs, where the batch path
-//!   keeps the flat representation through the whole pattern tree.
+//! The flat arena-backed kernels: [`wlq_engine::combine_batch_into`] over
+//! prebuilt [`IncidentBatch`] inputs with a recycled output batch (exactly
+//! how the evaluator drives the kernels). The join workloads (⊙/→) are
+//! the ones the flat layout targets: unions become bump-appends into the
+//! shared position pool and no per-incident `Vec` is ever allocated.
+//! Whole-evaluator runs on the adversarial pair logs live in the
+//! `planner` bench (`sequential_pairlog`, `plan_count`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wlq_engine::{combine_batch_into, optimized, Evaluator, Incident, IncidentBatch, Strategy};
+use wlq_engine::{combine_batch_into, Incident, IncidentBatch};
 use wlq_log::{IsLsn, Wid};
-use wlq_pattern::{Op, Pattern};
-use wlq_workflow::generator;
+use wlq_pattern::Op;
 
 const WID: Wid = Wid(1);
 
@@ -43,7 +36,7 @@ fn batch_of(incidents: &[Incident]) -> IncidentBatch {
     IncidentBatch::from_incidents(WID, incidents)
 }
 
-/// Benchmark one operator on one fixture pair, list vs flat.
+/// Benchmark one operator's kernel on one fixture pair.
 fn bench_kernel_case(
     group: &mut criterion::BenchmarkGroup<'_>,
     op: Op,
@@ -51,15 +44,6 @@ fn bench_kernel_case(
     left: &[Incident],
     right: &[Incident],
 ) {
-    let eval = match op {
-        Op::Consecutive => optimized::consecutive_eval,
-        Op::Sequential => optimized::sequential_eval,
-        Op::Choice => optimized::choice_eval,
-        Op::Parallel => optimized::parallel_eval,
-    };
-    group.bench_with_input(BenchmarkId::new("lists", name), &(), |b, ()| {
-        b.iter(|| black_box(eval(left, right)));
-    });
     let (lb, rb) = (batch_of(left), batch_of(right));
     let mut out = IncidentBatch::new(WID);
     group.bench_with_input(BenchmarkId::new("batch", name), &(), |b, ()| {
@@ -115,7 +99,7 @@ fn bench_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-/// ⊗: interleaved union — already linear on both paths.
+/// ⊗: interleaved union — a linear merge.
 fn bench_choice(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_choice");
     group.sample_size(10);
@@ -151,59 +135,11 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-evaluator comparison on adversarial pair logs.
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_end_to_end");
-    group.sample_size(10);
-    for n in [500usize, 2000] {
-        let log = generator::pair_log("A", n, "B", n, true);
-        for (name, src) in [("consecutive", "A ~> B"), ("sequential", "A -> B")] {
-            let p: Pattern = src.parse().unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(format!("optimized_{name}"), n),
-                &p,
-                |b, p| {
-                    let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
-                    b.iter(|| black_box(eval.evaluate(p)));
-                },
-            );
-            group.bench_with_input(BenchmarkId::new(format!("batch_{name}"), n), &p, |b, p| {
-                let eval = Evaluator::with_strategy(&log, Strategy::Batch);
-                b.iter(|| black_box(eval.evaluate(p)));
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Counting queries: the batch path counts refs without ever
-/// materialising an incident, while the classic path must build every
-/// `Vec<Incident>` first.
-fn bench_end_to_end_count(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_count");
-    group.sample_size(10);
-    for n in [500usize, 2000] {
-        let log = generator::pair_log("A", n, "B", n, true);
-        let p: Pattern = "A -> B".parse().unwrap();
-        group.bench_with_input(BenchmarkId::new("optimized_sequential", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
-            b.iter(|| black_box(eval.count(p)));
-        });
-        group.bench_with_input(BenchmarkId::new("batch_sequential", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Batch);
-            b.iter(|| black_box(eval.count(p)));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_consecutive,
     bench_sequential,
     bench_choice,
-    bench_parallel,
-    bench_end_to_end,
-    bench_end_to_end_count
+    bench_parallel
 );
 criterion_main!(benches);

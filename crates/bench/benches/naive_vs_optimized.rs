@@ -1,6 +1,6 @@
-//! E8: the paper's Algorithm 1 operators vs the index/merge-based
-//! implementations, on realistic (simulated clinic) and adversarial
-//! (pair-log) workloads.
+//! E8: the paper's Algorithm 1 operators vs the default planned
+//! evaluation (cost-based rewrites over the flat batch kernels), on
+//! realistic (simulated clinic) and adversarial (pair-log) workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -25,8 +25,8 @@ fn bench_clinic_patterns(c: &mut Criterion) {
             let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
             b.iter(|| black_box(eval.evaluate(p)));
         });
-        group.bench_with_input(BenchmarkId::new("optimized", name), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
+        group.bench_with_input(BenchmarkId::new("planned", name), &p, |b, p| {
+            let eval = Evaluator::with_strategy(&log, Strategy::Planned);
             b.iter(|| black_box(eval.evaluate(p)));
         });
     }
@@ -43,8 +43,8 @@ fn bench_adversarial_consecutive(c: &mut Criterion) {
             let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
             b.iter(|| black_box(eval.evaluate(p)));
         });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
+        group.bench_with_input(BenchmarkId::new("planned", n), &p, |b, p| {
+            let eval = Evaluator::with_strategy(&log, Strategy::Planned);
             b.iter(|| black_box(eval.evaluate(p)));
         });
     }

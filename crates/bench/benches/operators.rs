@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wlq_bench::{common_tail_incidents, shared_prefix_incidents, singleton_incidents};
-use wlq_engine::{naive, optimized};
+use wlq_engine::naive;
 
 /// E3: consecutive, time O(n1·n2).
 fn bench_consecutive(c: &mut Criterion) {
@@ -19,9 +19,6 @@ fn bench_consecutive(c: &mut Criterion) {
         let right = singleton_incidents(n, 3, 2);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive::consecutive_eval(&left, &right)));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, _| {
-            b.iter(|| black_box(optimized::consecutive_eval(&left, &right)));
         });
     }
     group.finish();
@@ -36,9 +33,6 @@ fn bench_sequential(c: &mut Criterion) {
         let right = singleton_incidents(n, 2 + n as u32, 1);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive::sequential_eval(&left, &right)));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, _| {
-            b.iter(|| black_box(optimized::sequential_eval(&left, &right)));
         });
     }
     group.finish();
@@ -57,7 +51,7 @@ fn bench_choice(c: &mut Criterion) {
             b.iter(|| black_box(naive::choice_eval_as_printed(&left, &right)));
         });
         group.bench_with_input(BenchmarkId::new("union", k), &k, |b, _| {
-            b.iter(|| black_box(optimized::choice_eval(&left, &right)));
+            b.iter(|| black_box(naive::choice_eval(&left, &right)));
         });
     }
     group.finish();
@@ -73,9 +67,6 @@ fn bench_parallel(c: &mut Criterion) {
         let right = left.clone();
         group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
             b.iter(|| black_box(naive::parallel_eval(&left, &right)));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", k), &k, |b, _| {
-            b.iter(|| black_box(optimized::parallel_eval(&left, &right)));
         });
     }
     group.finish();

@@ -1,11 +1,9 @@
-//! Cost-based planning on vs off.
-//!
-//! Three comparisons, each `Strategy::Planned` (plan-on) against
-//! `Strategy::Optimized` and `Strategy::Batch` (plan-off):
+//! Cost-based planning across log shapes (`Strategy::Planned`, the
+//! default):
 //!
 //! * **`sequential_pairlog`** — the adversarial `A -> B` pair log where
 //!   the sort-merge sequential kernel replaces per-left binary searches
-//!   (the batch strategy's former end-to-end regression case).
+//!   and the root join is late-materialized.
 //! * **`dense`/`sparse`/`skewed` logs** — generator workloads where the
 //!   planner's rewrite choice and physical operator selection have to not
 //!   regress across log shapes.
@@ -22,15 +20,7 @@ use wlq_log::Log;
 use wlq_pattern::Pattern;
 use wlq_workflow::generator;
 
-fn strategies() -> [(&'static str, Strategy); 3] {
-    [
-        ("optimized", Strategy::Optimized),
-        ("batch", Strategy::Batch),
-        ("planned", Strategy::Planned),
-    ]
-}
-
-/// Evaluate one pattern on one log under every strategy.
+/// Evaluate one pattern on one log under the planner.
 fn bench_eval_case(
     group: &mut criterion::BenchmarkGroup<'_>,
     log: &Log,
@@ -38,15 +28,13 @@ fn bench_eval_case(
     param: impl std::fmt::Display,
 ) {
     let p: Pattern = src.parse().unwrap();
-    for (name, strategy) in strategies() {
-        let eval = Evaluator::with_strategy(log, strategy);
-        group.bench_with_input(BenchmarkId::new(name, &param), &p, |b, p| {
-            b.iter(|| black_box(eval.evaluate(p)));
-        });
-    }
+    let eval = Evaluator::with_strategy(log, Strategy::Planned);
+    group.bench_with_input(BenchmarkId::new("planned", &param), &p, |b, p| {
+        b.iter(|| black_box(eval.evaluate(p)));
+    });
 }
 
-/// The batch regression fixture: n A's then n B's, `A -> B` (~n²/2 out).
+/// The adversarial fixture: n A's then n B's, `A -> B` (~n²/2 out).
 fn bench_sequential_pairlog(c: &mut Criterion) {
     let mut group = c.benchmark_group("sequential_pairlog");
     group.sample_size(10);
@@ -109,12 +97,10 @@ fn bench_count(c: &mut Criterion) {
     for n in [500usize, 2000] {
         let log = generator::pair_log("A", n, "B", n, true);
         let p: Pattern = "A -> B".parse().unwrap();
-        for (name, strategy) in strategies() {
-            let eval = Evaluator::with_strategy(&log, strategy);
-            group.bench_with_input(BenchmarkId::new(name, n), &p, |b, p| {
-                b.iter(|| black_box(eval.count(p)));
-            });
-        }
+        let eval = Evaluator::with_strategy(&log, Strategy::Planned);
+        group.bench_with_input(BenchmarkId::new("planned", n), &p, |b, p| {
+            b.iter(|| black_box(eval.count(p)));
+        });
     }
     group.finish();
 }

@@ -8,7 +8,7 @@
 //! Experiment ids follow DESIGN.md §4: E1–E2 reproduce the paper's worked
 //! examples (Figure 3, Figure 4, Examples 1/3/5); E3–E6 validate the
 //! Lemma 1 complexity shapes per operator; E7 the Theorem 1 worst case;
-//! E8–E10 are the ablations (naive vs optimized operators, algebraic
+//! E8–E10 are the ablations (naive vs planned evaluation, algebraic
 //! rewriting, parallel scaling).
 
 use std::time::Duration;
@@ -17,7 +17,7 @@ use wlq_bench::{
     common_tail_incidents, fmt_us, loglog_slope, shared_prefix_incidents, singleton_incidents,
     time_median,
 };
-use wlq_engine::{naive, optimized, Evaluator, IncidentTree, Query, Strategy};
+use wlq_engine::{naive, Evaluator, IncidentTree, Query, Strategy};
 use wlq_log::{paper, Log, LogIndex, LogStats, Lsn};
 use wlq_pattern::{theorem1_worst_case, Optimizer, Pattern};
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
@@ -51,7 +51,7 @@ fn main() {
         e7_theorem1();
     }
     if want("e8") {
-        e8_naive_vs_optimized();
+        e8_naive_vs_planned();
     }
     if want("e9") {
         e9_rewrite_ablation();
@@ -244,7 +244,7 @@ fn e2_incident_tree() {
         postfix_strings(&p)
     );
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
     println!("{trace}");
     let incident = set.iter().next().expect("one incident");
     let lsns: Vec<String> = incident
@@ -356,7 +356,7 @@ fn e5_choice_scaling() {
             std::hint::black_box(naive::choice_eval_as_printed(&left, &right));
         });
         let t_union = time_median(5, || {
-            std::hint::black_box(optimized::choice_eval(&left, &right));
+            std::hint::black_box(naive::choice_eval(&left, &right));
         });
         println!("{:>8} {:>22} {:>22}", k, fmt_us(t_printed), fmt_us(t_union));
         pts_printed.push((k as f64, t_printed.as_secs_f64()));
@@ -452,19 +452,20 @@ fn binomial(n: usize, k: usize) -> usize {
     result
 }
 
-/// E8: the paper's Algorithm 1 vs the optimized operators.
-fn e8_naive_vs_optimized() {
+/// E8: the paper's Algorithm 1 vs the default planned evaluation.
+fn e8_naive_vs_planned() {
     heading(
         "E8",
-        "ablation: Algorithm 1 (naive) vs index/merge-based operators",
+        "ablation: Algorithm 1 (naive) vs planned evaluation (rewrites + batch kernels)",
     );
     println!(
         "{:<44} {:>12} {:>12} {:>8}",
-        "workload / pattern", "naive (µs)", "opt (µs)", "speedup"
+        "workload / pattern", "naive (µs)", "planned (µs)", "speedup"
     );
     let mut rows: Vec<(String, Duration, Duration)> = Vec::new();
 
-    // Consecutive on a sparse log: the optimized hash join skips the scan.
+    // Consecutive on a sparse log: the batch kernel's partner search skips
+    // the all-pairs scan.
     let log = generator::pair_log("A", 2000, "B", 2000, true);
     rows.push(run_both(&log, "A ~> B", "pair_log 2k+2k interleaved"));
     // One long instance: per-instance incident lists get large, which is
@@ -491,13 +492,13 @@ fn e8_naive_vs_optimized() {
         "clinic 800 inst",
     ));
 
-    for (label, t_naive, t_opt) in rows {
+    for (label, t_naive, t_planned) in rows {
         println!(
             "{:<44} {:>12} {:>12} {:>7.1}×",
             label,
             fmt_us(t_naive),
-            fmt_us(t_opt),
-            t_naive.as_secs_f64() / t_opt.as_secs_f64().max(1e-12)
+            fmt_us(t_planned),
+            t_naive.as_secs_f64() / t_planned.as_secs_f64().max(1e-12)
         );
     }
 
@@ -526,19 +527,19 @@ fn e8_naive_vs_optimized() {
 fn run_both(log: &Log, pattern: &str, workload: &str) -> (String, Duration, Duration) {
     let p: Pattern = pattern.parse().expect("parses");
     let naive_eval = Evaluator::with_strategy(log, Strategy::NaivePaper);
-    let opt_eval = Evaluator::with_strategy(log, Strategy::Optimized);
+    let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
     assert_eq!(
         naive_eval.evaluate(&p),
-        opt_eval.evaluate(&p),
+        planned_eval.evaluate(&p),
         "strategies disagree"
     );
     let t_naive = time_median(3, || {
         std::hint::black_box(naive_eval.evaluate(&p));
     });
-    let t_opt = time_median(3, || {
-        std::hint::black_box(opt_eval.evaluate(&p));
+    let t_planned = time_median(3, || {
+        std::hint::black_box(planned_eval.evaluate(&p));
     });
-    (format!("{workload}: {pattern}"), t_naive, t_opt)
+    (format!("{workload}: {pattern}"), t_naive, t_planned)
 }
 
 /// E9: the algebraic optimizer (Theorems 2–5 as rewrites).

@@ -407,9 +407,8 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            // --plan: run under the cost-based planner and print the
-            // chosen physical operator tree alongside the
-            // estimate/actual table.
+            // --plan: also print the cost-based planner's chosen
+            // physical operator tree above the estimate/actual table.
             "--plan" => plan = true,
             // --analyze: actually execute the plan and print per-node
             // actuals (rows, pairs, bytes, wall time) next to the
@@ -463,12 +462,10 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let strategy = if plan {
-        Strategy::Planned
-    } else {
-        Strategy::Optimized
-    };
-    let explain = Explain::run(&log, &pattern, true, strategy);
+    let mut explain = Explain::run(&log, &pattern, true, Strategy::default());
+    if !plan {
+        explain.physical_plan = None;
+    }
     print!("{explain}");
     Ok(())
 }

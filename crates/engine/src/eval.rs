@@ -1,10 +1,12 @@
-//! The evaluator: strategies, leaf evaluation, and the per-instance
-//! evaluation driver.
+//! The evaluator: strategies, leaf evaluation, and the one per-instance
+//! executor.
 //!
-//! Batch and planned evaluation first turn the query into an [`Exec`]
-//! tree whose atoms are resolved to the index's activity ids, once per
-//! query; the per-instance loops then run over instance ordinals and ids
-//! only.
+//! Planned evaluation first turns the physical plan into an [`Exec`] tree
+//! whose atoms are resolved to the index's activity ids and whose nodes
+//! carry their pre-order ids, once per query; the per-instance loops then
+//! run over instance ordinals and ids only. The naive oracle recurses over
+//! the pattern as written. Both report to a [`Probe`]: [`NoProbe`] here,
+//! the metrics probe when profiling.
 
 use std::ops::ControlFlow;
 
@@ -16,39 +18,30 @@ use crate::counting;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
 use crate::planner::{PhysOp, PhysicalPlan, PlanNode, Planner};
-use crate::{kernels, naive, optimized};
+use crate::probe::{Event, NoProbe, Output, Probe};
+use crate::{kernels, naive};
 
 /// Which operator implementations the evaluator uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Strategy {
-    /// The paper's Algorithm 1: nested-loop joins, `O(n1·n2)` per operator.
+    /// The paper's Algorithm 1: nested-loop joins, `O(n1·n2)` per operator,
+    /// over the pattern as written. The reference oracle.
     NaivePaper,
-    /// Index- and merge-based operators (output-sensitive where possible)
-    /// over the classic one-allocation-per-incident representation.
-    /// Produces identical incident sets; see `crate::optimized`.
-    Optimized,
-    /// The optimized operators over the flat arena-backed
-    /// [`IncidentBatch`] layout: unions are bump-appends into a shared
-    /// position pool and output stays sorted by construction where input
-    /// order guarantees it. Produces identical incident sets; see
-    /// `crate::batch` and `crate::kernels`.
-    Batch,
-    /// Cost-based planning on top of the batch layout: the query is
-    /// rewritten via the paper's Theorem 2–5 equivalences, the cheapest
-    /// tree is chosen by Lemma-1-style estimates, and each node gets a
-    /// physical operator (nested loop, batch kernel, or sort-merge
-    /// sequential join); `count()`/`exists()` route chain patterns to the
-    /// enumeration-free counting DP. Produces identical incident sets;
-    /// see `crate::planner`.
+    /// Cost-based planning over the flat arena-backed [`IncidentBatch`]
+    /// layout: the query is rewritten via the paper's Theorem 2–5
+    /// equivalences, the cheapest tree is chosen by Lemma-1-style
+    /// estimates, and each node gets a physical operator (nested loop,
+    /// batch kernel, or sort-merge sequential join); `count()`/`exists()`
+    /// route chain patterns to the enumeration-free counting DP. Produces
+    /// identical incident sets; see `crate::planner` and `crate::kernels`.
     #[default]
     Planned,
 }
 
 /// Combines two per-instance incident lists under `op` using `strategy`.
 ///
-/// This is the dispatch point between the paper-faithful and optimized
-/// operator implementations; both produce the same sorted, deduplicated
-/// output.
+/// This is the dispatch point between the paper-faithful operators and
+/// the batch kernels; both produce the same sorted, deduplicated output.
 #[must_use]
 pub fn combine(strategy: Strategy, op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
     match (strategy, op) {
@@ -56,13 +49,9 @@ pub fn combine(strategy: Strategy, op: Op, left: &[Incident], right: &[Incident]
         (Strategy::NaivePaper, Op::Sequential) => naive::sequential_eval(left, right),
         (Strategy::NaivePaper, Op::Choice) => naive::choice_eval(left, right),
         (Strategy::NaivePaper, Op::Parallel) => naive::parallel_eval(left, right),
-        (Strategy::Optimized, Op::Consecutive) => optimized::consecutive_eval(left, right),
-        (Strategy::Optimized, Op::Sequential) => optimized::sequential_eval(left, right),
-        (Strategy::Optimized, Op::Choice) => optimized::choice_eval(left, right),
-        (Strategy::Optimized, Op::Parallel) => optimized::parallel_eval(left, right),
-        (Strategy::Batch | Strategy::Planned, _) => {
+        (Strategy::Planned, _) => {
             // Boundary conversion for callers holding classic incident
-            // lists (trees, streaming deltas); the evaluator's own batch
+            // lists (trees, streaming deltas); the evaluator's own planned
             // path stays flat end-to-end and never comes through here.
             let Some(wid) = left.first().or_else(|| right.first()).map(Incident::wid) else {
                 return Vec::new();
@@ -127,6 +116,18 @@ impl<'p> Leaf<'p> {
             }
         }
     }
+
+    /// Index candidates [`scan`](Self::scan) examines in instance
+    /// `ordinal`: the postings of `t`, or the whole instance for `¬t`.
+    fn candidates(self, index: &LogIndex, ordinal: usize) -> u64 {
+        let n = if self.atom.negated {
+            index.instance_activities(ordinal).len()
+        } else {
+            self.id
+                .map_or(0, |id| index.instance_postings(ordinal, id).len())
+        };
+        n as u64
+    }
 }
 
 /// The incidents of an atomic pattern in one instance: every record whose
@@ -143,29 +144,17 @@ pub fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec
     out
 }
 
-/// Like [`leaf_incidents`], emitting straight into a pooled
-/// [`IncidentBatch`]: one position per matching record, no per-incident
-/// allocation. Postings are ascending, so the batch is born finished.
-pub fn leaf_batch(
-    atom: &Atom,
-    log: &Log,
-    index: &LogIndex,
-    wid: Wid,
-    arena: &mut BatchArena,
-) -> IncidentBatch {
-    let mut batch = arena.alloc(wid);
-    if let Some(ordinal) = index.ordinal(wid) {
-        Leaf::resolve(atom, index).scan(log, index, ordinal, |p| batch.push_singleton(p));
-    }
-    batch
-}
-
-/// A query tree over the batch kernels with its atoms resolved, built
-/// once per query and run once per instance.
+/// A physical plan with its atoms resolved and its nodes numbered in
+/// pre-order (the probe's node ids), built once per query and run once
+/// per instance.
 #[derive(Debug)]
 pub(crate) enum Exec<'p> {
-    Leaf(Leaf<'p>),
+    Leaf {
+        id: usize,
+        leaf: Leaf<'p>,
+    },
     Join {
+        id: usize,
         op: Op,
         phys: PhysOp,
         left: Box<Exec<'p>>,
@@ -174,10 +163,15 @@ pub(crate) enum Exec<'p> {
 }
 
 impl<'p> Exec<'p> {
-    /// A physical plan, with the operators it chose.
-    fn plan(node: &'p PlanNode, index: &LogIndex) -> Self {
+    /// The subtree at `node`, numbering from `next`.
+    fn build(node: &'p PlanNode, index: &LogIndex, next: &mut usize) -> Self {
+        let id = *next;
+        *next += 1;
         match node {
-            PlanNode::Leaf { atom, .. } => Exec::Leaf(Leaf::resolve(atom, index)),
+            PlanNode::Leaf { atom, .. } => Exec::Leaf {
+                id,
+                leaf: Leaf::resolve(atom, index),
+            },
             PlanNode::Join {
                 op,
                 phys,
@@ -185,23 +179,11 @@ impl<'p> Exec<'p> {
                 right,
                 ..
             } => Exec::Join {
+                id,
                 op: *op,
                 phys: *phys,
-                left: Box::new(Exec::plan(left, index)),
-                right: Box::new(Exec::plan(right, index)),
-            },
-        }
-    }
-
-    /// A pattern as written, with the batch kernel at every join.
-    fn pattern(pattern: &'p Pattern, index: &LogIndex) -> Self {
-        match pattern {
-            Pattern::Atom(atom) => Exec::Leaf(Leaf::resolve(atom, index)),
-            Pattern::Binary { op, left, right } => Exec::Join {
-                op: *op,
-                phys: PhysOp::BatchKernel,
-                left: Box::new(Exec::pattern(left, index)),
-                right: Box::new(Exec::pattern(right, index)),
+                left: Box::new(Exec::build(left, index, next)),
+                right: Box::new(Exec::build(right, index, next)),
             },
         }
     }
@@ -287,55 +269,61 @@ impl<'a> Evaluator<'a> {
         self.planner.as_ref().map(|pl| pl.plan(pattern))
     }
 
-    /// What the batch paths run for `pattern`: the plan's tree under
-    /// [`Strategy::Planned`], the pattern itself under
-    /// [`Strategy::Batch`], and `None` for the classic operators.
-    pub(crate) fn exec<'p>(
-        &self,
-        pattern: &'p Pattern,
-        plan: Option<&'p PhysicalPlan>,
-    ) -> Option<Exec<'p>> {
-        match plan {
-            Some(plan) => Some(Exec::plan(plan.root(), &self.index)),
-            None if self.strategy == Strategy::Batch => Some(Exec::pattern(pattern, &self.index)),
-            None => None,
-        }
+    /// The executable tree of `plan`; `None` (no plan) selects the naive
+    /// oracle.
+    pub(crate) fn exec<'p>(&self, plan: Option<&'p PhysicalPlan>) -> Option<Exec<'p>> {
+        plan.map(|plan| Exec::build(plan.root(), &self.index, &mut 0))
     }
 
     /// Executes `exec` for instance `ordinal`, drawing and retiring
     /// batches in the caller's arena.
-    fn run(
+    fn run<P: Probe>(
         &self,
         exec: &Exec<'_>,
         ordinal: usize,
         wid: Wid,
         arena: &mut BatchArena,
+        probe: &mut P,
     ) -> IncidentBatch {
         match exec {
-            Exec::Leaf(leaf) => {
+            Exec::Leaf { id, leaf } => {
+                let mark = probe.start();
                 let mut batch = arena.alloc(wid);
                 leaf.scan(self.log, &self.index, ordinal, |p| batch.push_singleton(p));
+                probe.record(*id, mark, || Event::Scan {
+                    scanned: leaf.candidates(&self.index, ordinal),
+                    out: Output::batch(&batch),
+                });
                 batch
             }
             Exec::Join {
+                id,
                 op,
                 phys,
                 left,
                 right,
             } => {
-                let l = self.run(left, ordinal, wid, arena);
+                let l = self.run(left, ordinal, wid, arena, probe);
                 // Short-circuit: for the three conjunctive operators an
                 // empty side forces an empty result.
                 if l.is_empty() && *op != Op::Choice {
                     return l;
                 }
-                let r = self.run(right, ordinal, wid, arena);
+                let r = self.run(right, ordinal, wid, arena, probe);
+                let mark = probe.start();
                 let mut out = arena.alloc(wid);
                 match phys {
                     PhysOp::NestedLoop => kernels::nested_loop_kernel(*op, &l, &r, &mut out),
                     PhysOp::BatchKernel => kernels::combine_batch_into(*op, &l, &r, &mut out),
                     PhysOp::SortMergeSeq => kernels::sequential_sort_merge_kernel(&l, &r, &mut out),
                 }
+                probe.record(*id, mark, || Event::Join {
+                    op: *op,
+                    phys: *phys,
+                    left: l.len(),
+                    right: r.len(),
+                    out: Output::batch(&out),
+                });
                 arena.recycle(l);
                 arena.recycle(r);
                 out
@@ -351,148 +339,190 @@ impl<'a> Evaluator<'a> {
     /// straight into its final `Vec` instead of round-tripping the full
     /// output through a batch pool plus [`IncidentBatch::drain_incidents`]
     /// — at the query boundary that round-trip is pure overhead, and for
-    /// wide joins it re-copies every emitted position.
-    fn materialize(
+    /// wide joins it re-copies every emitted position. Either way the root
+    /// runs the batch kernel's algorithm, whatever operator the plan chose,
+    /// and reports itself as one.
+    fn materialize<P: Probe>(
         &self,
         exec: &Exec<'_>,
         ordinal: usize,
         wid: Wid,
         arena: &mut BatchArena,
+        probe: &mut P,
     ) -> Vec<Incident> {
         if let Exec::Join {
+            id,
             op: op @ (Op::Consecutive | Op::Sequential),
             left,
             right,
             ..
         } = exec
         {
-            let l = self.run(left, ordinal, wid, arena);
+            let l = self.run(left, ordinal, wid, arena, probe);
             if l.is_empty() {
                 arena.recycle(l);
                 return Vec::new();
             }
-            let r = self.run(right, ordinal, wid, arena);
-            let direct = kernels::materialize_join(*op, &l, &r);
-            if let Some(incidents) = direct {
-                arena.recycle(l);
-                arena.recycle(r);
-                return incidents;
-            }
-            let mut out = arena.alloc(wid);
-            kernels::combine_batch_into(*op, &l, &r, &mut out);
+            let r = self.run(right, ordinal, wid, arena, probe);
+            let mark = probe.start();
+            let join = |out| Event::Join {
+                op: *op,
+                phys: PhysOp::BatchKernel,
+                left: l.len(),
+                right: r.len(),
+                out,
+            };
+            let incidents = match kernels::materialize_join(*op, &l, &r) {
+                Some(incidents) => {
+                    probe.record(*id, mark, || join(Output::materialized(&incidents)));
+                    incidents
+                }
+                None => {
+                    let mut out = arena.alloc(wid);
+                    kernels::combine_batch_into(*op, &l, &r, &mut out);
+                    probe.record(*id, mark, || join(Output::batch(&out)));
+                    let incidents = out.drain_incidents();
+                    arena.recycle(out);
+                    incidents
+                }
+            };
             arena.recycle(l);
             arena.recycle(r);
-            let incidents = out.drain_incidents();
-            arena.recycle(out);
             return incidents;
         }
-        let mut batch = self.run(exec, ordinal, wid, arena);
+        let mut batch = self.run(exec, ordinal, wid, arena, probe);
         let incidents = batch.drain_incidents();
         arena.recycle(batch);
         incidents
     }
 
-    /// Runs `exec` over the instances in ordinal order, handing each
-    /// result to `visit` until it breaks.
+    /// The naive oracle for instance `ordinal`: Algorithm 1's operators
+    /// over the pattern as written, node `id` being `pattern`'s pre-order
+    /// id.
+    fn naive<P: Probe>(
+        &self,
+        pattern: &Pattern,
+        id: usize,
+        ordinal: usize,
+        wid: Wid,
+        probe: &mut P,
+    ) -> Vec<Incident> {
+        match pattern {
+            Pattern::Atom(atom) => {
+                let mark = probe.start();
+                let leaf = Leaf::resolve(atom, &self.index);
+                let mut out = Vec::new();
+                leaf.scan(self.log, &self.index, ordinal, |p| {
+                    out.push(Incident::singleton(wid, p));
+                });
+                probe.record(id, mark, || Event::Scan {
+                    scanned: leaf.candidates(&self.index, ordinal),
+                    out: Output::classic(&out),
+                });
+                out
+            }
+            Pattern::Binary { op, left, right } => {
+                let l = self.naive(left, id + 1, ordinal, wid, probe);
+                // Short-circuit: for the three conjunctive operators an
+                // empty side forces an empty result.
+                if l.is_empty() && *op != Op::Choice {
+                    return Vec::new();
+                }
+                // The left subtree has `2·atoms − 1` nodes.
+                let r = self.naive(right, id + 2 * left.num_atoms(), ordinal, wid, probe);
+                let mark = probe.start();
+                let out = combine(Strategy::NaivePaper, *op, &l, &r);
+                probe.record(id, mark, || Event::Join {
+                    op: *op,
+                    phys: PhysOp::NestedLoop,
+                    left: l.len(),
+                    right: r.len(),
+                    out: Output::classic(&out),
+                });
+                out
+            }
+        }
+    }
+
+    /// Evaluates every instance in `ordinals` (a range, or a worker's
+    /// claims): `exec` when planned, the naive oracle over `pattern`
+    /// otherwise.
+    pub(crate) fn instances<P: Probe>(
+        &self,
+        pattern: &Pattern,
+        exec: Option<&Exec<'_>>,
+        ordinals: impl IntoIterator<Item = usize>,
+        probe: &mut P,
+    ) -> Vec<(Wid, Vec<Incident>)> {
+        let wids = self.index.instance_wids();
+        let mut arena = BatchArena::new();
+        ordinals
+            .into_iter()
+            .filter_map(|ordinal| {
+                let wid = *wids.get(ordinal)?;
+                let incidents = match exec {
+                    Some(exec) => self.materialize(exec, ordinal, wid, &mut arena, probe),
+                    None => self.naive(pattern, 0, ordinal, wid, probe),
+                };
+                Some((wid, incidents))
+            })
+            .collect()
+    }
+
+    /// Runs `plan` (the naive oracle over `pattern` without one) over the
+    /// instances in ordinal order without materializing, handing each instance's incident count to `visit`
+    /// until it breaks.
     fn sweep(
         &self,
-        exec: &Exec<'_>,
-        mut visit: impl FnMut(Wid, &IncidentBatch) -> ControlFlow<()>,
+        pattern: &Pattern,
+        plan: Option<&PhysicalPlan>,
+        mut visit: impl FnMut(Wid, usize) -> ControlFlow<()>,
     ) {
+        let exec = self.exec(plan);
         let mut arena = BatchArena::new();
         for (ordinal, &wid) in self.index.instance_wids().iter().enumerate() {
-            let batch = self.run(exec, ordinal, wid, &mut arena);
-            let flow = visit(wid, &batch);
-            arena.recycle(batch);
-            if flow.is_break() {
+            let n = match &exec {
+                Some(exec) => {
+                    let batch = self.run(exec, ordinal, wid, &mut arena, &mut NoProbe);
+                    let n = batch.len();
+                    arena.recycle(batch);
+                    n
+                }
+                None => self.naive(pattern, 0, ordinal, wid, &mut NoProbe).len(),
+            };
+            if visit(wid, n).is_break() {
                 return;
             }
         }
     }
 
-    /// Materializes `exec` for every instance in `ordinals` (a range of
-    /// ordinals, or all of them).
-    pub(crate) fn materialize_instances(
-        &self,
-        exec: &Exec<'_>,
-        ordinals: impl IntoIterator<Item = usize>,
-        arena: &mut BatchArena,
-    ) -> Vec<(Wid, Vec<Incident>)> {
-        let wids = self.index.instance_wids();
-        ordinals
-            .into_iter()
-            .filter_map(|ordinal| {
-                let wid = *wids.get(ordinal)?;
-                Some((wid, self.materialize(exec, ordinal, wid, arena)))
-            })
-            .collect()
-    }
-
     /// Computes `incL(p)`: all incidents of `p` in the log.
     ///
-    /// Under [`Strategy::Batch`] and [`Strategy::Planned`] the whole
-    /// evaluation stays in the flat [`IncidentBatch`] layout, converting
-    /// to [`Incident`]s only here at the query boundary; one
-    /// [`BatchArena`] is reused across all instances. [`Strategy::Planned`]
-    /// additionally plans the pattern once and executes the chosen
-    /// physical tree per instance, materializing the root join directly.
+    /// Under [`Strategy::Planned`] the pattern is planned once and the
+    /// chosen physical tree runs per instance in the flat
+    /// [`IncidentBatch`] layout, with one [`BatchArena`] reused across all
+    /// instances, converting to [`Incident`]s only at the root.
     #[must_use]
     pub fn evaluate(&self, pattern: &Pattern) -> IncidentSet {
         let plan = self.physical_plan(pattern);
-        let parts = match self.exec(pattern, plan.as_ref()) {
-            Some(exec) => self.materialize_instances(
-                &exec,
-                0..self.index.num_instances(),
-                &mut BatchArena::new(),
-            ),
-            None => self
-                .index
-                .wids()
-                .map(|wid| (wid, self.evaluate_instance(pattern, wid)))
-                .collect(),
-        };
-        IncidentSet::from_partitions(parts)
+        let exec = self.exec(plan.as_ref());
+        IncidentSet::from_partitions(self.instances(
+            pattern,
+            exec.as_ref(),
+            0..self.index.num_instances(),
+            &mut NoProbe,
+        ))
     }
 
     /// Computes the incidents of `p` within a single instance.
     #[must_use]
     pub fn evaluate_instance(&self, pattern: &Pattern, wid: Wid) -> Vec<Incident> {
         let plan = self.physical_plan(pattern);
-        if let Some(exec) = self.exec(pattern, plan.as_ref()) {
-            let Some(ordinal) = self.index.ordinal(wid) else {
-                return Vec::new();
-            };
-            return self.materialize(&exec, ordinal, wid, &mut BatchArena::new());
-        }
-        match pattern {
-            Pattern::Atom(atom) => leaf_incidents(atom, self.log, &self.index, wid),
-            Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_instance(left, wid);
-                // Short-circuit: for the three conjunctive operators an
-                // empty side forces an empty result.
-                if l.is_empty() && *op != Op::Choice {
-                    return Vec::new();
-                }
-                let r = self.evaluate_instance(right, wid);
-                combine(self.strategy, *op, &l, &r)
-            }
-        }
-    }
-
-    /// Computes the incidents of `p` within one instance in flat batch
-    /// form, regardless of the configured strategy.
-    #[must_use]
-    pub fn evaluate_instance_batch(&self, pattern: &Pattern, wid: Wid) -> IncidentBatch {
-        let mut arena = BatchArena::new();
-        match self.index.ordinal(wid) {
-            Some(ordinal) => self.run(
-                &Exec::pattern(pattern, &self.index),
-                ordinal,
-                wid,
-                &mut arena,
-            ),
-            None => arena.alloc(wid),
-        }
+        let exec = self.exec(plan.as_ref());
+        let ordinal = self.index.ordinal(wid);
+        self.instances(pattern, exec.as_ref(), ordinal, &mut NoProbe)
+            .pop()
+            .map_or_else(Vec::new, |(_, incidents)| incidents)
     }
 
     /// Whether any incident of `p` exists. Stops at the first instance
@@ -508,33 +538,24 @@ impl<'a> Evaluator<'a> {
         {
             return found;
         }
-        match self.exec(pattern, plan.as_ref()) {
-            Some(exec) => {
-                let mut found = false;
-                self.sweep(&exec, |_, batch| {
-                    found = !batch.is_empty();
-                    if found {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                found
+        let mut found = false;
+        self.sweep(pattern, plan.as_ref(), |_, n| {
+            found = n > 0;
+            if found {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            None => self
-                .index
-                .wids()
-                .any(|wid| !self.evaluate_instance(pattern, wid).is_empty()),
-        }
+        });
+        found
     }
 
     /// Number of incidents of `p` in the log, `|incL(p)|`.
     ///
-    /// Under [`Strategy::Batch`] this counts [`IncidentBatch`] refs
-    /// directly — no incident is ever materialized. Under
-    /// [`Strategy::Planned`], `~>`/`->` chains of predicate-free atoms
-    /// additionally skip enumeration entirely via the `O(m·k)` dynamic
-    /// program of [`fast_count`](crate::fast_count).
+    /// Under [`Strategy::Planned`] this counts [`IncidentBatch`] refs
+    /// directly — no incident is ever materialized — and `~>`/`->` chains
+    /// of predicate-free atoms skip enumeration entirely via the `O(m·k)`
+    /// dynamic program of [`fast_count`](crate::fast_count).
     #[must_use]
     pub fn count(&self, pattern: &Pattern) -> usize {
         let plan = self.physical_plan(pattern);
@@ -545,44 +566,26 @@ impl<'a> Evaluator<'a> {
         {
             return n;
         }
-        match self.exec(pattern, plan.as_ref()) {
-            Some(exec) => {
-                let mut n = 0;
-                self.sweep(&exec, |_, batch| {
-                    n += batch.len();
-                    ControlFlow::Continue(())
-                });
-                n
-            }
-            None => self
-                .index
-                .wids()
-                .map(|wid| self.evaluate_instance(pattern, wid).len())
-                .sum(),
-        }
+        let mut total = 0;
+        self.sweep(pattern, plan.as_ref(), |_, n| {
+            total += n;
+            ControlFlow::Continue(())
+        });
+        total
     }
 
     /// The instances containing at least one incident of `p`.
     #[must_use]
     pub fn matching_instances(&self, pattern: &Pattern) -> Vec<Wid> {
         let plan = self.physical_plan(pattern);
-        match self.exec(pattern, plan.as_ref()) {
-            Some(exec) => {
-                let mut wids = Vec::new();
-                self.sweep(&exec, |wid, batch| {
-                    if !batch.is_empty() {
-                        wids.push(wid);
-                    }
-                    ControlFlow::Continue(())
-                });
-                wids
+        let mut wids = Vec::new();
+        self.sweep(pattern, plan.as_ref(), |wid, n| {
+            if n > 0 {
+                wids.push(wid);
             }
-            None => self
-                .index
-                .wids()
-                .filter(|&wid| !self.evaluate_instance(pattern, wid).is_empty())
-                .collect(),
-        }
+            ControlFlow::Continue(())
+        });
+        wids
     }
 }
 
@@ -595,20 +598,11 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn fig3_eval(strategy: Strategy) -> (Log, Strategy) {
-        (paper::figure3_log(), strategy)
-    }
-
     #[test]
     fn example3_update_before_reimburse() {
         // incL(UpdateRefer → GetReimburse) = {{l14, l20}}.
         let log = paper::figure3_log();
-        for strategy in [
-            Strategy::NaivePaper,
-            Strategy::Optimized,
-            Strategy::Batch,
-            Strategy::Planned,
-        ] {
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
             let eval = Evaluator::with_strategy(&log, strategy);
             let set = eval.evaluate(&parse("UpdateRefer -> GetReimburse"));
             assert_eq!(set.len(), 1);
@@ -642,12 +636,14 @@ mod tests {
 
     #[test]
     fn atomic_patterns_count_matching_records() {
-        let (log, s) = fig3_eval(Strategy::Optimized);
-        let eval = Evaluator::with_strategy(&log, s);
-        assert_eq!(eval.count(&parse("SeeDoctor")), 4);
-        assert_eq!(eval.count(&parse("START")), 3);
-        assert_eq!(eval.count(&parse("Missing")), 0);
-        assert_eq!(eval.count(&parse("!START")), 17);
+        let log = paper::figure3_log();
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
+            let eval = Evaluator::with_strategy(&log, strategy);
+            assert_eq!(eval.count(&parse("SeeDoctor")), 4);
+            assert_eq!(eval.count(&parse("START")), 3);
+            assert_eq!(eval.count(&parse("Missing")), 0);
+            assert_eq!(eval.count(&parse("!START")), 17);
+        }
     }
 
     #[test]
@@ -715,8 +711,6 @@ mod tests {
     fn strategies_agree_on_a_pattern_battery() {
         let log = paper::figure3_log();
         let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-        let opt = Evaluator::with_strategy(&log, Strategy::Optimized);
-        let batch = Evaluator::with_strategy(&log, Strategy::Batch);
         let planned = Evaluator::with_strategy(&log, Strategy::Planned);
         for src in [
             "GetRefer ~> CheckIn",
@@ -728,29 +722,16 @@ mod tests {
             "(SeeDoctor & SeeDoctor) -> GetReimburse",
         ] {
             let p = parse(src);
-            assert_eq!(naive.evaluate(&p), opt.evaluate(&p), "mismatch on {src}");
+            let reference = naive.evaluate(&p);
+            assert_eq!(reference.len(), naive.count(&p), "naive count on {src}");
             assert_eq!(
-                naive.evaluate(&p),
-                batch.evaluate(&p),
-                "batch mismatch on {src}"
-            );
-            assert_eq!(
-                naive.count(&p),
-                batch.count(&p),
-                "batch count mismatch on {src}"
-            );
-            assert_eq!(
+                !reference.is_empty(),
                 naive.exists(&p),
-                batch.exists(&p),
-                "batch exists mismatch on {src}"
+                "naive exists on {src}"
             );
+            assert_eq!(reference, planned.evaluate(&p), "planned mismatch on {src}");
             assert_eq!(
-                naive.evaluate(&p),
-                planned.evaluate(&p),
-                "planned mismatch on {src}"
-            );
-            assert_eq!(
-                naive.count(&p),
+                reference.len(),
                 planned.count(&p),
                 "planned count mismatch on {src}"
             );
@@ -764,6 +745,13 @@ mod tests {
                 planned.matching_instances(&p),
                 "planned matching_instances mismatch on {src}"
             );
+            for wid in log.wids() {
+                assert_eq!(
+                    naive.evaluate_instance(&p, wid),
+                    planned.evaluate_instance(&p, wid),
+                    "evaluate_instance mismatch on {src} in {wid:?}"
+                );
+            }
         }
     }
 

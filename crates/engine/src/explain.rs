@@ -5,7 +5,7 @@ use std::fmt;
 use std::time::Duration;
 
 use wlq_log::{Log, LogIndex, LogStats};
-use wlq_pattern::{CostModel, Optimizer, Pattern};
+use wlq_pattern::{Optimizer, Pattern};
 
 use crate::eval::Strategy;
 use crate::incident_set::IncidentSet;
@@ -76,7 +76,9 @@ impl Explain {
                 let estimated = node
                     .pattern
                     .parse::<Pattern>()
-                    .map_or(node.incidents.len() as f64, |sub| estimate(model, &sub));
+                    .map_or(node.incidents.len() as f64, |sub| {
+                        model.estimate_incidents(&sub)
+                    });
                 ExplainRow {
                     pattern: node.pattern.clone(),
                     depth: node.depth,
@@ -110,10 +112,6 @@ impl Explain {
             })
             .fold(1.0, f64::max)
     }
-}
-
-fn estimate(model: &CostModel, pattern: &Pattern) -> f64 {
-    model.estimate_incidents(pattern)
 }
 
 impl fmt::Display for Explain {
@@ -157,7 +155,7 @@ mod tests {
     fn explain_matches_plain_evaluation() {
         let log = paper::figure3_log();
         let p = parse("SeeDoctor -> (UpdateRefer -> GetReimburse)");
-        let explain = Explain::run(&log, &p, false, Strategy::Optimized);
+        let explain = Explain::run(&log, &p, false, Strategy::Planned);
         assert_eq!(explain.incidents, Evaluator::new(&log).evaluate(&p));
         assert_eq!(explain.rows.len(), 5);
         assert_eq!(explain.plan, explain.query);
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn leaf_estimates_are_exact_on_atoms() {
         let log = paper::figure3_log();
-        let explain = Explain::run(&log, &parse("SeeDoctor"), false, Strategy::Optimized);
+        let explain = Explain::run(&log, &parse("SeeDoctor"), false, Strategy::Planned);
         assert_eq!(explain.rows.len(), 1);
         assert!((explain.rows[0].estimated - 4.0).abs() < 1e-9);
         assert_eq!(explain.rows[0].actual, 4);
@@ -177,7 +175,7 @@ mod tests {
     fn optimized_plan_is_reported_when_it_differs() {
         let log = paper::figure3_log();
         let p = parse("(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)");
-        let explain = Explain::run(&log, &p, true, Strategy::Optimized);
+        let explain = Explain::run(&log, &p, true, Strategy::Planned);
         assert_eq!(explain.query, p.to_string());
         assert_eq!(explain.plan, "SeeDoctor -> (PayTreatment | UpdateRefer)");
         // Still the same result.
@@ -191,7 +189,7 @@ mod tests {
             &log,
             &parse("UpdateRefer -> GetReimburse"),
             false,
-            Strategy::Optimized,
+            Strategy::Planned,
         );
         let text = explain.to_string();
         assert!(text.contains("query: UpdateRefer -> GetReimburse"));
@@ -203,15 +201,15 @@ mod tests {
     fn physical_plan_renders_only_under_planned() {
         let log = paper::figure3_log();
         let p = parse("SeeDoctor -> PayTreatment");
-        let optimized = Explain::run(&log, &p, true, Strategy::Optimized);
-        assert!(optimized.physical_plan.is_none());
+        let naive = Explain::run(&log, &p, true, Strategy::NaivePaper);
+        assert!(naive.physical_plan.is_none());
         let planned = Explain::run(&log, &p, true, Strategy::Planned);
         let physical = planned.physical_plan.as_deref().unwrap();
         assert!(physical.contains("chosen:"), "{physical}");
         assert!(physical.contains("scan SeeDoctor"), "{physical}");
         assert!(planned.to_string().contains("physical plan:"));
         // Same results either way.
-        assert_eq!(planned.incidents, optimized.incidents);
+        assert_eq!(planned.incidents, naive.incidents);
     }
 
     #[test]
@@ -221,7 +219,7 @@ mod tests {
             &log,
             &parse("SeeDoctor -> PayTreatment"),
             false,
-            Strategy::Optimized,
+            Strategy::Planned,
         );
         // Estimates are heuristic but should be within two orders of
         // magnitude on this tiny log.

@@ -1,34 +1,51 @@
-//! Partitioned parallel evaluation.
+//! Partitioned parallel evaluation and the engine's one worker pool.
 //!
 //! Incidents never span workflow instances, so `incL(p)` decomposes into
 //! independent per-instance subproblems (the paper's Algorithm 2 iterates
-//! over `widSet` sequentially). [`evaluate_parallel`] distributes the
-//! instances over worker threads with [`crossbeam`] scoped threads and a
-//! shared atomic work queue, then merges the per-instance results.
+//! over `widSet` sequentially). [`Evaluator::pool`] distributes instance
+//! ordinals over [`crossbeam`] scoped worker threads through one shared
+//! atomic counter; [`evaluate_parallel`] and the profiler both run on it.
 //!
 //! The entry points are panic-free: a zero worker count is reported as
 //! [`EngineError::NoWorkers`], and a panicking worker is contained at the
 //! thread boundary and surfaced as [`EngineError::WorkerPanicked`].
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wlq_log::{Log, Wid};
+use wlq_log::Log;
 use wlq_pattern::Pattern;
 
-use crate::batch::BatchArena;
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
-use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
+use crate::probe::NoProbe;
 
 /// Renders a worker panic payload for [`EngineError::WorkerPanicked`].
-pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
+fn describe_panic(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// The instance ordinals one worker claims, one at a time, from the
+/// pool's shared counter.
+pub(crate) struct Claims<'a> {
+    next: &'a AtomicUsize,
+    end: usize,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let ordinal = self.next.fetch_add(1, Ordering::Relaxed);
+        (ordinal < self.end).then_some(ordinal)
     }
 }
 
@@ -52,7 +69,7 @@ pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// let log = paper::figure3_log();
 /// let p: Pattern = "SeeDoctor -> PayTreatment".parse()?;
-/// let par = evaluate_parallel(&log, &p, 4, Strategy::Optimized)?;
+/// let par = evaluate_parallel(&log, &p, 4, Strategy::Planned)?;
 /// assert_eq!(par, Evaluator::new(&log).evaluate(&p));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -66,10 +83,9 @@ pub fn evaluate_parallel(
 }
 
 impl Evaluator<'_> {
-    /// Multi-threaded [`evaluate`](Evaluator::evaluate): instances are
-    /// claimed from a shared queue by up to `num_threads` crossbeam scoped
-    /// threads. Reuses this evaluator's prebuilt index, so repeated
-    /// parallel queries pay the indexing cost once.
+    /// Multi-threaded [`evaluate`](Evaluator::evaluate) on the worker
+    /// pool. Reuses this evaluator's prebuilt index, so repeated parallel
+    /// queries pay the indexing cost once.
     ///
     /// # Errors
     ///
@@ -80,81 +96,65 @@ impl Evaluator<'_> {
         pattern: &Pattern,
         num_threads: usize,
     ) -> Result<IncidentSet, EngineError> {
-        if num_threads == 0 {
+        // Plan and resolve once; workers share the immutable tree.
+        let plan = self.physical_plan(pattern);
+        let exec = self.exec(plan.as_ref());
+        let parts = self.pool(num_threads, |claims| {
+            self.instances(pattern, exec.as_ref(), claims, &mut NoProbe)
+        })?;
+        Ok(IncidentSet::from_partitions(parts.into_iter().flatten()))
+    }
+
+    /// The worker pool: runs `work` on up to `threads` workers (never more
+    /// than there are instances), each handed the [`Claims`] it draws from
+    /// one shared counter, and returns every worker's result in worker
+    /// order. Each worker owns whatever `work` builds — arena, probe,
+    /// results — so nothing is shared but the counter. A single worker
+    /// runs on the caller's thread; every worker's panic is caught.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::NoWorkers`] if `threads` is 0 and
+    /// [`EngineError::WorkerPanicked`] if a worker panics.
+    pub(crate) fn pool<T: Send>(
+        &self,
+        threads: usize,
+        work: impl Fn(Claims<'_>) -> T + Sync,
+    ) -> Result<Vec<T>, EngineError> {
+        if threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let instances = self.index().num_instances();
-        if num_threads == 1 || instances <= 1 {
-            return Ok(self.evaluate(pattern));
-        }
-        // Plan and resolve once, outside the scope; workers share the
-        // immutable tree.
-        let plan = self.physical_plan(pattern);
-        let exec = self.exec(pattern, plan.as_ref());
-
-        // One entry per worker: the (wid, incidents) pairs it swept.
-        type WorkerParts = Vec<Vec<(Wid, Vec<Incident>)>>;
-
-        let next = AtomicUsize::new(0);
-        let workers = num_threads.min(instances);
-        let scope_result: std::thread::Result<Result<WorkerParts, EngineError>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let exec = &exec;
-                        scope.spawn(move |_| {
-                            // Instances are claimed one ordinal at a time.
-                            let claims = std::iter::from_fn(|| {
-                                let ordinal = next.fetch_add(1, Ordering::Relaxed);
-                                (ordinal < instances).then_some(ordinal)
-                            });
-                            match exec {
-                                // Each worker owns its arena: batches for
-                                // the instances it sweeps recycle
-                                // worker-locally, with no cross-thread
-                                // sharing.
-                                Some(exec) => {
-                                    self.materialize_instances(exec, claims, &mut BatchArena::new())
-                                }
-                                None => claims
-                                    .filter_map(|ordinal| {
-                                        let wid = *self.index().instance_wids().get(ordinal)?;
-                                        Some((wid, self.evaluate_instance(pattern, wid)))
-                                    })
-                                    .collect(),
-                            }
-                        })
-                    })
-                    .collect();
-                // Joining every handle contains worker panics here rather
-                // than letting the scope re-raise them on the caller.
-                let mut parts = Vec::with_capacity(handles.len());
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => parts.push(part),
-                        Err(payload) => {
-                            return Err(EngineError::WorkerPanicked {
-                                detail: describe_panic(payload.as_ref()),
-                            })
-                        }
-                    }
-                }
-                Ok(parts)
-            });
-        let results = match scope_result {
-            Ok(inner) => inner?,
-            // Real crossbeam reports unjoined child panics through the
-            // scope result; the std-backed shim never takes this path
-            // because every handle is joined above.
-            Err(payload) => {
-                return Err(EngineError::WorkerPanicked {
-                    detail: describe_panic(payload.as_ref()),
-                })
-            }
+        let panicked = |payload: Box<dyn Any + Send>| EngineError::WorkerPanicked {
+            detail: describe_panic(payload.as_ref()),
         };
-
-        Ok(IncidentSet::from_partitions(results.into_iter().flatten()))
+        let end = self.index().num_instances();
+        let next = AtomicUsize::new(0);
+        let claims = || Claims { next: &next, end };
+        let workers = threads.min(end);
+        if workers <= 1 {
+            return panic::catch_unwind(AssertUnwindSafe(|| vec![work(claims())]))
+                .map_err(panicked);
+        }
+        let scope_result = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (work, claims) = (&work, &claims);
+                    scope.spawn(move |_| work(claims()))
+                })
+                .collect();
+            // Joining every handle — all of them, before looking at any
+            // result — contains worker panics here rather than letting the
+            // scope re-raise them on the caller.
+            let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+            joined
+                .into_iter()
+                .map(|result| result.map_err(panicked))
+                .collect::<Result<Vec<T>, EngineError>>()
+        });
+        // Real crossbeam reports unjoined child panics through the scope
+        // result; the std-backed shim never takes this path because every
+        // handle is joined above.
+        scope_result.map_err(panicked)?
     }
 }
 
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_figure3() {
         let log = paper::figure3_log();
-        let reference = Evaluator::new(&log);
+        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for threads in [1, 2, 3, 8] {
             for src in [
                 "SeeDoctor -> PayTreatment",
@@ -201,7 +201,7 @@ mod tests {
             ] {
                 let p = parse(src);
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::Optimized).unwrap(),
+                    evaluate_parallel(&log, &p, threads, Strategy::NaivePaper).unwrap(),
                     reference.evaluate(&p),
                     "threads={threads} pattern={src}"
                 );
@@ -212,12 +212,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_many_instances() {
         let log = many_instances(64);
-        let reference = Evaluator::new(&log);
+        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for src in ["A -> B", "A & (B | C)", "!A ~> D", "A -> B -> C"] {
             let p = parse(src);
             for threads in [2, 4] {
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::Optimized).unwrap(),
+                    evaluate_parallel(&log, &p, threads, Strategy::NaivePaper).unwrap(),
                     reference.evaluate(&p),
                     "threads={threads} pattern={src}"
                 );
@@ -232,11 +232,7 @@ mod tests {
         let naive = evaluate_parallel(&log, &p, 4, Strategy::NaivePaper).unwrap();
         assert_eq!(
             naive,
-            evaluate_parallel(&log, &p, 4, Strategy::Optimized).unwrap()
-        );
-        assert_eq!(
-            naive,
-            evaluate_parallel(&log, &p, 4, Strategy::Batch).unwrap()
+            Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p)
         );
         assert_eq!(
             naive,
@@ -260,15 +256,17 @@ mod tests {
         }
     }
 
+    /// Planned workers (per-worker arenas) against the naive oracle, on
+    /// the operators the batch kernels run.
     #[test]
     fn batch_workers_match_sequential_on_many_instances() {
         let log = many_instances(48);
-        let reference = Evaluator::with_strategy(&log, Strategy::Batch);
+        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for src in ["A -> B", "(A & D) | (B ~> C)", "!A ~> D"] {
             let p = parse(src);
             for threads in [2, 5] {
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::Batch).unwrap(),
+                    evaluate_parallel(&log, &p, threads, Strategy::Planned).unwrap(),
                     reference.evaluate(&p),
                     "threads={threads} pattern={src}"
                 );
@@ -280,15 +278,41 @@ mod tests {
     fn more_threads_than_instances_is_fine() {
         let log = paper::figure3_log(); // 3 instances
         let p = parse("GetRefer");
-        let set = evaluate_parallel(&log, &p, 64, Strategy::Optimized).unwrap();
+        let set = evaluate_parallel(&log, &p, 64, Strategy::Planned).unwrap();
         assert_eq!(set.len(), 3);
     }
 
     #[test]
     fn zero_threads_is_a_typed_error_not_a_panic() {
         let log = paper::figure3_log();
-        let err = evaluate_parallel(&log, &parse("A"), 0, Strategy::Optimized).unwrap_err();
+        let err = evaluate_parallel(&log, &parse("A"), 0, Strategy::Planned).unwrap_err();
         assert_eq!(err, EngineError::NoWorkers);
+    }
+
+    #[test]
+    fn pool_catches_worker_panics() {
+        let log = many_instances(8);
+        let eval = Evaluator::new(&log);
+        for threads in [1, 2] {
+            let err = eval
+                .pool(threads, |claims| {
+                    for ordinal in claims {
+                        assert!(ordinal < 4, "worker hit ordinal {ordinal}");
+                    }
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, EngineError::WorkerPanicked { detail } if detail.contains("worker hit")),
+                "{threads} thread(s): {err:?}"
+            );
+        }
+        // Every ordinal is claimed exactly once across workers.
+        let mut claimed: Vec<usize> = eval
+            .pool(3, |claims| claims.collect::<Vec<_>>())
+            .unwrap()
+            .concat();
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -119,8 +119,7 @@ impl PlanNode {
         }
     }
 
-    /// Number of nodes in this subtree (the profiler uses this to keep
-    /// pre-order node indices aligned across short-circuited branches).
+    /// Number of nodes in this subtree.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         match self {

@@ -1,48 +1,43 @@
 //! Instrumented evaluation (cargo feature `profiling`).
 //!
-//! The profiled executors here mirror the engine's unprofiled paths —
-//! the evaluator's batch executor over the physical plan for
-//! [`Strategy::Planned`] and over the pattern for [`Strategy::Batch`],
-//! and [`Evaluator::evaluate_instance`] classically — recursion shape,
-//! short-circuits, kernels, and arena discipline included, while
-//! accumulating per-node [`NodeMetrics`] into a plain `Vec` indexed by
-//! the node's pre-order position. The unprofiled hot path is never
-//! touched: profiling costs nothing unless a profiled entry point runs,
-//! and disabling the feature removes this module (and `wlq-obs`) from
-//! the build entirely.
+//! There is no profiled executor: a profiled run is the production
+//! executor — the planned tree's `run`/`materialize`, or the naive
+//! oracle's recursion — called with a [`Metrics`] probe instead of the
+//! no-op one, on the same worker pool as [`Evaluator::evaluate_parallel`].
+//! The probe accumulates per-node [`NodeMetrics`] into a plain `Vec`
+//! indexed by the node's pre-order id. This module only assembles the
+//! header (node shapes with estimates), the comparison models, and the
+//! [`ExecutionProfile`]; disabling the feature removes it (and `wlq-obs`)
+//! from the build, and the no-op probe compiles to the bare executor.
 //!
 //! Two metric-design rules keep the profiler read-only:
 //!
 //! * **No instrumentation inside kernels.** `pairs_compared` is modelled
 //!   deterministically from operand and output sizes per physical
-//!   operator — nested loop `n1·n2`, batch `⊙`/`→` kernels
-//!   `n1·⌈log₂ n2⌉ + out` (one partner-run binary search per left
-//!   incident), sort-merge `n1 + n2 + out`, batch `⊗` merge `n1 + n2`,
-//!   batch `⊕` `n1·n2` — so the kernels the unprofiled path runs are
-//!   byte-for-byte the ones profiled runs execute.
+//!   operator — nested loop `n1·n2` (also the naive oracle's Algorithm 1
+//!   loops), batch `⊙`/`→` kernels `n1·⌈log₂ n2⌉ + out` (one partner-run
+//!   binary search per left incident), sort-merge `n1 + n2 + out`, batch
+//!   `⊗` merge `n1 + n2`, batch `⊕` `n1·n2` — so the kernels the
+//!   unprofiled path runs are byte-for-byte the ones profiled runs execute.
 //! * **Collectors are worker-local.** Parallel workers each fill their
-//!   own metrics vector (and report their own instance count and busy
-//!   time, exposing skew); vectors merge by addition after the scope
-//!   joins. No atomics, no shared state, no effect on scheduling.
+//!   own probe (and report their own instance count and busy time,
+//!   exposing skew); the vectors merge by addition after the pool joins.
+//!   No atomics, no shared state, no effect on scheduling.
 //!
 //! Profiled and unprofiled evaluation must return identical incident
-//! sets — `wlq-difffuzz` cross-checks this for every strategy.
+//! sets — `wlq-difffuzz` cross-checks this for both strategies.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use wlq_log::{IsLsn, Log, LogIndex, LogStats, Wid};
+use wlq_log::{Log, LogIndex, LogStats};
 use wlq_obs::{ExecutionProfile, NodeMetrics, NodeShape, ProfiledNode, WorkerProfile};
-use wlq_pattern::{Atom, CostModel, Op, Optimizer, Pattern};
+use wlq_pattern::{Op, Optimizer, Pattern};
 
-use crate::batch::{BatchArena, IncidentBatch, IncidentRef};
 use crate::error::EngineError;
-use crate::eval::{combine, leaf_batch, leaf_incidents, Evaluator, Strategy};
-use crate::incident::Incident;
+use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
-use crate::kernels;
-use crate::parallel::describe_panic;
-use crate::planner::{PhysOp, PlanNode};
+use crate::planner::PhysOp;
+use crate::probe::{Event, Output, Probe};
 
 /// Evaluates `pattern` over `log` under `strategy` with `threads`
 /// workers, recording a per-node [`ExecutionProfile`] alongside the
@@ -75,31 +70,41 @@ pub fn profile_evaluation(
     Evaluator::with_strategy(log, strategy).evaluate_profiled(pattern, threads)
 }
 
-/// Which profiled executor a run uses; borrows the plan or pattern so
-/// parallel workers share one immutable mode.
-enum ExecMode<'p> {
-    Plan(&'p PlanNode),
-    Batch(&'p Pattern),
-    Classic(&'p Pattern),
+/// The metrics probe: one [`NodeMetrics`] per plan node, by pre-order id.
+struct Metrics(Vec<NodeMetrics>);
+
+impl Probe for Metrics {
+    type Mark = Instant;
+
+    fn start(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn record(&mut self, node: usize, mark: Instant, event: impl FnOnce() -> Event) {
+        let wall = mark.elapsed();
+        let Some(m) = self.0.get_mut(node) else {
+            return;
+        };
+        let (Output { incidents, bytes }, scanned, pairs) = match event() {
+            Event::Scan { scanned, out } => (out, scanned, 0),
+            Event::Join {
+                op,
+                phys,
+                left,
+                right,
+                out,
+            } => {
+                let pairs = join_pairs(phys, op, left, right, out.incidents);
+                (out, 0, pairs)
+            }
+        };
+        m.wall += wall;
+        m.records_scanned += scanned;
+        m.pairs_compared += pairs;
+        m.incidents_emitted += incidents as u64;
+        m.output_bytes += bytes;
+    }
 }
-
-/// One worker's haul: swept (wid, incidents) pairs, its metrics vector,
-/// instances swept, incidents emitted at the root, and busy time.
-type ProfiledPart = (
-    Vec<(Wid, Vec<Incident>)>,
-    Vec<NodeMetrics>,
-    u64,
-    u64,
-    Duration,
-);
-
-/// A finished sweep: flattened (wid, incidents) pairs, merged node
-/// metrics, and the per-worker breakdown.
-type MergedSweep = (
-    Vec<(Wid, Vec<Incident>)>,
-    Vec<NodeMetrics>,
-    Vec<WorkerProfile>,
-);
 
 impl Evaluator<'_> {
     /// Profiled [`evaluate`](Evaluator::evaluate): returns the same
@@ -116,11 +121,8 @@ impl Evaluator<'_> {
         pattern: &Pattern,
         threads: usize,
     ) -> Result<(IncidentSet, ExecutionProfile), EngineError> {
-        if threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
         let start = Instant::now();
-        let plan = self.planner().map(|pl| pl.plan(pattern));
+        let plan = self.physical_plan(pattern);
         let (shapes, plan_text, rule) = match &plan {
             Some(plan) => (
                 plan.root()
@@ -137,38 +139,36 @@ impl Evaluator<'_> {
                 plan.pattern().to_string(),
                 Some(plan.rule().to_string()),
             ),
-            None => {
-                let optimizer = Optimizer::new(LogStats::from_index(self.index()));
-                let mut shapes = Vec::new();
-                pattern_shapes(pattern, 0, optimizer.model(), &mut shapes);
-                (shapes, pattern.to_string(), None)
-            }
+            None => (
+                pattern_shapes(self.index(), pattern),
+                pattern.to_string(),
+                None,
+            ),
         };
-        let mode = match &plan {
-            Some(plan) => ExecMode::Plan(plan.root()),
-            None if self.strategy() == Strategy::Batch => ExecMode::Batch(pattern),
-            None => ExecMode::Classic(pattern),
-        };
+        let exec = self.exec(plan.as_ref());
         let node_count = shapes.len();
-        let wids: Vec<Wid> = self.index().wids().collect();
+        let results = self.pool(threads, |claims| {
+            let busy = Instant::now();
+            let mut probe = Metrics(vec![NodeMetrics::new(); node_count]);
+            let part = self.instances(pattern, exec.as_ref(), claims, &mut probe);
+            (part, probe.0, busy.elapsed())
+        })?;
 
-        let (parts, merged, workers) = if threads == 1 || wids.len() <= 1 {
-            let (part, metrics, instances, emitted, busy) =
-                self.sweep_profiled(&mode, &wids, node_count);
-            (
-                part,
-                metrics,
-                vec![WorkerProfile {
-                    worker: 0,
-                    instances,
-                    incidents: emitted,
-                    wall: busy,
-                }],
-            )
-        } else {
-            self.sweep_profiled_parallel(&mode, &wids, node_count, threads)?
-        };
-
+        let mut merged = vec![NodeMetrics::new(); node_count];
+        let mut workers = Vec::with_capacity(results.len());
+        let mut parts = Vec::new();
+        for (worker, (part, metrics, wall)) in results.into_iter().enumerate() {
+            for (dst, src) in merged.iter_mut().zip(&metrics) {
+                *dst += src;
+            }
+            workers.push(WorkerProfile {
+                worker,
+                instances: part.len() as u64,
+                incidents: part.iter().map(|(_, o)| o.len() as u64).sum(),
+                wall,
+            });
+            parts.extend(part);
+        }
         let set = IncidentSet::from_partitions(parts);
         let profile = ExecutionProfile {
             query: pattern.to_string(),
@@ -187,348 +187,43 @@ impl Evaluator<'_> {
         };
         Ok((set, profile))
     }
-
-    /// Sweeps `wids` sequentially with one metrics vector.
-    fn sweep_profiled(&self, mode: &ExecMode<'_>, wids: &[Wid], node_count: usize) -> ProfiledPart {
-        let mut metrics = vec![NodeMetrics::new(); node_count];
-        let mut arena = BatchArena::new();
-        let mut part = Vec::with_capacity(wids.len());
-        let mut emitted = 0u64;
-        let busy = Instant::now();
-        for &wid in wids {
-            let incidents = self.run_instance_profiled(mode, wid, &mut arena, &mut metrics);
-            emitted += incidents.len() as u64;
-            part.push((wid, incidents));
-        }
-        let busy = busy.elapsed();
-        (part, metrics, wids.len() as u64, emitted, busy)
-    }
-
-    /// Sweeps `wids` with up to `threads` workers, each with its own
-    /// arena and metrics vector; merges the vectors after the scope
-    /// joins.
-    fn sweep_profiled_parallel(
-        &self,
-        mode: &ExecMode<'_>,
-        wids: &[Wid],
-        node_count: usize,
-        threads: usize,
-    ) -> Result<MergedSweep, EngineError> {
-        let next = AtomicUsize::new(0);
-        let worker_count = threads.min(wids.len());
-        let scope_result: std::thread::Result<Result<Vec<ProfiledPart>, EngineError>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move |_| {
-                            let mut part = Vec::new();
-                            let mut metrics = vec![NodeMetrics::new(); node_count];
-                            let mut arena = BatchArena::new();
-                            let mut emitted = 0u64;
-                            let mut busy = Duration::ZERO;
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&wid) = wids.get(i) else { break };
-                                let t = Instant::now();
-                                let incidents =
-                                    self.run_instance_profiled(mode, wid, &mut arena, &mut metrics);
-                                busy += t.elapsed();
-                                emitted += incidents.len() as u64;
-                                part.push((wid, incidents));
-                            }
-                            let instances = part.len() as u64;
-                            (part, metrics, instances, emitted, busy)
-                        })
-                    })
-                    .collect();
-                let mut parts = Vec::with_capacity(handles.len());
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => parts.push(part),
-                        Err(payload) => {
-                            return Err(EngineError::WorkerPanicked {
-                                detail: describe_panic(payload.as_ref()),
-                            })
-                        }
-                    }
-                }
-                Ok(parts)
-            });
-        let results = match scope_result {
-            Ok(inner) => inner?,
-            Err(payload) => {
-                return Err(EngineError::WorkerPanicked {
-                    detail: describe_panic(payload.as_ref()),
-                })
-            }
-        };
-        let mut merged = vec![NodeMetrics::new(); node_count];
-        let mut workers = Vec::with_capacity(results.len());
-        let mut parts = Vec::new();
-        for (worker, (part, metrics, instances, emitted, busy)) in results.into_iter().enumerate() {
-            for (dst, src) in merged.iter_mut().zip(&metrics) {
-                *dst += src;
-            }
-            workers.push(WorkerProfile {
-                worker,
-                instances,
-                incidents: emitted,
-                wall: busy,
-            });
-            parts.extend(part);
-        }
-        Ok((parts, merged, workers))
-    }
-
-    /// Evaluates one instance under `mode`, materializing classic
-    /// incidents (the per-instance unit parallel workers claim).
-    fn run_instance_profiled(
-        &self,
-        mode: &ExecMode<'_>,
-        wid: Wid,
-        arena: &mut BatchArena,
-        metrics: &mut [NodeMetrics],
-    ) -> Vec<Incident> {
-        let mut idx = 0;
-        match mode {
-            ExecMode::Plan(root) => {
-                let mut batch = self.execute_plan_profiled(root, wid, arena, metrics, &mut idx);
-                let incidents = batch.drain_incidents();
-                arena.recycle(batch);
-                incidents
-            }
-            ExecMode::Batch(pattern) => {
-                let mut batch =
-                    self.evaluate_batch_profiled(pattern, wid, arena, metrics, &mut idx);
-                let incidents = batch.drain_incidents();
-                arena.recycle(batch);
-                incidents
-            }
-            ExecMode::Classic(pattern) => {
-                self.evaluate_classic_profiled(pattern, wid, metrics, &mut idx)
-            }
-        }
-    }
-
-    /// Profiled mirror of the evaluator's plan executor: same kernels,
-    /// same short-circuit, same arena discipline; `idx` walks the plan in
-    /// pre-order and skips the indices of unexecuted subtrees so node
-    /// positions stay aligned with the plan's rows.
-    fn execute_plan_profiled(
-        &self,
-        node: &PlanNode,
-        wid: Wid,
-        arena: &mut BatchArena,
-        metrics: &mut [NodeMetrics],
-        idx: &mut usize,
-    ) -> IncidentBatch {
-        let my = *idx;
-        *idx += 1;
-        match node {
-            PlanNode::Leaf { atom, .. } => {
-                let start = Instant::now();
-                let batch = leaf_batch(atom, self.log(), self.index(), wid, arena);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.records_scanned += scanned_for(self.index(), atom, wid);
-                    m.incidents_emitted += batch.len() as u64;
-                    m.output_bytes += batch_bytes(&batch);
-                }
-                batch
-            }
-            PlanNode::Join {
-                op,
-                phys,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.execute_plan_profiled(left, wid, arena, metrics, idx);
-                if l.is_empty() && *op != Op::Choice {
-                    *idx += right.num_nodes();
-                    return l;
-                }
-                let r = self.execute_plan_profiled(right, wid, arena, metrics, idx);
-                let start = Instant::now();
-                let mut out = arena.alloc(wid);
-                match phys {
-                    PhysOp::NestedLoop => kernels::nested_loop_kernel(*op, &l, &r, &mut out),
-                    PhysOp::BatchKernel => kernels::combine_batch_into(*op, &l, &r, &mut out),
-                    PhysOp::SortMergeSeq => {
-                        kernels::sequential_sort_merge_kernel(&l, &r, &mut out);
-                    }
-                }
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.pairs_compared += join_pairs(*phys, *op, l.len(), r.len(), out.len());
-                    m.incidents_emitted += out.len() as u64;
-                    m.output_bytes += batch_bytes(&out);
-                }
-                arena.recycle(l);
-                arena.recycle(r);
-                out
-            }
-        }
-    }
-
-    /// Profiled mirror of the evaluator's batch executor over a pattern
-    /// as written.
-    fn evaluate_batch_profiled(
-        &self,
-        pattern: &Pattern,
-        wid: Wid,
-        arena: &mut BatchArena,
-        metrics: &mut [NodeMetrics],
-        idx: &mut usize,
-    ) -> IncidentBatch {
-        let my = *idx;
-        *idx += 1;
-        match pattern {
-            Pattern::Atom(atom) => {
-                let start = Instant::now();
-                let batch = leaf_batch(atom, self.log(), self.index(), wid, arena);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.records_scanned += scanned_for(self.index(), atom, wid);
-                    m.incidents_emitted += batch.len() as u64;
-                    m.output_bytes += batch_bytes(&batch);
-                }
-                batch
-            }
-            Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_batch_profiled(left, wid, arena, metrics, idx);
-                if l.is_empty() && *op != Op::Choice {
-                    *idx += tree_nodes(right);
-                    return l;
-                }
-                let r = self.evaluate_batch_profiled(right, wid, arena, metrics, idx);
-                let start = Instant::now();
-                let mut out = arena.alloc(wid);
-                kernels::combine_batch_into(*op, &l, &r, &mut out);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.pairs_compared += batch_pairs(*op, l.len(), r.len(), out.len());
-                    m.incidents_emitted += out.len() as u64;
-                    m.output_bytes += batch_bytes(&out);
-                }
-                arena.recycle(l);
-                arena.recycle(r);
-                out
-            }
-        }
-    }
-
-    /// Profiled mirror of [`Evaluator::evaluate_instance`] for the
-    /// classic (naive / optimized) operator implementations.
-    fn evaluate_classic_profiled(
-        &self,
-        pattern: &Pattern,
-        wid: Wid,
-        metrics: &mut [NodeMetrics],
-        idx: &mut usize,
-    ) -> Vec<Incident> {
-        let my = *idx;
-        *idx += 1;
-        match pattern {
-            Pattern::Atom(atom) => {
-                let start = Instant::now();
-                let out = leaf_incidents(atom, self.log(), self.index(), wid);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.records_scanned += scanned_for(self.index(), atom, wid);
-                    m.incidents_emitted += out.len() as u64;
-                    m.output_bytes += classic_bytes(&out);
-                }
-                out
-            }
-            Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_classic_profiled(left, wid, metrics, idx);
-                if l.is_empty() && *op != Op::Choice {
-                    *idx += tree_nodes(right);
-                    return Vec::new();
-                }
-                let r = self.evaluate_classic_profiled(right, wid, metrics, idx);
-                let start = Instant::now();
-                let out = combine(self.strategy(), *op, &l, &r);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.pairs_compared +=
-                        classic_pairs(self.strategy(), *op, l.len(), r.len(), out.len());
-                    m.incidents_emitted += out.len() as u64;
-                    m.output_bytes += classic_bytes(&out);
-                }
-                out
-            }
-        }
-    }
 }
 
-/// Pre-order [`NodeShape`]s of a pattern tree (the non-planned
-/// strategies' skeleton), with [`CostModel`] cardinality estimates and
-/// no cost column.
-fn pattern_shapes(p: &Pattern, depth: usize, model: &CostModel, out: &mut Vec<NodeShape>) {
-    let label = match p {
-        Pattern::Atom(_) => format!("scan {p}"),
-        Pattern::Binary { op, .. } => op.name().to_string(),
-    };
-    out.push(NodeShape {
-        label,
-        pattern: p.to_string(),
-        depth,
-        estimate: Some(model.estimate_incidents(p)),
-        cost: None,
-    });
-    if let Pattern::Binary { left, right, .. } = p {
-        pattern_shapes(left, depth + 1, model, out);
-        pattern_shapes(right, depth + 1, model, out);
-    }
+/// Pre-order [`NodeShape`]s of the pattern as written (the naive
+/// oracle's tree), with cost-model cardinality estimates and no cost
+/// column.
+fn pattern_shapes(index: &LogIndex, pattern: &Pattern) -> Vec<NodeShape> {
+    let optimizer = Optimizer::new(LogStats::from_index(index));
+    // Pre-order pops a node's depth and pushes its children's.
+    let mut depths = vec![0];
+    pattern
+        .subpatterns()
+        .map(|p| {
+            let depth = depths.pop().unwrap_or_default();
+            let label = match p {
+                Pattern::Atom(_) => format!("scan {p}"),
+                Pattern::Binary { op, .. } => {
+                    depths.extend([depth + 1, depth + 1]);
+                    op.name().to_string()
+                }
+            };
+            NodeShape {
+                label,
+                pattern: p.to_string(),
+                depth,
+                estimate: Some(optimizer.model().estimate_incidents(p)),
+                cost: None,
+            }
+        })
+        .collect()
 }
 
 /// Display name of a strategy, as it appears in profiles and traces.
 fn strategy_name(strategy: Strategy) -> &'static str {
     match strategy {
         Strategy::NaivePaper => "naive-paper",
-        Strategy::Optimized => "optimized",
-        Strategy::Batch => "batch",
         Strategy::Planned => "planned",
     }
-}
-
-/// Nodes in a pattern tree: every pattern is a full binary tree, so
-/// `2·atoms − 1`.
-fn tree_nodes(p: &Pattern) -> usize {
-    2 * p.num_atoms() - 1
-}
-
-/// Index candidates a leaf scan examines: the atom's postings, or — for
-/// a negated atom, whose complement walks the whole instance — the
-/// instance length.
-fn scanned_for(index: &LogIndex, atom: &Atom, wid: Wid) -> u64 {
-    if atom.negated {
-        index.instance_len(wid) as u64
-    } else {
-        index.postings(wid, atom.activity.as_str()).len() as u64
-    }
-}
-
-/// Output footprint of a batch: position pool plus refs.
-fn batch_bytes(batch: &IncidentBatch) -> u64 {
-    (batch.pool_len() * std::mem::size_of::<IsLsn>()
-        + batch.len() * std::mem::size_of::<IncidentRef>()) as u64
-}
-
-/// Output footprint of a classic incident list: positions plus incident
-/// headers.
-fn classic_bytes(out: &[Incident]) -> u64 {
-    let positions: usize = out.iter().map(|o| o.positions().len()).sum();
-    (positions * std::mem::size_of::<IsLsn>() + std::mem::size_of_val(out)) as u64
 }
 
 /// `⌈log₂ n⌉`, clamped to at least 1 (a binary search probes at least
@@ -541,33 +236,15 @@ fn ceil_log2(n: u64) -> u64 {
     }
 }
 
-/// The modelled comparison count of one batch kernel (see the module
+/// The modelled comparison count of one physical join (see the module
 /// docs for the formulas).
-fn batch_pairs(op: Op, n1: usize, n2: usize, out: usize) -> u64 {
-    let (n1, n2, out) = (n1 as u64, n2 as u64, out as u64);
-    match op {
-        Op::Consecutive | Op::Sequential => n1 * ceil_log2(n2) + out,
-        Op::Choice => n1 + n2,
-        Op::Parallel => n1 * n2,
-    }
-}
-
-/// The modelled comparison count of one physical join.
 fn join_pairs(phys: PhysOp, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
-    match phys {
-        PhysOp::NestedLoop => n1 as u64 * n2 as u64,
-        PhysOp::SortMergeSeq => (n1 + n2 + out) as u64,
-        PhysOp::BatchKernel => batch_pairs(op, n1, n2, out),
-    }
-}
-
-/// The modelled comparison count of one classic operator: all-pairs for
-/// the paper's Algorithm 1, the batch-kernel model for the
-/// output-sensitive implementations.
-fn classic_pairs(strategy: Strategy, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
-    match strategy {
-        Strategy::NaivePaper => n1 as u64 * n2 as u64,
-        _ => batch_pairs(op, n1, n2, out),
+    let (n1, n2, out) = (n1 as u64, n2 as u64, out as u64);
+    match (phys, op) {
+        (PhysOp::NestedLoop, _) | (PhysOp::BatchKernel, Op::Parallel) => n1 * n2,
+        (PhysOp::SortMergeSeq, _) => n1 + n2 + out,
+        (PhysOp::BatchKernel, Op::Consecutive | Op::Sequential) => n1 * ceil_log2(n2) + out,
+        (PhysOp::BatchKernel, Op::Choice) => n1 + n2,
     }
 }
 
@@ -584,12 +261,7 @@ mod tests {
     #[test]
     fn profiled_matches_unprofiled_for_every_strategy() {
         let log = paper::figure3_log();
-        for strategy in [
-            Strategy::NaivePaper,
-            Strategy::Optimized,
-            Strategy::Batch,
-            Strategy::Planned,
-        ] {
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
             let eval = Evaluator::with_strategy(&log, strategy);
             for src in [
                 "SeeDoctor",
@@ -681,12 +353,35 @@ mod tests {
         // instance, but its nodes must still exist (zeroed) in the
         // profile rather than shifting later siblings' counters.
         let p = parse("Nope ~> (SeeDoctor -> PayTreatment)");
-        for strategy in [Strategy::Optimized, Strategy::Batch, Strategy::Planned] {
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
             let eval = Evaluator::with_strategy(&log, strategy);
             let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
             assert!(set.is_empty());
             assert_eq!(profile.nodes.len(), 5, "{strategy:?}");
             assert_eq!(profile.nodes[0].metrics.incidents_emitted, 0);
+        }
+        // A skipped subtree followed by a live sibling: the sibling's
+        // counters land on its own row.
+        let p = parse("(Nope ~> SeeDoctor) | PayTreatment");
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
+            let eval = Evaluator::with_strategy(&log, strategy);
+            let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
+            assert_eq!(set.len(), 3, "{strategy:?}");
+            let row = |label: &str| {
+                profile
+                    .nodes
+                    .iter()
+                    .find(|n| n.shape.label == label)
+                    .unwrap()
+                    .metrics
+            };
+            assert_eq!(row("scan SeeDoctor").incidents_emitted, 0, "{strategy:?}");
+            assert_eq!(
+                row("scan PayTreatment").incidents_emitted,
+                3,
+                "{strategy:?}"
+            );
+            assert_eq!(row("scan PayTreatment").records_scanned, 3, "{strategy:?}");
         }
     }
 
@@ -721,6 +416,6 @@ mod tests {
         );
         assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Choice, 3, 5, 8), 8);
         assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Parallel, 3, 5, 2), 15);
-        assert_eq!(classic_pairs(Strategy::NaivePaper, Op::Choice, 3, 5, 8), 15);
+        assert_eq!(join_pairs(PhysOp::NestedLoop, Op::Choice, 3, 5, 8), 15);
     }
 }

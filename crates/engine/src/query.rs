@@ -119,15 +119,8 @@ impl Query {
     /// is 0 and [`EngineError::WorkerPanicked`] if a parallel worker
     /// panics.
     pub fn find(&self, log: &Log) -> Result<IncidentSet, EngineError> {
-        if self.threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
         let plan = self.plan(log);
-        if self.threads > 1 {
-            evaluate_parallel(log, &plan, self.threads, self.strategy)
-        } else {
-            Ok(Evaluator::with_strategy(log, self.strategy).evaluate(&plan))
-        }
+        evaluate_parallel(log, &plan, self.threads, self.strategy)
     }
 
     /// Whether the log contains any incident of the pattern.
@@ -153,8 +146,10 @@ impl Query {
     ///
     /// When the (optimized) plan is a `~>`/`->` chain of predicate-free
     /// atoms, the count is computed by the enumeration-free dynamic
-    /// program of [`fast_count`](crate::fast_count) in `O(m·k)`; other
-    /// shapes fall back to full evaluation.
+    /// program of [`fast_count`](crate::fast_count) in `O(m·k)`. Other
+    /// shapes run that same plan: on one thread through
+    /// [`Evaluator::count`], which counts without materializing; on more,
+    /// through parallel evaluation.
     ///
     /// # Errors
     ///
@@ -167,7 +162,12 @@ impl Query {
         if let Some(count) = crate::counting::fast_count(log, &plan) {
             return Ok(count);
         }
-        Ok(self.find(log)?.len())
+        let eval = Evaluator::with_strategy(log, self.strategy);
+        if self.threads > 1 {
+            Ok(eval.evaluate_parallel(&plan, self.threads)?.len())
+        } else {
+            Ok(eval.count(&plan))
+        }
     }
 
     /// Incident counts per workflow instance (instances with none are
@@ -216,18 +216,11 @@ impl Query {
     ///
     /// Same conditions as [`find`](Self::find).
     pub fn profile(&self, log: &Log) -> Result<QueryProfile, EngineError> {
-        if self.threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
         let start = std::time::Instant::now();
         let plan = self.plan(log);
         let plan_time = start.elapsed();
         let start = std::time::Instant::now();
-        let incidents = if self.threads > 1 {
-            evaluate_parallel(log, &plan, self.threads, self.strategy)?
-        } else {
-            Evaluator::with_strategy(log, self.strategy).evaluate(&plan)
-        };
+        let incidents = evaluate_parallel(log, &plan, self.threads, self.strategy)?;
         let eval_time = start.elapsed();
         Ok(QueryProfile {
             pattern: self.pattern.to_string(),
@@ -330,29 +323,20 @@ mod tests {
     fn strategies_and_threads_agree() {
         let log = paper::figure3_log();
         let q = Query::parse("GetRefer -> (SeeDoctor & PayTreatment)").unwrap();
-        let a = q.clone().strategy(Strategy::NaivePaper).find(&log).unwrap();
-        let b = q.clone().strategy(Strategy::Optimized).find(&log).unwrap();
-        let c = q.clone().threads(4).find(&log).unwrap();
-        let d = q.clone().strategy(Strategy::Batch).find(&log).unwrap();
-        let e = q
-            .clone()
-            .strategy(Strategy::Batch)
-            .threads(4)
-            .find(&log)
-            .unwrap();
-        let f = q.clone().strategy(Strategy::Planned).find(&log).unwrap();
-        let g = q
-            .clone()
-            .strategy(Strategy::Planned)
-            .threads(4)
-            .find(&log)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(b, d);
-        assert_eq!(b, e);
-        assert_eq!(b, f);
-        assert_eq!(b, g);
+        let reference = q.clone().strategy(Strategy::NaivePaper).find(&log).unwrap();
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
+            for threads in [1, 4] {
+                let q = q.clone().strategy(strategy).threads(threads);
+                assert_eq!(q.find(&log).unwrap(), reference, "{strategy:?} x {threads}");
+                // Not a chain: count runs the plan it computed.
+                assert_eq!(
+                    q.count(&log).unwrap(),
+                    reference.len(),
+                    "{strategy:?} x {threads}"
+                );
+                assert!(q.exists(&log).unwrap(), "{strategy:?} x {threads}");
+            }
+        }
     }
 
     #[test]

@@ -289,7 +289,7 @@ mod tests {
         let index = LogIndex::build(&log);
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        for strategy in [Strategy::NaivePaper, Strategy::Optimized, Strategy::Batch] {
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
             let set = tree.evaluate(&log, &index, strategy);
             assert_eq!(set.len(), 1, "{strategy:?}");
             let o = set.iter().next().unwrap();
@@ -309,7 +309,7 @@ mod tests {
         let index = LogIndex::build(&log);
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+        let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
         assert_eq!(trace.nodes.len(), 5);
         // Post-order: SeeDoctor, UpdateRefer, GetReimburse, inner ->, root.
         assert_eq!(trace.nodes[0].pattern, "SeeDoctor");
@@ -336,7 +336,7 @@ mod tests {
         let log = paper::figure3_log();
         let index = LogIndex::build(&log);
         let tree = IncidentTree::from_pattern(&pattern("UpdateRefer -> GetReimburse"));
-        let (_, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+        let (_, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
         let text = trace.to_string();
         assert!(text.contains("UpdateRefer ⇒ 1 incidents"));
         assert!(text.contains("UpdateRefer -> GetReimburse ⇒ 1 incidents"));
@@ -347,7 +347,7 @@ mod tests {
         let log = paper::figure3_log();
         let index = LogIndex::build(&log);
         let tree = IncidentTree::from_pattern(&pattern("!SeeDoctor"));
-        let set = tree.evaluate(&log, &index, Strategy::Optimized);
+        let set = tree.evaluate(&log, &index, Strategy::Planned);
         assert_eq!(set.len(), 20 - 4);
     }
 }

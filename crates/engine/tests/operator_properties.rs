@@ -1,13 +1,13 @@
-//! Operator-level property tests: the naive (Algorithm 1) and optimized
-//! implementations agree on *arbitrary* incident lists — including
+//! Operator-level property tests: the naive (Algorithm 1) operators and
+//! the flat batch kernels agree on *arbitrary* incident lists — including
 //! multi-record incidents with overlapping spans, the shapes that stress
-//! the hash/merge/short-circuit paths — and the operators' semantic
-//! postconditions hold on every output.
+//! the merge/rollback/run-fixup paths — and the operators' semantic
+//! postconditions hold on every output of both.
 
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, Strategy};
 
 use wlq_engine::{
-    combine, combine_batch, naive, optimized, Incident, IncidentBatch, Strategy as EvalStrategy,
+    combine, combine_batch, naive, Incident, IncidentBatch, Strategy as EvalStrategy,
 };
 use wlq_log::{IsLsn, Wid};
 use wlq_pattern::Op;
@@ -29,42 +29,35 @@ fn arb_incidents() -> impl Strategy<Value = Vec<Incident>> {
     })
 }
 
+/// The batch kernel for `op`, over lists converted at the boundary.
+fn batch(op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
+    let lb = IncidentBatch::from_incidents(Wid(1), left);
+    let rb = IncidentBatch::from_incidents(Wid(1), right);
+    combine_batch(op, &lb, &rb).into_incidents()
+}
+
+/// Both implementations of `op`: the naive reference and the batch kernel.
+fn both(op: Op, left: &[Incident], right: &[Incident]) -> [Vec<Incident>; 2] {
+    let naive = match op {
+        Op::Consecutive => naive::consecutive_eval(left, right),
+        Op::Sequential => naive::sequential_eval(left, right),
+        Op::Choice => naive::choice_eval(left, right),
+        Op::Parallel => naive::parallel_eval(left, right),
+    };
+    [naive, batch(op, left, right)]
+}
+
 proptest! {
-    /// All four operators: naive ≡ optimized on arbitrary inputs.
+    /// All four operators: naive ≡ batch kernels on arbitrary inputs.
     #[test]
     fn implementations_agree(left in arb_incidents(), right in arb_incidents()) {
-        prop_assert_eq!(
-            naive::consecutive_eval(&left, &right),
-            optimized::consecutive_eval(&left, &right)
-        );
-        prop_assert_eq!(
-            naive::sequential_eval(&left, &right),
-            optimized::sequential_eval(&left, &right)
-        );
-        prop_assert_eq!(
-            naive::choice_eval(&left, &right),
-            optimized::choice_eval(&left, &right)
-        );
-        prop_assert_eq!(
-            naive::parallel_eval(&left, &right),
-            optimized::parallel_eval(&left, &right)
-        );
-        // The dispatch wrapper agrees with the direct calls, and the flat
-        // batch kernels with both — via the dispatcher (which converts at
-        // the boundary) and on prebuilt batches.
-        let lb = IncidentBatch::from_incidents(Wid(1), &left);
-        let rb = IncidentBatch::from_incidents(Wid(1), &right);
+        // The dispatch wrapper agrees with the direct calls for both
+        // strategies — the planned one converting at the boundary.
         for op in Op::ALL {
-            let reference = combine(EvalStrategy::NaivePaper, op, &left, &right);
-            prop_assert_eq!(
-                &reference,
-                &combine(EvalStrategy::Optimized, op, &left, &right)
-            );
-            prop_assert_eq!(
-                &reference,
-                &combine(EvalStrategy::Batch, op, &left, &right)
-            );
-            prop_assert_eq!(&reference, &combine_batch(op, &lb, &rb).into_incidents());
+            let [reference, kernel] = both(op, &left, &right);
+            prop_assert_eq!(&reference, &kernel);
+            prop_assert_eq!(&reference, &combine(EvalStrategy::NaivePaper, op, &left, &right));
+            prop_assert_eq!(&reference, &combine(EvalStrategy::Planned, op, &left, &right));
         }
     }
 
@@ -74,55 +67,57 @@ proptest! {
         // Consecutive: output = o1 ∪ o2 with last(o1)+1 = first(o2); since
         // outputs don't record the split, check the verifiable parts:
         // sortedness, dedup, and span containment.
-        for (op, out) in [
-            (Op::Consecutive, optimized::consecutive_eval(&left, &right)),
-            (Op::Sequential, optimized::sequential_eval(&left, &right)),
-            (Op::Parallel, optimized::parallel_eval(&left, &right)),
-        ] {
-            prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "{op:?} unsorted/dup");
-            for o in &out {
-                // Every output is a union of one left and one right
-                // incident: its records are covered by some such pair.
-                let covered = left.iter().any(|l| {
-                    right.iter().any(|r| {
-                        let matches = match op {
-                            Op::Consecutive => l.last().get() + 1 == r.first().get(),
-                            Op::Sequential => l.last() < r.first(),
-                            Op::Parallel => l.is_disjoint(r),
-                            Op::Choice => unreachable!(),
-                        };
-                        matches && &l.union(r) == o
-                    })
-                });
-                prop_assert!(covered, "{op:?} produced unjustified incident {o}");
+        for op in [Op::Consecutive, Op::Sequential, Op::Parallel] {
+            for out in both(op, &left, &right) {
+                prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "{op:?} unsorted/dup");
+                for o in &out {
+                    // Every output is a union of one left and one right
+                    // incident: its records are covered by some such pair.
+                    let covered = left.iter().any(|l| {
+                        right.iter().any(|r| {
+                            let matches = match op {
+                                Op::Consecutive => l.last().get() + 1 == r.first().get(),
+                                Op::Sequential => l.last() < r.first(),
+                                Op::Parallel => l.is_disjoint(r),
+                                Op::Choice => unreachable!(),
+                            };
+                            matches && &l.union(r) == o
+                        })
+                    });
+                    prop_assert!(covered, "{op:?} produced unjustified incident {o}");
+                }
             }
         }
         // Choice: exactly the set union.
-        let union = optimized::choice_eval(&left, &right);
-        for o in &union {
-            prop_assert!(left.contains(o) || right.contains(o));
-        }
-        for o in left.iter().chain(right.iter()) {
-            prop_assert!(union.contains(o));
+        for union in both(Op::Choice, &left, &right) {
+            for o in &union {
+                prop_assert!(left.contains(o) || right.contains(o));
+            }
+            for o in left.iter().chain(right.iter()) {
+                prop_assert!(union.contains(o));
+            }
         }
     }
 
     /// Completeness: every qualifying pair appears in the output.
     #[test]
     fn outputs_are_complete(left in arb_incidents(), right in arb_incidents()) {
-        let seq = optimized::sequential_eval(&left, &right);
-        let cons = optimized::consecutive_eval(&left, &right);
-        let par = optimized::parallel_eval(&left, &right);
-        for l in &left {
-            for r in &right {
-                if l.last() < r.first() {
-                    prop_assert!(seq.contains(&l.union(r)), "missing seq {l} ∪ {r}");
-                }
-                if l.last().get() + 1 == r.first().get() {
-                    prop_assert!(cons.contains(&l.union(r)), "missing cons {l} ∪ {r}");
-                }
-                if l.is_disjoint(r) {
-                    prop_assert!(par.contains(&l.union(r)), "missing par {l} ∪ {r}");
+        for ((seq, cons), par) in both(Op::Sequential, &left, &right)
+            .into_iter()
+            .zip(both(Op::Consecutive, &left, &right))
+            .zip(both(Op::Parallel, &left, &right))
+        {
+            for l in &left {
+                for r in &right {
+                    if l.last() < r.first() {
+                        prop_assert!(seq.contains(&l.union(r)), "missing seq {l} ∪ {r}");
+                    }
+                    if l.last().get() + 1 == r.first().get() {
+                        prop_assert!(cons.contains(&l.union(r)), "missing cons {l} ∪ {r}");
+                    }
+                    if l.is_disjoint(r) {
+                        prop_assert!(par.contains(&l.union(r)), "missing par {l} ∪ {r}");
+                    }
                 }
             }
         }
@@ -132,9 +127,13 @@ proptest! {
     #[test]
     fn lemma1_size_bounds(left in arb_incidents(), right in arb_incidents()) {
         let (n1, n2) = (left.len(), right.len());
-        prop_assert!(optimized::consecutive_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::sequential_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::parallel_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::choice_eval(&left, &right).len() <= n1 + n2);
+        for op in [Op::Consecutive, Op::Sequential, Op::Parallel] {
+            for out in both(op, &left, &right) {
+                prop_assert!(out.len() <= n1 * n2, "{op:?}");
+            }
+        }
+        for out in both(Op::Choice, &left, &right) {
+            prop_assert!(out.len() <= n1 + n2);
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Each iteration generates a random valid log and a random pattern over
-//! its alphabet, evaluates the pair under NaivePaper / Optimized / Batch
-//! / parallel(1, 4) / streaming-replay / fast_count, and cross-checks
-//! the results. It also mutates a valid log into a Definition 2
+//! its alphabet, evaluates the pair under NaivePaper (the reference) /
+//! Planned evaluate, count and exists / parallel Planned (1, 4) /
+//! streaming-replay / profiled {NaivePaper, Planned} x (1, 4) /
+//! fast_count, and cross-checks the results. It also mutates a valid log into a Definition 2
 //! violation and asserts that `Log::new` rejects it with a typed error.
 //!
 //! On divergence the pair is shrunk to a minimal reproducer, written to

@@ -47,25 +47,15 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// the results against the paper-faithful naive evaluation. Returns the
 /// first divergence, or `None` when all strategies agree.
 ///
-/// Strategies covered: `NaivePaper` (reference), `Optimized`, `Batch`,
-/// `Planned` (the cost-based planner, including its `count`/`exists`
-/// routing), parallel evaluation with 1 and 4 workers, a full streaming
-/// replay, profiled evaluation under every strategy (the profiler must
-/// be strictly read-only), and — when the pattern is a chain — the
-/// `fast_count` DP.
+/// Oracles covered: `NaivePaper` (reference); `Planned` (the cost-based
+/// planner) through `evaluate`, `count` and `exists`; parallel planned
+/// evaluation with 1 and 4 workers; a full streaming replay; profiled
+/// evaluation under both strategies with 1 and 4 workers (the profile
+/// probe must be strictly read-only); and — when the pattern is a chain —
+/// the `fast_count` DP.
 #[must_use]
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
-
-    let optimized = Evaluator::with_strategy(log, Strategy::Optimized).evaluate(pattern);
-    if let Some(d) = against(&reference, "Optimized", &optimized) {
-        return Some(d);
-    }
-
-    let batch = Evaluator::with_strategy(log, Strategy::Batch).evaluate(pattern);
-    if let Some(d) = against(&reference, "Batch", &batch) {
-        return Some(d);
-    }
 
     // The planner picks an arbitrary equivalent rewrite and per-node
     // physical operators, and routes count/exists through the counting
@@ -90,13 +80,9 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         });
     }
 
-    for (threads, strategy) in [
-        (1usize, Strategy::Optimized),
-        (4, Strategy::Optimized),
-        (4, Strategy::Planned),
-    ] {
-        let name = format!("parallel({threads}, {strategy:?})");
-        match evaluate_parallel(log, pattern, threads, strategy) {
+    for threads in [1usize, 4] {
+        let name = format!("parallel({threads}, Planned)");
+        match evaluate_parallel(log, pattern, threads, Strategy::Planned) {
             Ok(set) => {
                 if let Some(d) = against(&reference, &name, &set) {
                     return Some(d);
@@ -126,15 +112,9 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         return Some(d);
     }
 
-    // Profiled execution mirrors each strategy's executors with
-    // instrumented copies; the mirror must be byte-identical — same
-    // incident set, and counters consistent with it.
-    for strategy in [
-        Strategy::NaivePaper,
-        Strategy::Optimized,
-        Strategy::Batch,
-        Strategy::Planned,
-    ] {
+    // Profiled execution runs the same executor with a metrics probe; it
+    // must return the same incident set, with counters consistent with it.
+    for strategy in [Strategy::NaivePaper, Strategy::Planned] {
         for threads in [1usize, 4] {
             let name = format!("profiled({threads}, {strategy:?})");
             match profile_evaluation(log, pattern, strategy, threads) {

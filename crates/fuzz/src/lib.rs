@@ -1,9 +1,9 @@
 //! Differential fuzzing for the WLQ evaluation strategies.
 //!
 //! The engine ships several independent implementations of `incL(p)`
-//! (Definition 4): the paper-faithful naive operators, the
-//! postings-based optimized operators, the arena-backed batch kernels,
-//! the work-stealing parallel driver, the delta-rule streaming
+//! (Definition 4): the paper-faithful naive operators, the planned
+//! executor over the arena-backed batch kernels (sequential, on the
+//! worker pool, and with the profiler's probe), the delta-rule streaming
 //! evaluator, and the counting DP for chains. They must all agree on
 //! every valid log. This crate generates random `(log, pattern)` pairs,
 //! evaluates each pair under every strategy, and reports the first

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Incident-tree trace (the paper's Example 5 walkthrough). ──────
     let tree = IncidentTree::from_pattern(&"Submit -> (Reject -> Appeal)".parse()?);
     let index = LogIndex::build(&loans);
-    let (_, trace) = tree.evaluate_traced(&loans, &index, Strategy::Optimized);
+    let (_, trace) = tree.evaluate_traced(&loans, &index, Strategy::Planned);
     println!("\nincident-tree evaluation trace:\n{trace}");
     Ok(())
 }

@@ -1,16 +1,20 @@
 //! Equivalence suite for the flat arena-backed evaluation path.
 //!
-//! Random logs × random patterns (depth ≤ 4): [`Strategy::NaivePaper`],
-//! [`Strategy::Optimized`], and [`Strategy::Batch`] must produce identical
-//! incident sets, and the batch evaluator's ref-based `count`/`exists`
-//! (which never materialise an incident) must agree with the materialised
-//! answers. Deeper trees than `laws.rs` samples, because the batch path
-//! recycles operator batches through its arena at every internal node —
-//! depth is exactly what stresses the recycling.
+//! Random logs × random patterns (depth ≤ 4): [`Strategy::NaivePaper`]
+//! and [`Strategy::Planned`] must produce identical incident sets, the
+//! planned evaluator's ref-based `count`/`exists` (which never
+//! materialise an incident) must agree with the materialised answers, and
+//! per-instance batches built bottom-up by the kernels must be finished.
+//! Deeper trees than `laws.rs` samples, because the batch path recycles
+//! operator batches through its arena at every internal node — depth is
+//! exactly what stresses the recycling.
 
 use proptest::prelude::*;
 
-use wlq::{attrs, Evaluator, Log, LogBuilder, Op, Pattern, Strategy as EvalStrategy};
+use wlq::{
+    attrs, combine_batch, leaf_incidents, Evaluator, IncidentBatch, Log, LogBuilder, LogIndex, Op,
+    Pattern, Strategy as EvalStrategy, Wid,
+};
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -53,24 +57,40 @@ fn arb_log() -> impl Strategy<Value = Log> {
     )
 }
 
+/// `pattern` in instance `wid`, evaluated bottom-up on the batch kernels
+/// with every intermediate result left in flat form.
+fn instance_batch(log: &Log, index: &LogIndex, pattern: &Pattern, wid: Wid) -> IncidentBatch {
+    match pattern {
+        Pattern::Atom(atom) => {
+            IncidentBatch::from_incidents(wid, &leaf_incidents(atom, log, index, wid))
+        }
+        Pattern::Binary { op, left, right } => combine_batch(
+            *op,
+            &instance_batch(log, index, left, wid),
+            &instance_batch(log, index, right, wid),
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All three strategies compute the same `incL(p)`.
+    /// The naive oracle and the planned batch executor compute the same
+    /// `incL(p)`.
     #[test]
     fn batch_equals_naive_and_optimized(log in arb_log(), p in arb_pattern()) {
         let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
-        let optimized = Evaluator::with_strategy(&log, EvalStrategy::Optimized).evaluate(&p);
-        let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch).evaluate(&p);
-        prop_assert_eq!(&naive, &optimized, "optimized diverged on {}", &p);
-        prop_assert_eq!(&naive, &batch, "batch diverged on {}", &p);
+        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
+        prop_assert_eq!(&naive, &planned, "planned diverged on {}", &p);
     }
 
     /// Ref-based counting and existence agree with materialised results.
     #[test]
     fn batch_count_and_exists_need_no_materialisation(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::Optimized);
-        let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch);
+        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
+        let batch = Evaluator::with_strategy(&log, EvalStrategy::Planned);
+        let materialised = reference.evaluate(&p);
+        prop_assert_eq!(materialised.len(), batch.count(&p), "count diverged on {}", &p);
         prop_assert_eq!(reference.count(&p), batch.count(&p), "count diverged on {}", &p);
         prop_assert_eq!(reference.exists(&p), batch.exists(&p), "exists diverged on {}", &p);
         prop_assert_eq!(
@@ -86,22 +106,24 @@ proptest! {
     /// already sorted and deduplicated.
     #[test]
     fn instance_batches_are_finished(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::Optimized);
-        let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch);
+        let index = LogIndex::build(&log);
+        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
+        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
         for wid in log.wids() {
-            let flat = batch.evaluate_instance_batch(&p, wid);
+            let flat = instance_batch(&log, &index, &p, wid);
             flat.debug_check_invariants();
             let incidents = flat.into_incidents();
             prop_assert!(incidents.windows(2).all(|w| w[0] < w[1]), "unfinished batch for {}", &p);
             prop_assert_eq!(&incidents, &reference.evaluate_instance(&p, wid));
+            prop_assert_eq!(&incidents, &planned.evaluate_instance(&p, wid));
         }
     }
 
     /// Parallel batch evaluation (per-worker arenas) equals sequential.
     #[test]
     fn parallel_batch_workers_agree(log in arb_log(), p in arb_pattern()) {
-        let sequential = Evaluator::with_strategy(&log, EvalStrategy::Batch).evaluate(&p);
-        let parallel = wlq::evaluate_parallel(&log, &p, 3, EvalStrategy::Batch).unwrap();
+        let sequential = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
+        let parallel = wlq::evaluate_parallel(&log, &p, 3, EvalStrategy::Planned).unwrap();
         prop_assert_eq!(sequential, parallel, "parallel batch diverged on {}", &p);
     }
 }

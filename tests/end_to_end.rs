@@ -22,18 +22,18 @@ fn battery() -> Vec<Pattern> {
 fn clinic_pipeline_all_paths_agree() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(150, 5));
     let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-    let optimized = Evaluator::with_strategy(&log, Strategy::Optimized);
+    let planned = Evaluator::with_strategy(&log, Strategy::Planned);
     let optimizer = Optimizer::new(LogStats::compute(&log));
     for p in battery() {
-        let reference = optimized.evaluate(&p);
-        assert_eq!(naive.evaluate(&p), reference, "naive vs optimized on {p}");
+        let reference = naive.evaluate(&p);
+        assert_eq!(planned.evaluate(&p), reference, "naive vs planned on {p}");
         let rewritten = optimizer.optimize(&p);
         assert_eq!(
-            optimized.evaluate(&rewritten),
+            naive.evaluate(&rewritten),
             reference,
             "optimizer broke {p} => {rewritten}"
         );
-        let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Optimized).unwrap();
+        let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Planned).unwrap();
         assert_eq!(parallel, reference, "parallel eval on {p}");
     }
 }
@@ -114,7 +114,7 @@ fn query_builder_threads_and_strategies_compose() {
     let q = Query::parse("SeeDoctor -> (UpdateRefer -> GetReimburse)").unwrap();
     let base = q.clone().find(&log).unwrap();
     for threads in [1, 2, 8] {
-        for strategy in [Strategy::NaivePaper, Strategy::Optimized] {
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
             for optimize in [true, false] {
                 let got = q
                     .clone()

@@ -6,7 +6,7 @@
 //! we verify:
 //!
 //! * the Theorems 2–5 laws hold exactly,
-//! * the naive, optimized, and flat-batch strategies agree,
+//! * the naive and planned strategies agree (`evaluate` and `count`),
 //! * the streaming evaluator agrees with batch.
 //!
 //! Within these bounds the theorems are *proved* for this implementation,
@@ -186,10 +186,17 @@ fn exhaustive_strategies_agree_on_depth2() {
     for p in depth2() {
         for log in &logs {
             let naive = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-            let optimized = Evaluator::with_strategy(log, Strategy::Optimized).evaluate(&p);
-            let batch = Evaluator::with_strategy(log, Strategy::Batch).evaluate(&p);
-            assert_eq!(naive, optimized, "strategy mismatch: {p} on {log}");
-            assert_eq!(naive, batch, "batch strategy mismatch: {p} on {log}");
+            let planned = Evaluator::with_strategy(log, Strategy::Planned);
+            assert_eq!(
+                naive,
+                planned.evaluate(&p),
+                "strategy mismatch: {p} on {log}"
+            );
+            assert_eq!(
+                naive.len(),
+                planned.count(&p),
+                "planned count mismatch: {p} on {log}"
+            );
         }
     }
 }

@@ -54,7 +54,7 @@ fn e2_incident_tree_and_examples_3_5() {
         .parse()
         .unwrap();
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
 
     // Leaf: incL(SeeDoctor) = {l9, l11, l13, l17}.
     let see_doctor = &trace.nodes[0];
@@ -90,9 +90,9 @@ fn all_evaluation_paths_agree() {
     for src in battery {
         let p: Pattern = src.parse().unwrap();
         let a = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
-        let b = Evaluator::with_strategy(&log, Strategy::Optimized).evaluate(&p);
-        let c = IncidentTree::from_pattern(&p).evaluate(&log, &index, Strategy::Optimized);
-        let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Optimized).unwrap();
+        let b = Evaluator::with_strategy(&log, Strategy::Planned).evaluate(&p);
+        let c = IncidentTree::from_pattern(&p).evaluate(&log, &index, Strategy::Planned);
+        let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Planned).unwrap();
         let e = Query::new(p.clone()).find(&log).unwrap();
         let f = IncidentTree::from_postfix(wlq::to_postfix(&p))
             .unwrap()
@@ -279,7 +279,7 @@ fn mining_and_projections_on_order_scenario() {
     }
     // Explain agrees with plain evaluation under both strategies.
     let p: Pattern = "PlaceOrder -> (Ship & CollectPayment)".parse().unwrap();
-    for strategy in [Strategy::NaivePaper, Strategy::Optimized] {
+    for strategy in [Strategy::NaivePaper, Strategy::Planned] {
         let explain = wlq::Explain::run(&log, &p, true, strategy);
         assert_eq!(explain.incidents, Evaluator::new(&log).evaluate(&p));
     }

@@ -19,16 +19,12 @@ fn figure3() -> Log {
 fn all_strategies(log: &Log, src: &str) -> IncidentSet {
     let p: Pattern = src.parse().unwrap();
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-    for strategy in [Strategy::Optimized, Strategy::Batch] {
-        assert_eq!(
-            Evaluator::with_strategy(log, strategy).evaluate(&p),
-            reference,
-            "{strategy:?} diverged on {src}"
-        );
-    }
+    let planned = Evaluator::with_strategy(log, Strategy::Planned);
+    assert_eq!(planned.evaluate(&p), reference, "Planned diverged on {src}");
+    assert_eq!(planned.count(&p), reference.len(), "Planned count on {src}");
     for threads in [1, 4] {
         assert_eq!(
-            evaluate_parallel(log, &p, threads, Strategy::Optimized).unwrap(),
+            evaluate_parallel(log, &p, threads, Strategy::Planned).unwrap(),
             reference,
             "parallel({threads}) diverged on {src}"
         );

@@ -20,12 +20,7 @@ fn parse(src: &str) -> Pattern {
     src.parse().unwrap()
 }
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::NaivePaper,
-    Strategy::Optimized,
-    Strategy::Batch,
-    Strategy::Planned,
-];
+const ALL_STRATEGIES: [Strategy; 2] = [Strategy::NaivePaper, Strategy::Planned];
 
 // ---------------------------------------------------------------------
 // Golden human-readable profile (`wlq explain --analyze`)

@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn streaming_strategies_agree(log in arb_log(), p in arb_pattern()) {
         let mut a = StreamingEvaluator::with_strategy(p.clone(), EvalStrategy::NaivePaper);
-        let mut b = StreamingEvaluator::with_strategy(p, EvalStrategy::Optimized);
+        let mut b = StreamingEvaluator::with_strategy(p, EvalStrategy::Planned);
         for record in log.iter() {
             let da = a.append(record).unwrap();
             let db = b.append(record).unwrap();
