@@ -199,13 +199,6 @@ pub(crate) fn chain_exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> 
     Some(ChainCounter::new(&as_chain(pattern)?, index).any())
 }
 
-/// [`chain_exists`] for a log without an index; builds one only for
-/// supported chains.
-pub(crate) fn fast_exists(log: &Log, pattern: &Pattern) -> Option<bool> {
-    let chain = as_chain(pattern)?;
-    Some(ChainCounter::new(&chain, &LogIndex::build(log)).any())
-}
-
 /// Counts `|incL(pattern)|` without materialising incidents, if the
 /// pattern is a supported chain. Returns `None` (caller falls back to
 /// full evaluation) otherwise. The log is indexed only for supported
@@ -382,7 +375,9 @@ mod tests {
             let planned = Evaluator::new(&log);
             assert_eq!(planned.count(&pattern), slow, "{pattern} on {log}");
             assert_eq!(planned.exists(&pattern), slow > 0, "{pattern} on {log}");
-            assert_eq!(fast_exists(&log, &pattern), Some(slow > 0), "{pattern} on {log}");
+            let index = LogIndex::build(&log);
+            assert_eq!(chain_exists(&index, &pattern), Some(slow > 0), "{pattern} on {log}");
+            assert_eq!(chain_count(&index, &pattern), Some(slow), "{pattern} on {log}");
         }
     }
 }

@@ -228,7 +228,12 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator with an explicit strategy.
     #[must_use]
     pub fn with_strategy(log: &'a Log, strategy: Strategy) -> Self {
-        let index = LogIndex::build(log);
+        Self::with_index(log, LogIndex::build(log), strategy)
+    }
+
+    /// [`with_strategy`](Self::with_strategy) over an index the caller
+    /// already built from `log`.
+    pub(crate) fn with_index(log: &'a Log, index: LogIndex, strategy: Strategy) -> Self {
         let planner = (strategy == Strategy::Planned).then(|| Planner::new(log, &index));
         Evaluator {
             log,

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use wlq_log::{Log, LogStats, Value, Wid};
+use wlq_log::{Log, LogIndex, LogStats, Value, Wid};
 use wlq_pattern::{Optimizer, ParsePatternError, Pattern};
 
 use crate::error::EngineError;
@@ -104,11 +104,25 @@ impl Query {
     /// [`crate::planner`] and [`Evaluator::physical_plan`].
     #[must_use]
     pub fn plan(&self, log: &Log) -> Pattern {
+        self.plan_with(|| LogStats::compute(log))
+    }
+
+    /// [`plan`](Self::plan) with the optimizer's statistics from `stats`,
+    /// which runs only if optimization is enabled.
+    fn plan_with(&self, stats: impl FnOnce() -> LogStats) -> Pattern {
         if self.optimize {
-            Optimizer::new(LogStats::compute(log)).optimize(&self.pattern)
+            Optimizer::new(stats()).optimize(&self.pattern)
         } else {
             self.pattern.clone()
         }
+    }
+
+    /// Indexes `log` once and plans against that index; the caller hands
+    /// the same index to the counting DP and the evaluator.
+    fn indexed_plan(&self, log: &Log) -> (LogIndex, Pattern) {
+        let index = LogIndex::build(log);
+        let plan = self.plan_with(|| LogStats::from_index(&index));
+        (index, plan)
     }
 
     /// Evaluates the query, returning all incidents.
@@ -119,8 +133,8 @@ impl Query {
     /// is 0 and [`EngineError::WorkerPanicked`] if a parallel worker
     /// panics.
     pub fn find(&self, log: &Log) -> Result<IncidentSet, EngineError> {
-        let plan = self.plan(log);
-        evaluate_parallel(log, &plan, self.threads, self.strategy)
+        let (index, plan) = self.indexed_plan(log);
+        Evaluator::with_index(log, index, self.strategy).evaluate_parallel(&plan, self.threads)
     }
 
     /// Whether the log contains any incident of the pattern.
@@ -135,11 +149,11 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let plan = self.plan(log);
-        if let Some(found) = crate::counting::fast_exists(log, &plan) {
+        let (index, plan) = self.indexed_plan(log);
+        if let Some(found) = crate::counting::chain_exists(&index, &plan) {
             return Ok(found);
         }
-        Ok(Evaluator::with_strategy(log, self.strategy).exists(&plan))
+        Ok(Evaluator::with_index(log, index, self.strategy).exists(&plan))
     }
 
     /// The number of incidents, `|incL(p)|`.
@@ -158,11 +172,11 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let plan = self.plan(log);
-        if let Some(count) = crate::counting::fast_count(log, &plan) {
+        let (index, plan) = self.indexed_plan(log);
+        if let Some(count) = crate::counting::chain_count(&index, &plan) {
             return Ok(count);
         }
-        let eval = Evaluator::with_strategy(log, self.strategy);
+        let eval = Evaluator::with_index(log, index, self.strategy);
         if self.threads > 1 {
             Ok(eval.evaluate_parallel(&plan, self.threads)?.len())
         } else {

@@ -22,6 +22,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
+use crate::names::Interner;
 use crate::record::LogRecord;
 use crate::Value;
 
@@ -79,107 +80,131 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
+/// The fewest bytes one encoded record takes: lsn, wid, is-lsn, an empty
+/// activity name and two empty maps.
+const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 4 + 4;
+
+/// The fewest bytes one map entry takes: an empty name and an undefined
+/// value.
+const MIN_ENTRY_BYTES: usize = 4 + 1;
+
 /// Decodes a log from the binary format.
+///
+/// The decoder reads the buffer in place: each string costs one UTF-8
+/// check and a lookup in a per-decode intern table, so the records of the
+/// decoded log share one allocation per distinct name or string value.
+/// Preallocation is bounded by the input's length, whatever its header
+/// claims.
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError::BadShape`] on truncated or corrupt input and
 /// [`ParseLogError::Invalid`] if the decoded records violate Definition 2.
-pub fn read_binary(mut data: Bytes) -> Result<Log, ParseLogError> {
+pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
     fn bad(message: impl Into<String>) -> ParseLogError {
         ParseLogError::BadShape {
             line: 0,
             message: message.into(),
         }
     }
-    if data.remaining() < 12 {
+    let mut input = Reader {
+        data: data.chunk(),
+        names: Interner::default(),
+    };
+    let (Some(magic), Some(count)) = (input.array::<4>(), input.u64()) else {
         return Err(bad("input shorter than header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
+    };
     if &magic != MAGIC {
         return Err(bad("bad magic, not a WLQ1 binary log"));
     }
-    let count = data.get_u64_le();
-    let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
+    let fit = input.data.len() / MIN_RECORD_BYTES;
+    let mut records = Vec::with_capacity(usize::try_from(count).map_or(fit, |n| n.min(fit)));
     for i in 0..count {
-        let err = || bad(format!("truncated record {i}"));
-        if data.remaining() < 20 {
-            return Err(err());
-        }
-        let lsn = data.get_u64_le();
-        let wid = data.get_u64_le();
-        let is_lsn = data.get_u32_le();
-        let act = get_str(&mut data).ok_or_else(err)?;
-        let input = get_map(&mut data).ok_or_else(err)?;
-        let output = get_map(&mut data).ok_or_else(err)?;
-        records.push(LogRecord::new(
-            lsn,
-            wid,
-            is_lsn,
-            act.as_str(),
-            input,
-            output,
-        ));
+        let record = input
+            .record()
+            .ok_or_else(|| bad(format!("truncated record {i}")))?;
+        records.push(record);
     }
-    if data.has_remaining() {
+    if !input.data.is_empty() {
         return Err(bad("trailing bytes after last record"));
     }
     Ok(Log::new(records)?)
 }
 
-fn get_str(data: &mut Bytes) -> Option<String> {
-    if data.remaining() < 4 {
-        return None;
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return None;
-    }
-    let raw = data.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).ok()
+/// A cursor over the undecoded bytes plus the decode's intern table.
+/// Every read returns `None` when the input ends too early or a string
+/// is not UTF-8.
+struct Reader<'a> {
+    data: &'a [u8],
+    names: Interner,
 }
 
-fn get_map(data: &mut Bytes) -> Option<AttrMap> {
-    if data.remaining() < 4 {
-        return None;
+impl<'a> Reader<'a> {
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.data.split_first_chunk::<N>()?;
+        self.data = rest;
+        Some(*head)
     }
-    let count = data.get_u32_le();
-    let mut map = AttrMap::new();
-    for _ in 0..count {
-        let name = get_str(data)?;
-        let value = get_value(data)?;
-        map.set(name, value);
-    }
-    Some(map)
-}
 
-fn get_value(data: &mut Bytes) -> Option<Value> {
-    if !data.has_remaining() {
-        return None;
+    fn u8(&mut self) -> Option<u8> {
+        self.array::<1>().map(|[b]| b)
     }
-    match data.get_u8() {
-        0 => Some(Value::Undefined),
-        1 => {
-            if !data.has_remaining() {
-                return None;
-            }
-            Some(Value::Bool(data.get_u8() != 0))
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let len = usize::try_from(self.u32()?).ok()?;
+        if self.data.len() < len {
+            return None;
         }
-        2 => {
-            if data.remaining() < 8 {
-                return None;
-            }
-            Some(Value::Int(data.get_i64_le()))
+        let (raw, rest) = self.data.split_at(len);
+        self.data = rest;
+        std::str::from_utf8(raw).ok()
+    }
+
+    fn record(&mut self) -> Option<LogRecord> {
+        let lsn = self.u64()?;
+        let wid = self.u64()?;
+        let is_lsn = self.u32()?;
+        let activity = self.str()?;
+        let activity = self.names.activity(activity);
+        let input = self.map()?;
+        let output = self.map()?;
+        Some(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
+    }
+
+    fn map(&mut self) -> Option<AttrMap> {
+        let count = usize::try_from(self.u32()?).ok()?;
+        let mut map = AttrMap::with_capacity(count.min(self.data.len() / MIN_ENTRY_BYTES));
+        for _ in 0..count {
+            let name = self.str()?;
+            let name = self.names.attr_name(name);
+            let value = self.value()?;
+            // Maps this crate writes are name-sorted; others still decode
+            // last-wins.
+            map.push_sorted(name, value);
         }
-        3 => {
-            if data.remaining() < 8 {
-                return None;
+        Some(map)
+    }
+
+    fn value(&mut self) -> Option<Value> {
+        Some(match self.u8()? {
+            0 => Value::Undefined,
+            1 => Value::Bool(self.u8()? != 0),
+            2 => Value::Int(i64::from_le_bytes(self.array()?)),
+            3 => Value::Float(f64::from_bits(self.u64()?)),
+            4 => {
+                let s = self.str()?;
+                Value::Str(self.names.intern(s))
             }
-            Some(Value::Float(f64::from_bits(data.get_u64_le())))
-        }
-        4 => get_str(data).map(Value::from),
-        _ => None,
+            _ => return None,
+        })
     }
 }
 

@@ -6,9 +6,12 @@
 //! quotes). A small hand-rolled CSV reader/writer keeps the crate free of
 //! external parsing dependencies.
 
+use std::borrow::Cow;
+
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
+use crate::names::Interner;
 use crate::record::LogRecord;
 
 /// Renders a log as CSV with a header row.
@@ -53,106 +56,88 @@ fn push_field(out: &mut String, field: &str) {
 
 /// Parses a log from CSV produced by [`write_csv`] (or compatible).
 ///
+/// Unquoted columns are borrowed from `text`; only quoted columns are
+/// unescaped into new strings. Names and unquoted string values are
+/// interned as in [`read_text`](super::text::read_text).
+///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] on malformed rows or an invalid log.
 pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(super::line_count(text));
+    let mut names = Interner::default();
+    let mut fields = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() || (line_no == 1 && line.starts_with("lsn")) {
             continue;
         }
-        let fields = split_csv_line(line, line_no)?;
-        if fields.len() != 6 {
+        split_csv_line(line, line_no, &mut fields)?;
+        let [lsn, wid, is_lsn, activity, input, output] = &fields[..] else {
             return Err(ParseLogError::BadShape {
                 line: line_no,
                 message: format!("expected 6 columns, found {}", fields.len()),
             });
-        }
-        let lsn: u64 = fields[0].parse().map_err(|_| ParseLogError::BadNumber {
+        };
+        let number = |field: &'static str, text: &str| ParseLogError::BadNumber {
             line: line_no,
-            field: "lsn",
-            text: fields[0].clone(),
-        })?;
-        let wid: u64 = fields[1].parse().map_err(|_| ParseLogError::BadNumber {
-            line: line_no,
-            field: "wid",
-            text: fields[1].clone(),
-        })?;
-        let is_lsn: u32 = fields[2].parse().map_err(|_| ParseLogError::BadNumber {
-            line: line_no,
-            field: "is-lsn",
-            text: fields[2].clone(),
-        })?;
-        if fields[3].is_empty() {
+            field,
+            text: text.to_string(),
+        };
+        let lsn: u64 = lsn.parse().map_err(|_| number("lsn", lsn))?;
+        let wid: u64 = wid.parse().map_err(|_| number("wid", wid))?;
+        let is_lsn: u32 = is_lsn.parse().map_err(|_| number("is-lsn", is_lsn))?;
+        if activity.is_empty() {
             return Err(ParseLogError::BadShape {
                 line: line_no,
                 message: "activity name is empty".to_string(),
             });
         }
-        let input = parse_semi_map(&fields[4], line_no)?;
-        let output = parse_semi_map(&fields[5], line_no)?;
-        records.push(LogRecord::new(
-            lsn,
-            wid,
-            is_lsn,
-            fields[3].as_str(),
-            input,
-            output,
-        ));
+        let activity = names.activity(activity);
+        let input = parse_semi_map(input, line_no, &mut names)?;
+        let output = parse_semi_map(output, line_no, &mut names)?;
+        records.push(LogRecord::new(lsn, wid, is_lsn, activity, input, output));
     }
     Ok(Log::new(records)?)
 }
 
-fn parse_semi_map(text: &str, line_no: usize) -> Result<AttrMap, ParseLogError> {
-    let mut map = AttrMap::new();
+fn parse_semi_map(
+    text: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<AttrMap, ParseLogError> {
     if text.trim().is_empty() {
-        return Ok(map);
+        return Ok(AttrMap::new());
     }
-    for pair in super::split_entries(text, ';') {
-        let Some((name, value)) = pair.split_once('=') else {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: format!("attribute entry {pair:?} is not name=value"),
-            });
-        };
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: "attribute name is empty".to_string(),
-            });
-        }
-        map.set(name, super::parse_rendered_value(value));
-    }
-    Ok(map)
+    super::parse_entries(text, b';', line_no, names)
 }
 
-fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, ParseLogError> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cur.push(c);
+/// Splits one CSV row into `fields` (cleared first). A column holding a
+/// quote is unescaped (`""` inside quotes is a literal `"`) into a new
+/// string; every other column borrows from `line`.
+fn split_csv_line<'a>(
+    line: &'a str,
+    line_no: usize,
+    fields: &mut Vec<Cow<'a, str>>,
+) -> Result<(), ParseLogError> {
+    fields.clear();
+    let bytes = line.as_bytes();
+    let (mut start, mut i, mut quoted, mut in_quotes) = (0, 0, false, false);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' if in_quotes && bytes.get(i + 1) == Some(&b'"') => i += 1,
+            b'"' => {
+                in_quotes = !in_quotes;
+                quoted = true;
             }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
-                _ => cur.push(c),
+            // `i` is an ASCII byte, hence a character boundary.
+            b',' if !in_quotes => {
+                fields.push(csv_field(&line[start..i], quoted));
+                (start, quoted) = (i + 1, false);
             }
+            _ => {}
         }
+        i += 1;
     }
     if in_quotes {
         return Err(ParseLogError::BadShape {
@@ -160,8 +145,29 @@ fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, ParseLogErr
             message: "unterminated quoted field".to_string(),
         });
     }
-    fields.push(cur);
-    Ok(fields)
+    fields.push(csv_field(&line[start..], quoted));
+    Ok(())
+}
+
+/// One column of a row, unescaped if it holds a quote.
+fn csv_field(raw: &str, quoted: bool) -> Cow<'_, str> {
+    if !quoted {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if in_quotes && chars.peek() == Some(&'"') => {
+                out.push('"');
+                chars.next();
+            }
+            '"' => in_quotes = !in_quotes,
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -188,13 +194,18 @@ mod tests {
 
     #[test]
     fn quoted_fields_handle_commas_and_quotes() {
-        let fields = split_csv_line(r#"1,"a,b","say ""hi""",c"#, 1).unwrap();
+        let mut fields = Vec::new();
+        split_csv_line(r#"1,"a,b","say ""hi""",c"#, 1, &mut fields).unwrap();
         assert_eq!(fields, vec!["1", "a,b", "say \"hi\"", "c"]);
+        assert!(matches!(fields[0], Cow::Borrowed(_)));
+        // Quotes mid-column and an empty quoted column.
+        split_csv_line(r#"a"b,c"d,"",x"#, 1, &mut fields).unwrap();
+        assert_eq!(fields, vec!["ab,cd", "", "x"]);
     }
 
     #[test]
     fn unterminated_quote_is_an_error() {
-        assert!(split_csv_line(r#"1,"oops"#, 3).is_err());
+        assert!(split_csv_line(r#"1,"oops"#, 3, &mut Vec::new()).is_err());
     }
 
     #[test]

@@ -19,7 +19,11 @@ pub mod csv;
 pub mod text;
 pub mod xes;
 
-use crate::{AttrMap, Value};
+use std::sync::Arc;
+
+use crate::names::Interner;
+use crate::value::parse_scalar;
+use crate::{AttrMap, ParseLogError, Value};
 
 /// Renders a value for the text/CSV formats. Strings that would not
 /// re-parse as the same string (they look numeric/boolean, are empty,
@@ -89,8 +93,9 @@ fn needs_quoting(s: &str) -> bool {
 }
 
 /// Parses a rendered value: a double-quoted token is unescaped into a
-/// string; anything else goes through [`Value`]'s `FromStr`.
-pub(crate) fn parse_rendered_value(s: &str) -> Value {
+/// string; anything else goes through [`Value`]'s `FromStr`, with plain
+/// strings interned in `names`.
+pub(crate) fn parse_rendered_value(s: &str, names: &mut Interner) -> Value {
     let s = s.trim();
     match s {
         "NaN" => return Value::Float(f64::NAN),
@@ -99,8 +104,10 @@ pub(crate) fn parse_rendered_value(s: &str) -> Value {
         "-inf" => return Value::Float(f64::NEG_INFINITY),
         _ => {}
     }
-    if s.len() >= 2 && s.starts_with('"') && s.ends_with('"') {
-        let inner = &s[1..s.len() - 1];
+    if let Some(inner) = s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"')) {
+        if !inner.contains('\\') {
+            return Value::Str(Arc::from(inner));
+        }
         let mut out = String::with_capacity(inner.len());
         let mut chars = inner.chars();
         while let Some(c) = chars.next() {
@@ -114,10 +121,7 @@ pub(crate) fn parse_rendered_value(s: &str) -> Value {
         }
         return Value::from(out);
     }
-    match s.parse() {
-        Ok(v) => v,
-        Err(never) => match never {},
-    }
+    parse_scalar(s).unwrap_or_else(|| Value::Str(names.intern(s)))
 }
 
 /// Renders an attribute map as `name=value` entries joined by `sep`
@@ -135,34 +139,97 @@ pub(crate) fn render_map(map: &AttrMap, sep: &str) -> String {
     out
 }
 
-/// Splits `name=value` entries on `sep`, ignoring separators inside
-/// double-quoted values (with backslash escapes).
-pub(crate) fn split_entries(s: &str, sep: char) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if escaped {
-            cur.push(c);
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quotes => {
-                cur.push(c);
-                escaped = true;
+/// Splits `s` on the ASCII byte `sep`, ignoring separators inside
+/// double-quoted values (with backslash escapes). The pieces borrow from
+/// `s`; nothing is unescaped and nothing is allocated.
+pub(crate) fn split_quoted(s: &str, sep: u8) -> SplitQuoted<'_> {
+    debug_assert!(sep.is_ascii() && sep != b'"' && sep != b'\\');
+    SplitQuoted { rest: Some(s), sep }
+}
+
+/// The iterator of [`split_quoted`].
+pub(crate) struct SplitQuoted<'a> {
+    /// The unsplit tail; `None` once the last piece is out.
+    rest: Option<&'a str>,
+    sep: u8,
+}
+
+impl<'a> Iterator for SplitQuoted<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        let bytes = s.as_bytes();
+        let (mut i, mut in_quotes) = (0, false);
+        while i < bytes.len() {
+            match bytes[i] {
+                // Skips the escaped byte; a multi-byte character's other
+                // bytes are never ASCII, so they cannot match below.
+                b'\\' if in_quotes => i += 1,
+                b'"' => in_quotes = !in_quotes,
+                // `i` is an ASCII byte, hence a character boundary.
+                b if b == self.sep && !in_quotes => {
+                    self.rest = Some(&s[i + 1..]);
+                    return Some(&s[..i]);
+                }
+                _ => {}
             }
-            '"' => {
-                cur.push(c);
-                in_quotes = !in_quotes;
-            }
-            c if c == sep && !in_quotes => out.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
+            i += 1;
         }
+        self.rest = None;
+        Some(s)
     }
-    out.push(cur);
-    out
+}
+
+/// The `N` pieces of [`split_quoted`], or how many pieces there are if
+/// that is not `N`.
+pub(crate) fn split_exact<const N: usize>(s: &str, sep: u8) -> Result<[&str; N], usize> {
+    let mut pieces = split_quoted(s, sep);
+    let mut out = [""; N];
+    for (found, slot) in out.iter_mut().enumerate() {
+        *slot = pieces.next().ok_or(found)?;
+    }
+    match pieces.count() {
+        0 => Ok(out),
+        extra => Err(N + extra),
+    }
+}
+
+/// Parses the `name=value` entries of one attribute map, separated by
+/// `sep`; names and plain string values are interned in `names`. A
+/// repeated name keeps its last value.
+pub(crate) fn parse_entries(
+    text: &str,
+    sep: u8,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<AttrMap, ParseLogError> {
+    let mut map = AttrMap::with_capacity(split_quoted(text, sep).count());
+    for pair in split_quoted(text, sep) {
+        let pair = pair.trim();
+        let Some((name, value)) = pair.split_once('=') else {
+            return Err(ParseLogError::BadShape {
+                line: line_no,
+                message: format!("attribute entry {pair:?} is not name=value"),
+            });
+        };
+        let name = name.trim();
+        if name.is_empty() {
+            return Err(ParseLogError::BadShape {
+                line: line_no,
+                message: "attribute name is empty".to_string(),
+            });
+        }
+        let value = parse_rendered_value(value, names);
+        map.push_sorted(names.attr_name(name), value);
+    }
+    Ok(map)
+}
+
+/// An upper bound on the records in a line-per-record text: its line
+/// count. Sizing the record vector by it avoids regrowth.
+pub(crate) fn line_count(text: &str) -> usize {
+    text.bytes().filter(|&b| b == b'\n').count() + 1
 }
 
 #[cfg(test)]
@@ -220,7 +287,8 @@ mod tests {
             Value::from("a|b"),
         ] {
             let rendered = render_value(&v);
-            assert_eq!(parse_rendered_value(&rendered), v, "failed on {rendered}");
+            let back = parse_rendered_value(&rendered, &mut Interner::default());
+            assert_eq!(back, v, "failed on {rendered}");
         }
     }
 
@@ -232,9 +300,49 @@ mod tests {
 
     #[test]
     fn split_entries_respects_quotes() {
-        let entries = split_entries(r#"a="x,y", b=2"#, ',');
-        assert_eq!(entries, vec![r#"a="x,y""#, " b=2"]);
-        let entries = split_entries(r#"a="he said \";\"";b=1"#, ';');
-        assert_eq!(entries.len(), 2);
+        let split = |s, sep| split_quoted(s, sep).collect::<Vec<_>>();
+        assert_eq!(split(r#"a="x,y", b=2"#, b','), [r#"a="x,y""#, " b=2"]);
+        assert_eq!(
+            split(r#"a="he said \";\"";b=1"#, b';'),
+            [r#"a="he said \";\"""#, "b=1"]
+        );
+        // Unquoted backslashes escape nothing; multi-byte text is kept.
+        assert_eq!(split(r"é\|ü|", b'|'), [r"é\", "ü", ""]);
+        assert_eq!(split("", b','), [""]);
+        assert_eq!(split_exact::<2>("a|b", b'|'), Ok(["a", "b"]));
+        assert_eq!(split_exact::<2>("a", b'|'), Err(1));
+        assert_eq!(split_exact::<2>("a|b|c|d", b'|'), Err(4));
+    }
+
+    #[test]
+    fn plain_strings_are_interned_and_quoted_ones_are_not() {
+        let mut names = Interner::default();
+        let a = parse_rendered_value("active", &mut names);
+        let b = parse_rendered_value(" active ", &mut names);
+        let (Value::Str(a), Value::Str(b)) = (a, b) else {
+            panic!("expected strings");
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(
+            parse_rendered_value(r#""a\"b""#, &mut names),
+            Value::from("a\"b")
+        );
+        assert_eq!(
+            parse_rendered_value(r#""12""#, &mut names),
+            Value::from("12")
+        );
+        assert_eq!(parse_rendered_value("12", &mut names), Value::Int(12));
+    }
+
+    #[test]
+    fn parse_entries_is_last_wins_and_names_bad_pairs() {
+        let mut names = Interner::default();
+        let map = parse_entries("b=1, a = x ,b=2", b',', 1, &mut names).unwrap();
+        assert_eq!(map.to_string(), "a=x, b=2");
+        assert!(matches!(
+            parse_entries("a=1;novalue", b';', 4, &mut names),
+            Err(ParseLogError::BadShape { line: 4, .. })
+        ));
+        assert!(parse_entries(" =1", b',', 1, &mut names).is_err());
     }
 }

@@ -17,6 +17,7 @@
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
+use crate::names::Interner;
 use crate::record::LogRecord;
 
 /// Renders a log as a Figure 3-style table with a header line.
@@ -50,92 +51,68 @@ pub fn write_text(log: &Log) -> String {
 
 /// Parses a log from the text format.
 ///
+/// Fields and map entries are borrowed slices of `text`; activity names,
+/// attribute names and unquoted string values are interned, so the
+/// records of the decoded log share one allocation per distinct string.
+///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] if a line is malformed or the records do not
 /// form a valid log (Definition 2).
 pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(super::line_count(text));
+    let mut names = Interner::default();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with("lsn") {
             continue;
         }
-        records.push(parse_line(trimmed, line_no)?);
+        records.push(parse_line(trimmed, line_no, &mut names)?);
     }
     Ok(Log::new(records)?)
 }
 
-fn parse_line(line: &str, line_no: usize) -> Result<LogRecord, ParseLogError> {
+fn parse_line(
+    line: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<LogRecord, ParseLogError> {
     // Quote-aware split: a '|' inside a quoted attribute value is data.
-    let fields: Vec<String> = super::split_entries(line, '|')
-        .into_iter()
-        .map(|f| f.trim().to_string())
-        .collect();
-    if fields.len() != 6 {
-        return Err(ParseLogError::BadShape {
-            line: line_no,
-            message: format!("expected 6 '|'-separated fields, found {}", fields.len()),
-        });
-    }
-    let lsn: u64 = fields[0].parse().map_err(|_| ParseLogError::BadNumber {
+    let fields = super::split_exact(line, b'|').map_err(|found| ParseLogError::BadShape {
         line: line_no,
-        field: "lsn",
-        text: fields[0].clone(),
+        message: format!("expected 6 '|'-separated fields, found {found}"),
     })?;
-    let wid: u64 = fields[1].parse().map_err(|_| ParseLogError::BadNumber {
+    let [lsn, wid, is_lsn, activity, input, output] = fields.map(str::trim);
+    let number = |field: &'static str, text: &str| ParseLogError::BadNumber {
         line: line_no,
-        field: "wid",
-        text: fields[1].clone(),
-    })?;
-    let is_lsn: u32 = fields[2].parse().map_err(|_| ParseLogError::BadNumber {
-        line: line_no,
-        field: "is-lsn",
-        text: fields[2].clone(),
-    })?;
-    if fields[3].is_empty() {
+        field,
+        text: text.to_string(),
+    };
+    let lsn: u64 = lsn.parse().map_err(|_| number("lsn", lsn))?;
+    let wid: u64 = wid.parse().map_err(|_| number("wid", wid))?;
+    let is_lsn: u32 = is_lsn.parse().map_err(|_| number("is-lsn", is_lsn))?;
+    if activity.is_empty() {
         return Err(ParseLogError::BadShape {
             line: line_no,
             message: "activity name is empty".to_string(),
         });
     }
-    let input = parse_attr_map(&fields[4], line_no)?;
-    let output = parse_attr_map(&fields[5], line_no)?;
-    Ok(LogRecord::new(
-        lsn,
-        wid,
-        is_lsn,
-        fields[3].as_str(),
-        input,
-        output,
-    ))
+    let activity = names.activity(activity);
+    let input = parse_attr_map(input, line_no, names)?;
+    let output = parse_attr_map(output, line_no, names)?;
+    Ok(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
 }
 
-pub(crate) fn parse_attr_map(text: &str, line_no: usize) -> Result<AttrMap, ParseLogError> {
-    let mut map = AttrMap::new();
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed == "-" {
-        return Ok(map);
+fn parse_attr_map(
+    text: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<AttrMap, ParseLogError> {
+    if text.is_empty() || text == "-" {
+        return Ok(AttrMap::new());
     }
-    for pair in super::split_entries(trimmed, ',') {
-        let pair = pair.trim();
-        let Some((name, value)) = pair.split_once('=') else {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: format!("attribute entry {pair:?} is not name=value"),
-            });
-        };
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: "attribute name is empty".to_string(),
-            });
-        }
-        map.set(name, super::parse_rendered_value(value));
-    }
-    Ok(map)
+    super::parse_entries(text, b',', line_no, names)
 }
 
 #[cfg(test)]

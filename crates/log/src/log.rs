@@ -1,6 +1,6 @@
 //! The [`Log`] container and its validity checking (Definition 2).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::LogError;
@@ -39,15 +39,33 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 pub struct Log {
     /// Records sorted by lsn; `records[i].lsn() == i + 1`.
     records: Vec<LogRecord>,
-    /// For each instance, the positions of its records in `records`, in
+    /// The instance ids, ascending; instance `k` (its ordinal) is
+    /// `wids[k]`.
+    wids: Vec<Wid>,
+    /// CSR offsets into `positions`: instance `k`'s records are
+    /// `positions[starts[k]..starts[k + 1]]`; `len = wids.len() + 1`.
+    starts: Vec<usize>,
+    /// Per instance, the positions of its records in `records`, in
     /// is-lsn order.
-    by_wid: BTreeMap<Wid, Vec<usize>>,
+    positions: Vec<usize>,
+}
+
+/// Per-instance validation state, indexed by first-appearance ordinal.
+struct Instance {
+    wid: Wid,
+    /// Records seen so far, which is also the last is-lsn seen.
+    len: u32,
+    /// An `END` record has been seen.
+    closed: bool,
 }
 
 impl Log {
     /// Builds a log from records, validating Definition 2.
     ///
-    /// The records may be supplied in any order; they are sorted by lsn.
+    /// The records may be supplied in any order; they are sorted by lsn
+    /// unless they already ascend. Conditions 2–4 are checked in one pass
+    /// in lsn order over dense per-instance state, which also yields the
+    /// per-instance index.
     ///
     /// # Errors
     ///
@@ -56,7 +74,9 @@ impl Log {
         if records.is_empty() {
             return Err(LogError::Empty);
         }
-        records.sort_by_key(LogRecord::lsn);
+        if !records.is_sorted_by_key(LogRecord::lsn) {
+            records.sort_by_key(LogRecord::lsn);
+        }
 
         // Condition 1: lsns are a bijection with 1..=|L|.
         for (i, r) in records.iter().enumerate() {
@@ -71,13 +91,24 @@ impl Log {
             }
         }
 
-        // Conditions 2–4, checked in one pass in lsn order.
-        let mut by_wid: BTreeMap<Wid, Vec<usize>> = BTreeMap::new();
-        let mut next_is_lsn: BTreeMap<Wid, IsLsn> = BTreeMap::new();
-        let mut closed: BTreeMap<Wid, bool> = BTreeMap::new();
-        for (i, r) in records.iter().enumerate() {
+        // Conditions 2–4, checked in one pass in lsn order. Instances get
+        // ordinals in order of first appearance.
+        let mut ordinals: HashMap<Wid, u32> = HashMap::new();
+        let mut instances: Vec<Instance> = Vec::new();
+        let mut ordinal_of: Vec<u32> = Vec::with_capacity(records.len());
+        for r in &records {
             let wid = r.wid();
-            if closed.get(&wid).copied().unwrap_or(false) {
+            let ordinal = *ordinals.entry(wid).or_insert_with(|| {
+                instances.push(Instance {
+                    wid,
+                    len: 0,
+                    closed: false,
+                });
+                // Fewer instances than records, and records fit in memory.
+                (instances.len() - 1) as u32
+            });
+            let state = &mut instances[ordinal as usize];
+            if state.closed {
                 return Err(LogError::RecordAfterEnd { wid, lsn: r.lsn() });
             }
             // Condition 2: is-lsn = 1 iff START.
@@ -85,22 +116,49 @@ impl Log {
                 return Err(LogError::StartMismatch { lsn: r.lsn(), wid });
             }
             // Condition 3: consecutive is-lsn per instance, in lsn order.
-            let expected = next_is_lsn.get(&wid).copied().unwrap_or(IsLsn::FIRST);
-            if r.is_lsn() != expected {
+            if u64::from(r.is_lsn().get()) != u64::from(state.len) + 1 {
                 return Err(LogError::NonConsecutiveIsLsn {
                     wid,
-                    expected,
+                    expected: IsLsn(state.len.saturating_add(1)),
                     found: r.is_lsn(),
                 });
             }
-            next_is_lsn.insert(wid, expected.next());
-            if r.is_end() {
-                closed.insert(wid, true);
-            }
-            by_wid.entry(wid).or_default().push(i);
+            state.len = r.is_lsn().get();
+            state.closed = r.is_end();
+            ordinal_of.push(ordinal);
         }
+        drop(ordinals);
 
-        Ok(Log { records, by_wid })
+        // The per-instance index in CSR form, instances by ascending wid.
+        // Record `i` is entry `is-lsn − 1` of its instance's range.
+        let mut order: Vec<u32> = (0..instances.len() as u32).collect();
+        order.sort_unstable_by_key(|&k| instances[k as usize].wid);
+        let mut base = vec![0usize; instances.len()];
+        let mut starts = Vec::with_capacity(order.len() + 1);
+        starts.push(0);
+        for &k in &order {
+            let k = k as usize;
+            base[k] = starts[starts.len() - 1];
+            starts.push(base[k] + instances[k].len as usize);
+        }
+        let mut positions = vec![0usize; records.len()];
+        for (i, (r, &ordinal)) in records.iter().zip(&ordinal_of).enumerate() {
+            positions[base[ordinal as usize] + r.is_lsn().get() as usize - 1] = i;
+        }
+        let wids = order.iter().map(|&k| instances[k as usize].wid).collect();
+
+        Ok(Log {
+            records,
+            wids,
+            starts,
+            positions,
+        })
+    }
+
+    /// The positions of instance `wid`'s records, in is-lsn order.
+    fn positions(&self, wid: Wid) -> Option<&[usize]> {
+        let k = self.wids.binary_search(&wid).ok()?;
+        Some(&self.positions[self.starts[k]..self.starts[k + 1]])
     }
 
     /// Number of records, `|L|`.
@@ -139,33 +197,33 @@ impl Log {
     /// semantics work in.
     #[must_use]
     pub fn record(&self, wid: Wid, is_lsn: IsLsn) -> Option<&LogRecord> {
-        let positions = self.by_wid.get(&wid)?;
         let idx = (is_lsn.get() as usize).checked_sub(1)?;
-        positions.get(idx).map(|&p| &self.records[p])
+        self.positions(wid)?.get(idx).map(|&p| &self.records[p])
     }
 
     /// The distinct instance ids present, in ascending order.
     pub fn wids(&self) -> impl Iterator<Item = Wid> + '_ {
-        self.by_wid.keys().copied()
+        self.wids.iter().copied()
     }
 
     /// Each instance with the offsets of its records in
     /// [`records`](Self::records), in is-lsn order; wids ascending.
     pub(crate) fn instance_offsets(&self) -> impl Iterator<Item = (Wid, &[usize])> + '_ {
-        self.by_wid.iter().map(|(&wid, ps)| (wid, ps.as_slice()))
+        self.wids
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(|(&wid, span)| (wid, &self.positions[span[0]..span[1]]))
     }
 
     /// Number of distinct workflow instances.
     #[must_use]
     pub fn num_instances(&self) -> usize {
-        self.by_wid.len()
+        self.wids.len()
     }
 
     /// The records of instance `wid` in is-lsn order (empty if unknown).
     pub fn instance(&self, wid: Wid) -> impl Iterator<Item = &LogRecord> + '_ {
-        self.by_wid
-            .get(&wid)
-            .map(Vec::as_slice)
+        self.positions(wid)
             .unwrap_or_default()
             .iter()
             .map(move |&p| &self.records[p])
@@ -174,15 +232,14 @@ impl Log {
     /// Number of records of instance `wid` (0 if unknown).
     #[must_use]
     pub fn instance_len(&self, wid: Wid) -> usize {
-        self.by_wid.get(&wid).map_or(0, Vec::len)
+        self.positions(wid).map_or(0, <[usize]>::len)
     }
 
     /// Returns `true` if instance `wid` has an `END` record.
     #[must_use]
     pub fn is_completed(&self, wid: Wid) -> bool {
-        self.by_wid
-            .get(&wid)
-            .and_then(|ps| ps.last())
+        self.positions(wid)
+            .and_then(<[usize]>::last)
             .is_some_and(|&p| self.records[p].is_end())
     }
 
@@ -208,10 +265,7 @@ impl Log {
     ///
     /// Returns [`LogError::UnknownInstance`] if `wid` is not in the log.
     pub fn project_instance(&self, wid: Wid) -> Result<Log, LogError> {
-        let positions = self
-            .by_wid
-            .get(&wid)
-            .ok_or(LogError::UnknownInstance(wid))?;
+        let positions = self.positions(wid).ok_or(LogError::UnknownInstance(wid))?;
         let mut records: Vec<LogRecord> =
             positions.iter().map(|&p| self.records[p].clone()).collect();
         for (i, r) in records.iter_mut().enumerate() {

@@ -3,12 +3,19 @@
 //! The paper assumes pairwise-disjoint countably infinite sets `T` of
 //! activity names and `A` of attribute names. Both are represented as
 //! reference-counted strings with newtypes keeping the two namespaces apart
-//! at the type level ([C-NEWTYPE]). Names are not interned: each decoded
-//! record holds its own `Arc<str>`, and clones share it. The one interned
-//! form is the [`LogIndex`](crate::LogIndex) symbol table, which maps each
-//! distinct activity name to a dense [`ActivityId`](crate::ActivityId).
+//! at the type level ([C-NEWTYPE]). Clones share one allocation.
+//!
+//! The log decoders intern while they decode: one `Interner` per decode
+//! hands out a single `Arc<str>` per distinct activity name, attribute
+//! name and unquoted string value, so every record of a decoded log that
+//! names `SeeDoctor` points at the same bytes. The table is dropped when
+//! decoding ends; the log keeps only the shared strings. Names built by
+//! hand ([`Activity::new`], `From<&str>`) are not interned. Separately,
+//! the [`LogIndex`](crate::LogIndex) symbol table maps each distinct
+//! activity name to a dense [`ActivityId`](crate::ActivityId).
 
 use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,6 +54,13 @@ macro_rules! name_type {
         impl From<String> for $name {
             fn from(s: String) -> Self {
                 Self::new(s)
+            }
+        }
+
+        /// Takes the shared string as is, without copying it.
+        impl From<Arc<str>> for $name {
+            fn from(s: Arc<str>) -> Self {
+                Self(s)
             }
         }
 
@@ -131,6 +145,35 @@ pub const START_ACTIVITY: &str = "START";
 /// The reserved name of the record that closes a completed instance.
 pub const END_ACTIVITY: &str = "END";
 
+/// A per-decode string table: [`intern`](Self::intern) returns the one
+/// shared `Arc<str>` for each distinct string it has seen.
+#[derive(Default)]
+pub(crate) struct Interner {
+    strings: HashSet<Arc<str>>,
+}
+
+impl Interner {
+    /// The shared copy of `s`, allocated on first sight.
+    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.strings.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// [`intern`](Self::intern) as an activity name.
+    pub(crate) fn activity(&mut self, s: &str) -> Activity {
+        Activity(self.intern(s))
+    }
+
+    /// [`intern`](Self::intern) as an attribute name.
+    pub(crate) fn attr_name(&mut self, s: &str) -> AttrName {
+        AttrName(self.intern(s))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +219,28 @@ mod tests {
         fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
         assert_serde::<Activity>();
         assert_serde::<AttrName>();
+    }
+
+    #[test]
+    fn interner_shares_one_allocation_per_string() {
+        let mut table = Interner::default();
+        let a = table.activity("SeeDoctor");
+        let b = table.activity("SeeDoctor");
+        let c = table.attr_name("SeeDoctor");
+        assert_eq!(a, b);
+        assert_eq!(a.as_str().as_ptr(), b.as_str().as_ptr());
+        assert_eq!(a.as_str().as_ptr(), c.as_str().as_ptr());
+        assert_ne!(
+            table.activity("CheckIn").as_str().as_ptr(),
+            a.as_str().as_ptr()
+        );
+    }
+
+    #[test]
+    fn from_arc_keeps_the_allocation() {
+        let shared: Arc<str> = Arc::from("balance");
+        let name = AttrName::from(Arc::clone(&shared));
+        assert_eq!(name.as_str().as_ptr(), shared.as_ptr());
     }
 
     #[test]

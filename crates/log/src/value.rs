@@ -260,21 +260,27 @@ impl std::str::FromStr for Value {
 }
 
 fn parse_value(s: &str) -> Value {
+    parse_scalar(s).unwrap_or_else(|| Value::Str(Arc::from(s)))
+}
+
+/// [`Value`]'s `FromStr` for every kind but strings: `None` means `s`
+/// parses as the string `s` itself, which the caller may intern.
+pub(crate) fn parse_scalar(s: &str) -> Option<Value> {
     match s {
-        "" | "⊥" | "_|_" => return Value::Undefined,
-        "true" => return Value::Bool(true),
-        "false" => return Value::Bool(false),
+        "" | "⊥" | "_|_" => return Some(Value::Undefined),
+        "true" => return Some(Value::Bool(true)),
+        "false" => return Some(Value::Bool(false)),
         _ => {}
     }
     if let Ok(i) = s.parse::<i64>() {
-        return Value::Int(i);
+        return Some(Value::Int(i));
     }
     if looks_numeric(s) {
         if let Ok(x) = s.parse::<f64>() {
-            return Value::Float(x);
+            return Some(Value::Float(x));
         }
     }
-    Value::Str(Arc::from(s))
+    None
 }
 
 /// Guards float parsing so strings like `"inf"` or `"nan"` stay strings.

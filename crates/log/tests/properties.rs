@@ -1,12 +1,13 @@
 //! Property tests of the log crate: builder validity, serialization
 //! round-trips over randomly-shaped logs with arbitrary attribute values,
-//! and index consistency.
+//! decoder robustness under byte mutations, decode interning, and index
+//! consistency.
 
 use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
 };
 
-use wlq_log::{io, AttrMap, Log, LogBuilder, LogIndex, LogStats, Value};
+use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogIndex, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -65,7 +66,146 @@ fn arb_log() -> impl Strategy<Value = Log> {
     })
 }
 
+/// A seeded splitmix64 stream for byte mutations.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One random edit of `data`: flip a byte, truncate, insert a byte, or
+/// duplicate a span in place.
+fn mutate(data: &mut Vec<u8>, mix: &mut Mix) {
+    if data.is_empty() {
+        data.push(mix.next() as u8);
+        return;
+    }
+    let at = mix.below(data.len());
+    match mix.below(4) {
+        0 => data[at] ^= 1 << mix.below(8),
+        1 => data.truncate(at),
+        2 => data.insert(at, mix.next() as u8),
+        _ => {
+            let len = 1 + mix.below((data.len() - at).min(16));
+            let span = data[at..at + len].to_vec();
+            data.splice(at..at, span);
+        }
+    }
+}
+
+/// A binary-format string: `u32` length, then the bytes.
+fn bin_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A binary-format map entry: name, then a string value (tag 4).
+fn bin_entry(out: &mut Vec<u8>, name: &str, value: &str) {
+    bin_str(out, name);
+    out.push(4);
+    bin_str(out, value);
+}
+
+/// Asserts that every record naming the same activity shares one string
+/// allocation.
+fn activities_are_shared(log: &Log) -> Result<(), String> {
+    let mut first: std::collections::HashMap<&str, *const u8> = Default::default();
+    for r in log.iter() {
+        let name = r.activity().as_str();
+        let ptr = *first.entry(name).or_insert(name.as_ptr());
+        if ptr != name.as_ptr() {
+            return Err(format!("record {} holds its own copy of {name}", r.lsn()));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn binary_maps_with_repeated_or_unsorted_names_decode_last_wins() {
+    let mut raw = b"WLQ1".to_vec();
+    raw.extend_from_slice(&1u64.to_le_bytes());
+    raw.extend_from_slice(&1u64.to_le_bytes()); // lsn
+    raw.extend_from_slice(&1u64.to_le_bytes()); // wid
+    raw.extend_from_slice(&1u32.to_le_bytes()); // is-lsn
+    bin_str(&mut raw, "START");
+    let input = [("b", "1"), ("a", "2"), ("b", "3"), ("c", "4"), ("a", "5")];
+    raw.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    for (name, value) in input {
+        bin_entry(&mut raw, name, value);
+    }
+    raw.extend_from_slice(&2u32.to_le_bytes());
+    bin_entry(&mut raw, "z", "last");
+    bin_entry(&mut raw, "z", "first");
+    let log = io::binary::read_binary(raw.into()).unwrap();
+    let record = &log.records()[0];
+    assert_eq!(
+        record.input(),
+        &attrs! { "a" => "5", "b" => "3", "c" => "4" }
+    );
+    assert_eq!(record.output(), &attrs! { "z" => "first" });
+    // Re-encoding writes the canonical, sorted form.
+    let again = io::binary::read_binary(io::binary::write_binary(&log)).unwrap();
+    assert_eq!(again, log);
+}
+
 proptest! {
+    /// Byte mutations of every encoding decode to a log or a typed error,
+    /// never a panic; whatever decodes is a valid log that re-encodes.
+    #[test]
+    fn mutated_encodings_decode_or_fail_typed(log in arb_log(), seed in any::<u64>()) {
+        let mut mix = Mix(seed);
+        let encodings = [
+            io::binary::write_binary(&log).to_vec(),
+            io::text::write_text(&log).into_bytes(),
+            io::csv::write_csv(&log).into_bytes(),
+        ];
+        for (format, clean) in encodings.iter().enumerate() {
+            for _ in 0..8 {
+                let mut data = clean.clone();
+                for _ in 0..=mix.below(3) {
+                    mutate(&mut data, &mut mix);
+                }
+                let decoded = match format {
+                    0 => io::binary::read_binary(data.into()),
+                    1 => io::text::read_text(&String::from_utf8_lossy(&data)),
+                    _ => io::csv::read_csv(&String::from_utf8_lossy(&data)),
+                };
+                if let Ok(decoded) = decoded {
+                    prop_assert_eq!(
+                        Log::new(decoded.clone().into_records()).unwrap(),
+                        decoded
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every decoder returns the source log, and records naming the same
+    /// activity share one string allocation.
+    #[test]
+    fn decoded_logs_equal_source_and_share_names(log in arb_log()) {
+        let decoded = [
+            io::text::read_text(&io::text::write_text(&log)).unwrap(),
+            io::csv::read_csv(&io::csv::write_csv(&log)).unwrap(),
+            io::binary::read_binary(io::binary::write_binary(&log)).unwrap(),
+        ];
+        for back in &decoded {
+            prop_assert_eq!(back, &log);
+            prop_assert_eq!(activities_are_shared(back), Ok(()));
+        }
+    }
+
     /// Whatever the builder produces, `Log::new` accepts (valid by
     /// construction, revalidated on assembly).
     #[test]
