@@ -38,6 +38,10 @@ pub enum EngineError {
     /// A sampling or stepping parameter was zero where a positive value is
     /// required (e.g. [`timeline`](crate::timeline) with `step == 0`).
     ZeroStep,
+    /// An incident count does not fit in `usize`. Counting is exact up
+    /// to `usize::MAX - 1`; beyond that the count is refused rather than
+    /// wrapped.
+    CountOverflow,
 }
 
 impl fmt::Display for EngineError {
@@ -52,6 +56,9 @@ impl fmt::Display for EngineError {
             EngineError::InvalidLog(e) => write!(f, "invalid log record: {e}"),
             EngineError::Pattern(e) => write!(f, "invalid pattern: {e}"),
             EngineError::ZeroStep => write!(f, "step must be positive"),
+            EngineError::CountOverflow => {
+                write!(f, "the incident count does not fit in {} bits", usize::BITS)
+            }
         }
     }
 }
@@ -98,6 +105,7 @@ mod tests {
             })
             .to_string(),
             EngineError::ZeroStep.to_string(),
+            EngineError::CountOverflow.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

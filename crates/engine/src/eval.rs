@@ -32,7 +32,8 @@ pub enum Strategy {
     /// equivalences, the cheapest tree is chosen by Lemma-1-style
     /// estimates, and each node gets a physical operator (nested loop,
     /// batch kernel, or sort-merge sequential join); `count()`/`exists()`
-    /// route chain patterns to the enumeration-free counting DP. Produces
+    /// route the countable fragment to the enumeration-free counting DP
+    /// (see [`fast_count`](crate::fast_count)). Produces
     /// identical incident sets; see `crate::planner` and `crate::kernels`.
     #[default]
     Planned,
@@ -531,18 +532,18 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Whether any incident of `p` exists. Stops at the first instance
-    /// with one; under [`Strategy::Planned`] chain patterns skip
-    /// enumeration via the counting DP.
+    /// with one; under [`Strategy::Planned`] patterns of the countable
+    /// fragment skip enumeration via the counting DP.
     #[must_use]
     pub fn exists(&self, pattern: &Pattern) -> bool {
-        let plan = self.physical_plan(pattern);
-        if let Some(found) = plan
-            .as_ref()
-            .filter(|plan| plan.is_counting_chain())
-            .and_then(|plan| counting::chain_exists(&self.index, plan.pattern()))
-        {
-            return found;
+        // The countable fragment is decided on the pattern as written,
+        // before planning: a rewrite cannot hide a countable query.
+        if self.strategy == Strategy::Planned {
+            if let Some(found) = counting::exists(&self.index, pattern) {
+                return found;
+            }
         }
+        let plan = self.physical_plan(pattern);
         let mut found = false;
         self.sweep(pattern, plan.as_ref(), |_, n| {
             found = n > 0;
@@ -555,25 +556,27 @@ impl<'a> Evaluator<'a> {
         found
     }
 
-    /// Number of incidents of `p` in the log, `|incL(p)|`.
+    /// Number of incidents of `p` in the log, `|incL(p)|`, saturating at
+    /// `usize::MAX` (a count that large means "at least that many";
+    /// [`Query::count`](crate::Query::count) reports it as an error).
     ///
-    /// Under [`Strategy::Planned`] this counts [`IncidentBatch`] refs
-    /// directly — no incident is ever materialized — and `~>`/`->` chains
-    /// of predicate-free atoms skip enumeration entirely via the `O(m·k)`
-    /// dynamic program of [`fast_count`](crate::fast_count).
+    /// Under [`Strategy::Planned`] the countable fragment — `~>`/`->`
+    /// chains of activity classes and class-disjoint `&` products of them
+    /// — skips enumeration entirely via the dynamic program of
+    /// [`fast_count`](crate::fast_count); other patterns count
+    /// [`IncidentBatch`] refs directly, so no incident is ever
+    /// materialized.
     #[must_use]
     pub fn count(&self, pattern: &Pattern) -> usize {
-        let plan = self.physical_plan(pattern);
-        if let Some(n) = plan
-            .as_ref()
-            .filter(|plan| plan.is_counting_chain())
-            .and_then(|plan| counting::chain_count(&self.index, plan.pattern()))
-        {
-            return n;
+        if self.strategy == Strategy::Planned {
+            if let Some(n) = counting::count(&self.index, pattern) {
+                return n;
+            }
         }
-        let mut total = 0;
+        let plan = self.physical_plan(pattern);
+        let mut total: usize = 0;
         self.sweep(pattern, plan.as_ref(), |_, n| {
-            total += n;
+            total = total.saturating_add(n);
             ControlFlow::Continue(())
         });
         total

@@ -192,22 +192,6 @@ impl PlanNode {
     }
 }
 
-/// Whether `p` is a `~>`/`->` chain of predicate-free atoms — exactly the
-/// shapes [`crate::fast_count`] supports (any parenthesisation, negated
-/// atoms included), so `count()`/`exists()` can take the enumeration-free
-/// DP instead of executing the plan.
-fn is_counting_chain(p: &Pattern) -> bool {
-    match p {
-        Pattern::Atom(atom) => atom.predicates.is_empty(),
-        Pattern::Binary {
-            op: Op::Consecutive | Op::Sequential,
-            left,
-            right,
-        } => is_counting_chain(left) && is_counting_chain(right),
-        Pattern::Binary { .. } => false,
-    }
-}
-
 /// A costed physical plan: the winning rewrite, per-node physical
 /// operators, and the scored alternatives (for `explain`).
 #[derive(Debug, Clone)]
@@ -216,7 +200,7 @@ pub struct PhysicalPlan {
     root: PlanNode,
     rule: &'static str,
     pattern: Pattern,
-    counting_chain: bool,
+    countable: bool,
     scored: Vec<(String, f64)>,
 }
 
@@ -252,11 +236,13 @@ impl PhysicalPlan {
         self.root.cost()
     }
 
-    /// Whether `count()`/`exists()` can route to the enumeration-free
-    /// counting DP ([`crate::fast_count`]) instead of executing the plan.
+    /// Whether `count()`/`exists()` route to the enumeration-free
+    /// counting DP ([`crate::fast_count`]) instead of executing the plan:
+    /// the counting module's verdict on the [`query`](Self::query) as
+    /// given, which no rewrite can change.
     #[must_use]
     pub fn is_counting_chain(&self) -> bool {
-        self.counting_chain
+        self.countable
     }
 
     /// Every candidate considered, as `(rule: pattern, estimated cost)`,
@@ -276,7 +262,7 @@ impl fmt::Display for PhysicalPlan {
             self.rule,
             self.cost()
         )?;
-        if self.counting_chain {
+        if self.countable {
             writeln!(f, "count/exists: enumeration-free counting DP")?;
         }
         self.root.render(f)?;
@@ -390,7 +376,7 @@ impl Planner {
             best.unwrap_or_else(|| (build_node(&self.cost, p), "original", p.clone()));
         PhysicalPlan {
             query: p.clone(),
-            counting_chain: is_counting_chain(&pattern),
+            countable: crate::counting::is_countable(p),
             root,
             rule,
             pattern,
@@ -472,8 +458,14 @@ mod tests {
         let log = paper::figure3_log();
         let planner = planner_for(&log);
         assert!(planner.plan(&parse("A ~> B -> !C")).is_counting_chain());
-        assert!(!planner.plan(&parse("A | B")).is_counting_chain());
-        assert!(!planner.plan(&parse("A & B")).is_counting_chain());
+        assert!(planner.plan(&parse("A | B")).is_counting_chain());
+        assert!(planner.plan(&parse("A & B")).is_counting_chain());
+        assert!(planner
+            .plan(&parse("(A | B) -> !C & C"))
+            .is_counting_chain());
+        assert!(!planner.plan(&parse("A & A")).is_counting_chain());
+        assert!(!planner.plan(&parse("!A & B")).is_counting_chain());
+        assert!(!planner.plan(&parse("(A | B) & B")).is_counting_chain());
         assert!(!planner
             .plan(&parse("GetRefer[out.balance > 100]"))
             .is_counting_chain());

@@ -6,6 +6,7 @@ use std::time::Duration;
 use wlq_log::{Log, LogIndex, LogStats, Value, Wid};
 use wlq_pattern::{Optimizer, ParsePatternError, Pattern};
 
+use crate::counting;
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
@@ -117,12 +118,11 @@ impl Query {
         }
     }
 
-    /// Indexes `log` once and plans against that index; the caller hands
-    /// the same index to the counting DP and the evaluator.
-    fn indexed_plan(&self, log: &Log) -> (LogIndex, Pattern) {
-        let index = LogIndex::build(log);
+    /// Plans against `index`, then hands the index to the evaluator that
+    /// runs the plan: `log` is indexed once per call.
+    fn planned<'l>(&self, log: &'l Log, index: LogIndex) -> (Evaluator<'l>, Pattern) {
         let plan = self.plan_with(|| LogStats::from_index(&index));
-        (index, plan)
+        (Evaluator::with_index(log, index, self.strategy), plan)
     }
 
     /// Evaluates the query, returning all incidents.
@@ -133,14 +133,16 @@ impl Query {
     /// is 0 and [`EngineError::WorkerPanicked`] if a parallel worker
     /// panics.
     pub fn find(&self, log: &Log) -> Result<IncidentSet, EngineError> {
-        let (index, plan) = self.indexed_plan(log);
-        Evaluator::with_index(log, index, self.strategy).evaluate_parallel(&plan, self.threads)
+        let (eval, plan) = self.planned(log, LogIndex::build(log));
+        eval.evaluate_parallel(&plan, self.threads)
     }
 
     /// Whether the log contains any incident of the pattern.
     ///
-    /// Chain plans use the enumeration-free counting DP; other shapes use
-    /// per-instance evaluation with early exit.
+    /// Under [`Strategy::Planned`], a query in the countable fragment (see
+    /// [`fast_count`](crate::fast_count)) uses the enumeration-free
+    /// counting DP; other queries use per-instance evaluation with early
+    /// exit.
     ///
     /// # Errors
     ///
@@ -149,38 +151,58 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let (index, plan) = self.indexed_plan(log);
-        if let Some(found) = crate::counting::chain_exists(&index, &plan) {
-            return Ok(found);
+        let index = LogIndex::build(log);
+        // The countable fragment is decided on the query as written,
+        // before optimization: a rewrite cannot hide a countable query.
+        if self.strategy == Strategy::Planned {
+            if let Some(found) = counting::exists(&index, &self.pattern) {
+                return Ok(found);
+            }
         }
-        Ok(Evaluator::with_index(log, index, self.strategy).exists(&plan))
+        let (eval, plan) = self.planned(log, index);
+        Ok(eval.exists(&plan))
     }
 
     /// The number of incidents, `|incL(p)|`.
     ///
-    /// When the (optimized) plan is a `~>`/`->` chain of predicate-free
-    /// atoms, the count is computed by the enumeration-free dynamic
-    /// program of [`fast_count`](crate::fast_count) in `O(m·k)`. Other
-    /// shapes run that same plan: on one thread through
-    /// [`Evaluator::count`], which counts without materializing; on more,
-    /// through parallel evaluation.
+    /// Under [`Strategy::Planned`], a query in the countable fragment —
+    /// decided on the pattern as written, before optimization — is
+    /// counted by the enumeration-free dynamic program of
+    /// [`fast_count`](crate::fast_count). Other queries run the optimized
+    /// plan: on one thread through [`Evaluator::count`], which counts
+    /// without materializing; on more, through parallel evaluation.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`find`](Self::find).
+    /// Same conditions as [`find`](Self::find), plus
+    /// [`EngineError::CountOverflow`] when the count does not fit in
+    /// `usize`.
     pub fn count(&self, log: &Log) -> Result<usize, EngineError> {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let (index, plan) = self.indexed_plan(log);
-        if let Some(count) = crate::counting::chain_count(&index, &plan) {
-            return Ok(count);
-        }
-        let eval = Evaluator::with_index(log, index, self.strategy);
-        if self.threads > 1 {
-            Ok(eval.evaluate_parallel(&plan, self.threads)?.len())
+        let index = LogIndex::build(log);
+        let counted = if self.strategy == Strategy::Planned {
+            counting::count(&index, &self.pattern)
         } else {
-            Ok(eval.count(&plan))
+            None
+        };
+        let count = match counted {
+            Some(count) => count,
+            None => {
+                let (eval, plan) = self.planned(log, index);
+                if self.threads > 1 {
+                    eval.evaluate_parallel(&plan, self.threads)?.len()
+                } else {
+                    eval.count(&plan)
+                }
+            }
+        };
+        // Counts saturate at `usize::MAX`; that value means "too many".
+        if count == usize::MAX {
+            Err(EngineError::CountOverflow)
+        } else {
+            Ok(count)
         }
     }
 

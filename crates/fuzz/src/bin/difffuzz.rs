@@ -6,10 +6,11 @@
 //!
 //! Each iteration generates a random valid log and a random pattern over
 //! its alphabet, evaluates the pair under NaivePaper (the reference) /
-//! Planned evaluate, count and exists / parallel Planned (1, 4) /
-//! streaming-replay / profiled {NaivePaper, Planned} x (1, 4) /
-//! fast_count, and cross-checks the results. It also mutates a valid log into a Definition 2
-//! violation and asserts that `Log::new` rejects it with a typed error.
+//! Planned evaluate, count and exists / `Query` count and exists /
+//! parallel Planned (1, 4) / streaming-replay / profiled {NaivePaper,
+//! Planned} x (1, 4) / fast_count, and cross-checks the results. It also
+//! mutates a valid log into a Definition 2 violation and asserts that
+//! `Log::new` rejects it with a typed error.
 //!
 //! On divergence the pair is shrunk to a minimal reproducer, written to
 //! the fixture directory (replayed by `tests/regressions.rs`), and the

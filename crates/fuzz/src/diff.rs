@@ -4,7 +4,7 @@
 use std::fmt;
 
 use wlq_engine::{
-    evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, Strategy,
+    evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, Query, Strategy,
     StreamingEvaluator,
 };
 use wlq_log::Log;
@@ -48,18 +48,20 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// first divergence, or `None` when all strategies agree.
 ///
 /// Oracles covered: `NaivePaper` (reference); `Planned` (the cost-based
-/// planner) through `evaluate`, `count` and `exists`; parallel planned
+/// planner) through `evaluate`, `count` and `exists`; `Query::count` and
+/// `Query::exists` with default options (they decide countability on the
+/// query as written, then plan the optimized pattern); parallel planned
 /// evaluation with 1 and 4 workers; a full streaming replay; profiled
 /// evaluation under both strategies with 1 and 4 workers (the profile
-/// probe must be strictly read-only); and — when the pattern is a chain —
-/// the `fast_count` DP.
+/// probe must be strictly read-only); and — when the pattern is in the
+/// countable fragment — the `fast_count` DP.
 #[must_use]
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
 
     // The planner picks an arbitrary equivalent rewrite and per-node
-    // physical operators, and routes count/exists through the counting
-    // DP for chains — check all three entry points.
+    // physical operators, and count/exists take the counting DP for the
+    // countable fragment — check all three entry points.
     let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
     let planned = planned_eval.evaluate(pattern);
     if let Some(d) = against(&reference, "Planned", &planned) {
@@ -78,6 +80,29 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
             expected: reference.len(),
             got: format!("exists = {}", planned_eval.exists(pattern)),
         });
+    }
+
+    // The CLI's path: `Query` with default options.
+    let query = Query::new(pattern.clone());
+    match query.count(log) {
+        Ok(n) if n == reference.len() => {}
+        got => {
+            return Some(Divergence {
+                strategy: "Query::count".to_string(),
+                expected: reference.len(),
+                got: format!("{got:?} (count only)"),
+            });
+        }
+    }
+    match query.exists(log) {
+        Ok(found) if found != reference.is_empty() => {}
+        got => {
+            return Some(Divergence {
+                strategy: "Query::exists".to_string(),
+                expected: reference.len(),
+                got: format!("exists = {got:?}"),
+            });
+        }
     }
 
     for threads in [1usize, 4] {
@@ -179,6 +204,9 @@ mod tests {
             "(SeeDoctor & PayTreatment) | UpdateRefer",
             "START ~> GetRefer",
             "!GetRefer ~> END",
+            "(SeeDoctor | CheckIn) -> !PayTreatment",
+            "SeeDoctor & PayTreatment",
+            "SeeDoctor & SeeDoctor",
         ] {
             let p: Pattern = src.parse().unwrap();
             assert!(check(&log, &p).is_none(), "diverged on {src}");

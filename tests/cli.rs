@@ -327,6 +327,30 @@ fn exit_codes_distinguish_pattern_rule_and_domain_failures() {
 }
 
 #[test]
+fn count_overflow_is_an_engine_error_not_a_wrapped_number() {
+    // One instance: START, then 100 000 records of `t`.
+    let path = temp_path("overflow.log");
+    let mut text = String::from("lsn | wid | is-lsn | t | in | out\n1 | 1 | 1 | START | - | -\n");
+    for lsn in 2..=100_001 {
+        text.push_str(&format!("{lsn} | 1 | {lsn} | t | - | -\n"));
+    }
+    std::fs::write(&path, text).unwrap();
+    let p = path.to_str().unwrap();
+
+    // C(100000, 3) fits and is exact.
+    let out = wlq(&["query", p, "t -> t -> t", "--count"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(stdout(&out).trim(), "166661666700000");
+
+    // C(100000, 5) ≈ 8.3·10²² does not fit: exit 6, engine error.
+    let out = wlq(&["query", p, "t -> t -> t -> t -> t", "--count"]);
+    assert_eq!(out.status.code(), Some(6), "{}", stderr(&out));
+    assert!(stderr(&out).contains("does not fit"), "{}", stderr(&out));
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn check_reports_lints_with_carets_and_exit_codes() {
     // A clean pattern exits 0 and reports zero findings.
     let out = wlq(&["check", "SeeDoctor -> PayTreatment"]);
