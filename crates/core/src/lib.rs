@@ -45,9 +45,9 @@ pub use wlq_engine::{
     combine, combine_batch, combine_batch_into, equivalent_up_to, evaluate_parallel, fast_count,
     leaf_incidents, mine_relations, profile_evaluation, timeline, BatchArena, BoundIncident,
     BoundedEquiv, EngineError, EvalTrace, Evaluator, Explain, ExplainRow, Incident, IncidentBatch,
-    IncidentRef, IncidentSet, IncidentTree, JoinShape, LabelledPattern, MinedRelation, Node,
-    NodeTrace, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, PlanStats, Planner, Query,
-    QueryProfile, RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy,
+    IncidentRef, IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern,
+    MinedRelation, Node, NodeTrace, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, PlanStats,
+    Planner, Query, QueryProfile, RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy,
     StreamingEvaluator, TimelinePoint,
 };
 pub use wlq_log::{

@@ -18,8 +18,12 @@
 //!   `⊙`/`→` join conditions never touch the pool;
 //! - finished batches keep their refs sorted by `(first, slice lex)`,
 //!   which — because `slice[0] == first` — is exactly the derived
-//!   [`Incident`] order within a wid, so conversion back to sorted
-//!   `Vec<Incident>` is a straight copy.
+//!   [`Incident`] order within a wid, so [`IncidentBatch::iter`] yields
+//!   incidents in set order straight from the refs.
+//!
+//! A finished batch is also the answer's storage: an
+//! [`IncidentSet`](crate::IncidentSet) holds one per matched instance, as
+//! the executor left it.
 //!
 //! [`BatchArena`] recycles spent batches so a long evaluation (or a
 //! parallel worker sweeping many instances) reuses its pool and ref
@@ -29,7 +33,7 @@ use std::cmp::Ordering;
 
 use wlq_log::{IsLsn, Wid};
 
-use crate::incident::Incident;
+use crate::incident::{Incident, IncidentView};
 
 /// A reference to one incident inside an [`IncidentBatch`]'s pool.
 ///
@@ -86,6 +90,7 @@ impl IncidentRef {
 ///
 /// let batch = IncidentBatch::from_sorted_positions(Wid(1), [IsLsn(2), IsLsn(5)]);
 /// assert_eq!(batch.len(), 2);
+/// assert_eq!(batch.iter().nth(1).unwrap().first(), IsLsn(5));
 /// let incidents = batch.into_incidents();
 /// assert_eq!(incidents[1].first(), IsLsn(5));
 /// ```
@@ -176,16 +181,6 @@ impl IncidentBatch {
     #[must_use]
     pub fn positions(&self, r: &IncidentRef) -> &[IsLsn] {
         &self.pool[r.range()]
-    }
-
-    /// The position slice of the `i`-th incident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &[IsLsn] {
-        self.positions(&self.refs[i])
     }
 
     fn push_ref(&mut self, offset: usize, len: usize, first: IsLsn, last: IsLsn) {
@@ -314,25 +309,42 @@ impl IncidentBatch {
         batch
     }
 
-    /// Converts to the classic representation, preserving order, and
-    /// clears the batch so its allocations can be recycled.
-    pub fn drain_incidents(&mut self) -> Vec<Incident> {
-        let out = self
-            .refs
-            .iter()
-            .map(|r| {
-                Incident::from_sorted_positions_unchecked(self.wid, self.pool[r.range()].to_vec())
-            })
-            .collect();
-        let wid = self.wid;
-        self.reset(wid);
-        out
-    }
-
     /// Converts to the classic representation, preserving order.
     #[must_use]
-    pub fn into_incidents(mut self) -> Vec<Incident> {
-        self.drain_incidents()
+    pub fn into_incidents(self) -> Vec<Incident> {
+        self.iter().map(|o| o.to_incident()).collect()
+    }
+
+    /// The incidents in ref order (set order once finished), borrowed
+    /// from the pool.
+    #[must_use]
+    pub fn iter(&self) -> Incidents<'_> {
+        Incidents {
+            wid: self.wid,
+            pool: &self.pool,
+            refs: self.refs.iter(),
+        }
+    }
+
+    /// Where `positions` sits among a finished batch's refs: `Ok` with its
+    /// index when present, `Err` with its sorted insertion point.
+    pub(crate) fn find(&self, positions: &[IsLsn]) -> Result<usize, usize> {
+        // Slice order is incident order: a slice starts with its `first`.
+        self.refs
+            .binary_search_by(|r| self.pool[r.range()].cmp(positions))
+    }
+
+    /// Adds one incident, given its strictly ascending positions, to a
+    /// finished batch, keeping it sorted and duplicate-free. Returns
+    /// `false` if the incident was already present. The positions go to
+    /// the end of the pool and the ref into its sorted place.
+    pub(crate) fn insert(&mut self, positions: &[IsLsn]) -> bool {
+        let Err(at) = self.find(positions) else {
+            return false;
+        };
+        self.push_sorted_positions(positions);
+        self.refs[at..].rotate_right(1);
+        true
     }
 
     /// Compares two refs of *this* batch in incident order: by the cached
@@ -424,6 +436,54 @@ impl IncidentBatch {
     }
 }
 
+/// Logical equality: the same instance and the same incidents in the same
+/// order. Pool positions no ref points at (left by the dedup in
+/// `finish_runs` or `finish_full`) and the pool's layout do not count.
+impl PartialEq for IncidentBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.wid == other.wid && self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for IncidentBatch {}
+
+impl<'a> IntoIterator for &'a IncidentBatch {
+    type Item = IncidentView<'a>;
+    type IntoIter = Incidents<'a>;
+
+    fn into_iter(self) -> Incidents<'a> {
+        self.iter()
+    }
+}
+
+/// The incidents of one batch, returned by [`IncidentBatch::iter`].
+#[derive(Debug, Clone)]
+pub struct Incidents<'a> {
+    wid: Wid,
+    pool: &'a [IsLsn],
+    refs: std::slice::Iter<'a, IncidentRef>,
+}
+
+impl<'a> Iterator for Incidents<'a> {
+    type Item = IncidentView<'a>;
+
+    fn next(&mut self) -> Option<IncidentView<'a>> {
+        let r = self.refs.next()?;
+        Some(IncidentView::new(
+            self.wid,
+            r.first,
+            r.last,
+            &self.pool[r.range()],
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.refs.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Incidents<'_> {}
+
 /// A free-list of spent [`IncidentBatch`]es.
 ///
 /// Evaluation allocates one output batch per operator node and retires
@@ -485,7 +545,7 @@ mod tests {
         let batch = IncidentBatch::from_incidents(Wid(3), &incidents);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.pool_len(), 6);
-        assert_eq!(batch.get(2), lsns(&[2, 5, 7]).as_slice());
+        assert_eq!(batch.iter().nth(2).unwrap().positions(), lsns(&[2, 5, 7]));
         batch.debug_check_invariants();
         assert_eq!(batch.into_incidents(), incidents);
     }
@@ -508,7 +568,7 @@ mod tests {
         batch.push_sorted_positions(&lsns(&[1, 9]));
         batch.push_sorted_positions(&lsns(&[4]));
         batch.finish_runs();
-        let out: Vec<&[IsLsn]> = (0..batch.len()).map(|i| batch.get(i)).collect();
+        let out: Vec<&[IsLsn]> = batch.iter().map(|o| o.positions()).collect();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], lsns(&[1, 2]).as_slice());
         assert_eq!(out[1], lsns(&[1, 9]).as_slice());
@@ -528,7 +588,7 @@ mod tests {
         batch.commit_ref(mark);
         batch.finish_full();
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch.get(1), lsns(&[5]).as_slice());
+        assert_eq!(batch.iter().nth(1).unwrap().positions(), lsns(&[5]));
     }
 
     #[test]

@@ -337,71 +337,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Executes `exec` for instance `ordinal` and materializes the result
-    /// as classic incidents.
-    ///
-    /// The root join gets the late-materialization treatment: when it is
-    /// a `⊙`/`→` node, [`kernels::materialize_join`] writes each union
-    /// straight into its final `Vec` instead of round-tripping the full
-    /// output through a batch pool plus [`IncidentBatch::drain_incidents`]
-    /// — at the query boundary that round-trip is pure overhead, and for
-    /// wide joins it re-copies every emitted position. Either way the root
-    /// runs the batch kernel's algorithm, whatever operator the plan chose,
-    /// and reports itself as one.
-    fn materialize<P: Probe>(
-        &self,
-        exec: &Exec<'_>,
-        ordinal: usize,
-        wid: Wid,
-        arena: &mut BatchArena,
-        probe: &mut P,
-    ) -> Vec<Incident> {
-        if let Exec::Join {
-            id,
-            op: op @ (Op::Consecutive | Op::Sequential),
-            left,
-            right,
-            ..
-        } = exec
-        {
-            let l = self.run(left, ordinal, wid, arena, probe);
-            if l.is_empty() {
-                arena.recycle(l);
-                return Vec::new();
-            }
-            let r = self.run(right, ordinal, wid, arena, probe);
-            let mark = probe.start();
-            let join = |out| Event::Join {
-                op: *op,
-                phys: PhysOp::BatchKernel,
-                left: l.len(),
-                right: r.len(),
-                out,
-            };
-            let incidents = match kernels::materialize_join(*op, &l, &r) {
-                Some(incidents) => {
-                    probe.record(*id, mark, || join(Output::materialized(&incidents)));
-                    incidents
-                }
-                None => {
-                    let mut out = arena.alloc(wid);
-                    kernels::combine_batch_into(*op, &l, &r, &mut out);
-                    probe.record(*id, mark, || join(Output::batch(&out)));
-                    let incidents = out.drain_incidents();
-                    arena.recycle(out);
-                    incidents
-                }
-            };
-            arena.recycle(l);
-            arena.recycle(r);
-            return incidents;
-        }
-        let mut batch = self.run(exec, ordinal, wid, arena, probe);
-        let incidents = batch.drain_incidents();
-        arena.recycle(batch);
-        incidents
-    }
-
     /// The naive oracle for instance `ordinal`: Algorithm 1's operators
     /// over the pattern as written, node `id` being `pattern`'s pre-order
     /// id.
@@ -451,26 +386,40 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates every instance in `ordinals` (a range, or a worker's
-    /// claims): `exec` when planned, the naive oracle over `pattern`
+    /// claims) and returns the finished batch of each matched one, in
+    /// claim order: `exec` when planned, the naive oracle over `pattern`
     /// otherwise.
+    ///
+    /// A planned instance's root batch is returned as the executor left
+    /// it; an empty one goes back to the arena.
     pub(crate) fn instances<P: Probe>(
         &self,
         pattern: &Pattern,
         exec: Option<&Exec<'_>>,
         ordinals: impl IntoIterator<Item = usize>,
         probe: &mut P,
-    ) -> Vec<(Wid, Vec<Incident>)> {
+    ) -> Vec<IncidentBatch> {
         let wids = self.index.instance_wids();
         let mut arena = BatchArena::new();
         ordinals
             .into_iter()
             .filter_map(|ordinal| {
                 let wid = *wids.get(ordinal)?;
-                let incidents = match exec {
-                    Some(exec) => self.materialize(exec, ordinal, wid, &mut arena, probe),
-                    None => self.naive(pattern, 0, ordinal, wid, probe),
+                let batch = match exec {
+                    Some(exec) => {
+                        let batch = self.run(exec, ordinal, wid, &mut arena, probe);
+                        if batch.is_empty() {
+                            arena.recycle(batch);
+                            return None;
+                        }
+                        batch
+                    }
+                    None => IncidentBatch::from_incidents(
+                        wid,
+                        &self.naive(pattern, 0, ordinal, wid, probe),
+                    ),
                 };
-                Some((wid, incidents))
+                (!batch.is_empty()).then_some(batch)
             })
             .collect()
     }
@@ -507,12 +456,13 @@ impl<'a> Evaluator<'a> {
     /// Under [`Strategy::Planned`] the pattern is planned once and the
     /// chosen physical tree runs per instance in the flat
     /// [`IncidentBatch`] layout, with one [`BatchArena`] reused across all
-    /// instances, converting to [`Incident`]s only at the root.
+    /// instances; each matched instance's root batch becomes part of the
+    /// set as it is, so no incident is copied or allocated on its own.
     #[must_use]
     pub fn evaluate(&self, pattern: &Pattern) -> IncidentSet {
         let plan = self.physical_plan(pattern);
         let exec = self.exec(plan.as_ref());
-        IncidentSet::from_partitions(self.instances(
+        IncidentSet::from_batches(self.instances(
             pattern,
             exec.as_ref(),
             0..self.index.num_instances(),
@@ -528,7 +478,7 @@ impl<'a> Evaluator<'a> {
         let ordinal = self.index.ordinal(wid);
         self.instances(pattern, exec.as_ref(), ordinal, &mut NoProbe)
             .pop()
-            .map_or_else(Vec::new, |(_, incidents)| incidents)
+            .map_or_else(Vec::new, IncidentBatch::into_incidents)
     }
 
     /// Whether any incident of `p` exists. Stops at the first instance

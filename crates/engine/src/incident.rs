@@ -180,18 +180,110 @@ impl Incident {
     }
 }
 
-impl fmt::Display for Incident {
-    /// Prints like the paper: `{l5, l9}@wid2` using instance-local
-    /// coordinates (`is-lsn`), since global lsns require the log.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, p) in self.positions.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{p}")?;
+/// Prints like the paper: `{l5, l9}@wid2` using instance-local
+/// coordinates (`is-lsn`), since global lsns require the log.
+fn write_incident(f: &mut fmt::Formatter<'_>, wid: Wid, positions: &[IsLsn]) -> fmt::Result {
+    write!(f, "{{")?;
+    for (i, p) in positions.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
         }
-        write!(f, "}}@wid{}", self.wid)
+        write!(f, "{p}")?;
+    }
+    write!(f, "}}@wid{wid}")
+}
+
+impl fmt::Display for Incident {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_incident(f, self.wid, &self.positions)
+    }
+}
+
+/// One incident of an [`IncidentBatch`](crate::IncidentBatch) or
+/// [`IncidentSet`](crate::IncidentSet), borrowed from the batch's shared
+/// position pool: the [`Incident`] accessors without an allocation.
+///
+/// # Examples
+///
+/// ```
+/// use wlq_engine::IncidentBatch;
+/// use wlq_log::{IsLsn, Wid};
+///
+/// let mut batch = IncidentBatch::new(Wid(2));
+/// batch.push_sorted_positions(&[IsLsn(5), IsLsn(9)]);
+/// let o = batch.iter().next().unwrap();
+/// assert_eq!((o.first(), o.last(), o.len()), (IsLsn(5), IsLsn(9), 2));
+/// assert_eq!(o.to_string(), "{5, 9}@wid2");
+/// assert_eq!(o.to_incident().to_string(), o.to_string());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IncidentView<'a> {
+    wid: Wid,
+    first: IsLsn,
+    last: IsLsn,
+    positions: &'a [IsLsn],
+}
+
+impl<'a> IncidentView<'a> {
+    /// A view of `positions` (strictly ascending, nonempty, with the given
+    /// endpoints) in instance `wid`.
+    pub(crate) fn new(wid: Wid, first: IsLsn, last: IsLsn, positions: &'a [IsLsn]) -> Self {
+        debug_assert_eq!(positions.first(), Some(&first), "stale cached first");
+        debug_assert_eq!(positions.last(), Some(&last), "stale cached last");
+        IncidentView {
+            wid,
+            first,
+            last,
+            positions,
+        }
+    }
+
+    /// The workflow instance this incident belongs to, `wid(o)`.
+    #[must_use]
+    pub fn wid(&self) -> Wid {
+        self.wid
+    }
+
+    /// `first(o)`: the smallest is-lsn in the incident.
+    #[must_use]
+    pub fn first(&self) -> IsLsn {
+        self.first
+    }
+
+    /// `last(o)`: the largest is-lsn in the incident.
+    #[must_use]
+    pub fn last(&self) -> IsLsn {
+        self.last
+    }
+
+    /// Number of log records in the incident.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// Always `false`: incidents are nonempty by Definition 4.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The sorted is-lsns of the incident's records.
+    #[must_use]
+    pub fn positions(&self) -> &'a [IsLsn] {
+        self.positions
+    }
+
+    /// An owned copy of the incident.
+    #[must_use]
+    pub fn to_incident(&self) -> Incident {
+        Incident::from_sorted_positions_unchecked(self.wid, self.positions.to_vec())
+    }
+}
+
+impl fmt::Display for IncidentView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_incident(f, self.wid, self.positions)
     }
 }
 

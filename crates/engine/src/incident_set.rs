@@ -1,21 +1,28 @@
-//! Incident sets: `incL(p)`, grouped by workflow instance.
+//! Incident sets: `incL(p)`, one finished batch per matched instance.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use wlq_log::Wid;
 
-use crate::incident::Incident;
+use crate::batch::IncidentBatch;
+use crate::incident::{Incident, IncidentView};
+use crate::kernels;
 
 /// The set of all incidents of a pattern in a log (`incL(p)`), partitioned
 /// by workflow instance.
 ///
 /// Incidents never span instances (Definition 4 requires
 /// `wid(o1) = wid(o2)`), so the per-`wid` partition is lossless and is the
-/// unit of work for partitioned parallel evaluation. Within an instance,
-/// incidents are kept sorted (by `first`, then full position vector — the
-/// ordering the paper's Algorithm 1 assumes) and deduplicated (incident
-/// *sets* contain each set of records once).
+/// unit of work for partitioned parallel evaluation. The set stores it
+/// flat: one finished [`IncidentBatch`] per matched instance, ascending by
+/// `wid` — for a planned query, the very batch the executor's root node
+/// produced, moved in without a copy. Within an instance, incidents are
+/// sorted (by `first`, then full position vector — the ordering the
+/// paper's Algorithm 1 assumes) and deduplicated (incident *sets* contain
+/// each set of records once). Iteration yields borrowed
+/// [`IncidentView`]s, so reading a result allocates nothing and dropping
+/// one frees two buffers per matched instance.
 ///
 /// # Examples
 ///
@@ -28,11 +35,15 @@ use crate::incident::Incident;
 /// set.insert(Incident::singleton(Wid(2), IsLsn(2)));
 /// set.insert(Incident::singleton(Wid(1), IsLsn(4))); // duplicate, ignored
 /// assert_eq!(set.len(), 2);
-/// assert_eq!(set.for_wid(Wid(1)).len(), 1);
+/// assert_eq!(set.for_wid(Wid(1)).count(), 1);
+/// let o = set.iter().next().unwrap();
+/// assert_eq!((o.wid(), o.positions()), (Wid(1), &[IsLsn(4)][..]));
+/// assert_eq!(set.to_string(), "{{4}@wid1, {2}@wid2}");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct IncidentSet {
-    by_wid: BTreeMap<Wid, Vec<Incident>>,
+    /// Nonempty, finished batches, strictly ascending by `wid`.
+    batches: Vec<IncidentBatch>,
 }
 
 impl IncidentSet {
@@ -42,42 +53,67 @@ impl IncidentSet {
         Self::default()
     }
 
+    /// Builds a set from finished per-instance batches with distinct
+    /// wids, in any order; empty batches are dropped.
+    pub(crate) fn from_batches(mut batches: Vec<IncidentBatch>) -> Self {
+        batches.retain(|batch| !batch.is_empty());
+        batches.sort_unstable_by_key(IncidentBatch::wid);
+        debug_assert!(batches.windows(2).all(|w| w[0].wid() < w[1].wid()));
+        IncidentSet { batches }
+    }
+
     /// Builds a set from per-instance incident lists.
     ///
-    /// Each list is sorted and deduplicated; empty lists are dropped.
+    /// Lists of one instance are united, each instance's incidents are
+    /// sorted and deduplicated, and empty lists are dropped.
     #[must_use]
     pub fn from_partitions(parts: impl IntoIterator<Item = (Wid, Vec<Incident>)>) -> Self {
-        let mut by_wid = BTreeMap::new();
-        for (wid, mut incidents) in parts {
-            incidents.sort_unstable();
-            incidents.dedup();
-            if !incidents.is_empty() {
-                by_wid.insert(wid, incidents);
-            }
+        let mut by_wid: BTreeMap<Wid, Vec<Incident>> = BTreeMap::new();
+        for (wid, incidents) in parts {
+            by_wid.entry(wid).or_default().extend(incidents);
         }
-        IncidentSet { by_wid }
+        Self::from_batches(
+            by_wid
+                .into_iter()
+                .map(|(wid, mut incidents)| {
+                    incidents.sort_unstable();
+                    incidents.dedup();
+                    IncidentBatch::from_incidents(wid, &incidents)
+                })
+                .collect(),
+        )
+    }
+
+    /// The batch of instance `wid`, if it has incidents.
+    fn batch(&self, wid: Wid) -> Option<&IncidentBatch> {
+        let at = self
+            .batches
+            .binary_search_by_key(&wid, IncidentBatch::wid)
+            .ok()?;
+        self.batches.get(at)
     }
 
     /// Total number of incidents across all instances.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.by_wid.values().map(Vec::len).sum()
+        self.batches.iter().map(IncidentBatch::len).sum()
     }
 
     /// Whether the set holds no incidents (the query found nothing).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.by_wid.is_empty()
+        self.batches.is_empty()
     }
 
     /// Inserts an incident, keeping per-instance order and uniqueness.
     /// Returns `true` if it was new.
     pub fn insert(&mut self, incident: Incident) -> bool {
-        let list = self.by_wid.entry(incident.wid()).or_default();
-        match list.binary_search(&incident) {
-            Ok(_) => false,
-            Err(pos) => {
-                list.insert(pos, incident);
+        match (self.batches).binary_search_by_key(&incident.wid(), IncidentBatch::wid) {
+            Ok(at) => self.batches[at].insert(incident.positions()),
+            Err(at) => {
+                let mut batch = IncidentBatch::new(incident.wid());
+                batch.push_sorted_positions(incident.positions());
+                self.batches.insert(at, batch);
                 true
             }
         }
@@ -86,101 +122,61 @@ impl IncidentSet {
     /// Whether `incident` is in the set.
     #[must_use]
     pub fn contains(&self, incident: &Incident) -> bool {
-        self.by_wid
-            .get(&incident.wid())
-            .is_some_and(|list| list.binary_search(incident).is_ok())
+        self.batch(incident.wid())
+            .is_some_and(|batch| batch.find(incident.positions()).is_ok())
     }
 
-    /// The incidents of one instance, sorted (empty slice if none).
-    #[must_use]
-    pub fn for_wid(&self, wid: Wid) -> &[Incident] {
-        self.by_wid.get(&wid).map_or(&[], Vec::as_slice)
+    /// The incidents of one instance, sorted (none if it has no match).
+    pub fn for_wid(&self, wid: Wid) -> impl Iterator<Item = IncidentView<'_>> {
+        self.batch(wid).into_iter().flatten()
     }
 
     /// The instances that have at least one incident, ascending.
     pub fn wids(&self) -> impl Iterator<Item = Wid> + '_ {
-        self.by_wid.keys().copied()
+        self.batches.iter().map(IncidentBatch::wid)
     }
 
     /// Iterates over all incidents, by instance then in-instance order.
-    pub fn iter(&self) -> impl Iterator<Item = &Incident> {
-        self.by_wid.values().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = IncidentView<'_>> {
+        self.into_iter()
     }
 
     /// Number of instances with at least one incident.
     #[must_use]
     pub fn num_matched_instances(&self) -> usize {
-        self.by_wid.len()
+        self.batches.len()
     }
 
     /// Per-instance incident counts.
     #[must_use]
     pub fn counts_by_wid(&self) -> BTreeMap<Wid, usize> {
-        self.by_wid.iter().map(|(w, v)| (*w, v.len())).collect()
-    }
-
-    /// Consumes the set into its per-instance partitions.
-    #[must_use]
-    pub fn into_partitions(self) -> BTreeMap<Wid, Vec<Incident>> {
-        self.by_wid
+        (self.batches.iter())
+            .map(|batch| (batch.wid(), batch.len()))
+            .collect()
     }
 
     /// Merges another incident set into this one (set union).
     ///
-    /// Both per-instance lists are already sorted and deduplicated (the
-    /// type's invariant), so each instance is combined by a linear
-    /// two-list merge rather than an append-and-re-sort.
+    /// Instances matched on one side only move over whole; instances
+    /// matched on both are united by the `⊗` kernel's linear merge.
     pub fn merge(&mut self, other: IncidentSet) {
-        use std::collections::btree_map::Entry;
-        for (wid, incidents) in other.by_wid {
-            match self.by_wid.entry(wid) {
-                Entry::Vacant(slot) => {
-                    slot.insert(incidents);
+        for batch in other.batches {
+            match (self.batches).binary_search_by_key(&batch.wid(), IncidentBatch::wid) {
+                Ok(at) => {
+                    let mut union = IncidentBatch::new(batch.wid());
+                    kernels::choice_kernel(&self.batches[at], &batch, &mut union);
+                    self.batches[at] = union;
                 }
-                Entry::Occupied(mut slot) => {
-                    let merged = merge_sorted(std::mem::take(slot.get_mut()), incidents);
-                    *slot.get_mut() = merged;
-                }
+                Err(at) => self.batches.insert(at, batch),
             }
         }
     }
-}
-
-/// Unions two sorted, deduplicated incident lists in `O(n1 + n2)`.
-pub(crate) fn merge_sorted(a: Vec<Incident>, b: Vec<Incident>) -> Vec<Incident> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut xs, mut ys) = (a.into_iter().peekable(), b.into_iter().peekable());
-    while let (Some(x), Some(y)) = (xs.peek(), ys.peek()) {
-        match x.cmp(y) {
-            std::cmp::Ordering::Less => {
-                if let Some(x) = xs.next() {
-                    out.push(x);
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                if let Some(y) = ys.next() {
-                    out.push(y);
-                }
-            }
-            std::cmp::Ordering::Equal => {
-                if let Some(x) = xs.next() {
-                    out.push(x);
-                }
-                ys.next();
-            }
-        }
-    }
-    out.extend(xs);
-    out.extend(ys);
-    out
 }
 
 impl FromIterator<Incident> for IncidentSet {
     fn from_iter<I: IntoIterator<Item = Incident>>(iter: I) -> Self {
         let mut set = IncidentSet::new();
-        for incident in iter {
-            set.insert(incident);
-        }
+        set.extend(iter);
         set
     }
 }
@@ -194,11 +190,17 @@ impl Extend<Incident> for IncidentSet {
 }
 
 impl<'a> IntoIterator for &'a IncidentSet {
-    type Item = &'a Incident;
-    type IntoIter = Box<dyn Iterator<Item = &'a Incident> + 'a>;
+    type Item = IncidentView<'a>;
+    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, IncidentBatch>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        self.batches.iter().flatten()
+    }
+}
+
+impl fmt::Debug for IncidentSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -224,6 +226,10 @@ mod tests {
         Incident::from_positions(Wid(wid), ps.iter().map(|&p| IsLsn(p)).collect())
     }
 
+    fn owned(set: &IncidentSet, wid: u64) -> Vec<Incident> {
+        set.for_wid(Wid(wid)).map(|o| o.to_incident()).collect()
+    }
+
     #[test]
     fn insert_dedups_and_sorts() {
         let mut set = IncidentSet::new();
@@ -231,7 +237,7 @@ mod tests {
         assert!(set.insert(inc(1, &[2])));
         assert!(!set.insert(inc(1, &[5])));
         assert_eq!(set.len(), 2);
-        assert_eq!(set.for_wid(Wid(1)), &[inc(1, &[2]), inc(1, &[5])]);
+        assert_eq!(owned(&set, 1), [inc(1, &[2]), inc(1, &[5])]);
     }
 
     #[test]
@@ -246,8 +252,8 @@ mod tests {
         ]);
         a.merge(b);
         assert_eq!(
-            a.for_wid(Wid(1)),
-            &[
+            owned(&a, 1),
+            [
                 inc(1, &[1]),
                 inc(1, &[2]),
                 inc(1, &[3]),
@@ -255,8 +261,8 @@ mod tests {
                 inc(1, &[9])
             ]
         );
-        assert_eq!(a.for_wid(Wid(2)), &[inc(2, &[2])]);
-        assert_eq!(a.for_wid(Wid(3)), &[inc(3, &[7])]);
+        assert_eq!(owned(&a, 2), [inc(2, &[2])]);
+        assert_eq!(owned(&a, 3), [inc(3, &[7])]);
         assert_eq!(a.len(), 7);
     }
 
@@ -268,7 +274,7 @@ mod tests {
         ]);
         assert_eq!(set.len(), 2);
         assert_eq!(set.num_matched_instances(), 1);
-        assert!(set.for_wid(Wid(2)).is_empty());
+        assert_eq!(set.for_wid(Wid(2)).count(), 0);
     }
 
     #[test]
@@ -309,7 +315,69 @@ mod tests {
         let set: IncidentSet = vec![inc(2, &[1]), inc(1, &[7]), inc(1, &[3])]
             .into_iter()
             .collect();
-        let order: Vec<String> = set.iter().map(ToString::to_string).collect();
+        let order: Vec<String> = set.iter().map(|o| o.to_string()).collect();
         assert_eq!(order, ["{3}@wid1", "{7}@wid1", "{1}@wid2"]);
+    }
+
+    /// Batches the kernels finished with pool positions no ref points at
+    /// compare equal to the same incidents built from lists.
+    #[test]
+    fn equality_ignores_unreferenced_pool_positions() {
+        let wid = Wid(4);
+        let lsns = |ps: &[u32]| ps.iter().map(|&p| IsLsn(p)).collect::<Vec<_>>();
+        // `finish_runs` drops the second [1, 9]; its positions stay pooled.
+        let mut deduped = IncidentBatch::new(wid);
+        for ps in [&[1, 9][..], &[1, 2], &[1, 9], &[4]] {
+            deduped.push_sorted_positions(&lsns(ps));
+        }
+        deduped.finish_runs();
+        // `{1}, {2} ⊕ {1}, {2}`: the shared-record pairs roll back, and
+        // `finish_full` drops the second union {1, 2}.
+        let both = IncidentBatch::from_incidents(wid, &[inc(4, &[1]), inc(4, &[2])]);
+        let mut parallel = IncidentBatch::new(wid);
+        kernels::parallel_kernel(&both, &both, &mut parallel);
+        for (batch, expected) in [
+            (
+                deduped,
+                vec![inc(4, &[1, 2]), inc(4, &[1, 9]), inc(4, &[4])],
+            ),
+            (parallel, vec![inc(4, &[1, 2])]),
+        ] {
+            let positions: usize = expected.iter().map(Incident::len).sum();
+            assert!(batch.pool_len() > positions, "no slack to ignore");
+            let flat = IncidentSet::from_batches(vec![batch]);
+            let listed = IncidentSet::from_partitions([(wid, expected.clone())]);
+            assert_eq!(flat, listed);
+            assert_eq!(flat.to_string(), listed.to_string());
+            assert_eq!(owned(&flat, 4), expected);
+        }
+    }
+
+    #[test]
+    fn views_render_and_order_like_incidents() {
+        let incidents = vec![
+            inc(1, &[2, 5]),
+            inc(1, &[2, 7]),
+            inc(1, &[3]),
+            inc(3, &[1, 4, 8]),
+        ];
+        let set: IncidentSet = incidents.iter().cloned().rev().collect();
+        let views: Vec<IncidentView<'_>> = set.iter().collect();
+        assert_eq!(views.len(), incidents.len());
+        for (view, incident) in views.iter().zip(&incidents) {
+            assert_eq!(view.to_string(), incident.to_string());
+            assert_eq!(view.to_incident(), *incident);
+            assert_eq!(
+                (view.wid(), view.first(), view.last(), view.len()),
+                (
+                    incident.wid(),
+                    incident.first(),
+                    incident.last(),
+                    incident.len()
+                )
+            );
+        }
+        let by_ref: Vec<Incident> = (&set).into_iter().map(|o| o.to_incident()).collect();
+        assert_eq!(by_ref, incidents);
     }
 }

@@ -28,7 +28,6 @@
 use wlq_pattern::Op;
 
 use crate::batch::{IncidentBatch, IncidentRef};
-use crate::incident::Incident;
 
 fn check_operands(left: &IncidentBatch, right: &IncidentBatch, out: &IncidentBatch) {
     debug_assert_eq!(left.wid(), right.wid(), "operands from different instances");
@@ -164,8 +163,11 @@ pub fn sequential_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut 
 /// `last == first` and the batch sort order makes them ascending), the
 /// partner-suffix start index is monotone across lefts, so a single
 /// cursor sweeps the right refs once: `O(n1 + n2 + |out|)` instead of
-/// `O(n1·log n2 + |out|)`. Falls back to [`sequential_kernel`] when the
-/// precondition does not hold, so it is correct on any input.
+/// `O(n1·log n2 + |out|)`. The sizing pass walks the cursor once and the
+/// emitting pass walks it again, so the kernel needs no scratch memory:
+/// the positions held by the partner suffix shrink as the cursor moves.
+/// Falls back to [`sequential_kernel`] when the precondition does not
+/// hold, so it is correct on any input.
 pub fn sequential_sort_merge_kernel(
     left: &IncidentBatch,
     right: &IncidentBatch,
@@ -180,24 +182,25 @@ pub fn sequential_sort_merge_kernel(
         sequential_kernel(left, right, out);
         return;
     }
-    let suffix = position_suffix_sums(rrefs);
-    let mut starts = Vec::with_capacity(lrefs.len());
-    let (mut total_refs, mut total_positions) = (0usize, 0usize);
-    let mut cursor = 0usize;
+    let mut suffix: usize = rrefs.iter().map(IncidentRef::len).sum();
+    let (mut cursor, mut total_refs, mut total_positions) = (0usize, 0usize, 0usize);
     for lref in lrefs {
-        let last = lref.last();
-        while cursor < rrefs.len() && rrefs[cursor].first() <= last {
+        while let Some(r) = rrefs.get(cursor).filter(|r| r.first() <= lref.last()) {
+            suffix -= r.len();
             cursor += 1;
         }
         let partners = rrefs.len() - cursor;
         total_refs += partners;
-        total_positions += partners * lref.len() + suffix[cursor];
-        starts.push(cursor);
+        total_positions += partners * lref.len() + suffix;
     }
     out.reserve(total_refs, total_positions);
-    for (lref, &start) in lrefs.iter().zip(&starts) {
+    let mut cursor = 0usize;
+    for lref in lrefs {
+        while rrefs.get(cursor).is_some_and(|r| r.first() <= lref.last()) {
+            cursor += 1;
+        }
         let lpos = left.positions(lref);
-        for rref in &rrefs[start..] {
+        for rref in &rrefs[cursor..] {
             out.push_concat(lpos, right.positions(rref));
         }
     }
@@ -340,76 +343,6 @@ pub fn parallel_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut In
         }
     }
     out.finish_full();
-}
-
-/// Late materialization for the *root* `⊙`/`→` join of a physical plan:
-/// emits classic [`Incident`]s directly instead of going through an
-/// output batch.
-///
-/// A query-boundary join otherwise pays the positions twice — once
-/// appended into the output pool by the kernel, once copied back out by
-/// [`IncidentBatch::drain_incidents`]. When the result leaves batch form
-/// anyway, each union can be written straight into its final
-/// exactly-sized `Vec`: the concat of the left slice and the right slice
-/// is already sorted (every right position exceeds every left `last`),
-/// and with strictly distinct left `first`s the emission order is fully
-/// sorted and duplicate-free by construction, so no `finish` pass of any
-/// kind remains. Returns `None` — caller falls back to kernel + drain —
-/// when the operator is `⊗`/`⊕` or left `first`s repeat (the output
-/// would need the batch fixup machinery).
-#[must_use]
-pub fn materialize_join(
-    op: Op,
-    left: &IncidentBatch,
-    right: &IncidentBatch,
-) -> Option<Vec<Incident>> {
-    debug_assert_eq!(left.wid(), right.wid(), "operands from different instances");
-    if !matches!(op, Op::Consecutive | Op::Sequential) || !distinct_firsts(left.refs()) {
-        return None;
-    }
-    let (lrefs, rrefs) = (left.refs(), right.refs());
-    if lrefs.is_empty() || rrefs.is_empty() {
-        return Some(Vec::new());
-    }
-    // Pass 1: partner run per left, and the exact output count.
-    let mut runs = Vec::with_capacity(lrefs.len());
-    let mut total = 0usize;
-    for lref in lrefs {
-        let (start, len) = match op {
-            Op::Sequential => {
-                let last = lref.last();
-                let start = rrefs.partition_point(|r| r.first() <= last);
-                (start, rrefs.len() - start)
-            }
-            _ => {
-                let probe = lref.last().next();
-                let start = rrefs.partition_point(|r| r.first() < probe);
-                let len = rrefs[start..]
-                    .iter()
-                    .take_while(|r| r.first() == probe)
-                    .count();
-                (start, len)
-            }
-        };
-        runs.push((start, len));
-        total += len;
-    }
-    // Pass 2: emit each union into its own exactly-sized positions Vec.
-    let mut out = Vec::with_capacity(total);
-    for (lref, &(start, len)) in lrefs.iter().zip(&runs) {
-        let lpos = left.positions(lref);
-        for rref in &rrefs[start..start + len] {
-            let rpos = right.positions(rref);
-            let mut positions = Vec::with_capacity(lpos.len() + rpos.len());
-            positions.extend_from_slice(lpos);
-            positions.extend_from_slice(rpos);
-            out.push(Incident::from_sorted_positions_unchecked(
-                left.wid(),
-                positions,
-            ));
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -572,30 +505,59 @@ mod tests {
         );
     }
 
+    /// The root batches an answer is made of: `op` over `left` and
+    /// `right` under every physical operator the planner may give a root
+    /// join, each moved into an [`IncidentSet`](crate::IncidentSet) as the
+    /// executor does.
+    fn root_sets(op: Op, left: &[Incident], right: &[Incident]) -> Vec<crate::IncidentSet> {
+        let lb = IncidentBatch::from_incidents(WID, left);
+        let rb = IncidentBatch::from_incidents(WID, right);
+        let mut roots = vec![combine_batch(op, &lb, &rb)];
+        let mut nested = IncidentBatch::new(WID);
+        nested_loop_kernel(op, &lb, &rb, &mut nested);
+        roots.push(nested);
+        if op == Op::Sequential {
+            let mut merged = IncidentBatch::new(WID);
+            sequential_sort_merge_kernel(&lb, &rb, &mut merged);
+            roots.push(merged);
+        }
+        roots
+            .into_iter()
+            .map(|root| crate::IncidentSet::from_batches(vec![root]))
+            .collect()
+    }
+
     #[test]
     fn materialize_join_matches_kernel_plus_drain() {
-        // Strictly distinct left firsts: the direct form applies and must
-        // emit exactly what the batch kernel would after draining.
+        // Strictly distinct left firsts: the root's batch, kept as the
+        // answer, holds exactly the kernel's incidents in set order.
         let left = vec![incident(&[1]), incident(&[2, 3]), incident(&[5])];
         let right = fixture_b();
         for op in [Op::Consecutive, Op::Sequential] {
-            let lb = IncidentBatch::from_incidents(WID, &left);
-            let rb = IncidentBatch::from_incidents(WID, &right);
-            let direct = materialize_join(op, &lb, &rb).expect("distinct firsts");
-            let mut batch = combine_batch(op, &lb, &rb);
-            assert_eq!(direct, batch.drain_incidents());
+            let kernel = run(op, &left, &right);
+            for set in root_sets(op, &left, &right) {
+                let listed: Vec<Incident> = set.iter().map(|o| o.to_incident()).collect();
+                assert_eq!(listed, kernel, "{op:?}");
+            }
         }
     }
 
     #[test]
     fn materialize_join_declines_fixup_cases() {
-        // fixture_a repeats first=1, so the output could need the run
-        // fixup; `⊗` has no concat form at all. Both must fall back.
-        let dup = IncidentBatch::from_incidents(WID, &fixture_a());
-        let rb = IncidentBatch::from_incidents(WID, &fixture_b());
-        assert!(materialize_join(Op::Sequential, &dup, &rb).is_none());
-        assert!(materialize_join(Op::Choice, &rb, &rb).is_none());
-        assert!(materialize_join(Op::Parallel, &rb, &rb).is_none());
+        // fixture_a repeats first=1, so the root's output needs the run
+        // fixup and its pool keeps positions of dropped duplicates; `⊗`
+        // and `⊕` have no concat form. The answer must still equal the
+        // reference's incidents built from lists.
+        let (a, b) = (fixture_a(), fixture_b());
+        for op in [Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel] {
+            for (xs, ys) in [(&a, &b), (&a, &a)] {
+                let reference =
+                    crate::IncidentSet::from_partitions([(WID, naive_combine(op, xs, ys))]);
+                for set in root_sets(op, xs, ys) {
+                    assert_eq!(set, reference, "{op:?}");
+                }
+            }
+        }
     }
 
     #[test]

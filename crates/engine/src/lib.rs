@@ -4,7 +4,8 @@
 //! [`wlq_pattern::Pattern`] and a [`wlq_log::Log`], compute the incident
 //! set `incL(p)` of Definition 4.
 //!
-//! * [`Incident`] / [`IncidentSet`] — the semantic objects.
+//! * [`Incident`] / [`IncidentSet`] — the semantic objects; a set keeps
+//!   the executor's per-instance batches and lends out [`IncidentView`]s.
 //! * [`naive`] — the paper's Algorithm 1 operators, complexity-faithful:
 //!   the reference oracle ([`Strategy::NaivePaper`]).
 //! * [`batch`] / [`kernels`] — the evaluation hot path: flat arena-backed
@@ -67,14 +68,14 @@ pub mod kernels;
 pub mod naive;
 pub mod planner;
 
-pub use batch::{BatchArena, IncidentBatch, IncidentRef};
+pub use batch::{BatchArena, IncidentBatch, IncidentRef, Incidents};
 pub use bindings::{BoundIncident, LabelledPattern};
 pub use bounded_equiv::{equivalent_up_to, BoundedEquiv};
 pub use counting::fast_count;
 pub use error::EngineError;
 pub use eval::{combine, leaf_incidents, Evaluator, Strategy};
 pub use explain::{Explain, ExplainRow};
-pub use incident::Incident;
+pub use incident::{Incident, IncidentView};
 pub use incident_set::IncidentSet;
 pub use kernels::{combine_batch, combine_batch_into};
 pub use mining::{mine_relations, MinedRelation};

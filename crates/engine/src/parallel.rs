@@ -96,13 +96,16 @@ impl Evaluator<'_> {
         pattern: &Pattern,
         num_threads: usize,
     ) -> Result<IncidentSet, EngineError> {
-        // Plan and resolve once; workers share the immutable tree.
+        // Plan and resolve once; workers share the immutable tree. Each
+        // worker's batches move into the set, which puts them in wid order.
         let plan = self.physical_plan(pattern);
         let exec = self.exec(plan.as_ref());
         let parts = self.pool(num_threads, |claims| {
             self.instances(pattern, exec.as_ref(), claims, &mut NoProbe)
         })?;
-        Ok(IncidentSet::from_partitions(parts.into_iter().flatten()))
+        Ok(IncidentSet::from_batches(
+            parts.into_iter().flatten().collect(),
+        ))
     }
 
     /// The worker pool: runs `work` on up to `threads` workers (never more

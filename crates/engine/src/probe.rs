@@ -1,7 +1,7 @@
 //! The executor's observation hook.
 //!
-//! Every executor function ([`Evaluator`](crate::Evaluator)'s `run`,
-//! `materialize` and the naive oracle's per-instance recursion) is generic
+//! Every executor function ([`Evaluator`](crate::Evaluator)'s `run` and
+//! the naive oracle's per-instance recursion) is generic
 //! over a [`Probe`] and reports each leaf scan and join it performs to it,
 //! keyed by the node's pre-order id. Unprofiled evaluation passes
 //! [`NoProbe`], a zero-sized no-op whose methods inline to nothing — the
@@ -77,23 +77,12 @@ impl Output {
         }
     }
 
-    /// A late-materialized root join, measured in the batch layout it
-    /// skipped (positions plus one ref per incident) so planned nodes
-    /// share one unit.
-    pub(crate) fn materialized(out: &[Incident]) -> Self {
-        Self::incidents(out, std::mem::size_of::<IncidentRef>())
-    }
-
     /// A classic incident list: positions plus incident headers.
     pub(crate) fn classic(out: &[Incident]) -> Self {
-        Self::incidents(out, std::mem::size_of::<Incident>())
-    }
-
-    fn incidents(out: &[Incident], header: usize) -> Self {
         let positions: usize = out.iter().map(Incident::len).sum();
         Output {
             incidents: out.len(),
-            bytes: (positions * std::mem::size_of::<IsLsn>() + out.len() * header) as u64,
+            bytes: (positions * std::mem::size_of::<IsLsn>() + std::mem::size_of_val(out)) as u64,
         }
     }
 }

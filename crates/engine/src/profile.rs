@@ -1,7 +1,7 @@
 //! Instrumented evaluation (cargo feature `profiling`).
 //!
 //! There is no profiled executor: a profiled run is the production
-//! executor — the planned tree's `run`/`materialize`, or the naive
+//! executor — the planned tree's `run`, or the naive
 //! oracle's recursion — called with a [`Metrics`] probe instead of the
 //! no-op one, on the same worker pool as [`Evaluator::evaluate_parallel`].
 //! The probe accumulates per-node [`NodeMetrics`] into a plain `Vec`
@@ -150,26 +150,28 @@ impl Evaluator<'_> {
         let results = self.pool(threads, |claims| {
             let busy = Instant::now();
             let mut probe = Metrics(vec![NodeMetrics::new(); node_count]);
+            let mut claimed = 0u64;
+            let claims = claims.inspect(|_| claimed += 1);
             let part = self.instances(pattern, exec.as_ref(), claims, &mut probe);
-            (part, probe.0, busy.elapsed())
+            (part, claimed, probe.0, busy.elapsed())
         })?;
 
         let mut merged = vec![NodeMetrics::new(); node_count];
         let mut workers = Vec::with_capacity(results.len());
         let mut parts = Vec::new();
-        for (worker, (part, metrics, wall)) in results.into_iter().enumerate() {
+        for (worker, (part, claimed, metrics, wall)) in results.into_iter().enumerate() {
             for (dst, src) in merged.iter_mut().zip(&metrics) {
                 *dst += src;
             }
             workers.push(WorkerProfile {
                 worker,
-                instances: part.len() as u64,
-                incidents: part.iter().map(|(_, o)| o.len() as u64).sum(),
+                instances: claimed,
+                incidents: part.iter().map(|batch| batch.len() as u64).sum(),
                 wall,
             });
             parts.extend(part);
         }
-        let set = IncidentSet::from_partitions(parts);
+        let set = IncidentSet::from_batches(parts);
         let profile = ExecutionProfile {
             query: pattern.to_string(),
             plan: plan_text,

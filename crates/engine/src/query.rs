@@ -238,10 +238,11 @@ impl Query {
         let incidents = self.find(log)?;
         let mut out: BTreeMap<Value, usize> = BTreeMap::new();
         for wid in incidents.wids() {
-            let first_incident = &incidents.for_wid(wid)[0];
-            let position = first_incident.first();
-            let value = attr_value_at(log, wid, position, attr);
-            *out.entry(value).or_insert(0) += 1;
+            // Every listed instance has a first incident.
+            if let Some(first_incident) = incidents.for_wid(wid).next() {
+                let value = attr_value_at(log, wid, first_incident.first(), attr);
+                *out.entry(value).or_insert(0) += 1;
+            }
         }
         Ok(out)
     }

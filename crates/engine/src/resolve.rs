@@ -9,10 +9,10 @@ use std::fmt;
 
 use wlq_log::{Log, LogRecord, Lsn};
 
-use crate::incident::Incident;
+use crate::incident::IncidentView;
 use crate::incident_set::IncidentSet;
 
-impl Incident {
+impl<'a> IncidentView<'a> {
     /// The records of this incident, in is-lsn order.
     ///
     /// # Panics
@@ -20,7 +20,7 @@ impl Incident {
     /// Panics if the incident did not come from `log` (a coordinate does
     /// not resolve).
     #[must_use]
-    pub fn records<'a>(&self, log: &'a Log) -> Vec<&'a LogRecord> {
+    pub fn records<'l>(&self, log: &'l Log) -> Vec<&'l LogRecord> {
         self.positions()
             .iter()
             .map(|&p| match log.record(self.wid(), p) {
@@ -44,7 +44,7 @@ impl Incident {
     /// A display adapter rendering the incident in the paper's notation:
     /// `{l13, l14, l20}`.
     #[must_use]
-    pub fn display_in<'a>(&'a self, log: &'a Log) -> IncidentInLog<'a> {
+    pub fn display_in(self, log: &'a Log) -> IncidentInLog<'a> {
         IncidentInLog {
             incident: self,
             log,
@@ -52,7 +52,7 @@ impl Incident {
     }
 }
 
-/// Paper-notation display adapter returned by [`Incident::display_in`].
+/// Paper-notation display adapter returned by [`IncidentView::display_in`].
 ///
 /// ```
 /// use wlq_engine::Query;
@@ -68,7 +68,7 @@ impl Incident {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct IncidentInLog<'a> {
-    incident: &'a Incident,
+    incident: IncidentView<'a>,
     log: &'a Log,
 }
 

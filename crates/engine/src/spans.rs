@@ -160,7 +160,7 @@ mod tests {
             assert!(some.len() <= limit);
             assert_eq!(some.len(), limit.min(all.len()));
             for incident in some.iter() {
-                assert!(all.contains(incident));
+                assert!(all.contains(&incident.to_incident()));
             }
         }
     }

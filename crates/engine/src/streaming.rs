@@ -21,10 +21,11 @@ use parking_lot::Mutex;
 use wlq_log::{IsLsn, LogError, LogRecord, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
+use crate::batch::IncidentBatch;
 use crate::error::EngineError;
 use crate::eval::{combine, Strategy};
 use crate::incident::Incident;
-use crate::incident_set::{merge_sorted, IncidentSet};
+use crate::incident_set::IncidentSet;
 
 /// A node of the streaming incident tree, holding accumulated incidents.
 #[derive(Debug, Clone)]
@@ -250,11 +251,11 @@ impl StreamingEvaluator {
     /// of the records seen).
     #[must_use]
     pub fn incidents(&self) -> IncidentSet {
-        IncidentSet::from_partitions(
-            self.root
-                .incidents_map()
-                .iter()
-                .map(|(w, v)| (*w, v.clone())),
+        // Each node list is sorted and duplicate-free already.
+        IncidentSet::from_batches(
+            (self.root.incidents_map().iter())
+                .map(|(&wid, incidents)| IncidentBatch::from_incidents(wid, incidents))
+                .collect(),
         )
     }
 }
@@ -296,6 +297,35 @@ impl SharedStreamingEvaluator {
     pub fn records_seen(&self) -> usize {
         self.inner.lock().records_seen()
     }
+}
+
+/// Unions two sorted, deduplicated incident lists in `O(n1 + n2)`.
+fn merge_sorted(a: Vec<Incident>, b: Vec<Incident>) -> Vec<Incident> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut xs, mut ys) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (xs.peek(), ys.peek()) {
+        match x.cmp(y) {
+            std::cmp::Ordering::Less => {
+                if let Some(x) = xs.next() {
+                    out.push(x);
+                }
+            }
+            std::cmp::Ordering::Greater => {
+                if let Some(y) = ys.next() {
+                    out.push(y);
+                }
+            }
+            std::cmp::Ordering::Equal => {
+                if let Some(x) = xs.next() {
+                    out.push(x);
+                }
+                ys.next();
+            }
+        }
+    }
+    out.extend(xs);
+    out.extend(ys);
+    out
 }
 
 #[cfg(test)]

@@ -2,13 +2,15 @@
 //! (Algorithms 2 and 3), including per-node traces for `EXPLAIN`-style
 //! output.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use wlq_log::{Log, LogIndex};
+use wlq_log::{Log, LogIndex, Wid};
 use wlq_pattern::{Atom, Op, Pattern, PostfixItem};
 
 use crate::eval::{combine, leaf_incidents, Strategy};
+use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
 
 /// A binary tree with operator and activity nodes (Definition 6) — the
@@ -166,24 +168,17 @@ impl IncidentTree {
     /// children with the strategy's operator implementation.
     #[must_use]
     pub fn evaluate(&self, log: &Log, index: &LogIndex, strategy: Strategy) -> IncidentSet {
-        fn eval(node: &Node, log: &Log, index: &LogIndex, strategy: Strategy) -> IncidentSet {
+        fn eval(node: &Node, log: &Log, index: &LogIndex, strategy: Strategy) -> Parts {
             match node {
-                Node::Activity(atom) => {
-                    let mut set = IncidentSet::new();
-                    for wid in index.wids() {
-                        let incidents = leaf_incidents(atom, log, index, wid);
-                        set.extend(incidents);
-                    }
-                    set
-                }
+                Node::Activity(atom) => leaf_parts(atom, log, index),
                 Node::Operator { op, left, right } => {
                     let l = eval(left, log, index, strategy);
                     let r = eval(right, log, index, strategy);
-                    combine_sets(*op, &l, &r, index, strategy)
+                    combine_parts(*op, &l, &r, index, strategy)
                 }
             }
         }
-        eval(&self.root, log, index, strategy)
+        IncidentSet::from_partitions(eval(&self.root, log, index, strategy))
     }
 
     /// Like [`evaluate`](Self::evaluate) but records every node's incident
@@ -202,58 +197,63 @@ impl IncidentTree {
             index: &LogIndex,
             strategy: Strategy,
             out: &mut Vec<NodeTrace>,
-        ) -> IncidentSet {
-            match node {
+        ) -> Parts {
+            let (parts, start) = match node {
                 Node::Activity(atom) => {
                     let start = Instant::now();
-                    let mut set = IncidentSet::new();
-                    for wid in index.wids() {
-                        set.extend(leaf_incidents(atom, log, index, wid));
-                    }
-                    out.push(NodeTrace {
-                        pattern: atom.to_string(),
-                        depth,
-                        incidents: set.clone(),
-                        elapsed: start.elapsed(),
-                    });
-                    set
+                    (leaf_parts(atom, log, index), start)
                 }
                 Node::Operator { op, left, right } => {
                     let l = eval(left, depth + 1, log, index, strategy, out);
                     let r = eval(right, depth + 1, log, index, strategy, out);
                     let start = Instant::now();
-                    let set = combine_sets(*op, &l, &r, index, strategy);
-                    out.push(NodeTrace {
-                        pattern: node.to_pattern().to_string(),
-                        depth,
-                        incidents: set.clone(),
-                        elapsed: start.elapsed(),
-                    });
-                    set
+                    (combine_parts(*op, &l, &r, index, strategy), start)
                 }
-            }
+            };
+            let elapsed = start.elapsed();
+            out.push(NodeTrace {
+                pattern: node.to_pattern().to_string(),
+                depth,
+                incidents: IncidentSet::from_partitions(
+                    parts
+                        .iter()
+                        .map(|(wid, incidents)| (*wid, incidents.clone())),
+                ),
+                elapsed,
+            });
+            parts
         }
         let mut nodes = Vec::with_capacity(self.num_nodes());
-        let set = eval(&self.root, 0, log, index, strategy, &mut nodes);
-        (set, EvalTrace { nodes })
+        let parts = eval(&self.root, 0, log, index, strategy, &mut nodes);
+        (IncidentSet::from_partitions(parts), EvalTrace { nodes })
     }
 }
 
-/// Combines two full incident sets per instance (the `for i ∈ widSet` loop
+/// One node's incidents, listed per instance.
+type Parts = BTreeMap<Wid, Vec<Incident>>;
+
+/// An activity node's incidents in every instance.
+fn leaf_parts(atom: &Atom, log: &Log, index: &LogIndex) -> Parts {
+    (index.wids())
+        .map(|wid| (wid, leaf_incidents(atom, log, index, wid)))
+        .collect()
+}
+
+/// Combines two nodes' incidents per instance (the `for i ∈ widSet` loop
 /// of Algorithm 2, line 13–14).
-fn combine_sets(
+fn combine_parts(
     op: Op,
-    left: &IncidentSet,
-    right: &IncidentSet,
+    left: &Parts,
+    right: &Parts,
     index: &LogIndex,
     strategy: Strategy,
-) -> IncidentSet {
-    let mut parts = Vec::new();
-    for wid in index.wids() {
-        let out = combine(strategy, op, left.for_wid(wid), right.for_wid(wid));
-        parts.push((wid, out));
+) -> Parts {
+    fn of(parts: &Parts, wid: Wid) -> &[Incident] {
+        parts.get(&wid).map_or(&[], Vec::as_slice)
     }
-    IncidentSet::from_partitions(parts)
+    (index.wids())
+        .map(|wid| (wid, combine(strategy, op, of(left, wid), of(right, wid))))
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //!
 //! Each iteration generates a random valid log and a random pattern over
 //! its alphabet, evaluates the pair under NaivePaper (the reference) /
+//! the Algorithm 2 incident tree (NaivePaper, Planned operators) /
 //! Planned evaluate, count and exists / `Query` count and exists /
 //! parallel Planned (1, 4) / streaming-replay / profiled {NaivePaper,
 //! Planned} x (1, 4) / fast_count, and cross-checks the results. It also

@@ -4,10 +4,10 @@
 use std::fmt;
 
 use wlq_engine::{
-    evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, Query, Strategy,
-    StreamingEvaluator,
+    evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, IncidentTree, Query,
+    Strategy, StreamingEvaluator,
 };
-use wlq_log::Log;
+use wlq_log::{Log, LogIndex};
 use wlq_pattern::Pattern;
 
 /// A cross-strategy disagreement on one `(log, pattern)` pair.
@@ -47,8 +47,10 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// the results against the paper-faithful naive evaluation. Returns the
 /// first divergence, or `None` when all strategies agree.
 ///
-/// Oracles covered: `NaivePaper` (reference); `Planned` (the cost-based
-/// planner) through `evaluate`, `count` and `exists`; `Query::count` and
+/// Oracles covered: `NaivePaper` (reference); the incident tree's
+/// post-order evaluation (Algorithm 2) with either strategy's operators;
+/// `Planned` (the cost-based planner) through `evaluate`, `count` and
+/// `exists`; `Query::count` and
 /// `Query::exists` with default options (they decide countability on the
 /// query as written, then plan the optimized pattern); parallel planned
 /// evaluation with 1 and 4 workers; a full streaming replay; profiled
@@ -58,6 +60,17 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 #[must_use]
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
+
+    // Algorithm 2: the incident tree evaluated node by node over all
+    // instances, the paper's other formulation of the same semantics.
+    let index = LogIndex::build(log);
+    let tree = IncidentTree::from_pattern(pattern);
+    for strategy in [Strategy::NaivePaper, Strategy::Planned] {
+        let name = format!("tree({strategy:?})");
+        if let Some(d) = against(&reference, &name, &tree.evaluate(log, &index, strategy)) {
+            return Some(d);
+        }
+    }
 
     // The planner picks an arbitrary equivalent rewrite and per-node
     // physical operators, and count/exists take the counting DP for the

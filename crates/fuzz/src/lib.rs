@@ -1,7 +1,8 @@
 //! Differential fuzzing for the WLQ evaluation strategies.
 //!
 //! The engine ships several independent implementations of `incL(p)`
-//! (Definition 4): the paper-faithful naive operators, the planned
+//! (Definition 4): the paper-faithful naive operators, the Algorithm 2
+//! incident tree, the planned
 //! executor over the arena-backed batch kernels (sequential, on the
 //! worker pool, and with the profiler's probe), the delta-rule streaming
 //! evaluator, and the counting DP for chains. They must all agree on

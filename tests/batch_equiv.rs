@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use wlq::{
-    attrs, combine_batch, leaf_incidents, Evaluator, IncidentBatch, Log, LogBuilder, LogIndex, Op,
-    Pattern, Strategy as EvalStrategy, Wid,
+    attrs, combine_batch, leaf_incidents, Evaluator, IncidentBatch, IncidentSet, Log, LogBuilder,
+    LogIndex, Op, Pattern, Strategy as EvalStrategy, Wid,
 };
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
@@ -72,16 +72,73 @@ fn instance_batch(log: &Log, index: &LogIndex, pattern: &Pattern, wid: Wid) -> I
     }
 }
 
+/// The answer as the CLI lists it: one incident per line, in set order.
+fn rendered(set: &IncidentSet) -> String {
+    set.iter().map(|o| format!("{o}\n")).collect()
+}
+
+/// Planned answers keep the executor's batches, whose pools still hold
+/// positions of incidents that the dedup in `finish_runs` (`⊙`/`→`) or
+/// `finish_full` (`⊕`) dropped; they must
+/// equal the same incidents listed per instance and built through
+/// `from_partitions`.
+#[test]
+fn flat_sets_equal_listed_incidents_despite_pool_slack() {
+    let log = {
+        let mut b = LogBuilder::new();
+        for acts in [
+            &["A", "B", "A", "B", "C"][..],
+            &["B", "A", "C", "B"],
+            &["C"],
+        ] {
+            let w = b.start_instance();
+            for act in acts {
+                b.append(w, *act, attrs! {}, attrs! {}).unwrap();
+            }
+        }
+        b.build().unwrap()
+    };
+    let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
+    let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
+    for src in [
+        "A | A",
+        "(A ~> B) | (A ~> B)",
+        "A & A",
+        "A & B",
+        "(A ~> B) & (B ~> C)",
+        "(A -> B) & (A -> B)",
+        "(A | (A -> B)) -> ((B -> C) | C)",
+    ] {
+        let p: Pattern = src.parse().unwrap();
+        let listed =
+            IncidentSet::from_partitions(log.wids().map(|w| (w, naive.evaluate_instance(&p, w))));
+        let flat = planned.evaluate(&p);
+        assert_eq!(flat, listed, "{src}");
+        assert_eq!(rendered(&flat), rendered(&listed), "{src}");
+        assert_eq!(flat.to_string(), listed.to_string(), "{src}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The naive oracle and the planned batch executor compute the same
-    /// `incL(p)`.
+    /// `incL(p)`, by value and as rendered, sequentially and on 1, 2 and
+    /// 4 workers.
     #[test]
     fn batch_equals_naive_and_optimized(log in arb_log(), p in arb_pattern()) {
         let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
-        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
-        prop_assert_eq!(&naive, &planned, "planned diverged on {}", &p);
+        let expected = rendered(&naive);
+        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
+        let mut sets = vec![("evaluate".to_string(), planned.evaluate(&p))];
+        for threads in [1, 2, 4] {
+            let set = planned.evaluate_parallel(&p, threads).unwrap();
+            sets.push((format!("evaluate_parallel({threads})"), set));
+        }
+        for (path, set) in &sets {
+            prop_assert_eq!(set, &naive, "{} diverged on {}", path, &p);
+            prop_assert_eq!(&rendered(set), &expected, "{} rendered differently on {}", path, &p);
+        }
     }
 
     /// Ref-based counting and existence agree with materialised results.

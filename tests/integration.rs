@@ -4,7 +4,7 @@ use wlq::{
     io, paper, Evaluator, IncidentTree, IsLsn, LogIndex, LogStats, Pattern, Query, Strategy, Wid,
 };
 
-fn lsns_of(log: &wlq::Log, incident: &wlq::Incident) -> Vec<u64> {
+fn lsns_of(log: &wlq::Log, incident: wlq::IncidentView<'_>) -> Vec<u64> {
     incident
         .positions()
         .iter()
@@ -289,7 +289,7 @@ fn mining_and_projections_on_order_scenario() {
     assert_eq!(some.len(), 7);
     let all = q.find(&log).unwrap();
     for o in some.iter() {
-        assert!(all.contains(o));
+        assert!(all.contains(&o.to_incident()));
     }
 }
 

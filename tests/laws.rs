@@ -265,7 +265,7 @@ proptest! {
         // Every plain incident is realised by at least one assignment.
         for o in plain.iter() {
             prop_assert!(
-                bound.iter().any(|b| &b.incident == o),
+                bound.iter().any(|b| b.incident == o.to_incident()),
                 "{src}: incident {o} has no assignment"
             );
         }
