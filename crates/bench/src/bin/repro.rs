@@ -18,7 +18,7 @@ use wlq_bench::{
     time_median,
 };
 use wlq_engine::{naive, Evaluator, IncidentTree, Query, Strategy};
-use wlq_log::{paper, Log, LogIndex, LogStats, Lsn};
+use wlq_log::{paper, Log, LogStats, Lsn};
 use wlq_pattern::{theorem1_worst_case, Optimizer, Pattern};
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
 
@@ -230,7 +230,6 @@ fn e2_incident_tree() {
         "Figure 4 + Examples 3/5: incident tree evaluation trace",
     );
     let log = paper::figure3_log();
-    let index = LogIndex::build(&log);
 
     let simple: Pattern = "UpdateRefer -> GetReimburse".parse().expect("parses");
     let set = Evaluator::new(&log).evaluate(&simple);
@@ -244,7 +243,7 @@ fn e2_incident_tree() {
         postfix_strings(&p)
     );
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
+    let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
     println!("{trace}");
     let incident = set.iter().next().expect("one incident");
     let lsns: Vec<String> = incident

@@ -456,8 +456,8 @@ pub(crate) fn exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> {
 #[must_use]
 pub fn fast_count(log: &Log, pattern: &Pattern) -> Option<usize> {
     let shape = Shape::of(pattern)?;
-    let index = LogIndex::build(log);
-    Some(Counter::new(&shape, &index).total(&index))
+    let index = log.index();
+    Some(Counter::new(&shape, index).total(index))
 }
 
 #[cfg(test)]
@@ -683,15 +683,12 @@ mod tests {
         let log = blocks(&[("A", 80)]);
         let src = vec!["A"; 70].join(" -> ");
         assert_eq!(
-            count(&LogIndex::build(&log), &src.parse().unwrap()),
+            count(log.index(), &src.parse().unwrap()),
             Some(1_646_492_110_120)
         );
         // A `~>` link across the word boundary: 80 - 69 windows of 70.
         let src = vec!["A"; 70].join(" ~> ");
-        assert_eq!(
-            count(&LogIndex::build(&log), &src.parse().unwrap()),
-            Some(11)
-        );
+        assert_eq!(count(log.index(), &src.parse().unwrap()), Some(11));
     }
 
     /// One side of a generated pattern: steps of `(atoms, consecutive)`,
@@ -771,9 +768,9 @@ mod tests {
             let query = Query::new(pattern.clone());
             assert_eq!(query.count(&log), Ok(slow), "{pattern} on {log}");
             assert_eq!(query.exists(&log), Ok(slow > 0), "{pattern} on {log}");
-            let index = LogIndex::build(&log);
-            assert_eq!(exists(&index, &pattern), fast.map(|n| n > 0), "{pattern} on {log}");
-            assert_eq!(count(&index, &pattern), fast, "{pattern} on {log}");
+            let index = log.index();
+            assert_eq!(exists(index, &pattern), fast.map(|n| n > 0), "{pattern} on {log}");
+            assert_eq!(count(index, &pattern), fast, "{pattern} on {log}");
         }
     }
 }

@@ -192,9 +192,10 @@ impl<'p> Exec<'p> {
 
 /// Evaluates incident-pattern queries over one log.
 ///
-/// Construction builds the per-instance activity index once
-/// ([`LogIndex`]); each [`evaluate`](Self::evaluate) call then runs in
-/// time bounded by Lemma 1 / Theorem 1.
+/// The evaluator reads the activity index the log was loaded with
+/// ([`Log::index`]); construction only gathers the planner's statistics,
+/// and each [`evaluate`](Self::evaluate) call runs in time bounded by
+/// Lemma 1 / Theorem 1.
 ///
 /// # Examples
 ///
@@ -213,7 +214,7 @@ impl<'p> Exec<'p> {
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     log: &'a Log,
-    index: LogIndex,
+    index: &'a LogIndex,
     strategy: Strategy,
     planner: Option<Planner>,
 }
@@ -229,13 +230,8 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator with an explicit strategy.
     #[must_use]
     pub fn with_strategy(log: &'a Log, strategy: Strategy) -> Self {
-        Self::with_index(log, LogIndex::build(log), strategy)
-    }
-
-    /// [`with_strategy`](Self::with_strategy) over an index the caller
-    /// already built from `log`.
-    pub(crate) fn with_index(log: &'a Log, index: LogIndex, strategy: Strategy) -> Self {
-        let planner = (strategy == Strategy::Planned).then(|| Planner::new(log, &index));
+        let index = log.index();
+        let planner = (strategy == Strategy::Planned).then(|| Planner::new(log, index));
         Evaluator {
             log,
             index,
@@ -250,10 +246,10 @@ impl<'a> Evaluator<'a> {
         self.log
     }
 
-    /// The evaluator's activity index.
+    /// The log's activity index.
     #[must_use]
-    pub fn index(&self) -> &LogIndex {
-        &self.index
+    pub fn index(&self) -> &'a LogIndex {
+        self.index
     }
 
     /// The active strategy.
@@ -278,7 +274,7 @@ impl<'a> Evaluator<'a> {
     /// The executable tree of `plan`; `None` (no plan) selects the naive
     /// oracle.
     pub(crate) fn exec<'p>(&self, plan: Option<&'p PhysicalPlan>) -> Option<Exec<'p>> {
-        plan.map(|plan| Exec::build(plan.root(), &self.index, &mut 0))
+        plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0))
     }
 
     /// Executes `exec` for instance `ordinal`, drawing and retiring
@@ -295,9 +291,9 @@ impl<'a> Evaluator<'a> {
             Exec::Leaf { id, leaf } => {
                 let mark = probe.start();
                 let mut batch = arena.alloc(wid);
-                leaf.scan(self.log, &self.index, ordinal, |p| batch.push_singleton(p));
+                leaf.scan(self.log, self.index, ordinal, |p| batch.push_singleton(p));
                 probe.record(*id, mark, || Event::Scan {
-                    scanned: leaf.candidates(&self.index, ordinal),
+                    scanned: leaf.candidates(self.index, ordinal),
                     out: Output::batch(&batch),
                 });
                 batch
@@ -351,13 +347,13 @@ impl<'a> Evaluator<'a> {
         match pattern {
             Pattern::Atom(atom) => {
                 let mark = probe.start();
-                let leaf = Leaf::resolve(atom, &self.index);
+                let leaf = Leaf::resolve(atom, self.index);
                 let mut out = Vec::new();
-                leaf.scan(self.log, &self.index, ordinal, |p| {
+                leaf.scan(self.log, self.index, ordinal, |p| {
                     out.push(Incident::singleton(wid, p));
                 });
                 probe.record(id, mark, || Event::Scan {
-                    scanned: leaf.candidates(&self.index, ordinal),
+                    scanned: leaf.candidates(self.index, ordinal),
                     out: Output::classic(&out),
                 });
                 out
@@ -489,7 +485,7 @@ impl<'a> Evaluator<'a> {
         // The countable fragment is decided on the pattern as written,
         // before planning: a rewrite cannot hide a countable query.
         if self.strategy == Strategy::Planned {
-            if let Some(found) = counting::exists(&self.index, pattern) {
+            if let Some(found) = counting::exists(self.index, pattern) {
                 return found;
             }
         }
@@ -519,7 +515,7 @@ impl<'a> Evaluator<'a> {
     #[must_use]
     pub fn count(&self, pattern: &Pattern) -> usize {
         if self.strategy == Strategy::Planned {
-            if let Some(n) = counting::count(&self.index, pattern) {
+            if let Some(n) = counting::count(self.index, pattern) {
                 return n;
             }
         }

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use wlq_log::{Log, LogIndex, LogStats};
+use wlq_log::{Log, LogStats};
 use wlq_pattern::{Optimizer, Pattern};
 
 use crate::eval::Strategy;
@@ -51,8 +51,8 @@ impl Explain {
     /// plan.
     #[must_use]
     pub fn run(log: &Log, pattern: &Pattern, optimize: bool, strategy: Strategy) -> Explain {
-        let index = LogIndex::build(log);
-        let optimizer = Optimizer::new(LogStats::from_index(&index));
+        let index = log.index();
+        let optimizer = Optimizer::new(LogStats::from_index(index));
         let plan = if optimize {
             optimizer.optimize(pattern)
         } else {
@@ -61,9 +61,9 @@ impl Explain {
         let model = optimizer.model();
 
         let physical_plan = (strategy == Strategy::Planned)
-            .then(|| Planner::new(log, &index).plan(&plan).to_string());
+            .then(|| Planner::new(log, index).plan(&plan).to_string());
         let tree = IncidentTree::from_pattern(&plan);
-        let (incidents, trace) = tree.evaluate_traced(log, &index, strategy);
+        let (incidents, trace) = tree.evaluate_traced(log, strategy);
 
         let rows = trace
             .nodes

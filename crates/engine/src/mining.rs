@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use wlq_log::{Activity, Log, LogIndex};
+use wlq_log::{Activity, Log};
 use wlq_pattern::{Op, Pattern};
 
 /// One mined relation with its support.
@@ -48,7 +48,7 @@ pub struct MinedRelation {
 /// ```
 #[must_use]
 pub fn mine_relations(log: &Log, min_support: usize) -> Vec<MinedRelation> {
-    let index = LogIndex::build(log);
+    let index = log.index();
     let activities: Vec<Activity> = log
         .activities()
         .into_iter()

@@ -148,11 +148,11 @@ impl PlanCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlq_log::{paper, LogIndex};
+    use wlq_log::paper;
 
     fn cost() -> PlanCost {
         let log = paper::figure3_log();
-        PlanCost::new(PlanStats::compute(&LogIndex::build(&log)))
+        PlanCost::new(PlanStats::compute(log.index()))
     }
 
     fn shape(n1: f64, n2: f64, k1: f64, k2: f64, out: f64) -> JoinShape {

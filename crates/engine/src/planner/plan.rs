@@ -319,9 +319,8 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Builds a planner for a log from its activity index. The index
-    /// must have been built from `log`; the statistics are read off the
-    /// index alone.
+    /// Builds a planner for a log from its activity index
+    /// ([`Log::index`]); the statistics are read off the index alone.
     #[must_use]
     pub fn new(_log: &Log, index: &LogIndex) -> Self {
         let stats = PlanStats::compute(index);
@@ -332,10 +331,10 @@ impl Planner {
         }
     }
 
-    /// Builds a planner from a log alone (builds a temporary index).
+    /// Builds a planner from a log alone, over the log's own index.
     #[must_use]
     pub fn from_log(log: &Log) -> Self {
-        Planner::new(log, &LogIndex::build(log))
+        Planner::new(log, log.index())
     }
 
     /// The planner's cost model.

@@ -4,10 +4,10 @@
 //! the pattern-level cost model. The planner additionally wants
 //! *per-instance* shape: how many postings of each activity the densest
 //! instance holds (the per-`wid` join sizes the kernels actually see),
-//! and how skewed that distribution is. The evaluator's
-//! [`wlq_log::LogIndex`] records both while it is built, so collecting
-//! them costs one read of its symbol table and instance offsets, and no
-//! pass over the log.
+//! and how skewed that distribution is. The log's
+//! [`wlq_log::LogIndex`] records both when it groups its postings, so
+//! collecting them costs one read of its symbol table and instance
+//! offsets, and no pass over the log.
 
 use std::collections::BTreeMap;
 
@@ -83,7 +83,7 @@ mod tests {
 
     fn stats() -> PlanStats {
         let log = paper::figure3_log();
-        PlanStats::compute(&LogIndex::build(&log))
+        PlanStats::compute(log.index())
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use wlq_log::{Log, LogIndex, LogStats, Value, Wid};
+use wlq_log::{Log, LogStats, Value, Wid};
 use wlq_pattern::{Optimizer, ParsePatternError, Pattern};
 
 use crate::counting;
@@ -105,24 +105,17 @@ impl Query {
     /// [`crate::planner`] and [`Evaluator::physical_plan`].
     #[must_use]
     pub fn plan(&self, log: &Log) -> Pattern {
-        self.plan_with(|| LogStats::compute(log))
-    }
-
-    /// [`plan`](Self::plan) with the optimizer's statistics from `stats`,
-    /// which runs only if optimization is enabled.
-    fn plan_with(&self, stats: impl FnOnce() -> LogStats) -> Pattern {
         if self.optimize {
-            Optimizer::new(stats()).optimize(&self.pattern)
+            Optimizer::new(LogStats::compute(log)).optimize(&self.pattern)
         } else {
             self.pattern.clone()
         }
     }
 
-    /// Plans against `index`, then hands the index to the evaluator that
-    /// runs the plan: `log` is indexed once per call.
-    fn planned<'l>(&self, log: &'l Log, index: LogIndex) -> (Evaluator<'l>, Pattern) {
-        let plan = self.plan_with(|| LogStats::from_index(&index));
-        (Evaluator::with_index(log, index, self.strategy), plan)
+    /// The evaluator over `log` and the pattern it runs, both read off
+    /// the index the log was loaded with.
+    fn planned<'l>(&self, log: &'l Log) -> (Evaluator<'l>, Pattern) {
+        (Evaluator::with_strategy(log, self.strategy), self.plan(log))
     }
 
     /// Evaluates the query, returning all incidents.
@@ -133,7 +126,7 @@ impl Query {
     /// is 0 and [`EngineError::WorkerPanicked`] if a parallel worker
     /// panics.
     pub fn find(&self, log: &Log) -> Result<IncidentSet, EngineError> {
-        let (eval, plan) = self.planned(log, LogIndex::build(log));
+        let (eval, plan) = self.planned(log);
         eval.evaluate_parallel(&plan, self.threads)
     }
 
@@ -151,15 +144,14 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let index = LogIndex::build(log);
         // The countable fragment is decided on the query as written,
         // before optimization: a rewrite cannot hide a countable query.
         if self.strategy == Strategy::Planned {
-            if let Some(found) = counting::exists(&index, &self.pattern) {
+            if let Some(found) = counting::exists(log.index(), &self.pattern) {
                 return Ok(found);
             }
         }
-        let (eval, plan) = self.planned(log, index);
+        let (eval, plan) = self.planned(log);
         Ok(eval.exists(&plan))
     }
 
@@ -181,16 +173,15 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let index = LogIndex::build(log);
         let counted = if self.strategy == Strategy::Planned {
-            counting::count(&index, &self.pattern)
+            counting::count(log.index(), &self.pattern)
         } else {
             None
         };
         let count = match counted {
             Some(count) => count,
             None => {
-                let (eval, plan) = self.planned(log, index);
+                let (eval, plan) = self.planned(log);
                 if self.threads > 1 {
                     eval.evaluate_parallel(&plan, self.threads)?.len()
                 } else {

@@ -167,7 +167,7 @@ impl IncidentTree {
     /// records via the per-instance index, operator nodes combine their
     /// children with the strategy's operator implementation.
     #[must_use]
-    pub fn evaluate(&self, log: &Log, index: &LogIndex, strategy: Strategy) -> IncidentSet {
+    pub fn evaluate(&self, log: &Log, strategy: Strategy) -> IncidentSet {
         fn eval(node: &Node, log: &Log, index: &LogIndex, strategy: Strategy) -> Parts {
             match node {
                 Node::Activity(atom) => leaf_parts(atom, log, index),
@@ -178,18 +178,13 @@ impl IncidentTree {
                 }
             }
         }
-        IncidentSet::from_partitions(eval(&self.root, log, index, strategy))
+        IncidentSet::from_partitions(eval(&self.root, log, log.index(), strategy))
     }
 
     /// Like [`evaluate`](Self::evaluate) but records every node's incident
     /// set and timing — the trace shown in the paper's Example 5.
     #[must_use]
-    pub fn evaluate_traced(
-        &self,
-        log: &Log,
-        index: &LogIndex,
-        strategy: Strategy,
-    ) -> (IncidentSet, EvalTrace) {
+    pub fn evaluate_traced(&self, log: &Log, strategy: Strategy) -> (IncidentSet, EvalTrace) {
         fn eval(
             node: &Node,
             depth: usize,
@@ -224,7 +219,7 @@ impl IncidentTree {
             parts
         }
         let mut nodes = Vec::with_capacity(self.num_nodes());
-        let parts = eval(&self.root, 0, log, index, strategy, &mut nodes);
+        let parts = eval(&self.root, 0, log, log.index(), strategy, &mut nodes);
         (IncidentSet::from_partitions(parts), EvalTrace { nodes })
     }
 }
@@ -286,11 +281,10 @@ mod tests {
         // The running example: the root yields {l13, l14, l20} ≙
         // positions {4, 5, 9} of wid 2.
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            let set = tree.evaluate(&log, &index, strategy);
+            let set = tree.evaluate(&log, strategy);
             assert_eq!(set.len(), 1, "{strategy:?}");
             let o = set.iter().next().unwrap();
             assert_eq!(o.wid(), wlq_log::Wid(2));
@@ -306,10 +300,9 @@ mod tests {
     #[test]
     fn trace_reports_per_node_sets_in_post_order() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
+        let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
         assert_eq!(trace.nodes.len(), 5);
         // Post-order: SeeDoctor, UpdateRefer, GetReimburse, inner ->, root.
         assert_eq!(trace.nodes[0].pattern, "SeeDoctor");
@@ -334,9 +327,8 @@ mod tests {
     #[test]
     fn trace_display_indents_by_depth() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
         let tree = IncidentTree::from_pattern(&pattern("UpdateRefer -> GetReimburse"));
-        let (_, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
+        let (_, trace) = tree.evaluate_traced(&log, Strategy::Planned);
         let text = trace.to_string();
         assert!(text.contains("UpdateRefer ⇒ 1 incidents"));
         assert!(text.contains("UpdateRefer -> GetReimburse ⇒ 1 incidents"));
@@ -345,9 +337,8 @@ mod tests {
     #[test]
     fn negated_leaf_counts_complement() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
         let tree = IncidentTree::from_pattern(&pattern("!SeeDoctor"));
-        let set = tree.evaluate(&log, &index, Strategy::Planned);
+        let set = tree.evaluate(&log, Strategy::Planned);
         assert_eq!(set.len(), 20 - 4);
     }
 }

@@ -7,7 +7,7 @@ use wlq_engine::{
     evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, IncidentTree, Query,
     Strategy, StreamingEvaluator,
 };
-use wlq_log::{Log, LogIndex};
+use wlq_log::Log;
 use wlq_pattern::Pattern;
 
 /// A cross-strategy disagreement on one `(log, pattern)` pair.
@@ -63,11 +63,10 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
 
     // Algorithm 2: the incident tree evaluated node by node over all
     // instances, the paper's other formulation of the same semantics.
-    let index = LogIndex::build(log);
     let tree = IncidentTree::from_pattern(pattern);
     for strategy in [Strategy::NaivePaper, Strategy::Planned] {
         let name = format!("tree({strategy:?})");
-        if let Some(d) = against(&reference, &name, &tree.evaluate(log, &index, strategy)) {
+        if let Some(d) = against(&reference, &name, &tree.evaluate(log, strategy)) {
             return Some(d);
         }
     }

@@ -50,6 +50,9 @@ pub enum LogError {
     UnknownInstance(Wid),
     /// An append was attempted on an instance already closed by `END`.
     InstanceClosed(Wid),
+    /// The log has more records than its index can address (`u32::MAX`);
+    /// holds the number of records supplied.
+    TooManyRecords(usize),
 }
 
 impl fmt::Display for LogError {
@@ -74,6 +77,9 @@ impl fmt::Display for LogError {
             LogError::UnknownInstance(wid) => write!(f, "unknown workflow instance {wid}"),
             LogError::InstanceClosed(wid) => {
                 write!(f, "workflow instance {wid} is already closed by END")
+            }
+            LogError::TooManyRecords(n) => {
+                write!(f, "log has {n} records, more than the {} a log may hold", u32::MAX)
             }
         }
     }
@@ -165,6 +171,7 @@ mod tests {
             .to_string(),
             LogError::UnknownInstance(Wid(4)).to_string(),
             LogError::InstanceClosed(Wid(4)).to_string(),
+            LogError::TooManyRecords(1 << 33).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -1,9 +1,11 @@
-//! Secondary indexes over a [`Log`] used by query evaluation.
+//! The dense index over a [`Log`] that query evaluation reads.
 //!
 //! Algorithm 2 of the paper assumes "an index structure for each workflow id
 //! and activity … used to generate log records for an activity node in
-//! constant time". [`LogIndex`] is that structure, laid out densely and
-//! built in one pass over the log:
+//! constant time". [`LogIndex`] is that structure. It belongs to the log:
+//! [`Log::new`] builds it in the same pass that checks Definition 2, and
+//! [`Log::index`] lends it out, so no query indexes a log again. Its
+//! layout is dense:
 //!
 //! - a symbol table interning each activity name as an [`ActivityId`]; ids
 //!   follow name order;
@@ -11,10 +13,22 @@
 //! - an activity-id column in (instance, is-lsn) order, with CSR offsets:
 //!   instance `o` owns entries `starts[o]..starts[o + 1]`, entry `i` of
 //!   that range holding is-lsn `i + 1`;
-//! - a record-offset column over the same entries, mapping (ordinal,
-//!   is-lsn) to the record's position in [`Log::records`];
+//! - a record-offset column (`u32`) over the same entries, mapping
+//!   (ordinal, is-lsn) to the record's position in [`Log::records`]; the
+//!   log's own `(wid, is-lsn)` lookups read this column too, so it is
+//!   stored once;
 //! - postings over the same entries: each instance's is-lsns grouped by
-//!   activity id, ascending within a group.
+//!   activity id, ascending within a group, with per-activity totals.
+//!
+//! The load pass fills the symbol table and the columns. The postings are
+//! grouped from the activity-id column on the first [`Log::index`] call,
+//! so a log that is only replayed record by record (the streaming
+//! evaluator) never holds them. Equality compares the columns; the
+//! postings are a function of them.
+//!
+//! The load pass maps each record's activity to its id by name. Its
+//! tables hash with the crate's seeded Fx-style hasher; see the
+//! [`names`](crate::names) module docs for the trust model.
 //!
 //! The engine resolves atoms to ids once per query and then works on
 //! ordinals and ids only. The `Wid`/`&str` methods are allocation-free
@@ -22,9 +36,10 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::log::Log;
-use crate::names::Activity;
+use crate::names::{Activity, FxBuildHasher};
 use crate::record::{IsLsn, Wid};
 
 /// The dense id of an activity name in one [`LogIndex`]'s symbol table.
@@ -52,10 +67,10 @@ fn slot(is_lsn: IsLsn) -> usize {
 /// # Examples
 ///
 /// ```
-/// use wlq_log::{paper, LogIndex, Wid, IsLsn};
+/// use wlq_log::{paper, Wid, IsLsn};
 ///
 /// let log = paper::figure3_log();
-/// let idx = LogIndex::build(&log);
+/// let idx = log.index();
 /// // SeeDoctor executed at is-lsn 4 and 6 in instance 1 (l9, l11).
 /// assert_eq!(idx.postings(Wid(1), "SeeDoctor"), &[IsLsn(4), IsLsn(6)]);
 /// // The same lookup in ids and ordinals.
@@ -66,89 +81,144 @@ fn slot(is_lsn: IsLsn) -> usize {
 pub struct LogIndex {
     /// Symbol table: `names[id]`, sorted.
     names: Vec<Activity>,
+    /// Instance ids by ordinal, ascending.
+    wids: Vec<Wid>,
+    /// CSR offsets into the per-entry columns; `len = wids.len() + 1`.
+    starts: Vec<u32>,
+    /// Activity id per entry, in (instance, is-lsn) order.
+    activities: Vec<ActivityId>,
+    /// Offset in [`Log::records`] per entry.
+    records: Vec<u32>,
+    /// The postings, grouped on first use (boxed: a `Log` that never
+    /// groups them stays small).
+    grouped: OnceLock<Box<Grouped>>,
+}
+
+/// The postings column and the per-activity statistics read off it.
+#[derive(Debug, Clone)]
+struct Grouped {
+    /// Per instance, its is-lsns grouped by activity id.
+    postings: Vec<IsLsn>,
     /// Executions per activity id over the whole log.
     totals: Vec<usize>,
     /// Largest per-instance posting count per activity id.
     max_postings: Vec<usize>,
-    /// Instance ids by ordinal, ascending.
-    wids: Vec<Wid>,
-    /// CSR offsets into the three per-entry columns; `len = wids.len() + 1`.
-    starts: Vec<usize>,
-    /// Activity id per entry, in (instance, is-lsn) order.
-    activities: Vec<ActivityId>,
-    /// Offset in [`Log::records`] per entry.
-    records: Vec<usize>,
-    /// Per instance, its is-lsns grouped by activity id.
-    postings: Vec<IsLsn>,
 }
 
-impl LogIndex {
-    /// Builds the index in a single pass over the log.
-    #[must_use]
-    pub fn build(log: &Log) -> Self {
-        let all = log.records();
-        let mut ids: HashMap<&str, u32> = HashMap::new();
-        let mut seen: Vec<&Activity> = Vec::new();
-        let mut wids = Vec::with_capacity(log.num_instances());
-        let mut starts = Vec::with_capacity(log.num_instances() + 1);
-        let mut activities = Vec::with_capacity(all.len());
-        let mut records = Vec::with_capacity(all.len());
-        starts.push(0);
-        // The `as u32` casts below cannot truncate: a log has fewer than
-        // 2³² distinct activities (each needs its own record), and an
-        // instance at most 2³² − 1 records (is-lsns are `u32`).
-        for (wid, offsets) in log.instance_offsets() {
-            for &offset in offsets {
-                let activity = all[offset].activity();
-                let id = *ids.entry(activity.as_str()).or_insert_with(|| {
-                    seen.push(activity);
-                    (seen.len() - 1) as u32
-                });
-                activities.push(ActivityId(id));
-                records.push(offset);
-            }
-            wids.push(wid);
-            starts.push(activities.len());
-        }
+/// Equality of the columns; the grouped postings are derived from them,
+/// so whether they have been built yet does not matter.
+impl PartialEq for LogIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+            && self.wids == other.wids
+            && self.starts == other.starts
+            && self.activities == other.activities
+            && self.records == other.records
+    }
+}
 
-        // Renumber the first-seen ids so that ids follow name order.
+impl Eq for LogIndex {}
+
+/// Assigns dense first-seen ids to activity names during the load pass.
+#[derive(Default)]
+pub(crate) struct Symbols<'a> {
+    /// First-seen id by name.
+    by_name: HashMap<&'a str, u32, FxBuildHasher>,
+    /// The names in first-seen order.
+    seen: Vec<&'a Activity>,
+}
+
+impl<'a> Symbols<'a> {
+    /// The first-seen id of `activity`. The `as u32` cannot truncate: a
+    /// log has fewer distinct activities than records, and
+    /// [`Log::new`] rejects logs of more than `u32::MAX` records.
+    pub(crate) fn id(&mut self, activity: &'a Activity) -> u32 {
+        let seen = &mut self.seen;
+        *self.by_name.entry(activity.as_str()).or_insert_with(|| {
+            seen.push(activity);
+            (seen.len() - 1) as u32
+        })
+    }
+
+    /// The symbol table in name order, and each first-seen id's rank in
+    /// it (the final [`ActivityId`]).
+    pub(crate) fn finish(self) -> (Vec<Activity>, Vec<ActivityId>) {
+        let seen = self.seen;
         let mut order: Vec<usize> = (0..seen.len()).collect();
         order.sort_unstable_by(|&a, &b| seen[a].cmp(seen[b]));
         let mut rank = vec![ActivityId(0); order.len()];
         for (new, &old) in order.iter().enumerate() {
             rank[old] = ActivityId(new as u32);
         }
-        for id in &mut activities {
-            *id = rank[id.index()];
-        }
-        let names: Vec<Activity> = order.iter().map(|&old| seen[old].clone()).collect();
+        let names = order.iter().map(|&old| seen[old].clone()).collect();
+        (names, rank)
+    }
+}
 
-        let mut postings = Vec::with_capacity(all.len());
-        let mut totals = vec![0; names.len()];
-        let mut max_postings = vec![0; names.len()];
-        for span in starts.windows(2) {
-            let column = &activities[span[0]..span[1]];
-            let base = postings.len();
-            postings.extend((1..=column.len() as u32).map(IsLsn));
-            let group = &mut postings[base..];
-            group.sort_unstable_by_key(|&p| (column[slot(p)], p));
-            for run in group.chunk_by(|&a, &b| column[slot(a)] == column[slot(b)]) {
-                let id = column[slot(run[0])].index();
-                totals[id] += run.len();
-                max_postings[id] = max_postings[id].max(run.len());
-            }
-        }
-
+impl LogIndex {
+    /// The index over columns [`Log::new`] built in its load pass.
+    pub(crate) fn from_columns(
+        names: Vec<Activity>,
+        wids: Vec<Wid>,
+        starts: Vec<u32>,
+        activities: Vec<ActivityId>,
+        records: Vec<u32>,
+    ) -> Self {
         LogIndex {
             names,
-            totals,
-            max_postings,
             wids,
             starts,
             activities,
             records,
-            postings,
+            grouped: OnceLock::new(),
         }
+    }
+
+    /// A copy of the index `log` already owns.
+    ///
+    /// Kept for callers written before the log owned its index; new code
+    /// borrows [`Log::index`] instead, which costs nothing.
+    #[must_use]
+    pub fn build(log: &Log) -> Self {
+        log.index().clone()
+    }
+
+    /// Groups the postings now unless that was already done.
+    pub(crate) fn group(&self) {
+        self.grouped();
+    }
+
+    /// The grouped postings, built from the activity-id column on first
+    /// use.
+    fn grouped(&self) -> &Grouped {
+        self.grouped.get_or_init(|| {
+            let mut postings = Vec::with_capacity(self.activities.len());
+            let mut totals = vec![0; self.names.len()];
+            let mut max_postings = vec![0; self.names.len()];
+            // Per instance, `(id, is-lsn)` packed into one sortable word.
+            let mut keys: Vec<u64> = Vec::new();
+            for ordinal in 0..self.wids.len() {
+                keys.clear();
+                keys.extend(
+                    (1u32..)
+                        .zip(self.instance_activities(ordinal))
+                        .map(|(p, id)| u64::from(id.0) << 32 | u64::from(p)),
+                );
+                keys.sort_unstable();
+                // The low half is the is-lsn, the high half the id.
+                postings.extend(keys.iter().map(|&key| IsLsn(key as u32)));
+                for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                    let id = (run[0] >> 32) as usize;
+                    totals[id] += run.len();
+                    max_postings[id] = max_postings[id].max(run.len());
+                }
+            }
+            Box::new(Grouped {
+                postings,
+                totals,
+                max_postings,
+            })
+        })
     }
 
     // ----- symbol table -------------------------------------------------
@@ -177,13 +247,17 @@ impl LogIndex {
     /// Executions of activity `id` across all instances.
     #[must_use]
     pub fn activity_count(&self, id: ActivityId) -> usize {
-        self.totals.get(id.index()).copied().unwrap_or(0)
+        self.grouped().totals.get(id.index()).copied().unwrap_or(0)
     }
 
     /// The largest number of executions of activity `id` in one instance.
     #[must_use]
     pub fn max_instance_postings(&self, id: ActivityId) -> usize {
-        self.max_postings.get(id.index()).copied().unwrap_or(0)
+        self.grouped()
+            .max_postings
+            .get(id.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     // ----- ordinals -----------------------------------------------------
@@ -215,9 +289,10 @@ impl LogIndex {
 
     /// The entries of ordinal `o` in the per-entry columns (empty if out
     /// of range).
+    #[inline]
     fn span(&self, ordinal: usize) -> Range<usize> {
         match self.starts.get(ordinal..ordinal.saturating_add(2)) {
-            Some(&[lo, hi]) => lo..hi,
+            Some(&[lo, hi]) => lo as usize..hi as usize,
             _ => 0..0,
         }
     }
@@ -225,27 +300,54 @@ impl LogIndex {
     /// The activity ids of instance `ordinal` in is-lsn order: entry `i`
     /// is the activity at is-lsn `i + 1`.
     #[must_use]
+    #[inline]
     pub fn instance_activities(&self, ordinal: usize) -> &[ActivityId] {
         &self.activities[self.span(ordinal)]
+    }
+
+    /// The offsets in [`Log::records`] of instance `ordinal`'s records,
+    /// in is-lsn order.
+    #[inline]
+    pub(crate) fn instance_records(&self, ordinal: usize) -> &[u32] {
+        &self.records[self.span(ordinal)]
     }
 
     /// The is-lsns at which activity `id` executed in instance `ordinal`,
     /// ascending.
     #[must_use]
+    #[inline]
     pub fn instance_postings(&self, ordinal: usize, id: ActivityId) -> &[IsLsn] {
+        // The engine calls this per instance and atom. Grouping is a tail
+        // call out of line, so this path makes no call and saves no
+        // registers for one.
+        let Some(grouped) = self.grouped.get() else {
+            return self.instance_postings_after_grouping(ordinal, id);
+        };
         let span = self.span(ordinal);
         let column = &self.activities[span.clone()];
-        let group = &self.postings[span];
+        let group = &grouped.postings[span];
         let lo = group.partition_point(|&p| column[slot(p)] < id);
         let len = group[lo..].partition_point(|&p| column[slot(p)] == id);
         &group[lo..lo + len]
     }
 
+    /// [`instance_postings`](Self::instance_postings) on an index whose
+    /// postings are not grouped yet.
+    #[cold]
+    #[inline(never)]
+    fn instance_postings_after_grouping(&self, ordinal: usize, id: ActivityId) -> &[IsLsn] {
+        self.group();
+        self.instance_postings(ordinal, id)
+    }
+
     /// The offset in [`Log::records`] of the record at `(ordinal,
     /// is_lsn)`.
     #[must_use]
+    #[inline]
     pub fn record_offset(&self, ordinal: usize, is_lsn: IsLsn) -> Option<usize> {
-        self.records[self.span(ordinal)].get(slot(is_lsn)).copied()
+        self.instance_records(ordinal)
+            .get(slot(is_lsn))
+            .map(|&offset| offset as usize)
     }
 
     // ----- wid / name wrappers ------------------------------------------
@@ -301,6 +403,7 @@ impl LogIndex {
             .map_or(0, |id| self.activity_count(id))
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +426,7 @@ mod tests {
     #[test]
     fn postings_are_per_instance_and_sorted() {
         let log = sample();
-        let idx = LogIndex::build(&log);
+        let idx = log.index();
         assert_eq!(idx.postings(Wid(1), "A"), &[IsLsn(2), IsLsn(4)]);
         assert_eq!(idx.postings(Wid(1), "B"), &[IsLsn(3)]);
         assert_eq!(idx.postings(Wid(2), "A"), &[] as &[IsLsn]);
@@ -332,7 +435,8 @@ mod tests {
 
     #[test]
     fn start_and_end_are_indexed_like_activities() {
-        let idx = LogIndex::build(&sample());
+        let log = sample();
+        let idx = log.index();
         assert_eq!(idx.postings(Wid(1), "START"), &[IsLsn(1)]);
         assert_eq!(idx.postings(Wid(1), "END"), &[IsLsn(5)]);
         assert_eq!(idx.postings(Wid(2), "END"), &[] as &[IsLsn]);
@@ -340,7 +444,8 @@ mod tests {
 
     #[test]
     fn activity_at_reads_the_sequence() {
-        let idx = LogIndex::build(&sample());
+        let log = sample();
+        let idx = log.index();
         assert_eq!(idx.activity_at(Wid(1), IsLsn(2)).unwrap().as_str(), "A");
         assert_eq!(idx.activity_at(Wid(1), IsLsn(5)).unwrap().as_str(), "END");
         assert_eq!(idx.activity_at(Wid(1), IsLsn(6)), None);
@@ -349,7 +454,8 @@ mod tests {
 
     #[test]
     fn complement_postings_match_negated_atoms() {
-        let idx = LogIndex::build(&sample());
+        let log = sample();
+        let idx = log.index();
         assert_eq!(
             idx.complement_postings(Wid(1), "A"),
             vec![IsLsn(1), IsLsn(3), IsLsn(5)]
@@ -359,7 +465,8 @@ mod tests {
 
     #[test]
     fn total_count_sums_instances() {
-        let idx = LogIndex::build(&sample());
+        let log = sample();
+        let idx = log.index();
         assert_eq!(idx.total_count("A"), 2);
         assert_eq!(idx.total_count("B"), 2);
         assert_eq!(idx.total_count("START"), 2);
@@ -369,7 +476,7 @@ mod tests {
     #[test]
     fn instance_len_matches_log() {
         let log = sample();
-        let idx = LogIndex::build(&log);
+        let idx = log.index();
         assert_eq!(idx.instance_len(Wid(1)), log.instance_len(Wid(1)));
         assert_eq!(idx.instance_len(Wid(2)), log.instance_len(Wid(2)));
         assert_eq!(idx.num_instances(), 2);
@@ -378,7 +485,7 @@ mod tests {
     #[test]
     fn index_of_figure3_matches_example5() {
         let log = crate::paper::figure3_log();
-        let idx = LogIndex::build(&log);
+        let idx = log.index();
         // Example 5: incL(SeeDoctor) = {l9, l11, l13, l17}.
         let mut hits: Vec<(Wid, IsLsn)> = Vec::new();
         for w in idx.wids() {
@@ -396,14 +503,15 @@ mod tests {
     #[test]
     fn single_record_instances_index_cleanly() {
         let log = Log::new(vec![LogRecord::start(1, 1u64)]).unwrap();
-        let idx = LogIndex::build(&log);
+        let idx = log.index();
         assert_eq!(idx.instance_len(Wid(1)), 1);
         assert_eq!(idx.postings(Wid(1), "START"), &[IsLsn(1)]);
     }
 
     #[test]
     fn ids_follow_name_order_and_ordinals_follow_wids() {
-        let idx = LogIndex::build(&sample());
+        let log = sample();
+        let idx = log.index();
         let names: Vec<&str> = idx.activities().iter().map(Activity::as_str).collect();
         assert_eq!(names, ["A", "B", "END", "START"]);
         assert_eq!(idx.activity_id("B"), Some(ActivityId(1)));
@@ -419,7 +527,7 @@ mod tests {
     #[test]
     fn id_columns_and_postings_by_ordinal() {
         let log = sample();
-        let idx = LogIndex::build(&log);
+        let idx = log.index();
         let [a, b, end, start] = [0, 1, 2, 3].map(ActivityId);
         assert_eq!(idx.instance_activities(0), &[start, a, b, a, end]);
         assert_eq!(idx.instance_activities(1), &[start, b]);

@@ -204,7 +204,10 @@ pub(crate) fn parse_entries(
     line_no: usize,
     names: &mut Interner,
 ) -> Result<AttrMap, ParseLogError> {
-    let mut map = AttrMap::with_capacity(split_quoted(text, sep).count());
+    // One entry per separator plus one, fewer if a quoted value holds a
+    // separator: a byte count sizes the map without a second split.
+    let bound = text.bytes().filter(|&b| b == sep).count() + 1;
+    let mut map = AttrMap::with_capacity(bound);
     for pair in split_quoted(text, sep) {
         let pair = pair.trim();
         let Some((name, value)) = pair.split_once('=') else {

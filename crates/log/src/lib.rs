@@ -3,7 +3,8 @@
 //! This crate implements the log formalism of *"Querying Workflow Logs"*
 //! (Tang, Mackey, Su): [`LogRecord`] (Definition 1), [`Log`] with its four
 //! validity conditions (Definition 2), incremental construction
-//! ([`LogBuilder`]), secondary indexes for query evaluation ([`LogIndex`]),
+//! ([`LogBuilder`]), the dense index query evaluation reads ([`LogIndex`],
+//! built with the log and lent out by [`Log::index`]),
 //! statistics ([`LogStats`]), serialization ([`io`]), and the paper's
 //! Figure 3 example log ([`paper`]).
 //!

@@ -4,7 +4,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::LogError;
-use crate::names::Activity;
+use crate::index::{ActivityId, LogIndex, Symbols};
+use crate::names::{Activity, FxBuildHasher};
 use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 
 /// A workflow log: a nonempty, totally-ordered collection of [`LogRecord`]s
@@ -18,7 +19,9 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 /// 4. An `END` record is the last record of its instance.
 ///
 /// A `Log` is immutable once constructed; [`Log::new`] validates all four
-/// conditions and builds a per-instance index. For incremental construction
+/// conditions and, while it loads the records, lays out the log's
+/// [`LogIndex`] ([`Log::index`]). Two logs are equal when their records
+/// are. For incremental construction
 /// use [`LogBuilder`](crate::LogBuilder); for append-only consumption (the
 /// streaming evaluator) see [`Log::records`] and the engine crate.
 ///
@@ -35,20 +38,23 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 /// assert_eq!(log.num_instances(), 1);
 /// # Ok::<(), wlq_log::LogError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Log {
     /// Records sorted by lsn; `records[i].lsn() == i + 1`.
     records: Vec<LogRecord>,
-    /// The instance ids, ascending; instance `k` (its ordinal) is
-    /// `wids[k]`.
-    wids: Vec<Wid>,
-    /// CSR offsets into `positions`: instance `k`'s records are
-    /// `positions[starts[k]..starts[k + 1]]`; `len = wids.len() + 1`.
-    starts: Vec<usize>,
-    /// Per instance, the positions of its records in `records`, in
-    /// is-lsn order.
-    positions: Vec<usize>,
+    /// The dense index; its record-offset column also serves the log's
+    /// own `(wid, is-lsn)` lookups.
+    index: LogIndex,
 }
+
+/// Equality of the records: the index is a function of them.
+impl PartialEq for Log {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+impl Eq for Log {}
 
 /// Per-instance validation state, indexed by first-appearance ordinal.
 struct Instance {
@@ -64,15 +70,21 @@ impl Log {
     ///
     /// The records may be supplied in any order; they are sorted by lsn
     /// unless they already ascend. Conditions 2–4 are checked in one pass
-    /// in lsn order over dense per-instance state, which also yields the
-    /// per-instance index.
+    /// in lsn order over dense per-instance state, which also sizes each
+    /// instance. A second pass places each record in the CSR columns of
+    /// the log's [`LogIndex`] and gives it its activity id.
     ///
     /// # Errors
     ///
-    /// Returns a [`LogError`] describing the first violated condition.
+    /// Returns a [`LogError`] describing the first violated condition, or
+    /// [`LogError::TooManyRecords`] past `u32::MAX` records.
     pub fn new(mut records: Vec<LogRecord>) -> Result<Self, LogError> {
         if records.is_empty() {
             return Err(LogError::Empty);
+        }
+        // The index stores record offsets as `u32`.
+        if u32::try_from(records.len()).is_err() {
+            return Err(LogError::TooManyRecords(records.len()));
         }
         if !records.is_sorted_by_key(LogRecord::lsn) {
             records.sort_by_key(LogRecord::lsn);
@@ -93,9 +105,8 @@ impl Log {
 
         // Conditions 2–4, checked in one pass in lsn order. Instances get
         // ordinals in order of first appearance.
-        let mut ordinals: HashMap<Wid, u32> = HashMap::new();
+        let mut ordinals: HashMap<Wid, u32, FxBuildHasher> = HashMap::default();
         let mut instances: Vec<Instance> = Vec::new();
-        let mut ordinal_of: Vec<u32> = Vec::with_capacity(records.len());
         for r in &records {
             let wid = r.wid();
             let ordinal = *ordinals.entry(wid).or_insert_with(|| {
@@ -104,7 +115,7 @@ impl Log {
                     len: 0,
                     closed: false,
                 });
-                // Fewer instances than records, and records fit in memory.
+                // Fewer instances than records, which fit in `u32`.
                 (instances.len() - 1) as u32
             });
             let state = &mut instances[ordinal as usize];
@@ -125,40 +136,62 @@ impl Log {
             }
             state.len = r.is_lsn().get();
             state.closed = r.is_end();
-            ordinal_of.push(ordinal);
         }
-        drop(ordinals);
 
-        // The per-instance index in CSR form, instances by ascending wid.
-        // Record `i` is entry `is-lsn − 1` of its instance's range.
+        // The CSR layout, instances by ascending wid; each instance's
+        // map value becomes the entry its is-lsn 1 lands on.
         let mut order: Vec<u32> = (0..instances.len() as u32).collect();
         order.sort_unstable_by_key(|&k| instances[k as usize].wid);
-        let mut base = vec![0usize; instances.len()];
+        let mut base = vec![0u32; instances.len()];
         let mut starts = Vec::with_capacity(order.len() + 1);
         starts.push(0);
         for &k in &order {
             let k = k as usize;
             base[k] = starts[starts.len() - 1];
-            starts.push(base[k] + instances[k].len as usize);
+            // The entries number the records, which fit in `u32`.
+            starts.push(base[k] + instances[k].len);
         }
-        let mut positions = vec![0usize; records.len()];
-        for (i, (r, &ordinal)) in records.iter().zip(&ordinal_of).enumerate() {
-            positions[base[ordinal as usize] + r.is_lsn().get() as usize - 1] = i;
+        for ordinal in ordinals.values_mut() {
+            *ordinal = base[*ordinal as usize];
         }
         let wids = order.iter().map(|&k| instances[k as usize].wid).collect();
 
-        Ok(Log {
-            records,
-            wids,
-            starts,
-            positions,
-        })
+        // The columns: record `i` is entry `is-lsn − 1` of its instance's
+        // range. Looking the wid up again, instead of keeping each
+        // record's ordinal from the pass above, keeps this pass's scratch
+        // to the two columns it fills. Activities get ids in order of
+        // first appearance, renumbered into name order at the end.
+        let mut symbols = Symbols::default();
+        let mut offsets = vec![0u32; records.len()];
+        let mut activities = vec![ActivityId(0); records.len()];
+        for (i, r) in (0u32..).zip(&records) {
+            let entry = ordinals[&r.wid()] as usize + r.is_lsn().get() as usize - 1;
+            offsets[entry] = i;
+            activities[entry] = ActivityId(symbols.id(r.activity()));
+        }
+        drop(ordinals);
+        let (names, rank) = symbols.finish();
+        for id in &mut activities {
+            *id = rank[id.index()];
+        }
+
+        let index = LogIndex::from_columns(names, wids, starts, activities, offsets);
+        Ok(Log { records, index })
     }
 
-    /// The positions of instance `wid`'s records, in is-lsn order.
-    fn positions(&self, wid: Wid) -> Option<&[usize]> {
-        let k = self.wids.binary_search(&wid).ok()?;
-        Some(&self.positions[self.starts[k]..self.starts[k + 1]])
+    /// The log's dense index (symbol table, instance ordinals, CSR
+    /// columns and postings), built with the log; the postings are
+    /// grouped on the first call.
+    #[must_use]
+    pub fn index(&self) -> &LogIndex {
+        self.index.group();
+        &self.index
+    }
+
+    /// The offsets in `records` of instance `wid`'s records, in is-lsn
+    /// order.
+    fn positions(&self, wid: Wid) -> Option<&[u32]> {
+        Some(self.index.instance_records(self.index.ordinal(wid)?))
     }
 
     /// Number of records, `|L|`.
@@ -198,27 +231,20 @@ impl Log {
     #[must_use]
     pub fn record(&self, wid: Wid, is_lsn: IsLsn) -> Option<&LogRecord> {
         let idx = (is_lsn.get() as usize).checked_sub(1)?;
-        self.positions(wid)?.get(idx).map(|&p| &self.records[p])
+        self.positions(wid)?
+            .get(idx)
+            .map(|&p| &self.records[p as usize])
     }
 
     /// The distinct instance ids present, in ascending order.
     pub fn wids(&self) -> impl Iterator<Item = Wid> + '_ {
-        self.wids.iter().copied()
-    }
-
-    /// Each instance with the offsets of its records in
-    /// [`records`](Self::records), in is-lsn order; wids ascending.
-    pub(crate) fn instance_offsets(&self) -> impl Iterator<Item = (Wid, &[usize])> + '_ {
-        self.wids
-            .iter()
-            .zip(self.starts.windows(2))
-            .map(|(&wid, span)| (wid, &self.positions[span[0]..span[1]]))
+        self.index.wids()
     }
 
     /// Number of distinct workflow instances.
     #[must_use]
     pub fn num_instances(&self) -> usize {
-        self.wids.len()
+        self.index.num_instances()
     }
 
     /// The records of instance `wid` in is-lsn order (empty if unknown).
@@ -226,30 +252,28 @@ impl Log {
         self.positions(wid)
             .unwrap_or_default()
             .iter()
-            .map(move |&p| &self.records[p])
+            .map(move |&p| &self.records[p as usize])
     }
 
     /// Number of records of instance `wid` (0 if unknown).
     #[must_use]
     pub fn instance_len(&self, wid: Wid) -> usize {
-        self.positions(wid).map_or(0, <[usize]>::len)
+        self.positions(wid).map_or(0, <[u32]>::len)
     }
 
     /// Returns `true` if instance `wid` has an `END` record.
     #[must_use]
     pub fn is_completed(&self, wid: Wid) -> bool {
         self.positions(wid)
-            .and_then(<[usize]>::last)
-            .is_some_and(|&p| self.records[p].is_end())
+            .and_then(<[u32]>::last)
+            .is_some_and(|&p| self.records[p as usize].is_end())
     }
 
-    /// The distinct activity names occurring in the log, sorted.
+    /// The distinct activity names occurring in the log, sorted: the
+    /// index's symbol table.
     #[must_use]
     pub fn activities(&self) -> Vec<Activity> {
-        let mut set: Vec<Activity> = self.records.iter().map(|r| r.activity().clone()).collect();
-        set.sort();
-        set.dedup();
-        set
+        self.index.activities().to_vec()
     }
 
     /// Consumes the log, returning its records in lsn order.
@@ -266,8 +290,10 @@ impl Log {
     /// Returns [`LogError::UnknownInstance`] if `wid` is not in the log.
     pub fn project_instance(&self, wid: Wid) -> Result<Log, LogError> {
         let positions = self.positions(wid).ok_or(LogError::UnknownInstance(wid))?;
-        let mut records: Vec<LogRecord> =
-            positions.iter().map(|&p| self.records[p].clone()).collect();
+        let mut records: Vec<LogRecord> = positions
+            .iter()
+            .map(|&p| self.records[p as usize].clone())
+            .collect();
         for (i, r) in records.iter_mut().enumerate() {
             r.set_lsn(Lsn(i as u64 + 1));
         }
@@ -484,6 +510,18 @@ mod tests {
             .map(|a| a.as_str().to_string())
             .collect();
         assert_eq!(acts, ["A", "B", "C", "END", "START"]);
+    }
+
+    #[test]
+    fn postings_are_grouped_on_first_use_however_reached() {
+        // The log's own field, read before `index()` has grouped anything.
+        let log = Log::new(small_valid()).unwrap();
+        let a = log.index.activity_id("A").unwrap();
+        assert_eq!(log.index.instance_postings(0, a), &[IsLsn(2)]);
+        let log = Log::new(small_valid()).unwrap();
+        assert_eq!(log.index.activity_count(a), 1);
+        assert_eq!(log.index().instance_postings(0, a), &[IsLsn(2)]);
+        assert_eq!(log.index(), &Log::new(small_valid()).unwrap().index);
     }
 
     #[test]

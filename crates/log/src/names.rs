@@ -10,13 +10,32 @@
 //! name and unquoted string value, so every record of a decoded log that
 //! names `SeeDoctor` points at the same bytes. The table is dropped when
 //! decoding ends; the log keeps only the shared strings. Names built by
-//! hand ([`Activity::new`], `From<&str>`) are not interned. Separately,
-//! the [`LogIndex`](crate::LogIndex) symbol table maps each distinct
-//! activity name to a dense [`ActivityId`](crate::ActivityId).
+//! hand ([`Activity::new`], `From<&str>`) are not interned.
+//! [`Log::new`](crate::Log::new) then gives each distinct activity name a
+//! dense [`ActivityId`](crate::ActivityId), looked up by name.
+//!
+//! These per-load tables (the interner, and in `Log::new` the activity
+//! and instance maps) hash with `FxBuildHasher`, a multiply-rotate hash
+//! in the style of rustc's `FxHasher`, instead of the standard SipHash.
+//! It is several times cheaper on short names but is not a keyed
+//! cryptographic hash. Each table starts its hasher from a fresh random
+//! seed (drawn from std's `RandomState`), so which keys share a bucket
+//! is not fixed in advance: an unseeded Fx hash of a one-word key is an
+//! invertible function of the key, and a file could pick instance ids
+//! that all land in one bucket and make every load quadratic. The trust
+//! model: seeding makes such collisions a matter of chance rather than
+//! of choice, but the hash is not proven collision-resistant, so a
+//! crafted input can at worst make one decode slower (a table probe
+//! degrades towards a scan of the colliding entries). It cannot change
+//! what is decoded, because every probe still compares the full key.
+//! The tables live for one load and are never exposed, so no state
+//! carries over between inputs.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 macro_rules! name_type {
@@ -145,11 +164,87 @@ pub const START_ACTIVITY: &str = "START";
 /// The reserved name of the record that closes a completed instance.
 pub const END_ACTIVITY: &str = "END";
 
+/// A multiply-rotate hash in the style of rustc's `FxHasher`, for the
+/// short-lived tables of one load, started from a per-table random seed
+/// (see the module docs for the trust model).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FxBuildHasher {
+    seed: u64,
+}
+
+impl FxBuildHasher {
+    /// A hasher whose states start from `seed`.
+    pub(crate) fn with_seed(seed: u64) -> Self {
+        FxBuildHasher { seed }
+    }
+}
+
+/// A fresh random seed per table.
+impl Default for FxBuildHasher {
+    fn default() -> Self {
+        Self::with_seed(RandomState::new().hash_one(0u64))
+    }
+}
+
+/// The state of [`FxBuildHasher`]: one word, folded one word at a time.
+pub(crate) struct FxHasher(u64);
+
+const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_K);
+    }
+}
+
+impl BuildHasher for FxBuildHasher {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher(self.seed)
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            self.add(u64::from_le_bytes(w));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The product's high bits are its best mixed; tables index buckets
+    /// by the low bits, so rotate the high bits down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// A per-decode string table: [`intern`](Self::intern) returns the one
 /// shared `Arc<str>` for each distinct string it has seen.
 #[derive(Default)]
 pub(crate) struct Interner {
-    strings: HashSet<Arc<str>>,
+    strings: HashSet<Arc<str>, FxBuildHasher>,
 }
 
 impl Interner {
@@ -233,6 +328,49 @@ mod tests {
         assert_ne!(
             table.activity("CheckIn").as_str().as_ptr(),
             a.as_str().as_ptr()
+        );
+    }
+
+    #[test]
+    fn fx_hash_spreads_short_names() {
+        let fx = FxBuildHasher::default();
+        let names = ["A", "B", "SeeDoctor", "SeeDoctors", "UpdateRefer"];
+        let hashes: HashSet<u64> = names.iter().map(|n| fx.hash_one(n)).collect();
+        assert_eq!(hashes.len(), names.len());
+        assert_eq!(fx.hash_one("CheckIn"), fx.hash_one(String::from("CheckIn")));
+    }
+
+    /// The bucket (low bits) and control tag (top 7 bits) a hash table
+    /// derives from a key's hash.
+    fn slot(fx: FxBuildHasher, key: u64) -> (u64, u64) {
+        let h = fx.hash_one(key);
+        (h & 1023, h >> 57)
+    }
+
+    #[test]
+    fn seeding_spreads_keys_built_to_collide_under_a_fixed_seed() {
+        // The inverse of the multiplier mod 2^64, by Newton's iteration.
+        let mut inverse = FX_K;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(FX_K.wrapping_mul(inverse)));
+        }
+        assert_eq!(FX_K.wrapping_mul(inverse), 1);
+        // Under a zero seed `x * K⁻¹` hashes to `x` rotated, so small `x`
+        // all share bucket and tag: a table of them degrades to a scan.
+        let keys: Vec<u64> = (0..1024u64).map(|x| x.wrapping_mul(inverse)).collect();
+        let fixed: HashSet<(u64, u64)> = keys
+            .iter()
+            .map(|&k| slot(FxBuildHasher::with_seed(0), k))
+            .collect();
+        assert_eq!(fixed.len(), 1);
+        for _ in 0..4 {
+            let fx = FxBuildHasher::default();
+            let buckets: HashSet<u64> = keys.iter().map(|&k| slot(fx, k).0).collect();
+            assert!(buckets.len() > 512, "{} of 1024 buckets", buckets.len());
+        }
+        assert_ne!(
+            FxBuildHasher::default().hash_one(7u64),
+            FxBuildHasher::default().hash_one(7u64)
         );
     }
 

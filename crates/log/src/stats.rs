@@ -35,37 +35,15 @@ pub struct LogStats {
 }
 
 impl LogStats {
-    /// Computes statistics in one pass.
+    /// The statistics of `log`, read off the index it was loaded with.
     #[must_use]
     pub fn compute(log: &Log) -> Self {
-        let mut activity_counts: BTreeMap<Activity, usize> = BTreeMap::new();
-        for r in log.iter() {
-            *activity_counts.entry(r.activity().clone()).or_insert(0) += 1;
-        }
-        let mut min_len = usize::MAX;
-        let mut max_len = 0;
-        let mut completed = 0;
-        for wid in log.wids() {
-            let len = log.instance_len(wid);
-            min_len = min_len.min(len);
-            max_len = max_len.max(len);
-            if log.is_completed(wid) {
-                completed += 1;
-            }
-        }
-        LogStats {
-            num_records: log.len(),
-            num_instances: log.num_instances(),
-            completed_instances: completed,
-            activity_counts,
-            min_instance_len: if min_len == usize::MAX { 0 } else { min_len },
-            max_instance_len: max_len,
-        }
+        Self::from_index(log.index())
     }
 
-    /// The same statistics read off an index of the log, without
-    /// another pass over its records: counts come from the symbol table,
-    /// lengths from the instance offsets.
+    /// The statistics read off a log's index, without a pass over its
+    /// records: counts come from the symbol table, lengths from the
+    /// instance offsets.
     #[must_use]
     pub fn from_index(index: &LogIndex) -> Self {
         let end = index.activity_id(END_ACTIVITY);
@@ -167,19 +145,36 @@ mod tests {
         assert_eq!(stats.max_instance_len, 9);
     }
 
+    /// The statistics by a walk over the records, as a reference.
+    fn record_walk(log: &Log) -> LogStats {
+        let mut activity_counts: BTreeMap<Activity, usize> = BTreeMap::new();
+        for r in log.iter() {
+            *activity_counts.entry(r.activity().clone()).or_insert(0) += 1;
+        }
+        let lens: Vec<usize> = log.wids().map(|w| log.instance_len(w)).collect();
+        LogStats {
+            num_records: log.len(),
+            num_instances: log.num_instances(),
+            completed_instances: log.wids().filter(|&w| log.is_completed(w)).count(),
+            activity_counts,
+            min_instance_len: lens.iter().copied().min().unwrap_or(0),
+            max_instance_len: lens.iter().copied().max().unwrap_or(0),
+        }
+    }
+
     #[test]
     fn index_statistics_equal_a_log_pass() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
-        assert_eq!(LogStats::from_index(&index), LogStats::compute(&log));
+        assert_eq!(LogStats::compute(&log), record_walk(&log));
+        assert_eq!(LogStats::from_index(log.index()), record_walk(&log));
         let mut b = crate::LogBuilder::new();
         let w = b.start_instance();
         b.start_instance();
         b.end_instance(w).unwrap();
         let log = b.build().unwrap();
-        let stats = LogStats::from_index(&LogIndex::build(&log));
+        let stats = LogStats::compute(&log);
         assert_eq!(stats.completed_instances, 1);
-        assert_eq!(stats, LogStats::compute(&log));
+        assert_eq!(stats, record_walk(&log));
     }
 
     #[test]

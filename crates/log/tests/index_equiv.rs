@@ -1,10 +1,19 @@
-//! The dense [`LogIndex`] agrees with a reference read straight off
-//! [`Log::instance`], on logs with sparse workflow ids and for activity
-//! names the log never runs.
+//! The index a [`Log`] is loaded with agrees with a reference read
+//! straight off [`Log::instance`] and the records, on logs with sparse
+//! workflow ids, for activity names the log never runs, and however the
+//! log was made: records given in any order, logs derived by projection,
+//! prefix, filter and merge, logs decoded from every format, and records
+//! whose activity names are separate allocations.
 
-use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use wlq_log::{AttrMap, IsLsn, Log, LogIndex, LogRecord, LogStats, Wid};
+use proptest::prelude::{any, prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use proptest::TestCaseResult;
+
+use wlq_log::{
+    io, Activity, ActivityId, AttrMap, IsLsn, Log, LogIndex, LogRecord, LogStats, Lsn, Wid,
+};
 
 /// Sparse instance ids: `LogBuilder` only numbers instances `1..=n`.
 const WIDS: [u64; 4] = [3, 7, 1_000_000, u64::MAX - 1];
@@ -12,10 +21,11 @@ const NAMES: [&str; 4] = ["A", "B", "C", "D"];
 /// Every name a query may ask about, including one no log contains.
 const PROBES: [&str; 7] = ["A", "B", "C", "D", "START", "END", "Zed"];
 
-/// Builds a valid log through `Log::new`: instance `i` gets wid
-/// `WIDS[i]`, runs `START`, its tasks and, when `ended`, `END`; `picks`
-/// decides which pending instance writes the next record.
-fn sparse_log(instances: &[(Vec<usize>, bool)], picks: &[usize]) -> Log {
+/// The records of a valid log: instance `i` gets wid `WIDS[i]`, runs
+/// `START`, its tasks and, when `ended`, `END`; `picks` decides which
+/// pending instance writes the next record. Every record's activity is
+/// its own allocation.
+fn sparse_records(instances: &[(Vec<usize>, bool)], picks: &[usize]) -> Vec<LogRecord> {
     let mut queues: Vec<(Wid, Vec<&str>)> = instances
         .iter()
         .zip(WIDS)
@@ -54,7 +64,129 @@ fn sparse_log(instances: &[(Vec<usize>, bool)], picks: &[usize]) -> Log {
         ));
         next_is_lsn[i] += 1;
     }
-    Log::new(records).unwrap()
+    records
+}
+
+fn sparse_log(instances: &[(Vec<usize>, bool)], picks: &[usize]) -> Log {
+    Log::new(sparse_records(instances, picks)).unwrap()
+}
+
+/// The statistics by a walk over the records.
+fn walked_stats(log: &Log) -> LogStats {
+    let mut activity_counts: BTreeMap<Activity, usize> = BTreeMap::new();
+    for r in log.iter() {
+        *activity_counts.entry(r.activity().clone()).or_insert(0) += 1;
+    }
+    let lens: Vec<usize> = log.wids().map(|w| log.instance(w).count()).collect();
+    LogStats {
+        num_records: log.len(),
+        num_instances: log.num_instances(),
+        completed_instances: log
+            .wids()
+            .filter(|&w| log.instance(w).last().is_some_and(LogRecord::is_end))
+            .count(),
+        activity_counts,
+        min_instance_len: lens.iter().copied().min().unwrap_or(0),
+        max_instance_len: lens.iter().copied().max().unwrap_or(0),
+    }
+}
+
+/// Checks every read of `log.index()` against the records.
+fn matches_instance_scan(log: &Log) -> TestCaseResult {
+    let index = log.index();
+    prop_assert_eq!(&LogIndex::build(log), index);
+
+    let wids: Vec<Wid> = log.wids().collect();
+    prop_assert_eq!(index.wids().collect::<Vec<_>>(), wids.clone());
+    prop_assert_eq!(index.instance_wids(), wids.as_slice());
+    prop_assert_eq!(index.num_instances(), log.num_instances());
+    prop_assert_eq!(index.num_records(), log.len());
+    prop_assert_eq!(LogStats::from_index(index), walked_stats(log));
+
+    // The symbol table: the distinct names, sorted, ids by position.
+    let mut names: Vec<&str> = log.iter().map(|r| r.activity().as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let table: Vec<&str> = index.activities().iter().map(Activity::as_str).collect();
+    prop_assert_eq!(&table, &names);
+    prop_assert_eq!(log.activities(), index.activities());
+    for (id, name) in (0..).map(ActivityId).zip(&names) {
+        prop_assert_eq!(index.activity_id(name), Some(id));
+        let total = log.iter().filter(|r| r.activity() == name).count();
+        prop_assert_eq!(index.activity_count(id), total);
+        let most = wids
+            .iter()
+            .map(|&w| log.instance(w).filter(|r| r.activity() == name).count())
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(index.max_instance_postings(id), most);
+    }
+
+    for (ordinal, &wid) in wids.iter().enumerate() {
+        let records: Vec<&LogRecord> = log.instance(wid).collect();
+        let sequence: Vec<&str> = records.iter().map(|r| r.activity().as_str()).collect();
+        prop_assert_eq!(index.ordinal(wid), Some(ordinal));
+        prop_assert_eq!(index.instance_len(wid), sequence.len());
+        let column: Vec<&str> = index
+            .instance_activities(ordinal)
+            .iter()
+            .map(|&id| index.activity(id).unwrap().as_str())
+            .collect();
+        prop_assert_eq!(&column, &sequence);
+        for (record, is_lsn) in records.iter().zip(1..) {
+            let offset = index.record_offset(ordinal, IsLsn(is_lsn)).unwrap();
+            prop_assert!(std::ptr::eq(&log.records()[offset], *record));
+        }
+        for is_lsn in 0..=sequence.len() as u32 + 1 {
+            let expected = (is_lsn as usize)
+                .checked_sub(1)
+                .and_then(|i| sequence.get(i).copied());
+            prop_assert_eq!(
+                index.activity_at(wid, IsLsn(is_lsn)).map(|a| a.as_str()),
+                expected
+            );
+        }
+        for name in PROBES {
+            let positions = |keep: bool| -> Vec<IsLsn> {
+                (1..)
+                    .zip(&sequence)
+                    .filter(|&(_, &a)| (a == name) == keep)
+                    .map(|(p, _)| IsLsn(p))
+                    .collect()
+            };
+            let hits = positions(true);
+            prop_assert_eq!(index.postings(wid, name), hits.as_slice());
+            if let Some(id) = index.activity_id(name) {
+                prop_assert_eq!(index.instance_postings(ordinal, id), hits.as_slice());
+            }
+            prop_assert_eq!(index.complement_postings(wid, name), positions(false));
+        }
+    }
+
+    for name in PROBES {
+        let total = log.iter().filter(|r| r.activity().as_str() == name).count();
+        prop_assert_eq!(index.total_count(name), total);
+    }
+
+    // Instances the log does not hold read as empty.
+    let absent = (0..).map(Wid).find(|w| !wids.contains(w)).unwrap();
+    prop_assert_eq!(index.postings(absent, "START"), &[] as &[IsLsn]);
+    prop_assert_eq!(index.complement_postings(absent, "A"), Vec::<IsLsn>::new());
+    prop_assert_eq!(index.instance_len(absent), 0);
+    prop_assert_eq!(index.activity_at(absent, IsLsn(1)), None);
+    Ok(())
+}
+
+/// A deterministic permutation of `records` driven by `seed`.
+fn shuffled(mut records: Vec<LogRecord>, mut seed: u64) -> Vec<LogRecord> {
+    for i in (1..records.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let j = (seed >> 33) as usize % (i + 1);
+        records.swap(i, j);
+    }
+    records
 }
 
 proptest! {
@@ -68,51 +200,98 @@ proptest! {
         ),
         picks in prop::collection::vec(0..16usize, 1..12),
     ) {
-        let log = sparse_log(&instances, &picks);
-        let index = LogIndex::build(&log);
-
-        let wids: Vec<Wid> = log.wids().collect();
-        prop_assert_eq!(index.wids().collect::<Vec<_>>(), wids.clone());
-        prop_assert_eq!(index.instance_wids(), wids.as_slice());
-        prop_assert_eq!(index.num_instances(), log.num_instances());
-        prop_assert_eq!(LogStats::from_index(&index), LogStats::compute(&log));
-
-        for &wid in &wids {
-            let sequence: Vec<&str> = log.instance(wid).map(|r| r.activity().as_str()).collect();
-            prop_assert_eq!(index.instance_len(wid), sequence.len());
-            for is_lsn in 0..=sequence.len() as u32 + 1 {
-                let expected = (is_lsn as usize)
-                    .checked_sub(1)
-                    .and_then(|i| sequence.get(i).copied());
-                prop_assert_eq!(
-                    index.activity_at(wid, IsLsn(is_lsn)).map(|a| a.as_str()),
-                    expected
-                );
-            }
-            for name in PROBES {
-                let positions = |keep: bool| -> Vec<IsLsn> {
-                    (1..)
-                        .zip(&sequence)
-                        .filter(|&(_, &a)| (a == name) == keep)
-                        .map(|(p, _)| IsLsn(p))
-                        .collect()
-                };
-                let hits = positions(true);
-                prop_assert_eq!(index.postings(wid, name), hits.as_slice());
-                prop_assert_eq!(index.complement_postings(wid, name), positions(false));
-            }
-        }
-
-        for name in PROBES {
-            let total = log.iter().filter(|r| r.activity().as_str() == name).count();
-            prop_assert_eq!(index.total_count(name), total);
-        }
-
-        // Instances the log does not hold read as empty.
-        let absent = Wid(5);
-        prop_assert_eq!(index.postings(absent, "START"), &[] as &[IsLsn]);
-        prop_assert_eq!(index.complement_postings(absent, "A"), Vec::<IsLsn>::new());
-        prop_assert_eq!(index.instance_len(absent), 0);
-        prop_assert_eq!(index.activity_at(absent, IsLsn(1)), None);
+        matches_instance_scan(&sparse_log(&instances, &picks))?;
     }
+
+    /// `Log::new` sorts records given in any order and indexes them as if
+    /// they had arrived sorted.
+    #[test]
+    fn shuffled_records_index_like_sorted_ones(
+        instances in prop::collection::vec(
+            (prop::collection::vec(0..NAMES.len(), 0..8), prop::bool::ANY),
+            1..5,
+        ),
+        picks in prop::collection::vec(0..16usize, 1..12),
+        seed in any::<u64>(),
+    ) {
+        let records = sparse_records(&instances, &picks);
+        let sorted = Log::new(records.clone()).unwrap();
+        let log = Log::new(shuffled(records, seed)).unwrap();
+        matches_instance_scan(&log)?;
+        prop_assert_eq!(log.index(), sorted.index());
+        prop_assert_eq!(log, sorted);
+    }
+
+    /// Logs derived by projection and by the whole-log operations are
+    /// indexed like any other.
+    #[test]
+    fn derived_logs_index_like_their_records(
+        instances in prop::collection::vec(
+            (prop::collection::vec(0..NAMES.len(), 0..8), prop::bool::ANY),
+            1..5,
+        ),
+        picks in prop::collection::vec(0..16usize, 1..12),
+        cut in 1..40u64,
+    ) {
+        let log = sparse_log(&instances, &picks);
+        for wid in log.wids() {
+            matches_instance_scan(&log.project_instance(wid).unwrap())?;
+        }
+        matches_instance_scan(&log.prefix(Lsn(cut.min(log.len() as u64))).unwrap())?;
+        if let Ok(kept) = log.filter_instances(|w| w.get() % 2 == 1) {
+            matches_instance_scan(&kept)?;
+        }
+        matches_instance_scan(&Log::merge([log.clone(), log]).unwrap())?;
+    }
+
+    /// Every decoder's load pass builds the index of the source log.
+    #[test]
+    fn decoded_logs_index_like_their_source(
+        instances in prop::collection::vec(
+            (prop::collection::vec(0..NAMES.len(), 0..8), prop::bool::ANY),
+            1..5,
+        ),
+        picks in prop::collection::vec(0..16usize, 1..12),
+    ) {
+        let log = sparse_log(&instances, &picks);
+        let decoded = [
+            io::text::read_text(&io::text::write_text(&log)).unwrap(),
+            io::binary::read_binary(io::binary::write_binary(&log)).unwrap(),
+            io::csv::read_csv(&io::csv::write_csv(&log)).unwrap(),
+            io::xes::read_xes(&io::xes::write_xes(&log)).unwrap(),
+        ];
+        for back in &decoded {
+            matches_instance_scan(back)?;
+            prop_assert_eq!(back.index(), log.index());
+        }
+    }
+}
+
+/// Records whose names are separate allocations, clones of one shared
+/// string, or a mix of both get one id per distinct name.
+#[test]
+fn separate_allocations_get_one_id_per_name() {
+    let shared: Arc<str> = Arc::from("A");
+    let record = |lsn: u64, wid: u64, is_lsn: u32, activity: Activity| {
+        LogRecord::new(lsn, wid, is_lsn, activity, AttrMap::new(), AttrMap::new())
+    };
+    let log = Log::new(vec![
+        LogRecord::start(1u64, 1u64),
+        record(2, 1, 2, Activity::from(Arc::clone(&shared))),
+        record(3, 1, 3, Activity::new("A")),
+        LogRecord::start(4u64, 2u64),
+        record(5, 2, 2, Activity::new(String::from("B"))),
+        record(6, 2, 3, Activity::from(Arc::clone(&shared))),
+        record(7, 1, 4, Activity::new("B")),
+        record(8, 2, 4, Activity::new("A")),
+    ])
+    .unwrap();
+    matches_instance_scan(&log).unwrap();
+    let index = log.index();
+    let names: Vec<&str> = index.activities().iter().map(Activity::as_str).collect();
+    assert_eq!(names, ["A", "B", "START"]);
+    assert_eq!(index.activity_count(ActivityId(0)), 4);
+    assert_eq!(index.postings(Wid(1), "A"), &[IsLsn(2), IsLsn(3)]);
+    assert_eq!(index.postings(Wid(2), "A"), &[IsLsn(3), IsLsn(4)]);
+    assert_eq!(index.postings(Wid(2), "B"), &[IsLsn(2)]);
 }

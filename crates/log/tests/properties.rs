@@ -7,7 +7,7 @@ use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
 };
 
-use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogIndex, LogStats, Value};
+use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -160,8 +160,9 @@ fn binary_maps_with_repeated_or_unsorted_names_decode_last_wins() {
 }
 
 proptest! {
-    /// Byte mutations of every encoding decode to a log or a typed error,
-    /// never a panic; whatever decodes is a valid log that re-encodes.
+    /// Byte mutations of every encoding (binary, text, CSV, XES) decode
+    /// to a log or a typed error, never a panic; whatever decodes is a
+    /// valid log whose records, rebuilt, give the same log and index.
     #[test]
     fn mutated_encodings_decode_or_fail_typed(log in arb_log(), seed in any::<u64>()) {
         let mut mix = Mix(seed);
@@ -169,6 +170,7 @@ proptest! {
             io::binary::write_binary(&log).to_vec(),
             io::text::write_text(&log).into_bytes(),
             io::csv::write_csv(&log).into_bytes(),
+            io::xes::write_xes(&log).into_bytes(),
         ];
         for (format, clean) in encodings.iter().enumerate() {
             for _ in 0..8 {
@@ -179,13 +181,13 @@ proptest! {
                 let decoded = match format {
                     0 => io::binary::read_binary(data.into()),
                     1 => io::text::read_text(&String::from_utf8_lossy(&data)),
-                    _ => io::csv::read_csv(&String::from_utf8_lossy(&data)),
+                    2 => io::csv::read_csv(&String::from_utf8_lossy(&data)),
+                    _ => io::xes::read_xes(&String::from_utf8_lossy(&data)),
                 };
                 if let Ok(decoded) = decoded {
-                    prop_assert_eq!(
-                        Log::new(decoded.clone().into_records()).unwrap(),
-                        decoded
-                    );
+                    let rebuilt = Log::new(decoded.clone().into_records()).unwrap();
+                    prop_assert_eq!(rebuilt.index(), decoded.index());
+                    prop_assert_eq!(rebuilt, decoded);
                 }
             }
         }
@@ -231,7 +233,7 @@ proptest! {
     /// The index agrees with a direct scan for every (wid, activity).
     #[test]
     fn index_matches_direct_scan(log in arb_log()) {
-        let index = LogIndex::build(&log);
+        let index = log.index();
         for wid in log.wids() {
             for activity in log.activities() {
                 let scanned: Vec<_> = log

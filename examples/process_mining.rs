@@ -11,7 +11,7 @@
 //! ```
 
 use wlq::prelude::*;
-use wlq::{IncidentTree, LogIndex, Optimizer};
+use wlq::{IncidentTree, Optimizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Orders: the parallel block. ────────────────────────────────────
@@ -72,8 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Incident-tree trace (the paper's Example 5 walkthrough). ──────
     let tree = IncidentTree::from_pattern(&"Submit -> (Reject -> Appeal)".parse()?);
-    let index = LogIndex::build(&loans);
-    let (_, trace) = tree.evaluate_traced(&loans, &index, Strategy::Planned);
+    let (_, trace) = tree.evaluate_traced(&loans, Strategy::Planned);
     println!("\nincident-tree evaluation trace:\n{trace}");
     Ok(())
 }

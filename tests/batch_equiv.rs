@@ -163,11 +163,11 @@ proptest! {
     /// already sorted and deduplicated.
     #[test]
     fn instance_batches_are_finished(log in arb_log(), p in arb_pattern()) {
-        let index = LogIndex::build(&log);
+        let index = log.index();
         let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
         let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
         for wid in log.wids() {
-            let flat = instance_batch(&log, &index, &p, wid);
+            let flat = instance_batch(&log, index, &p, wid);
             flat.debug_check_invariants();
             let incidents = flat.into_incidents();
             prop_assert!(incidents.windows(2).all(|w| w[0] < w[1]), "unfinished batch for {}", &p);

@@ -1,8 +1,6 @@
 //! Cross-crate integration: the paper's worked examples end to end.
 
-use wlq::{
-    io, paper, Evaluator, IncidentTree, IsLsn, LogIndex, LogStats, Pattern, Query, Strategy, Wid,
-};
+use wlq::{io, paper, Evaluator, IncidentTree, IsLsn, LogStats, Pattern, Query, Strategy, Wid};
 
 fn lsns_of(log: &wlq::Log, incident: wlq::IncidentView<'_>) -> Vec<u64> {
     incident
@@ -41,7 +39,6 @@ fn e1_figure3_structure_and_example1() {
 #[test]
 fn e2_incident_tree_and_examples_3_5() {
     let log = paper::figure3_log();
-    let index = LogIndex::build(&log);
 
     // Example 3a: incL(UpdateRefer → GetReimburse) = {{l14, l20}}.
     let p: Pattern = "UpdateRefer -> GetReimburse".parse().unwrap();
@@ -54,7 +51,7 @@ fn e2_incident_tree_and_examples_3_5() {
         .parse()
         .unwrap();
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Planned);
+    let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
 
     // Leaf: incL(SeeDoctor) = {l9, l11, l13, l17}.
     let see_doctor = &trace.nodes[0];
@@ -79,7 +76,6 @@ fn e2_incident_tree_and_examples_3_5() {
 #[test]
 fn all_evaluation_paths_agree() {
     let log = paper::figure3_log();
-    let index = LogIndex::build(&log);
     let battery = [
         "GetRefer ~> CheckIn",
         "SeeDoctor -> (UpdateRefer -> GetReimburse)",
@@ -91,12 +87,12 @@ fn all_evaluation_paths_agree() {
         let p: Pattern = src.parse().unwrap();
         let a = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
         let b = Evaluator::with_strategy(&log, Strategy::Planned).evaluate(&p);
-        let c = IncidentTree::from_pattern(&p).evaluate(&log, &index, Strategy::Planned);
+        let c = IncidentTree::from_pattern(&p).evaluate(&log, Strategy::Planned);
         let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Planned).unwrap();
         let e = Query::new(p.clone()).find(&log).unwrap();
         let f = IncidentTree::from_postfix(wlq::to_postfix(&p))
             .unwrap()
-            .evaluate(&log, &index, Strategy::NaivePaper);
+            .evaluate(&log, Strategy::NaivePaper);
         assert_eq!(a, b, "{src}");
         assert_eq!(b, c, "{src}");
         assert_eq!(c, d, "{src}");
