@@ -347,6 +347,48 @@ impl IncidentBatch {
         true
     }
 
+    /// Adds every incident of the finished batch `new`, none of which may
+    /// already be present, keeping this batch finished. The positions go to
+    /// the end of the pool (only those `new`'s refs point at) and the refs
+    /// are merged from the back, so the cost is `new.len()` plus the number
+    /// of refs sorting after `new`'s first incident, with no allocation
+    /// beyond the two vectors' growth.
+    pub(crate) fn absorb(&mut self, new: &IncidentBatch) {
+        debug_assert_eq!(self.wid, new.wid, "absorbing another instance");
+        let positions: usize = new.refs.iter().map(IncidentRef::len).sum();
+        self.pool.reserve(positions);
+        for r in &new.refs {
+            self.pool.extend_from_slice(new.positions(r));
+        }
+        let mut end = self.pool.len();
+        // The guard of `push_ref`: every offset below is at most `end`.
+        assert!(
+            end <= u32::MAX as usize,
+            "position pool exceeds u32::MAX entries"
+        );
+        let (mut i, mut j) = (self.refs.len(), new.refs.len());
+        // Placeholders, all overwritten by the merge.
+        self.refs.extend_from_slice(&new.refs);
+        while j > 0 {
+            let r = new.refs[j - 1];
+            let offset = end - r.len();
+            #[allow(clippy::cast_possible_truncation)]
+            let moved = IncidentRef {
+                offset: offset as u32,
+                ..r
+            };
+            if i > 0 && self.cmp_within(&self.refs[i - 1], &moved) == Ordering::Greater {
+                self.refs[i + j - 1] = self.refs[i - 1];
+                i -= 1;
+            } else {
+                self.refs[i + j - 1] = moved;
+                j -= 1;
+                end = offset;
+            }
+        }
+        self.debug_check_invariants();
+    }
+
     /// Compares two refs of *this* batch in incident order: by the cached
     /// `first` (no pool access), then by position-slice lexicographic
     /// order. Since `slice[0] == first`, this equals the derived
@@ -589,6 +631,19 @@ mod tests {
         batch.finish_full();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.iter().nth(1).unwrap().positions(), lsns(&[5]));
+    }
+
+    #[test]
+    fn absorb_merges_new_incidents_in_order() {
+        let mut held = IncidentBatch::from_sorted_positions(Wid(1), lsns(&[1, 3, 5]));
+        let mut delta = IncidentBatch::new(Wid(1));
+        delta.push_sorted_positions(&lsns(&[1, 6]));
+        delta.push_sorted_positions(&lsns(&[4, 6]));
+        delta.push_sorted_positions(&lsns(&[6]));
+        held.absorb(&delta);
+        let out: Vec<&[IsLsn]> = held.iter().map(|o| o.positions()).collect();
+        let expected = [&[1][..], &[1, 6], &[3], &[4, 6], &[5], &[6]].map(lsns);
+        assert_eq!(out, expected.iter().map(Vec::as_slice).collect::<Vec<_>>());
     }
 
     #[test]

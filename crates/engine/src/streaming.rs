@@ -2,20 +2,56 @@
 //!
 //! Workflow logs only ever grow, and the paper motivates log querying for
 //! *runtime* monitoring as well as post-hoc analysis. The
-//! [`StreamingEvaluator`] maintains, for every node of the incident tree,
-//! the incidents seen so far, and updates them per appended record using
-//! the delta rule
+//! [`StreamingEvaluator`] keeps the pattern's incident tree and, per
+//! appended record, computes every node's *delta*: the incidents the
+//! record adds at that node. The root's delta is what `append` returns, so
+//! a monitoring callback can alert the moment an anomalous pattern
+//! completes.
 //!
-//! ```text
-//! Δ(p1 θ p2) = (Δ1 θ old2) ∪ ((old1 ∪ Δ1) θ Δ2)
-//! ```
+//! # The delta rule
 //!
-//! which enumerates exactly the new pairs. Appends are `O(delta work)`
-//! instead of re-evaluating the whole log, and the evaluator reports the
-//! *new root incidents* per append — a monitoring callback can alert the
-//! moment an anomalous pattern completes.
+//! Let the appended record have is-lsn `k` in its instance. `k` is the
+//! largest position of the instance so far (Definition 2 makes is-lsns
+//! consecutive), so:
+//!
+//! > **Lemma.** Every incident an append adds at any node contains `k`,
+//! > and no incident present before the append contains it.
+//!
+//! The second half holds because `k` did not exist before. The first is by
+//! induction over the tree: a leaf's delta is `{k}` or nothing; an
+//! operator's new incidents are unions with a new operand (or, for `⊗`, a
+//! new operand itself), which contains `k` by induction. Write `Δ1`/`Δ2`
+//! for the children's deltas and `L`/`R` for their full lists of the
+//! instance *after* the append. Then, with no snapshot of old lists:
+//!
+//! - `⊗`: `Δ = Δ1 ∪ Δ2`.
+//! - `⊙` and `→`: `Δ = L θ Δ2`. A pair with a new left operand would need
+//!   a right operand starting after `last(o1) = k`, and none exists; so
+//!   every new pair takes its right operand from `Δ2` and its left one
+//!   from anywhere in `L`.
+//! - `⊕`: `Δ = (Δ1 ⊕ R) ∪ (L ⊕ Δ2)`. `Δ1 ⊕ Δ2` is empty, since both
+//!   operands contain `k`, so `R` may include `Δ2`.
+//! - When both child deltas are empty, the node does nothing.
+//!
+//! Each delta is new at its node by the lemma, so merging it in needs no
+//! duplicate check, and the deltas of successive appends are disjoint.
+//!
+//! # Storage
+//!
+//! One instance table, looked up once per append, holds each instance's
+//! next is-lsn, its closed flag and its *row*: the full list of every node
+//! the rule reads (the left child of `⊙`/`→`, both children of `⊕`) and
+//! of the root. A row is allocated when the instance first holds an
+//! incident. An operator's or the root's list is a finished
+//! [`IncidentBatch`]; a leaf's list is just its ascending positions, the
+//! first few kept inside the row, and is laid out as a batch only when a
+//! join reads it. Deltas live in per-node scratch batches reused across
+//! appends, and the operators run the batch kernels on them directly.
+//! When an instance's `END` arrives, no later record can reach it, so its
+//! row is freed and only the root's batch is kept, for
+//! [`StreamingEvaluator::incidents`].
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use parking_lot::Mutex;
 use wlq_log::{IsLsn, LogError, LogRecord, Wid};
@@ -23,127 +59,102 @@ use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::IncidentBatch;
 use crate::error::EngineError;
-use crate::eval::{combine, Strategy};
+use crate::eval::Strategy;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
+use crate::{kernels, naive};
 
-/// A node of the streaming incident tree, holding accumulated incidents.
+/// What a node of the streaming tree computes.
 #[derive(Debug, Clone)]
-enum SNode {
-    Leaf {
-        atom: Atom,
-        incidents: BTreeMap<Wid, Vec<Incident>>,
-    },
+enum Kind {
+    Leaf(Atom),
+    /// Children are indices of earlier nodes (the tree is in post-order).
     Op {
         op: Op,
-        left: Box<SNode>,
-        right: Box<SNode>,
-        incidents: BTreeMap<Wid, Vec<Incident>>,
+        left: usize,
+        right: usize,
     },
 }
 
-impl SNode {
-    fn from_pattern(p: &Pattern) -> SNode {
-        match p {
-            Pattern::Atom(a) => SNode::Leaf {
-                atom: a.clone(),
-                incidents: BTreeMap::new(),
-            },
-            Pattern::Binary { op, left, right } => SNode::Op {
-                op: *op,
-                left: Box::new(SNode::from_pattern(left)),
-                right: Box::new(SNode::from_pattern(right)),
-                incidents: BTreeMap::new(),
-            },
+#[derive(Debug, Clone)]
+struct Node {
+    kind: Kind,
+    /// Index into an instance's row, when the node's full list is read by
+    /// its parent's rule or the node is the root.
+    row: Option<usize>,
+    /// The incidents the current append adds here.
+    delta: IncidentBatch,
+}
+
+/// Leaf positions a row holds before the list moves to the heap. A clinic
+/// instance matches any one activity at most a few times.
+const INLINE: usize = 8;
+
+/// A node's full list in one instance.
+#[derive(Debug, Clone)]
+enum Held {
+    /// A non-root leaf's first positions, ascending.
+    Inline { len: u8, positions: [IsLsn; INLINE] },
+    /// A non-root leaf's positions, ascending, once past `INLINE`.
+    Spilled(Vec<IsLsn>),
+    /// An operator's or the root's finished batch.
+    Batch(IncidentBatch),
+}
+
+impl Held {
+    const LEAF: Held = Held::Inline {
+        len: 0,
+        positions: [IsLsn(0); INLINE],
+    };
+
+    /// Merges this append's delta, which by the lemma holds only new
+    /// incidents, all ending after the list's.
+    fn absorb(&mut self, delta: &IncidentBatch) {
+        if let Held::Batch(batch) = self {
+            return batch.absorb(delta);
         }
-    }
-
-    fn incidents(&self, wid: Wid) -> &[Incident] {
-        let map = match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        };
-        map.get(&wid).map_or(&[], Vec::as_slice)
-    }
-
-    fn incidents_map(&self) -> &BTreeMap<Wid, Vec<Incident>> {
-        match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        }
-    }
-
-    /// Absorbs `delta` into this node's incident list for `wid`, returning
-    /// only the incidents that were actually new.
-    fn absorb(&mut self, wid: Wid, delta: Vec<Incident>) -> Vec<Incident> {
-        let map = match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        };
-        let list = map.entry(wid).or_default();
-        let mut fresh = Vec::with_capacity(delta.len());
-        for incident in delta {
-            if let Err(pos) = list.binary_search(&incident) {
-                list.insert(pos, incident.clone());
-                fresh.push(incident);
-            }
-        }
-        fresh
-    }
-
-    /// Processes one appended record, returning this node's new incidents.
-    fn push(&mut self, record: &LogRecord, strategy: Strategy) -> Vec<Incident> {
-        let wid = record.wid();
-        match self {
-            SNode::Leaf { atom, .. } => {
-                let matches_activity = if atom.negated {
-                    record.activity() != &atom.activity
-                } else {
-                    record.activity() == &atom.activity
-                };
-                let matches = matches_activity
-                    && atom
-                        .predicates
-                        .iter()
-                        .all(|p| p.matches(record.input(), record.output()));
-                if matches {
-                    let delta = vec![Incident::singleton(wid, record.is_lsn())];
-                    self.absorb(wid, delta)
-                } else {
-                    Vec::new()
-                }
-            }
-            SNode::Op {
-                op, left, right, ..
-            } => {
-                let op = *op;
-                // Snapshot the left side *before* the record is applied.
-                let old_left: Vec<Incident> = left.incidents(wid).to_vec();
-                let delta_left = left.push(record, strategy);
-                let delta_right = right.push(record, strategy);
-                // Every term below is sorted and deduplicated (leaf
-                // emission appends in is-lsn order, operators finish
-                // sorted), so deltas union by linear merge.
-                let delta = match op {
-                    Op::Choice => merge_sorted(delta_left, delta_right),
-                    _ => {
-                        // New pairs: (Δ1 × old2) ∪ ((old1 ∪ Δ1) × Δ2).
-                        let old_right: Vec<Incident> = {
-                            // right already absorbed its delta; exclude it
-                            // for the first term to avoid double counting.
-                            let full = right.incidents(wid);
-                            full.iter()
-                                .filter(|o| delta_right.binary_search(o).is_err())
-                                .cloned()
-                                .collect()
-                        };
-                        let first = combine(strategy, op, &delta_left, &old_right);
-                        let new_left = merge_sorted(old_left, delta_left);
-                        let second = combine(strategy, op, &new_left, &delta_right);
-                        merge_sorted(first, second)
+        // A leaf's delta is the singleton of the appended record.
+        for o in delta.iter() {
+            match self {
+                Held::Inline { len, positions } => {
+                    if let Some(slot) = positions.get_mut(usize::from(*len)) {
+                        *slot = o.first();
+                        *len += 1;
+                    } else {
+                        let mut list = positions.to_vec();
+                        list.push(o.first());
+                        *self = Held::Spilled(list);
                     }
-                };
-                self.absorb(wid, delta)
+                }
+                Held::Spilled(list) => list.push(o.first()),
+                Held::Batch(_) => {}
             }
         }
     }
+
+    /// The list as a batch: a batch as it is, a leaf's positions laid out
+    /// as singletons in `buf`.
+    fn batch<'a>(&'a self, buf: &'a mut IncidentBatch) -> &'a IncidentBatch {
+        let positions = match self {
+            Held::Batch(batch) => return batch,
+            Held::Inline { len, positions } => &positions[..usize::from(*len)],
+            Held::Spilled(list) => list,
+        };
+        for &p in positions {
+            buf.push_singleton(p);
+        }
+        buf
+    }
+}
+
+/// One workflow instance seen by the evaluator.
+#[derive(Debug, Clone)]
+struct Instance {
+    next: IsLsn,
+    closed: bool,
+    /// The full lists of the nodes with a `row`; empty until the instance
+    /// first holds an incident, and again once it has ended.
+    row: Box<[Held]>,
 }
 
 /// Evaluates a pattern incrementally over an append-only record stream.
@@ -167,9 +178,16 @@ impl SNode {
 pub struct StreamingEvaluator {
     pattern: Pattern,
     strategy: Strategy,
-    root: SNode,
-    next_is_lsn: BTreeMap<Wid, IsLsn>,
-    closed: BTreeMap<Wid, bool>,
+    /// The incident tree in post-order: children first, the root last.
+    nodes: Vec<Node>,
+    /// An empty row; the root's list is its last entry.
+    empty_row: Box<[Held]>,
+    instances: HashMap<Wid, Instance>,
+    /// The root's nonempty batches of ended instances.
+    ended: Vec<IncidentBatch>,
+    /// Scratch: the two operands a join reads, laid out as batches, and
+    /// the two joins whose union is a `⊕` delta.
+    scratch: [IncidentBatch; 4],
     records_seen: usize,
 }
 
@@ -184,13 +202,37 @@ impl StreamingEvaluator {
     /// Creates a streaming evaluator with an explicit strategy.
     #[must_use]
     pub fn with_strategy(pattern: Pattern, strategy: Strategy) -> Self {
-        let root = SNode::from_pattern(&pattern);
+        let mut nodes = Vec::new();
+        flatten(&pattern, &mut nodes);
+        let mut read = vec![false; nodes.len()];
+        if let Some(root) = read.last_mut() {
+            *root = true;
+        }
+        for node in &nodes {
+            if let Kind::Op { op, left, right } = node.kind {
+                read[left] = true;
+                read[right] |= op == Op::Parallel;
+            }
+        }
+        let mut row = Vec::new();
+        let last = nodes.len().saturating_sub(1);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if read[i] {
+                node.row = Some(row.len());
+                row.push(match node.kind {
+                    Kind::Leaf(_) if i != last => Held::LEAF,
+                    _ => Held::Batch(IncidentBatch::new(Wid(0))),
+                });
+            }
+        }
         StreamingEvaluator {
             pattern,
             strategy,
-            root,
-            next_is_lsn: BTreeMap::new(),
-            closed: BTreeMap::new(),
+            nodes,
+            empty_row: row.into_boxed_slice(),
+            instances: HashMap::new(),
+            ended: Vec::new(),
+            scratch: std::array::from_fn(|_| IncidentBatch::new(Wid(0))),
             records_seen: 0,
         }
     }
@@ -209,6 +251,10 @@ impl StreamingEvaluator {
 
     /// Appends one record, returning the *new* root incidents it completes.
     ///
+    /// A record that extends no incident costs one instance lookup and a
+    /// test per leaf; the returned vector allocates only when the root
+    /// fires.
+    ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidLog`] if the record violates the
@@ -216,14 +262,18 @@ impl StreamingEvaluator {
     /// `is-lsn`, record after `END`, or a non-`START` first record).
     pub fn append(&mut self, record: &LogRecord) -> Result<Vec<Incident>, EngineError> {
         let wid = record.wid();
-        if self.closed.get(&wid).copied().unwrap_or(false) {
+        let entry = self.instances.entry(wid);
+        let (expected, closed) = match &entry {
+            Entry::Occupied(seen) => (seen.get().next, seen.get().closed),
+            Entry::Vacant(_) => (IsLsn::FIRST, false),
+        };
+        if closed {
             return Err(LogError::RecordAfterEnd {
                 wid,
                 lsn: record.lsn(),
             }
             .into());
         }
-        let expected = self.next_is_lsn.get(&wid).copied().unwrap_or(IsLsn::FIRST);
         if record.is_lsn() != expected {
             return Err(LogError::NonConsecutiveIsLsn {
                 wid,
@@ -239,24 +289,207 @@ impl StreamingEvaluator {
             }
             .into());
         }
-        self.next_is_lsn.insert(wid, expected.next());
-        if record.is_end() {
-            self.closed.insert(wid, true);
-        }
+        let instance = entry.or_insert_with(|| Instance {
+            next: IsLsn::FIRST,
+            closed: false,
+            row: Box::default(),
+        });
+        instance.next = expected.next();
         self.records_seen += 1;
-        Ok(self.root.push(record, self.strategy))
+
+        let rows = Rows {
+            row: &mut instance.row,
+            empty: &self.empty_row,
+        };
+        push(
+            &mut self.nodes,
+            rows,
+            &mut self.scratch,
+            self.strategy,
+            record,
+        );
+        let fired = (self.nodes.last()).map_or_else(Vec::new, |root| {
+            root.delta.iter().map(|o| o.to_incident()).collect()
+        });
+        if record.is_end() {
+            // `append` rejects any later record of the instance, so only
+            // the root's list is read again.
+            instance.closed = true;
+            let mut row = std::mem::take(&mut instance.row).into_vec();
+            if let Some(Held::Batch(root)) = row.pop() {
+                if !root.is_empty() {
+                    self.ended.push(root);
+                }
+            }
+        }
+        Ok(fired)
     }
 
     /// The full incident set accumulated so far (equals a batch evaluation
     /// of the records seen).
     #[must_use]
     pub fn incidents(&self) -> IncidentSet {
-        // Each node list is sorted and duplicate-free already.
-        IncidentSet::from_batches(
-            (self.root.incidents_map().iter())
-                .map(|(&wid, incidents)| IncidentBatch::from_incidents(wid, incidents))
-                .collect(),
-        )
+        let open = (self.instances.values()).filter_map(|instance| match instance.row.last() {
+            Some(Held::Batch(root)) => Some(root),
+            _ => None,
+        });
+        IncidentSet::from_batches(self.ended.iter().chain(open).cloned().collect())
+    }
+}
+
+/// Appends the nodes of `p` to `nodes` in post-order.
+fn flatten(p: &Pattern, nodes: &mut Vec<Node>) {
+    let kind = match p {
+        Pattern::Atom(atom) => Kind::Leaf(atom.clone()),
+        Pattern::Binary { op, left, right } => {
+            flatten(left, nodes);
+            let left = nodes.len() - 1;
+            flatten(right, nodes);
+            Kind::Op {
+                op: *op,
+                left,
+                right: nodes.len() - 1,
+            }
+        }
+    };
+    nodes.push(Node {
+        kind,
+        row: None,
+        delta: IncidentBatch::new(Wid(0)),
+    });
+}
+
+/// The row of the instance an append reaches, and the empty row it is
+/// created from.
+struct Rows<'a> {
+    row: &'a mut Box<[Held]>,
+    empty: &'a [Held],
+}
+
+impl Rows<'_> {
+    /// Node `n`'s full list, as a batch borrowed from the row or laid out
+    /// in `buf`.
+    fn full<'b>(&'b self, n: &Node, buf: &'b mut IncidentBatch, wid: Wid) -> &'b IncidentBatch {
+        buf.reset(wid);
+        match n.row.and_then(|at| self.row.get(at)) {
+            Some(held) => held.batch(buf),
+            None => buf,
+        }
+    }
+
+    /// Merges node `n`'s nonempty delta into its list, creating the
+    /// instance's row on its first incident.
+    fn absorb(&mut self, n: &Node, wid: Wid) {
+        let Some(at) = n.row else {
+            return;
+        };
+        if self.row.is_empty() {
+            let mut row = Box::<[Held]>::from(self.empty);
+            for held in &mut row {
+                if let Held::Batch(batch) = held {
+                    batch.reset(wid);
+                }
+            }
+            *self.row = row;
+        }
+        if let Some(held) = self.row.get_mut(at) {
+            held.absorb(&n.delta);
+        }
+    }
+}
+
+/// Runs the delta rule for one record over the whole tree, leaving each
+/// node's delta in its scratch and merging it into the instance's row.
+fn push(
+    nodes: &mut [Node],
+    mut rows: Rows<'_>,
+    scratch: &mut [IncidentBatch; 4],
+    strategy: Strategy,
+    record: &LogRecord,
+) {
+    let wid = record.wid();
+    let [lbuf, rbuf, a, b] = scratch;
+    for i in 0..nodes.len() {
+        let (below, rest) = nodes.split_at_mut(i);
+        let Some(node) = rest.first_mut() else {
+            break;
+        };
+        node.delta.reset(wid);
+        match &node.kind {
+            Kind::Leaf(atom) => {
+                if matches(atom, record) {
+                    node.delta.push_singleton(record.is_lsn());
+                }
+            }
+            Kind::Op { op, left, right } => {
+                let (l, r) = (&below[*left], &below[*right]);
+                let (d1, d2) = (&l.delta, &r.delta);
+                let out = &mut node.delta;
+                match op {
+                    _ if d1.is_empty() && d2.is_empty() => {}
+                    Op::Choice => join(strategy, Op::Choice, d1, d2, out),
+                    Op::Consecutive | Op::Sequential => {
+                        if !d2.is_empty() {
+                            join(strategy, *op, rows.full(l, lbuf, wid), d2, out);
+                        }
+                    }
+                    Op::Parallel if d2.is_empty() => {
+                        join(strategy, Op::Parallel, d1, rows.full(r, rbuf, wid), out);
+                    }
+                    Op::Parallel if d1.is_empty() => {
+                        join(strategy, Op::Parallel, rows.full(l, lbuf, wid), d2, out);
+                    }
+                    Op::Parallel => {
+                        join(strategy, Op::Parallel, d1, rows.full(r, rbuf, wid), a);
+                        join(strategy, Op::Parallel, rows.full(l, lbuf, wid), d2, b);
+                        join(strategy, Op::Choice, a, b, out);
+                    }
+                }
+            }
+        }
+        if !node.delta.is_empty() {
+            rows.absorb(node, wid);
+        }
+    }
+}
+
+/// Whether `record` is an incident of the atomic pattern `atom`.
+fn matches(atom: &Atom, record: &LogRecord) -> bool {
+    (record.activity() == &atom.activity) != atom.negated
+        && (atom.predicates.iter()).all(|p| p.matches(record.input(), record.output()))
+}
+
+/// Evaluates `left op right` into `out` with `strategy`'s operators. The
+/// planned side runs the batch kernels in place; `→` takes the sort-merge
+/// kernel, which needs no scratch when the left lasts ascend (a leaf, say)
+/// and falls back to the general kernel otherwise. The paper's Algorithm 1
+/// operators take incident lists, so their operands are converted here.
+fn join(
+    strategy: Strategy,
+    op: Op,
+    left: &IncidentBatch,
+    right: &IncidentBatch,
+    out: &mut IncidentBatch,
+) {
+    match strategy {
+        Strategy::Planned if op == Op::Sequential => {
+            out.reset(left.wid());
+            kernels::sequential_sort_merge_kernel(left, right, out);
+        }
+        Strategy::Planned => kernels::combine_batch_into(op, left, right, out),
+        Strategy::NaivePaper => {
+            let (l, r) = (
+                left.clone().into_incidents(),
+                right.clone().into_incidents(),
+            );
+            let incidents = match op {
+                Op::Consecutive => naive::consecutive_eval(&l, &r),
+                Op::Sequential => naive::sequential_eval(&l, &r),
+                Op::Choice => naive::choice_eval(&l, &r),
+                Op::Parallel => naive::parallel_eval(&l, &r),
+            };
+            *out = IncidentBatch::from_incidents(left.wid(), &incidents);
+        }
     }
 }
 
@@ -297,35 +530,6 @@ impl SharedStreamingEvaluator {
     pub fn records_seen(&self) -> usize {
         self.inner.lock().records_seen()
     }
-}
-
-/// Unions two sorted, deduplicated incident lists in `O(n1 + n2)`.
-fn merge_sorted(a: Vec<Incident>, b: Vec<Incident>) -> Vec<Incident> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut xs, mut ys) = (a.into_iter().peekable(), b.into_iter().peekable());
-    while let (Some(x), Some(y)) = (xs.peek(), ys.peek()) {
-        match x.cmp(y) {
-            std::cmp::Ordering::Less => {
-                if let Some(x) = xs.next() {
-                    out.push(x);
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                if let Some(y) = ys.next() {
-                    out.push(y);
-                }
-            }
-            std::cmp::Ordering::Equal => {
-                if let Some(x) = xs.next() {
-                    out.push(x);
-                }
-                ys.next();
-            }
-        }
-    }
-    out.extend(xs);
-    out.extend(ys);
-    out
 }
 
 #[cfg(test)]

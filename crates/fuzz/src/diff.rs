@@ -53,7 +53,9 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// `exists`; `Query::count` and
 /// `Query::exists` with default options (they decide countability on the
 /// query as written, then plan the optimized pattern); parallel planned
-/// evaluation with 1 and 4 workers; a full streaming replay; profiled
+/// evaluation with 1 and 4 workers; a full streaming replay, checking each
+/// append's delta (in the appended record's instance, ending at it,
+/// disjoint from every earlier delta) and the deltas' union; profiled
 /// evaluation under both strategies with 1 and 4 workers (the profile
 /// probe must be strictly read-only); and — when the pattern is in the
 /// countable fragment — the `fast_count` DP.
@@ -135,15 +137,42 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         }
     }
 
+    // Streaming: every append's delta lies in the appended record's
+    // instance and ends at it, deltas are pairwise disjoint, and both
+    // their union and the accumulated set equal the reference.
     let mut stream = StreamingEvaluator::new(pattern.clone());
+    let mut deltas = IncidentSet::new();
     for record in log.iter() {
-        if let Err(e) = stream.append(record) {
-            return Some(Divergence {
-                strategy: "streaming-replay".to_string(),
-                expected: reference.len(),
-                got: format!("rejected valid record at lsn {}: {e}", record.lsn()),
-            });
+        let delta = match stream.append(record) {
+            Ok(delta) => delta,
+            Err(e) => {
+                return Some(Divergence {
+                    strategy: "streaming-replay".to_string(),
+                    expected: reference.len(),
+                    got: format!("rejected valid record at lsn {}: {e}", record.lsn()),
+                });
+            }
+        };
+        for incident in delta {
+            let fault = if incident.wid() != record.wid() || incident.last() != record.is_lsn() {
+                Some("does not end at")
+            } else if deltas.contains(&incident) {
+                Some("repeats an earlier delta at")
+            } else {
+                None
+            };
+            if let Some(why) = fault {
+                return Some(Divergence {
+                    strategy: "streaming-delta".to_string(),
+                    expected: reference.len(),
+                    got: format!("delta {incident} {why} the append of lsn {}", record.lsn()),
+                });
+            }
+            deltas.insert(incident);
         }
+    }
+    if let Some(d) = against(&reference, "streaming-delta-union", &deltas) {
+        return Some(d);
     }
     if let Some(d) = against(&reference, "streaming-replay", &stream.incidents()) {
         return Some(d);

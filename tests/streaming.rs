@@ -10,10 +10,17 @@ use wlq::{attrs, scenarios, LogBuilder, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 3] = ["A", "B", "C"];
 
+/// Values of the integer attribute `x` that `arb_log` attaches.
+const X_VALUES: i64 = 4;
+
 fn arb_pattern() -> impl Strategy<Value = Pattern> {
     let leaf = prop_oneof![
         4 => (0..ALPHABET.len()).prop_map(|i| Pattern::atom(ALPHABET[i])),
         1 => (0..ALPHABET.len()).prop_map(|i| Pattern::not_atom(ALPHABET[i])),
+        // The predicate leaf path, as in `GetRefer[balance > 5000]`.
+        1 => (0..ALPHABET.len(), 0..X_VALUES).prop_map(|(i, v)| {
+            format!("{}[x > {v}]", ALPHABET[i]).parse().unwrap()
+        }),
     ];
     leaf.prop_recursive(3, 8, 2, |inner| {
         (0..4u8, inner.clone(), inner).prop_map(|(op, l, r)| {
@@ -29,22 +36,30 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
 }
 
 fn arb_log() -> impl Strategy<Value = Log> {
-    prop::collection::vec(prop::collection::vec(0..ALPHABET.len(), 0..7), 1..4).prop_map(
-        |instances| {
-            let mut b = LogBuilder::new();
-            let wids: Vec<_> = instances.iter().map(|_| b.start_instance()).collect();
-            let longest = instances.iter().map(Vec::len).max().unwrap_or(0);
-            for step in 0..longest {
-                for (i, acts) in instances.iter().enumerate() {
-                    if let Some(&a) = acts.get(step) {
-                        b.append(wids[i], ALPHABET[a], attrs! {}, attrs! {})
-                            .unwrap();
-                    }
+    let record = (0..ALPHABET.len(), 0..X_VALUES);
+    // Each instance's records, and whether it ends (which retires its
+    // state in the streaming evaluator).
+    let instance = (prop::collection::vec(record, 0..7), prop::bool::ANY);
+    prop::collection::vec(instance, 1..4).prop_map(|instances| {
+        let mut b = LogBuilder::new();
+        let wids: Vec<_> = instances.iter().map(|_| b.start_instance()).collect();
+        let longest = instances
+            .iter()
+            .map(|(acts, _)| acts.len())
+            .max()
+            .unwrap_or(0);
+        for step in 0..=longest {
+            for (i, (acts, ends)) in instances.iter().enumerate() {
+                if let Some(&(a, x)) = acts.get(step) {
+                    b.append(wids[i], ALPHABET[a], attrs! {}, attrs! {"x" => x})
+                        .unwrap();
+                } else if *ends && step == acts.len() {
+                    b.end_instance(wids[i]).unwrap();
                 }
             }
-            b.build().unwrap()
-        },
-    )
+        }
+        b.build().unwrap()
+    })
 }
 
 proptest! {
@@ -65,6 +80,19 @@ proptest! {
         let batch = Evaluator::new(&log).evaluate(&p);
         prop_assert_eq!(stream.incidents(), batch.clone());
         prop_assert_eq!(delta_union, batch);
+    }
+
+    /// The lemma the delta rule rests on: everything an append reports
+    /// lies in the appended record's instance and ends at that record.
+    #[test]
+    fn deltas_end_at_the_appended_record(log in arb_log(), p in arb_pattern()) {
+        let mut stream = StreamingEvaluator::new(p);
+        for record in log.iter() {
+            for incident in stream.append(record).unwrap() {
+                prop_assert_eq!(incident.wid(), record.wid());
+                prop_assert_eq!(incident.last(), record.is_lsn());
+            }
+        }
     }
 
     /// Both strategies drive the streaming evaluator identically.
