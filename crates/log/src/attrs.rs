@@ -1,16 +1,39 @@
 //! Attribute maps: the `αin` / `αout` components of a log record.
 //!
 //! A *map* in the paper is a partial function `A → D` with finite domain.
-//! [`AttrMap`] realises this as a vector of `(name, value)` entries sorted
-//! by [`AttrName`] with no name repeated, so display and serialization are
-//! deterministic. Maps hold a handful of entries, so a sorted vector (one
-//! allocation, binary-search lookups) beats a tree map on both memory and
-//! time.
+//! [`AttrMap`] realises it as a run of an attribute dictionary: a shared,
+//! immutable table of `(name, value)` entries plus one column of entry
+//! ids, in which every map is a name-sorted run with no name repeated. Display and serialization are therefore deterministic, and
+//! lookups binary-search the run.
+//!
+//! The workflow model repeats attributes by design (each `αin` reads what
+//! an earlier `αout` wrote), so every decoder fills one dictionary per
+//! load ([`DictBuilder`]) and each non-empty map of the decoded log holds
+//! one clone of it. A map is 16 bytes with no allocation of its own, and
+//! an entry repeated in the file is stored once (once per 16 384 new
+//! entries on larger loads, see [`DictBuilder`]). Maps built by hand are
+//! one-map dictionaries. Mutation is copy-on-write: a map that is the only
+//! user of its dictionary and covers all of its id column changes in
+//! place; any other map is first copied out into a dictionary of its own.
+//! Equality, order and hashing are by content, never by dictionary
+//! identity.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
-use crate::names::AttrName;
+use crate::names::{AttrName, FxBuildHasher, Interner};
+use crate::record::LogRecord;
 use crate::value::Value;
+
+/// `(name, value)` entries and the entry-id column whose runs are maps.
+/// Immutable once a second map shares it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AttrDict {
+    entries: Vec<(AttrName, Value)>,
+    ids: Vec<u32>,
+}
 
 /// A finite partial map from attribute names to values.
 ///
@@ -28,7 +51,7 @@ use crate::value::Value;
 /// assert_eq!(m.get("balance"), Some(&Value::Int(1000)));
 /// assert_eq!(m.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Default)]
 #[cfg_attr(
     feature = "serde",
     derive(serde::Serialize, serde::Deserialize),
@@ -38,8 +61,13 @@ use crate::value::Value;
     )
 )]
 pub struct AttrMap {
-    /// Sorted by name, names unique.
-    entries: Vec<(AttrName, Value)>,
+    /// `None` exactly for the empty map, which allocates nothing (and,
+    /// inside a decoder, for a map whose dictionary is not frozen yet).
+    dict: Option<Arc<AttrDict>>,
+    /// The map is the run `ids[start..start + len]` of the dictionary:
+    /// sorted by name, names unique.
+    start: u32,
+    len: u32,
 }
 
 impl AttrMap {
@@ -49,53 +77,79 @@ impl AttrMap {
         Self::default()
     }
 
-    /// An empty map with room for `n` entries (for decoders that know the
-    /// entry count up front).
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        AttrMap {
-            entries: Vec::with_capacity(n),
-        }
-    }
-
     /// Returns the number of attributes in the map.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len as usize
     }
 
     /// Returns `true` if the map defines no attribute.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
+    /// The map's run of entry ids and the entries they index.
+    fn run(&self) -> (&[u32], &[(AttrName, Value)]) {
+        match &self.dict {
+            Some(dict) => {
+                let start = self.start as usize;
+                (&dict.ids[start..start + self.len()], &dict.entries)
+            }
+            None => (&[], &[]),
+        }
+    }
+
+    /// The position in the run of `name`, or where it would go.
     fn find(&self, name: &str) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name))
+        let (ids, entries) = self.run();
+        ids.binary_search_by(|&id| entries[id as usize].0.as_str().cmp(name))
+    }
+
+    /// The dictionary to change the map in, copy-on-write: the map's own
+    /// if no other map shares it and the map's run is its whole id
+    /// column, otherwise a one-map copy of the map that replaces it.
+    /// Either way the run is then the whole id column, in the same order.
+    fn make_mut(&mut self) -> &mut AttrDict {
+        let owned = match &mut self.dict {
+            Some(dict) => {
+                self.start == 0
+                    && self.len as usize == dict.ids.len()
+                    && Arc::get_mut(dict).is_some()
+            }
+            None => false,
+        };
+        if !owned {
+            let copy = AttrDict {
+                entries: self.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+                ids: (0..self.len).collect(),
+            };
+            self.dict = Some(Arc::new(copy));
+            self.start = 0;
+        }
+        // The dictionary is unshared by now, so this never clones it.
+        Arc::make_mut(self.dict.get_or_insert_with(Arc::default))
     }
 
     /// Sets `name` to `value`, returning the previous value if any.
     pub fn set(&mut self, name: impl Into<AttrName>, value: impl Into<Value>) -> Option<Value> {
         let name = name.into();
         let value = value.into();
-        match self.find(name.as_str()) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+        let found = self.find(name.as_str());
+        let dict = self.make_mut();
+        match found {
+            // Names are unique in the run, so no other position shares
+            // this entry.
+            Ok(i) => Some(std::mem::replace(
+                &mut dict.entries[dict.ids[i] as usize].1,
+                value,
+            )),
             Err(i) => {
-                self.entries.insert(i, (name, value));
+                dict.ids.insert(i, dict.entries.len() as u32);
+                dict.entries.push((name, value));
+                self.len += 1;
                 None
             }
-        }
-    }
-
-    /// Appends an entry whose name sorts after every name in the map —
-    /// the order decoders meet them in files this crate writes. A name
-    /// out of order or already present falls back to [`set`](Self::set),
-    /// so the result is the same as `set` either way (last write wins).
-    pub(crate) fn push_sorted(&mut self, name: AttrName, value: Value) {
-        match self.entries.last() {
-            Some((last, _)) if last.as_str() >= name.as_str() => {
-                self.set(name, value);
-            }
-            _ => self.entries.push((name, value)),
         }
     }
 
@@ -115,7 +169,9 @@ impl AttrMap {
     /// Looks up the value of `name`, or `None` if the map does not define it.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.find(name).ok().map(|i| &self.entries[i].1)
+        let i = self.find(name).ok()?;
+        let (ids, entries) = self.run();
+        Some(&entries[ids[i] as usize].1)
     }
 
     /// Looks up `name`, treating absence as the undefined value `⊥`.
@@ -135,17 +191,34 @@ impl AttrMap {
 
     /// Removes `name` from the map, returning its value if present.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.find(name).ok().map(|i| self.entries.remove(i).1)
+        let i = self.find(name).ok()?;
+        let dict = self.make_mut();
+        let id = dict.ids.remove(i) as usize;
+        // Move the last entry into the freed slot and renumber it.
+        let last = dict.entries.len() - 1;
+        let (_, value) = dict.entries.swap_remove(id);
+        if let Some(moved) = dict.ids.iter_mut().find(|moved| **moved as usize == last) {
+            *moved = id as u32;
+        }
+        self.len -= 1;
+        if self.len == 0 {
+            self.dict = None;
+        }
+        Some(value)
     }
 
     /// Iterates over `(name, value)` pairs in attribute-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&AttrName, &Value)> {
-        self.into_iter()
+    pub fn iter(&self) -> AttrIter<'_> {
+        let (ids, entries) = self.run();
+        AttrIter {
+            ids: ids.iter(),
+            entries,
+        }
     }
 
     /// Iterates over the attribute names (the map's domain) in order.
     pub fn names(&self) -> impl Iterator<Item = &AttrName> {
-        self.entries.iter().map(|(k, _)| k)
+        self.iter().map(|(k, _)| k)
     }
 
     /// Merges `other` into `self`; entries of `other` win on conflicts.
@@ -153,8 +226,70 @@ impl AttrMap {
     /// Used by the workflow engine to apply an activity's output map to an
     /// instance's attribute store.
     pub fn apply(&mut self, other: &AttrMap) {
-        for (k, v) in other.iter() {
+        for (k, v) in other {
             self.set(k.clone(), v.clone());
+        }
+    }
+}
+
+/// The `(name, value)` entries of an [`AttrMap`], in name order.
+#[derive(Debug, Clone)]
+pub struct AttrIter<'a> {
+    ids: std::slice::Iter<'a, u32>,
+    entries: &'a [(AttrName, Value)],
+}
+
+impl<'a> Iterator for AttrIter<'a> {
+    type Item = (&'a AttrName, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (k, v) = &self.entries[*self.ids.next()? as usize];
+        Some((k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl ExactSizeIterator for AttrIter<'_> {}
+
+impl fmt::Debug for AttrMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self).finish()
+    }
+}
+
+/// Equal when the entries are, whichever dictionaries hold them.
+impl PartialEq for AttrMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other)
+    }
+}
+
+impl Eq for AttrMap {}
+
+impl PartialOrd for AttrMap {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the entries in name order, as for a name-sorted
+/// vector or tree map of them.
+impl Ord for AttrMap {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.iter().cmp(other)
+    }
+}
+
+/// Hashes like a name-sorted tree map of the entries: length, then each
+/// entry.
+impl Hash for AttrMap {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for entry in self {
+            entry.hash(state);
         }
     }
 }
@@ -163,7 +298,7 @@ impl fmt::Display for AttrMap {
     /// Formats the map the way the paper's Figure 3 does:
     /// `a=1, b=x`, or `-` when empty.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             return f.write_str("-");
         }
         let mut first = true;
@@ -199,35 +334,202 @@ impl IntoIterator for AttrMap {
     type IntoIter = std::vec::IntoIter<(AttrName, Value)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+        let entries: Vec<_> = self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        entries.into_iter()
     }
 }
 
 impl<'a> IntoIterator for &'a AttrMap {
     type Item = (&'a AttrName, &'a Value);
-    type IntoIter = std::iter::Map<
-        std::slice::Iter<'a, (AttrName, Value)>,
-        fn(&'a (AttrName, Value)) -> (&'a AttrName, &'a Value),
-    >;
+    type IntoIter = AttrIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(|(k, v)| (k, v))
+        self.iter()
     }
 }
 
 #[cfg(feature = "serde")]
 impl From<AttrMap> for std::collections::BTreeMap<AttrName, Value> {
     fn from(map: AttrMap) -> Self {
-        map.entries.into_iter().collect()
+        map.into_iter().collect()
     }
 }
 
 #[cfg(feature = "serde")]
 impl From<std::collections::BTreeMap<AttrName, Value>> for AttrMap {
     fn from(map: std::collections::BTreeMap<AttrName, Value>) -> Self {
-        // A BTreeMap iterates in name order with unique names.
-        AttrMap {
-            entries: map.into_iter().collect(),
+        map.into_iter().collect()
+    }
+}
+
+/// The most slots [`DictBuilder`]'s lookup table grows to: 256 KiB, so it
+/// stays in a core's cache however many entries a load has.
+const MAX_SLOTS: usize = 1 << 15;
+
+/// Fills the attribute dictionary of one load, and interns the load's
+/// names.
+///
+/// A decoder looks each entry up by its encoded bytes
+/// ([`entry`](Self::entry)), so only bytes it has not met recently are
+/// validated and parsed; pushes the entry ids of one map in file order
+/// ([`push`](Self::push)); and ends the map
+/// ([`finish_map`](Self::finish_map)). Once every record is decoded,
+/// [`freeze`](Self::freeze) shares the dictionary among their maps.
+///
+/// The lookup table is open-addressed by a hash of the bytes under a
+/// per-load random seed ([`FxBuildHasher`]), and a hit always compares
+/// the full bytes: colliding keys cost probe time, never a wrong entry.
+/// The table is bounded: once half of [`MAX_SLOTS`] entries are in it, it
+/// is emptied and starts over. An entry met again after that is parsed
+/// and stored again, which costs memory but never correctness, since maps
+/// compare by content. On a load whose entries never repeat, a table
+/// grown to hold them all cost more decode time than the dictionary
+/// saved.
+#[derive(Default)]
+pub(crate) struct DictBuilder {
+    /// The load's activity and attribute names.
+    pub(crate) names: Interner,
+    dict: AttrDict,
+    /// Where the map being built starts in `dict.ids`, and whether its
+    /// names have failed to ascend.
+    run_start: usize,
+    unsorted: bool,
+    /// The first entry added since the table was last emptied; entry
+    /// `first + i`'s encoded bytes end at `key_ends[i]` in `keys`.
+    first: usize,
+    keys: Vec<u8>,
+    key_ends: Vec<usize>,
+    /// Probed linearly from the top bits of a key's hash; a slot holds
+    /// the hash's high half above the entry id plus one, or 0 when
+    /// empty. At most half full.
+    slots: Vec<u64>,
+    hasher: FxBuildHasher,
+}
+
+impl DictBuilder {
+    /// The id of the entry encoded as `key`; unless the table holds it,
+    /// `make` parses it, interning its name in [`names`](Self::names), or
+    /// fails and adds nothing.
+    pub(crate) fn entry<E>(
+        &mut self,
+        key: &[u8],
+        make: impl FnOnce(&mut Interner) -> Result<(AttrName, Value), E>,
+    ) -> Result<u32, E> {
+        if 2 * self.key_ends.len() >= self.slots.len() {
+            self.grow_or_empty();
+        }
+        // Fx mixes poorly into low bits: take the top bits of a product.
+        let tag = self
+            .hasher
+            .hash_one(key)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> 32;
+        let mask = self.slots.len() - 1;
+        let mut slot = (tag >> (32 - self.slots.len().trailing_zeros())) as usize;
+        while self.slots[slot] != 0 {
+            if self.slots[slot] >> 32 == tag {
+                let id = (self.slots[slot] as u32).wrapping_sub(1);
+                let i = id as usize - self.first;
+                let start = if i == 0 { 0 } else { self.key_ends[i - 1] };
+                if &self.keys[start..self.key_ends[i]] == key {
+                    return Ok(id);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+        let entry = make(&mut self.names)?;
+        // Past `u32` ids, `finish_map` fails the load.
+        let id = self.dict.entries.len() as u32;
+        self.dict.entries.push(entry);
+        self.keys.extend_from_slice(key);
+        self.key_ends.push(self.keys.len());
+        self.slots[slot] = tag << 32 | u64::from(id.wrapping_add(1));
+        Ok(id)
+    }
+
+    /// Doubles the table below [`MAX_SLOTS`], placing every entry again
+    /// by its tag; at [`MAX_SLOTS`] empties it.
+    fn grow_or_empty(&mut self) {
+        if self.slots.len() >= MAX_SLOTS {
+            self.slots.fill(0);
+            self.keys.clear();
+            self.key_ends.clear();
+            self.first = self.dict.entries.len();
+            return;
+        }
+        let len = (2 * self.slots.len()).max(64);
+        let shift = 64 - len.trailing_zeros();
+        let mut slots = vec![0u64; len];
+        for &full in self.slots.iter().filter(|&&full| full != 0) {
+            let mut slot = (full >> shift) as usize;
+            while slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            slots[slot] = full;
+        }
+        self.slots = slots;
+    }
+
+    /// Appends entry `id` to the map being built.
+    pub(crate) fn push(&mut self, id: u32) {
+        let entries = &self.dict.entries;
+        if let Some(&last) = self.dict.ids[self.run_start..].last() {
+            self.unsorted |= entries[last as usize].0.as_str() >= entries[id as usize].0.as_str();
+        }
+        self.dict.ids.push(id);
+    }
+
+    /// Ends the map whose ids were pushed since the last call and returns
+    /// it, to be attached by [`freeze`](Self::freeze). A name out of
+    /// order or repeated is sorted into place, and the last write of a
+    /// name wins. `None` once the load has more entries than `u32` ids
+    /// can number.
+    pub(crate) fn finish_map(&mut self) -> Option<AttrMap> {
+        let ids = &mut self.dict.ids;
+        if std::mem::take(&mut self.unsorted) {
+            let entries = &self.dict.entries;
+            let name = |id: &u32| entries[*id as usize].0.as_str();
+            let mut run = ids.split_off(self.run_start);
+            // Reversed, a stable sort puts each name's last write first,
+            // and `dedup_by` keeps the first.
+            run.reverse();
+            run.sort_by(|a, b| name(a).cmp(name(b)));
+            run.dedup_by(|a, b| name(a) == name(b));
+            ids.append(&mut run);
+        }
+        if ids.len() > u32::MAX as usize || self.dict.entries.len() >= u32::MAX as usize {
+            return None;
+        }
+        let start = std::mem::replace(&mut self.run_start, ids.len());
+        let len = ids.len() - start;
+        Some(if len == 0 {
+            AttrMap::new()
+        } else {
+            AttrMap {
+                dict: None,
+                start: start as u32,
+                len: len as u32,
+            }
+        })
+    }
+
+    /// Shares the dictionary among `records`: each non-empty map of theirs
+    /// that [`finish_map`](Self::finish_map) returned gets one clone.
+    pub(crate) fn freeze(self, records: &mut [LogRecord]) {
+        drop((self.names, self.keys, self.key_ends, self.slots));
+        let mut dict = self.dict;
+        if dict.ids.is_empty() {
+            return;
+        }
+        dict.entries.shrink_to_fit();
+        dict.ids.shrink_to_fit();
+        let dict = Arc::new(dict);
+        for record in records {
+            for map in record.maps_mut() {
+                if map.len > 0 {
+                    map.dict = Some(Arc::clone(&dict));
+                }
+            }
         }
     }
 }
@@ -301,18 +603,92 @@ mod tests {
         assert_eq!(names, ["a", "b", "c"]);
     }
 
+    /// Decodes maps given as `(name, value)` entries through one
+    /// dictionary, keyed by `name=value`.
+    fn decode(maps: &[&[(&str, i64)]]) -> Vec<AttrMap> {
+        let mut b = DictBuilder::default();
+        let mut out = Vec::new();
+        for map in maps {
+            for &(name, value) in *map {
+                let key = format!("{name}={value}");
+                let id = b
+                    .entry::<()>(key.as_bytes(), |names| {
+                        Ok((names.attr_name(name), Value::Int(value)))
+                    })
+                    .unwrap();
+                b.push(id);
+            }
+            out.push(b.finish_map().unwrap());
+        }
+        let mut records: Vec<LogRecord> = out
+            .into_iter()
+            .map(|m| LogRecord::new(1u64, 1u64, 1u32, "A", m, AttrMap::new()))
+            .collect();
+        b.freeze(&mut records);
+        records.iter().map(|r| r.input().clone()).collect()
+    }
+
     #[test]
-    fn push_sorted_appends_in_order_and_falls_back_to_set() {
-        let mut m = AttrMap::with_capacity(3);
-        m.push_sorted(AttrName::new("a"), Value::Int(1));
-        m.push_sorted(AttrName::new("c"), Value::Int(3));
-        // Out of order: lands in place.
-        m.push_sorted(AttrName::new("b"), Value::Int(2));
-        // Duplicate of the last and of an earlier name: last write wins.
-        m.push_sorted(AttrName::new("c"), Value::Int(30));
-        m.push_sorted(AttrName::new("a"), Value::Int(10));
-        assert_eq!(m, attrs! { "a" => 10i64, "b" => 2i64, "c" => 30i64 });
-        assert_eq!(m.to_string(), "a=10, b=2, c=30");
+    fn dictionary_maps_dedupe_sort_and_keep_the_last_write() {
+        let maps = decode(&[
+            &[("a", 1), ("c", 3)],
+            // Out of order, and repeated names: sorted, last write wins.
+            &[("c", 3), ("a", 1), ("b", 2), ("c", 30), ("a", 10)],
+            &[],
+            &[("a", 1), ("c", 3)],
+        ]);
+        assert_eq!(maps[0], attrs! { "a" => 1i64, "c" => 3i64 });
+        assert_eq!(maps[1], attrs! { "a" => 10i64, "b" => 2i64, "c" => 30i64 });
+        assert_eq!(maps[1].to_string(), "a=10, b=2, c=30");
+        assert!(maps[2].is_empty() && maps[2].dict.is_none());
+        assert_eq!(maps[3], maps[0]);
+        // One dictionary, each distinct entry once.
+        let dict = maps[0].dict.as_ref().unwrap();
+        assert!(Arc::ptr_eq(dict, maps[1].dict.as_ref().unwrap()));
+        assert_eq!(dict.entries.len(), 5);
+        assert_eq!(std::mem::size_of::<AttrMap>(), 16);
+    }
+
+    #[test]
+    fn a_full_lookup_table_starts_over_and_entries_stay_right() {
+        let mut b = DictBuilder::default();
+        let mut add = |i: usize| {
+            b.entry::<()>(format!("k={i}").as_bytes(), |names| {
+                Ok((names.attr_name("k"), Value::Int(i as i64)))
+            })
+        };
+        // Past half of `MAX_SLOTS` distinct entries the table is emptied.
+        let n = MAX_SLOTS / 2 + 10;
+        for i in 0..n {
+            assert_eq!(add(i), Ok(i as u32));
+        }
+        // A recent entry is still found without parsing; an early one is
+        // parsed and stored again, equal to its first copy.
+        let recent = b.entry::<()>(format!("k={}", n - 1).as_bytes(), |_| Err(()));
+        assert_eq!(recent, Ok(n as u32 - 1));
+        let early = b.entry::<()>(b"k=0", |names| Ok((names.attr_name("k"), Value::Int(0))));
+        assert_eq!(early, Ok(n as u32));
+        assert_eq!(b.dict.entries[n], b.dict.entries[0]);
+        assert_eq!(b.slots.len(), MAX_SLOTS);
+    }
+
+    #[test]
+    fn writes_copy_a_shared_map_out_and_change_an_owned_one_in_place() {
+        let maps = decode(&[&[("a", 1), ("b", 2)], &[("a", 1)]]);
+        let mut m = maps[0].clone();
+        assert_eq!(m.set("a", 5i64), Some(Value::Int(1)));
+        assert_eq!(maps[0].get("a"), Some(&Value::Int(1)));
+        assert_eq!(maps[1].get("a"), Some(&Value::Int(1)));
+        // Now the only user of a one-map copy: later writes stay in it.
+        let own = Arc::as_ptr(m.dict.as_ref().unwrap());
+        m.set("c", 3i64);
+        assert_eq!(m.remove("a"), Some(Value::Int(5)));
+        assert_eq!(Arc::as_ptr(m.dict.as_ref().unwrap()), own);
+        assert_eq!(m, attrs! { "b" => 2i64, "c" => 3i64 });
+        assert_eq!(m.remove("b"), Some(Value::Int(2)));
+        assert_eq!(m.remove("c"), Some(Value::Int(3)));
+        assert!(m.is_empty() && m.dict.is_none());
+        assert_eq!(maps[0], attrs! { "a" => 1i64, "b" => 2i64 });
     }
 
     #[test]

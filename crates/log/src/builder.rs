@@ -110,8 +110,10 @@ impl LogBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::UnknownInstance`] if `wid` was never started and
-    /// [`LogError::InstanceClosed`] if it already has an `END` record.
+    /// Returns [`LogError::UnknownInstance`] if `wid` was never started,
+    /// [`LogError::InstanceClosed`] if it already has an `END` record, and
+    /// [`LogError::IsLsnOverflow`] if it has no is-lsn left to give the
+    /// record; nothing is written then.
     pub fn append(
         &mut self,
         wid: Wid,
@@ -127,8 +129,12 @@ impl LogBuilder {
         if st.closed {
             return Err(LogError::InstanceClosed(wid));
         }
+        let next = st
+            .next_is_lsn
+            .checked_next()
+            .ok_or(LogError::IsLsnOverflow(wid))?;
         let rec = LogRecord::new(lsn, wid, st.next_is_lsn, activity, input, output);
-        st.next_is_lsn = st.next_is_lsn.next();
+        st.next_is_lsn = next;
         self.records.push(rec);
         Ok(&self.records[self.records.len() - 1])
     }
@@ -147,8 +153,12 @@ impl LogBuilder {
         if st.closed {
             return Err(LogError::InstanceClosed(wid));
         }
+        let next = st
+            .next_is_lsn
+            .checked_next()
+            .ok_or(LogError::IsLsnOverflow(wid))?;
         self.records.push(LogRecord::end(lsn, wid, st.next_is_lsn));
-        st.next_is_lsn = st.next_is_lsn.next();
+        st.next_is_lsn = next;
         st.closed = true;
         Ok(())
     }
@@ -246,6 +256,24 @@ mod tests {
         // Auto ids continue after the explicit one.
         let w = b.start_instance();
         assert_eq!(w, Wid(11));
+    }
+
+    #[test]
+    fn an_instance_out_of_is_lsns_takes_no_record() {
+        let mut b = LogBuilder::new();
+        let w = b.start_instance();
+        let other = b.start_instance();
+        b.state.get_mut(&w).unwrap().next_is_lsn = IsLsn(u32::MAX);
+        assert_eq!(
+            b.append(w, "A", attrs! {}, attrs! {}).unwrap_err(),
+            LogError::IsLsnOverflow(w)
+        );
+        assert_eq!(b.end_instance(w).unwrap_err(), LogError::IsLsnOverflow(w));
+        assert!(b.is_open(w));
+        assert_eq!(b.len(), 2);
+        // Other instances are unaffected.
+        b.append(other, "A", attrs! {}, attrs! {}).unwrap();
+        assert_eq!(b.records()[2].is_lsn(), IsLsn(2));
     }
 
     #[test]

@@ -53,6 +53,9 @@ pub enum LogError {
     /// The log has more records than its index can address (`u32::MAX`);
     /// holds the number of records supplied.
     TooManyRecords(usize),
+    /// An instance already holds a record at the last is-lsn, `u32::MAX`,
+    /// so it can take no further record.
+    IsLsnOverflow(Wid),
 }
 
 impl fmt::Display for LogError {
@@ -81,6 +84,11 @@ impl fmt::Display for LogError {
             LogError::TooManyRecords(n) => {
                 write!(f, "log has {n} records, more than the {} a log may hold", u32::MAX)
             }
+            LogError::IsLsnOverflow(wid) => write!(
+                f,
+                "workflow instance {wid} has no is-lsn left after {}",
+                u32::MAX
+            ),
         }
     }
 }
@@ -172,6 +180,7 @@ mod tests {
             LogError::UnknownInstance(Wid(4)).to_string(),
             LogError::InstanceClosed(Wid(4)).to_string(),
             LogError::TooManyRecords(1 << 33).to_string(),
+            LogError::IsLsnOverflow(Wid(4)).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -17,12 +17,14 @@
 //!   4 = str
 //! ```
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::attrs::AttrMap;
+use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::names::Interner;
+use crate::names::{AttrName, Interner};
 use crate::record::LogRecord;
 use crate::Value;
 
@@ -84,15 +86,12 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
 /// activity name and two empty maps.
 const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 4 + 4;
 
-/// The fewest bytes one map entry takes: an empty name and an undefined
-/// value.
-const MIN_ENTRY_BYTES: usize = 4 + 1;
-
 /// Decodes a log from the binary format.
 ///
-/// The decoder reads the buffer in place: each string costs one UTF-8
-/// check and a lookup in a per-decode intern table, so the records of the
-/// decoded log share one allocation per distinct name or string value.
+/// The decoder reads the buffer in place. Names are interned, and the
+/// attribute maps are runs of one per-load dictionary of entries, looked
+/// up by their encoded bytes: an entry met recently is not UTF-8 checked
+/// or parsed again, and the decoded log holds no allocation per map.
 /// Preallocation is bounded by the input's length, whatever its header
 /// claims.
 ///
@@ -107,10 +106,8 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
             message: message.into(),
         }
     }
-    let mut input = Reader {
-        data: data.chunk(),
-        names: Interner::default(),
-    };
+    let mut input = Cursor { data: data.chunk() };
+    let mut dict = DictBuilder::default();
     let (Some(magic), Some(count)) = (input.array::<4>(), input.u64()) else {
         return Err(bad("input shorter than header"));
     };
@@ -120,26 +117,24 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
     let fit = input.data.len() / MIN_RECORD_BYTES;
     let mut records = Vec::with_capacity(usize::try_from(count).map_or(fit, |n| n.min(fit)));
     for i in 0..count {
-        let record = input
-            .record()
-            .ok_or_else(|| bad(format!("truncated record {i}")))?;
+        let record =
+            record(&mut input, &mut dict).ok_or_else(|| bad(format!("truncated record {i}")))?;
         records.push(record);
     }
     if !input.data.is_empty() {
         return Err(bad("trailing bytes after last record"));
     }
+    dict.freeze(&mut records);
     Ok(Log::new(records)?)
 }
 
-/// A cursor over the undecoded bytes plus the decode's intern table.
-/// Every read returns `None` when the input ends too early or a string
-/// is not UTF-8.
-struct Reader<'a> {
+/// A cursor over undecoded bytes. Every read returns `None` when the
+/// input ends too early.
+struct Cursor<'a> {
     data: &'a [u8],
-    names: Interner,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> Cursor<'a> {
     fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
         let (head, rest) = self.data.split_first_chunk::<N>()?;
         self.data = rest;
@@ -158,54 +153,88 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    fn str(&mut self) -> Option<&'a str> {
-        let len = usize::try_from(self.u32()?).ok()?;
+    /// The next `len` bytes.
+    fn bytes(&mut self, len: usize) -> Option<&'a [u8]> {
         if self.data.len() < len {
             return None;
         }
         let (raw, rest) = self.data.split_at(len);
         self.data = rest;
-        std::str::from_utf8(raw).ok()
+        Some(raw)
     }
 
-    fn record(&mut self) -> Option<LogRecord> {
-        let lsn = self.u64()?;
-        let wid = self.u64()?;
-        let is_lsn = self.u32()?;
-        let activity = self.str()?;
-        let activity = self.names.activity(activity);
-        let input = self.map()?;
-        let output = self.map()?;
-        Some(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
+    /// A string's bytes, not yet checked to be UTF-8.
+    fn raw_str(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.u32()?).ok()?;
+        self.bytes(len)
     }
 
-    fn map(&mut self) -> Option<AttrMap> {
-        let count = usize::try_from(self.u32()?).ok()?;
-        let mut map = AttrMap::with_capacity(count.min(self.data.len() / MIN_ENTRY_BYTES));
-        for _ in 0..count {
-            let name = self.str()?;
-            let name = self.names.attr_name(name);
-            let value = self.value()?;
-            // Maps this crate writes are name-sorted; others still decode
-            // last-wins.
-            map.push_sorted(name, value);
-        }
-        Some(map)
+    fn str(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.raw_str()?).ok()
     }
 
-    fn value(&mut self) -> Option<Value> {
-        Some(match self.u8()? {
-            0 => Value::Undefined,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(i64::from_le_bytes(self.array()?)),
-            3 => Value::Float(f64::from_bits(self.u64()?)),
+    /// The bytes of one map entry (name, then tagged value), checked for
+    /// length and tag only.
+    fn entry(&mut self) -> Option<&'a [u8]> {
+        let all = self.data;
+        self.raw_str()?;
+        match self.u8()? {
+            0 => {}
+            1 => {
+                self.u8()?;
+            }
+            2 | 3 => {
+                self.u64()?;
+            }
             4 => {
-                let s = self.str()?;
-                Value::Str(self.names.intern(s))
+                self.raw_str()?;
             }
             _ => return None,
-        })
+        }
+        Some(&all[..all.len() - self.data.len()])
     }
+}
+
+/// Parses the bytes of one map entry that [`Cursor::entry`] delimited,
+/// checking its strings are UTF-8.
+fn parse_entry(entry: &[u8], names: &mut Interner) -> Option<(AttrName, Value)> {
+    let mut cursor = Cursor { data: entry };
+    let name = names.attr_name(cursor.str()?);
+    let value = match cursor.u8()? {
+        0 => Value::Undefined,
+        1 => Value::Bool(cursor.u8()? != 0),
+        2 => Value::Int(i64::from_le_bytes(cursor.array()?)),
+        3 => Value::Float(f64::from_bits(cursor.u64()?)),
+        4 => Value::Str(Arc::from(cursor.str()?)),
+        _ => return None,
+    };
+    Some((name, value))
+}
+
+/// Decodes one record, its map entries into `dict`.
+fn record(input: &mut Cursor<'_>, dict: &mut DictBuilder) -> Option<LogRecord> {
+    let lsn = input.u64()?;
+    let wid = input.u64()?;
+    let is_lsn = input.u32()?;
+    let activity = dict.names.activity(input.str()?);
+    let input_map = map(input, dict)?;
+    let output_map = map(input, dict)?;
+    Some(LogRecord::new(
+        lsn, wid, is_lsn, activity, input_map, output_map,
+    ))
+}
+
+/// Decodes one map into `dict`.
+fn map(input: &mut Cursor<'_>, dict: &mut DictBuilder) -> Option<AttrMap> {
+    let count = input.u32()?;
+    for _ in 0..count {
+        let entry = input.entry()?;
+        let id = dict
+            .entry(entry, |names| parse_entry(entry, names).ok_or(()))
+            .ok()?;
+        dict.push(id);
+    }
+    dict.finish_map()
 }
 
 #[cfg(test)]

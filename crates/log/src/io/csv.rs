@@ -8,10 +8,9 @@
 
 use std::borrow::Cow;
 
-use crate::attrs::AttrMap;
+use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::names::Interner;
 use crate::record::LogRecord;
 
 /// Renders a log as CSV with a header row.
@@ -57,15 +56,15 @@ fn push_field(out: &mut String, field: &str) {
 /// Parses a log from CSV produced by [`write_csv`] (or compatible).
 ///
 /// Unquoted columns are borrowed from `text`; only quoted columns are
-/// unescaped into new strings. Names and unquoted string values are
-/// interned as in [`read_text`](super::text::read_text).
+/// unescaped into new strings. Names are interned and attribute entries
+/// kept in one dictionary, as in [`read_text`](super::text::read_text).
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] on malformed rows or an invalid log.
 pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
     let mut records = Vec::with_capacity(super::line_count(text));
-    let mut names = Interner::default();
+    let mut dict = DictBuilder::default();
     let mut fields = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -93,23 +92,24 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
                 message: "activity name is empty".to_string(),
             });
         }
-        let activity = names.activity(activity);
-        let input = parse_semi_map(input, line_no, &mut names)?;
-        let output = parse_semi_map(output, line_no, &mut names)?;
+        let activity = dict.names.activity(activity);
+        let input = parse_semi_map(input, line_no, &mut dict)?;
+        let output = parse_semi_map(output, line_no, &mut dict)?;
         records.push(LogRecord::new(lsn, wid, is_lsn, activity, input, output));
     }
+    dict.freeze(&mut records);
     Ok(Log::new(records)?)
 }
 
 fn parse_semi_map(
     text: &str,
     line_no: usize,
-    names: &mut Interner,
+    dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
     if text.trim().is_empty() {
         return Ok(AttrMap::new());
     }
-    super::parse_entries(text, b';', line_no, names)
+    super::parse_entries(text, b';', line_no, dict)
 }
 
 /// Splits one CSV row into `fields` (cleared first). A column holding a

@@ -21,7 +21,8 @@ pub mod xes;
 
 use std::sync::Arc;
 
-use crate::names::Interner;
+use crate::attrs::DictBuilder;
+use crate::names::{AttrName, Interner};
 use crate::value::parse_scalar;
 use crate::{AttrMap, ParseLogError, Value};
 
@@ -93,9 +94,8 @@ fn needs_quoting(s: &str) -> bool {
 }
 
 /// Parses a rendered value: a double-quoted token is unescaped into a
-/// string; anything else goes through [`Value`]'s `FromStr`, with plain
-/// strings interned in `names`.
-pub(crate) fn parse_rendered_value(s: &str, names: &mut Interner) -> Value {
+/// string; anything else goes through [`Value`]'s `FromStr`.
+pub(crate) fn parse_rendered_value(s: &str) -> Value {
     let s = s.trim();
     match s {
         "NaN" => return Value::Float(f64::NAN),
@@ -121,7 +121,7 @@ pub(crate) fn parse_rendered_value(s: &str, names: &mut Interner) -> Value {
         }
         return Value::from(out);
     }
-    parse_scalar(s).unwrap_or_else(|| Value::Str(names.intern(s)))
+    parse_scalar(s).unwrap_or_else(|| Value::Str(Arc::from(s)))
 }
 
 /// Renders an attribute map as `name=value` entries joined by `sep`
@@ -196,37 +196,46 @@ pub(crate) fn split_exact<const N: usize>(s: &str, sep: u8) -> Result<[&str; N],
 }
 
 /// Parses the `name=value` entries of one attribute map, separated by
-/// `sep`; names and plain string values are interned in `names`. A
+/// `sep`, into the load's dictionary. Each entry is looked up by its
+/// trimmed text, so an entry met recently is not parsed again. A
 /// repeated name keeps its last value.
 pub(crate) fn parse_entries(
     text: &str,
     sep: u8,
     line_no: usize,
-    names: &mut Interner,
+    dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
-    // One entry per separator plus one, fewer if a quoted value holds a
-    // separator: a byte count sizes the map without a second split.
-    let bound = text.bytes().filter(|&b| b == sep).count() + 1;
-    let mut map = AttrMap::with_capacity(bound);
     for pair in split_quoted(text, sep) {
         let pair = pair.trim();
-        let Some((name, value)) = pair.split_once('=') else {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: format!("attribute entry {pair:?} is not name=value"),
-            });
-        };
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: "attribute name is empty".to_string(),
-            });
-        }
-        let value = parse_rendered_value(value, names);
-        map.push_sorted(names.attr_name(name), value);
+        let id = dict.entry(pair.as_bytes(), |names| parse_entry(pair, line_no, names))?;
+        dict.push(id);
     }
-    Ok(map)
+    dict.finish_map().ok_or_else(|| ParseLogError::BadShape {
+        line: line_no,
+        message: "more attribute entries than u32 can number".to_string(),
+    })
+}
+
+/// Parses one trimmed `name=value` entry, interning the name in `names`.
+fn parse_entry(
+    pair: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<(AttrName, Value), ParseLogError> {
+    let Some((name, value)) = pair.split_once('=') else {
+        return Err(ParseLogError::BadShape {
+            line: line_no,
+            message: format!("attribute entry {pair:?} is not name=value"),
+        });
+    };
+    let name = name.trim();
+    if name.is_empty() {
+        return Err(ParseLogError::BadShape {
+            line: line_no,
+            message: "attribute name is empty".to_string(),
+        });
+    }
+    Ok((names.attr_name(name), parse_rendered_value(value)))
 }
 
 /// An upper bound on the records in a line-per-record text: its line
@@ -290,7 +299,7 @@ mod tests {
             Value::from("a|b"),
         ] {
             let rendered = render_value(&v);
-            let back = parse_rendered_value(&rendered, &mut Interner::default());
+            let back = parse_rendered_value(&rendered);
             assert_eq!(back, v, "failed on {rendered}");
         }
     }
@@ -318,34 +327,46 @@ mod tests {
     }
 
     #[test]
-    fn plain_strings_are_interned_and_quoted_ones_are_not() {
-        let mut names = Interner::default();
-        let a = parse_rendered_value("active", &mut names);
-        let b = parse_rendered_value(" active ", &mut names);
-        let (Value::Str(a), Value::Str(b)) = (a, b) else {
-            panic!("expected strings");
-        };
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(
-            parse_rendered_value(r#""a\"b""#, &mut names),
-            Value::from("a\"b")
-        );
-        assert_eq!(
-            parse_rendered_value(r#""12""#, &mut names),
-            Value::from("12")
-        );
-        assert_eq!(parse_rendered_value("12", &mut names), Value::Int(12));
+    fn quoted_and_plain_values_parse() {
+        assert_eq!(parse_rendered_value(" active "), Value::from("active"));
+        assert_eq!(parse_rendered_value(r#""a\"b""#), Value::from("a\"b"));
+        assert_eq!(parse_rendered_value(r#""12""#), Value::from("12"));
+        assert_eq!(parse_rendered_value("12"), Value::Int(12));
+    }
+
+    /// The maps of one load, parsed through one dictionary.
+    fn parse_all(maps: &[&str], sep: u8) -> Result<Vec<AttrMap>, ParseLogError> {
+        let mut dict = DictBuilder::default();
+        let mut records = Vec::new();
+        for (i, text) in maps.iter().enumerate() {
+            let map = parse_entries(text, sep, i + 1, &mut dict)?;
+            records.push(crate::LogRecord::new(
+                1u64,
+                1u64,
+                1u32,
+                "A",
+                map,
+                AttrMap::new(),
+            ));
+        }
+        dict.freeze(&mut records);
+        Ok(records.iter().map(|r| r.input().clone()).collect())
     }
 
     #[test]
     fn parse_entries_is_last_wins_and_names_bad_pairs() {
-        let mut names = Interner::default();
-        let map = parse_entries("b=1, a = x ,b=2", b',', 1, &mut names).unwrap();
-        assert_eq!(map.to_string(), "a=x, b=2");
+        let maps = parse_all(&["b=1, a = x ,b=2", "a = x", "a=x"], b',').unwrap();
+        assert_eq!(maps[0].to_string(), "a=x, b=2");
+        // The same entry written alike, or not, parses alike.
+        assert_eq!(maps[1], maps[2]);
+        assert_eq!(maps[1].get("a"), Some(&Value::from("x")));
         assert!(matches!(
-            parse_entries("a=1;novalue", b';', 4, &mut names),
-            Err(ParseLogError::BadShape { line: 4, .. })
+            parse_all(&["a=1", "a=1;novalue"], b';'),
+            Err(ParseLogError::BadShape { line: 2, .. })
         ));
-        assert!(parse_entries(" =1", b',', 1, &mut names).is_err());
+        assert!(parse_all(&[" =1"], b',').is_err());
+        // A bad entry is never cached: it fails every time it appears.
+        assert!(parse_all(&["a=1", "b"], b',').is_err());
+        assert!(parse_all(&["b", "b"], b',').is_err());
     }
 }

@@ -14,10 +14,9 @@
 //! formats in this crate target the paper's value universe, not arbitrary
 //! binary data — use [`crate::io::binary`] for that).
 
-use crate::attrs::AttrMap;
+use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::names::Interner;
 use crate::record::LogRecord;
 
 /// Renders a log as a Figure 3-style table with a header line.
@@ -51,9 +50,10 @@ pub fn write_text(log: &Log) -> String {
 
 /// Parses a log from the text format.
 ///
-/// Fields and map entries are borrowed slices of `text`; activity names,
-/// attribute names and unquoted string values are interned, so the
-/// records of the decoded log share one allocation per distinct string.
+/// Fields and map entries are borrowed slices of `text`. Activity and
+/// attribute names are interned, and the attribute maps are runs of one
+/// per-load dictionary of `name=value` entries, so a repeated name or
+/// entry is stored once and no map allocates on its own.
 ///
 /// # Errors
 ///
@@ -61,22 +61,23 @@ pub fn write_text(log: &Log) -> String {
 /// form a valid log (Definition 2).
 pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
     let mut records = Vec::with_capacity(super::line_count(text));
-    let mut names = Interner::default();
+    let mut dict = DictBuilder::default();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with("lsn") {
             continue;
         }
-        records.push(parse_line(trimmed, line_no, &mut names)?);
+        records.push(parse_line(trimmed, line_no, &mut dict)?);
     }
+    dict.freeze(&mut records);
     Ok(Log::new(records)?)
 }
 
 fn parse_line(
     line: &str,
     line_no: usize,
-    names: &mut Interner,
+    dict: &mut DictBuilder,
 ) -> Result<LogRecord, ParseLogError> {
     // Quote-aware split: a '|' inside a quoted attribute value is data.
     let fields = super::split_exact(line, b'|').map_err(|found| ParseLogError::BadShape {
@@ -98,21 +99,21 @@ fn parse_line(
             message: "activity name is empty".to_string(),
         });
     }
-    let activity = names.activity(activity);
-    let input = parse_attr_map(input, line_no, names)?;
-    let output = parse_attr_map(output, line_no, names)?;
+    let activity = dict.names.activity(activity);
+    let input = parse_attr_map(input, line_no, dict)?;
+    let output = parse_attr_map(output, line_no, dict)?;
     Ok(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
 }
 
 fn parse_attr_map(
     text: &str,
     line_no: usize,
-    names: &mut Interner,
+    dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
     if text.is_empty() || text == "-" {
         return Ok(AttrMap::new());
     }
-    super::parse_entries(text, b',', line_no, names)
+    super::parse_entries(text, b',', line_no, dict)
 }
 
 #[cfg(test)]

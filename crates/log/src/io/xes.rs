@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 
+use crate::attrs::DictBuilder;
 use crate::error::ParseLogError;
 use crate::log::Log;
 use crate::record::{LogRecord, Wid};
@@ -114,6 +115,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
     let mut parser = XmlScanner::new(text);
     let mut current_wid: Option<Wid> = None;
     let mut event: Option<EventBuilder> = None;
+    let mut dict = DictBuilder::default();
 
     while let Some(tag) = parser.next_tag()? {
         match tag.name.as_str() {
@@ -125,7 +127,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .ok_or_else(|| bad(parser.line, "</event> without <event>"))?;
                 let wid = current_wid
                     .ok_or_else(|| bad(parser.line, "event before trace concept:name"))?;
-                records.push(builder.finish(wid, parser.line)?);
+                records.push(builder.finish(wid, parser.line, &mut dict)?);
             }
             "string" | "int" | "float" | "boolean" => {
                 let key = tag
@@ -135,7 +137,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .attr("value")
                     .ok_or_else(|| bad(parser.line, "attribute without value"))?;
                 if let Some(ev) = event.as_mut() {
-                    ev.set(&tag.name, &key, &value, parser.line)?;
+                    ev.set(&mut dict, &tag.name, &key, &value, parser.line)?;
                 } else if key == "concept:name" {
                     // Trace-level name: the instance id.
                     let wid: u64 = value
@@ -147,6 +149,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
             _ => {}
         }
     }
+    dict.freeze(&mut records);
     Ok(Log::new(records)?)
 }
 
@@ -162,45 +165,75 @@ struct EventBuilder {
     activity: Option<String>,
     is_lsn: Option<u32>,
     lsn: Option<u64>,
-    input: AttrMap,
-    output: AttrMap,
+    /// The dictionary ids of the αin and αout entries, in document order.
+    input: Vec<u32>,
+    output: Vec<u32>,
+}
+
+/// Parses an attribute's `value` by its tag name.
+fn parse_value(kind: &str, raw: &str, line: usize) -> Result<Value, ParseLogError> {
+    Ok(match kind {
+        "int" => Value::Int(raw.parse().map_err(|_| bad(line, "bad int"))?),
+        "float" => Value::Float(raw.parse().map_err(|_| bad(line, "bad float"))?),
+        "boolean" => Value::Bool(raw == "true"),
+        _ => {
+            if raw == "⊥" {
+                Value::Undefined
+            } else {
+                Value::from(unescape(raw))
+            }
+        }
+    })
 }
 
 impl EventBuilder {
-    fn set(&mut self, kind: &str, key: &str, raw: &str, line: usize) -> Result<(), ParseLogError> {
-        let value = match kind {
-            "int" => Value::Int(raw.parse().map_err(|_| bad(line, "bad int"))?),
-            "float" => Value::Float(raw.parse().map_err(|_| bad(line, "bad float"))?),
-            "boolean" => Value::Bool(raw == "true"),
-            _ => {
-                if raw == "⊥" {
-                    Value::Undefined
-                } else {
-                    Value::from(unescape(raw))
+    fn set(
+        &mut self,
+        dict: &mut DictBuilder,
+        kind: &str,
+        key: &str,
+        raw: &str,
+        line: usize,
+    ) -> Result<(), ParseLogError> {
+        let (ids, name) = if let Some(name) = key.strip_prefix("wlq:in:") {
+            (&mut self.input, name)
+        } else if let Some(name) = key.strip_prefix("wlq:out:") {
+            (&mut self.output, name)
+        } else {
+            let value = parse_value(kind, raw, line)?;
+            match key {
+                "concept:name" => self.activity = Some(unescape(raw)),
+                "wlq:islsn" => {
+                    self.is_lsn =
+                        Some(value.as_int().ok_or_else(|| bad(line, "islsn not int"))? as u32);
                 }
+                "wlq:lsn" => {
+                    self.lsn = Some(value.as_int().ok_or_else(|| bad(line, "lsn not int"))? as u64);
+                }
+                _ => {} // foreign XES attributes are ignored
             }
+            return Ok(());
         };
-        match key {
-            "concept:name" => self.activity = Some(unescape(raw)),
-            "wlq:islsn" => {
-                self.is_lsn =
-                    Some(value.as_int().ok_or_else(|| bad(line, "islsn not int"))? as u32);
-            }
-            "wlq:lsn" => {
-                self.lsn = Some(value.as_int().ok_or_else(|| bad(line, "lsn not int"))? as u64);
-            }
-            key if key.starts_with("wlq:in:") => {
-                self.input.set(unescape(&key["wlq:in:".len()..]), value);
-            }
-            key if key.starts_with("wlq:out:") => {
-                self.output.set(unescape(&key["wlq:out:".len()..]), value);
-            }
-            _ => {} // foreign XES attributes are ignored
+        // The entry's bytes: the name and the kind, each length-prefixed,
+        // then the raw value.
+        let mut entry = Vec::with_capacity(8 + name.len() + kind.len() + raw.len());
+        for part in [name, kind] {
+            entry.extend_from_slice(&(part.len() as u32).to_le_bytes());
+            entry.extend_from_slice(part.as_bytes());
         }
+        entry.extend_from_slice(raw.as_bytes());
+        ids.push(dict.entry(&entry, |names| {
+            parse_value(kind, raw, line).map(|value| (names.attr_name(&unescape(name)), value))
+        })?);
         Ok(())
     }
 
-    fn finish(self, wid: Wid, line: usize) -> Result<LogRecord, ParseLogError> {
+    fn finish(
+        self,
+        wid: Wid,
+        line: usize,
+        dict: &mut DictBuilder,
+    ) -> Result<LogRecord, ParseLogError> {
         let activity = self
             .activity
             .ok_or_else(|| bad(line, "event without concept:name"))?;
@@ -208,14 +241,17 @@ impl EventBuilder {
             .is_lsn
             .ok_or_else(|| bad(line, "event without wlq:islsn"))?;
         let lsn = self.lsn.ok_or_else(|| bad(line, "event without wlq:lsn"))?;
-        Ok(LogRecord::new(
-            lsn,
-            wid,
-            is_lsn,
-            activity.as_str(),
-            self.input,
-            self.output,
-        ))
+        let mut map = |ids: Vec<u32>| {
+            for id in ids {
+                dict.push(id);
+            }
+            dict.finish_map()
+                .ok_or_else(|| bad(line, "more attribute entries than u32 can number"))
+        };
+        let input = map(self.input)?;
+        let output = map(self.output)?;
+        let activity = dict.names.activity(&activity);
+        Ok(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
     }
 }
 

@@ -48,7 +48,7 @@ mod value;
 pub mod io;
 pub mod paper;
 
-pub use attrs::AttrMap;
+pub use attrs::{AttrIter, AttrMap};
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
 pub use index::{ActivityId, LogIndex};

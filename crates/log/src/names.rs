@@ -6,30 +6,31 @@
 //! at the type level ([C-NEWTYPE]). Clones share one allocation.
 //!
 //! The log decoders intern while they decode: one `Interner` per decode
-//! hands out a single `Arc<str>` per distinct activity name, attribute
-//! name and unquoted string value, so every record of a decoded log that
-//! names `SeeDoctor` points at the same bytes. The table is dropped when
+//! hands out a single `Arc<str>` per distinct activity or attribute name,
+//! so every record of a decoded log that names `SeeDoctor` points at the
+//! same bytes. (Attribute values live in the load's attribute
+//! dictionary, see the `attrs` module.) The table is dropped when
 //! decoding ends; the log keeps only the shared strings. Names built by
 //! hand ([`Activity::new`], `From<&str>`) are not interned.
 //! [`Log::new`](crate::Log::new) then gives each distinct activity name a
 //! dense [`ActivityId`](crate::ActivityId), looked up by name.
 //!
-//! These per-load tables (the interner, and in `Log::new` the activity
-//! and instance maps) hash with `FxBuildHasher`, a multiply-rotate hash
-//! in the style of rustc's `FxHasher`, instead of the standard SipHash.
-//! It is several times cheaper on short names but is not a keyed
-//! cryptographic hash. Each table starts its hasher from a fresh random
-//! seed (drawn from std's `RandomState`), so which keys share a bucket
-//! is not fixed in advance: an unseeded Fx hash of a one-word key is an
-//! invertible function of the key, and a file could pick instance ids
-//! that all land in one bucket and make every load quadratic. The trust
-//! model: seeding makes such collisions a matter of chance rather than
-//! of choice, but the hash is not proven collision-resistant, so a
-//! crafted input can at worst make one decode slower (a table probe
-//! degrades towards a scan of the colliding entries). It cannot change
-//! what is decoded, because every probe still compares the full key.
-//! The tables live for one load and are never exposed, so no state
-//! carries over between inputs.
+//! These per-load tables (the interner, the attribute dictionary's entry
+//! lookup, and in `Log::new` the activity and instance maps) hash with
+//! `FxBuildHasher`, a multiply-rotate hash in the style of rustc's
+//! `FxHasher`, instead of the standard SipHash. It is several times
+//! cheaper on short names but is not a keyed cryptographic hash. Each
+//! table starts its hasher from a fresh random seed (drawn from std's
+//! `RandomState`), so which keys share a bucket is not fixed in advance:
+//! an unseeded Fx hash of a one-word key is an invertible function of the
+//! key, and a file could pick instance ids that all land in one bucket
+//! and make every load quadratic. The trust model: seeding makes such
+//! collisions a matter of chance rather than of choice, but the hash is
+//! not proven collision-resistant, so a crafted input can at worst make
+//! one decode slower (a table probe degrades towards a scan of the
+//! colliding entries). It cannot change what is decoded, because every
+//! probe still compares the full key. The tables live for one load and
+//! are never exposed, so no state carries over between inputs.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -213,11 +214,19 @@ impl Hasher for FxHasher {
             w.copy_from_slice(word);
             self.add(u64::from_le_bytes(w));
         }
+        // The last 1–7 bytes as one word, read with loads that may
+        // overlap rather than a variable-length copy. For a given tail
+        // length, every byte lands in the word.
         let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut w = [0; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(w));
+        let n = tail.len();
+        if n >= 4 {
+            let (mut lo, mut hi) = ([0; 4], [0; 4]);
+            lo.copy_from_slice(&tail[..4]);
+            hi.copy_from_slice(&tail[n - 4..]);
+            self.add(u64::from(u32::from_le_bytes(lo)) | u64::from(u32::from_le_bytes(hi)) << 32);
+        } else if n > 0 {
+            let bytes = [tail[0], tail[n / 2], tail[n - 1], n as u8];
+            self.add(u64::from(u32::from_le_bytes(bytes)));
         }
     }
 
@@ -240,8 +249,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// A per-decode string table: [`intern`](Self::intern) returns the one
-/// shared `Arc<str>` for each distinct string it has seen.
+/// A per-decode table of activity and attribute names: each distinct
+/// name is allocated once and shared.
 #[derive(Default)]
 pub(crate) struct Interner {
     strings: HashSet<Arc<str>, FxBuildHasher>,
@@ -249,7 +258,7 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// The shared copy of `s`, allocated on first sight.
-    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
+    fn intern(&mut self, s: &str) -> Arc<str> {
         if let Some(shared) = self.strings.get(s) {
             return Arc::clone(shared);
         }

@@ -78,6 +78,12 @@ impl IsLsn {
         assert!(self.0 < u32::MAX, "is-lsn overflow");
         IsLsn(self.0 + 1)
     }
+
+    /// The successor position, or `None` past `u32::MAX`.
+    #[must_use]
+    pub fn checked_next(self) -> Option<IsLsn> {
+        self.0.checked_add(1).map(IsLsn)
+    }
 }
 
 /// A workflow log record (Definition 1): the effect of executing one
@@ -210,6 +216,12 @@ impl LogRecord {
         self.activity.is_end()
     }
 
+    /// The input and output maps, for a decoder attaching its attribute
+    /// dictionary.
+    pub(crate) fn maps_mut(&mut self) -> [&mut AttrMap; 2] {
+        [&mut self.input, &mut self.output]
+    }
+
     /// Re-stamps the global `lsn` (used by log mergers and builders).
     pub(crate) fn set_lsn(&mut self, lsn: Lsn) {
         self.lsn = lsn;
@@ -273,6 +285,13 @@ mod tests {
     fn is_lsn_next_increments() {
         assert_eq!(IsLsn(1).next(), IsLsn(2));
         assert_eq!(IsLsn::FIRST.next().next(), IsLsn(3));
+    }
+
+    #[test]
+    fn checked_next_stops_at_the_last_position() {
+        assert_eq!(IsLsn(1).checked_next(), Some(IsLsn(2)));
+        assert_eq!(IsLsn(u32::MAX - 1).checked_next(), Some(IsLsn(u32::MAX)));
+        assert_eq!(IsLsn(u32::MAX).checked_next(), None);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property tests of the log crate: builder validity, serialization
 //! round-trips over randomly-shaped logs with arbitrary attribute values,
-//! decoder robustness under byte mutations, decode interning, and index
-//! consistency.
+//! decoder robustness under byte mutations, decode interning, attribute
+//! maps shared through a load's dictionary, and index consistency.
 
 use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
 };
 
-use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogStats, Value};
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogRecord, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -131,6 +135,57 @@ fn activities_are_shared(log: &Log) -> Result<(), String> {
     Ok(())
 }
 
+/// `log` through every decoder: text, CSV, binary and XES.
+fn decode_all(log: &Log) -> [Log; 4] {
+    [
+        io::text::read_text(&io::text::write_text(log)).unwrap(),
+        io::csv::read_csv(&io::csv::write_csv(log)).unwrap(),
+        io::binary::read_binary(io::binary::write_binary(log)).unwrap(),
+        io::xes::read_xes(&io::xes::write_xes(log)).unwrap(),
+    ]
+}
+
+/// Every record's input and output map, in lsn order.
+fn maps(log: &Log) -> Vec<&AttrMap> {
+    log.iter().flat_map(|r| [r.input(), r.output()]).collect()
+}
+
+fn hash_of<T: Hash>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+#[test]
+fn maps_and_records_stay_small() {
+    assert_eq!(std::mem::size_of::<AttrMap>(), 16);
+    assert!(std::mem::size_of::<LogRecord>() <= 72);
+}
+
+#[test]
+fn decoded_maps_equal_literal_maps() {
+    let mut b = LogBuilder::new();
+    let w = b.start_instance();
+    let referral = attrs! { "referId" => "034d1", "balance" => 1000i64 };
+    b.append(w, "GetRefer", attrs! {}, referral.clone())
+        .unwrap();
+    b.append(
+        w,
+        "CheckIn",
+        referral.clone(),
+        attrs! { "referState" => "active" },
+    )
+    .unwrap();
+    let log = b.build().unwrap();
+    for decoded in decode_all(&log) {
+        let input = decoded.records()[2].input();
+        assert_eq!(input, &referral);
+        assert_eq!(input.cmp(&referral), Ordering::Equal);
+        assert_eq!(hash_of(input), hash_of(&referral));
+        assert_eq!(input.to_string(), "balance=1000, referId=034d1");
+    }
+}
+
 #[test]
 fn binary_maps_with_repeated_or_unsorted_names_decode_last_wins() {
     let mut raw = b"WLQ1".to_vec();
@@ -205,6 +260,65 @@ proptest! {
         for back in &decoded {
             prop_assert_eq!(back, &log);
             prop_assert_eq!(activities_are_shared(back), Ok(()));
+        }
+    }
+
+    /// A map cloned out of a decoded record shares the load's
+    /// dictionary; writing to it copies it out first, so no other record
+    /// of the log, nor the log's equality with its source, changes.
+    #[test]
+    fn writes_to_a_decoded_map_leave_the_log_unchanged(
+        log in arb_log(),
+        pick in any::<usize>(),
+        op in 0..3u8,
+    ) {
+        for decoded in decode_all(&log) {
+            let records = decoded.records();
+            let record = &records[pick % records.len()];
+            let other = records[(pick / 7) % records.len()].output();
+            for map in [record.input(), record.output()] {
+                let mut copy = map.clone();
+                match op {
+                    0 => {
+                        copy.set("zz", 1i64);
+                        for name in map.names() {
+                            copy.set(name.clone(), Value::Undefined);
+                        }
+                    }
+                    1 => {
+                        for name in map.names() {
+                            prop_assert!(copy.remove(name.as_str()).is_some());
+                        }
+                        prop_assert!(copy.is_empty());
+                    }
+                    _ => {
+                        copy.apply(other);
+                        copy.apply(&attrs! { "a" => "new" });
+                    }
+                }
+                prop_assert_eq!(&decoded, &log);
+                prop_assert_eq!(maps(&decoded), maps(&log));
+            }
+        }
+    }
+
+    /// Maps decoded into a dictionary compare, order and hash exactly like
+    /// the hand-built maps (`set`, as `attrs!` uses) they came from, in
+    /// every format.
+    #[test]
+    fn decoded_maps_compare_order_and_hash_like_built_ones(log in arb_log()) {
+        let built = maps(&log);
+        for decoded in decode_all(&log) {
+            let decoded = maps(&decoded);
+            prop_assert_eq!(decoded.len(), built.len());
+            for (m, b) in decoded.iter().zip(&built) {
+                prop_assert_eq!(hash_of(m), hash_of(b));
+                for (m2, b2) in decoded.iter().zip(&built) {
+                    prop_assert_eq!(m.cmp(m2), b.cmp(b2));
+                    prop_assert_eq!(m.cmp(b2), b.cmp(b2));
+                    prop_assert_eq!(*m == *m2, *b == *b2);
+                }
+            }
         }
     }
 

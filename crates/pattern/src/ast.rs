@@ -197,12 +197,11 @@ impl Predicate {
     #[must_use]
     pub fn matches(&self, input: &wlq_log::AttrMap, output: &wlq_log::AttrMap) -> bool {
         let actual = match self.scope {
-            Scope::Input => input.get(self.attr.as_str()).cloned(),
-            Scope::Output => output.get(self.attr.as_str()).cloned(),
+            Scope::Input => input.get(self.attr.as_str()),
+            Scope::Output => output.get(self.attr.as_str()),
             Scope::Any => output
                 .get(self.attr.as_str())
-                .or_else(|| input.get(self.attr.as_str()))
-                .cloned(),
+                .or_else(|| input.get(self.attr.as_str())),
         };
         let Some(actual) = actual else {
             // Absent attribute: only `!=` can hold.
