@@ -317,7 +317,9 @@ fn combine_bound(op: Op, left: &[BoundIncident], right: &[BoundIncident]) -> Vec
             for l in left {
                 for r in right {
                     let ok = match op {
-                        Op::Consecutive => l.incident.last().next() == r.incident.first(),
+                        Op::Consecutive => {
+                            l.incident.last().checked_next() == Some(r.incident.first())
+                        }
                         Op::Sequential => l.incident.last() < r.incident.first(),
                         // Choice is handled by the arm above; treating it
                         // as a filter here would be wrong, so reject.

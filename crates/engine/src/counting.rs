@@ -33,7 +33,9 @@
 //! [`Query`](crate::Query)'s `count`/`exists` ask [`count`]/[`exists`]
 //! first, on the pattern as written, under
 //! [`Strategy::Planned`](crate::Strategy::Planned), and the planner
-//! reports [`is_countable`]'s verdict on the query.
+//! reports [`is_countable`]'s verdict on the query. The counters walk
+//! only the query's candidate instances (`crate::candidates`): the
+//! others hold no incident, so they add nothing to a count.
 //!
 //! Counts saturate at `usize::MAX`. Every value the counters hold is
 //! `min(true count, usize::MAX)`: saturating addition and multiplication
@@ -42,6 +44,8 @@
 
 use wlq_log::{ActivityId, Log, LogIndex};
 use wlq_pattern::{Atom, Op, Pattern};
+
+use crate::candidates::Candidates;
 
 /// A set of activities a pattern can describe without the log: exactly
 /// `names`, or, when `complement` is set, every activity except `names`.
@@ -397,19 +401,21 @@ impl Counter {
         }
     }
 
-    fn total(mut self, index: &LogIndex) -> usize {
+    /// The incidents within the `candidates` instances; the others hold
+    /// none.
+    fn total(mut self, index: &LogIndex, candidates: Candidates<'_>) -> usize {
         if self.unmatchable() {
             return 0;
         }
-        (0..index.num_instances()).fold(0, |total: usize, ordinal| {
+        candidates.fold(0, |total: usize, ordinal| {
             total.saturating_add(self.instance(index, ordinal))
         })
     }
 
-    /// Whether some instance has an incident; stops at the first.
-    fn any(mut self, index: &LogIndex) -> bool {
-        !self.unmatchable()
-            && (0..index.num_instances()).any(|ordinal| self.instance(index, ordinal) > 0)
+    /// Whether some of the `candidates` instances has an incident; stops
+    /// at the first.
+    fn any(mut self, index: &LogIndex, mut candidates: Candidates<'_>) -> bool {
+        !self.unmatchable() && candidates.any(|ordinal| self.instance(index, ordinal) > 0)
     }
 }
 
@@ -421,13 +427,15 @@ pub(crate) fn is_countable(pattern: &Pattern) -> bool {
 /// `|incL(pattern)|` over a prebuilt index, saturating at `usize::MAX`;
 /// `None` if the pattern is outside the fragment.
 pub(crate) fn count(index: &LogIndex, pattern: &Pattern) -> Option<usize> {
-    Some(Counter::new(&Shape::of(pattern)?, index).total(index))
+    let counter = Counter::new(&Shape::of(pattern)?, index);
+    Some(counter.total(index, Candidates::new(pattern, index)))
 }
 
 /// Whether `pattern` has an incident, stopping at the first instance
 /// with one; `None` if the pattern is outside the fragment.
 pub(crate) fn exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> {
-    Some(Counter::new(&Shape::of(pattern)?, index).any(index))
+    let counter = Counter::new(&Shape::of(pattern)?, index);
+    Some(counter.any(index, Candidates::new(pattern, index)))
 }
 
 /// Counts `|incL(pattern)|` without materialising incidents, if the
@@ -455,9 +463,7 @@ pub(crate) fn exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> {
 /// ```
 #[must_use]
 pub fn fast_count(log: &Log, pattern: &Pattern) -> Option<usize> {
-    let shape = Shape::of(pattern)?;
-    let index = log.index();
-    Some(Counter::new(&shape, index).total(index))
+    count(log.index(), pattern)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use wlq_log::{ActivityId, IsLsn, Log, LogIndex, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::{BatchArena, IncidentBatch};
+use crate::candidates::Candidates;
 use crate::counting;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
@@ -277,6 +278,17 @@ impl<'a> Evaluator<'a> {
         plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0))
     }
 
+    /// The instances a query over `pattern` visits: under
+    /// [`Strategy::Planned`] its candidates, the only instances that can
+    /// hold an incident (see `crate::candidates`); under the naive oracle
+    /// every instance, so the oracle checks the skipping.
+    pub(crate) fn candidates(&self, pattern: &Pattern) -> Candidates<'a> {
+        match self.strategy {
+            Strategy::Planned => Candidates::new(pattern, self.index),
+            Strategy::NaivePaper => Candidates::every(self.index),
+        }
+    }
+
     /// Executes `exec` for instance `ordinal`, drawing and retiring
     /// batches in the caller's arena.
     fn run<P: Probe>(
@@ -381,8 +393,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates every instance in `ordinals` (a range, or a worker's
-    /// claims) and returns the finished batch of each matched one, in
+    /// Evaluates every instance in `ordinals` (a query's
+    /// [`candidates`](Self::candidates), or a worker's claims of them, or
+    /// one ordinal) and returns the finished batch of each matched one, in
     /// claim order: `exec` when planned, the naive oracle over `pattern`
     /// otherwise.
     ///
@@ -421,8 +434,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Runs `plan` (the naive oracle over `pattern` without one) over the
-    /// instances in ordinal order without materializing, handing each instance's incident count to `visit`
-    /// until it breaks.
+    /// query's [`candidates`](Self::candidates) in ordinal order without
+    /// materializing, handing each one's incident count to `visit` until
+    /// it breaks.
     fn sweep(
         &self,
         pattern: &Pattern,
@@ -430,8 +444,12 @@ impl<'a> Evaluator<'a> {
         mut visit: impl FnMut(Wid, usize) -> ControlFlow<()>,
     ) {
         let exec = self.exec(plan);
+        let wids = self.index.instance_wids();
         let mut arena = BatchArena::new();
-        for (ordinal, &wid) in self.index.instance_wids().iter().enumerate() {
+        for ordinal in self.candidates(pattern) {
+            let Some(&wid) = wids.get(ordinal) else {
+                return;
+            };
             let n = match &exec {
                 Some(exec) => {
                     let batch = self.run(exec, ordinal, wid, &mut arena, &mut NoProbe);
@@ -450,7 +468,7 @@ impl<'a> Evaluator<'a> {
     /// Computes `incL(p)`: all incidents of `p` in the log.
     ///
     /// Under [`Strategy::Planned`] the pattern is planned once and the
-    /// chosen physical tree runs per instance in the flat
+    /// chosen physical tree runs per candidate instance in the flat
     /// [`IncidentBatch`] layout, with one [`BatchArena`] reused across all
     /// instances; each matched instance's root batch becomes part of the
     /// set as it is, so no incident is copied or allocated on its own.
@@ -461,7 +479,7 @@ impl<'a> Evaluator<'a> {
         IncidentSet::from_batches(self.instances(
             pattern,
             exec.as_ref(),
-            0..self.index.num_instances(),
+            self.candidates(pattern),
             &mut NoProbe,
         ))
     }

@@ -99,7 +99,10 @@ pub fn consecutive_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut
     check_operands(left, right, out);
     let rrefs = right.refs();
     for lref in left.refs() {
-        let probe = lref.last().next();
+        // An incident ending at `u32::MAX` has no consecutive partner.
+        let Some(probe) = lref.last().checked_next() else {
+            continue;
+        };
         let start = rrefs.partition_point(|r| r.first() < probe);
         for rref in rrefs[start..].iter().take_while(|r| r.first() == probe) {
             out.push_concat(left.positions(lref), right.positions(rref));
@@ -228,9 +231,9 @@ pub fn nested_loop_kernel(
     match op {
         Op::Consecutive => {
             for lref in left.refs() {
-                let probe = lref.last().next();
+                let probe = lref.last().checked_next();
                 for rref in right.refs() {
-                    if rref.first() == probe {
+                    if Some(rref.first()) == probe {
                         out.push_concat(left.positions(lref), right.positions(rref));
                     }
                 }
@@ -380,6 +383,27 @@ mod tests {
         let lb = IncidentBatch::from_incidents(WID, left);
         let rb = IncidentBatch::from_incidents(WID, right);
         combine_batch(op, &lb, &rb).into_incidents()
+    }
+
+    #[test]
+    fn an_incident_ending_at_the_last_is_lsn_has_no_consecutive_partner() {
+        let last = u32::MAX;
+        let left = vec![incident(&[1, last]), incident(&[last - 1])];
+        let right = vec![
+            incident(&[2]),
+            incident(&[last - 1, last]),
+            incident(&[last]),
+        ];
+        let reference = naive::consecutive_eval(&left, &right);
+        assert_eq!(reference, vec![incident(&[last - 1, last])]);
+        assert_eq!(run(Op::Consecutive, &left, &right), reference);
+        let (lb, rb) = (
+            IncidentBatch::from_incidents(WID, &left),
+            IncidentBatch::from_incidents(WID, &right),
+        );
+        let mut out = IncidentBatch::new(WID);
+        nested_loop_kernel(Op::Consecutive, &lb, &rb, &mut out);
+        assert_eq!(out.into_incidents(), reference);
     }
 
     #[test]

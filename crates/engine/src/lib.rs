@@ -17,8 +17,9 @@
 //! * [`IncidentTree`] — Definition 6 trees with post-order evaluation
 //!   (Algorithms 2–3) and per-node traces.
 //! * [`Evaluator`] — the one per-instance executor, with
-//!   short-circuiting; [`evaluate_parallel`] runs it on the engine's one
-//!   worker pool.
+//!   short-circuiting; a planned query visits only its candidate
+//!   instances, those running every activity it needs.
+//!   [`evaluate_parallel`] runs it on the engine's one worker pool.
 //! * [`StreamingEvaluator`] — incremental evaluation over an append-only
 //!   log (runtime monitoring).
 //! * [`profile_evaluation`] (cargo feature `profiling`, on by default) —
@@ -45,6 +46,7 @@
 
 mod bindings;
 mod bounded_equiv;
+mod candidates;
 mod counting;
 mod error;
 mod eval;

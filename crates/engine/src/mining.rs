@@ -68,7 +68,10 @@ pub fn mine_relations(log: &Log, min_support: usize) -> Vec<MinedRelation> {
                 if pb.is_empty() {
                     continue;
                 }
-                let consecutive = pa.iter().any(|&x| pb.binary_search(&x.next()).is_ok());
+                let consecutive = pa.iter().any(|&x| {
+                    x.checked_next()
+                        .is_some_and(|n| pb.binary_search(&n).is_ok())
+                });
                 // ∃ x ∈ pa, y ∈ pb with x < y ⇔ min(pa) < max(pb);
                 // pb is nonempty (checked above), so indexing is safe.
                 let sequential = pa[0] < pb[pb.len() - 1];

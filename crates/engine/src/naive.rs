@@ -19,7 +19,7 @@ pub fn consecutive_eval(inc1: &[Incident], inc2: &[Incident]) -> Vec<Incident> {
     let mut out = Vec::new();
     for o1 in inc1 {
         for o2 in inc2 {
-            if o1.last().next() == o2.first() {
+            if o1.last().checked_next() == Some(o2.first()) {
                 out.push(o1.union(o2));
             }
         }

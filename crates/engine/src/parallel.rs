@@ -2,9 +2,10 @@
 //!
 //! Incidents never span workflow instances, so `incL(p)` decomposes into
 //! independent per-instance subproblems (the paper's Algorithm 2 iterates
-//! over `widSet` sequentially). [`Evaluator::pool`] distributes instance
-//! ordinals over [`crossbeam`] scoped worker threads through one shared
-//! atomic counter; [`evaluate_parallel`] and the profiler both run on it.
+//! over `widSet` sequentially). [`Evaluator::pool`] distributes a query's
+//! candidate instances over [`crossbeam`] scoped worker threads through
+//! one shared candidate source; [`evaluate_parallel`] and the profiler
+//! both run on it.
 //!
 //! The entry points are panic-free: a zero worker count is reported as
 //! [`EngineError::NoWorkers`], and a panicking worker is contained at the
@@ -12,11 +13,12 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use wlq_log::Log;
 use wlq_pattern::Pattern;
 
+use crate::candidates::Candidates;
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
@@ -34,18 +36,16 @@ fn describe_panic(payload: &(dyn Any + Send)) -> String {
 }
 
 /// The instance ordinals one worker claims, one at a time, from the
-/// pool's shared counter.
-pub(crate) struct Claims<'a> {
-    next: &'a AtomicUsize,
-    end: usize,
-}
+/// pool's shared candidate source.
+pub(crate) struct Claims<'a, 'i>(&'a Mutex<Candidates<'i>>);
 
-impl Iterator for Claims<'_> {
+impl Iterator for Claims<'_, '_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        let ordinal = self.next.fetch_add(1, Ordering::Relaxed);
-        (ordinal < self.end).then_some(ordinal)
+        // Workers run their code with the lock released, so a panic
+        // cannot leave the source half-advanced.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).next()
     }
 }
 
@@ -100,7 +100,7 @@ impl Evaluator<'_> {
         // worker's batches move into the set, which puts them in wid order.
         let plan = self.physical_plan(pattern);
         let exec = self.exec(plan.as_ref());
-        let parts = self.pool(num_threads, |claims| {
+        let parts = self.pool(num_threads, self.candidates(pattern), |claims| {
             self.instances(pattern, exec.as_ref(), claims, &mut NoProbe)
         })?;
         Ok(IncidentSet::from_batches(
@@ -110,19 +110,20 @@ impl Evaluator<'_> {
 
     /// The worker pool: runs `work` on up to `threads` workers (never more
     /// than there are instances), each handed the [`Claims`] it draws from
-    /// one shared counter, and returns every worker's result in worker
-    /// order. Each worker owns whatever `work` builds — arena, probe,
-    /// results — so nothing is shared but the counter. A single worker
-    /// runs on the caller's thread; every worker's panic is caught.
+    /// `candidates`, and returns every worker's result in worker order.
+    /// Each worker owns whatever `work` builds — arena, probe, results —
+    /// so nothing is shared but the candidate source. A single worker runs
+    /// on the caller's thread; every worker's panic is caught.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::NoWorkers`] if `threads` is 0 and
     /// [`EngineError::WorkerPanicked`] if a worker panics.
-    pub(crate) fn pool<T: Send>(
+    pub(crate) fn pool<'i, T: Send>(
         &self,
         threads: usize,
-        work: impl Fn(Claims<'_>) -> T + Sync,
+        candidates: Candidates<'i>,
+        work: impl Fn(Claims<'_, 'i>) -> T + Sync,
     ) -> Result<Vec<T>, EngineError> {
         if threads == 0 {
             return Err(EngineError::NoWorkers);
@@ -130,10 +131,9 @@ impl Evaluator<'_> {
         let panicked = |payload: Box<dyn Any + Send>| EngineError::WorkerPanicked {
             detail: describe_panic(payload.as_ref()),
         };
-        let end = self.index().num_instances();
-        let next = AtomicUsize::new(0);
-        let claims = || Claims { next: &next, end };
-        let workers = threads.min(end);
+        let source = Mutex::new(candidates);
+        let claims = || Claims(&source);
+        let workers = threads.min(self.index().num_instances());
         if workers <= 1 {
             return panic::catch_unwind(AssertUnwindSafe(|| vec![work(claims())]))
                 .map_err(panicked);
@@ -296,9 +296,10 @@ mod tests {
     fn pool_catches_worker_panics() {
         let log = many_instances(8);
         let eval = Evaluator::new(&log);
+        let every = || Candidates::every(eval.index());
         for threads in [1, 2] {
             let err = eval
-                .pool(threads, |claims| {
+                .pool(threads, every(), |claims| {
                     for ordinal in claims {
                         assert!(ordinal < 4, "worker hit ordinal {ordinal}");
                     }
@@ -311,7 +312,7 @@ mod tests {
         }
         // Every ordinal is claimed exactly once across workers.
         let mut claimed: Vec<usize> = eval
-            .pool(3, |claims| claims.collect::<Vec<_>>())
+            .pool(3, every(), |claims| claims.collect::<Vec<_>>())
             .unwrap()
             .concat();
         claimed.sort_unstable();

@@ -147,7 +147,7 @@ impl Evaluator<'_> {
         };
         let exec = self.exec(plan.as_ref());
         let node_count = shapes.len();
-        let results = self.pool(threads, |claims| {
+        let results = self.pool(threads, self.candidates(pattern), |claims| {
             let busy = Instant::now();
             let mut probe = Metrics(vec![NodeMetrics::new(); node_count]);
             let mut claimed = 0u64;
@@ -184,6 +184,7 @@ impl Evaluator<'_> {
                 .map(|(shape, metrics)| ProfiledNode { shape, metrics })
                 .collect(),
             workers,
+            log_instances: self.index().num_instances() as u64,
             total_wall: start.elapsed(),
             total_incidents: set.len() as u64,
         };
@@ -326,10 +327,12 @@ mod tests {
         let (par_set, par_profile) = eval.evaluate_profiled(&p, 2).unwrap();
         assert_eq!(seq_set, par_set);
         assert_eq!(par_profile.workers.len(), 2);
-        let swept: u64 = par_profile.workers.iter().map(|w| w.instances).sum();
-        assert_eq!(swept, 3); // figure 3 has 3 instances
-                              // Merged totals are identical to the sequential run's counters
-                              // for every deterministic metric (wall time differs).
+        // The run visits the query's candidates: Figure 3 has 3
+        // instances, but wid 3 runs no CheckIn and cannot hold an incident.
+        assert_eq!(par_profile.visited_instances(), 2);
+        assert_eq!(par_profile.log_instances, 3);
+        // Merged totals are identical to the sequential run's counters
+        // for every deterministic metric (wall time differs).
         for (seq, par) in seq_profile.nodes.iter().zip(&par_profile.nodes) {
             assert_eq!(seq.metrics.incidents_emitted, par.metrics.incidents_emitted);
             assert_eq!(seq.metrics.records_scanned, par.metrics.records_scanned);

@@ -259,7 +259,9 @@ impl StreamingEvaluator {
     ///
     /// Returns [`EngineError::InvalidLog`] if the record violates the
     /// per-instance ordering invariants of Definition 2 (non-consecutive
-    /// `is-lsn`, record after `END`, or a non-`START` first record).
+    /// `is-lsn`, record after `END`, or a non-`START` first record), or
+    /// if its instance has no is-lsn left after it
+    /// ([`LogError::IsLsnOverflow`]); nothing is recorded then.
     pub fn append(&mut self, record: &LogRecord) -> Result<Vec<Incident>, EngineError> {
         let wid = record.wid();
         let entry = self.instances.entry(wid);
@@ -289,12 +291,15 @@ impl StreamingEvaluator {
             }
             .into());
         }
+        let next = expected
+            .checked_next()
+            .ok_or(LogError::IsLsnOverflow(wid))?;
         let instance = entry.or_insert_with(|| Instance {
             next: IsLsn::FIRST,
             closed: false,
             row: Box::default(),
         });
-        instance.next = expected.next();
+        instance.next = next;
         self.records_seen += 1;
 
         let rows = Rows {
@@ -536,7 +541,7 @@ impl SharedStreamingEvaluator {
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
-    use wlq_log::paper;
+    use wlq_log::{paper, AttrMap};
 
     fn parse(s: &str) -> Pattern {
         s.parse().unwrap()
@@ -612,6 +617,27 @@ mod tests {
         // The anomaly completes exactly when l20 (wid 2's GetReimburse)
         // arrives.
         assert_eq!(fired_at, Some(20));
+    }
+
+    #[test]
+    fn an_instance_out_of_is_lsns_is_a_typed_error() {
+        let mut stream = StreamingEvaluator::new(parse("A ~> A"));
+        stream.append(&LogRecord::start(1u64, 1u64)).unwrap();
+        stream.append(&LogRecord::start(2u64, 2u64)).unwrap();
+        if let Some(instance) = stream.instances.get_mut(&Wid(1)) {
+            instance.next = IsLsn(u32::MAX);
+        }
+        let last = |lsn: u64, wid: u64, is_lsn: u32| {
+            LogRecord::new(lsn, wid, is_lsn, "A", AttrMap::new(), AttrMap::new())
+        };
+        assert_eq!(
+            stream.append(&last(3, 1, u32::MAX)).unwrap_err(),
+            EngineError::InvalidLog(LogError::IsLsnOverflow(Wid(1)))
+        );
+        assert_eq!(stream.records_seen(), 2);
+        // Other instances are unaffected.
+        stream.append(&last(4, 2, 2)).unwrap();
+        assert_eq!(stream.append(&last(5, 2, 3)).unwrap().len(), 1);
     }
 
     #[test]

@@ -18,13 +18,17 @@
 //!   log's own `(wid, is-lsn)` lookups read this column too, so it is
 //!   stored once;
 //! - postings over the same entries: each instance's is-lsns grouped by
-//!   activity id, ascending within a group, with per-activity totals.
+//!   activity id, ascending within a group, with per-activity totals;
+//! - per activity id, the ordinals of the instances it occurs in,
+//!   ascending, in CSR form: one `u32` per (instance, activity) pair and
+//!   one offset per id.
 //!
-//! The load pass fills the symbol table and the columns. The postings are
-//! grouped from the activity-id column on the first [`Log::index`] call,
-//! so a log that is only replayed record by record (the streaming
-//! evaluator) never holds them. Equality compares the columns; the
-//! postings are a function of them.
+//! The load pass fills the symbol table and the columns. The postings and
+//! the per-activity instance lists are grouped from the activity-id
+//! column on the first [`Log::index`] call, so a log that is only
+//! replayed record by record (the streaming evaluator) never holds them.
+//! Equality compares the columns; everything grouped is a function of
+//! them.
 //!
 //! The load pass maps each record's activity to its id by name. Its
 //! tables hash with the crate's seeded Fx-style hasher; see the
@@ -76,6 +80,8 @@ fn slot(is_lsn: IsLsn) -> usize {
 /// // The same lookup in ids and ordinals.
 /// let id = idx.activity_id("SeeDoctor").unwrap();
 /// assert_eq!(idx.instance_postings(0, id), &[IsLsn(4), IsLsn(6)]);
+/// // SeeDoctor runs in instances 1 and 2 (ordinals 0 and 1), not in 3.
+/// assert_eq!(idx.activity_instances(id), &[0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogIndex {
@@ -94,11 +100,17 @@ pub struct LogIndex {
     grouped: OnceLock<Box<Grouped>>,
 }
 
-/// The postings column and the per-activity statistics read off it.
+/// The postings column, the per-activity instance lists and the
+/// per-activity statistics read off them.
 #[derive(Debug, Clone)]
 struct Grouped {
     /// Per instance, its is-lsns grouped by activity id.
     postings: Vec<IsLsn>,
+    /// CSR offsets into `instances`; `len = names.len() + 1`.
+    instance_starts: Vec<u32>,
+    /// Per activity id, the ordinals of the instances it occurs in,
+    /// ascending: id `a` owns `instance_starts[a]..instance_starts[a + 1]`.
+    instances: Vec<u32>,
     /// Executions per activity id over the whole log.
     totals: Vec<usize>,
     /// Largest per-instance posting count per activity id.
@@ -188,15 +200,21 @@ impl LogIndex {
         self.grouped();
     }
 
-    /// The grouped postings, built from the activity-id column on first
-    /// use.
+    /// The grouped postings and instance lists, built from the
+    /// activity-id column on first use.
     fn grouped(&self) -> &Grouped {
         self.grouped.get_or_init(|| {
             let mut postings = Vec::with_capacity(self.activities.len());
             let mut totals = vec![0; self.names.len()];
             let mut max_postings = vec![0; self.names.len()];
+            // Instances per id, shifted by one: the prefix sums below turn
+            // it into the CSR offsets.
+            let mut instance_starts = vec![0u32; self.names.len() + 1];
             // Per instance, `(id, is-lsn)` packed into one sortable word.
             let mut keys: Vec<u64> = Vec::new();
+            // The ids each instance runs, instance after instance.
+            let mut runs: Vec<u32> = Vec::with_capacity(self.activities.len());
+            let mut run_starts: Vec<u32> = Vec::with_capacity(self.wids.len() + 1);
             for ordinal in 0..self.wids.len() {
                 keys.clear();
                 keys.extend(
@@ -207,14 +225,35 @@ impl LogIndex {
                 keys.sort_unstable();
                 // The low half is the is-lsn, the high half the id.
                 postings.extend(keys.iter().map(|&key| IsLsn(key as u32)));
+                run_starts.push(runs.len() as u32);
                 for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                     let id = (run[0] >> 32) as usize;
                     totals[id] += run.len();
                     max_postings[id] = max_postings[id].max(run.len());
+                    instance_starts[id + 1] += 1;
+                    runs.push(id as u32);
+                }
+            }
+            run_starts.push(runs.len() as u32);
+            // The `u32` sums cannot overflow: there are no more (instance,
+            // activity) pairs than records, and `Log::new` rejects logs of
+            // more than `u32::MAX` records.
+            for id in 0..self.names.len() {
+                instance_starts[id + 1] += instance_starts[id];
+            }
+            // Each id's next free slot; ordinals arrive in ascending order.
+            let mut fill = instance_starts.clone();
+            let mut instances = vec![0u32; runs.len()];
+            for (ordinal, span) in run_starts.windows(2).enumerate() {
+                for &id in &runs[span[0] as usize..span[1] as usize] {
+                    instances[fill[id as usize] as usize] = ordinal as u32;
+                    fill[id as usize] += 1;
                 }
             }
             Box::new(Grouped {
                 postings,
+                instance_starts,
+                instances,
                 totals,
                 max_postings,
             })
@@ -258,6 +297,17 @@ impl LogIndex {
             .get(id.index())
             .copied()
             .unwrap_or(0)
+    }
+
+    /// The ordinals of the instances in which activity `id` occurs,
+    /// ascending (empty for an id the index did not issue).
+    #[must_use]
+    pub fn activity_instances(&self, id: ActivityId) -> &[u32] {
+        let grouped = self.grouped();
+        match grouped.instance_starts.get(id.index()..id.index() + 2) {
+            Some(&[lo, hi]) => &grouped.instances[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     // ----- ordinals -----------------------------------------------------
@@ -546,5 +596,22 @@ mod tests {
         }
         assert_eq!(idx.record_offset(1, IsLsn(3)), None);
         assert_eq!(idx.record_offset(0, IsLsn(0)), None);
+    }
+
+    #[test]
+    fn activity_instances_list_the_ordinals_running_each_id() {
+        let log = sample();
+        let idx = log.index();
+        let [a, b, end, start] = [0, 1, 2, 3].map(ActivityId);
+        assert_eq!(idx.activity_instances(a), &[0]);
+        assert_eq!(idx.activity_instances(b), &[0, 1]);
+        assert_eq!(idx.activity_instances(end), &[0]);
+        assert_eq!(idx.activity_instances(start), &[0, 1]);
+        assert_eq!(idx.activity_instances(ActivityId(4)), &[] as &[u32]);
+        // Figure 3: CheckIn runs in wids 1 and 2, not in wid 3.
+        let log = crate::paper::figure3_log();
+        let idx = log.index();
+        let check_in = idx.activity_id("CheckIn").unwrap();
+        assert_eq!(idx.activity_instances(check_in), &[0, 1]);
     }
 }

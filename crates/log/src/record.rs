@@ -66,20 +66,9 @@ impl IsLsn {
     /// The `is-lsn` of every `START` record.
     pub const FIRST: IsLsn = IsLsn(1);
 
-    /// The successor position, used by the consecutive operator's
-    /// `last(o1) + 1 = first(o2)` check.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow of the underlying `u32`, which would require a
-    /// single workflow instance with more than 4 billion records.
-    #[must_use]
-    pub fn next(self) -> IsLsn {
-        assert!(self.0 < u32::MAX, "is-lsn overflow");
-        IsLsn(self.0 + 1)
-    }
-
-    /// The successor position, or `None` past `u32::MAX`.
+    /// The successor position, or `None` past `u32::MAX`: the consecutive
+    /// operator's `last(o1) + 1 = first(o2)` check reads it, and an
+    /// incident ending at `u32::MAX` has no consecutive partner.
     #[must_use]
     pub fn checked_next(self) -> Option<IsLsn> {
         self.0.checked_add(1).map(IsLsn)
@@ -282,9 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn is_lsn_next_increments() {
-        assert_eq!(IsLsn(1).next(), IsLsn(2));
-        assert_eq!(IsLsn::FIRST.next().next(), IsLsn(3));
+    fn checked_next_increments() {
+        assert_eq!(IsLsn(1).checked_next(), Some(IsLsn(2)));
+        assert_eq!(
+            IsLsn::FIRST.checked_next().and_then(IsLsn::checked_next),
+            Some(IsLsn(3))
+        );
     }
 
     #[test]

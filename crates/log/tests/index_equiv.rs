@@ -3,7 +3,8 @@
 //! workflow ids, for activity names the log never runs, and however the
 //! log was made: records given in any order, logs derived by projection,
 //! prefix, filter and merge, logs decoded from every format, and records
-//! whose activity names are separate allocations.
+//! whose activity names are separate allocations. The per-activity
+//! instance lists are checked against the same id columns.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -120,7 +121,17 @@ fn matches_instance_scan(log: &Log) -> TestCaseResult {
             .max()
             .unwrap_or(0);
         prop_assert_eq!(index.max_instance_postings(id), most);
+        // The instances running `id`: the ordinals whose id column holds it.
+        let running: Vec<u32> = (0..wids.len())
+            .filter(|&o| index.instance_activities(o).contains(&id))
+            .map(|o| o as u32)
+            .collect();
+        prop_assert_eq!(index.activity_instances(id), running.as_slice());
     }
+    prop_assert_eq!(
+        index.activity_instances(ActivityId(names.len() as u32)),
+        &[] as &[u32]
+    );
 
     for (ordinal, &wid) in wids.iter().enumerate() {
         let records: Vec<&LogRecord> = log.instance(wid).collect();

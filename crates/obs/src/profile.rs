@@ -79,6 +79,10 @@ pub struct ExecutionProfile {
     pub nodes: Vec<ProfiledNode>,
     /// Per-worker breakdown (one entry even for sequential runs).
     pub workers: Vec<WorkerProfile>,
+    /// Workflow instances in the log. The workers' `instances` sum to how
+    /// many of them the run visited; a planned run skips those that
+    /// cannot hold an incident.
+    pub log_instances: u64,
     /// Wall-clock time of the whole run (planning included).
     pub total_wall: Duration,
     /// `|incL(p)|`: incidents the run produced.
@@ -100,6 +104,12 @@ impl ExecutionProfile {
             return Some(1.0);
         }
         Some(max.as_secs_f64() / mean)
+    }
+
+    /// Workflow instances the run visited, over all workers.
+    #[must_use]
+    pub fn visited_instances(&self) -> u64 {
+        self.workers.iter().map(|w| w.instances).sum()
     }
 
     /// The worst per-node Q-error, over nodes that carry an estimate.
@@ -185,6 +195,12 @@ impl fmt::Display for ExecutionProfile {
             f,
             "strategy : {}, {} thread(s)",
             self.strategy, self.threads
+        )?;
+        writeln!(
+            f,
+            "instances: {} of {}",
+            self.visited_instances(),
+            self.log_instances
         )?;
         writeln!(
             f,
@@ -317,6 +333,7 @@ mod tests {
                     wall: Duration::from_micros(10),
                 },
             ],
+            log_instances: 5,
             total_wall: Duration::from_micros(50),
             total_incidents: 4,
         }
@@ -328,6 +345,7 @@ mod tests {
         assert!(text.contains("query    : A -> B"), "{text}");
         assert!(text.contains("sequential [sort-merge]"), "{text}");
         assert!(text.contains("  scan A"), "{text}");
+        assert!(text.contains("instances: 3 of 5"), "{text}");
         assert!(text.contains("worker 1: 1 instance(s)"), "{text}");
         assert!(text.contains("skew     :"), "{text}");
         assert!(text.contains("total    : 4 incident(s)"), "{text}");

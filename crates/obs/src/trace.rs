@@ -549,6 +549,7 @@ mod tests {
                 incidents: 2,
                 wall: Duration::from_nanos(2000),
             }],
+            log_instances: 1,
             total_wall: Duration::from_nanos(9000),
             total_incidents: 2,
         }

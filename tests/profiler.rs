@@ -4,12 +4,14 @@
 //! logs, patterns, and every strategy. Profiled evaluation must be
 //! observationally identical to unprofiled evaluation throughout.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
 use wlq::{
     attrs, profile_evaluation, render_trace, validate_trace, Evaluator, Log, LogBuilder, Op,
-    Pattern, Strategy, TRACE_SCHEMA_VERSION,
+    Pattern, Strategy, Wid, TRACE_SCHEMA_VERSION,
 };
 
 fn figure3() -> Log {
@@ -44,8 +46,10 @@ fn golden_analyze_table_for_figure3() {
         "plan     : UpdateRefer -> GetReimburse  [original]"
     );
     assert_eq!(lines[2], "strategy : planned, 1 thread(s)");
+    // Only wid 2 runs UpdateRefer, so the run visits one instance.
+    assert_eq!(lines[3], "instances: 1 of 3");
     assert_eq!(
-        lines[3],
+        lines[4],
         "    actual    scanned        pairs      bytes         time        est    q-err  node"
     );
 
@@ -61,19 +65,19 @@ fn golden_analyze_table_for_figure3() {
             .collect();
         (cols, tokens[7..].join(" "))
     };
-    let (cols, label) = stable(lines[4]);
+    let (cols, label) = stable(lines[5]);
     assert_eq!(cols, ["1", "0", "2", "24", "0.3", "1.00"]);
     assert_eq!(label, "sequential [batch-kernel]");
-    let (cols, label) = stable(lines[5]);
+    let (cols, label) = stable(lines[6]);
     assert_eq!(cols, ["1", "1", "0", "20", "1.0", "1.00"]);
     assert_eq!(label, "scan UpdateRefer");
-    let (cols, label) = stable(lines[6]);
+    let (cols, label) = stable(lines[7]);
     assert_eq!(cols, ["1", "1", "0", "20", "2.0", "2.00"]);
     assert_eq!(label, "scan GetReimburse");
 
-    assert_eq!(lines[7], "workers:");
-    assert!(lines[8].starts_with("  worker 0: 3 instance(s), 1 incident(s)"));
-    assert!(lines[9].starts_with("total    : 1 incident(s) in"));
+    assert_eq!(lines[8], "workers:");
+    assert!(lines[9].starts_with("  worker 0: 1 instance(s), 1 incident(s)"));
+    assert!(lines[10].starts_with("total    : 1 incident(s) in"));
 }
 
 /// Non-planned strategies still get a cost-model estimate per node (so
@@ -230,6 +234,28 @@ fn arb_log() -> impl PropStrategy<Value = Log> {
     )
 }
 
+/// The instances a run visits: every one under the naive oracle; under
+/// the planned strategy those that can hold an incident of `p` — the
+/// instances running atom `t`, all of them for `¬t`, the union under
+/// `|` and the intersection under the other operators.
+fn visited(log: &Log, p: &Pattern, strategy: Strategy) -> BTreeSet<Wid> {
+    match (strategy, p) {
+        (Strategy::NaivePaper, _) => log.wids().collect(),
+        (_, Pattern::Atom(atom)) if atom.negated => log.wids().collect(),
+        (_, Pattern::Atom(atom)) => log
+            .wids()
+            .filter(|&w| log.instance(w).any(|r| r.activity() == &atom.activity))
+            .collect(),
+        (_, Pattern::Binary { op, left, right }) => {
+            let (l, r) = (visited(log, left, strategy), visited(log, right, strategy));
+            match op {
+                Op::Choice => l.union(&r).copied().collect(),
+                _ => l.intersection(&r).copied().collect(),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -254,10 +280,12 @@ proptest! {
                     expected.len() as u64,
                     "root emission != |incL(p)| under {:?}x{}", strategy, threads
                 );
-                // Worker accounting is total: every instance is swept
-                // exactly once and all incidents are attributed.
+                // Worker accounting is total: every instance the strategy
+                // visits is swept exactly once and all incidents are
+                // attributed.
                 let swept: u64 = profile.workers.iter().map(|w| w.instances).sum();
-                prop_assert_eq!(swept as usize, log.num_instances());
+                prop_assert_eq!(swept as usize, visited(&log, &p, strategy).len());
+                prop_assert_eq!(profile.log_instances as usize, log.num_instances());
                 let attributed: u64 = profile.workers.iter().map(|w| w.incidents).sum();
                 prop_assert_eq!(attributed, expected.len() as u64);
                 // And the trace of any profile validates.
