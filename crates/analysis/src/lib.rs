@@ -9,9 +9,9 @@
 //!   before `START` or after `END`, parallel operands both claiming the
 //!   unique boundary record, contradictory predicate conjunctions.
 //! * **Log-aware checks** (warnings): activities that occur in no
-//!   record of the checked log (`WLQ101`), and a Lemma-1 cost budget
-//!   (`WLQ105`) that reuses the planner's [`wlq_pattern::CostModel`]
-//!   and suggests the cheapest Theorem 2–5 rewrite.
+//!   record of the checked log (`WLQ101`), and a cost budget
+//!   (`WLQ105`) read off the engine's [`wlq_engine::Planner`], which
+//!   also suggests the planner's chosen Theorem 2–5 rewrite.
 //! * **Redundancy and style** (`WLQ102`–`WLQ104`): duplicate choice
 //!   branches, identical parallel operands, negation-only patterns.
 //!

@@ -17,9 +17,9 @@ use wlq_bench::{
     common_tail_incidents, fmt_us, loglog_slope, shared_prefix_incidents, singleton_incidents,
     time_median,
 };
-use wlq_engine::{naive, Evaluator, IncidentTree, Query, Strategy};
+use wlq_engine::{naive, profile_evaluation, Evaluator, IncidentTree, Planner, Strategy};
 use wlq_log::{paper, Log, LogStats, Lsn};
-use wlq_pattern::{theorem1_worst_case, Optimizer, Pattern};
+use wlq_pattern::{theorem1_worst_case, Pattern};
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
 
 fn main() {
@@ -541,16 +541,17 @@ fn run_both(log: &Log, pattern: &str, workload: &str) -> (String, Duration, Dura
     (format!("{workload}: {pattern}"), t_naive, t_planned)
 }
 
-/// E9: the algebraic optimizer (Theorems 2–5 as rewrites).
+/// E9: the planner's Theorem 2–5 rewrites, timed on the paper's operators.
 fn e9_rewrite_ablation() {
     heading(
         "E9",
-        "ablation: algebraic rewriting (chain DP, choice factoring, ⊕/⊗ ordering)",
+        "ablation: the planner's rewrites (chain DP, choice factoring, ⊕/⊗ ordering)",
     );
     let log = generator::skewed_log(40, 120, 8, 7);
-    let stats = LogStats::compute(&log);
-    let optimizer = Optimizer::new(stats);
-    let eval = Evaluator::new(&log);
+    let planner = Planner::from_log(&log);
+    // The paper's operators on both trees, so the timing isolates the
+    // rewrite: the planned strategy would re-plan either tree itself.
+    let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
 
     let cases = [
         // Selectivity-skewed sequential chain, worst-first written order.
@@ -563,21 +564,22 @@ fn e9_rewrite_ablation() {
     ];
     println!(
         "{:<40} {:>14} {:>14} {:>8}",
-        "pattern", "as written", "optimized", "speedup"
+        "pattern", "as written", "planned", "speedup"
     );
     for src in cases {
         let p: Pattern = src.parse().expect("parses");
-        let (rewritten, _) = optimizer.optimize_with_report(&p);
+        let plan = planner.plan(&p);
+        let rewritten = plan.pattern();
         assert_eq!(
             eval.evaluate(&p),
-            eval.evaluate(&rewritten),
+            eval.evaluate(rewritten),
             "rewrite broke {src}"
         );
         let t_raw = time_median(3, || {
             std::hint::black_box(eval.evaluate(&p));
         });
         let t_opt = time_median(3, || {
-            std::hint::black_box(eval.evaluate(&rewritten));
+            std::hint::black_box(eval.evaluate(rewritten));
         });
         println!(
             "{:<40} {:>12}µs {:>12}µs {:>7.1}×",
@@ -586,7 +588,7 @@ fn e9_rewrite_ablation() {
             fmt_us(t_opt),
             t_raw.as_secs_f64() / t_opt.as_secs_f64().max(1e-12)
         );
-        println!("    plan: {rewritten}");
+        println!("    plan: {rewritten}  [{}]", plan.rule());
     }
     println!();
 }
@@ -661,14 +663,12 @@ fn e10_parallel_scaling() {
         );
     }
 
-    // Part 3: the Query facade with plan + evaluation timing.
+    // Part 3: the profiled executor, per node and per worker.
     let log = simulate(
         &scenarios::clinic::model(),
         &SimulationConfig::new(1600, 11),
     );
-    let profile = Query::new(pattern)
-        .threads(4)
-        .profile(&log)
-        .expect("profile runs");
-    println!("\nQuery::profile on 1600 clinic instances:\n{profile}");
+    let (_, profile) =
+        profile_evaluation(&log, &pattern, Strategy::Planned, 4).expect("profile runs");
+    println!("\nprofile_evaluation on 1600 clinic instances:\n{profile}");
 }

@@ -5,9 +5,9 @@
 //! wlq stats    <log-file>
 //! wlq validate <log-file>
 //! wlq query    <log-file> <pattern> [--count|--exists|--by-instance]
-//!              [--naive] [--no-optimize] [--threads N]
+//!              [--naive] [--threads N]
 //!              [--profile] [--trace-out <trace-file>]
-//! wlq explain  <log-file> <pattern> [--plan|--analyze]
+//! wlq explain  <log-file> <pattern> [--analyze]
 //!              [--threads N] [--trace-out <trace-file>]
 //! wlq explain  --analyze <pattern> --log <log-file>
 //! wlq trace-check <trace-file>
@@ -41,11 +41,12 @@
 
 use std::fmt;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use wlq::{
     denies, io, mine_relations, profile_evaluation, render_human, render_json, render_parse_error,
     render_trace, scenarios, simulate, validate_trace, Analyzer, EngineError, ExecutionProfile,
-    Explain, Log, LogStats, Pattern, Query, SimulationConfig, Strategy, WorkflowModel,
+    IncidentSet, Log, LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, WorkflowModel,
 };
 
 /// A CLI failure, categorised for its exit code.
@@ -146,9 +147,9 @@ fn usage() -> String {
      \x20 simulate <clinic|order|loan|helpdesk> <instances> <seed> [out-file]\n\
      \x20 stats    <log-file>\n\
      \x20 validate <log-file>\n\
-     \x20 query    <log-file> <pattern> [--count|--exists|--by-instance] [--naive] [--no-optimize] [--threads N]\n\
+     \x20 query    <log-file> <pattern> [--count|--exists|--by-instance] [--naive] [--threads N]\n\
      \x20          [--profile] [--trace-out <trace-file>]\n\
-     \x20 explain  <log-file> <pattern> [--plan|--analyze] [--threads N] [--trace-out <trace-file>]\n\
+     \x20 explain  <log-file> <pattern> [--analyze] [--threads N] [--trace-out <trace-file>]\n\
      \x20          (--analyze also accepts: explain --analyze <pattern> --log <log-file>)\n\
      \x20 trace-check <trace-file>\n\
      \x20 timeline <log-file> <pattern> [step]\n\
@@ -304,7 +305,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                 naive = true;
                 query = query.strategy(Strategy::NaivePaper);
             }
-            "--no-optimize" => query = query.optimize(false),
             "--threads" => {
                 let n: usize = iter
                     .next()
@@ -329,39 +329,43 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         return Err(usage_err("--trace-out requires --profile"));
     }
     if profile {
-        // The profiled path evaluates the pattern as written (the
-        // planner still applies its own rewrites under the default
-        // strategy) and answers the same mode from the returned set.
-        let pattern = parse_pattern(pattern_src)?;
+        let pattern = query.pattern();
         let strategy = if naive {
             Strategy::NaivePaper
         } else {
             Strategy::default()
         };
-        let (incidents, profile) = profile_evaluation(&log, &pattern, strategy, threads)?;
-        match mode {
-            "count" => println!("{}", incidents.len()),
-            "exists" => println!("{}", !incidents.is_empty()),
-            "by-instance" => {
-                for (wid, count) in incidents.counts_by_wid() {
-                    println!("wid {wid}: {count}");
-                }
+        let profile = if mode == "count" || mode == "exists" {
+            // Profiled counts answer through the unprofiled call. When
+            // that call is the counting DP, no executor runs, so there is
+            // no per-node table to print, only the DP's wall time.
+            let counted = !naive && Planner::from_log(&log).plan(pattern).is_counting_chain();
+            if counted && trace_out.is_some() {
+                return Err(usage_err(
+                    "--trace-out traces the executor, but the counting DP answers this query",
+                ));
             }
-            _ => {
-                println!(
-                    "{} incident(s) in {} instance(s)",
-                    incidents.len(),
-                    incidents.num_matched_instances()
-                );
-                for incident in incidents.iter().take(50) {
-                    println!("  {incident}");
-                }
-                if incidents.len() > 50 {
-                    println!("  … {} more", incidents.len() - 50);
-                }
+            let start = Instant::now();
+            let answer = if mode == "count" {
+                query.count(&log)?.to_string()
+            } else {
+                query.exists(&log)?.to_string()
+            };
+            let wall = start.elapsed();
+            println!("{answer}\n");
+            if counted {
+                println!("count DP : {wall:?}");
+                return Ok(());
             }
-        }
-        println!();
+            profile_evaluation(&log, pattern, strategy, threads)?.1
+        } else {
+            // Listings answer from the profiled run's set: the probe is
+            // read-only, so it is the set the unprofiled run returns.
+            let (incidents, profile) = profile_evaluation(&log, pattern, strategy, threads)?;
+            print_listing(mode, &incidents);
+            println!();
+            profile
+        };
         print!("{profile}");
         if let Some(out) = trace_out {
             write_trace(&profile, out)?;
@@ -371,35 +375,38 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     match mode {
         "count" => println!("{}", query.count(&log)?),
         "exists" => println!("{}", query.exists(&log)?),
-        "by-instance" => {
-            for (wid, count) in query.count_by_instance(&log)? {
-                println!("wid {wid}: {count}");
-            }
-        }
-        _ => {
-            let incidents = query.find(&log)?;
-            println!(
-                "{} incident(s) in {} instance(s)",
-                incidents.len(),
-                incidents.num_matched_instances()
-            );
-            for incident in incidents.iter().take(50) {
-                println!("  {incident}");
-            }
-            if incidents.len() > 50 {
-                println!("  … {} more", incidents.len() - 50);
-            }
-        }
+        _ => print_listing(mode, &query.find(&log)?),
     }
     Ok(())
 }
 
+/// Prints a query's incidents: per-instance counts in `by-instance`
+/// mode, otherwise a header and the first 50 incidents.
+fn print_listing(mode: &str, incidents: &IncidentSet) {
+    if mode == "by-instance" {
+        for (wid, count) in incidents.counts_by_wid() {
+            println!("wid {wid}: {count}");
+        }
+        return;
+    }
+    println!(
+        "{} incident(s) in {} instance(s)",
+        incidents.len(),
+        incidents.num_matched_instances()
+    );
+    for incident in incidents.iter().take(50) {
+        println!("  {incident}");
+    }
+    if incidents.len() > 50 {
+        println!("  … {} more", incidents.len() - 50);
+    }
+}
+
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
-    const USAGE: &str = "usage: explain <log-file> <pattern> [--plan|--analyze] \
+    const USAGE: &str = "usage: explain <log-file> <pattern> [--analyze] \
                          [--threads N] [--trace-out <trace-file>] \
                          (or: explain --analyze <pattern> --log <log-file>)";
     let mut positional: Vec<&str> = Vec::new();
-    let mut plan = false;
     let mut analyze = false;
     let mut log_path: Option<&str> = None;
     let mut threads = 1usize;
@@ -407,9 +414,6 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            // --plan: also print the cost-based planner's chosen
-            // physical operator tree above the estimate/actual table.
-            "--plan" => plan = true,
             // --analyze: actually execute the plan and print per-node
             // actuals (rows, pairs, bytes, wall time) next to the
             // planner's estimates, with a Q-error column.
@@ -441,9 +445,6 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
             other => positional.push(other),
         }
     }
-    if plan && analyze {
-        return Err(usage_err("--plan and --analyze are mutually exclusive"));
-    }
     if trace_out.is_some() && !analyze {
         return Err(usage_err("--trace-out requires --analyze"));
     }
@@ -462,11 +463,9 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let mut explain = Explain::run(&log, &pattern, true, Strategy::default());
-    if !plan {
-        explain.physical_plan = None;
-    }
-    print!("{explain}");
+    // Without --analyze: the plan the query would run, without running
+    // it.
+    print!("{}", Planner::from_log(&log).plan(&pattern));
     Ok(())
 }
 

@@ -13,8 +13,8 @@
 //! |---|---|---|
 //! | Log model | [`wlq_log`] | records, logs, validation, indexes, serialization |
 //! | Workflow engine | [`wlq_workflow`] | models, simulator, scenarios, generators |
-//! | Pattern algebra | [`wlq_pattern`] | AST, parser, laws (Theorems 2–5), optimizer |
-//! | Evaluation | [`wlq_engine`] | naive + optimized operators, trees, parallel, streaming |
+//! | Pattern algebra | [`wlq_pattern`] | AST, parser, laws (Theorems 2–5), rewrites |
+//! | Evaluation | [`wlq_engine`] | naive + optimized operators, the query planner, trees, parallel, streaming |
 //! | Observability | [`wlq_obs`] | per-operator metrics, execution profiles, JSON Lines traces |
 //! | Static analysis | [`wlq_analysis`] | span-anchored lints, unsatisfiability proofs, cost budget |
 //!
@@ -44,11 +44,11 @@ pub use wlq_analysis::{
 pub use wlq_engine::{
     combine, combine_batch, combine_batch_into, equivalent_up_to, evaluate_parallel, fast_count,
     leaf_incidents, mine_relations, profile_evaluation, timeline, BatchArena, BoundIncident,
-    BoundedEquiv, EngineError, EvalTrace, Evaluator, Explain, ExplainRow, Incident, IncidentBatch,
-    IncidentRef, IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern,
-    MinedRelation, Node, NodeTrace, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, PlanStats,
-    Planner, Query, QueryProfile, RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy,
-    StreamingEvaluator, TimelinePoint,
+    BoundedEquiv, EngineError, EvalTrace, Evaluator, Incident, IncidentBatch, IncidentRef,
+    IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern, MinedRelation,
+    Node, NodeTrace, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query,
+    RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator,
+    TimelinePoint,
 };
 pub use wlq_log::{
     attrs, io, paper, Activity, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError, LogIndex,
@@ -60,10 +60,9 @@ pub use wlq_obs::{
 };
 pub use wlq_pattern::{
     ac_equivalent, algebra, canonicalize, choice_normal_form, from_postfix, is_valid_pattern,
-    optimize, random_pattern, rewrite, sequential_chain, theorem1_worst_case, to_postfix,
-    to_symbolic, Atom, CmpOp, CostModel, Op, OptimizeReport, Optimizer, ParseErrorKind,
-    ParsePatternError, Pattern, PatternGenConfig, PatternSpans, PostfixError, PostfixItem,
-    Predicate, Scope, Span, SpannedPattern,
+    random_pattern, rewrite, sequential_chain, theorem1_worst_case, to_postfix, to_symbolic, Atom,
+    CmpOp, Op, ParseErrorKind, ParsePatternError, Pattern, PatternGenConfig, PatternSpans,
+    PostfixError, PostfixItem, Predicate, Scope, Span, SpannedPattern,
 };
 pub use wlq_workflow::{
     generator, scenarios, simulate, ConformanceReport, DataEffect, ModelBuilder, ModelError,

@@ -11,9 +11,10 @@
 //! * [`batch`] / [`kernels`] — the evaluation hot path: flat arena-backed
 //!   [`IncidentBatch`] storage with zero-copy, output-sensitive operator
 //!   kernels producing identical results.
-//! * [`planner`] — cost-based query planning: Theorem 2–5 rewrites, a
-//!   Lemma-1-style cost model, and per-node physical operator selection
-//!   (drives the default [`Strategy::Planned`]).
+//! * [`planner`] — the one query optimizer: Theorem 2–5 rewrites
+//!   (including a chain-parenthesisation DP), a Lemma-1-style cost
+//!   model, and per-node physical operator selection (drives the default
+//!   [`Strategy::Planned`]).
 //! * [`IncidentTree`] — Definition 6 trees with post-order evaluation
 //!   (Algorithms 2–3) and per-node traces.
 //! * [`Evaluator`] — the one per-instance executor, with
@@ -27,7 +28,8 @@
 //!   per-operator [`wlq_obs::NodeMetrics`] and per-worker skew; the
 //!   unprofiled path passes a no-op probe that compiles away.
 //! * [`Query`] — parse-once, run-many facade with counting/grouping
-//!   projections and algebraic pre-optimization.
+//!   projections; it runs the pattern as written and leaves rewriting
+//!   to the planner.
 //!
 //! ## Quick start
 //!
@@ -50,7 +52,6 @@ mod candidates;
 mod counting;
 mod error;
 mod eval;
-mod explain;
 mod incident;
 mod incident_set;
 mod mining;
@@ -76,19 +77,17 @@ pub use bounded_equiv::{equivalent_up_to, BoundedEquiv};
 pub use counting::fast_count;
 pub use error::EngineError;
 pub use eval::{combine, leaf_incidents, Evaluator, Strategy};
-pub use explain::{Explain, ExplainRow};
 pub use incident::{Incident, IncidentView};
 pub use incident_set::IncidentSet;
 pub use kernels::{combine_batch, combine_batch_into};
 pub use mining::{mine_relations, MinedRelation};
 pub use parallel::evaluate_parallel;
 pub use planner::{
-    JoinShape, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, PlanStats, Planner,
-    RewriteCandidate,
+    JoinShape, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, RewriteCandidate,
 };
 #[cfg(feature = "profiling")]
 pub use profile::profile_evaluation;
-pub use query::{Query, QueryProfile};
+pub use query::Query;
 pub use resolve::{IncidentInLog, IncidentSetInLog};
 pub use spans::SpanStats;
 pub use streaming::{SharedStreamingEvaluator, StreamingEvaluator};

@@ -1,12 +1,10 @@
-//! The planner's cost model: Lemma-1 logical bounds plus per-physical-
-//! operator refinements.
+//! The planner's cost model: cardinality estimates from the log's
+//! activity statistics, priced per physical operator.
 //!
-//! Logical estimates (output cardinalities, Algorithm-1 work shapes) are
-//! delegated to the pattern crate's [`CostModel`], fed with the same
-//! [`wlq_log::LogStats`] the algebraic optimizer uses — one source of
-//! truth for selectivities. On top of that, this module prices the
-//! *physical* alternatives for each operator so the planner can pick a
-//! kernel per node:
+//! Cardinalities come from [`LogStats`]: atoms use exact activity counts
+//! and composites uniform-placement approximations
+//! ([`PlanCost::combine_estimate`]). Each operator node is then priced
+//! per *physical* alternative so the planner can pick a kernel per node:
 //!
 //! | operator | physical | cost shape |
 //! |---|---|---|
@@ -17,12 +15,14 @@
 //! | `⊕` | batch kernel | `n1·n2·(k1+k2)` |
 //!
 //! where `copy = out·(k1+k2)` is the unavoidable cost of writing the
-//! output unions into the pool.
+//! output unions into the pool. The same prices score whole candidate
+//! trees ([`super::Planner::plan`]) and drive the chain-parenthesisation
+//! DP that produces one of those candidates, so the two never disagree.
 
-use wlq_pattern::{CostModel, Op, Pattern};
+use wlq_log::LogStats;
+use wlq_pattern::{Op, Pattern};
 
 use super::plan::PhysOp;
-use super::stats::PlanStats;
 
 /// Estimated shape of one join node: input cardinalities, subtree
 /// widths, and output cardinality.
@@ -40,50 +40,73 @@ pub struct JoinShape {
     pub out: f64,
 }
 
-/// Cost model combining the pattern-level estimates with physical
+/// The planner's one cost model: cardinality estimates plus physical
 /// operator pricing.
 #[derive(Debug, Clone)]
 pub struct PlanCost {
-    model: CostModel,
-    stats: PlanStats,
+    num_records: f64,
+    num_instances: f64,
+    stats: LogStats,
 }
 
 impl PlanCost {
-    /// Builds the model from collected plan statistics.
+    /// Builds the model from a log's activity statistics.
     #[must_use]
-    pub fn new(stats: PlanStats) -> Self {
+    pub fn new(stats: LogStats) -> Self {
+        #[allow(clippy::cast_precision_loss)]
         PlanCost {
-            model: CostModel::new(stats.log_stats().clone()),
+            num_records: stats.num_records.max(1) as f64,
+            num_instances: stats.num_instances.max(1) as f64,
             stats,
         }
     }
 
-    /// The underlying pattern-level cost model.
-    #[must_use]
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// The statistics the model was built from.
-    #[must_use]
-    pub fn stats(&self) -> &PlanStats {
-        &self.stats
-    }
-
-    /// Estimated `|incL(p)|` (delegates to the shared model).
+    /// Estimated `|incL(p)|` across the whole log.
+    ///
+    /// Atoms use exact activity counts (a predicate is assumed to keep
+    /// half); composites combine their children's estimates with
+    /// [`combine_estimate`](Self::combine_estimate).
     #[must_use]
     pub fn estimate_incidents(&self, p: &Pattern) -> f64 {
-        self.model.estimate_incidents(p)
+        match p {
+            Pattern::Atom(a) => {
+                #[allow(clippy::cast_precision_loss)]
+                let present = self.stats.activity_count(a.activity.as_str()) as f64;
+                let count = if a.negated {
+                    self.num_records - present
+                } else {
+                    present
+                };
+                // Each predicate filters; assume selectivity 1/2.
+                count * 0.5_f64.powi(a.predicates.len() as i32)
+            }
+            Pattern::Binary { op, left, right } => self.combine_estimate(
+                *op,
+                self.estimate_incidents(left),
+                self.estimate_incidents(right),
+            ),
+        }
+    }
+
+    /// Estimated output size of combining incident sets of sizes `n1`,
+    /// `n2` under `op`: a pair of incidents of one instance is adjacent
+    /// with probability `≈ 1/m`, ordered with probability `≈ 1/2`, and
+    /// lands in the same instance with probability `≈ 1/W`.
+    #[must_use]
+    pub fn combine_estimate(&self, op: Op, n1: f64, n2: f64) -> f64 {
+        match op {
+            Op::Consecutive => n1 * n2 / self.num_records,
+            Op::Sequential => n1 * n2 / (2.0 * self.num_instances),
+            Op::Choice => n1 + n2,
+            Op::Parallel => n1 * n2 / self.num_instances,
+        }
     }
 
     /// Estimated cost of scanning one leaf (one pass over the index's
     /// posting lists — bounded by the record count).
     #[must_use]
     pub fn leaf_cost(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.stats.log_stats().num_records.max(1) as f64
-        }
+        self.num_records
     }
 
     /// Estimated work of one `(op, phys)` node on inputs of the given
@@ -143,6 +166,29 @@ impl PlanCost {
         }
         best
     }
+
+    /// Prices one `op` node over children estimated at `n1`/`n2`
+    /// incidents of `k1`/`k2` atoms: the node's shape (with its output
+    /// estimate), and the cheapest physical operator with its cost,
+    /// children excluded.
+    #[must_use]
+    pub fn price_join(
+        &self,
+        op: Op,
+        left_is_leaf: bool,
+        (n1, k1): (f64, f64),
+        (n2, k2): (f64, f64),
+    ) -> (JoinShape, PhysOp, f64) {
+        let shape = JoinShape {
+            n1,
+            n2,
+            k1,
+            k2,
+            out: self.combine_estimate(op, n1, n2),
+        };
+        let (phys, cost) = self.choose_physical(op, left_is_leaf, shape);
+        (shape, phys, cost)
+    }
 }
 
 #[cfg(test)]
@@ -151,8 +197,32 @@ mod tests {
     use wlq_log::paper;
 
     fn cost() -> PlanCost {
-        let log = paper::figure3_log();
-        PlanCost::new(PlanStats::compute(log.index()))
+        PlanCost::new(LogStats::compute(&paper::figure3_log()))
+    }
+
+    fn parse(s: &str) -> Pattern {
+        s.parse().expect("valid pattern")
+    }
+
+    #[test]
+    fn atom_estimates_use_exact_counts() {
+        let c = cost();
+        assert_eq!(c.estimate_incidents(&parse("SeeDoctor")), 4.0);
+        assert_eq!(c.estimate_incidents(&parse("UpdateRefer")), 1.0);
+        assert_eq!(c.estimate_incidents(&parse("!SeeDoctor")), 16.0);
+        assert_eq!(c.estimate_incidents(&parse("Missing")), 0.0);
+    }
+
+    #[test]
+    fn predicate_estimates_halve_counts() {
+        let n = cost().estimate_incidents(&parse("SeeDoctor[x > 1]"));
+        assert_eq!(n, 2.0);
+    }
+
+    #[test]
+    fn choice_estimate_is_additive() {
+        let n = cost().estimate_incidents(&parse("SeeDoctor | PayTreatment"));
+        assert_eq!(n, 7.0);
     }
 
     fn shape(n1: f64, n2: f64, k1: f64, k2: f64, out: f64) -> JoinShape {

@@ -3,13 +3,13 @@
 //!
 //! The planner sits between parsing and evaluation. Given a pattern it
 //!
-//! 1. collects per-task cardinality and span statistics from the log and
-//!    its activity index ([`PlanStats`]),
-//! 2. enumerates equivalent trees via the paper's Theorem 2–5 rewrites
-//!    ([`RewriteCandidate`]),
-//! 3. costs every candidate bottom-up with Lemma-1-style per-operator
-//!    bounds refined per physical implementation ([`PlanCost`]), and
-//! 4. picks the cheapest tree with a physical operator chosen per node
+//! 1. enumerates equivalent trees via the paper's Theorem 2–5 rewrites
+//!    ([`RewriteCandidate`]), one of them the cheapest parenthesisation
+//!    of every chain under the planner's own cost,
+//! 2. costs every candidate bottom-up from the log's activity counts,
+//!    with Lemma-1-style per-operator bounds refined per physical
+//!    implementation ([`PlanCost`], the one cost model), and
+//! 3. picks the cheapest tree with a physical operator chosen per node
 //!    ([`PhysicalPlan`]): nested loop, batch kernel, or the sort-merge
 //!    sequential join — plus a flag routing `count()`/`exists()` to the
 //!    enumeration-free counting DP when the pattern is a `~>`/`→` chain.
@@ -24,9 +24,7 @@
 mod cost;
 mod plan;
 mod rewrite;
-mod stats;
 
 pub use cost::{JoinShape, PlanCost};
 pub use plan::{PhysOp, PhysicalPlan, PlanNode, PlanRow, Planner};
 pub use rewrite::{candidates, RewriteCandidate};
-pub use stats::PlanStats;

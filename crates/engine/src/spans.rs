@@ -79,14 +79,13 @@ impl Query {
     /// the remaining instances are never evaluated.
     #[must_use]
     pub fn find_first(&self, log: &Log, limit: usize) -> IncidentSet {
-        let plan = self.plan(log);
         let evaluator = crate::eval::Evaluator::with_strategy(log, self.strategy_setting());
         let mut out = IncidentSet::new();
         for wid in evaluator.index().wids() {
             if out.len() >= limit {
                 break;
             }
-            for incident in evaluator.evaluate_instance(&plan, wid) {
+            for incident in evaluator.evaluate_instance(self.pattern(), wid) {
                 out.insert(incident);
                 if out.len() >= limit {
                     break;

@@ -51,8 +51,8 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// post-order evaluation (Algorithm 2) with either strategy's operators;
 /// `Planned` (the cost-based planner) through `evaluate`, `count` and
 /// `exists`; `Query::count` and
-/// `Query::exists` with default options (they decide countability on the
-/// query as written, then plan the optimized pattern); parallel planned
+/// `Query::exists` with default options (they decide countability and
+/// plan on the query as written); parallel planned
 /// evaluation with 1 and 4 workers; a full streaming replay, checking each
 /// append's delta (in the appended record's instance, ending at it,
 /// disjoint from every earlier delta) and the deltas' union; profiled

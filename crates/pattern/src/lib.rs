@@ -11,9 +11,9 @@
 //! * a text syntax with a shunting-yard parser
 //!   ([`Pattern::parse`], [`to_postfix`], [`from_postfix`]), including a
 //!   span-preserving mode ([`Pattern::parse_spanned`]) for diagnostics,
-//! * the algebraic laws of Theorems 2–5 as rewrites ([`algebra`]),
-//!   reshaping utilities ([`rewrite`]), and
-//! * a cost-based optimizer built on those laws ([`optimize`]).
+//! * the algebraic laws of Theorems 2–5 as rewrites ([`algebra`]) and
+//!   reshaping utilities ([`rewrite`]). Choosing among the equivalent
+//!   trees they produce is the engine's query planner's job.
 //!
 //! ## Quick start
 //!
@@ -39,7 +39,6 @@ mod span;
 mod token;
 
 pub mod algebra;
-pub mod optimize;
 pub mod rewrite;
 pub mod shunting;
 
@@ -49,10 +48,30 @@ pub use algebra::{ac_equivalent, canonicalize};
 pub use ast::{Atom, CmpOp, Op, Pattern, Predicate, Scope};
 pub use display::to_symbolic;
 pub use error::{ParseErrorKind, ParsePatternError};
-pub use optimize::{CostModel, OptimizeReport, Optimizer};
 pub use parser::is_valid_pattern;
 pub use random::{random_pattern, sequential_chain, theorem1_worst_case, PatternGenConfig};
 pub use rewrite::{choice_normal_form, from_alternatives};
 pub use shunting::{from_postfix, to_postfix, PostfixError, PostfixItem};
 pub use span::{PatternSpans, Span, SpannedPattern};
 pub use token::{tokenize, Spanned, Token};
+
+/// Compatibility stand-in for the pattern-level optimizer this crate no
+/// longer has: it returns the pattern unchanged, which is what a query
+/// does now that the engine's planner is the only optimizer.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Optimizer;
+
+impl Optimizer {
+    /// Accepts (and ignores) a log's statistics.
+    #[must_use]
+    pub fn new(_stats: wlq_log::LogStats) -> Self {
+        Optimizer
+    }
+
+    /// Returns `p` unchanged.
+    #[must_use]
+    pub fn optimize(&self, p: &Pattern) -> Pattern {
+        p.clone()
+    }
+}

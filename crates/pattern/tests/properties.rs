@@ -1,13 +1,12 @@
 //! Property tests of the pattern crate: canonical forms, reshaping,
-//! rewrites, the optimizer's cost discipline, and syntax round-trips —
-//! all over randomly generated patterns.
+//! rewrites, and syntax round-trips — all over randomly generated
+//! patterns.
 
-use proptest::prelude::{prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Strategy};
+use proptest::prelude::{prop_assert, prop_assert_eq, prop_oneof, proptest, Strategy};
 
-use wlq_log::{attrs, LogBuilder, LogStats};
 use wlq_pattern::{
     ac_equivalent, algebra, canonicalize, choice_normal_form, from_postfix, rewrite, to_postfix,
-    Op, Optimizer, Pattern,
+    Op, Pattern,
 };
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
@@ -28,22 +27,6 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
             Pattern::binary(op, l, r)
         })
     })
-}
-
-/// Random log statistics: a small synthetic log over the same alphabet.
-fn arb_stats() -> impl Strategy<Value = LogStats> {
-    prop::collection::vec(prop::collection::vec(0..ALPHABET.len(), 0..10), 1..4).prop_map(
-        |instances| {
-            let mut b = LogBuilder::new();
-            for tasks in &instances {
-                let w = b.start_instance();
-                for &t in tasks {
-                    b.append(w, ALPHABET[t], attrs! {}, attrs! {}).unwrap();
-                }
-            }
-            LogStats::compute(&b.build().unwrap())
-        },
-    )
 }
 
 proptest! {
@@ -114,18 +97,6 @@ proptest! {
                 prop_assert!(sub.op() != Some(Op::Choice), "choice survived CNF");
             }
         }
-    }
-
-    /// The optimizer never increases its own cost estimate, and its
-    /// output parses/prints cleanly.
-    #[test]
-    fn optimizer_cost_discipline(p in arb_pattern(), stats in arb_stats()) {
-        let optimizer = Optimizer::new(stats);
-        let (optimized, report) = optimizer.optimize_with_report(&p);
-        prop_assert!(report.cost_after <= report.cost_before + 1e-9);
-        prop_assert!(report.speedup() >= 1.0);
-        let reparsed: Pattern = optimized.to_string().parse().unwrap();
-        prop_assert_eq!(reparsed, optimized);
     }
 
     /// Simplification is idempotent, AC-sound for choice-free patterns,

@@ -4,14 +4,14 @@
 //! warehouse schema — point incident patterns straight at the log and
 //! iterate. Covers the order-fulfillment scenario's parallel block (the
 //! `⊕` operator) and the loan scenario's choice structure (`⊗`), plus
-//! algebraic optimization and the incident-tree trace.
+//! cost-based query planning and the incident-tree trace.
 //!
 //! ```sh
 //! cargo run -p wlq-core --example process_mining
 //! ```
 
 use wlq::prelude::*;
-use wlq::{IncidentTree, Optimizer};
+use wlq::{IncidentTree, Planner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Orders: the parallel block. ────────────────────────────────────
@@ -57,17 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         appealed.count_by_instance(&loans)?.len()
     );
 
-    // ── Optimizer at work. ─────────────────────────────────────────────
-    let stats = LogStats::compute(&loans);
-    let optimizer = Optimizer::new(stats);
+    // ── The planner at work. ───────────────────────────────────────────
     let pattern: Pattern = "(Submit -> Approve) | (Submit -> Reject)".parse()?;
-    let (optimized, report) = optimizer.optimize_with_report(&pattern);
-    println!("\noptimizer: {pattern}  ⇒  {optimized}");
+    let plan = Planner::from_log(&loans).plan(&pattern);
+    println!("\nplanner: {pattern}  ⇒  {}", plan.pattern());
     println!(
-        "estimated cost {:.0} → {:.0} ({:.1}× speedup)",
-        report.cost_before,
-        report.cost_after,
-        report.speedup()
+        "estimated cost {:.0} → {:.0} ({})",
+        plan.original_cost(),
+        plan.cost(),
+        plan.rule()
     );
 
     // ── Incident-tree trace (the paper's Example 5 walkthrough). ──────

@@ -55,9 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The streaming results coincide with batch evaluation of the final log.
     println!("\nconsistency check (streaming ≡ batch):");
     for (name, monitor) in &monitors {
-        let batch = Query::new(monitor.pattern().clone())
-            .optimize(false)
-            .find(&log)?;
+        let batch = Query::new(monitor.pattern().clone()).find(&log)?;
         let ok = batch == monitor.incidents();
         println!(
             "  {name:<26} {} incidents, matches batch: {ok}",

@@ -90,7 +90,7 @@ fn query_flags_and_modes() {
     let out = wlq(&["simulate", "loan", "10", "3", path_str]);
     assert!(out.status.success(), "{}", stderr(&out));
 
-    // All strategy/optimize/thread combinations agree on the count.
+    // All strategy/thread combinations agree on the count.
     let baseline = stdout(&wlq(&[
         "query",
         path_str,
@@ -99,7 +99,6 @@ fn query_flags_and_modes() {
     ]));
     for flags in [
         vec!["--count", "--naive"],
-        vec!["--count", "--no-optimize"],
         vec!["--count", "--threads", "3"],
     ] {
         let mut args = vec!["query", path_str, "Submit -> CheckCredit"];
@@ -108,6 +107,16 @@ fn query_flags_and_modes() {
         assert!(out.status.success());
         assert_eq!(stdout(&out), baseline);
     }
+    // The planner is the only optimizer; there is nothing to switch off.
+    let out = wlq(&[
+        "query",
+        path_str,
+        "Submit -> CheckCredit",
+        "--count",
+        "--no-optimize",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
 
     let out = wlq(&["query", path_str, "Submit", "--by-instance"]);
     assert!(out.status.success());
@@ -130,25 +139,17 @@ fn explain_and_mine_render_reports() {
         .status
         .success());
 
+    // explain prints the planner's plan without running the query.
     let out = wlq(&["explain", path_str, "PlaceOrder -> (Ship & CollectPayment)"]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("plan :"));
-    assert!(text.contains("total:"));
-    // Without --plan, no physical plan section.
-    assert!(!text.contains("physical plan:"), "{text}");
-
-    let out = wlq(&[
-        "explain",
-        path_str,
-        "PlaceOrder -> (Ship & CollectPayment)",
-        "--plan",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
     let planned = stdout(&out);
-    assert!(planned.contains("physical plan:"), "{planned}");
     assert!(planned.contains("chosen:"), "{planned}");
     assert!(planned.contains("scan PlaceOrder"), "{planned}");
+    assert!(!planned.contains("total"), "{planned}");
+
+    let out = wlq(&["explain", path_str, "PlaceOrder", "--plan"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag"));
 
     let out = wlq(&["explain", path_str, "PlaceOrder", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
@@ -514,7 +515,7 @@ fn explain_flag_conflicts_are_usage_errors() {
 
     let out = wlq(&["explain", p, "SeeDoctor", "--plan", "--analyze"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("mutually exclusive"));
+    assert!(stderr(&out).contains("unknown flag \"--plan\""));
 
     let out = wlq(&["explain", p, "SeeDoctor", "--trace-out", "/tmp/x.jsonl"]);
     assert_eq!(out.status.code(), Some(2));
@@ -529,23 +530,73 @@ fn query_profile_answers_then_profiles() {
     let p = path.to_str().unwrap();
     assert!(wlq(&["simulate", "clinic", "20", "9", p]).status.success());
 
-    // The mode answer must match the unprofiled run exactly.
-    let plain = wlq(&["query", p, "GetRefer ~> CheckIn", "--count"]);
-    let profiled = wlq(&["query", p, "GetRefer ~> CheckIn", "--count", "--profile"]);
-    assert!(profiled.status.success(), "{}", stderr(&profiled));
-    let text = stdout(&profiled);
-    assert_eq!(
-        text.lines().next().unwrap(),
-        stdout(&plain).trim(),
-        "profiled count diverged"
-    );
-    assert!(text.contains("strategy : planned"));
-    assert!(text.contains("q-err  node"));
+    // The mode answer must match the unprofiled run exactly, whether
+    // the counting DP answers it or the executor does.
+    for pattern in ["GetRefer ~> CheckIn", "GetRefer[balance > 0] ~> CheckIn"] {
+        let plain = wlq(&["query", p, pattern, "--count"]);
+        let profiled = wlq(&["query", p, pattern, "--count", "--profile"]);
+        assert!(profiled.status.success(), "{}", stderr(&profiled));
+        let text = stdout(&profiled);
+        assert_eq!(
+            text.lines().next().unwrap(),
+            stdout(&plain).trim(),
+            "profiled count diverged on {pattern}"
+        );
+    }
+    // A predicate is outside the counting DP's fragment: the executor
+    // runs, and its per-node table follows the answer.
+    let out = wlq(&[
+        "query",
+        p,
+        "GetRefer[balance > 0] ~> CheckIn",
+        "--count",
+        "--profile",
+    ]);
+    let text = stdout(&out);
+    assert!(text.contains("strategy : planned"), "{text}");
+    assert!(text.contains("q-err  node"), "{text}");
 
     // --naive routes the profiled run through the paper's operators.
     let out = wlq(&["query", p, "SeeDoctor", "--profile", "--naive", "--exists"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("strategy : naive-paper"));
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn count_profile_reports_the_counting_dp() {
+    // One instance: START, twelve `t`, END.
+    let path = temp_path("dp.txt");
+    let p = path.to_str().unwrap();
+    let mut log = String::from("lsn | wid | is-lsn | t | in | out\n");
+    let names = std::iter::once("START")
+        .chain(std::iter::repeat_n("t", 12))
+        .chain(std::iter::once("END"));
+    for (i, name) in names.enumerate() {
+        log.push_str(&format!("{} | 1 | {} | {name} | - | -\n", i + 1, i + 1));
+    }
+    std::fs::write(&path, log).unwrap();
+
+    // C(12, 5) incidents, counted by the DP: no executor table.
+    let out = wlq(&["query", p, "t -> t -> t -> t -> t", "--count", "--profile"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.lines().next(), Some("792"), "{text}");
+    assert!(text.contains("count DP"), "{text}");
+    assert!(!text.contains("scan t"), "{text}");
+
+    // No executor runs, so there is no trace to write.
+    let out = wlq(&[
+        "query",
+        p,
+        "t -> t",
+        "--count",
+        "--profile",
+        "--trace-out",
+        "/tmp/unused.jsonl",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
 
     std::fs::remove_file(&path).ok();
 }

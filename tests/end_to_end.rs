@@ -1,8 +1,8 @@
 //! End-to-end pipelines at moderate scale: simulate → serialize → reload
-//! → optimize → evaluate (sequential, parallel, both strategies).
+//! → plan → evaluate (sequential, parallel, both strategies).
 
 use wlq::prelude::*;
-use wlq::{io, scenarios, Optimizer};
+use wlq::{io, scenarios, Planner};
 
 fn battery() -> Vec<Pattern> {
     [
@@ -23,15 +23,16 @@ fn clinic_pipeline_all_paths_agree() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(150, 5));
     let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
     let planned = Evaluator::with_strategy(&log, Strategy::Planned);
-    let optimizer = Optimizer::new(LogStats::compute(&log));
+    let planner = Planner::from_log(&log);
     for p in battery() {
         let reference = naive.evaluate(&p);
         assert_eq!(planned.evaluate(&p), reference, "naive vs planned on {p}");
-        let rewritten = optimizer.optimize(&p);
+        let plan = planner.plan(&p);
+        let rewritten = plan.pattern();
         assert_eq!(
-            naive.evaluate(&rewritten),
+            naive.evaluate(rewritten),
             reference,
-            "optimizer broke {p} => {rewritten}"
+            "planner broke {p} => {rewritten}"
         );
         let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Planned).unwrap();
         assert_eq!(parallel, reference, "parallel eval on {p}");
@@ -115,19 +116,13 @@ fn query_builder_threads_and_strategies_compose() {
     let base = q.clone().find(&log).unwrap();
     for threads in [1, 2, 8] {
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            for optimize in [true, false] {
-                let got = q
-                    .clone()
-                    .threads(threads)
-                    .strategy(strategy)
-                    .optimize(optimize)
-                    .find(&log)
-                    .unwrap();
-                assert_eq!(
-                    got, base,
-                    "threads={threads} strategy={strategy:?} optimize={optimize}"
-                );
-            }
+            let got = q
+                .clone()
+                .threads(threads)
+                .strategy(strategy)
+                .find(&log)
+                .unwrap();
+            assert_eq!(got, base, "threads={threads} strategy={strategy:?}");
         }
     }
 }
@@ -136,8 +131,17 @@ fn query_builder_threads_and_strategies_compose() {
 fn profile_reports_are_consistent() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(50, 3));
     let q = Query::parse("(GetRefer -> GetReimburse) | (GetRefer -> CompleteRefer)").unwrap();
-    let profile = q.profile(&log).unwrap();
-    assert_eq!(profile.incidents, q.find(&log).unwrap());
-    // The optimizer factors the shared prefix.
+    let (incidents, profile) =
+        wlq::profile_evaluation(&log, q.pattern(), Strategy::Planned, 2).unwrap();
+    assert_eq!(incidents, q.find(&log).unwrap());
+    assert_eq!(profile.total_incidents, incidents.len() as u64);
+    // The plan that ran is the planner's, and it names the shared prefix.
+    assert_eq!(
+        profile.plan,
+        Planner::from_log(&log)
+            .plan(q.pattern())
+            .pattern()
+            .to_string()
+    );
     assert!(profile.plan.contains("GetRefer"));
 }

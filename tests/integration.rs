@@ -239,27 +239,29 @@ fn labelled_patterns_bind_into_their_incidents() {
     }
 }
 
-/// Bounded equivalence agrees with the optimizer: every optimized plan
-/// is bounded-equivalent to its input (small patterns).
+/// Bounded equivalence agrees with the planner: every candidate tree it
+/// considers is bounded-equivalent to its input (small patterns).
 #[test]
 fn optimizer_outputs_are_bounded_equivalent() {
-    let log = paper::figure3_log();
-    let optimizer = wlq::Optimizer::new(LogStats::compute(&log));
+    let planner = wlq::Planner::from_log(&paper::figure3_log());
     for src in [
         "SeeDoctor -> UpdateRefer -> GetReimburse",
         "(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)",
         "SeeDoctor & UpdateRefer",
     ] {
         let p: Pattern = src.parse().unwrap();
-        let q = optimizer.optimize(&p);
-        assert!(
-            wlq::equivalent_up_to(&p, &q, 4).holds(),
-            "{src} => {q} distinguished within bound"
-        );
+        for candidate in planner.candidates(&p) {
+            let q = &candidate.pattern;
+            assert!(
+                wlq::equivalent_up_to(&p, q, 4).holds(),
+                "{src} => {q} ({}) distinguished within bound",
+                candidate.rule
+            );
+        }
     }
 }
 
-/// Mining, explain, and find_first compose on a non-clinic scenario.
+/// Mining, profiling, and find_first compose on a non-clinic scenario.
 #[test]
 fn mining_and_projections_on_order_scenario() {
     let log = wlq::simulate(
@@ -273,13 +275,14 @@ fn mining_and_projections_on_order_scenario() {
             .len();
         assert_eq!(matched, 50, "{}", relation.pattern);
     }
-    // Explain agrees with plain evaluation under both strategies.
+    // Profiled evaluation agrees with plain evaluation under both
+    // strategies.
     let p: Pattern = "PlaceOrder -> (Ship & CollectPayment)".parse().unwrap();
     for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-        let explain = wlq::Explain::run(&log, &p, true, strategy);
-        assert_eq!(explain.incidents, Evaluator::new(&log).evaluate(&p));
+        let (incidents, _) = wlq::profile_evaluation(&log, &p, strategy, 1).unwrap();
+        assert_eq!(incidents, Evaluator::new(&log).evaluate(&p));
     }
-    // find_first returns a bounded subset even with optimization on.
+    // find_first returns a bounded subset of the full answer.
     let q = Query::new(p.clone());
     let some = q.find_first(&log, 7);
     assert_eq!(some.len(), 7);

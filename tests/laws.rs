@@ -191,12 +191,11 @@ proptest! {
         }
     }
 
-    /// The cost-based optimizer's output is equivalent to its input.
+    /// The query planner's chosen tree is equivalent to its input.
     #[test]
     fn optimizer_preserves_semantics(log in arb_log(), p in arb_pattern()) {
-        let optimizer = wlq::Optimizer::new(wlq::LogStats::compute(&log));
-        let q = optimizer.optimize(&p);
-        assert_equiv(&log, &p, &q)?;
+        let plan = wlq::Planner::from_log(&log).plan(&p);
+        assert_equiv(&log, &p, plan.pattern())?;
     }
 
     /// Choice normal form is a sound decomposition: the union of the

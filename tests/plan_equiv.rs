@@ -3,8 +3,8 @@
 //! Random logs × random patterns (depth ≤ 4): every rewrite candidate the
 //! planner enumerates (Theorems 2–5) must evaluate to exactly the same
 //! `incL(p)` as the original pattern, and the chosen physical plan — with
-//! its per-node operator selection and `count`/`exists` routing — must
-//! agree with the paper-faithful naive evaluation.
+//! agree with the paper-faithful naive evaluation. On `~>`/`->` chains,
+//! the planner's choice is the cheapest parenthesisation by its own cost.
 
 use proptest::prelude::*;
 
@@ -29,6 +29,40 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
             Pattern::binary(op, l, r)
         })
     })
+}
+
+/// Random `~>`/`->` chains of 3–5 atoms: the operands and the operators
+/// between them.
+fn arb_chain() -> impl Strategy<Value = (Vec<Pattern>, Vec<Op>)> {
+    let atom = prop_oneof![
+        4 => (0..ALPHABET.len()).prop_map(|i| Pattern::atom(ALPHABET[i])),
+        1 => (0..ALPHABET.len()).prop_map(|i| Pattern::not_atom(ALPHABET[i])),
+    ];
+    let op = prop_oneof![Just(Op::Consecutive), Just(Op::Sequential)];
+    (
+        prop::collection::vec(atom, 3..6),
+        prop::collection::vec(op, 4..5),
+    )
+        .prop_map(|(operands, mut ops)| {
+            ops.truncate(operands.len() - 1);
+            (operands, ops)
+        })
+}
+
+/// Every parenthesisation of a chain, operators kept in place.
+fn parenthesisations(operands: &[Pattern], ops: &[Op]) -> Vec<Pattern> {
+    if operands.len() == 1 {
+        return vec![operands[0].clone()];
+    }
+    let mut out = Vec::new();
+    for k in 0..ops.len() {
+        for l in parenthesisations(&operands[..=k], &ops[..k]) {
+            for r in parenthesisations(&operands[k + 1..], &ops[k + 1..]) {
+                out.push(Pattern::binary(ops[k], l.clone(), r));
+            }
+        }
+    }
+    out
 }
 
 /// Random logs: 1–4 instances, each 0–10 task records, interleaved.
@@ -92,5 +126,34 @@ proptest! {
             "planned exists diverged on {}",
             &p
         );
+    }
+
+    /// The chain DP is optimal under the planner's own cost: no
+    /// parenthesisation of a chain, scored as written, is cheaper than the
+    /// plan of any of them. The plan also prints and re-parses to itself.
+    #[test]
+    fn chain_dp_is_optimal_under_plan_cost(log in arb_log(), chain in arb_chain()) {
+        let (operands, ops) = chain;
+        // The chain as the parser builds it: left-deep.
+        let p = ops
+            .iter()
+            .zip(&operands[1..])
+            .fold(operands[0].clone(), |acc, (op, q)| Pattern::binary(*op, acc, q.clone()));
+        let planner = Planner::from_log(&log);
+        let plan = planner.plan(&p);
+        let reparsed: Pattern = plan.pattern().to_string().parse().unwrap();
+        prop_assert_eq!(&reparsed, plan.pattern());
+        for t in parenthesisations(&operands, &ops) {
+            let written = planner.plan(&t).original_cost();
+            prop_assert!(
+                plan.cost() <= written * (1.0 + 1e-9),
+                "plan {} of {} costs {} but {} scores {}",
+                plan.pattern(),
+                &p,
+                plan.cost(),
+                &t,
+                written
+            );
+        }
     }
 }
