@@ -8,6 +8,7 @@
 
 use std::borrow::Cow;
 
+use super::scan::{find_any, split_quoted, trim};
 use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
@@ -68,7 +69,7 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
     let mut fields = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
-        if line.trim().is_empty() || (line_no == 1 && line.starts_with("lsn")) {
+        if trim(line).is_empty() || (line_no == 1 && line.starts_with("lsn")) {
             continue;
         }
         split_csv_line(line, line_no, &mut fields)?;
@@ -78,21 +79,8 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
                 message: format!("expected 6 columns, found {}", fields.len()),
             });
         };
-        let number = |field: &'static str, text: &str| ParseLogError::BadNumber {
-            line: line_no,
-            field,
-            text: text.to_string(),
-        };
-        let lsn: u64 = lsn.parse().map_err(|_| number("lsn", lsn))?;
-        let wid: u64 = wid.parse().map_err(|_| number("wid", wid))?;
-        let is_lsn: u32 = is_lsn.parse().map_err(|_| number("is-lsn", is_lsn))?;
-        if activity.is_empty() {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: "activity name is empty".to_string(),
-            });
-        }
-        let activity = dict.names.activity(activity);
+        let head = [lsn, wid, is_lsn, activity].map(|field| &**field);
+        let (lsn, wid, is_lsn, activity) = super::parse_head(head, line_no, &mut dict.names)?;
         let input = parse_semi_map(input, line_no, &mut dict)?;
         let output = parse_semi_map(output, line_no, &mut dict)?;
         records.push(LogRecord::new(lsn, wid, is_lsn, activity, input, output));
@@ -106,10 +94,10 @@ fn parse_semi_map(
     line_no: usize,
     dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
-    if text.trim().is_empty() {
+    if trim(text).is_empty() {
         return Ok(AttrMap::new());
     }
-    super::parse_entries(text, b';', line_no, dict)
+    super::parse_entries(split_quoted(text, b';'), line_no, dict)
 }
 
 /// Splits one CSV row into `fields` (cleared first). A column holding a
@@ -122,28 +110,31 @@ fn split_csv_line<'a>(
 ) -> Result<(), ParseLogError> {
     fields.clear();
     let bytes = line.as_bytes();
-    let (mut start, mut i, mut quoted, mut in_quotes) = (0, 0, false, false);
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' if in_quotes && bytes.get(i + 1) == Some(&b'"') => i += 1,
-            b'"' => {
-                in_quotes = !in_quotes;
-                quoted = true;
-            }
-            // `i` is an ASCII byte, hence a character boundary.
-            b',' if !in_quotes => {
-                fields.push(csv_field(&line[start..i], quoted));
-                (start, quoted) = (i + 1, false);
-            }
-            _ => {}
+    let (mut start, mut i, mut quoted) = (0, 0, false);
+    while let Some(j) = find_any(bytes, i, [b',', b'"']) {
+        if bytes[j] == b',' {
+            // `j` holds an ASCII byte, hence a character boundary.
+            fields.push(csv_field(&line[start..j], quoted));
+            (start, i, quoted) = (j + 1, j + 1, false);
+            continue;
         }
-        i += 1;
-    }
-    if in_quotes {
-        return Err(ParseLogError::BadShape {
-            line: line_no,
-            message: "unterminated quoted field".to_string(),
-        });
+        // An opening quote: skip to its closing one; inside quotes `""`
+        // is data.
+        quoted = true;
+        i = j + 1;
+        loop {
+            let Some(k) = find_any(bytes, i, [b'"']) else {
+                return Err(ParseLogError::BadShape {
+                    line: line_no,
+                    message: "unterminated quoted field".to_string(),
+                });
+            };
+            i = k + 1;
+            if bytes.get(i) != Some(&b'"') {
+                break;
+            }
+            i += 1;
+        }
     }
     fields.push(csv_field(&line[start..], quoted));
     Ok(())
@@ -206,6 +197,48 @@ mod tests {
     #[test]
     fn unterminated_quote_is_an_error() {
         assert!(split_csv_line(r#"1,"oops"#, 3, &mut Vec::new()).is_err());
+    }
+
+    /// The byte-at-a-time row splitter that the word-at-a-time one
+    /// replaced: the columns, or `None` for an unterminated quote.
+    fn bytewise_columns(line: &str) -> Option<Vec<Cow<'_, str>>> {
+        let bytes = line.as_bytes();
+        let mut fields = Vec::new();
+        let (mut start, mut i, mut quoted, mut in_quotes) = (0, 0, false, false);
+        while i < bytes.len() {
+            match bytes[i] {
+                b'"' if in_quotes && bytes.get(i + 1) == Some(&b'"') => i += 1,
+                b'"' => {
+                    in_quotes = !in_quotes;
+                    quoted = true;
+                }
+                b',' if !in_quotes => {
+                    fields.push(csv_field(&line[start..i], quoted));
+                    (start, quoted) = (i + 1, false);
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        (!in_quotes).then(|| {
+            fields.push(csv_field(&line[start..], quoted));
+            fields
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn row_split_matches_the_bytewise_oracle(
+            tokens in proptest::collection::vec(
+                proptest::sample::select(vec![",", ",", "\"", "\"\"", "a", " ", "é", "\\", ";", "=7"]),
+                0..24,
+            )
+        ) {
+            let line = tokens.concat();
+            let mut fields = Vec::new();
+            let split = split_csv_line(&line, 1, &mut fields).ok().map(|()| fields);
+            proptest::prop_assert_eq!(split, bytewise_columns(&line));
+        }
     }
 
     #[test]

@@ -16,13 +16,14 @@
 
 pub mod binary;
 pub mod csv;
+mod scan;
 pub mod text;
 pub mod xes;
 
 use std::sync::Arc;
 
 use crate::attrs::DictBuilder;
-use crate::names::{AttrName, Interner};
+use crate::names::{Activity, AttrName, Interner};
 use crate::value::parse_scalar;
 use crate::{AttrMap, ParseLogError, Value};
 
@@ -96,7 +97,7 @@ fn needs_quoting(s: &str) -> bool {
 /// Parses a rendered value: a double-quoted token is unescaped into a
 /// string; anything else goes through [`Value`]'s `FromStr`.
 pub(crate) fn parse_rendered_value(s: &str) -> Value {
-    let s = s.trim();
+    let s = scan::trim(s);
     match s {
         "NaN" => return Value::Float(f64::NAN),
         "-NaN" => return Value::Float(-f64::NAN),
@@ -139,74 +140,43 @@ pub(crate) fn render_map(map: &AttrMap, sep: &str) -> String {
     out
 }
 
-/// Splits `s` on the ASCII byte `sep`, ignoring separators inside
-/// double-quoted values (with backslash escapes). The pieces borrow from
-/// `s`; nothing is unescaped and nothing is allocated.
-pub(crate) fn split_quoted(s: &str, sep: u8) -> SplitQuoted<'_> {
-    debug_assert!(sep.is_ascii() && sep != b'"' && sep != b'\\');
-    SplitQuoted { rest: Some(s), sep }
-}
-
-/// The iterator of [`split_quoted`].
-pub(crate) struct SplitQuoted<'a> {
-    /// The unsplit tail; `None` once the last piece is out.
-    rest: Option<&'a str>,
-    sep: u8,
-}
-
-impl<'a> Iterator for SplitQuoted<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let s = self.rest?;
-        let bytes = s.as_bytes();
-        let (mut i, mut in_quotes) = (0, false);
-        while i < bytes.len() {
-            match bytes[i] {
-                // Skips the escaped byte; a multi-byte character's other
-                // bytes are never ASCII, so they cannot match below.
-                b'\\' if in_quotes => i += 1,
-                b'"' => in_quotes = !in_quotes,
-                // `i` is an ASCII byte, hence a character boundary.
-                b if b == self.sep && !in_quotes => {
-                    self.rest = Some(&s[i + 1..]);
-                    return Some(&s[..i]);
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        self.rest = None;
-        Some(s)
+/// Checks and parses the first four fields of a record: `lsn`, `wid` and
+/// `is-lsn` as decimal numbers, and a non-empty activity name, interned
+/// in `names`. The text and CSV decoders share it, so each of these
+/// errors is raised in one place.
+pub(crate) fn parse_head(
+    [lsn, wid, is_lsn, activity]: [&str; 4],
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<(u64, u64, u32, Activity), ParseLogError> {
+    let number = |field: &'static str, text: &str| ParseLogError::BadNumber {
+        line: line_no,
+        field,
+        text: text.to_string(),
+    };
+    let lsn = scan::parse_u64(lsn).ok_or_else(|| number("lsn", lsn))?;
+    let wid = scan::parse_u64(wid).ok_or_else(|| number("wid", wid))?;
+    let is_lsn = scan::parse_u32(is_lsn).ok_or_else(|| number("is-lsn", is_lsn))?;
+    if activity.is_empty() {
+        return Err(ParseLogError::BadShape {
+            line: line_no,
+            message: "activity name is empty".to_string(),
+        });
     }
+    Ok((lsn, wid, is_lsn, names.activity(activity)))
 }
 
-/// The `N` pieces of [`split_quoted`], or how many pieces there are if
-/// that is not `N`.
-pub(crate) fn split_exact<const N: usize>(s: &str, sep: u8) -> Result<[&str; N], usize> {
-    let mut pieces = split_quoted(s, sep);
-    let mut out = [""; N];
-    for (found, slot) in out.iter_mut().enumerate() {
-        *slot = pieces.next().ok_or(found)?;
-    }
-    match pieces.count() {
-        0 => Ok(out),
-        extra => Err(N + extra),
-    }
-}
-
-/// Parses the `name=value` entries of one attribute map, separated by
-/// `sep`, into the load's dictionary. Each entry is looked up by its
-/// trimmed text, so an entry met recently is not parsed again. A
+/// Parses the `name=value` entries of one attribute map, one untrimmed
+/// entry per piece, into the load's dictionary. Each entry is looked up
+/// by its trimmed text, so an entry met recently is not parsed again. A
 /// repeated name keeps its last value.
-pub(crate) fn parse_entries(
-    text: &str,
-    sep: u8,
+pub(crate) fn parse_entries<'a>(
+    pieces: impl IntoIterator<Item = &'a str>,
     line_no: usize,
     dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
-    for pair in split_quoted(text, sep) {
-        let pair = pair.trim();
+    for pair in pieces {
+        let pair = scan::trim(pair);
         let id = dict.entry(pair.as_bytes(), |names| parse_entry(pair, line_no, names))?;
         dict.push(id);
     }
@@ -228,7 +198,7 @@ fn parse_entry(
             message: format!("attribute entry {pair:?} is not name=value"),
         });
     };
-    let name = name.trim();
+    let name = scan::trim(name);
     if name.is_empty() {
         return Err(ParseLogError::BadShape {
             line: line_no,
@@ -241,7 +211,7 @@ fn parse_entry(
 /// An upper bound on the records in a line-per-record text: its line
 /// count. Sizing the record vector by it avoids regrowth.
 pub(crate) fn line_count(text: &str) -> usize {
-    text.bytes().filter(|&b| b == b'\n').count() + 1
+    scan::count(text.as_bytes(), b'\n') + 1
 }
 
 #[cfg(test)]
@@ -312,7 +282,7 @@ mod tests {
 
     #[test]
     fn split_entries_respects_quotes() {
-        let split = |s, sep| split_quoted(s, sep).collect::<Vec<_>>();
+        let split = |s, sep| scan::split_quoted(s, sep).collect::<Vec<_>>();
         assert_eq!(split(r#"a="x,y", b=2"#, b','), [r#"a="x,y""#, " b=2"]);
         assert_eq!(
             split(r#"a="he said \";\"";b=1"#, b';'),
@@ -321,9 +291,6 @@ mod tests {
         // Unquoted backslashes escape nothing; multi-byte text is kept.
         assert_eq!(split(r"é\|ü|", b'|'), [r"é\", "ü", ""]);
         assert_eq!(split("", b','), [""]);
-        assert_eq!(split_exact::<2>("a|b", b'|'), Ok(["a", "b"]));
-        assert_eq!(split_exact::<2>("a", b'|'), Err(1));
-        assert_eq!(split_exact::<2>("a|b|c|d", b'|'), Err(4));
     }
 
     #[test]
@@ -339,7 +306,7 @@ mod tests {
         let mut dict = DictBuilder::default();
         let mut records = Vec::new();
         for (i, text) in maps.iter().enumerate() {
-            let map = parse_entries(text, sep, i + 1, &mut dict)?;
+            let map = parse_entries(scan::split_quoted(text, sep), i + 1, &mut dict)?;
             records.push(crate::LogRecord::new(
                 1u64,
                 1u64,
