@@ -1,5 +1,6 @@
 //! E10: evaluation scaling with log size and with per-instance
-//! parallelism (crossbeam worker threads).
+//! parallelism (the engine's worker pool of `std::thread::scope`
+//! threads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -243,7 +243,7 @@ fn e2_incident_tree() {
         postfix_strings(&p)
     );
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
+    let (set, trace) = tree.evaluate_traced(&log);
     println!("{trace}");
     let incident = set.iter().next().expect("one incident");
     let lsns: Vec<String> = incident

@@ -42,7 +42,7 @@ pub use wlq_analysis::{
     LintCode, Report, Severity, DEFAULT_COST_BUDGET,
 };
 pub use wlq_engine::{
-    combine, combine_batch, combine_batch_into, equivalent_up_to, evaluate_parallel, fast_count,
+    combine_batch, combine_batch_into, equivalent_up_to, evaluate_parallel, fast_count,
     leaf_incidents, mine_relations, profile_evaluation, timeline, BatchArena, BoundIncident,
     BoundedEquiv, EngineError, EvalTrace, Evaluator, Incident, IncidentBatch, IncidentRef,
     IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern, MinedRelation,

@@ -133,6 +133,12 @@ impl IncidentBatch {
         self.pool.reserve(positions);
     }
 
+    /// Keeps the first `len` incidents; the pool keeps the positions of
+    /// the dropped ones, which no ref points at.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.refs.truncate(len);
+    }
+
     /// Clears the batch for reuse, keeping allocations.
     pub fn reset(&mut self, wid: Wid) {
         self.wid = wid;
@@ -285,17 +291,27 @@ impl IncidentBatch {
     /// in batch form).
     #[must_use]
     pub fn from_incidents(wid: Wid, incidents: &[Incident]) -> Self {
+        let mut batch = IncidentBatch::new(wid);
+        batch.extend_incidents(incidents);
+        batch
+    }
+
+    /// Appends a sorted, deduplicated incident list of this batch's
+    /// instance to an empty batch, first growing its storage, when short,
+    /// to exactly the room the list needs (as `from_incidents` sizes a
+    /// new batch).
+    pub(crate) fn extend_incidents(&mut self, incidents: &[Incident]) {
         let positions: usize = incidents.iter().map(Incident::len).sum();
-        let mut batch = IncidentBatch::with_capacity(wid, incidents.len(), positions);
+        self.pool.reserve_exact(positions);
+        self.refs.reserve_exact(incidents.len());
         for incident in incidents {
-            debug_assert_eq!(incident.wid(), wid, "incident from another instance");
-            batch.push_sorted_positions(incident.positions());
+            debug_assert_eq!(incident.wid(), self.wid, "incident from another instance");
+            self.push_sorted_positions(incident.positions());
         }
         debug_assert!(
             incidents.windows(2).all(|w| w[0] < w[1]),
             "input must be sorted+deduped"
         );
-        batch
     }
 
     /// A batch of singletons from ascending positions (leaf evaluation).
@@ -480,7 +496,8 @@ impl IncidentBatch {
 
 /// Logical equality: the same instance and the same incidents in the same
 /// order. Pool positions no ref points at (left by the dedup in
-/// `finish_runs` or `finish_full`) and the pool's layout do not count.
+/// `finish_runs` or `finish_full`, or by `truncate`) and the pool's
+/// layout do not count.
 impl PartialEq for IncidentBatch {
     fn eq(&self, other: &Self) -> bool {
         self.wid == other.wid && self.len() == other.len() && self.iter().eq(other.iter())

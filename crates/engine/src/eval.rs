@@ -1,12 +1,16 @@
-//! The evaluator: strategies, leaf evaluation, and the one per-instance
-//! executor.
+//! The evaluator: strategies, leaf evaluation, the one per-instance
+//! executor and the one loop that runs it over a query's instances.
 //!
-//! Planned evaluation first turns the physical plan into an [`Exec`] tree
-//! whose atoms are resolved to the index's activity ids and whose nodes
-//! carry their pre-order ids, once per query; the per-instance loops then
-//! run over instance ordinals and ids only. The naive oracle recurses over
-//! the pattern as written. Both report to a [`Probe`]: [`NoProbe`] here,
-//! the metrics probe when profiling.
+//! A query is planned once. [`Evaluator::drive`] turns the physical plan
+//! into an [`Exec`] tree whose atoms are resolved to the index's activity
+//! ids and whose nodes carry their pre-order ids, once per run (a pool
+//! worker's run included), and then runs it over instance ordinals and
+//! ids only.
+//! The naive oracle recurses over the pattern as written. Both report to
+//! a [`Probe`]: [`NoProbe`] here, the metrics probe when profiling. Every
+//! entry point — listing, counting, `exists`, one instance, the worker
+//! pool, the profiler and `Query::find_first` — is [`Evaluator::drive`]
+//! with a different sink.
 
 use std::ops::ControlFlow;
 
@@ -16,6 +20,7 @@ use wlq_pattern::{Atom, Op, Pattern};
 use crate::batch::{BatchArena, IncidentBatch};
 use crate::candidates::Candidates;
 use crate::counting;
+use crate::error::EngineError;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
 use crate::planner::{PhysOp, PhysicalPlan, PlanNode, Planner};
@@ -38,31 +43,6 @@ pub enum Strategy {
     /// identical incident sets; see `crate::planner` and `crate::kernels`.
     #[default]
     Planned,
-}
-
-/// Combines two per-instance incident lists under `op` using `strategy`.
-///
-/// This is the dispatch point between the paper-faithful operators and
-/// the batch kernels; both produce the same sorted, deduplicated output.
-#[must_use]
-pub fn combine(strategy: Strategy, op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
-    match (strategy, op) {
-        (Strategy::NaivePaper, Op::Consecutive) => naive::consecutive_eval(left, right),
-        (Strategy::NaivePaper, Op::Sequential) => naive::sequential_eval(left, right),
-        (Strategy::NaivePaper, Op::Choice) => naive::choice_eval(left, right),
-        (Strategy::NaivePaper, Op::Parallel) => naive::parallel_eval(left, right),
-        (Strategy::Planned, _) => {
-            // Boundary conversion for callers holding classic incident
-            // lists (trees, streaming deltas); the evaluator's own planned
-            // path stays flat end-to-end and never comes through here.
-            let Some(wid) = left.first().or_else(|| right.first()).map(Incident::wid) else {
-                return Vec::new();
-            };
-            let l = IncidentBatch::from_incidents(wid, left);
-            let r = IncidentBatch::from_incidents(wid, right);
-            kernels::combine_batch(op, &l, &r).into_incidents()
-        }
-    }
 }
 
 /// An atom resolved against an index: its activity id, `None` when the
@@ -147,8 +127,8 @@ pub fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec
 }
 
 /// A physical plan with its atoms resolved and its nodes numbered in
-/// pre-order (the probe's node ids), built once per query and run once
-/// per instance.
+/// pre-order (the probe's node ids), built once per run of
+/// [`Evaluator::drive`] and run once per instance.
 #[derive(Debug)]
 pub(crate) enum Exec<'p> {
     Leaf {
@@ -272,12 +252,6 @@ impl<'a> Evaluator<'a> {
         self.planner.as_ref().map(|pl| pl.plan(pattern))
     }
 
-    /// The executable tree of `plan`; `None` (no plan) selects the naive
-    /// oracle.
-    pub(crate) fn exec<'p>(&self, plan: Option<&'p PhysicalPlan>) -> Option<Exec<'p>> {
-        plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0))
-    }
-
     /// The instances a query over `pattern` visits: under
     /// [`Strategy::Planned`] its candidates, the only instances that can
     /// hold an incident (see `crate::candidates`); under the naive oracle
@@ -380,7 +354,7 @@ impl<'a> Evaluator<'a> {
                 // The left subtree has `2·atoms − 1` nodes.
                 let r = self.naive(right, id + 2 * left.num_atoms(), ordinal, wid, probe);
                 let mark = probe.start();
-                let out = combine(Strategy::NaivePaper, *op, &l, &r);
+                let out = naive::combine(*op, &l, &r);
                 probe.record(id, mark, || Event::Join {
                     op: *op,
                     phys: PhysOp::NestedLoop,
@@ -393,76 +367,96 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates every instance in `ordinals` (a query's
-    /// [`candidates`](Self::candidates), or a worker's claims of them, or
-    /// one ordinal) and returns the finished batch of each matched one, in
-    /// claim order: `exec` when planned, the naive oracle over `pattern`
-    /// otherwise.
-    ///
-    /// A planned instance's root batch is returned as the executor left
-    /// it; an empty one goes back to the arena.
-    pub(crate) fn instances<P: Probe>(
-        &self,
-        pattern: &Pattern,
-        exec: Option<&Exec<'_>>,
-        ordinals: impl IntoIterator<Item = usize>,
-        probe: &mut P,
-    ) -> Vec<IncidentBatch> {
-        let wids = self.index.instance_wids();
-        let mut arena = BatchArena::new();
-        ordinals
-            .into_iter()
-            .filter_map(|ordinal| {
-                let wid = *wids.get(ordinal)?;
-                let batch = match exec {
-                    Some(exec) => {
-                        let batch = self.run(exec, ordinal, wid, &mut arena, probe);
-                        if batch.is_empty() {
-                            arena.recycle(batch);
-                            return None;
-                        }
-                        batch
-                    }
-                    None => IncidentBatch::from_incidents(
-                        wid,
-                        &self.naive(pattern, 0, ordinal, wid, probe),
-                    ),
-                };
-                (!batch.is_empty()).then_some(batch)
-            })
-            .collect()
-    }
-
-    /// Runs `plan` (the naive oracle over `pattern` without one) over the
-    /// query's [`candidates`](Self::candidates) in ordinal order without
-    /// materializing, handing each one's incident count to `visit` until
-    /// it breaks.
-    fn sweep(
+    /// The one loop over a query's instances: runs `plan` (the naive
+    /// oracle over `pattern` without one) for every instance in `ordinals`
+    /// (a query's [`candidates`](Self::candidates), a worker's claims of
+    /// them, or one ordinal), in order, and hands each matched instance's
+    /// root batch to `sink`, which keeps it or recycles it into the arena,
+    /// and may stop the run. An empty root batch goes back to the arena.
+    pub(crate) fn drive<P: Probe>(
         &self,
         pattern: &Pattern,
         plan: Option<&PhysicalPlan>,
-        mut visit: impl FnMut(Wid, usize) -> ControlFlow<()>,
+        ordinals: impl IntoIterator<Item = usize>,
+        probe: &mut P,
+        mut sink: impl FnMut(IncidentBatch, &mut BatchArena) -> ControlFlow<()>,
     ) {
-        let exec = self.exec(plan);
+        let exec = plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0));
         let wids = self.index.instance_wids();
         let mut arena = BatchArena::new();
-        for ordinal in self.candidates(pattern) {
+        for ordinal in ordinals {
             let Some(&wid) = wids.get(ordinal) else {
                 return;
             };
-            let n = match &exec {
-                Some(exec) => {
-                    let batch = self.run(exec, ordinal, wid, &mut arena, &mut NoProbe);
-                    let n = batch.len();
-                    arena.recycle(batch);
-                    n
+            let batch = match &exec {
+                Some(exec) => self.run(exec, ordinal, wid, &mut arena, probe),
+                None => {
+                    let mut batch = arena.alloc(wid);
+                    batch.extend_incidents(&self.naive(pattern, 0, ordinal, wid, probe));
+                    batch
                 }
-                None => self.naive(pattern, 0, ordinal, wid, &mut NoProbe).len(),
             };
-            if visit(wid, n).is_break() {
+            if batch.is_empty() {
+                arena.recycle(batch);
+            } else if sink(batch, &mut arena).is_break() {
                 return;
             }
         }
+    }
+
+    /// [`drive`](Self::drive) over the query's candidates, planned once,
+    /// unprofiled.
+    pub(crate) fn each(
+        &self,
+        pattern: &Pattern,
+        sink: impl FnMut(IncidentBatch, &mut BatchArena) -> ControlFlow<()>,
+    ) {
+        let (plan, candidates) = (self.physical_plan(pattern), self.candidates(pattern));
+        self.drive(pattern, plan.as_ref(), candidates, &mut NoProbe, sink);
+    }
+
+    /// The root batches of every matched instance in `ordinals`, kept as
+    /// the executor left them.
+    pub(crate) fn batches<P: Probe>(
+        &self,
+        pattern: &Pattern,
+        plan: Option<&PhysicalPlan>,
+        ordinals: impl IntoIterator<Item = usize>,
+        probe: &mut P,
+    ) -> Vec<IncidentBatch> {
+        let mut kept = Vec::new();
+        self.drive(pattern, plan, ordinals, probe, |batch, _| {
+            kept.push(batch);
+            ControlFlow::Continue(())
+        });
+        kept
+    }
+
+    /// The number of incidents in `ordinals`, saturating; each root batch
+    /// is counted and recycled, never kept.
+    fn tally(
+        &self,
+        pattern: &Pattern,
+        plan: Option<&PhysicalPlan>,
+        ordinals: impl IntoIterator<Item = usize>,
+    ) -> usize {
+        let mut total: usize = 0;
+        self.drive(pattern, plan, ordinals, &mut NoProbe, |batch, arena| {
+            total = total.saturating_add(batch.len());
+            arena.recycle(batch);
+            ControlFlow::Continue(())
+        });
+        total
+    }
+
+    /// The count of the enumeration-free DP, when the strategy is
+    /// [`Strategy::Planned`] and `pattern` is in its countable fragment.
+    /// The fragment is decided on the pattern as written, before
+    /// planning: a rewrite cannot hide a countable query.
+    fn counted(&self, pattern: &Pattern) -> Option<usize> {
+        (self.strategy == Strategy::Planned)
+            .then(|| counting::count(self.index, pattern))
+            .flatten()
     }
 
     /// Computes `incL(p)`: all incidents of `p` in the log.
@@ -475,22 +469,16 @@ impl<'a> Evaluator<'a> {
     #[must_use]
     pub fn evaluate(&self, pattern: &Pattern) -> IncidentSet {
         let plan = self.physical_plan(pattern);
-        let exec = self.exec(plan.as_ref());
-        IncidentSet::from_batches(self.instances(
-            pattern,
-            exec.as_ref(),
-            self.candidates(pattern),
-            &mut NoProbe,
-        ))
+        let candidates = self.candidates(pattern);
+        IncidentSet::from_batches(self.batches(pattern, plan.as_ref(), candidates, &mut NoProbe))
     }
 
     /// Computes the incidents of `p` within a single instance.
     #[must_use]
     pub fn evaluate_instance(&self, pattern: &Pattern, wid: Wid) -> Vec<Incident> {
         let plan = self.physical_plan(pattern);
-        let exec = self.exec(plan.as_ref());
         let ordinal = self.index.ordinal(wid);
-        self.instances(pattern, exec.as_ref(), ordinal, &mut NoProbe)
+        self.batches(pattern, plan.as_ref(), ordinal, &mut NoProbe)
             .pop()
             .map_or_else(Vec::new, IncidentBatch::into_incidents)
     }
@@ -500,22 +488,16 @@ impl<'a> Evaluator<'a> {
     /// fragment skip enumeration via the counting DP.
     #[must_use]
     pub fn exists(&self, pattern: &Pattern) -> bool {
-        // The countable fragment is decided on the pattern as written,
-        // before planning: a rewrite cannot hide a countable query.
         if self.strategy == Strategy::Planned {
             if let Some(found) = counting::exists(self.index, pattern) {
                 return found;
             }
         }
-        let plan = self.physical_plan(pattern);
         let mut found = false;
-        self.sweep(pattern, plan.as_ref(), |_, n| {
-            found = n > 0;
-            if found {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+        self.each(pattern, |batch, arena| {
+            arena.recycle(batch);
+            found = true;
+            ControlFlow::Break(())
         });
         found
     }
@@ -532,32 +514,71 @@ impl<'a> Evaluator<'a> {
     /// materialized.
     #[must_use]
     pub fn count(&self, pattern: &Pattern) -> usize {
-        if self.strategy == Strategy::Planned {
-            if let Some(n) = counting::count(self.index, pattern) {
-                return n;
-            }
+        if let Some(n) = self.counted(pattern) {
+            return n;
         }
         let plan = self.physical_plan(pattern);
-        let mut total: usize = 0;
-        self.sweep(pattern, plan.as_ref(), |_, n| {
-            total = total.saturating_add(n);
-            ControlFlow::Continue(())
-        });
-        total
+        self.tally(pattern, plan.as_ref(), self.candidates(pattern))
+    }
+
+    /// [`count`](Self::count) on up to `threads` workers: the counting DP
+    /// when it applies, otherwise each worker counts the instances it
+    /// claims and no incident set is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::NoWorkers`] if `threads` is 0 and
+    /// [`EngineError::WorkerPanicked`] if a worker thread panics.
+    pub(crate) fn count_parallel(
+        &self,
+        pattern: &Pattern,
+        threads: usize,
+    ) -> Result<usize, EngineError> {
+        match threads {
+            0 => return Err(EngineError::NoWorkers),
+            1 => return Ok(self.count(pattern)),
+            _ => {}
+        }
+        if let Some(n) = self.counted(pattern) {
+            return Ok(n);
+        }
+        let plan = self.physical_plan(pattern);
+        let parts = self.pool(threads, self.candidates(pattern), |claims| {
+            self.tally(pattern, plan.as_ref(), claims)
+        })?;
+        Ok(parts.into_iter().fold(0, usize::saturating_add))
     }
 
     /// The instances containing at least one incident of `p`.
     #[must_use]
     pub fn matching_instances(&self, pattern: &Pattern) -> Vec<Wid> {
-        let plan = self.physical_plan(pattern);
         let mut wids = Vec::new();
-        self.sweep(pattern, plan.as_ref(), |wid, n| {
-            if n > 0 {
-                wids.push(wid);
-            }
+        self.each(pattern, |batch, arena| {
+            wids.push(batch.wid());
+            arena.recycle(batch);
             ControlFlow::Continue(())
         });
         wids
+    }
+
+    /// The first `limit` incidents of `p` in set order (by instance, then
+    /// within it), evaluating instances only until they are in.
+    pub(crate) fn first(&self, pattern: &Pattern, limit: usize) -> IncidentSet {
+        let mut kept = Vec::new();
+        let mut left = limit;
+        if left > 0 {
+            self.each(pattern, |mut batch, _| {
+                batch.truncate(left);
+                left -= batch.len();
+                kept.push(batch);
+                if left == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+        }
+        IncidentSet::from_batches(kept)
     }
 }
 

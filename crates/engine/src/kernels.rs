@@ -452,18 +452,9 @@ mod tests {
         let a = fixture_a();
         let empty: Vec<Incident> = Vec::new();
         for op in [Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel] {
-            assert_eq!(run(op, &a, &empty), naive_combine(op, &a, &empty));
-            assert_eq!(run(op, &empty, &a), naive_combine(op, &empty, &a));
+            assert_eq!(run(op, &a, &empty), naive::combine(op, &a, &empty));
+            assert_eq!(run(op, &empty, &a), naive::combine(op, &empty, &a));
             assert_eq!(run(op, &empty, &empty), Vec::new());
-        }
-    }
-
-    fn naive_combine(op: Op, l: &[Incident], r: &[Incident]) -> Vec<Incident> {
-        match op {
-            Op::Consecutive => naive::consecutive_eval(l, r),
-            Op::Sequential => naive::sequential_eval(l, r),
-            Op::Choice => naive::choice_eval(l, r),
-            Op::Parallel => naive::parallel_eval(l, r),
         }
     }
 
@@ -576,7 +567,7 @@ mod tests {
         for op in [Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel] {
             for (xs, ys) in [(&a, &b), (&a, &a)] {
                 let reference =
-                    crate::IncidentSet::from_partitions([(WID, naive_combine(op, xs, ys))]);
+                    crate::IncidentSet::from_partitions([(WID, naive::combine(op, xs, ys))]);
                 for set in root_sets(op, xs, ys) {
                     assert_eq!(set, reference, "{op:?}");
                 }
@@ -589,7 +580,7 @@ mod tests {
         let (a, b) = (fixture_a(), fixture_b());
         for op in [Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel] {
             for (xs, ys) in [(&a, &b), (&b, &a), (&a, &a)] {
-                assert_eq!(run_nested(op, xs, ys), naive_combine(op, xs, ys));
+                assert_eq!(run_nested(op, xs, ys), naive::combine(op, xs, ys));
             }
         }
     }

@@ -6,8 +6,9 @@
 //!
 //! * [`Incident`] / [`IncidentSet`] — the semantic objects; a set keeps
 //!   the executor's per-instance batches and lends out [`IncidentView`]s.
-//! * [`naive`] — the paper's Algorithm 1 operators, complexity-faithful:
-//!   the reference oracle ([`Strategy::NaivePaper`]).
+//! * [`naive`] — the paper's Algorithm 1 operators, complexity-faithful,
+//!   and their one dispatch [`naive::combine`]: the reference oracle
+//!   ([`Strategy::NaivePaper`]).
 //! * [`batch`] / [`kernels`] — the evaluation hot path: flat arena-backed
 //!   [`IncidentBatch`] storage with zero-copy, output-sensitive operator
 //!   kernels producing identical results.
@@ -16,10 +17,13 @@
 //!   model, and per-node physical operator selection (drives the default
 //!   [`Strategy::Planned`]).
 //! * [`IncidentTree`] — Definition 6 trees with post-order evaluation
-//!   (Algorithms 2–3) and per-node traces.
+//!   (Algorithms 2–3) running Algorithm 1's operators, and per-node
+//!   traces: the oracle's other formulation.
 //! * [`Evaluator`] — the one per-instance executor, with
-//!   short-circuiting; a planned query visits only its candidate
-//!   instances, those running every activity it needs.
+//!   short-circuiting, and the one loop that runs it over a query's
+//!   instances for every entry point (listing, counting, `exists`,
+//!   [`Query::find_first`], the worker pool); a planned query visits only
+//!   its candidate instances, those running every activity it needs.
 //!   [`evaluate_parallel`] runs it on the engine's one worker pool.
 //! * [`StreamingEvaluator`] — incremental evaluation over an append-only
 //!   log (runtime monitoring).
@@ -76,7 +80,7 @@ pub use bindings::{BoundIncident, LabelledPattern};
 pub use bounded_equiv::{equivalent_up_to, BoundedEquiv};
 pub use counting::fast_count;
 pub use error::EngineError;
-pub use eval::{combine, leaf_incidents, Evaluator, Strategy};
+pub use eval::{leaf_incidents, Evaluator, Strategy};
 pub use incident::{Incident, IncidentView};
 pub use incident_set::IncidentSet;
 pub use kernels::{combine_batch, combine_batch_into};

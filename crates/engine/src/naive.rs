@@ -10,7 +10,21 @@
 //! parallel. Outputs are sorted and deduplicated so that they denote
 //! incident *sets*.
 
+use wlq_pattern::Op;
+
 use crate::incident::Incident;
+
+/// Algorithm 1's operator for `op` over two incident lists of one
+/// instance: the reference every other implementation is checked against.
+#[must_use]
+pub fn combine(op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
+    match op {
+        Op::Consecutive => consecutive_eval(left, right),
+        Op::Sequential => sequential_eval(left, right),
+        Op::Choice => choice_eval(left, right),
+        Op::Parallel => parallel_eval(left, right),
+    }
+}
 
 /// `CONSECUTIVE-EVAL` (Algorithm 1, lines 1–6): all `o1 ∪ o2` with
 /// `last(o1) + 1 = first(o2)`.

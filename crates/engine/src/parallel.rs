@@ -3,9 +3,10 @@
 //! Incidents never span workflow instances, so `incL(p)` decomposes into
 //! independent per-instance subproblems (the paper's Algorithm 2 iterates
 //! over `widSet` sequentially). [`Evaluator::pool`] distributes a query's
-//! candidate instances over [`crossbeam`] scoped worker threads through
-//! one shared candidate source; [`evaluate_parallel`] and the profiler
-//! both run on it.
+//! candidate instances over scoped worker threads ([`std::thread::scope`])
+//! through one shared candidate source; [`evaluate_parallel`], a
+//! multi-threaded `Query::count` and the profiler all run on it, each
+//! worker running the one per-instance loop over its claims.
 //!
 //! The entry points are panic-free: a zero worker count is reported as
 //! [`EngineError::NoWorkers`], and a panicking worker is contained at the
@@ -99,9 +100,8 @@ impl Evaluator<'_> {
         // Plan and resolve once; workers share the immutable tree. Each
         // worker's batches move into the set, which puts them in wid order.
         let plan = self.physical_plan(pattern);
-        let exec = self.exec(plan.as_ref());
         let parts = self.pool(num_threads, self.candidates(pattern), |claims| {
-            self.instances(pattern, exec.as_ref(), claims, &mut NoProbe)
+            self.batches(pattern, plan.as_ref(), claims, &mut NoProbe)
         })?;
         Ok(IncidentSet::from_batches(
             parts.into_iter().flatten().collect(),
@@ -138,12 +138,9 @@ impl Evaluator<'_> {
             return panic::catch_unwind(AssertUnwindSafe(|| vec![work(claims())]))
                 .map_err(panicked);
         }
-        let scope_result = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (work, claims) = (&work, &claims);
-                    scope.spawn(move |_| work(claims()))
-                })
+                .map(|_| scope.spawn(|| work(claims())))
                 .collect();
             // Joining every handle — all of them, before looking at any
             // result — contains worker panics here rather than letting the
@@ -152,12 +149,8 @@ impl Evaluator<'_> {
             joined
                 .into_iter()
                 .map(|result| result.map_err(panicked))
-                .collect::<Result<Vec<T>, EngineError>>()
-        });
-        // Real crossbeam reports unjoined child panics through the scope
-        // result; the std-backed shim never takes this path because every
-        // handle is joined above.
-        scope_result.map_err(panicked)?
+                .collect()
+        })
     }
 }
 

@@ -145,14 +145,13 @@ impl Evaluator<'_> {
                 None,
             ),
         };
-        let exec = self.exec(plan.as_ref());
         let node_count = shapes.len();
         let results = self.pool(threads, self.candidates(pattern), |claims| {
             let busy = Instant::now();
             let mut probe = Metrics(vec![NodeMetrics::new(); node_count]);
             let mut claimed = 0u64;
             let claims = claims.inspect(|_| claimed += 1);
-            let part = self.instances(pattern, exec.as_ref(), claims, &mut probe);
+            let part = self.batches(pattern, plan.as_ref(), claims, &mut probe);
             (part, claimed, probe.0, busy.elapsed())
         })?;
 

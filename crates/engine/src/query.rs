@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use wlq_log::{Log, Value, Wid};
 use wlq_pattern::{ParsePatternError, Pattern};
 
-use crate::counting;
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
@@ -85,14 +84,9 @@ impl Query {
         &self.pattern
     }
 
-    /// The configured strategy (internal: used by the span/limit helpers).
-    pub(crate) fn strategy_setting(&self) -> Strategy {
-        self.strategy
-    }
-
     /// The evaluator over `log`, read off the index the log was loaded
     /// with.
-    fn evaluator<'l>(&self, log: &'l Log) -> Evaluator<'l> {
+    pub(crate) fn evaluator<'l>(&self, log: &'l Log) -> Evaluator<'l> {
         Evaluator::with_strategy(log, self.strategy)
     }
 
@@ -110,10 +104,10 @@ impl Query {
 
     /// Whether the log contains any incident of the pattern.
     ///
-    /// Under [`Strategy::Planned`], a query in the countable fragment (see
-    /// [`fast_count`](crate::fast_count)) uses the enumeration-free
-    /// counting DP; other queries use per-instance evaluation with early
-    /// exit.
+    /// Runs [`Evaluator::exists`]: under [`Strategy::Planned`], a query in
+    /// the countable fragment (see [`fast_count`](crate::fast_count)) uses
+    /// the enumeration-free counting DP; other queries use per-instance
+    /// evaluation with early exit.
     ///
     /// # Errors
     ///
@@ -122,21 +116,16 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        if self.strategy == Strategy::Planned {
-            if let Some(found) = counting::exists(log.index(), &self.pattern) {
-                return Ok(found);
-            }
-        }
         Ok(self.evaluator(log).exists(&self.pattern))
     }
 
     /// The number of incidents, `|incL(p)|`.
     ///
-    /// Under [`Strategy::Planned`], a query in the countable fragment is
-    /// counted by the enumeration-free dynamic program of
-    /// [`fast_count`](crate::fast_count). Other queries run their plan:
-    /// on one thread through [`Evaluator::count`], which counts
-    /// without materializing; on more, through parallel evaluation.
+    /// Runs [`Evaluator::count`]: under [`Strategy::Planned`], a query in
+    /// the countable fragment is counted by the enumeration-free dynamic
+    /// program of [`fast_count`](crate::fast_count). Other queries run
+    /// their plan and count each instance's incidents without keeping
+    /// them, on the worker pool when more than one thread is configured.
     ///
     /// # Errors
     ///
@@ -144,25 +133,9 @@ impl Query {
     /// [`EngineError::CountOverflow`] when the count does not fit in
     /// `usize`.
     pub fn count(&self, log: &Log) -> Result<usize, EngineError> {
-        if self.threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
-        let counted = if self.strategy == Strategy::Planned {
-            counting::count(log.index(), &self.pattern)
-        } else {
-            None
-        };
-        let count = match counted {
-            Some(count) => count,
-            None => {
-                let eval = self.evaluator(log);
-                if self.threads > 1 {
-                    eval.evaluate_parallel(&self.pattern, self.threads)?.len()
-                } else {
-                    eval.count(&self.pattern)
-                }
-            }
-        };
+        let count = self
+            .evaluator(log)
+            .count_parallel(&self.pattern, self.threads)?;
         // Counts saturate at `usize::MAX`; that value means "too many".
         if count == usize::MAX {
             Err(EngineError::CountOverflow)

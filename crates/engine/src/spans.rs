@@ -72,27 +72,15 @@ impl Query {
         Ok(SpanStats::compute(&self.find(log)?))
     }
 
-    /// Returns up to `limit` incidents, stopping evaluation as soon as the
-    /// quota is reached (instances are scanned in `wid` order).
+    /// Returns up to `limit` incidents, the first in set order (by `wid`,
+    /// then within an instance), stopping evaluation as soon as the quota
+    /// is reached.
     ///
     /// Useful for "show me a few examples" exploration on large logs —
     /// the remaining instances are never evaluated.
     #[must_use]
     pub fn find_first(&self, log: &Log, limit: usize) -> IncidentSet {
-        let evaluator = crate::eval::Evaluator::with_strategy(log, self.strategy_setting());
-        let mut out = IncidentSet::new();
-        for wid in evaluator.index().wids() {
-            if out.len() >= limit {
-                break;
-            }
-            for incident in evaluator.evaluate_instance(self.pattern(), wid) {
-                out.insert(incident);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-        }
-        out
+        self.evaluator(log).first(self.pattern(), limit)
     }
 }
 
@@ -151,15 +139,18 @@ mod tests {
 
     #[test]
     fn find_first_respects_the_limit_and_is_a_subset() {
+        // Two SeeDoctor records in each of two instances: limits cut
+        // inside an instance's batch as well as between instances, and
+        // the answer is the first incidents in set order.
         let log = paper::figure3_log();
-        let q = Query::parse("SeeDoctor").unwrap();
-        let all = q.find(&log).unwrap();
-        for limit in 0..=5 {
-            let some = q.find_first(&log, limit);
-            assert!(some.len() <= limit);
-            assert_eq!(some.len(), limit.min(all.len()));
-            for incident in some.iter() {
-                assert!(all.contains(&incident.to_incident()));
+        for strategy in [crate::Strategy::NaivePaper, crate::Strategy::Planned] {
+            let q = Query::parse("SeeDoctor").unwrap().strategy(strategy);
+            let all = q.find(&log).unwrap();
+            for limit in 0..=5 {
+                let some = q.find_first(&log, limit);
+                assert_eq!(some.len(), limit.min(all.len()));
+                let first: IncidentSet = all.iter().take(limit).map(|o| o.to_incident()).collect();
+                assert_eq!(some, first, "{strategy:?}, limit {limit}");
             }
         }
     }

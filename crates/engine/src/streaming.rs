@@ -52,17 +52,16 @@
 //! [`StreamingEvaluator::incidents`].
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use wlq_log::{IsLsn, LogError, LogRecord, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::IncidentBatch;
 use crate::error::EngineError;
-use crate::eval::Strategy;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
-use crate::{kernels, naive};
+use crate::kernels;
 
 /// What a node of the streaming tree computes.
 #[derive(Debug, Clone)]
@@ -177,7 +176,6 @@ struct Instance {
 #[derive(Debug, Clone)]
 pub struct StreamingEvaluator {
     pattern: Pattern,
-    strategy: Strategy,
     /// The incident tree in post-order: children first, the root last.
     nodes: Vec<Node>,
     /// An empty row; the root's list is its last entry.
@@ -192,16 +190,10 @@ pub struct StreamingEvaluator {
 }
 
 impl StreamingEvaluator {
-    /// Creates a streaming evaluator for `pattern` with the default
-    /// ([`Strategy::Planned`]) operator implementations.
+    /// Creates a streaming evaluator for `pattern`; its operators run the
+    /// batch kernels.
     #[must_use]
     pub fn new(pattern: Pattern) -> Self {
-        Self::with_strategy(pattern, Strategy::default())
-    }
-
-    /// Creates a streaming evaluator with an explicit strategy.
-    #[must_use]
-    pub fn with_strategy(pattern: Pattern, strategy: Strategy) -> Self {
         let mut nodes = Vec::new();
         flatten(&pattern, &mut nodes);
         let mut read = vec![false; nodes.len()];
@@ -227,7 +219,6 @@ impl StreamingEvaluator {
         }
         StreamingEvaluator {
             pattern,
-            strategy,
             nodes,
             empty_row: row.into_boxed_slice(),
             instances: HashMap::new(),
@@ -306,13 +297,7 @@ impl StreamingEvaluator {
             row: &mut instance.row,
             empty: &self.empty_row,
         };
-        push(
-            &mut self.nodes,
-            rows,
-            &mut self.scratch,
-            self.strategy,
-            record,
-        );
+        push(&mut self.nodes, rows, &mut self.scratch, record);
         let fired = (self.nodes.last()).map_or_else(Vec::new, |root| {
             root.delta.iter().map(|o| o.to_incident()).collect()
         });
@@ -409,7 +394,6 @@ fn push(
     nodes: &mut [Node],
     mut rows: Rows<'_>,
     scratch: &mut [IncidentBatch; 4],
-    strategy: Strategy,
     record: &LogRecord,
 ) {
     let wid = record.wid();
@@ -432,22 +416,22 @@ fn push(
                 let out = &mut node.delta;
                 match op {
                     _ if d1.is_empty() && d2.is_empty() => {}
-                    Op::Choice => join(strategy, Op::Choice, d1, d2, out),
+                    Op::Choice => join(Op::Choice, d1, d2, out),
                     Op::Consecutive | Op::Sequential => {
                         if !d2.is_empty() {
-                            join(strategy, *op, rows.full(l, lbuf, wid), d2, out);
+                            join(*op, rows.full(l, lbuf, wid), d2, out);
                         }
                     }
                     Op::Parallel if d2.is_empty() => {
-                        join(strategy, Op::Parallel, d1, rows.full(r, rbuf, wid), out);
+                        join(Op::Parallel, d1, rows.full(r, rbuf, wid), out);
                     }
                     Op::Parallel if d1.is_empty() => {
-                        join(strategy, Op::Parallel, rows.full(l, lbuf, wid), d2, out);
+                        join(Op::Parallel, rows.full(l, lbuf, wid), d2, out);
                     }
                     Op::Parallel => {
-                        join(strategy, Op::Parallel, d1, rows.full(r, rbuf, wid), a);
-                        join(strategy, Op::Parallel, rows.full(l, lbuf, wid), d2, b);
-                        join(strategy, Op::Choice, a, b, out);
+                        join(Op::Parallel, d1, rows.full(r, rbuf, wid), a);
+                        join(Op::Parallel, rows.full(l, lbuf, wid), d2, b);
+                        join(Op::Choice, a, b, out);
                     }
                 }
             }
@@ -464,43 +448,22 @@ fn matches(atom: &Atom, record: &LogRecord) -> bool {
         && (atom.predicates.iter()).all(|p| p.matches(record.input(), record.output()))
 }
 
-/// Evaluates `left op right` into `out` with `strategy`'s operators. The
-/// planned side runs the batch kernels in place; `→` takes the sort-merge
-/// kernel, which needs no scratch when the left lasts ascend (a leaf, say)
-/// and falls back to the general kernel otherwise. The paper's Algorithm 1
-/// operators take incident lists, so their operands are converted here.
-fn join(
-    strategy: Strategy,
-    op: Op,
-    left: &IncidentBatch,
-    right: &IncidentBatch,
-    out: &mut IncidentBatch,
-) {
-    match strategy {
-        Strategy::Planned if op == Op::Sequential => {
-            out.reset(left.wid());
-            kernels::sequential_sort_merge_kernel(left, right, out);
-        }
-        Strategy::Planned => kernels::combine_batch_into(op, left, right, out),
-        Strategy::NaivePaper => {
-            let (l, r) = (
-                left.clone().into_incidents(),
-                right.clone().into_incidents(),
-            );
-            let incidents = match op {
-                Op::Consecutive => naive::consecutive_eval(&l, &r),
-                Op::Sequential => naive::sequential_eval(&l, &r),
-                Op::Choice => naive::choice_eval(&l, &r),
-                Op::Parallel => naive::parallel_eval(&l, &r),
-            };
-            *out = IncidentBatch::from_incidents(left.wid(), &incidents);
-        }
+/// Evaluates `left op right` into `out` with the batch kernels, in place;
+/// `→` takes the sort-merge kernel, which needs no scratch when the left
+/// lasts ascend (a leaf, say) and falls back to the general kernel
+/// otherwise.
+fn join(op: Op, left: &IncidentBatch, right: &IncidentBatch, out: &mut IncidentBatch) {
+    if op == Op::Sequential {
+        out.reset(left.wid());
+        kernels::sequential_sort_merge_kernel(left, right, out);
+    } else {
+        kernels::combine_batch_into(op, left, right, out);
     }
 }
 
 /// A thread-safe wrapper around [`StreamingEvaluator`] for concurrent
 /// producers (e.g. a workflow engine's worker threads appending to the
-/// log), using a [`parking_lot::Mutex`].
+/// log), behind a [`std::sync::Mutex`].
 #[derive(Debug)]
 pub struct SharedStreamingEvaluator {
     inner: Mutex<StreamingEvaluator>,
@@ -515,32 +478,39 @@ impl SharedStreamingEvaluator {
         }
     }
 
+    /// The wrapped evaluator. A panic under the lock poisons it; later
+    /// callers take the evaluator over as it stands instead of panicking
+    /// in turn, as the worker pool's claims do.
+    fn lock(&self) -> MutexGuard<'_, StreamingEvaluator> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends a record under the lock; see [`StreamingEvaluator::append`].
     ///
     /// # Errors
     ///
     /// Propagates the wrapped evaluator's [`EngineError`]s.
     pub fn append(&self, record: &LogRecord) -> Result<Vec<Incident>, EngineError> {
-        self.inner.lock().append(record)
+        self.lock().append(record)
     }
 
     /// Snapshot of the accumulated incident set.
     #[must_use]
     pub fn incidents(&self) -> IncidentSet {
-        self.inner.lock().incidents()
+        self.lock().incidents()
     }
 
     /// Number of records consumed.
     #[must_use]
     pub fn records_seen(&self) -> usize {
-        self.inner.lock().records_seen()
+        self.lock().records_seen()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::{Evaluator, Strategy};
     use wlq_log::{paper, AttrMap};
 
     fn parse(s: &str) -> Pattern {
@@ -585,20 +555,24 @@ mod tests {
 
     #[test]
     fn all_strategies_stream_identically() {
+        // The stream's kernels against the naive oracle's Algorithm 1
+        // operators, on all four operators.
         let log = paper::figure3_log();
+        let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for src in [
             "SeeDoctor ~> PayTreatment",
             "GetRefer -> (SeeDoctor & PayTreatment)",
+            "(SeeDoctor | CheckIn) -> !PayTreatment",
         ] {
-            let mut sets = Vec::new();
-            for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-                let mut stream = StreamingEvaluator::with_strategy(parse(src), strategy);
-                for record in log.iter() {
-                    stream.append(record).unwrap();
-                }
-                sets.push(stream.incidents());
+            let mut stream = StreamingEvaluator::new(parse(src));
+            for record in log.iter() {
+                stream.append(record).unwrap();
             }
-            assert_eq!(sets[0], sets[1], "planned streaming mismatch on {src}");
+            assert_eq!(
+                stream.incidents(),
+                naive.evaluate(&parse(src)),
+                "streaming mismatch on {src}"
+            );
         }
     }
 
@@ -702,18 +676,17 @@ mod tests {
         let shared = SharedStreamingEvaluator::new(parse("SeeDoctor"));
         // Appends must stay in per-wid order; split by instance across
         // threads (each instance's records stay ordered).
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for wid in log.wids() {
                 let shared = &shared;
                 let records: Vec<_> = log.instance(wid).cloned().collect();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for r in records {
                         shared.append(&r).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(shared.records_seen(), 20);
         assert_eq!(shared.incidents().len(), 4);
     }

@@ -1,6 +1,6 @@
 //! Incident trees (Definition 6) and their post-order evaluation
-//! (Algorithms 2 and 3), including per-node traces for `EXPLAIN`-style
-//! output.
+//! (Algorithms 2 and 3) with Algorithm 1's operators, including per-node
+//! traces for `EXPLAIN`-style output.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 use wlq_log::{Log, LogIndex, Wid};
 use wlq_pattern::{Atom, Op, Pattern, PostfixItem};
 
-use crate::eval::{combine, leaf_incidents, Strategy};
+use crate::eval::leaf_incidents;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
+use crate::naive;
 
 /// A binary tree with operator and activity nodes (Definition 6) — the
 /// evaluation plan of a pattern.
@@ -19,7 +20,9 @@ use crate::incident_set::IncidentSet;
 /// The tree is isomorphic to the [`Pattern`] AST; it exists as a separate
 /// structure because the paper's Algorithm 3 constructs it explicitly from
 /// the postfix form, and because evaluation annotates its nodes with
-/// incident sets ([`IncidentTree::evaluate_traced`]).
+/// incident sets ([`IncidentTree::evaluate_traced`]). Evaluation runs
+/// Algorithm 1's operators ([`naive::combine`]) node by node over every
+/// instance, so the tree is a reference for the planned executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentTree {
     root: Node,
@@ -165,32 +168,31 @@ impl IncidentTree {
 
     /// Post-order evaluation (Algorithm 2): leaves produce their activity's
     /// records via the per-instance index, operator nodes combine their
-    /// children with the strategy's operator implementation.
+    /// children with Algorithm 1's operators.
     #[must_use]
-    pub fn evaluate(&self, log: &Log, strategy: Strategy) -> IncidentSet {
-        fn eval(node: &Node, log: &Log, index: &LogIndex, strategy: Strategy) -> Parts {
+    pub fn evaluate(&self, log: &Log) -> IncidentSet {
+        fn eval(node: &Node, log: &Log, index: &LogIndex) -> Parts {
             match node {
                 Node::Activity(atom) => leaf_parts(atom, log, index),
                 Node::Operator { op, left, right } => {
-                    let l = eval(left, log, index, strategy);
-                    let r = eval(right, log, index, strategy);
-                    combine_parts(*op, &l, &r, index, strategy)
+                    let l = eval(left, log, index);
+                    let r = eval(right, log, index);
+                    combine_parts(*op, &l, &r, index)
                 }
             }
         }
-        IncidentSet::from_partitions(eval(&self.root, log, log.index(), strategy))
+        IncidentSet::from_partitions(eval(&self.root, log, log.index()))
     }
 
     /// Like [`evaluate`](Self::evaluate) but records every node's incident
     /// set and timing — the trace shown in the paper's Example 5.
     #[must_use]
-    pub fn evaluate_traced(&self, log: &Log, strategy: Strategy) -> (IncidentSet, EvalTrace) {
+    pub fn evaluate_traced(&self, log: &Log) -> (IncidentSet, EvalTrace) {
         fn eval(
             node: &Node,
             depth: usize,
             log: &Log,
             index: &LogIndex,
-            strategy: Strategy,
             out: &mut Vec<NodeTrace>,
         ) -> Parts {
             let (parts, start) = match node {
@@ -199,10 +201,10 @@ impl IncidentTree {
                     (leaf_parts(atom, log, index), start)
                 }
                 Node::Operator { op, left, right } => {
-                    let l = eval(left, depth + 1, log, index, strategy, out);
-                    let r = eval(right, depth + 1, log, index, strategy, out);
+                    let l = eval(left, depth + 1, log, index, out);
+                    let r = eval(right, depth + 1, log, index, out);
                     let start = Instant::now();
-                    (combine_parts(*op, &l, &r, index, strategy), start)
+                    (combine_parts(*op, &l, &r, index), start)
                 }
             };
             let elapsed = start.elapsed();
@@ -219,7 +221,7 @@ impl IncidentTree {
             parts
         }
         let mut nodes = Vec::with_capacity(self.num_nodes());
-        let parts = eval(&self.root, 0, log, log.index(), strategy, &mut nodes);
+        let parts = eval(&self.root, 0, log, log.index(), &mut nodes);
         (IncidentSet::from_partitions(parts), EvalTrace { nodes })
     }
 }
@@ -236,24 +238,19 @@ fn leaf_parts(atom: &Atom, log: &Log, index: &LogIndex) -> Parts {
 
 /// Combines two nodes' incidents per instance (the `for i ∈ widSet` loop
 /// of Algorithm 2, line 13–14).
-fn combine_parts(
-    op: Op,
-    left: &Parts,
-    right: &Parts,
-    index: &LogIndex,
-    strategy: Strategy,
-) -> Parts {
+fn combine_parts(op: Op, left: &Parts, right: &Parts, index: &LogIndex) -> Parts {
     fn of(parts: &Parts, wid: Wid) -> &[Incident] {
         parts.get(&wid).map_or(&[], Vec::as_slice)
     }
     (index.wids())
-        .map(|wid| (wid, combine(strategy, op, of(left, wid), of(right, wid))))
+        .map(|wid| (wid, naive::combine(op, of(left, wid), of(right, wid))))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{Evaluator, Strategy};
     use wlq_log::paper;
     use wlq_pattern::to_postfix;
 
@@ -281,20 +278,21 @@ mod tests {
         // The running example: the root yields {l13, l14, l20} ≙
         // positions {4, 5, 9} of wid 2.
         let log = paper::figure3_log();
-        let tree =
-            IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            let set = tree.evaluate(&log, strategy);
-            assert_eq!(set.len(), 1, "{strategy:?}");
-            let o = set.iter().next().unwrap();
-            assert_eq!(o.wid(), wlq_log::Wid(2));
-            let lsns: Vec<u64> = o
-                .positions()
-                .iter()
-                .map(|&p| log.record(o.wid(), p).unwrap().lsn().get())
-                .collect();
-            assert_eq!(lsns, vec![13, 14, 20]);
-        }
+        let p = pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)");
+        let set = IncidentTree::from_pattern(&p).evaluate(&log);
+        assert_eq!(set.len(), 1);
+        let o = set.iter().next().unwrap();
+        assert_eq!(o.wid(), wlq_log::Wid(2));
+        let lsns: Vec<u64> = o
+            .positions()
+            .iter()
+            .map(|&p| log.record(o.wid(), p).unwrap().lsn().get())
+            .collect();
+        assert_eq!(lsns, vec![13, 14, 20]);
+        // Algorithm 2 node by node equals the naive evaluator's
+        // instance-by-instance recursion.
+        let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
+        assert_eq!(set, naive.evaluate(&p));
     }
 
     #[test]
@@ -302,7 +300,7 @@ mod tests {
         let log = paper::figure3_log();
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
+        let (set, trace) = tree.evaluate_traced(&log);
         assert_eq!(trace.nodes.len(), 5);
         // Post-order: SeeDoctor, UpdateRefer, GetReimburse, inner ->, root.
         assert_eq!(trace.nodes[0].pattern, "SeeDoctor");
@@ -328,7 +326,7 @@ mod tests {
     fn trace_display_indents_by_depth() {
         let log = paper::figure3_log();
         let tree = IncidentTree::from_pattern(&pattern("UpdateRefer -> GetReimburse"));
-        let (_, trace) = tree.evaluate_traced(&log, Strategy::Planned);
+        let (_, trace) = tree.evaluate_traced(&log);
         let text = trace.to_string();
         assert!(text.contains("UpdateRefer ⇒ 1 incidents"));
         assert!(text.contains("UpdateRefer -> GetReimburse ⇒ 1 incidents"));
@@ -338,7 +336,7 @@ mod tests {
     fn negated_leaf_counts_complement() {
         let log = paper::figure3_log();
         let tree = IncidentTree::from_pattern(&pattern("!SeeDoctor"));
-        let set = tree.evaluate(&log, Strategy::Planned);
+        let set = tree.evaluate(&log);
         assert_eq!(set.len(), 20 - 4);
     }
 }

@@ -6,9 +6,8 @@
 
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, Strategy};
 
-use wlq_engine::{
-    combine, combine_batch, naive, Incident, IncidentBatch, Strategy as EvalStrategy,
-};
+use wlq_engine::kernels::{nested_loop_kernel, sequential_sort_merge_kernel};
+use wlq_engine::{combine_batch, naive, Incident, IncidentBatch};
 use wlq_log::{IsLsn, Wid};
 use wlq_pattern::Op;
 
@@ -38,26 +37,30 @@ fn batch(op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
 
 /// Both implementations of `op`: the naive reference and the batch kernel.
 fn both(op: Op, left: &[Incident], right: &[Incident]) -> [Vec<Incident>; 2] {
-    let naive = match op {
-        Op::Consecutive => naive::consecutive_eval(left, right),
-        Op::Sequential => naive::sequential_eval(left, right),
-        Op::Choice => naive::choice_eval(left, right),
-        Op::Parallel => naive::parallel_eval(left, right),
-    };
-    [naive, batch(op, left, right)]
+    [naive::combine(op, left, right), batch(op, left, right)]
 }
 
 proptest! {
-    /// All four operators: naive ≡ batch kernels on arbitrary inputs.
+    /// All four operators: naive ≡ every physical operator the planner
+    /// may choose (batch kernel, nested loop, and sort-merge for `→`) on
+    /// arbitrary inputs.
     #[test]
     fn implementations_agree(left in arb_incidents(), right in arb_incidents()) {
-        // The dispatch wrapper agrees with the direct calls for both
-        // strategies — the planned one converting at the boundary.
+        let (lb, rb) = (
+            IncidentBatch::from_incidents(Wid(1), &left),
+            IncidentBatch::from_incidents(Wid(1), &right),
+        );
         for op in Op::ALL {
             let [reference, kernel] = both(op, &left, &right);
             prop_assert_eq!(&reference, &kernel);
-            prop_assert_eq!(&reference, &combine(EvalStrategy::NaivePaper, op, &left, &right));
-            prop_assert_eq!(&reference, &combine(EvalStrategy::Planned, op, &left, &right));
+            let mut nested = IncidentBatch::new(Wid(1));
+            nested_loop_kernel(op, &lb, &rb, &mut nested);
+            prop_assert_eq!(&reference, &nested.into_incidents());
+            if op == Op::Sequential {
+                let mut merged = IncidentBatch::new(Wid(1));
+                sequential_sort_merge_kernel(&lb, &rb, &mut merged);
+                prop_assert_eq!(&reference, &merged.into_incidents());
+            }
         }
     }
 

@@ -1,33 +1,43 @@
 //! A query reads the index its log was loaded with: `Query::count`,
 //! `Query::exists` and `fast_count` allocate a few KiB of planning and
 //! counting state per call, however large the log, instead of indexing
-//! the log again (which takes over 300 KB on the log used here).
+//! the log again (which takes over 300 KB on the log used here). And a
+//! query plans once per call: `Query::find_first` allocates what
+//! `Query::find` does, not a plan per instance.
 //!
-//! This file holds a single test because it installs a counting global
-//! allocator, and tests running concurrently in the same binary would
-//! show up in its counts.
+//! The counting global allocator counts per thread, so tests running
+//! concurrently in the same binary do not show up in each other's
+//! counts; every query measured here runs on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use wlq_engine::{fast_count, Query};
 use wlq_log::{io, LogIndex};
 use wlq_workflow::{scenarios, simulate, SimulationConfig};
 
 /// Counts bytes requested from the heap by allocations and
-/// reallocations.
+/// reallocations, per thread.
 struct Counting;
 
-static BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(n: usize) {
+    // A `Cell` has no destructor, so the slot outlives every allocation
+    // of its thread; `try_with` only guards the unreachable case.
+    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + n));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -39,11 +49,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Bytes allocated while `f` runs.
+/// Bytes allocated on this thread while `f` runs.
 fn bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = BYTES.with(Cell::get);
     let out = f();
-    (out, BYTES.load(Ordering::Relaxed) - before)
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Per-call allocation allowed: planning and counting state for a
@@ -91,5 +101,33 @@ fn queries_do_not_index_the_log_per_call() {
                 "{what}({src}): {n} bytes per call (bound {BOUND}, an index copy {rebuild})"
             );
         }
+    }
+}
+
+/// `find_first` with no limit runs what `find` runs: one plan, the
+/// query's candidates, one arena. Planning once per instance instead
+/// costs a plan's few KiB two thousand times over.
+#[test]
+fn find_first_plans_once_per_call() {
+    let simulated = simulate(
+        &scenarios::clinic::model(),
+        &SimulationConfig::new(2_000, 7),
+    );
+    let log = io::binary::read_binary(io::binary::write_binary(&simulated)).unwrap();
+    // Group the postings before measuring either query.
+    let _ = log.index();
+    for src in [
+        "GetRefer[balance > 5000] -> UpdateRefer",
+        "SeeDoctor & PayTreatment",
+        "CheckIn ~> SeeDoctor",
+    ] {
+        let query = Query::parse(src).unwrap();
+        let (all, found) = bytes(|| query.find(&log).unwrap());
+        let (first, firsted) = bytes(|| query.find_first(&log, usize::MAX));
+        assert_eq!(first, all, "{src}");
+        assert!(
+            firsted <= found + BOUND,
+            "find_first({src}) took {firsted} bytes, find {found} (slack {BOUND})"
+        );
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! Each iteration generates a random valid log and a random pattern over
 //! its alphabet, evaluates the pair under NaivePaper (the reference) /
-//! the Algorithm 2 incident tree (NaivePaper, Planned operators) /
-//! Planned evaluate, count and exists / `Query` count and exists /
+//! the Algorithm 2 incident tree / Planned evaluate, count and exists /
+//! `Query` count and exists, count on 4 threads and find_first /
 //! parallel Planned (1, 4) / streaming-replay / profiled {NaivePaper,
 //! Planned} x (1, 4) / fast_count, and cross-checks the results. It also
 //! mutates a valid log into a Definition 2 violation and asserts that

@@ -48,11 +48,13 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// first divergence, or `None` when all strategies agree.
 ///
 /// Oracles covered: `NaivePaper` (reference); the incident tree's
-/// post-order evaluation (Algorithm 2) with either strategy's operators;
+/// post-order evaluation (Algorithm 2 with Algorithm 1's operators);
 /// `Planned` (the cost-based planner) through `evaluate`, `count` and
 /// `exists`; `Query::count` and
 /// `Query::exists` with default options (they decide countability and
-/// plan on the query as written); parallel planned
+/// plan on the query as written), `Query::count` on 4 threads, and
+/// `Query::find_first` for a limit of half the answer and one past all
+/// of it (the reference's first incidents in set order); parallel planned
 /// evaluation with 1 and 4 workers; a full streaming replay, checking each
 /// append's delta (in the appended record's instance, ending at it,
 /// disjoint from every earlier delta) and the deltas' union; profiled
@@ -65,12 +67,9 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
 
     // Algorithm 2: the incident tree evaluated node by node over all
     // instances, the paper's other formulation of the same semantics.
-    let tree = IncidentTree::from_pattern(pattern);
-    for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-        let name = format!("tree({strategy:?})");
-        if let Some(d) = against(&reference, &name, &tree.evaluate(log, strategy)) {
-            return Some(d);
-        }
+    let tree = IncidentTree::from_pattern(pattern).evaluate(log);
+    if let Some(d) = against(&reference, "tree", &tree) {
+        return Some(d);
     }
 
     // The planner picks an arbitrary equivalent rewrite and per-node
@@ -116,6 +115,28 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
                 expected: reference.len(),
                 got: format!("exists = {got:?}"),
             });
+        }
+    }
+    match query.clone().threads(4).count(log) {
+        Ok(n) if n == reference.len() => {}
+        got => {
+            return Some(Divergence {
+                strategy: "Query::threads(4).count".to_string(),
+                expected: reference.len(),
+                got: format!("{got:?} (count only)"),
+            });
+        }
+    }
+    let n = reference.len();
+    for limit in [n.div_ceil(2), n + 1] {
+        let first: IncidentSet = reference
+            .iter()
+            .take(limit)
+            .map(|o| o.to_incident())
+            .collect();
+        let name = format!("Query::find_first({limit})");
+        if let Some(d) = against(&first, &name, &query.find_first(log, limit)) {
+            return Some(d);
         }
     }
 

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Incident-tree trace (the paper's Example 5 walkthrough). ──────
     let tree = IncidentTree::from_pattern(&"Submit -> (Reject -> Appeal)".parse()?);
-    let (_, trace) = tree.evaluate_traced(&loans, Strategy::Planned);
+    let (_, trace) = tree.evaluate_traced(&loans);
     println!("\nincident-tree evaluation trace:\n{trace}");
     Ok(())
 }

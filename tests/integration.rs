@@ -51,7 +51,7 @@ fn e2_incident_tree_and_examples_3_5() {
         .parse()
         .unwrap();
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, Strategy::Planned);
+    let (set, trace) = tree.evaluate_traced(&log);
 
     // Leaf: incL(SeeDoctor) = {l9, l11, l13, l17}.
     let see_doctor = &trace.nodes[0];
@@ -87,12 +87,12 @@ fn all_evaluation_paths_agree() {
         let p: Pattern = src.parse().unwrap();
         let a = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
         let b = Evaluator::with_strategy(&log, Strategy::Planned).evaluate(&p);
-        let c = IncidentTree::from_pattern(&p).evaluate(&log, Strategy::Planned);
+        let c = IncidentTree::from_pattern(&p).evaluate(&log);
         let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Planned).unwrap();
         let e = Query::new(p.clone()).find(&log).unwrap();
         let f = IncidentTree::from_postfix(wlq::to_postfix(&p))
             .unwrap()
-            .evaluate(&log, Strategy::NaivePaper);
+            .evaluate(&log);
         assert_eq!(a, b, "{src}");
         assert_eq!(b, c, "{src}");
         assert_eq!(c, d, "{src}");
