@@ -84,6 +84,15 @@ impl Query {
         &self.pattern
     }
 
+    /// [`EngineError::NoWorkers`] if the configured thread count is 0,
+    /// for entry points that run on the calling thread.
+    pub(crate) fn require_workers(&self) -> Result<(), EngineError> {
+        if self.threads == 0 {
+            return Err(EngineError::NoWorkers);
+        }
+        Ok(())
+    }
+
     /// The evaluator over `log`, read off the index the log was loaded
     /// with.
     pub(crate) fn evaluator<'l>(&self, log: &'l Log) -> Evaluator<'l> {
@@ -113,9 +122,7 @@ impl Query {
     ///
     /// Same conditions as [`find`](Self::find).
     pub fn exists(&self, log: &Log) -> Result<bool, EngineError> {
-        if self.threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
+        self.require_workers()?;
         Ok(self.evaluator(log).exists(&self.pattern))
     }
 
@@ -335,6 +342,10 @@ mod tests {
         );
         assert_eq!(
             q.count_instances_by_attr(&log, "x").unwrap_err(),
+            crate::EngineError::NoWorkers
+        );
+        assert_eq!(
+            q.find_first(&log, 1).unwrap_err(),
             crate::EngineError::NoWorkers
         );
     }

@@ -77,10 +77,16 @@ impl Query {
     /// is reached.
     ///
     /// Useful for "show me a few examples" exploration on large logs —
-    /// the remaining instances are never evaluated.
-    #[must_use]
-    pub fn find_first(&self, log: &Log, limit: usize) -> IncidentSet {
-        self.evaluator(log).first(self.pattern(), limit)
+    /// the remaining instances are never evaluated. It runs on the
+    /// calling thread, whatever thread count is configured.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::NoWorkers`] if the configured thread count
+    /// is 0, as every other `Query` entry point does.
+    pub fn find_first(&self, log: &Log, limit: usize) -> Result<IncidentSet, EngineError> {
+        self.require_workers()?;
+        Ok(self.evaluator(log).first(self.pattern(), limit))
     }
 }
 
@@ -147,7 +153,7 @@ mod tests {
             let q = Query::parse("SeeDoctor").unwrap().strategy(strategy);
             let all = q.find(&log).unwrap();
             for limit in 0..=5 {
-                let some = q.find_first(&log, limit);
+                let some = q.find_first(&log, limit).unwrap();
                 assert_eq!(some.len(), limit.min(all.len()));
                 let first: IncidentSet = all.iter().take(limit).map(|o| o.to_incident()).collect();
                 assert_eq!(some, first, "{strategy:?}, limit {limit}");

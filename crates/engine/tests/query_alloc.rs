@@ -1,7 +1,10 @@
 //! A query reads the index its log was loaded with: `Query::count`,
 //! `Query::exists` and `fast_count` allocate a few KiB of planning and
 //! counting state per call, however large the log, instead of indexing
-//! the log again (which takes over 300 KB on the log used here). And a
+//! the log again (which takes over 300 KB on the log used here). Only the
+//! first call that reads an attribute may allocate more: it decodes the
+//! read activity's attribute block, which must take well under what every
+//! block of the log takes. And a
 //! query plans once per call: `Query::find_first` allocates what
 //! `Query::find` does, not a plan per instance.
 //!
@@ -75,6 +78,17 @@ fn queries_do_not_index_the_log_per_call() {
     assert!(rebuild > 300_000, "an index copy takes {rebuild} bytes");
     assert!(first < rebuild, "grouping took {first} bytes");
 
+    // A decoded log parses an activity's attribute block on the first
+    // read of one of its maps, once. Forcing every block of a second copy
+    // gives the scale the first predicate call is held to.
+    let copy = io::binary::read_binary(io::binary::write_binary(&simulated)).unwrap();
+    let (_, forced) = bytes(|| {
+        copy.iter()
+            .map(|r| r.input().len() + r.output().len())
+            .sum::<usize>()
+    });
+    let mut decoded = false;
+
     let queries = [
         // Counted by the enumeration-free DP.
         "UpdateRefer -> GetReimburse",
@@ -96,9 +110,17 @@ fn queries_do_not_index_the_log_per_call() {
             ("Query::exists", existed),
             ("fast_count", fast_counted),
         ] {
+            // The first call that reads attributes may decode `GetRefer`'s
+            // block, a fraction of all of them; every later call reads it.
+            let bound = if src.contains('[') && !std::mem::replace(&mut decoded, true) {
+                forced / 3
+            } else {
+                BOUND
+            };
             assert!(
-                n < BOUND,
-                "{what}({src}): {n} bytes per call (bound {BOUND}, an index copy {rebuild})"
+                n < bound,
+                "{what}({src}): {n} bytes per call (bound {bound}, an index copy {rebuild}, \
+                 every block {forced})"
             );
         }
     }
@@ -123,7 +145,7 @@ fn find_first_plans_once_per_call() {
     ] {
         let query = Query::parse(src).unwrap();
         let (all, found) = bytes(|| query.find(&log).unwrap());
-        let (first, firsted) = bytes(|| query.find_first(&log, usize::MAX));
+        let (first, firsted) = bytes(|| query.find_first(&log, usize::MAX).unwrap());
         assert_eq!(first, all, "{src}");
         assert!(
             firsted <= found + BOUND,

@@ -11,7 +11,10 @@
 //! parallel Planned (1, 4) / streaming-replay / profiled {NaivePaper,
 //! Planned} x (1, 4) / fast_count, and cross-checks the results. It also
 //! mutates a valid log into a Definition 2 violation and asserts that
-//! `Log::new` rejects it with a typed error.
+//! `Log::new` rejects it with a typed error. Last, it puts `balance`
+//! conditions on the pattern's atoms and checks that pattern the same
+//! way, which adds `Query::find` on 1 and 4 threads over the log's binary
+//! and text round trips, whose attribute maps are decoded lazily.
 //!
 //! On divergence the pair is shrunk to a minimal reproducer, written to
 //! the fixture directory (replayed by `tests/regressions.rs`), and the
@@ -23,8 +26,12 @@ use std::process::ExitCode;
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use wlq_fuzz::{check, invalid_records, random_log, random_pattern_for, shrink, InvalidKind};
+use wlq_fuzz::{
+    check, invalid_records, random_log, random_pattern_for, shrink, with_predicates, Divergence,
+    InvalidKind,
+};
 use wlq_log::Log;
+use wlq_pattern::Pattern;
 
 struct Options {
     iters: u64,
@@ -71,7 +78,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn persist_fixture(dir: &str, stem: &str, log: &Log, pattern: &wlq_pattern::Pattern) {
+fn persist_fixture(dir: &str, stem: &str, log: &Log, pattern: &Pattern) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create fixture dir {dir}: {e}");
         return;
@@ -85,6 +92,36 @@ fn persist_fixture(dir: &str, stem: &str, log: &Log, pattern: &wlq_pattern::Patt
         eprintln!("warning: cannot write {pat_path}: {e}");
     }
     eprintln!("reproducer written to {log_path} and {pat_path}");
+}
+
+/// Reports a divergence of iteration `i`, shrinks the pair and writes the
+/// reproducer; the process then exits 1.
+fn diverged(
+    opts: &Options,
+    i: u64,
+    divergence: &Divergence,
+    log: Log,
+    pattern: Pattern,
+) -> ExitCode {
+    eprintln!("iteration {i}: {divergence}");
+    eprintln!("  pattern: {pattern}");
+    eprintln!(
+        "  log: {} record(s), {} instance(s)",
+        log.len(),
+        log.num_instances()
+    );
+    let (min_log, min_pattern) = shrink(log, pattern);
+    eprintln!(
+        "  shrunk to {} record(s), pattern {min_pattern}",
+        min_log.len()
+    );
+    persist_fixture(
+        &opts.fixture_dir,
+        &format!("div-{:x}-{i}", opts.seed),
+        &min_log,
+        &min_pattern,
+    );
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
@@ -110,25 +147,7 @@ fn main() -> ExitCode {
         let log = random_log(&mut rng);
         let pattern = random_pattern_for(&mut rng, &log);
         if let Some(divergence) = check(&log, &pattern) {
-            eprintln!("iteration {i}: {divergence}");
-            eprintln!("  pattern: {pattern}");
-            eprintln!(
-                "  log: {} record(s), {} instance(s)",
-                log.len(),
-                log.num_instances()
-            );
-            let (min_log, min_pattern) = shrink(log, pattern);
-            eprintln!(
-                "  shrunk to {} record(s), pattern {min_pattern}",
-                min_log.len()
-            );
-            persist_fixture(
-                &opts.fixture_dir,
-                &format!("div-{:x}-{i}", opts.seed),
-                &min_log,
-                &min_pattern,
-            );
-            return ExitCode::FAILURE;
+            return diverged(&opts, i, &divergence, log, pattern);
         }
 
         // Adversarial trial: a Definition 2 violation must be rejected
@@ -141,6 +160,13 @@ fn main() -> ExitCode {
                 accepted.len()
             );
             return ExitCode::FAILURE;
+        }
+
+        // The same pattern with attribute conditions: it also runs on
+        // the log's binary and text round trips, decoded lazily.
+        let predicated = with_predicates(&mut rng, &pattern);
+        if let Some(divergence) = check(&log, &predicated) {
+            return diverged(&opts, i, &divergence, log, predicated);
         }
 
         if (i + 1) % 500 == 0 {

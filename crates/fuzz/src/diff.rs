@@ -7,6 +7,8 @@ use wlq_engine::{
     evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, IncidentTree, Query,
     Strategy, StreamingEvaluator,
 };
+use wlq_log::io::binary::{read_binary, write_binary};
+use wlq_log::io::text::{read_text, write_text};
 use wlq_log::Log;
 use wlq_pattern::Pattern;
 
@@ -43,6 +45,45 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
     }
 }
 
+/// A pattern with attribute conditions, run by `Query::find` on 1 and 4
+/// threads over copies of `log` that went through the binary and the
+/// text encoding. Their maps are decoded lazily, one activity's block on
+/// the first read of any of its maps, so each run gets a fresh copy: on
+/// 4 threads, workers race to read a block first.
+fn check_decoded(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> Option<Divergence> {
+    if !pattern.has_predicates() {
+        return None;
+    }
+    for threads in [1usize, 4] {
+        let copies = [
+            ("binary", read_binary(write_binary(log))),
+            ("text", read_text(&write_text(log))),
+        ];
+        for (format, copy) in copies {
+            let name = format!("Query::find on {threads} thread(s), {format} copy");
+            let got = copy.map_err(|e| e.to_string()).and_then(|copy| {
+                let query = Query::new(pattern.clone()).threads(threads);
+                query.find(&copy).map_err(|e| e.to_string())
+            });
+            match got {
+                Ok(set) => {
+                    if let Some(d) = against(reference, &name, &set) {
+                        return Some(d);
+                    }
+                }
+                Err(e) => {
+                    return Some(Divergence {
+                        strategy: name,
+                        expected: reference.len(),
+                        got: format!("error: {e}"),
+                    });
+                }
+            }
+        }
+    }
+    None
+}
+
 /// Evaluates `pattern` over `log` under every strategy and cross-checks
 /// the results against the paper-faithful naive evaluation. Returns the
 /// first divergence, or `None` when all strategies agree.
@@ -54,7 +95,10 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// `Query::exists` with default options (they decide countability and
 /// plan on the query as written), `Query::count` on 4 threads, and
 /// `Query::find_first` for a limit of half the answer and one past all
-/// of it (the reference's first incidents in set order); parallel planned
+/// of it (the reference's first incidents in set order); for a pattern
+/// with attribute conditions, `Query::find` on 1 and 4 threads over the
+/// log's binary and text round trips, whose maps decode lazily; parallel
+/// planned
 /// evaluation with 1 and 4 workers; a full streaming replay, checking each
 /// append's delta (in the appended record's instance, ending at it,
 /// disjoint from every earlier delta) and the deltas' union; profiled
@@ -135,9 +179,24 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
             .map(|o| o.to_incident())
             .collect();
         let name = format!("Query::find_first({limit})");
-        if let Some(d) = against(&first, &name, &query.find_first(log, limit)) {
-            return Some(d);
+        match query.find_first(log, limit) {
+            Ok(got) => {
+                if let Some(d) = against(&first, &name, &got) {
+                    return Some(d);
+                }
+            }
+            Err(e) => {
+                return Some(Divergence {
+                    strategy: name,
+                    expected: first.len(),
+                    got: format!("error: {e}"),
+                });
+            }
         }
+    }
+
+    if let Some(d) = check_decoded(log, pattern, &reference) {
+        return Some(d);
     }
 
     for threads in [1usize, 4] {
@@ -281,6 +340,8 @@ mod tests {
         for _ in 0..25 {
             let log = crate::gen::random_log(&mut rng);
             let p = crate::gen::random_pattern_for(&mut rng, &log);
+            assert!(check(&log, &p).is_none(), "diverged on {p} over {log}");
+            let p = crate::gen::with_predicates(&mut rng, &p);
             assert!(check(&log, &p).is_none(), "diverged on {p} over {log}");
         }
     }

@@ -4,7 +4,7 @@
 use rand::{rngs::StdRng, Rng};
 
 use wlq_log::{attrs, Activity, AttrMap, Log, LogBuilder, LogRecord};
-use wlq_pattern::{Op, Pattern, PatternGenConfig};
+use wlq_pattern::{CmpOp, Op, Pattern, PatternGenConfig, Predicate, Scope};
 
 /// The activity alphabet used by generated logs and patterns, `T0..Tk`.
 #[must_use]
@@ -75,6 +75,49 @@ pub fn random_pattern_for(rng: &mut StdRng, log: &Log) -> Pattern {
         ops: vec![Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel],
     };
     wlq_pattern::random_pattern(rng, &config)
+}
+
+/// `pattern` with a random `balance` condition on its first positive atom
+/// and on some of the others: the attribute [`random_log`] writes. Each
+/// condition reads the input map, the output map or either, with a random
+/// comparison against a random threshold in the attribute's range.
+#[must_use]
+pub fn with_predicates(rng: &mut StdRng, pattern: &Pattern) -> Pattern {
+    fn walk(rng: &mut StdRng, pattern: &Pattern, first: &mut bool) -> Pattern {
+        match pattern {
+            Pattern::Atom(atom) => {
+                let mut atom = atom.clone();
+                if !atom.negated && (std::mem::take(first) || rng.gen_bool(0.4)) {
+                    let ops = [
+                        CmpOp::Eq,
+                        CmpOp::Ne,
+                        CmpOp::Lt,
+                        CmpOp::Le,
+                        CmpOp::Gt,
+                        CmpOp::Ge,
+                    ];
+                    let scopes = [Scope::Input, Scope::Output, Scope::Any];
+                    let op = ops[rng.gen_range(0..ops.len())];
+                    let scope = scopes[rng.gen_range(0..scopes.len())];
+                    let threshold: i64 = rng.gen_range(0..10_000i64);
+                    atom =
+                        atom.with_predicate(Predicate::new("balance", op, threshold).scoped(scope));
+                }
+                Pattern::Atom(atom)
+            }
+            Pattern::Binary { op, left, right } => {
+                let left = walk(rng, left, first);
+                let right = walk(rng, right, first);
+                Pattern::Binary {
+                    op: *op,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                }
+            }
+        }
+    }
+    let mut first = true;
+    walk(rng, pattern, &mut first)
 }
 
 /// The Definition 2 violation an [`invalid_records`] sample carries.

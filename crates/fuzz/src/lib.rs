@@ -22,5 +22,5 @@ pub mod gen;
 pub mod shrink;
 
 pub use diff::{check, Divergence};
-pub use gen::{invalid_records, random_log, random_pattern_for, InvalidKind};
+pub use gen::{invalid_records, random_log, random_pattern_for, with_predicates, InvalidKind};
 pub use shrink::shrink;

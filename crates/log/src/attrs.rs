@@ -3,25 +3,46 @@
 //! A *map* in the paper is a partial function `A → D` with finite domain.
 //! [`AttrMap`] realises it as a run of an attribute dictionary: a shared,
 //! immutable table of `(name, value)` entries plus one column of entry
-//! ids, in which every map is a name-sorted run with no name repeated. Display and serialization are therefore deterministic, and
-//! lookups binary-search the run.
+//! ids, in which every map is a name-sorted run with no name repeated.
+//! Display and serialization are therefore deterministic, and lookups
+//! binary-search the run.
+//!
+//! **Lazy blocks.** Most queries read no attribute, so the binary, text
+//! and CSV decoders do not parse maps at load. They check each map's
+//! framing (binary: lengths, value tags, UTF-8 of names and string
+//! values; text and CSV: every entry has a `=` and a non-empty name; all:
+//! the load's entries fit `u32` ids), so a malformed input is still a
+//! typed error at load, and file the map into its activity's [`Block`]:
+//! the map points at the block, which records where the map starts in
+//! the load's undecoded maps; the blocks share those (the binary input
+//! compacted in place, or the copied text fields). The first read of
+//! any map of a block (a lookup, `len`, iteration, equality, order,
+//! hash, display, serialization or a write) parses all of the block's
+//! maps into a dictionary of its own, once, through a `OnceLock`:
+//! threads racing to read a block first wait for one of them to build
+//! it. Since the load checked everything that can
+//! fail, the parse cannot fail; it has no panic path, and would end a map
+//! early on an entry the load should have refused. A query that reads no
+//! attribute parses none, and `GetRefer[balance > 5000]` parses
+//! `GetRefer`'s block only.
 //!
 //! The workflow model repeats attributes by design (each `αin` reads what
-//! an earlier `αout` wrote), so every decoder fills one dictionary per
-//! load ([`DictBuilder`]) and each non-empty map of the decoded log holds
-//! one clone of it. A map is 16 bytes with no allocation of its own, and
-//! an entry repeated in the file is stored once (once per 16 384 new
-//! entries on larger loads, see [`DictBuilder`]). Maps built by hand are
-//! one-map dictionaries. Mutation is copy-on-write: a map that is the only
-//! user of its dictionary and covers all of its id column changes in
-//! place; any other map is first copied out into a dictionary of its own.
+//! an earlier `αout` wrote), so a dictionary holds each distinct entry
+//! once ([`DictBuilder`]; once per 16 384 new entries on larger blocks):
+//! one per block for the lazy decoders, one per load for XES, which
+//! parses at load. Each non-empty map of a decoded log holds one clone of
+//! its dictionary or block: a map is 16 bytes with no allocation of its
+//! own. Maps built by hand are one-map dictionaries. Mutation is
+//! copy-on-write: a map that is the only user of its dictionary and
+//! covers all of its id column changes in place; any other map, a
+//! block's included, is first copied out into a dictionary of its own.
 //! Equality, order and hashing are by content, never by dictionary
 //! identity.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::names::{AttrName, FxBuildHasher, Interner};
 use crate::record::LogRecord;
@@ -33,6 +54,73 @@ use crate::value::Value;
 pub(crate) struct AttrDict {
     entries: Vec<(AttrName, Value)>,
     ids: Vec<u32>,
+    /// Set for an activity's block of undecoded maps: `entries` and `ids`
+    /// are then empty, and the block builds its own dictionary on the
+    /// first read of any of its maps.
+    block: Option<Box<Block>>,
+}
+
+/// One activity's attribute maps in one load, kept undecoded until one of
+/// them is read. The load checked their framing, so decoding them cannot
+/// fail.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    /// Set when the load ends: the load's undecoded maps, and where in
+    /// them each of the block's maps starts.
+    maps: OnceLock<(Source, Vec<usize>)>,
+    built: OnceLock<Built>,
+}
+
+/// The undecoded maps of one load, which its blocks share.
+#[derive(Debug, Clone)]
+pub(crate) enum Source {
+    /// Binary maps as encoded (count, then entries), one after another:
+    /// the input buffer, compacted in place to its maps' bytes.
+    Binary(Arc<Vec<u8>>),
+    /// Text or CSV map fields, each ended by a `\n` (which no field
+    /// holds), their entries separated by the byte.
+    Text(Arc<String>, u8),
+}
+
+/// A block decoded: its maps are the runs `ids[runs[k]..runs[k + 1]]` of
+/// `dict`.
+#[derive(Debug, Clone, Default)]
+struct Built {
+    dict: AttrDict,
+    runs: Vec<u32>,
+}
+
+impl Block {
+    /// The decoded block, built on the first call. Concurrent first calls
+    /// block until one of them has built it.
+    fn built(&self) -> &Built {
+        self.built.get_or_init(|| {
+            // Maps are read only once their load has ended.
+            let Some((source, starts)) = self.maps.get() else {
+                return Built::default();
+            };
+            let mut dict = DictBuilder::default();
+            let mut runs = Vec::with_capacity(starts.len() + 1);
+            runs.push(0);
+            for &at in starts {
+                match source {
+                    Source::Binary(maps) => crate::io::binary::decode_map(maps, at, &mut dict),
+                    Source::Text(fields, sep) => {
+                        let field = fields.get(at..).unwrap_or_default();
+                        let field = field.split('\n').next().unwrap_or_default();
+                        crate::io::decode_entries(field, *sep, &mut dict);
+                    }
+                }
+                // A load keeps fewer than `u32::MAX` entries, so run ends
+                // fit in `u32`.
+                runs.push(dict.end_run() as u32);
+            }
+            Built {
+                dict: dict.into_dict(),
+                runs,
+            }
+        })
+    }
 }
 
 /// A finite partial map from attribute names to values.
@@ -65,7 +153,9 @@ pub struct AttrMap {
     /// inside a decoder, for a map whose dictionary is not frozen yet).
     dict: Option<Arc<AttrDict>>,
     /// The map is the run `ids[start..start + len]` of the dictionary:
-    /// sorted by name, names unique.
+    /// sorted by name, names unique. In a block, the map is the block's
+    /// map number `start`, and `len` counts its entries as encoded, before
+    /// repeated names are dropped: it is 0 exactly for the empty map.
     start: u32,
     len: u32,
 }
@@ -80,7 +170,7 @@ impl AttrMap {
     /// Returns the number of attributes in the map.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.run().0.len()
     }
 
     /// Returns `true` if the map defines no attribute.
@@ -89,15 +179,22 @@ impl AttrMap {
         self.len == 0
     }
 
-    /// The map's run of entry ids and the entries they index.
+    /// The map's run of entry ids and the entries they index; a map of a
+    /// block decodes the block first, unless that was done already.
     fn run(&self) -> (&[u32], &[(AttrName, Value)]) {
-        match &self.dict {
-            Some(dict) => {
-                let start = self.start as usize;
-                (&dict.ids[start..start + self.len()], &dict.entries)
+        let Some(dict) = &self.dict else {
+            return (&[], &[]);
+        };
+        let start = self.start as usize;
+        let (dict, run) = match &dict.block {
+            None => (&**dict, start..start + self.len as usize),
+            Some(block) => {
+                let built = block.built();
+                let run = built.runs[start] as usize..built.runs[start + 1] as usize;
+                (&built.dict, run)
             }
-            None => (&[], &[]),
-        }
+        };
+        (&dict.ids[run], &dict.entries)
     }
 
     /// The position in the run of `name`, or where it would go.
@@ -113,16 +210,21 @@ impl AttrMap {
     fn make_mut(&mut self) -> &mut AttrDict {
         let owned = match &mut self.dict {
             Some(dict) => {
-                self.start == 0
+                dict.block.is_none()
+                    && self.start == 0
                     && self.len as usize == dict.ids.len()
                     && Arc::get_mut(dict).is_some()
             }
             None => false,
         };
         if !owned {
+            let entries: Vec<_> = self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            // A map has fewer than `u32::MAX` entries (a load checks it).
+            self.len = entries.len() as u32;
             let copy = AttrDict {
-                entries: self.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
                 ids: (0..self.len).collect(),
+                entries,
+                block: None,
             };
             self.dict = Some(Arc::new(copy));
             self.start = 0;
@@ -263,7 +365,7 @@ impl fmt::Debug for AttrMap {
 /// Equal when the entries are, whichever dictionaries hold them.
 impl PartialEq for AttrMap {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other)
+        self.iter().eq(other)
     }
 }
 
@@ -366,14 +468,15 @@ impl From<std::collections::BTreeMap<AttrName, Value>> for AttrMap {
 /// stays in a core's cache however many entries a load has.
 const MAX_SLOTS: usize = 1 << 15;
 
-/// Fills the attribute dictionary of one load, and interns the load's
-/// names.
+/// Fills the attribute dictionary of one block (or, for XES, of one
+/// load), and interns its attribute names.
 ///
 /// A decoder looks each entry up by its encoded bytes
 /// ([`entry`](Self::entry)), so only bytes it has not met recently are
 /// validated and parsed; pushes the entry ids of one map in file order
 /// ([`push`](Self::push)); and ends the map
-/// ([`finish_map`](Self::finish_map)). Once every record is decoded,
+/// ([`end_run`](Self::end_run), or [`finish_map`](Self::finish_map) for
+/// a map to attach). Once every record is decoded,
 /// [`freeze`](Self::freeze) shares the dictionary among their maps.
 ///
 /// The lookup table is open-addressed by a hash of the bytes under a
@@ -387,7 +490,7 @@ const MAX_SLOTS: usize = 1 << 15;
 /// saved.
 #[derive(Default)]
 pub(crate) struct DictBuilder {
-    /// The load's activity and attribute names.
+    /// The attribute names (and, for XES, the load's activity names).
     pub(crate) names: Interner,
     dict: AttrDict,
     /// Where the map being built starts in `dict.ids`, and whether its
@@ -479,12 +582,11 @@ impl DictBuilder {
         self.dict.ids.push(id);
     }
 
-    /// Ends the map whose ids were pushed since the last call and returns
-    /// it, to be attached by [`freeze`](Self::freeze). A name out of
-    /// order or repeated is sorted into place, and the last write of a
-    /// name wins. `None` once the load has more entries than `u32` ids
-    /// can number.
-    pub(crate) fn finish_map(&mut self) -> Option<AttrMap> {
+    /// Ends the map whose ids were pushed since the last call, and
+    /// returns where its run ends in the id column. A name out of order
+    /// or repeated is sorted into place, and the last write of a name
+    /// wins.
+    pub(crate) fn end_run(&mut self) -> usize {
         let ids = &mut self.dict.ids;
         if std::mem::take(&mut self.unsorted) {
             let entries = &self.dict.entries;
@@ -497,11 +599,21 @@ impl DictBuilder {
             run.dedup_by(|a, b| name(a) == name(b));
             ids.append(&mut run);
         }
-        if ids.len() > u32::MAX as usize || self.dict.entries.len() >= u32::MAX as usize {
+        self.run_start = ids.len();
+        ids.len()
+    }
+
+    /// Ends the map whose ids were pushed since the last call, as
+    /// [`end_run`](Self::end_run) does, and returns it, to be attached by
+    /// [`freeze`](Self::freeze). `None` once the load has more entries
+    /// than `u32` ids can number.
+    pub(crate) fn finish_map(&mut self) -> Option<AttrMap> {
+        let start = self.run_start;
+        let end = self.end_run();
+        if end > u32::MAX as usize || self.dict.entries.len() >= u32::MAX as usize {
             return None;
         }
-        let start = std::mem::replace(&mut self.run_start, ids.len());
-        let len = ids.len() - start;
+        let len = end - start;
         Some(if len == 0 {
             AttrMap::new()
         } else {
@@ -513,22 +625,86 @@ impl DictBuilder {
         })
     }
 
+    /// The dictionary built, its lookup table and names dropped.
+    fn into_dict(self) -> AttrDict {
+        let mut dict = self.dict;
+        dict.entries.shrink_to_fit();
+        dict.ids.shrink_to_fit();
+        dict
+    }
+
     /// Shares the dictionary among `records`: each non-empty map of theirs
     /// that [`finish_map`](Self::finish_map) returned gets one clone.
     pub(crate) fn freeze(self, records: &mut [LogRecord]) {
-        drop((self.names, self.keys, self.key_ends, self.slots));
-        let mut dict = self.dict;
+        let dict = self.into_dict();
         if dict.ids.is_empty() {
             return;
         }
-        dict.entries.shrink_to_fit();
-        dict.ids.shrink_to_fit();
         let dict = Arc::new(dict);
         for record in records {
             for map in record.maps_mut() {
                 if map.len > 0 {
                     map.dict = Some(Arc::clone(&dict));
                 }
+            }
+        }
+    }
+}
+
+/// Files a load's non-empty maps into one lazy [`Block`] per activity, as
+/// the binary, text and CSV decoders meet them. A map points at its
+/// block from the start; [`finish`](Self::finish) gives the blocks the
+/// load's undecoded maps.
+#[derive(Default)]
+pub(crate) struct Blocks {
+    /// By activity id: its block, made at its first non-empty map, and
+    /// where its maps start in the load's [`Source`].
+    blocks: Vec<Option<(Arc<AttrDict>, Vec<usize>)>>,
+    /// Encoded entries so far, over every map of the load.
+    entries: u64,
+}
+
+impl Blocks {
+    /// A map of `activity` with `count > 0` entries, starting at byte
+    /// `at` of the load's source. `None` once the load has more entries
+    /// than `u32` ids can number; that bound keeps every block's entry
+    /// ids, and so its map count, within `u32`.
+    pub(crate) fn map(&mut self, activity: u32, at: usize, count: u32) -> Option<AttrMap> {
+        self.entries += u64::from(count);
+        if self.entries >= u64::from(u32::MAX) {
+            return None;
+        }
+        let activity = activity as usize;
+        if activity >= self.blocks.len() {
+            self.blocks.resize_with(activity + 1, || None);
+        }
+        let (block, starts) = self.blocks[activity].get_or_insert_with(|| {
+            let block = AttrDict {
+                block: Some(Box::default()),
+                ..AttrDict::default()
+            };
+            (Arc::new(block), Vec::new())
+        });
+        starts.push(at);
+        Some(AttrMap {
+            dict: Some(Arc::clone(block)),
+            start: (starts.len() - 1) as u32,
+            len: count,
+        })
+    }
+
+    /// Gives every block `source`, the load's undecoded maps. A load with
+    /// no non-empty map keeps no source.
+    pub(crate) fn finish(self, source: impl FnOnce() -> Source) {
+        if self.entries == 0 {
+            return;
+        }
+        let source = source();
+        for (block, mut starts) in self.blocks.into_iter().flatten() {
+            if let Some(block) = &block.block {
+                starts.shrink_to_fit();
+                // Set once: the block was made by this load.
+                let _ = block.maps.set((source.clone(), starts));
             }
         }
     }
@@ -739,6 +915,9 @@ mod tests {
         }
     }
 
+    // A map's only interior mutability is its block's decode-once cache,
+    // which never changes what it hashes or compares to.
+    #[allow(clippy::mutable_key_type)]
     #[test]
     fn maps_are_comparable_and_hashable() {
         use std::collections::HashSet;

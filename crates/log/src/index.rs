@@ -30,9 +30,12 @@
 //! Equality compares the columns; everything grouped is a function of
 //! them.
 //!
-//! The load pass maps each record's activity to its id by name. Its
-//! tables hash with the crate's seeded Fx-style hasher; see the
-//! [`names`](crate::names) module docs for the trust model.
+//! The load pass takes each record's activity id from the decoder that
+//! interned the name (binary, text, CSV), or else maps the name to its id
+//! itself; it keeps each record's instance ordinal from the validation
+//! pass, so no wid is looked up twice. Its tables hash with the crate's
+//! seeded Fx-style hasher; see the [`names`](crate::names) module docs
+//! for the trust model.
 //!
 //! The engine resolves atoms to ids once per query and then works on
 //! ordinals and ids only. The `Wid`/`&str` methods are allocation-free
@@ -131,13 +134,14 @@ impl PartialEq for LogIndex {
 
 impl Eq for LogIndex {}
 
-/// Assigns dense first-seen ids to activity names during the load pass.
+/// Numbers activity names densely in first-seen order during the load
+/// pass, by name, for records that no decoder numbered.
 #[derive(Default)]
 pub(crate) struct Symbols<'a> {
     /// First-seen id by name.
     by_name: HashMap<&'a str, u32, FxBuildHasher>,
     /// The names in first-seen order.
-    seen: Vec<&'a Activity>,
+    seen: Vec<Activity>,
 }
 
 impl<'a> Symbols<'a> {
@@ -147,24 +151,28 @@ impl<'a> Symbols<'a> {
     pub(crate) fn id(&mut self, activity: &'a Activity) -> u32 {
         let seen = &mut self.seen;
         *self.by_name.entry(activity.as_str()).or_insert_with(|| {
-            seen.push(activity);
+            seen.push(activity.clone());
             (seen.len() - 1) as u32
         })
     }
 
-    /// The symbol table in name order, and each first-seen id's rank in
-    /// it (the final [`ActivityId`]).
-    pub(crate) fn finish(self) -> (Vec<Activity>, Vec<ActivityId>) {
-        let seen = self.seen;
-        let mut order: Vec<usize> = (0..seen.len()).collect();
-        order.sort_unstable_by(|&a, &b| seen[a].cmp(seen[b]));
-        let mut rank = vec![ActivityId(0); order.len()];
-        for (new, &old) in order.iter().enumerate() {
-            rank[old] = ActivityId(new as u32);
-        }
-        let names = order.iter().map(|&old| seen[old].clone()).collect();
-        (names, rank)
+    /// The names in first-seen order: id `i` names entry `i`.
+    pub(crate) fn into_seen(self) -> Vec<Activity> {
+        self.seen
     }
+}
+
+/// The symbol table in name order, and each first-seen id's rank in it
+/// (the final [`ActivityId`]).
+pub(crate) fn rank(seen: &[Activity]) -> (Vec<Activity>, Vec<ActivityId>) {
+    let mut order: Vec<usize> = (0..seen.len()).collect();
+    order.sort_unstable_by(|&a, &b| seen[a].cmp(&seen[b]));
+    let mut rank = vec![ActivityId(0); order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        rank[old] = ActivityId(new as u32);
+    }
+    let names = order.iter().map(|&old| seen[old].clone()).collect();
+    (names, rank)
 }
 
 impl LogIndex {

@@ -19,13 +19,13 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
+use super::Load;
 use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
 use crate::names::{AttrName, Interner};
-use crate::record::LogRecord;
 use crate::Value;
 
 const MAGIC: &[u8; 4] = b"WLQ1";
@@ -88,10 +88,14 @@ const MIN_RECORD_BYTES: usize = 8 + 8 + 4 + 4 + 4 + 4;
 
 /// Decodes a log from the binary format.
 ///
-/// The decoder reads the buffer in place. Names are interned, and the
-/// attribute maps are runs of one per-load dictionary of entries, looked
-/// up by their encoded bytes: an entry met recently is not UTF-8 checked
-/// or parsed again, and the decoded log holds no allocation per map.
+/// The decoder reads the buffer in place, and activity names are
+/// interned. Each map's framing is checked at load: lengths, value tags
+/// and the UTF-8 of names and string values. The maps themselves are not
+/// parsed: the log keeps `data` (moved, not copied), compacted in place to
+/// the maps' bytes, and each map's offset in its activity's block; a
+/// block's maps are parsed into a dictionary of entries on the first read
+/// of any of them (see [`AttrMap`]). A query that reads no attribute
+/// parses none, and a log with no non-empty map keeps no input bytes.
 /// Preallocation is bounded by the input's length, whatever its header
 /// claims.
 ///
@@ -106,26 +110,34 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
             message: message.into(),
         }
     }
-    let mut input = Cursor { data: data.chunk() };
-    let mut dict = DictBuilder::default();
-    let (Some(magic), Some(count)) = (input.array::<4>(), input.u64()) else {
+    let mut data = Vec::from(data);
+    let mut header = Cursor { data: &data };
+    let (Some(magic), Some(count)) = (header.array::<4>(), header.u64()) else {
         return Err(bad("input shorter than header"));
     };
     if &magic != MAGIC {
         return Err(bad("bad magic, not a WLQ1 binary log"));
     }
-    let fit = input.data.len() / MIN_RECORD_BYTES;
-    let mut records = Vec::with_capacity(usize::try_from(count).map_or(fit, |n| n.min(fit)));
+    let mut at = data.len() - header.data.len();
+    let fit = header.data.len() / MIN_RECORD_BYTES;
+    let mut load = Load::with_capacity(usize::try_from(count).map_or(fit, |n| n.min(fit)));
+    // The maps' bytes move down to the front as records are read: `kept`
+    // bytes of maps so far.
+    let mut kept = 0;
     for i in 0..count {
-        let record =
-            record(&mut input, &mut dict).ok_or_else(|| bad(format!("truncated record {i}")))?;
-        records.push(record);
+        let truncated = || bad(format!("truncated record {i}"));
+        let rest = data.get(at..).ok_or_else(truncated)?;
+        let (maps, end) = record(rest, kept, &mut load).ok_or_else(truncated)?;
+        data.copy_within(at + maps..at + end, kept);
+        kept += end - maps;
+        at += end;
     }
-    if !input.data.is_empty() {
+    if at != data.len() {
         return Err(bad("trailing bytes after last record"));
     }
-    dict.freeze(&mut records);
-    Ok(Log::new(records)?)
+    data.truncate(kept);
+    data.shrink_to_fit();
+    load.finish(Some(data), 0)
 }
 
 /// A cursor over undecoded bytes. Every read returns `None` when the
@@ -178,6 +190,25 @@ impl<'a> Cursor<'a> {
     fn entry(&mut self) -> Option<&'a [u8]> {
         let all = self.data;
         self.raw_str()?;
+        self.value(Self::raw_str)?;
+        Some(&all[..all.len() - self.data.len()])
+    }
+
+    /// Checks one map entry as a load does: lengths, the tag, and that the
+    /// name and a string value are UTF-8.
+    fn checked_entry(&mut self) -> Option<()> {
+        self.utf8()?;
+        self.value(Self::utf8)
+    }
+
+    /// Checks that a string is UTF-8; most are ASCII, tested inline.
+    fn utf8(&mut self) -> Option<()> {
+        let raw = self.raw_str()?;
+        (raw.is_ascii() || std::str::from_utf8(raw).is_ok()).then_some(())
+    }
+
+    /// Passes over a tagged value, reading a string value with `string`.
+    fn value<T>(&mut self, string: fn(&mut Self) -> Option<T>) -> Option<()> {
         match self.u8()? {
             0 => {}
             1 => {
@@ -187,11 +218,11 @@ impl<'a> Cursor<'a> {
                 self.u64()?;
             }
             4 => {
-                self.raw_str()?;
+                string(self)?;
             }
             _ => return None,
         }
-        Some(&all[..all.len() - self.data.len()])
+        Some(())
     }
 }
 
@@ -211,30 +242,53 @@ fn parse_entry(entry: &[u8], names: &mut Interner) -> Option<(AttrName, Value)> 
     Some((name, value))
 }
 
-/// Decodes one record, its map entries into `dict`.
-fn record(input: &mut Cursor<'_>, dict: &mut DictBuilder) -> Option<LogRecord> {
-    let lsn = input.u64()?;
-    let wid = input.u64()?;
-    let is_lsn = input.u32()?;
-    let activity = dict.names.activity(input.str()?);
-    let input_map = map(input, dict)?;
-    let output_map = map(input, dict)?;
-    Some(LogRecord::new(
-        lsn, wid, is_lsn, activity, input_map, output_map,
-    ))
+/// Decodes the record `input` starts with. Its two maps are checked and
+/// filed into its activity's block at the offsets they will have once
+/// moved to byte `kept` of the compacted maps. Returns where in `input`
+/// the maps start, and where the record ends.
+fn record(input: &[u8], kept: usize, load: &mut Load) -> Option<(usize, usize)> {
+    let mut cursor = Cursor { data: input };
+    let lsn = cursor.u64()?;
+    let wid = cursor.u64()?;
+    let is_lsn = cursor.u32()?;
+    let activity = load.names.activity_id(cursor.str()?);
+    let maps = input.len() - cursor.data.len();
+    let input_map = map(&mut cursor, kept, activity, load)?;
+    let outputs = kept + (input.len() - cursor.data.len()) - maps;
+    let output_map = map(&mut cursor, outputs, activity, load)?;
+    load.push((lsn, wid, is_lsn, activity), input_map, output_map);
+    Some((maps, input.len() - cursor.data.len()))
 }
 
-/// Decodes one map into `dict`.
-fn map(input: &mut Cursor<'_>, dict: &mut DictBuilder) -> Option<AttrMap> {
+/// Checks the map `input` starts with, and files it into `activity`'s
+/// block at offset `at`.
+fn map(input: &mut Cursor<'_>, at: usize, activity: u32, load: &mut Load) -> Option<AttrMap> {
     let count = input.u32()?;
     for _ in 0..count {
-        let entry = input.entry()?;
-        let id = dict
-            .entry(entry, |names| parse_entry(entry, names).ok_or(()))
-            .ok()?;
-        dict.push(id);
+        input.checked_entry()?;
     }
-    dict.finish_map()
+    if count == 0 {
+        return Some(AttrMap::new());
+    }
+    load.blocks.map(activity, at, count)
+}
+
+/// Parses the map a load checked at byte `at` of `data` into `dict`,
+/// which ends no run. A read past the input, or an entry that does not
+/// parse, ends the map early; a checked map has neither.
+pub(crate) fn decode_map(data: &[u8], at: usize, dict: &mut DictBuilder) {
+    let mut input = Cursor {
+        data: data.get(at..).unwrap_or_default(),
+    };
+    for _ in 0..input.u32().unwrap_or(0) {
+        let Some(entry) = input.entry() else {
+            return;
+        };
+        match dict.entry(entry, |names| parse_entry(entry, names).ok_or(())) {
+            Ok(id) => dict.push(id),
+            Err(()) => return,
+        }
+    }
 }
 
 #[cfg(test)]

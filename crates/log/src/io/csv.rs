@@ -9,10 +9,10 @@
 use std::borrow::Cow;
 
 use super::scan::{find_any, split_quoted, trim};
-use crate::attrs::{AttrMap, DictBuilder};
+use super::Load;
+use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::record::LogRecord;
 
 /// Renders a log as CSV with a header row.
 #[must_use]
@@ -57,15 +57,15 @@ fn push_field(out: &mut String, field: &str) {
 /// Parses a log from CSV produced by [`write_csv`] (or compatible).
 ///
 /// Unquoted columns are borrowed from `text`; only quoted columns are
-/// unescaped into new strings. Names are interned and attribute entries
-/// kept in one dictionary, as in [`read_text`](super::text::read_text).
+/// unescaped into new strings. Activity names are interned, and the map
+/// columns are checked and kept undecoded in per-activity blocks, as in
+/// [`read_text`](super::text::read_text).
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] on malformed rows or an invalid log.
 pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
-    let mut records = Vec::with_capacity(super::line_count(text));
-    let mut dict = DictBuilder::default();
+    let mut load = Load::with_capacity(super::line_count(text));
     let mut fields = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -80,24 +80,26 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
             });
         };
         let head = [lsn, wid, is_lsn, activity].map(|field| &**field);
-        let (lsn, wid, is_lsn, activity) = super::parse_head(head, line_no, &mut dict.names)?;
-        let input = parse_semi_map(input, line_no, &mut dict)?;
-        let output = parse_semi_map(output, line_no, &mut dict)?;
-        records.push(LogRecord::new(lsn, wid, is_lsn, activity, input, output));
+        let head = super::parse_head(head, line_no, &mut load.names)?;
+        let input = semi_map(&mut load, head.3, input, line_no)?;
+        let output = semi_map(&mut load, head.3, output, line_no)?;
+        load.push(head, input, output);
     }
-    dict.freeze(&mut records);
-    Ok(Log::new(records)?)
+    load.finish(None, b';')
 }
 
-fn parse_semi_map(
+/// An attribute map of `activity` from its `;`-separated column, checked
+/// and filed into the activity's block.
+fn semi_map(
+    load: &mut Load,
+    activity: u32,
     text: &str,
     line_no: usize,
-    dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
     if trim(text).is_empty() {
         return Ok(AttrMap::new());
     }
-    super::parse_entries(split_quoted(text, b';'), line_no, dict)
+    load.text_map(activity, text, split_quoted(text, b';'), line_no)
 }
 
 /// Splits one CSV row into `fields` (cleared first). A column holding a

@@ -22,10 +22,10 @@ pub mod xes;
 
 use std::sync::Arc;
 
-use crate::attrs::DictBuilder;
-use crate::names::{Activity, AttrName, Interner};
+use crate::attrs::{Blocks, DictBuilder, Source};
+use crate::names::{AttrName, Interner};
 use crate::value::parse_scalar;
-use crate::{AttrMap, ParseLogError, Value};
+use crate::{AttrMap, Log, LogRecord, ParseLogError, Value};
 
 /// Renders a value for the text/CSV formats. Strings that would not
 /// re-parse as the same string (they look numeric/boolean, are empty,
@@ -142,13 +142,13 @@ pub(crate) fn render_map(map: &AttrMap, sep: &str) -> String {
 
 /// Checks and parses the first four fields of a record: `lsn`, `wid` and
 /// `is-lsn` as decimal numbers, and a non-empty activity name, interned
-/// in `names`. The text and CSV decoders share it, so each of these
-/// errors is raised in one place.
+/// in `names` and returned as its first-seen id. The text and CSV
+/// decoders share it, so each of these errors is raised in one place.
 pub(crate) fn parse_head(
     [lsn, wid, is_lsn, activity]: [&str; 4],
     line_no: usize,
     names: &mut Interner,
-) -> Result<(u64, u64, u32, Activity), ParseLogError> {
+) -> Result<(u64, u64, u32, u32), ParseLogError> {
     let number = |field: &'static str, text: &str| ParseLogError::BadNumber {
         line: line_no,
         field,
@@ -163,35 +163,121 @@ pub(crate) fn parse_head(
             message: "activity name is empty".to_string(),
         });
     }
-    Ok((lsn, wid, is_lsn, names.activity(activity)))
+    Ok((lsn, wid, is_lsn, names.activity_id(activity)))
 }
 
-/// Parses the `name=value` entries of one attribute map, one untrimmed
-/// entry per piece, into the load's dictionary. Each entry is looked up
-/// by its trimmed text, so an entry met recently is not parsed again. A
-/// repeated name keeps its last value.
-pub(crate) fn parse_entries<'a>(
-    pieces: impl IntoIterator<Item = &'a str>,
-    line_no: usize,
-    dict: &mut DictBuilder,
-) -> Result<AttrMap, ParseLogError> {
-    for pair in pieces {
-        let pair = scan::trim(pair);
-        let id = dict.entry(pair.as_bytes(), |names| parse_entry(pair, line_no, names))?;
-        dict.push(id);
+/// One load of the binary, text or CSV decoder: the interned activity
+/// names, the records with each one's activity id, and their attribute
+/// maps filed undecoded into per-activity [`Blocks`].
+pub(crate) struct Load {
+    pub(crate) names: Interner,
+    pub(crate) blocks: Blocks,
+    records: Vec<LogRecord>,
+    activities: Vec<u32>,
+    /// Text and CSV: the non-empty map fields, each ended by a `\n`.
+    fields: String,
+}
+
+impl Load {
+    /// A load expecting up to `records` records.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        Load {
+            names: Interner::default(),
+            blocks: Blocks::default(),
+            records: Vec::with_capacity(records),
+            activities: Vec::with_capacity(records),
+            fields: String::new(),
+        }
     }
-    dict.finish_map().ok_or_else(|| ParseLogError::BadShape {
-        line: line_no,
-        message: "more attribute entries than u32 can number".to_string(),
-    })
+
+    /// Adds a record whose activity has id `activity`.
+    pub(crate) fn push(
+        &mut self,
+        (lsn, wid, is_lsn, activity): (u64, u64, u32, u32),
+        input: AttrMap,
+        output: AttrMap,
+    ) {
+        let name = self.names.activity_name(activity);
+        self.records
+            .push(LogRecord::new(lsn, wid, is_lsn, name, input, output));
+        self.activities.push(activity);
+    }
+
+    /// A non-empty text or CSV map of `activity`: its `field` (which
+    /// holds no line end), split into `pieces` of one untrimmed
+    /// `name=value` entry each. Each entry is checked to have a `=` and a
+    /// non-empty name, and the field is copied out, to be parsed with its
+    /// activity's block on first read.
+    pub(crate) fn text_map<'a>(
+        &mut self,
+        activity: u32,
+        field: &str,
+        pieces: impl IntoIterator<Item = &'a str>,
+        line_no: usize,
+    ) -> Result<AttrMap, ParseLogError> {
+        let mut count = 0u32;
+        for piece in pieces {
+            // What `split_entry` checks, without splitting: a name before
+            // the first `=` (trimming the piece first moves no `=`).
+            let name = piece.as_bytes().iter().position(|&b| b == b'=');
+            if name.is_none_or(|eq| scan::trim(&piece[..eq]).is_empty()) {
+                split_entry(scan::trim(piece), line_no)?;
+            }
+            count = count.saturating_add(1);
+        }
+        let at = self.fields.len();
+        self.fields.push_str(field);
+        self.fields.push('\n');
+        self.blocks
+            .map(activity, at, count)
+            .ok_or_else(|| ParseLogError::BadShape {
+                line: line_no,
+                message: "more attribute entries than u32 can number".to_string(),
+            })
+    }
+
+    /// The log: the records validated with the decoder's activity ids,
+    /// and the blocks given the binary `maps` (the input compacted to its
+    /// maps), or else the copied text fields, whose entries `sep`
+    /// separates. A log with no non-empty map keeps neither.
+    pub(crate) fn finish(self, maps: Option<Vec<u8>>, sep: u8) -> Result<Log, ParseLogError> {
+        let Load {
+            names,
+            blocks,
+            records,
+            activities,
+            mut fields,
+        } = self;
+        blocks.finish(|| match maps {
+            Some(maps) => Source::Binary(Arc::new(maps)),
+            None => {
+                fields.shrink_to_fit();
+                Source::Text(Arc::new(fields), sep)
+            }
+        });
+        Ok(Log::with_activity_ids(
+            records,
+            activities,
+            names.into_activities(),
+        )?)
+    }
 }
 
-/// Parses one trimmed `name=value` entry, interning the name in `names`.
-fn parse_entry(
-    pair: &str,
-    line_no: usize,
-    names: &mut Interner,
-) -> Result<(AttrName, Value), ParseLogError> {
+/// Parses the entries of a text or CSV map field that a load checked,
+/// separated by `sep`, into `dict`, which ends no run. An entry that does
+/// not parse is passed over; a checked field has none.
+pub(crate) fn decode_entries(field: &str, sep: u8, dict: &mut DictBuilder) {
+    for pair in scan::split_quoted(field, sep) {
+        let pair = scan::trim(pair);
+        if let Ok(id) = dict.entry(pair.as_bytes(), |names| parse_entry(pair, 0, names)) {
+            dict.push(id);
+        }
+    }
+}
+
+/// Splits one trimmed `name=value` entry into its trimmed name and its
+/// value text, or says why it is not one.
+fn split_entry(pair: &str, line_no: usize) -> Result<(&str, &str), ParseLogError> {
     let Some((name, value)) = pair.split_once('=') else {
         return Err(ParseLogError::BadShape {
             line: line_no,
@@ -205,6 +291,16 @@ fn parse_entry(
             message: "attribute name is empty".to_string(),
         });
     }
+    Ok((name, value))
+}
+
+/// Parses one trimmed `name=value` entry, interning the name in `names`.
+fn parse_entry(
+    pair: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<(AttrName, Value), ParseLogError> {
+    let (name, value) = split_entry(pair, line_no)?;
     Ok((names.attr_name(name), parse_rendered_value(value)))
 }
 
@@ -301,23 +397,19 @@ mod tests {
         assert_eq!(parse_rendered_value("12"), Value::Int(12));
     }
 
-    /// The maps of one load, parsed through one dictionary.
+    /// The maps of one load, each checked at load and parsed when read
+    /// from its block; one record per map, all of one activity.
     fn parse_all(maps: &[&str], sep: u8) -> Result<Vec<AttrMap>, ParseLogError> {
-        let mut dict = DictBuilder::default();
-        let mut records = Vec::new();
+        let mut load = Load::with_capacity(maps.len());
+        let activity = load.names.activity_id(crate::START_ACTIVITY);
         for (i, text) in maps.iter().enumerate() {
-            let map = parse_entries(scan::split_quoted(text, sep), i + 1, &mut dict)?;
-            records.push(crate::LogRecord::new(
-                1u64,
-                1u64,
-                1u32,
-                "A",
-                map,
-                AttrMap::new(),
-            ));
+            let pieces = scan::split_quoted(text, sep);
+            let map = load.text_map(activity, text, pieces, i + 1)?;
+            let n = i as u64 + 1;
+            load.push((n, n, 1, activity), map, AttrMap::new());
         }
-        dict.freeze(&mut records);
-        Ok(records.iter().map(|r| r.input().clone()).collect())
+        let log = load.finish(None, sep)?;
+        Ok(log.iter().map(|r| r.input().clone()).collect())
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! error is what the plain `str` methods give.
 
 use super::scan::{find_any, trim, Separators};
-use crate::attrs::{AttrMap, DictBuilder};
+use super::Load;
+use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::record::LogRecord;
 
 /// Renders a log as a Figure 3-style table with a header line.
 ///
@@ -64,40 +64,40 @@ pub fn write_text(log: &Log) -> String {
 
 /// Parses a log from the text format.
 ///
-/// Fields and map entries are borrowed slices of `text`. Activity and
-/// attribute names are interned, and the attribute maps are runs of one
-/// per-load dictionary of `name=value` entries, so a repeated name or
-/// entry is stored once and no map allocates on its own.
+/// Fields and map entries are borrowed slices of `text`, and activity
+/// names are interned. Each map entry is checked at load (it has a `=`
+/// and a non-empty name), and the map fields are copied, undecoded, into
+/// one block per activity; a block's maps are parsed into a dictionary
+/// of `name=value` entries on the first read of any of them (see
+/// [`AttrMap`]). A query that reads no attribute parses none.
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] if a line is malformed or the records do not
 /// form a valid log (Definition 2).
 pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
-    let mut records = Vec::with_capacity(super::line_count(text));
-    let mut dict = DictBuilder::default();
+    let mut load = Load::with_capacity(super::line_count(text));
     let mut entries = Vec::new();
     let mut lines = Lines::new(text);
     while let Some((line_no, fields)) = lines.next_record(&mut entries) {
-        let (head, inputs) = fields.map_err(|found| ParseLogError::BadShape {
+        let (head, inputs, maps) = fields.map_err(|found| ParseLogError::BadShape {
             line: line_no,
             message: format!("expected 6 '|'-separated fields, found {found}"),
         })?;
-        let (lsn, wid, is_lsn, activity) =
-            super::parse_head(head.map(trim), line_no, &mut dict.names)?;
+        let head = super::parse_head(head.map(trim), line_no, &mut load.names)?;
         let (input, output) = entries.split_at(inputs);
-        let input = parse_attr_map(input, line_no, &mut dict)?;
-        let output = parse_attr_map(output, line_no, &mut dict)?;
-        records.push(LogRecord::new(lsn, wid, is_lsn, activity, input, output));
+        let input = attr_map(&mut load, head.3, (maps[0], input), line_no)?;
+        let output = attr_map(&mut load, head.3, (maps[1], output), line_no)?;
+        load.push(head, input, output);
     }
-    dict.freeze(&mut records);
-    Ok(Log::new(records)?)
+    load.finish(None, b',')
 }
 
-/// A record line's first four fields, and how many of the pieces in the
+/// A record line's first four fields, how many of the pieces in the
 /// caller's `entries` are the input map's (the rest are the output
-/// map's); or, if the line does not have six fields, how many it has.
-type Fields<'a> = Result<([&'a str; 4], usize), usize>;
+/// map's), and the two map fields whole; or, if the line does not have
+/// six fields, how many it has.
+type Fields<'a> = Result<([&'a str; 4], usize, [&'a str; 2]), usize>;
 
 /// The record lines of a text, each split into its fields in the one
 /// quote-aware scan that also finds the line ends. A `|` or `,` inside a
@@ -178,13 +178,14 @@ impl<'a> Lines<'a> {
         }
         entries.clear();
         let mut inputs = None;
+        let maps = from;
         loop {
             let (end, sep) = self.seps.next().unwrap_or((text.len(), b'\n'));
             entries.push(&text[from..end]);
             from = end + 1;
             match (sep, inputs) {
                 (b',', _) => {}
-                (b'|', None) => inputs = Some(entries.len()),
+                (b'|', None) => inputs = Some((entries.len(), end)),
                 // A `|` after the output map: count the fields after it.
                 (b'|', Some(_)) => {
                     let more = self
@@ -196,25 +197,28 @@ impl<'a> Lines<'a> {
                     return Err(7 + more);
                 }
                 (_, None) => return Err(5),
-                (_, Some(inputs)) => {
+                (_, Some((inputs, input_end))) => {
                     self.start = from;
-                    return Ok((head, inputs));
+                    let fields = [&text[maps..input_end], &text[input_end + 1..end]];
+                    return Ok((head, inputs, fields));
                 }
             }
         }
     }
 }
 
-/// An attribute map from the pieces of its field.
-fn parse_attr_map(
-    pieces: &[&str],
+/// An attribute map of `activity` from its field and the field's pieces,
+/// checked and filed into the activity's block.
+fn attr_map(
+    load: &mut Load,
+    activity: u32,
+    (field, pieces): (&str, &[&str]),
     line_no: usize,
-    dict: &mut DictBuilder,
 ) -> Result<AttrMap, ParseLogError> {
     if is_empty_map(pieces) {
         return Ok(AttrMap::new());
     }
-    super::parse_entries(pieces.iter().copied(), line_no, dict)
+    load.text_map(activity, field, pieces.iter().copied(), line_no)
 }
 
 /// Whether a map field, given as its pieces, is blank or `-`: one piece,
@@ -271,7 +275,7 @@ mod tests {
         let mut lines = Lines::new(text);
         let mut entries = Vec::new();
         while let Some((line_no, fields)) = lines.next_record(&mut entries) {
-            let Ok((head, inputs)) = fields else {
+            let Ok((head, inputs, _)) = fields else {
                 out.push((line_no, fields.map(|_| unreachable!())));
                 break;
             };

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::LogError;
-use crate::index::{ActivityId, LogIndex, Symbols};
+use crate::index::{rank, ActivityId, LogIndex, Symbols};
 use crate::names::{Activity, FxBuildHasher};
 use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 
@@ -71,14 +71,35 @@ impl Log {
     /// The records may be supplied in any order; they are sorted by lsn
     /// unless they already ascend. Conditions 2–4 are checked in one pass
     /// in lsn order over dense per-instance state, which also sizes each
-    /// instance. A second pass places each record in the CSR columns of
-    /// the log's [`LogIndex`] and gives it its activity id.
+    /// instance and notes each record's instance ordinal. A second pass
+    /// places each record in the CSR columns of the log's [`LogIndex`]
+    /// and gives it its activity id.
     ///
     /// # Errors
     ///
     /// Returns a [`LogError`] describing the first violated condition, or
     /// [`LogError::TooManyRecords`] past `u32::MAX` records.
-    pub fn new(mut records: Vec<LogRecord>) -> Result<Self, LogError> {
+    pub fn new(records: Vec<LogRecord>) -> Result<Self, LogError> {
+        Self::load(records, None)
+    }
+
+    /// [`Log::new`] for decoded records whose activities a decoder has
+    /// already numbered: record `i` runs `seen[ids[i]]`, ids dense in
+    /// first-seen order. The load pass then hashes no activity name. If
+    /// the records need sorting, the numbers are dropped and worked out
+    /// again, as for [`Log::new`].
+    pub(crate) fn with_activity_ids(
+        records: Vec<LogRecord>,
+        ids: Vec<u32>,
+        seen: Vec<Activity>,
+    ) -> Result<Self, LogError> {
+        Self::load(records, Some((ids, seen)))
+    }
+
+    fn load(
+        mut records: Vec<LogRecord>,
+        mut activity_ids: Option<(Vec<u32>, Vec<Activity>)>,
+    ) -> Result<Self, LogError> {
         if records.is_empty() {
             return Err(LogError::Empty);
         }
@@ -88,6 +109,7 @@ impl Log {
         }
         if !records.is_sorted_by_key(LogRecord::lsn) {
             records.sort_by_key(LogRecord::lsn);
+            activity_ids = None;
         }
 
         // Condition 1: lsns are a bijection with 1..=|L|.
@@ -104,10 +126,21 @@ impl Log {
         }
 
         // Conditions 2–4, checked in one pass in lsn order. Instances get
-        // ordinals in order of first appearance.
+        // ordinals in order of first appearance, and each record's ordinal
+        // is kept for the placement pass. Activities are numbered in
+        // first-seen order too, by name, unless a decoder numbered them.
         let mut ordinals: HashMap<Wid, u32, FxBuildHasher> = HashMap::default();
         let mut instances: Vec<Instance> = Vec::new();
+        let mut record_ordinals: Vec<u32> = Vec::with_capacity(records.len());
+        let mut symbols = Symbols::default();
+        let (mut ids, decoded) = match activity_ids {
+            Some((ids, seen)) => (ids, Some(seen)),
+            None => (Vec::with_capacity(records.len()), None),
+        };
         for r in &records {
+            if decoded.is_none() {
+                ids.push(symbols.id(r.activity()));
+            }
             let wid = r.wid();
             let ordinal = *ordinals.entry(wid).or_insert_with(|| {
                 instances.push(Instance {
@@ -118,6 +151,7 @@ impl Log {
                 // Fewer instances than records, which fit in `u32`.
                 (instances.len() - 1) as u32
             });
+            record_ordinals.push(ordinal);
             let state = &mut instances[ordinal as usize];
             if state.closed {
                 return Err(LogError::RecordAfterEnd { wid, lsn: r.lsn() });
@@ -137,42 +171,36 @@ impl Log {
             state.len = r.is_lsn().get();
             state.closed = r.is_end();
         }
+        drop(ordinals);
 
-        // The CSR layout, instances by ascending wid; each instance's
-        // map value becomes the entry its is-lsn 1 lands on.
+        // The CSR layout, instances by ascending wid; `next[k]` is the
+        // entry instance `k`'s next record lands on, first its is-lsn 1.
         let mut order: Vec<u32> = (0..instances.len() as u32).collect();
         order.sort_unstable_by_key(|&k| instances[k as usize].wid);
-        let mut base = vec![0u32; instances.len()];
+        let mut next = vec![0u32; instances.len()];
         let mut starts = Vec::with_capacity(order.len() + 1);
         starts.push(0);
         for &k in &order {
             let k = k as usize;
-            base[k] = starts[starts.len() - 1];
+            next[k] = starts[starts.len() - 1];
             // The entries number the records, which fit in `u32`.
-            starts.push(base[k] + instances[k].len);
-        }
-        for ordinal in ordinals.values_mut() {
-            *ordinal = base[*ordinal as usize];
+            starts.push(next[k] + instances[k].len);
         }
         let wids = order.iter().map(|&k| instances[k as usize].wid).collect();
 
-        // The columns: record `i` is entry `is-lsn − 1` of its instance's
-        // range. Looking the wid up again, instead of keeping each
-        // record's ordinal from the pass above, keeps this pass's scratch
-        // to the two columns it fills. Activities get ids in order of
-        // first appearance, renumbered into name order at the end.
-        let mut symbols = Symbols::default();
+        // The columns. An instance's records come in is-lsn order from 1
+        // (condition 3), so record `i` is the next entry of its instance's
+        // range; the pass reads the two scratch columns, not the records.
+        // First-seen activity numbers are renumbered into name order.
+        let seen = decoded.unwrap_or_else(|| symbols.into_seen());
+        let (names, rank) = rank(&seen);
         let mut offsets = vec![0u32; records.len()];
         let mut activities = vec![ActivityId(0); records.len()];
-        for (i, r) in (0u32..).zip(&records) {
-            let entry = ordinals[&r.wid()] as usize + r.is_lsn().get() as usize - 1;
-            offsets[entry] = i;
-            activities[entry] = ActivityId(symbols.id(r.activity()));
-        }
-        drop(ordinals);
-        let (names, rank) = symbols.finish();
-        for id in &mut activities {
-            *id = rank[id.index()];
+        for (i, (&ordinal, &id)) in (0u32..).zip(record_ordinals.iter().zip(&ids)) {
+            let entry = &mut next[ordinal as usize];
+            offsets[*entry as usize] = i;
+            activities[*entry as usize] = rank[id as usize];
+            *entry += 1;
         }
 
         let index = LogIndex::from_columns(names, wids, starts, activities, offsets);

@@ -5,18 +5,28 @@
 //! reference-counted strings with newtypes keeping the two namespaces apart
 //! at the type level ([C-NEWTYPE]). Clones share one allocation.
 //!
-//! The log decoders intern while they decode: one `Interner` per decode
-//! hands out a single `Arc<str>` per distinct activity or attribute name,
-//! so every record of a decoded log that names `SeeDoctor` points at the
-//! same bytes. (Attribute values live in the load's attribute
-//! dictionary, see the `attrs` module.) The table is dropped when
-//! decoding ends; the log keeps only the shared strings. Names built by
-//! hand ([`Activity::new`], `From<&str>`) are not interned.
-//! [`Log::new`](crate::Log::new) then gives each distinct activity name a
-//! dense [`ActivityId`](crate::ActivityId), looked up by name.
+//! The log decoders intern while they decode: one `Interner` per load
+//! hands out a single `Arc<str>` per distinct activity name, so every
+//! record of a decoded log that names `SeeDoctor` points at the same
+//! bytes. Attribute names are interned the same way where maps are
+//! parsed: per load for XES, and per activity block, on the block's
+//! first read, for the binary, text and CSV decoders (see the `attrs`
+//! module, where attribute values live too). Each table is dropped when
+//! its decoding ends; the log keeps only the shared strings. Names built
+//! by hand ([`Activity::new`], `From<&str>`) are not interned.
 //!
-//! These per-load tables (the interner, the attribute dictionary's entry
-//! lookup, and in `Log::new` the activity and instance maps) hash with
+//! The interner also numbers activity names densely in first-seen order.
+//! The binary, text and CSV decoders record each record's number, use it
+//! to file the record's attribute maps into that activity's lazy block
+//! (see the `attrs` module), and hand the numbers to the log's load pass,
+//! which renumbers them into the [`ActivityId`](crate::ActivityId)s of
+//! name order without hashing a name again. Records built by hand (and
+//! the XES decoder's) get their first-seen numbers in
+//! [`Log::new`](crate::Log::new), from a by-name map.
+//!
+//! These per-load tables (the interners, the attribute dictionaries'
+//! entry lookups, and in `Log::new` the instance map and, for records no
+//! decoder numbered, the activity map) hash with
 //! `FxBuildHasher`, a multiply-rotate hash in the style of rustc's
 //! `FxHasher`, instead of the standard SipHash. It is several times
 //! cheaper on short names but is not a keyed cryptographic hash. Each
@@ -34,7 +44,7 @@
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
@@ -250,10 +260,16 @@ impl Hasher for FxHasher {
 }
 
 /// A per-decode table of activity and attribute names: each distinct
-/// name is allocated once and shared.
+/// name is allocated once and shared. Activity names also get dense ids
+/// in first-seen order, which the lazy decoders hand to
+/// [`Log::with_activity_ids`](crate::Log::with_activity_ids) and use to
+/// pick each map's attribute block.
 #[derive(Default)]
 pub(crate) struct Interner {
     strings: HashSet<Arc<str>, FxBuildHasher>,
+    /// The activity names by first-seen id, and each name's id.
+    activities: Vec<Activity>,
+    activity_ids: HashMap<Arc<str>, u32, FxBuildHasher>,
 }
 
 impl Interner {
@@ -269,7 +285,33 @@ impl Interner {
 
     /// [`intern`](Self::intern) as an activity name.
     pub(crate) fn activity(&mut self, s: &str) -> Activity {
-        Activity(self.intern(s))
+        let id = self.activity_id(s);
+        self.activity_name(id)
+    }
+
+    /// The dense first-seen id of activity `s`, interned on first sight.
+    /// The `as u32` cannot truncate before `Log::new` rejects the load:
+    /// each record names one activity, and a log has at most `u32::MAX`
+    /// records.
+    pub(crate) fn activity_id(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.activity_ids.get(s) {
+            return id;
+        }
+        let shared = self.intern(s);
+        let id = self.activities.len() as u32;
+        self.activities.push(Activity(Arc::clone(&shared)));
+        self.activity_ids.insert(shared, id);
+        id
+    }
+
+    /// The activity name of first-seen id `id`.
+    pub(crate) fn activity_name(&self, id: u32) -> Activity {
+        self.activities[id as usize].clone()
+    }
+
+    /// The activity names in first-seen order: id `i` names entry `i`.
+    pub(crate) fn into_activities(self) -> Vec<Activity> {
+        self.activities
     }
 
     /// [`intern`](Self::intern) as an attribute name.

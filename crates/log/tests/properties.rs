@@ -1,7 +1,8 @@
 //! Property tests of the log crate: builder validity, serialization
 //! round-trips over randomly-shaped logs with arbitrary attribute values,
 //! decoder robustness under byte mutations, decode interning, attribute
-//! maps shared through a load's dictionary, and index consistency.
+//! maps shared through a load's dictionary, lazily decoded attribute
+//! blocks, and index consistency.
 
 use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
@@ -11,7 +12,9 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use wlq_log::{attrs, io, AttrMap, Log, LogBuilder, LogRecord, LogStats, Value};
+use std::sync::Barrier;
+
+use wlq_log::{attrs, io, Activity, AttrMap, Log, LogBuilder, LogRecord, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -218,6 +221,10 @@ proptest! {
     /// Byte mutations of every encoding (binary, text, CSV, XES) decode
     /// to a log or a typed error, never a panic; whatever decodes is a
     /// valid log whose records, rebuilt, give the same log and index.
+    /// Comparing the records reads every map, so every lazy attribute
+    /// block of a log that decodes is parsed here, and each map must
+    /// still hold an entry if its encoding had one: a map that passed the
+    /// load's framing check must parse.
     #[test]
     fn mutated_encodings_decode_or_fail_typed(log in arb_log(), seed in any::<u64>()) {
         let mut mix = Mix(seed);
@@ -240,6 +247,9 @@ proptest! {
                     _ => io::xes::read_xes(&String::from_utf8_lossy(&data)),
                 };
                 if let Ok(decoded) = decoded {
+                    for map in maps(&decoded) {
+                        prop_assert_eq!(map.is_empty(), map.iter().next().is_none());
+                    }
                     let rebuilt = Log::new(decoded.clone().into_records()).unwrap();
                     prop_assert_eq!(rebuilt.index(), decoded.index());
                     prop_assert_eq!(rebuilt, decoded);
@@ -318,6 +328,56 @@ proptest! {
                     prop_assert_eq!(m.cmp(b2), b.cmp(b2));
                     prop_assert_eq!(*m == *m2, *b == *b2);
                 }
+            }
+        }
+    }
+
+    /// A decoded log's maps are parsed one activity block at a time, on
+    /// the first read of any of the block's maps. The binary and text
+    /// round trips' maps equal the source's whichever order the blocks
+    /// are forced in, and when two threads read a block first at once.
+    #[test]
+    fn lazy_blocks_decode_to_the_source_maps_in_any_order(
+        log in arb_log(),
+        seed in any::<u64>(),
+    ) {
+        let copies = || {
+            [
+                io::binary::read_binary(io::binary::write_binary(&log)).unwrap(),
+                io::text::read_text(&io::text::write_text(&log)).unwrap(),
+            ]
+        };
+        let mut activities = log.activities();
+        let mut mix = Mix(seed);
+        for i in (1..activities.len()).rev() {
+            activities.swap(i, mix.below(i + 1));
+        }
+        let runs = |decoded: &Log, activity: &Activity| -> Vec<(AttrMap, AttrMap)> {
+            decoded
+                .iter()
+                .filter(|r| r.activity() == activity)
+                .map(|r| (r.input().clone(), r.output().clone()))
+                .collect()
+        };
+        for decoded in copies() {
+            for activity in &activities {
+                prop_assert_eq!(runs(&decoded, activity), runs(&log, activity));
+            }
+        }
+        for decoded in copies() {
+            for activity in &activities {
+                let barrier = Barrier::new(2);
+                let read = || {
+                    barrier.wait();
+                    runs(&decoded, activity)
+                };
+                let (a, b) = std::thread::scope(|s| {
+                    let a = s.spawn(read);
+                    let b = s.spawn(read);
+                    (a.join().unwrap(), b.join().unwrap())
+                });
+                prop_assert_eq!(&a, &runs(&log, activity));
+                prop_assert_eq!(&b, &runs(&log, activity));
             }
         }
     }

@@ -183,6 +183,16 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// The unread bytes as a vector: the buffer itself, with any read prefix
+/// removed (mirrors `bytes`' `From<Bytes> for Vec<u8>`).
+impl From<Bytes> for Vec<u8> {
+    fn from(bytes: Bytes) -> Self {
+        let mut data = bytes.data;
+        data.drain(..bytes.pos);
+        data
+    }
+}
+
 impl Buf for Bytes {
     fn remaining(&self) -> usize {
         self.len()

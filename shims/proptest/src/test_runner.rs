@@ -50,9 +50,15 @@ impl ProptestConfig {
     }
 }
 
+/// 256 cases, or as many as the `PROPTEST_CASES` environment variable
+/// says, as in `proptest`.
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(256);
+        ProptestConfig { cases }
     }
 }
 

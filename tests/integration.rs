@@ -284,7 +284,7 @@ fn mining_and_projections_on_order_scenario() {
     }
     // find_first returns a bounded subset of the full answer.
     let q = Query::new(p.clone());
-    let some = q.find_first(&log, 7);
+    let some = q.find_first(&log, 7).unwrap();
     assert_eq!(some.len(), 7);
     let all = q.find(&log).unwrap();
     for o in some.iter() {
