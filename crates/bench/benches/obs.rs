@@ -1,15 +1,14 @@
 //! Profiling-off overhead check for the execution profiler.
 //!
 //! The `wlq-obs` design promise is that profiling costs nothing unless a
-//! profiled entry point runs: the unprofiled executors are untouched and
-//! the instrumented mirrors live in a separate module. These groups make
-//! that claim measurable:
+//! profiled entry point runs: there is one executor, and unprofiled calls
+//! pass it a no-op probe that compiles away. These groups make that claim
+//! measurable:
 //!
 //! * **`unprofiled_pairlog`** — `Evaluator::evaluate` under the default
 //!   planned strategy on the `A -> B` pair log, the exact workload
-//!   `sequential_pairlog/planned` times in `BENCH_planner.json`. With
-//!   the `profiling` feature compiled in (the default), these numbers
-//!   must stay within noise of that baseline.
+//!   `sequential_pairlog/planned` times in `BENCH_planner.json`. These
+//!   numbers must stay within noise of that baseline.
 //! * **`profiled_pairlog`** — the same workload through
 //!   `Evaluator::evaluate_profiled`, quantifying what turning the
 //!   profiler *on* costs (timer reads and counter accumulation per node

@@ -1,12 +1,11 @@
 //! Cost-based planning across log shapes (`Strategy::Planned`, the
 //! default):
 //!
-//! * **`sequential_pairlog`** — the adversarial `A -> B` pair log where
-//!   the sort-merge sequential kernel replaces per-left binary searches
-//!   and the root join is late-materialized.
+//! * **`sequential_pairlog`** — the adversarial `A -> B` pair log: one
+//!   wide `→` join whose binary-search kernel emits `Θ(n1·n2)` unions
+//!   into the root batch kept as the answer.
 //! * **`dense`/`sparse`/`skewed` logs** — generator workloads where the
-//!   planner's rewrite choice and physical operator selection have to not
-//!   regress across log shapes.
+//!   planner's rewrite choice has to not regress across log shapes.
 //! * **`plan_count`** — `count()` on chains, where the planner routes to
 //!   the enumeration-free DP.
 //!

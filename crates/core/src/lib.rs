@@ -46,9 +46,8 @@ pub use wlq_engine::{
     leaf_incidents, mine_relations, profile_evaluation, timeline, BatchArena, BoundIncident,
     BoundedEquiv, EngineError, EvalTrace, Evaluator, Incident, IncidentBatch, IncidentRef,
     IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern, MinedRelation,
-    Node, NodeTrace, PhysOp, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query,
-    RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator,
-    TimelinePoint,
+    Node, NodeTrace, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query, RewriteCandidate,
+    SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator, TimelinePoint,
 };
 pub use wlq_log::{
     attrs, io, paper, Activity, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError, LogIndex,

@@ -16,10 +16,10 @@
 //! grammar deliberately omits variables, matching the published
 //! presentation).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use wlq_log::{IsLsn, Log, Wid};
-use wlq_pattern::{Atom, Op, ParsePatternError, Pattern};
+use wlq_pattern::{Atom, Op, ParseErrorKind, ParsePatternError, Pattern};
 
 use crate::eval::{leaf_incidents, Evaluator};
 use crate::incident::Incident;
@@ -57,24 +57,26 @@ pub struct LabelledPattern {
 
 impl LabelledPattern {
     /// Parses the labelled syntax `var:Activity` (labels optional per
-    /// atom). Everything else matches the core grammar.
+    /// atom, each directly before its activity). Everything else matches
+    /// the core grammar.
     ///
     /// # Errors
     ///
     /// Returns the core parser's error, with label-specific problems
-    /// (duplicate variable, label on a negated atom) reported as
-    /// [`ParsePatternError`]s too.
+    /// (duplicate variable, label on a negated atom, label not directly
+    /// followed by its activity) reported as [`ParsePatternError`]s at
+    /// the label's offset.
     pub fn parse(src: &str) -> Result<LabelledPattern, ParsePatternError> {
-        // Strip labels with a scan: an identifier immediately followed by
-        // ':' and another identifier is a label. We rewrite to the core
-        // syntax while remembering label order (atom order in the text is
-        // postfix order of leaves — left to right).
+        // One scan strips the `var:` prefixes to the core syntax and
+        // records each atom's label: outside predicates every identifier
+        // is an atom's activity, and atoms in source order are the
+        // pattern's postfix leaf order.
         let mut core = String::with_capacity(src.len());
-        let mut labels_in_order: Vec<Option<String>> = Vec::new();
+        let mut labels: Vec<Option<String>> = Vec::new();
+        let mut label: Option<String> = None;
+        let mut seen = BTreeSet::new();
         let mut chars = src.char_indices().peekable();
-        let mut seen: std::collections::BTreeSet<String> = Default::default();
-        let mut in_brackets = false;
-        let mut in_string = false;
+        let (mut in_brackets, mut in_string, mut after_not) = (false, false, false);
         while let Some((i, c)) = chars.next() {
             // Inside predicates (and their string literals) nothing is a
             // label — copy verbatim.
@@ -98,80 +100,46 @@ impl LabelledPattern {
                 }
                 continue;
             }
-            if c == '[' {
+            if !is_ident_start(c) {
+                in_brackets = c == '[';
+                if !c.is_whitespace() {
+                    after_not = matches!(c, '!' | '¬');
+                }
                 core.push(c);
-                in_brackets = true;
                 continue;
             }
-            if c.is_alphabetic() || c == '_' {
-                let mut ident = String::new();
-                ident.push(c);
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        ident.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(&(_, ':')) = chars.peek() {
-                    // A label: consume ':' and expect the activity next.
-                    chars.next();
-                    if !seen.insert(ident.clone()) {
-                        return Err(ParsePatternError {
-                            position: i,
-                            kind: wlq_pattern::ParseErrorKind::BadPredicate(format!(
-                                "duplicate variable {ident:?}"
-                            )),
-                        });
-                    }
-                    labels_in_order.push(Some(ident));
-                    // The activity identifier itself is handled by the
-                    // next loop iterations; nothing emitted for the label.
-                } else {
-                    // A plain identifier: an unlabelled atom *if* this is
-                    // an activity position. Attribute names inside
-                    // predicates also land here; they are filtered below
-                    // by only counting identifiers at atom positions. To
-                    // keep the scanner simple we instead mark atoms during
-                    // the final pairing step.
-                    core.push_str(&ident);
-                    continue;
-                }
-            } else {
-                core.push(c);
+            let mut ident = String::from(c);
+            while let Some((_, d)) = chars.next_if(|&(_, d)| d.is_alphanumeric() || d == '_') {
+                ident.push(d);
             }
+            if chars.next_if(|&(_, d)| d == ':').is_none() {
+                core.push_str(&ident);
+                labels.push(label.take());
+                after_not = false;
+                continue;
+            }
+            let problem = match chars.peek() {
+                _ if after_not => Some("on a negated atom"),
+                _ if label.is_some() => Some("after another label"),
+                Some(&(_, '!' | '¬')) => Some("on a negated atom"),
+                Some(&(_, d)) if is_ident_start(d) => None,
+                _ => Some("not directly followed by its activity"),
+            };
+            if let Some(problem) = problem {
+                return Err(ParsePatternError {
+                    position: i,
+                    kind: ParseErrorKind::UnexpectedToken(format!("label {ident:?} {problem}")),
+                });
+            }
+            if !seen.insert(ident.clone()) {
+                return Err(ParsePatternError {
+                    position: i,
+                    kind: ParseErrorKind::BadPredicate(format!("duplicate variable {ident:?}")),
+                });
+            }
+            label = Some(ident);
         }
-        // The scan above only removed `var:` prefixes; rebuild `core` to
-        // actually include identifiers (they were pushed) — but labelled
-        // activities were *not* pushed because the label consumed them?
-        // No: the label consumed only `var` and ':'; the activity is a
-        // separate identifier handled by a later iteration and pushed.
         let pattern: Pattern = core.parse()?;
-
-        // Pair labels with atoms: labels were recorded in source order;
-        // atoms in source order equal the pattern's postfix leaf order.
-        // We require exactly as many labels as there were `var:` markers,
-        // and assign them to atoms greedily left to right at the position
-        // each marker appeared. For simplicity and predictability, the
-        // supported form is: every label directly precedes its atom, so
-        // label k belongs to the k-th atom *that had a label marker*.
-        // Re-scan the source to know which atom indexes were labelled.
-        let labelled_flags = labelled_atom_flags(src);
-        let num_atoms = pattern.num_atoms();
-        if labelled_flags.len() != num_atoms {
-            return Err(ParsePatternError {
-                position: 0,
-                kind: wlq_pattern::ParseErrorKind::BadPredicate(
-                    "internal label scan mismatch".to_string(),
-                ),
-            });
-        }
-        let mut label_iter = labels_in_order.into_iter().flatten();
-        let labels: Vec<Option<String>> = labelled_flags
-            .into_iter()
-            .map(|flag| if flag { label_iter.next() } else { None })
-            .collect();
         Ok(LabelledPattern { pattern, labels })
     }
 
@@ -207,56 +175,9 @@ impl LabelledPattern {
     }
 }
 
-/// Which atoms (in left-to-right source order) carried a `var:` marker.
-fn labelled_atom_flags(src: &str) -> Vec<bool> {
-    let mut flags = Vec::new();
-    let mut chars = src.char_indices().peekable();
-    let mut in_brackets = false;
-    let mut in_string = false;
-    while let Some((_, c)) = chars.next() {
-        if in_string {
-            if c == '\\' {
-                chars.next();
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        if in_brackets && c == '"' {
-            in_string = true;
-            continue;
-        }
-        match c {
-            '[' => in_brackets = true,
-            ']' => in_brackets = false,
-            c if (c.is_alphabetic() || c == '_') && !in_brackets => {
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(&(_, ':')) = chars.peek() {
-                    // Label marker: the *next* identifier is the atom.
-                    chars.next();
-                    // Skip the activity identifier.
-                    while let Some(&(_, d)) = chars.peek() {
-                        if d.is_alphanumeric() || d == '_' {
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    flags.push(true);
-                } else {
-                    flags.push(false);
-                }
-            }
-            _ => {}
-        }
-    }
-    flags
+/// Whether `c` starts an identifier (an activity or a label).
+fn is_ident_start(c: char) -> bool {
+    c.is_alphabetic() || c == '_'
 }
 
 /// Recursive evaluation threading bindings alongside incidents.
@@ -370,6 +291,39 @@ mod tests {
     #[test]
     fn duplicate_variables_are_rejected() {
         assert!(LabelledPattern::parse("x:A -> x:B").is_err());
+    }
+
+    fn label_error(src: &str) -> ParsePatternError {
+        match LabelledPattern::parse(src) {
+            Ok(lp) => panic!("{src} parsed to {lp:?}"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn a_label_before_a_negation_is_rejected_at_the_label() {
+        let e = label_error("x:!A -> B");
+        assert_eq!(e.position, 0);
+        assert!(e.to_string().contains("negated atom"), "{e}");
+        let e = label_error("x:A & y:¬B");
+        assert_eq!(e.position, 6);
+        assert!(e.to_string().contains("negated atom"), "{e}");
+    }
+
+    #[test]
+    fn a_label_after_a_negation_is_rejected_at_the_label() {
+        let e = label_error("!x:A -> B");
+        assert_eq!(e.position, 1);
+        assert!(e.to_string().contains("negated atom"), "{e}");
+        let e = label_error("A -> ¬ y:B");
+        assert_eq!(e.position, "A -> ¬ ".len());
+    }
+
+    #[test]
+    fn a_label_must_directly_precede_its_activity() {
+        assert_eq!(label_error("A -> x: B").position, 5);
+        assert_eq!(label_error("x:(A -> B)").position, 0);
+        assert_eq!(label_error("x:y:A").position, 2);
     }
 
     #[test]

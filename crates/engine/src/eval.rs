@@ -23,7 +23,7 @@ use crate::counting;
 use crate::error::EngineError;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
-use crate::planner::{PhysOp, PhysicalPlan, PlanNode, Planner};
+use crate::planner::{PhysicalPlan, PlanNode, Planner};
 use crate::probe::{Event, NoProbe, Output, Probe};
 use crate::{kernels, naive};
 
@@ -36,11 +36,11 @@ pub enum Strategy {
     /// Cost-based planning over the flat arena-backed [`IncidentBatch`]
     /// layout: the query is rewritten via the paper's Theorem 2–5
     /// equivalences, the cheapest tree is chosen by Lemma-1-style
-    /// estimates, and each node gets a physical operator (nested loop,
-    /// batch kernel, or sort-merge sequential join); `count()`/`exists()`
-    /// route the countable fragment to the enumeration-free counting DP
-    /// (see [`fast_count`](crate::fast_count)). Produces
-    /// identical incident sets; see `crate::planner` and `crate::kernels`.
+    /// estimates, and each node runs its operator's one batch kernel;
+    /// `count()`/`exists()` route the countable fragment to the
+    /// enumeration-free counting DP (see [`fast_count`](crate::fast_count)).
+    /// Produces identical incident sets; see `crate::planner` and
+    /// `crate::kernels`.
     #[default]
     Planned,
 }
@@ -138,7 +138,6 @@ pub(crate) enum Exec<'p> {
     Join {
         id: usize,
         op: Op,
-        phys: PhysOp,
         left: Box<Exec<'p>>,
         right: Box<Exec<'p>>,
     },
@@ -155,15 +154,10 @@ impl<'p> Exec<'p> {
                 leaf: Leaf::resolve(atom, index),
             },
             PlanNode::Join {
-                op,
-                phys,
-                left,
-                right,
-                ..
+                op, left, right, ..
             } => Exec::Join {
                 id,
                 op: *op,
-                phys: *phys,
                 left: Box::new(Exec::build(left, index, next)),
                 right: Box::new(Exec::build(right, index, next)),
             },
@@ -287,7 +281,6 @@ impl<'a> Evaluator<'a> {
             Exec::Join {
                 id,
                 op,
-                phys,
                 left,
                 right,
             } => {
@@ -300,14 +293,9 @@ impl<'a> Evaluator<'a> {
                 let r = self.run(right, ordinal, wid, arena, probe);
                 let mark = probe.start();
                 let mut out = arena.alloc(wid);
-                match phys {
-                    PhysOp::NestedLoop => kernels::nested_loop_kernel(*op, &l, &r, &mut out),
-                    PhysOp::BatchKernel => kernels::combine_batch_into(*op, &l, &r, &mut out),
-                    PhysOp::SortMergeSeq => kernels::sequential_sort_merge_kernel(&l, &r, &mut out),
-                }
+                kernels::combine_batch_into(*op, &l, &r, &mut out);
                 probe.record(*id, mark, || Event::Join {
                     op: *op,
-                    phys: *phys,
                     left: l.len(),
                     right: r.len(),
                     out: Output::batch(&out),
@@ -357,7 +345,6 @@ impl<'a> Evaluator<'a> {
                 let out = naive::combine(*op, &l, &r);
                 probe.record(id, mark, || Event::Join {
                     op: *op,
-                    phys: PhysOp::NestedLoop,
                     left: l.len(),
                     right: r.len(),
                     out: Output::classic(&out),

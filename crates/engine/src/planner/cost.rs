@@ -1,18 +1,16 @@
 //! The planner's cost model: cardinality estimates from the log's
-//! activity statistics, priced per physical operator.
+//! activity statistics, and the price of each operator's batch kernel.
 //!
 //! Cardinalities come from [`LogStats`]: atoms use exact activity counts
 //! and composites uniform-placement approximations
 //! ([`PlanCost::combine_estimate`]). Each operator node is then priced
-//! per *physical* alternative so the planner can pick a kernel per node:
+//! by the one kernel that executes it ([`crate::kernels`]):
 //!
-//! | operator | physical | cost shape |
+//! | operator | kernel | cost shape |
 //! |---|---|---|
-//! | `⊙`/`→` | nested loop | `n1·n2 + copy` |
-//! | `⊙`/`→` | batch kernel | `n1·log n2 + copy` |
-//! | `→` | sort-merge | `n1 + n2 + copy` |
-//! | `⊗` | batch kernel | `(n1+n2)·min(k1,k2)` |
-//! | `⊕` | batch kernel | `n1·n2·(k1+k2)` |
+//! | `⊙`/`→` | binary-search partner runs | `n1·log n2 + copy` |
+//! | `⊗` | sorted merge | `(n1+n2)·min(k1,k2)` |
+//! | `⊕` | pairwise disjointness merge | `n1·n2·(k1+k2)` |
 //!
 //! where `copy = out·(k1+k2)` is the unavoidable cost of writing the
 //! output unions into the pool. The same prices score whole candidate
@@ -21,8 +19,6 @@
 
 use wlq_log::LogStats;
 use wlq_pattern::{Op, Pattern};
-
-use super::plan::PhysOp;
 
 /// Estimated shape of one join node: input cardinalities, subtree
 /// widths, and output cardinality.
@@ -40,8 +36,8 @@ pub struct JoinShape {
     pub out: f64,
 }
 
-/// The planner's one cost model: cardinality estimates plus physical
-/// operator pricing.
+/// The planner's one cost model: cardinality estimates plus per-operator
+/// kernel pricing.
 #[derive(Debug, Clone)]
 pub struct PlanCost {
     num_records: f64,
@@ -109,85 +105,32 @@ impl PlanCost {
         self.num_records
     }
 
-    /// Estimated work of one `(op, phys)` node on inputs of the given
-    /// [`JoinShape`].
-    #[must_use]
-    pub fn physical_cost(&self, op: Op, phys: PhysOp, shape: JoinShape) -> f64 {
-        let JoinShape {
-            n1,
-            n2,
-            k1,
-            k2,
-            out,
-        } = shape;
-        let copy = out * (k1 + k2);
-        match (phys, op) {
-            (PhysOp::NestedLoop, Op::Consecutive | Op::Sequential) => n1 * n2 + copy,
-            (PhysOp::BatchKernel, Op::Consecutive | Op::Sequential) => {
-                n1 * (n2 + 2.0).log2() + copy
-            }
-            (PhysOp::SortMergeSeq, _) => n1 + n2 + copy,
-            (_, Op::Choice) => (n1 + n2) * k1.min(k2).max(1.0),
-            (_, Op::Parallel) => n1 * n2 * (k1 + k2).max(1.0),
-        }
-    }
-
-    /// Chooses the cheapest applicable physical operator for one node.
-    ///
-    /// The sort-merge sequential join is only offered when the left child
-    /// is a leaf: leaf batches are singleton runs, so their refs are
-    /// strictly ascending in `last` and the kernel's monotone-cursor
-    /// precondition is guaranteed rather than probed.
-    #[must_use]
-    pub fn choose_physical(&self, op: Op, left_is_leaf: bool, shape: JoinShape) -> (PhysOp, f64) {
-        let mut options: Vec<PhysOp> = Vec::with_capacity(3);
-        match op {
-            Op::Sequential => {
-                if left_is_leaf {
-                    options.push(PhysOp::SortMergeSeq);
-                }
-                options.push(PhysOp::BatchKernel);
-                options.push(PhysOp::NestedLoop);
-            }
-            Op::Consecutive => {
-                options.push(PhysOp::BatchKernel);
-                options.push(PhysOp::NestedLoop);
-            }
-            // ⊗/⊕ have a single physical implementation (the nested-loop
-            // dispatch delegates to the same kernels).
-            Op::Choice | Op::Parallel => options.push(PhysOp::BatchKernel),
-        }
-        let mut best = (PhysOp::BatchKernel, f64::INFINITY);
-        for phys in options {
-            let cost = self.physical_cost(op, phys, shape);
-            if cost < best.1 {
-                best = (phys, cost);
-            }
-        }
-        best
-    }
-
     /// Prices one `op` node over children estimated at `n1`/`n2`
     /// incidents of `k1`/`k2` atoms: the node's shape (with its output
-    /// estimate), and the cheapest physical operator with its cost,
+    /// estimate), and the work of the operator's batch kernel on it,
     /// children excluded.
     #[must_use]
     pub fn price_join(
         &self,
         op: Op,
-        left_is_leaf: bool,
         (n1, k1): (f64, f64),
         (n2, k2): (f64, f64),
-    ) -> (JoinShape, PhysOp, f64) {
+    ) -> (JoinShape, f64) {
+        let out = self.combine_estimate(op, n1, n2);
+        let copy = out * (k1 + k2);
+        let cost = match op {
+            Op::Consecutive | Op::Sequential => n1 * (n2 + 2.0).log2() + copy,
+            Op::Choice => (n1 + n2) * k1.min(k2).max(1.0),
+            Op::Parallel => n1 * n2 * (k1 + k2).max(1.0),
+        };
         let shape = JoinShape {
             n1,
             n2,
             k1,
             k2,
-            out: self.combine_estimate(op, n1, n2),
+            out,
         };
-        let (phys, cost) = self.choose_physical(op, left_is_leaf, shape);
-        (shape, phys, cost)
+        (shape, cost)
     }
 }
 
@@ -225,52 +168,20 @@ mod tests {
         assert_eq!(n, 7.0);
     }
 
-    fn shape(n1: f64, n2: f64, k1: f64, k2: f64, out: f64) -> JoinShape {
-        JoinShape {
-            n1,
-            n2,
-            k1,
-            k2,
-            out,
-        }
-    }
-
     #[test]
-    fn sort_merge_wins_wide_leaf_joins() {
+    fn sequential_joins_are_priced_by_the_binary_search_kernel() {
         let c = cost();
-        let (phys, _) = c.choose_physical(
-            Op::Sequential,
-            true,
-            shape(1000.0, 1000.0, 1.0, 1.0, 250_000.0),
-        );
-        assert_eq!(phys, PhysOp::SortMergeSeq);
-    }
-
-    #[test]
-    fn sort_merge_not_offered_for_composite_lefts() {
-        let c = cost();
-        let (phys, _) = c.choose_physical(
-            Op::Sequential,
-            false,
-            shape(1000.0, 1000.0, 2.0, 1.0, 250_000.0),
-        );
-        assert_ne!(phys, PhysOp::SortMergeSeq);
-    }
-
-    #[test]
-    fn nested_loop_wins_tiny_inputs() {
-        let c = cost();
-        // n2 = 1: one probe beats a log-factor binary search setup.
-        let (phys, _) = c.choose_physical(Op::Consecutive, false, shape(2.0, 1.0, 1.0, 1.0, 0.5));
-        assert_eq!(phys, PhysOp::NestedLoop);
+        let (shape, work) = c.price_join(Op::Sequential, (6.0, 1.0), (2.0, 2.0));
+        assert_eq!(shape.out, c.combine_estimate(Op::Sequential, 6.0, 2.0));
+        assert_eq!(work, 6.0 * 4.0_f64.log2() + shape.out * 3.0);
     }
 
     #[test]
     fn choice_and_parallel_use_the_batch_kernels() {
         let c = cost();
-        for op in [Op::Choice, Op::Parallel] {
-            let (phys, _) = c.choose_physical(op, true, shape(10.0, 10.0, 1.0, 1.0, 20.0));
-            assert_eq!(phys, PhysOp::BatchKernel);
-        }
+        let (_, choice) = c.price_join(Op::Choice, (10.0, 1.0), (10.0, 2.0));
+        assert_eq!(choice, 20.0);
+        let (_, parallel) = c.price_join(Op::Parallel, (10.0, 1.0), (10.0, 2.0));
+        assert_eq!(parallel, 300.0);
     }
 }

@@ -1,5 +1,4 @@
-//! Cost-based query planning: algebraic rewrites plus per-node physical
-//! operator selection.
+//! Cost-based query planning: algebraic rewrites costed per operator.
 //!
 //! The planner sits between parsing and evaluation. Given a pattern it
 //!
@@ -7,12 +6,14 @@
 //!    ([`RewriteCandidate`]), one of them the cheapest parenthesisation
 //!    of every chain under the planner's own cost,
 //! 2. costs every candidate bottom-up from the log's activity counts,
-//!    with Lemma-1-style per-operator bounds refined per physical
-//!    implementation ([`PlanCost`], the one cost model), and
-//! 3. picks the cheapest tree with a physical operator chosen per node
-//!    ([`PhysicalPlan`]): nested loop, batch kernel, or the sort-merge
-//!    sequential join — plus a flag routing `count()`/`exists()` to the
-//!    enumeration-free counting DP when the pattern is a `~>`/`→` chain.
+//!    with Lemma-1-style per-operator bounds priced by the one batch
+//!    kernel each operator has ([`PlanCost`], the one cost model), and
+//! 3. picks the cheapest tree ([`PhysicalPlan`]) — plus a flag routing
+//!    `count()`/`exists()` to the enumeration-free counting DP when the
+//!    pattern is a `~>`/`→` chain.
+//!
+//! The planner chooses the tree, not how a node runs: every operator
+//! node executes its operator's kernel in [`crate::kernels`].
 //!
 //! Rewrites never change semantics: every candidate evaluates to the same
 //! `incL(p)` (differentially verified by `wlq-difffuzz` and the
@@ -26,5 +27,5 @@ mod plan;
 mod rewrite;
 
 pub use cost::{JoinShape, PlanCost};
-pub use plan::{PhysOp, PhysicalPlan, PlanNode, PlanRow, Planner};
+pub use plan::{PhysicalPlan, PlanNode, PlanRow, Planner};
 pub use rewrite::{candidates, RewriteCandidate};

@@ -1,4 +1,4 @@
-//! Physical plans: per-node operator selection over a chosen rewrite.
+//! Physical plans: the chosen rewrite as a costed operator tree.
 
 use std::fmt;
 
@@ -7,31 +7,6 @@ use wlq_pattern::{Atom, Op, Pattern};
 
 use super::cost::PlanCost;
 use super::rewrite::{candidates, RewriteCandidate};
-
-/// The physical implementation chosen for one operator node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PhysOp {
-    /// The paper's Algorithm 1 all-pairs join — cheapest on tiny inputs.
-    NestedLoop,
-    /// The flat batch kernel (binary-search partner runs for `⊙`/`→`,
-    /// sorted merges for `⊗`, speculative merge for `⊕`).
-    BatchKernel,
-    /// The sort-merge sequential join: one monotone cursor over the
-    /// right operand, `O(n1 + n2 + out)`. Sequential (`→`) nodes only.
-    SortMergeSeq,
-}
-
-impl PhysOp {
-    /// A short display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PhysOp::NestedLoop => "nested-loop",
-            PhysOp::BatchKernel => "batch-kernel",
-            PhysOp::SortMergeSeq => "sort-merge",
-        }
-    }
-}
 
 /// One node of a physical plan, annotated with the cost model's
 /// estimates.
@@ -46,12 +21,10 @@ pub enum PlanNode {
         /// Estimated scan cost.
         cost: f64,
     },
-    /// An operator node with a chosen physical implementation.
+    /// An operator node, executed by the operator's batch kernel.
     Join {
-        /// The logical operator.
+        /// The operator.
         op: Op,
-        /// The physical operator executing it.
-        phys: PhysOp,
         /// Left input plan.
         left: Box<PlanNode>,
         /// Right input plan.
@@ -71,7 +44,7 @@ pub enum PlanNode {
 pub struct PlanRow {
     /// Tree depth (root = 0).
     pub depth: usize,
-    /// Display label: `scan <atom>` for leaves, `<op> [<phys>]` for
+    /// Display label: `scan <atom>` for leaves, the operator's name for
     /// joins.
     pub label: String,
     /// The sub-pattern this node evaluates, as text.
@@ -154,7 +127,6 @@ impl PlanNode {
             }
             PlanNode::Join {
                 op,
-                phys,
                 left,
                 right,
                 estimate,
@@ -162,7 +134,7 @@ impl PlanNode {
             } => {
                 rows.push(PlanRow {
                     depth,
-                    label: format!("{} [{}]", op.name(), phys.name()),
+                    label: op.name().to_string(),
                     pattern: self.pattern().to_string(),
                     estimate: *estimate,
                     cost: *cost,
@@ -191,8 +163,8 @@ impl PlanNode {
     }
 }
 
-/// A costed physical plan: the winning rewrite, per-node physical
-/// operators, and the scored alternatives (for `explain`).
+/// A costed physical plan: the winning rewrite as an operator tree with
+/// per-node estimates, and the scored alternatives (for `explain`).
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     query: Pattern,
@@ -282,8 +254,8 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// Costs `p` as written: a leaf scan per atom, the cheapest physical
-/// operator per operator node.
+/// Costs `p` as written: a leaf scan per atom, the operator's batch
+/// kernel per operator node.
 pub(super) fn build_node(cost: &PlanCost, p: &Pattern) -> PlanNode {
     match p {
         Pattern::Atom(atom) => PlanNode::Leaf {
@@ -295,15 +267,13 @@ pub(super) fn build_node(cost: &PlanCost, p: &Pattern) -> PlanNode {
             let l = build_node(cost, left);
             let r = build_node(cost, right);
             #[allow(clippy::cast_precision_loss)]
-            let (shape, phys, node_cost) = cost.price_join(
+            let (shape, node_cost) = cost.price_join(
                 *op,
-                l.is_leaf(),
                 (l.estimate(), left.num_atoms() as f64),
                 (r.estimate(), right.num_atoms() as f64),
             );
             PlanNode::Join {
                 op: *op,
-                phys,
                 estimate: shape.out,
                 cost: l.cost() + r.cost() + node_cost,
                 left: Box::new(l),
@@ -314,7 +284,7 @@ pub(super) fn build_node(cost: &PlanCost, p: &Pattern) -> PlanNode {
 }
 
 /// The query planner: enumerates equivalent trees, costs them, and picks
-/// a physical operator per node of the winner.
+/// the cheapest.
 #[derive(Debug, Clone)]
 pub struct Planner {
     cost: PlanCost,
@@ -355,7 +325,7 @@ impl Planner {
     }
 
     /// Plans `p`: costs every candidate rewrite and returns the cheapest
-    /// with physical operators selected per node. The candidate set
+    /// as an operator tree. The candidate set
     /// always includes `p` itself, so planning never regresses by its own
     /// estimate.
     #[must_use]
@@ -393,7 +363,6 @@ impl Planner {
 mod tests {
     use super::*;
     use wlq_log::paper;
-    use wlq_workflow::generator;
 
     fn parse(s: &str) -> Pattern {
         s.parse().expect("valid pattern")
@@ -401,17 +370,6 @@ mod tests {
 
     fn planner_for(log: &Log) -> Planner {
         Planner::from_log(log)
-    }
-
-    #[test]
-    fn leaf_joins_on_pair_logs_pick_sort_merge() {
-        let log = generator::pair_log("A", 200, "B", 200, true);
-        let plan = planner_for(&log).plan(&parse("A -> B"));
-        let PlanNode::Join { phys, .. } = plan.root() else {
-            panic!("expected a join root");
-        };
-        assert_eq!(*phys, PhysOp::SortMergeSeq);
-        assert!(plan.is_counting_chain());
     }
 
     #[test]
@@ -550,6 +508,6 @@ mod tests {
         let text = plan.to_string();
         assert!(text.contains("chosen:"), "{text}");
         assert!(text.contains("scan SeeDoctor"), "{text}");
-        assert!(text.contains("sequential ["), "{text}");
+        assert!(text.contains("\nsequential  (est"), "{text}");
     }
 }

@@ -145,10 +145,8 @@ fn parenthesize(cost: &PlanCost, operands: &[Pattern], ops: &[Op]) -> Pattern {
             let j = i + span;
             for k in i..j {
                 let (l, r) = (best[i][k], best[k + 1][j]);
-                let left_is_leaf = i == k && matches!(operands[i], Pattern::Atom(_));
-                let (shape, _, node) = cost.price_join(
+                let (shape, node) = cost.price_join(
                     ops[k],
-                    left_is_leaf,
                     (l.estimate, width(i, k)),
                     (r.estimate, width(k + 1, j)),
                 );

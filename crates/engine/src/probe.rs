@@ -6,16 +6,15 @@
 //! keyed by the node's pre-order id. Unprofiled evaluation passes
 //! [`NoProbe`], a zero-sized no-op whose methods inline to nothing — the
 //! event closures are never called, so the default path compiles to the
-//! bare executor. The profiler's metrics probe (cargo feature
-//! `profiling`) times and counts the same calls, so a profile measures
-//! exactly the code an unprofiled query runs.
+//! bare executor. The profiler's metrics probe times and counts the same
+//! calls, so a profile measures exactly the code an unprofiled query
+//! runs.
 
 use wlq_log::IsLsn;
 use wlq_pattern::Op;
 
 use crate::batch::{IncidentBatch, IncidentRef};
 use crate::incident::Incident;
-use crate::planner::PhysOp;
 
 /// Receives one [`Event`] per executed plan node per instance.
 pub(crate) trait Probe {
@@ -45,15 +44,12 @@ impl Probe for NoProbe {
 }
 
 /// What one node did for one instance.
-#[cfg_attr(not(feature = "profiling"), allow(dead_code))]
 pub(crate) enum Event {
     /// A leaf scan that examined `scanned` index candidates.
     Scan { scanned: u64, out: Output },
-    /// A join of operands of `left` and `right` incidents; `phys` is the
-    /// operator whose comparisons are modelled.
+    /// An `op` join of operands of `left` and `right` incidents.
     Join {
         op: Op,
-        phys: PhysOp,
         left: usize,
         right: usize,
         out: Output,
@@ -61,7 +57,6 @@ pub(crate) enum Event {
 }
 
 /// A node's output: incident count and memory footprint in bytes.
-#[cfg_attr(not(feature = "profiling"), allow(dead_code))]
 pub(crate) struct Output {
     pub(crate) incidents: usize,
     pub(crate) bytes: u64,

@@ -1,4 +1,4 @@
-//! Instrumented evaluation (cargo feature `profiling`).
+//! Instrumented evaluation.
 //!
 //! There is no profiled executor: a profiled run is the production
 //! executor — the planned tree's `run`, or the naive
@@ -7,18 +7,18 @@
 //! The probe accumulates per-node [`NodeMetrics`] into a plain `Vec`
 //! indexed by the node's pre-order id. This module only assembles the
 //! header (node shapes with estimates), the comparison models, and the
-//! [`ExecutionProfile`]; disabling the feature removes it (and `wlq-obs`)
-//! from the build, and the no-op probe compiles to the bare executor.
+//! [`ExecutionProfile`]; unprofiled calls pass the no-op probe, which
+//! compiles to the bare executor.
 //!
 //! Two metric-design rules keep the profiler read-only:
 //!
 //! * **No instrumentation inside kernels.** `pairs_compared` is modelled
-//!   deterministically from operand and output sizes per physical
-//!   operator — nested loop `n1·n2` (also the naive oracle's Algorithm 1
-//!   loops), batch `⊙`/`→` kernels `n1·⌈log₂ n2⌉ + out` (one partner-run
-//!   binary search per left incident), sort-merge `n1 + n2 + out`, batch
-//!   `⊗` merge `n1 + n2`, batch `⊕` `n1·n2` — so the kernels the
-//!   unprofiled path runs are byte-for-byte the ones profiled runs execute.
+//!   deterministically from operand and output sizes per operator — the
+//!   `⊙`/`→` kernels `n1·⌈log₂ n2⌉ + out` (one partner-run binary search
+//!   per left incident), the `⊗` merge `n1 + n2`, the `⊕` kernel `n1·n2`,
+//!   and `n1·n2` for every operator of the naive oracle (Algorithm 1's
+//!   nested loops) — so the kernels the unprofiled path runs are
+//!   byte-for-byte the ones profiled runs execute.
 //! * **Collectors are worker-local.** Parallel workers each fill their
 //!   own probe (and report their own instance count and busy time,
 //!   exposing skew); the vectors merge by addition after the pool joins.
@@ -36,7 +36,7 @@ use wlq_pattern::{Op, Pattern};
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
-use crate::planner::{PhysOp, PlanCost};
+use crate::planner::PlanCost;
 use crate::probe::{Event, Output, Probe};
 
 /// Evaluates `pattern` over `log` under `strategy` with `threads`
@@ -71,7 +71,12 @@ pub fn profile_evaluation(
 }
 
 /// The metrics probe: one [`NodeMetrics`] per plan node, by pre-order id.
-struct Metrics(Vec<NodeMetrics>);
+/// The strategy says which implementations ran the joins: the naive
+/// oracle's nested loops or the batch kernels.
+struct Metrics {
+    strategy: Strategy,
+    nodes: Vec<NodeMetrics>,
+}
 
 impl Probe for Metrics {
     type Mark = Instant;
@@ -82,19 +87,18 @@ impl Probe for Metrics {
 
     fn record(&mut self, node: usize, mark: Instant, event: impl FnOnce() -> Event) {
         let wall = mark.elapsed();
-        let Some(m) = self.0.get_mut(node) else {
+        let Some(m) = self.nodes.get_mut(node) else {
             return;
         };
         let (Output { incidents, bytes }, scanned, pairs) = match event() {
             Event::Scan { scanned, out } => (out, scanned, 0),
             Event::Join {
                 op,
-                phys,
                 left,
                 right,
                 out,
             } => {
-                let pairs = join_pairs(phys, op, left, right, out.incidents);
+                let pairs = join_pairs(self.strategy, op, left, right, out.incidents);
                 (out, 0, pairs)
             }
         };
@@ -148,11 +152,14 @@ impl Evaluator<'_> {
         let node_count = shapes.len();
         let results = self.pool(threads, self.candidates(pattern), |claims| {
             let busy = Instant::now();
-            let mut probe = Metrics(vec![NodeMetrics::new(); node_count]);
+            let mut probe = Metrics {
+                strategy: self.strategy(),
+                nodes: vec![NodeMetrics::new(); node_count],
+            };
             let mut claimed = 0u64;
             let claims = claims.inspect(|_| claimed += 1);
             let part = self.batches(pattern, plan.as_ref(), claims, &mut probe);
-            (part, claimed, probe.0, busy.elapsed())
+            (part, claimed, probe.nodes, busy.elapsed())
         })?;
 
         let mut merged = vec![NodeMetrics::new(); node_count];
@@ -238,15 +245,14 @@ fn ceil_log2(n: u64) -> u64 {
     }
 }
 
-/// The modelled comparison count of one physical join (see the module
-/// docs for the formulas).
-fn join_pairs(phys: PhysOp, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
+/// The modelled comparison count of one `op` join under `strategy` (see
+/// the module docs for the formulas).
+fn join_pairs(strategy: Strategy, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
     let (n1, n2, out) = (n1 as u64, n2 as u64, out as u64);
-    match (phys, op) {
-        (PhysOp::NestedLoop, _) | (PhysOp::BatchKernel, Op::Parallel) => n1 * n2,
-        (PhysOp::SortMergeSeq, _) => n1 + n2 + out,
-        (PhysOp::BatchKernel, Op::Consecutive | Op::Sequential) => n1 * ceil_log2(n2) + out,
-        (PhysOp::BatchKernel, Op::Choice) => n1 + n2,
+    match (strategy, op) {
+        (Strategy::NaivePaper, _) | (Strategy::Planned, Op::Parallel) => n1 * n2,
+        (Strategy::Planned, Op::Consecutive | Op::Sequential) => n1 * ceil_log2(n2) + out,
+        (Strategy::Planned, Op::Choice) => n1 + n2,
     }
 }
 
@@ -421,17 +427,11 @@ mod tests {
         assert_eq!(ceil_log2(3), 2);
         assert_eq!(ceil_log2(8), 3);
         assert_eq!(ceil_log2(9), 4);
-        assert_eq!(join_pairs(PhysOp::NestedLoop, Op::Sequential, 3, 5, 2), 15);
-        assert_eq!(
-            join_pairs(PhysOp::SortMergeSeq, Op::Sequential, 3, 5, 2),
-            10
-        );
-        assert_eq!(
-            join_pairs(PhysOp::BatchKernel, Op::Sequential, 3, 8, 2),
-            3 * 3 + 2
-        );
-        assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Choice, 3, 5, 8), 8);
-        assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Parallel, 3, 5, 2), 15);
-        assert_eq!(join_pairs(PhysOp::NestedLoop, Op::Choice, 3, 5, 8), 15);
+        let (naive, planned) = (Strategy::NaivePaper, Strategy::Planned);
+        assert_eq!(join_pairs(naive, Op::Sequential, 3, 5, 2), 15);
+        assert_eq!(join_pairs(planned, Op::Sequential, 3, 8, 2), 3 * 3 + 2);
+        assert_eq!(join_pairs(planned, Op::Choice, 3, 5, 8), 8);
+        assert_eq!(join_pairs(planned, Op::Parallel, 3, 5, 2), 15);
+        assert_eq!(join_pairs(naive, Op::Choice, 3, 5, 8), 15);
     }
 }

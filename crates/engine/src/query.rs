@@ -307,7 +307,6 @@ mod tests {
         assert_eq!(groups[&Value::Undefined], 3);
     }
 
-    #[cfg(feature = "profiling")]
     #[test]
     fn profile_reports_plan_and_counts() {
         let log = paper::figure3_log();

@@ -61,7 +61,7 @@ use crate::batch::IncidentBatch;
 use crate::error::EngineError;
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
-use crate::kernels;
+use crate::kernels::combine_batch_into;
 
 /// What a node of the streaming tree computes.
 #[derive(Debug, Clone)]
@@ -416,22 +416,22 @@ fn push(
                 let out = &mut node.delta;
                 match op {
                     _ if d1.is_empty() && d2.is_empty() => {}
-                    Op::Choice => join(Op::Choice, d1, d2, out),
+                    Op::Choice => combine_batch_into(Op::Choice, d1, d2, out),
                     Op::Consecutive | Op::Sequential => {
                         if !d2.is_empty() {
-                            join(*op, rows.full(l, lbuf, wid), d2, out);
+                            combine_batch_into(*op, rows.full(l, lbuf, wid), d2, out);
                         }
                     }
                     Op::Parallel if d2.is_empty() => {
-                        join(Op::Parallel, d1, rows.full(r, rbuf, wid), out);
+                        combine_batch_into(Op::Parallel, d1, rows.full(r, rbuf, wid), out);
                     }
                     Op::Parallel if d1.is_empty() => {
-                        join(Op::Parallel, rows.full(l, lbuf, wid), d2, out);
+                        combine_batch_into(Op::Parallel, rows.full(l, lbuf, wid), d2, out);
                     }
                     Op::Parallel => {
-                        join(Op::Parallel, d1, rows.full(r, rbuf, wid), a);
-                        join(Op::Parallel, rows.full(l, lbuf, wid), d2, b);
-                        join(Op::Choice, a, b, out);
+                        combine_batch_into(Op::Parallel, d1, rows.full(r, rbuf, wid), a);
+                        combine_batch_into(Op::Parallel, rows.full(l, lbuf, wid), d2, b);
+                        combine_batch_into(Op::Choice, a, b, out);
                     }
                 }
             }
@@ -446,19 +446,6 @@ fn push(
 fn matches(atom: &Atom, record: &LogRecord) -> bool {
     (record.activity() == &atom.activity) != atom.negated
         && (atom.predicates.iter()).all(|p| p.matches(record.input(), record.output()))
-}
-
-/// Evaluates `left op right` into `out` with the batch kernels, in place;
-/// `→` takes the sort-merge kernel, which needs no scratch when the left
-/// lasts ascend (a leaf, say) and falls back to the general kernel
-/// otherwise.
-fn join(op: Op, left: &IncidentBatch, right: &IncidentBatch, out: &mut IncidentBatch) {
-    if op == Op::Sequential {
-        out.reset(left.wid());
-        kernels::sequential_sort_merge_kernel(left, right, out);
-    } else {
-        kernels::combine_batch_into(op, left, right, out);
-    }
 }
 
 /// A thread-safe wrapper around [`StreamingEvaluator`] for concurrent

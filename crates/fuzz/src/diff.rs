@@ -116,9 +116,9 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         return Some(d);
     }
 
-    // The planner picks an arbitrary equivalent rewrite and per-node
-    // physical operators, and count/exists take the counting DP for the
-    // countable fragment — check all three entry points.
+    // The planner picks an arbitrary equivalent rewrite, and count/exists
+    // take the counting DP for the countable fragment — check all three
+    // entry points.
     let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
     let planned = planned_eval.evaluate(pattern);
     if let Some(d) = against(&reference, "Planned", &planned) {

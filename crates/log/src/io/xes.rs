@@ -112,6 +112,7 @@ fn unescape(s: &str) -> String {
 /// keys, or record sets violating Definition 2.
 pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
     let mut records: Vec<LogRecord> = Vec::new();
+    let mut activities: Vec<u32> = Vec::new();
     let mut parser = XmlScanner::new(text);
     let mut current_wid: Option<Wid> = None;
     let mut event: Option<EventBuilder> = None;
@@ -127,7 +128,9 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .ok_or_else(|| bad(parser.line, "</event> without <event>"))?;
                 let wid = current_wid
                     .ok_or_else(|| bad(parser.line, "event before trace concept:name"))?;
-                records.push(builder.finish(wid, parser.line, &mut dict)?);
+                let (record, activity) = builder.finish(wid, parser.line, &mut dict)?;
+                records.push(record);
+                activities.push(activity);
             }
             "string" | "int" | "float" | "boolean" => {
                 let key = tag
@@ -149,8 +152,13 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
             _ => {}
         }
     }
+    let names = std::mem::take(&mut dict.names);
     dict.freeze(&mut records);
-    Ok(Log::new(records)?)
+    Ok(Log::with_activity_ids(
+        records,
+        activities,
+        names.into_activities(),
+    )?)
 }
 
 fn bad(line: usize, message: impl Into<String>) -> ParseLogError {
@@ -228,12 +236,13 @@ impl EventBuilder {
         Ok(())
     }
 
+    /// The event's record, and its activity's first-seen id.
     fn finish(
         self,
         wid: Wid,
         line: usize,
         dict: &mut DictBuilder,
-    ) -> Result<LogRecord, ParseLogError> {
+    ) -> Result<(LogRecord, u32), ParseLogError> {
         let activity = self
             .activity
             .ok_or_else(|| bad(line, "event without concept:name"))?;
@@ -250,8 +259,12 @@ impl EventBuilder {
         };
         let input = map(self.input)?;
         let output = map(self.output)?;
-        let activity = dict.names.activity(&activity);
-        Ok(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
+        let id = dict.names.activity_id(&activity);
+        let activity = dict.names.activity_name(id);
+        Ok((
+            LogRecord::new(lsn, wid, is_lsn, activity, input, output),
+            id,
+        ))
     }
 }
 

@@ -283,12 +283,6 @@ impl Interner {
         shared
     }
 
-    /// [`intern`](Self::intern) as an activity name.
-    pub(crate) fn activity(&mut self, s: &str) -> Activity {
-        let id = self.activity_id(s);
-        self.activity_name(id)
-    }
-
     /// The dense first-seen id of activity `s`, interned on first sight.
     /// The `as u32` cannot truncate before `Log::new` rejects the load:
     /// each record names one activity, and a log has at most `u32::MAX`
@@ -370,14 +364,18 @@ mod tests {
     #[test]
     fn interner_shares_one_allocation_per_string() {
         let mut table = Interner::default();
-        let a = table.activity("SeeDoctor");
-        let b = table.activity("SeeDoctor");
+        let (see, again) = (
+            table.activity_id("SeeDoctor"),
+            table.activity_id("SeeDoctor"),
+        );
+        assert_eq!(see, again);
+        let check_in = table.activity_id("CheckIn");
+        assert_ne!(check_in, see);
+        let a = table.activity_name(see);
         let c = table.attr_name("SeeDoctor");
-        assert_eq!(a, b);
-        assert_eq!(a.as_str().as_ptr(), b.as_str().as_ptr());
         assert_eq!(a.as_str().as_ptr(), c.as_str().as_ptr());
         assert_ne!(
-            table.activity("CheckIn").as_str().as_ptr(),
+            table.activity_name(check_in).as_str().as_ptr(),
             a.as_str().as_ptr()
         );
     }

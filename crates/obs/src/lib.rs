@@ -6,11 +6,9 @@
 //! trace format with a validator for CI.
 //!
 //! This crate is deliberately engine-agnostic (std only, no dependency on
-//! the engine crates): the engine depends on it behind its `profiling`
-//! cargo feature, so disabling that feature removes the instrumented
-//! execution paths — and this crate — from the build entirely. Nothing
-//! here observes a running evaluation by itself; the engine's profiled
-//! executors *push* numbers into these structs.
+//! the engine crates). Nothing here observes a running evaluation by
+//! itself; the engine's executor, run with its metrics probe, *pushes*
+//! numbers into these structs.
 //!
 //! * [`NodeMetrics`] — the per-node counters (wall time, records scanned,
 //!   pairs compared, incidents emitted, output bytes).

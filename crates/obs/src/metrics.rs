@@ -13,7 +13,7 @@ pub struct NodeMetrics {
     /// Index candidates examined by a leaf scan (postings for a positive
     /// atom, the whole instance for a negated one). Zero for joins.
     pub records_scanned: u64,
-    /// Candidate pairs the node's physical operator compared, modelled
+    /// Candidate pairs the node's operator compared, modelled
     /// deterministically from operand and output sizes (see the engine's
     /// profiling docs for the per-operator formulas).
     pub pairs_compared: u64,

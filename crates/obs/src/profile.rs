@@ -12,7 +12,7 @@ use crate::metrics::{q_error, NodeMetrics};
 /// plan produced it — the planner's cardinality estimate and cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeShape {
-    /// Display label, e.g. `scan SeeDoctor` or `sequential [sort-merge]`.
+    /// Display label, e.g. `scan SeeDoctor` or `sequential`.
     pub label: String,
     /// The sub-pattern this node evaluates, as text.
     pub pattern: String,
@@ -290,7 +290,7 @@ mod tests {
 
     fn sample() -> ExecutionProfile {
         let shapes = [
-            ("sequential [sort-merge]", "A -> B", 0, Some(2.0)),
+            ("sequential", "A -> B", 0, Some(2.0)),
             ("scan A", "A", 1, Some(1.5)),
             ("scan B", "B", 1, Some(4.0)),
         ];
@@ -343,7 +343,7 @@ mod tests {
     fn display_renders_tree_workers_and_totals() {
         let text = sample().to_string();
         assert!(text.contains("query    : A -> B"), "{text}");
-        assert!(text.contains("sequential [sort-merge]"), "{text}");
+        assert!(text.contains("sequential"), "{text}");
         assert!(text.contains("  scan A"), "{text}");
         assert!(text.contains("instances: 3 of 5"), "{text}");
         assert!(text.contains("worker 1: 1 instance(s)"), "{text}");

@@ -5,7 +5,7 @@
 //!
 //! ```jsonl
 //! {"event":"trace_begin","version":1,"query":"A -> B","plan":"A -> B","strategy":"planned","threads":1}
-//! {"event":"node_begin","node":0,"depth":0,"label":"sequential [sort-merge]","pattern":"A -> B"}
+//! {"event":"node_begin","node":0,"depth":0,"label":"sequential","pattern":"A -> B"}
 //! {"event":"node_begin","node":1,"depth":1,"label":"scan A","pattern":"A"}
 //! {"event":"node_end","node":1,"wall_ns":812,"records_scanned":4,"pairs_compared":0,"incidents_emitted":4,"output_bytes":64,"estimate":4,"cost":4,"q_error":1}
 //! {"event":"node_end","node":0,...}
@@ -539,7 +539,7 @@ mod tests {
             rule: Some("original".to_string()),
             threads: 1,
             nodes: vec![
-                node("sequential [sort-merge]", "A -> B", 0, 2),
+                node("sequential", "A -> B", 0, 2),
                 node("scan A", "A", 1, 3),
                 node("scan B", "B", 1, 3),
             ],

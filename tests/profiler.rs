@@ -55,8 +55,8 @@ fn golden_analyze_table_for_figure3() {
 
     // Node rows: [actual, scanned, pairs, bytes, time, est, q-err, label…]
     // with the time token skipped. Deterministic on the fixed Figure 3
-    // log: 1 incident through a batch-kernel sequential join over
-    // single-posting scans.
+    // log: 1 incident through a sequential join over single-posting
+    // scans.
     let stable = |line: &str| -> (Vec<String>, String) {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let cols = [0, 1, 2, 3, 5, 6]
@@ -67,7 +67,7 @@ fn golden_analyze_table_for_figure3() {
     };
     let (cols, label) = stable(lines[5]);
     assert_eq!(cols, ["1", "0", "2", "24", "0.3", "1.00"]);
-    assert_eq!(label, "sequential [batch-kernel]");
+    assert_eq!(label, "sequential");
     let (cols, label) = stable(lines[6]);
     assert_eq!(cols, ["1", "1", "0", "20", "1.0", "1.00"]);
     assert_eq!(label, "scan UpdateRefer");
