@@ -5,12 +5,13 @@
 //! pass it a no-op probe that compiles away. These groups make that claim
 //! measurable:
 //!
-//! * **`unprofiled_pairlog`** — `Evaluator::evaluate` under the default
-//!   planned strategy on the `A -> B` pair log, the exact workload
-//!   `sequential_pairlog/planned` times in `BENCH_planner.json`. These
-//!   numbers must stay within noise of that baseline.
+//! * **`unprofiled_pairlog`** — `Query::find` under the default
+//!   planned strategy on the `A -> B` pair log, the workload
+//!   `sequential_pairlog/planned` times in `BENCH_planner.json` plus one
+//!   plan per call. These numbers must stay within noise of that
+//!   baseline.
 //! * **`profiled_pairlog`** — the same workload through
-//!   `Evaluator::evaluate_profiled`, quantifying what turning the
+//!   `Query::profile`, quantifying what turning the
 //!   profiler *on* costs (timer reads and counter accumulation per node
 //!   per instance).
 //! * **`profiled_generator`** — profiling overhead on a branchy
@@ -20,20 +21,18 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wlq_engine::{Evaluator, Strategy};
-use wlq_pattern::Pattern;
+use wlq_engine::Query;
 use wlq_workflow::generator;
 
 /// The planner bench's regression fixture: n A's then n B's, `A -> B`.
 fn bench_pairlog(c: &mut Criterion) {
-    let pattern: Pattern = "A -> B".parse().unwrap();
+    let query = Query::parse("A -> B").unwrap();
     let mut group = c.benchmark_group("unprofiled_pairlog");
     group.sample_size(10);
     for n in [500usize, 2000] {
         let log = generator::pair_log("A", n, "B", n, true);
-        let eval = Evaluator::with_strategy(&log, Strategy::Planned);
-        group.bench_with_input(BenchmarkId::new("planned", n), &pattern, |b, p| {
-            b.iter(|| black_box(eval.evaluate(p)));
+        group.bench_with_input(BenchmarkId::new("planned", n), &query, |b, q| {
+            b.iter(|| black_box(q.find(&log).unwrap()));
         });
     }
     group.finish();
@@ -42,9 +41,8 @@ fn bench_pairlog(c: &mut Criterion) {
     group.sample_size(10);
     for n in [500usize, 2000] {
         let log = generator::pair_log("A", n, "B", n, true);
-        let eval = Evaluator::with_strategy(&log, Strategy::Planned);
-        group.bench_with_input(BenchmarkId::new("planned", n), &pattern, |b, p| {
-            b.iter(|| black_box(eval.evaluate_profiled(p, 1).unwrap()));
+        group.bench_with_input(BenchmarkId::new("planned", n), &query, |b, q| {
+            b.iter(|| black_box(q.profile(&log).unwrap()));
         });
     }
     group.finish();
@@ -53,15 +51,14 @@ fn bench_pairlog(c: &mut Criterion) {
 /// Profiling on a branchy multi-operator pattern over a generator log.
 fn bench_generator(c: &mut Criterion) {
     let log = generator::uniform_log(200, 40, 8, 0xB0B);
-    let pattern: Pattern = "(T0 ~> T1) -> (T2 | T3)".parse().unwrap();
-    let eval = Evaluator::with_strategy(&log, Strategy::Planned);
+    let query = Query::parse("(T0 ~> T1) -> (T2 | T3)").unwrap();
     let mut group = c.benchmark_group("profiled_generator");
     group.sample_size(10);
     group.bench_function("unprofiled", |b| {
-        b.iter(|| black_box(eval.evaluate(&pattern)));
+        b.iter(|| black_box(query.find(&log).unwrap()));
     });
     group.bench_function("profiled", |b| {
-        b.iter(|| black_box(eval.evaluate_profiled(&pattern, 1).unwrap()));
+        b.iter(|| black_box(query.profile(&log).unwrap()));
     });
     group.finish();
 }

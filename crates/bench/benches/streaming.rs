@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wlq_engine::{Evaluator, StreamingEvaluator};
+use wlq_engine::{Query, StreamingEvaluator};
 use wlq_log::Log;
 use wlq_pattern::Pattern;
 use wlq_workflow::{scenarios, simulate, SimulationConfig};
@@ -27,10 +27,11 @@ fn replay_streaming(log: &Log, pattern: &Pattern) -> usize {
 fn replay_batch(log: &Log, pattern: &Pattern) -> usize {
     // Re-evaluate the growing prefix after every append, as a naive
     // monitor would.
+    let query = Query::new(pattern.clone());
     let mut last = 0;
     for lsn in 1..=log.len() as u64 {
         let prefix = log.prefix(wlq_log::Lsn(lsn)).expect("nonempty prefix");
-        last = Evaluator::new(&prefix).count(pattern);
+        last = query.count(&prefix).expect("one worker counts");
     }
     last
 }

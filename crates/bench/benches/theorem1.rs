@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wlq_engine::{Evaluator, Strategy};
+use wlq_engine::{Query, Strategy};
 use wlq_pattern::theorem1_worst_case;
 use wlq_workflow::generator::worst_case_log;
 
@@ -14,12 +14,11 @@ fn bench_vary_m(c: &mut Criterion) {
     let mut group = c.benchmark_group("e7_theorem1_vary_m");
     group.sample_size(10);
     let k = 2;
-    let pattern = theorem1_worst_case("t", k);
+    let query = Query::new(theorem1_worst_case("t", k)).strategy(Strategy::NaivePaper);
     for m in [8usize, 16, 32] {
         let log = worst_case_log("t", m);
         group.bench_with_input(BenchmarkId::new(format!("k{k}"), m), &m, |b, _| {
-            let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-            b.iter(|| black_box(eval.count(&pattern)));
+            b.iter(|| black_box(query.count(&log)));
         });
     }
     group.finish();
@@ -31,10 +30,9 @@ fn bench_vary_k(c: &mut Criterion) {
     let m = 16;
     let log = worst_case_log("t", m);
     for k in [1usize, 2, 3] {
-        let pattern = theorem1_worst_case("t", k);
+        let query = Query::new(theorem1_worst_case("t", k)).strategy(Strategy::NaivePaper);
         group.bench_with_input(BenchmarkId::new(format!("m{m}"), k), &k, |b, _| {
-            let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-            b.iter(|| black_box(eval.count(&pattern)));
+            b.iter(|| black_box(query.count(&log)));
         });
     }
     group.finish();

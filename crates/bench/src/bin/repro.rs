@@ -17,7 +17,7 @@ use wlq_bench::{
     common_tail_incidents, fmt_us, loglog_slope, shared_prefix_incidents, singleton_incidents,
     time_median,
 };
-use wlq_engine::{naive, profile_evaluation, Evaluator, IncidentTree, Planner, Strategy};
+use wlq_engine::{naive, IncidentTree, Planner, Query, Strategy};
 use wlq_log::{paper, Log, LogStats, Lsn};
 use wlq_pattern::{theorem1_worst_case, Pattern};
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
@@ -90,20 +90,19 @@ fn e12_warehouse() {
     let t_etl = time_median(3, || {
         std::hint::black_box(Warehouse::etl(&log, &["balance"]));
     });
-    let t_index = time_median(3, || {
-        std::hint::black_box(Evaluator::new(&log));
+    let t_stats = time_median(3, || {
+        std::hint::black_box(Planner::from_log(&log));
     });
     println!(
-        "setup: ETL (facts + 1 column) {} µs, WLQ index {} µs",
+        "setup: ETL (facts + 1 column) {} µs, WLQ planner statistics {} µs",
         fmt_us(t_etl),
-        fmt_us(t_index)
+        fmt_us(t_stats)
     );
 
     // Per-query cost on the anomaly query.
     let warehouse = Warehouse::etl(&log, &["balance"]);
-    let evaluator = Evaluator::new(&log);
-    let pattern: Pattern = "UpdateRefer -> GetReimburse".parse().expect("parses");
-    let expected = evaluator.count(&pattern);
+    let query = Query::parse("UpdateRefer -> GetReimburse").expect("parses");
+    let expected = query.count(&log).expect("one worker counts");
     assert_eq!(
         warehouse.count_sequential_pairs("UpdateRefer", "GetReimburse"),
         expected,
@@ -113,7 +112,7 @@ fn e12_warehouse() {
         std::hint::black_box(warehouse.count_sequential_pairs("UpdateRefer", "GetReimburse"));
     });
     let t_wlq = time_median(5, || {
-        std::hint::black_box(evaluator.count(&pattern));
+        let _ = std::hint::black_box(query.count(&log));
     });
     println!(
         "query 'UpdateRefer -> GetReimburse': warehouse {} µs, WLQ {} µs ({} incidents)",
@@ -133,9 +132,9 @@ fn e12_warehouse() {
                 .expect("extracted"),
         );
     });
-    let receipt_pattern: Pattern = "PayTreatment[out.receipt > 4500]".parse().expect("parses");
+    let receipt = Query::parse("PayTreatment[out.receipt > 4500]").expect("parses");
     let t_direct = time_median(3, || {
-        std::hint::black_box(evaluator.count(&receipt_pattern));
+        let _ = std::hint::black_box(receipt.count(&log));
     });
     println!(
         "  warehouse: column missing → re-ETL + query = {} µs",
@@ -160,7 +159,7 @@ fn e11_streaming() {
         "E11",
         "ablation: streaming (incremental) evaluation vs per-append batch re-evaluation",
     );
-    let pattern: Pattern = "UpdateRefer -> GetReimburse".parse().expect("parses");
+    let query = Query::parse("UpdateRefer -> GetReimburse").expect("parses");
     println!(
         "{:>10} {:>10} {:>16} {:>20} {:>8}",
         "instances", "records", "streaming (µs)", "batch/append (µs)", "ratio"
@@ -171,7 +170,7 @@ fn e11_streaming() {
             &SimulationConfig::new(instances, 5),
         );
         let t_stream = time_median(3, || {
-            let mut stream = StreamingEvaluator::new(pattern.clone());
+            let mut stream = StreamingEvaluator::new(query.pattern().clone());
             for record in log.iter() {
                 std::hint::black_box(stream.append(record).expect("valid log"));
             }
@@ -179,7 +178,7 @@ fn e11_streaming() {
         let t_batch = time_median(1, || {
             for lsn in 1..=log.len() as u64 {
                 let prefix = log.prefix(Lsn(lsn)).expect("nonempty");
-                std::hint::black_box(Evaluator::new(&prefix).count(&pattern));
+                let _ = std::hint::black_box(query.count(&prefix));
             }
         });
         println!(
@@ -231,8 +230,9 @@ fn e2_incident_tree() {
     );
     let log = paper::figure3_log();
 
-    let simple: Pattern = "UpdateRefer -> GetReimburse".parse().expect("parses");
-    let set = Evaluator::new(&log).evaluate(&simple);
+    let simple = Query::parse("UpdateRefer -> GetReimburse").expect("parses");
+    let set = simple.find(&log).expect("one worker runs");
+    let simple = simple.pattern();
     println!("Example 3: incL({simple}) = {set}   (the paper's {{l14, l20}})");
 
     let p: Pattern = "SeeDoctor -> (UpdateRefer -> GetReimburse)"
@@ -406,14 +406,13 @@ fn e7_theorem1() {
     let ks = [1usize, 2, 3];
     let mut slopes = Vec::new();
     for &k in &ks {
-        let p = theorem1_worst_case("t", k);
+        let q = Query::new(theorem1_worst_case("t", k)).strategy(Strategy::NaivePaper);
         let mut points = Vec::new();
         for &m in &ms {
             let log = generator::worst_case_log("t", m);
-            let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
             let mut count = 0;
             let t = time_median(3, || {
-                count = eval.count(&p);
+                count = q.count(&log).expect("one worker counts");
             });
             println!(
                 "{:>6} {:>4} {:>16} {:>14} {:>24}",
@@ -504,15 +503,14 @@ fn e8_naive_vs_planned() {
     // Count-only queries escape the output bound entirely: the chain DP
     // of `fast_count` is O(m·k) regardless of |incL|.
     let big = generator::pair_log("A", 2000, "B", 2000, false);
-    let p: Pattern = "A -> B".parse().expect("parses");
-    let eval = Evaluator::new(&big);
-    let expected = wlq_engine::fast_count(&big, &p).expect("chain");
+    let q = Query::parse("A -> B").expect("parses");
+    let expected = wlq_engine::fast_count(&big, q.pattern()).expect("chain");
     assert_eq!(expected, 2000 * 2000);
     let t_enumerate = time_median(3, || {
-        std::hint::black_box(eval.evaluate(&p).len());
+        let _ = std::hint::black_box(q.find(&big).map(|set| set.len()));
     });
     let t_count = time_median(3, || {
-        std::hint::black_box(wlq_engine::fast_count(&big, &p));
+        std::hint::black_box(wlq_engine::fast_count(&big, q.pattern()));
     });
     println!(
         "\ncount-only on pair_log 2k+2k block (|incL| = 4,000,000):\n\
@@ -524,19 +522,18 @@ fn e8_naive_vs_planned() {
 }
 
 fn run_both(log: &Log, pattern: &str, workload: &str) -> (String, Duration, Duration) {
-    let p: Pattern = pattern.parse().expect("parses");
-    let naive_eval = Evaluator::with_strategy(log, Strategy::NaivePaper);
-    let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
+    let planned = Query::parse(pattern).expect("parses");
+    let naive = planned.clone().strategy(Strategy::NaivePaper);
     assert_eq!(
-        naive_eval.evaluate(&p),
-        planned_eval.evaluate(&p),
+        naive.find(log).expect("one worker runs"),
+        planned.find(log).expect("one worker runs"),
         "strategies disagree"
     );
     let t_naive = time_median(3, || {
-        std::hint::black_box(naive_eval.evaluate(&p));
+        let _ = std::hint::black_box(naive.find(log));
     });
     let t_planned = time_median(3, || {
-        std::hint::black_box(planned_eval.evaluate(&p));
+        let _ = std::hint::black_box(planned.find(log));
     });
     (format!("{workload}: {pattern}"), t_naive, t_planned)
 }
@@ -551,7 +548,7 @@ fn e9_rewrite_ablation() {
     let planner = Planner::from_log(&log);
     // The paper's operators on both trees, so the timing isolates the
     // rewrite: the planned strategy would re-plan either tree itself.
-    let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
+    let naive = |p: &Pattern| Query::new(p.clone()).strategy(Strategy::NaivePaper);
 
     let cases = [
         // Selectivity-skewed sequential chain, worst-first written order.
@@ -570,16 +567,17 @@ fn e9_rewrite_ablation() {
         let p: Pattern = src.parse().expect("parses");
         let plan = planner.plan(&p);
         let rewritten = plan.pattern();
+        let (raw, opt) = (naive(&p), naive(rewritten));
         assert_eq!(
-            eval.evaluate(&p),
-            eval.evaluate(rewritten),
+            raw.find(&log).expect("one worker runs"),
+            opt.find(&log).expect("one worker runs"),
             "rewrite broke {src}"
         );
         let t_raw = time_median(3, || {
-            std::hint::black_box(eval.evaluate(&p));
+            let _ = std::hint::black_box(raw.find(&log));
         });
         let t_opt = time_median(3, || {
-            std::hint::black_box(eval.evaluate(rewritten));
+            let _ = std::hint::black_box(opt.find(&log));
         });
         println!(
             "{:<40} {:>12}µs {:>12}µs {:>7.1}×",
@@ -601,9 +599,7 @@ fn e10_parallel_scaling() {
     );
 
     // Part 1: log-size scaling on the clinic scenario (index prebuilt).
-    let pattern: Pattern = "SeeDoctor -> (UpdateRefer -> GetReimburse)"
-        .parse()
-        .expect("parses");
+    let query = Query::parse("SeeDoctor -> (UpdateRefer -> GetReimburse)").expect("parses");
     println!("part 1 — log size (clinic scenario, 1 thread):");
     println!(
         "{:>10} {:>10} {:>14} {:>12}",
@@ -614,10 +610,9 @@ fn e10_parallel_scaling() {
             &scenarios::clinic::model(),
             &SimulationConfig::new(instances, 11),
         );
-        let eval = Evaluator::new(&log);
         let mut count = 0;
         let t = time_median(3, || {
-            count = eval.evaluate(&pattern).len();
+            count = query.find(&log).expect("one worker runs").len();
         });
         println!(
             "{:>10} {:>10} {:>14} {:>12}",
@@ -640,19 +635,17 @@ fn e10_parallel_scaling() {
          single-core host, ≈ 1.0× with no degradation (threading overhead is negligible)"
     );
     let log = generator::uniform_log(64, 2000, 5, 13);
-    let heavy: Pattern = "T0 ~> T1".parse().expect("parses");
-    let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-    let reference = eval.evaluate(&heavy);
+    let heavy = Query::parse("T0 ~> T1")
+        .expect("parses")
+        .strategy(Strategy::NaivePaper);
+    let reference = heavy.find(&log).expect("one worker runs");
     println!("{:>8} {:>14} {:>10}", "threads", "eval (µs)", "speedup");
     let mut base = None;
     for &threads in &[1usize, 2, 4, 8] {
-        assert_eq!(
-            eval.evaluate_parallel(&heavy, threads)
-                .expect("workers run"),
-            reference
-        );
+        let heavy = heavy.clone().threads(threads);
+        assert_eq!(heavy.find(&log).expect("workers run"), reference);
         let t = time_median(3, || {
-            let _ = std::hint::black_box(eval.evaluate_parallel(&heavy, threads));
+            let _ = std::hint::black_box(heavy.find(&log));
         });
         let baseline = *base.get_or_insert(t);
         println!(
@@ -668,7 +661,6 @@ fn e10_parallel_scaling() {
         &scenarios::clinic::model(),
         &SimulationConfig::new(1600, 11),
     );
-    let (_, profile) =
-        profile_evaluation(&log, &pattern, Strategy::Planned, 4).expect("profile runs");
-    println!("\nprofile_evaluation on 1600 clinic instances:\n{profile}");
+    let (_, profile) = query.threads(4).profile(&log).expect("profile runs");
+    println!("\nQuery::profile on 1600 clinic instances:\n{profile}");
 }

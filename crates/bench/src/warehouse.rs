@@ -152,25 +152,23 @@ impl std::error::Error for ColumnMissing {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlq_engine::Evaluator;
+    use wlq_engine::Query;
     use wlq_log::paper;
-    use wlq_pattern::Pattern;
 
     #[test]
     fn warehouse_pair_counts_match_the_query_engine() {
         let log = paper::figure3_log();
         let warehouse = Warehouse::etl(&log, &[]);
-        let eval = Evaluator::new(&log);
         for (a, b) in [
             ("UpdateRefer", "GetReimburse"),
             ("SeeDoctor", "PayTreatment"),
             ("GetRefer", "CheckIn"),
             ("Missing", "CheckIn"),
         ] {
-            let pattern: Pattern = format!("{a} -> {b}").parse().unwrap();
+            let query = Query::parse(&format!("{a} -> {b}")).unwrap();
             assert_eq!(
                 warehouse.count_sequential_pairs(a, b),
-                eval.count(&pattern),
+                query.count(&log).unwrap(),
                 "{a} -> {b}"
             );
         }
@@ -197,11 +195,9 @@ mod tests {
         // Warehouse: instances whose balance ever exceeded 1500 (αout).
         let wh = warehouse.instances_with_attr_over("balance", 1500).unwrap();
         // WLQ equivalent: any record writing balance > 1500.
-        let eval = Evaluator::new(&log);
-        let p: Pattern = "GetRefer[out.balance > 1500] | UpdateRefer[out.balance > 1500]"
-            .parse()
-            .unwrap();
-        let direct: Vec<Wid> = eval.matching_instances(&p);
+        let q =
+            Query::parse("GetRefer[out.balance > 1500] | UpdateRefer[out.balance > 1500]").unwrap();
+        let direct: Vec<Wid> = q.find(&log).unwrap().wids().collect();
         assert_eq!(wh, direct);
     }
 }

@@ -44,9 +44,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use wlq::{
-    denies, io, mine_relations, profile_evaluation, render_human, render_json, render_parse_error,
-    render_trace, scenarios, simulate, validate_trace, Analyzer, EngineError, ExecutionProfile,
-    IncidentSet, Log, LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, WorkflowModel,
+    denies, io, mine_relations, render_human, render_json, render_parse_error, render_trace,
+    scenarios, simulate, validate_trace, Analyzer, EngineError, ExecutionProfile, IncidentSet, Log,
+    LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, WorkflowModel,
 };
 
 /// A CLI failure, categorised for its exit code.
@@ -292,7 +292,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let mut query = Query::parse(pattern_src).map_err(|e| parse_failure(pattern_src, &e))?;
     let mut mode = "list";
     let mut naive = false;
-    let mut threads = 1usize;
     let mut profile = false;
     let mut trace_out: Option<&str> = None;
     let mut iter = flags.iter();
@@ -311,7 +310,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                     .ok_or_else(|| usage_err("--threads needs a number"))?
                     .parse()
                     .map_err(|_| usage_err("--threads needs a number"))?;
-                threads = n;
                 query = query.threads(n);
             }
             "--profile" => profile = true,
@@ -330,11 +328,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     }
     if profile {
         let pattern = query.pattern();
-        let strategy = if naive {
-            Strategy::NaivePaper
-        } else {
-            Strategy::default()
-        };
         let profile = if mode == "count" || mode == "exists" {
             // Profiled counts answer through the unprofiled call. When
             // that call is the counting DP, no executor runs, so there is
@@ -357,11 +350,11 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                 println!("count DP : {wall:?}");
                 return Ok(());
             }
-            profile_evaluation(&log, pattern, strategy, threads)?.1
+            query.profile(&log)?.1
         } else {
             // Listings answer from the profiled run's set: the probe is
             // read-only, so it is the set the unprofiled run returns.
-            let (incidents, profile) = profile_evaluation(&log, pattern, strategy, threads)?;
+            let (incidents, profile) = query.profile(&log)?;
             print_listing(mode, &incidents);
             println!();
             profile
@@ -456,7 +449,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let log = read_log(path)?;
     let pattern = parse_pattern(pattern_src)?;
     if analyze {
-        let (_, profile) = profile_evaluation(&log, &pattern, Strategy::default(), threads)?;
+        let (_, profile) = Query::new(pattern).threads(threads).profile(&log)?;
         print!("{profile}");
         if let Some(out) = trace_out {
             write_trace(&profile, out)?;

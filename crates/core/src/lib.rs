@@ -42,12 +42,12 @@ pub use wlq_analysis::{
     LintCode, Report, Severity, DEFAULT_COST_BUDGET,
 };
 pub use wlq_engine::{
-    combine_batch, combine_batch_into, equivalent_up_to, evaluate_parallel, fast_count,
-    leaf_incidents, mine_relations, profile_evaluation, timeline, BatchArena, BoundIncident,
-    BoundedEquiv, EngineError, EvalTrace, Evaluator, Incident, IncidentBatch, IncidentRef,
-    IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern, MinedRelation,
-    Node, NodeTrace, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query, RewriteCandidate,
-    SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator, TimelinePoint,
+    combine_batch, combine_batch_into, equivalent_up_to, fast_count, mine_relations, timeline,
+    BatchArena, BoundIncident, BoundedEquiv, EngineError, EvalTrace, Incident, IncidentBatch,
+    IncidentRef, IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern,
+    MinedRelation, Node, NodeTrace, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query,
+    RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator,
+    TimelinePoint,
 };
 pub use wlq_log::{
     attrs, io, paper, Activity, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError, LogIndex,
@@ -72,7 +72,7 @@ pub mod rules;
 
 /// Everything most programs need, for `use wlq::prelude::*`.
 pub mod prelude {
-    pub use wlq_engine::{Evaluator, Incident, IncidentSet, Query, Strategy, StreamingEvaluator};
+    pub use wlq_engine::{Incident, IncidentSet, Query, Strategy, StreamingEvaluator};
     pub use wlq_log::{attrs, AttrMap, Log, LogBuilder, LogStats, Value, Wid};
     pub use wlq_pattern::{Op, Pattern};
     pub use wlq_workflow::{simulate, SimulationConfig, WorkflowModel};

@@ -18,10 +18,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wlq_log::{IsLsn, Log, Wid};
+use wlq_log::{IsLsn, Log, LogIndex, Wid};
 use wlq_pattern::{Atom, Op, ParseErrorKind, ParsePatternError, Pattern};
 
-use crate::eval::{leaf_incidents, Evaluator};
+use crate::eval::leaf_incidents;
 use crate::incident::Incident;
 
 /// An incident plus the variable assignment that produced it
@@ -158,16 +158,16 @@ impl LabelledPattern {
     /// Evaluates, returning incidents with their variable assignments.
     #[must_use]
     pub fn evaluate(&self, log: &Log) -> Vec<BoundIncident> {
-        let evaluator = Evaluator::new(log);
+        let index = log.index();
         let mut out = Vec::new();
-        for wid in evaluator.index().wids() {
+        for wid in index.wids() {
             let mut atom_counter = 0usize;
             out.extend(eval_bound(
                 &self.pattern,
                 &self.labels,
                 &mut atom_counter,
                 log,
-                &evaluator,
+                index,
                 wid,
             ));
         }
@@ -186,19 +186,18 @@ fn eval_bound(
     labels: &[Option<String>],
     atom_counter: &mut usize,
     log: &Log,
-    evaluator: &Evaluator<'_>,
+    index: &LogIndex,
     wid: Wid,
 ) -> Vec<BoundIncident> {
     match pattern {
         Pattern::Atom(atom) => {
-            let index = *atom_counter;
+            let label = labels.get(*atom_counter).and_then(Option::as_ref);
             *atom_counter += 1;
-            let label = labels.get(index).and_then(Option::as_ref);
-            atom_incidents(atom, label, log, evaluator, wid)
+            atom_incidents(atom, label, log, index, wid)
         }
         Pattern::Binary { op, left, right } => {
-            let l = eval_bound(left, labels, atom_counter, log, evaluator, wid);
-            let r = eval_bound(right, labels, atom_counter, log, evaluator, wid);
+            let l = eval_bound(left, labels, atom_counter, log, index, wid);
+            let r = eval_bound(right, labels, atom_counter, log, index, wid);
             combine_bound(*op, &l, &r)
         }
     }
@@ -208,10 +207,10 @@ fn atom_incidents(
     atom: &Atom,
     label: Option<&String>,
     log: &Log,
-    evaluator: &Evaluator<'_>,
+    index: &LogIndex,
     wid: Wid,
 ) -> Vec<BoundIncident> {
-    leaf_incidents(atom, log, evaluator.index(), wid)
+    leaf_incidents(atom, log, index, wid)
         .into_iter()
         .map(|incident| {
             let mut bindings = BTreeMap::new();
@@ -270,6 +269,7 @@ fn combine_bound(op: Op, left: &[BoundIncident], right: &[BoundIncident]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Query;
     use wlq_log::paper;
 
     #[test]
@@ -364,7 +364,7 @@ mod tests {
         ] {
             let lp = LabelledPattern::parse(src).unwrap();
             let bound = lp.evaluate(&log);
-            let plain = Evaluator::new(&log).evaluate(lp.pattern());
+            let plain = Query::new(lp.pattern().clone()).find(&log).unwrap();
             let bound_incidents: Vec<&Incident> = bound.iter().map(|b| &b.incident).collect();
             assert_eq!(bound_incidents.len(), plain.len(), "{src}");
             for incident in &bound_incidents {

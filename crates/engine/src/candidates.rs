@@ -154,7 +154,7 @@ impl Iterator for Candidates<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{Evaluator, Strategy};
+    use crate::{Query, Strategy};
     use proptest::prelude::{prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just};
     use proptest::strategy::Strategy as _;
     use std::collections::BTreeSet;
@@ -292,16 +292,15 @@ mod tests {
             let candidates: BTreeSet<Wid> = Candidates::new(&pattern, index)
                 .map(|ordinal| index.instance_wids()[ordinal])
                 .collect();
-            let matched = Evaluator::with_strategy(&log, Strategy::NaivePaper)
-                .matching_instances(&pattern);
+            let matching = |strategy| {
+                let q = Query::new(pattern.clone()).strategy(strategy);
+                q.find(&log).unwrap().wids().collect::<Vec<_>>()
+            };
+            let matched = matching(Strategy::NaivePaper);
             for wid in &matched {
                 prop_assert!(candidates.contains(wid), "{} matched {:?}, candidates {:?}", src, wid, candidates);
             }
-            prop_assert_eq!(
-                Evaluator::new(&log).matching_instances(&pattern),
-                matched,
-                "{}", src
-            );
+            prop_assert_eq!(matching(Strategy::Planned), matched, "{}", src);
         }
     }
 }

@@ -29,9 +29,8 @@
 //! `!A & B` and `(A | B) & B` are outside the fragment and stay on the
 //! executor.
 //!
-//! This module owns the fragment: [`Evaluator`](crate::Evaluator)'s and
-//! [`Query`](crate::Query)'s `count`/`exists` ask [`count`]/[`exists`]
-//! first, on the pattern as written, under
+//! This module owns the fragment: [`Query`](crate::Query)'s
+//! `count`/`exists` ask [`count`]/[`exists`] first, on the pattern as written, under
 //! [`Strategy::Planned`](crate::Strategy::Planned), and the planner
 //! reports [`is_countable`]'s verdict on the query. The counters walk
 //! only the query's candidate instances (`crate::candidates`): the
@@ -452,14 +451,15 @@ pub(crate) fn exists(index: &LogIndex, pattern: &Pattern) -> Option<bool> {
 /// # Examples
 ///
 /// ```
-/// use wlq_engine::{fast_count, Evaluator};
+/// use wlq_engine::{fast_count, Query};
 /// use wlq_log::paper;
 ///
 /// let log = paper::figure3_log();
 /// for src in ["SeeDoctor -> PayTreatment", "(SeeDoctor | CheckIn) -> !PayTreatment"] {
-///     let p = src.parse().unwrap();
-///     assert_eq!(fast_count(&log, &p), Some(Evaluator::new(&log).count(&p)));
+///     let q = Query::parse(src)?;
+///     assert_eq!(fast_count(&log, q.pattern()), Some(q.count(&log)?));
 /// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
 pub fn fast_count(log: &Log, pattern: &Pattern) -> Option<usize> {

@@ -8,8 +8,8 @@
 //! ids only.
 //! The naive oracle recurses over the pattern as written. Both report to
 //! a [`Probe`]: [`NoProbe`] here, the metrics probe when profiling. Every
-//! entry point — listing, counting, `exists`, one instance, the worker
-//! pool, the profiler and `Query::find_first` — is [`Evaluator::drive`]
+//! entry point — listing, counting, `exists`, the worker pool,
+//! `Query::profile` and `Query::find_first` — is [`Evaluator::drive`]
 //! with a different sink.
 
 use std::ops::ControlFlow;
@@ -115,8 +115,7 @@ impl<'p> Leaf<'p> {
 /// The incidents of an atomic pattern in one instance: every record whose
 /// activity matches (`t`), or doesn't (`¬t`), filtered by the atom's
 /// attribute predicates (extension).
-#[must_use]
-pub fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec<Incident> {
+pub(crate) fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec<Incident> {
     let mut out = Vec::new();
     if let Some(ordinal) = index.ordinal(wid) {
         Leaf::resolve(atom, index).scan(log, index, ordinal, |p| {
@@ -165,12 +164,14 @@ impl<'p> Exec<'p> {
     }
 }
 
-/// Evaluates incident-pattern queries over one log.
+/// The per-log executor that [`Query`](crate::Query) runs; ask queries
+/// through `Query`.
 ///
 /// The evaluator reads the activity index the log was loaded with
 /// ([`Log::index`]); construction only gathers the planner's statistics,
 /// and each [`evaluate`](Self::evaluate) call runs in time bounded by
-/// Lemma 1 / Theorem 1.
+/// Lemma 1 / Theorem 1. It stays public, hidden from the docs, only for
+/// callers that time one evaluator reused across many queries.
 ///
 /// # Examples
 ///
@@ -186,6 +187,7 @@ impl<'p> Exec<'p> {
 /// assert!(eval.exists(&p));
 /// assert_eq!(eval.count(&p), 1);
 /// ```
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     log: &'a Log,
@@ -222,14 +224,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The log's activity index.
-    #[must_use]
-    pub fn index(&self) -> &'a LogIndex {
+    pub(crate) fn index(&self) -> &'a LogIndex {
         self.index
     }
 
     /// The active strategy.
-    #[must_use]
-    pub fn strategy(&self) -> Strategy {
+    pub(crate) fn strategy(&self) -> Strategy {
         self.strategy
     }
 
@@ -240,9 +240,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Plans `pattern` with the cost-based planner, when the strategy is
-    /// [`Strategy::Planned`] (for `explain`-style inspection).
-    #[must_use]
-    pub fn physical_plan(&self, pattern: &Pattern) -> Option<PhysicalPlan> {
+    /// [`Strategy::Planned`].
+    pub(crate) fn physical_plan(&self, pattern: &Pattern) -> Option<PhysicalPlan> {
         self.planner.as_ref().map(|pl| pl.plan(pattern))
     }
 
@@ -356,8 +355,8 @@ impl<'a> Evaluator<'a> {
 
     /// The one loop over a query's instances: runs `plan` (the naive
     /// oracle over `pattern` without one) for every instance in `ordinals`
-    /// (a query's [`candidates`](Self::candidates), a worker's claims of
-    /// them, or one ordinal), in order, and hands each matched instance's
+    /// (a query's [`candidates`](Self::candidates) or a worker's claims of
+    /// them), in order, and hands each matched instance's
     /// root batch to `sink`, which keeps it or recycles it into the arena,
     /// and may stop the run. An empty root batch goes back to the arena.
     pub(crate) fn drive<P: Probe>(
@@ -460,16 +459,6 @@ impl<'a> Evaluator<'a> {
         IncidentSet::from_batches(self.batches(pattern, plan.as_ref(), candidates, &mut NoProbe))
     }
 
-    /// Computes the incidents of `p` within a single instance.
-    #[must_use]
-    pub fn evaluate_instance(&self, pattern: &Pattern, wid: Wid) -> Vec<Incident> {
-        let plan = self.physical_plan(pattern);
-        let ordinal = self.index.ordinal(wid);
-        self.batches(pattern, plan.as_ref(), ordinal, &mut NoProbe)
-            .pop()
-            .map_or_else(Vec::new, IncidentBatch::into_incidents)
-    }
-
     /// Whether any incident of `p` exists. Stops at the first instance
     /// with one; under [`Strategy::Planned`] patterns of the countable
     /// fragment skip enumeration via the counting DP.
@@ -534,18 +523,6 @@ impl<'a> Evaluator<'a> {
             self.tally(pattern, plan.as_ref(), claims)
         })?;
         Ok(parts.into_iter().fold(0, usize::saturating_add))
-    }
-
-    /// The instances containing at least one incident of `p`.
-    #[must_use]
-    pub fn matching_instances(&self, pattern: &Pattern) -> Vec<Wid> {
-        let mut wids = Vec::new();
-        self.each(pattern, |batch, arena| {
-            wids.push(batch.wid());
-            arena.recycle(batch);
-            ControlFlow::Continue(())
-        });
-        wids
     }
 
     /// The first `limit` incidents of `p` in set order (by instance, then
@@ -667,11 +644,9 @@ mod tests {
         let eval = Evaluator::new(&log);
         assert!(eval.exists(&parse("UpdateRefer -> GetReimburse")));
         assert!(!eval.exists(&parse("GetReimburse -> UpdateRefer")));
-        assert_eq!(
-            eval.matching_instances(&parse("GetRefer")),
-            vec![Wid(1), Wid(2), Wid(3)]
-        );
-        assert_eq!(eval.matching_instances(&parse("UpdateRefer")), vec![Wid(2)]);
+        let matching = |src| eval.evaluate(&parse(src)).wids().collect::<Vec<_>>();
+        assert_eq!(matching("GetRefer"), vec![Wid(1), Wid(2), Wid(3)]);
+        assert_eq!(matching("UpdateRefer"), vec![Wid(2)]);
     }
 
     #[test]
@@ -720,18 +695,6 @@ mod tests {
                 planned.exists(&p),
                 "planned exists mismatch on {src}"
             );
-            assert_eq!(
-                naive.matching_instances(&p),
-                planned.matching_instances(&p),
-                "planned matching_instances mismatch on {src}"
-            );
-            for wid in log.wids() {
-                assert_eq!(
-                    naive.evaluate_instance(&p, wid),
-                    planned.evaluate_instance(&p, wid),
-                    "evaluate_instance mismatch on {src} in {wid:?}"
-                );
-            }
         }
     }
 

@@ -19,21 +19,19 @@
 //! * [`IncidentTree`] — Definition 6 trees with post-order evaluation
 //!   (Algorithms 2–3) running Algorithm 1's operators, and per-node
 //!   traces: the oracle's other formulation.
-//! * [`Evaluator`] — the one per-instance executor, with
-//!   short-circuiting, and the one loop that runs it over a query's
-//!   instances for every entry point (listing, counting, `exists`,
-//!   [`Query::find_first`], the worker pool); a planned query visits only
-//!   its candidate instances, those running every activity it needs.
-//!   [`evaluate_parallel`] runs it on the engine's one worker pool.
-//! * [`StreamingEvaluator`] — incremental evaluation over an append-only
-//!   log (runtime monitoring).
-//! * [`profile_evaluation`] — the same executor and pool with a metrics
+//! * [`Query`] — the one way to ask a query: parse once, run many, with
+//!   counting and grouping projections. It runs the pattern as written
+//!   and leaves rewriting to the planner. Every call runs the engine's
+//!   one per-instance executor, with short-circuiting, over the query's
+//!   instances (a planned query visits only its candidate instances,
+//!   those running every activity it needs), on the engine's one worker
+//!   pool when [`Query::threads`] is above 1.
+//!   [`Query::profile`] runs the same executor and pool with a metrics
 //!   probe, recording per-operator [`wlq_obs::NodeMetrics`] and
 //!   per-worker skew; the unprofiled path passes a no-op probe that
 //!   compiles away.
-//! * [`Query`] — parse-once, run-many facade with counting/grouping
-//!   projections; it runs the pattern as written and leaves rewriting
-//!   to the planner.
+//! * [`StreamingEvaluator`] — incremental evaluation over an append-only
+//!   log (runtime monitoring).
 //!
 //! ## Quick start
 //!
@@ -63,7 +61,6 @@ mod parallel;
 mod probe;
 mod profile;
 mod query;
-mod resolve;
 mod spans;
 mod streaming;
 mod timeline;
@@ -79,18 +76,15 @@ pub use bindings::{BoundIncident, LabelledPattern};
 pub use bounded_equiv::{equivalent_up_to, BoundedEquiv};
 pub use counting::fast_count;
 pub use error::EngineError;
-pub use eval::{leaf_incidents, Evaluator, Strategy};
+pub use eval::{Evaluator, Strategy};
 pub use incident::{Incident, IncidentView};
 pub use incident_set::IncidentSet;
 pub use kernels::{combine_batch, combine_batch_into};
 pub use mining::{mine_relations, MinedRelation};
-pub use parallel::evaluate_parallel;
 pub use planner::{
     JoinShape, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, RewriteCandidate,
 };
-pub use profile::profile_evaluation;
 pub use query::Query;
-pub use resolve::{IncidentInLog, IncidentSetInLog};
 pub use spans::SpanStats;
 pub use streaming::{SharedStreamingEvaluator, StreamingEvaluator};
 pub use timeline::{timeline, TimelinePoint};

@@ -120,7 +120,7 @@ pub fn mine_relations(log: &Log, min_support: usize) -> Vec<MinedRelation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::Query;
     use wlq_log::paper;
 
     #[test]
@@ -128,9 +128,9 @@ mod tests {
         // Every mined relation, evaluated as a query, must match in at
         // least `support` instances.
         let log = paper::figure3_log();
-        let eval = Evaluator::new(&log);
         for relation in mine_relations(&log, 1) {
-            let matched = eval.matching_instances(&relation.pattern).len();
+            let q = Query::new(relation.pattern.clone());
+            let matched = q.find(&log).unwrap().num_matched_instances();
             assert!(
                 matched >= relation.support,
                 "{} claims support {} but matches {}",

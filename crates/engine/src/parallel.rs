@@ -4,9 +4,9 @@
 //! independent per-instance subproblems (the paper's Algorithm 2 iterates
 //! over `widSet` sequentially). [`Evaluator::pool`] distributes a query's
 //! candidate instances over scoped worker threads ([`std::thread::scope`])
-//! through one shared candidate source; [`evaluate_parallel`], a
-//! multi-threaded `Query::count` and the profiler all run on it, each
-//! worker running the one per-instance loop over its claims.
+//! through one shared candidate source; a multi-threaded `Query::find`,
+//! `Query::count` and `Query::profile` all run on it, each worker running
+//! the one per-instance loop over its claims.
 //!
 //! The entry points are panic-free: a zero worker count is reported as
 //! [`EngineError::NoWorkers`], and a panicking worker is contained at the
@@ -16,12 +16,11 @@ use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use wlq_log::Log;
 use wlq_pattern::Pattern;
 
 use crate::candidates::Candidates;
 use crate::error::EngineError;
-use crate::eval::{Evaluator, Strategy};
+use crate::eval::Evaluator;
 use crate::incident_set::IncidentSet;
 use crate::probe::NoProbe;
 
@@ -50,43 +49,10 @@ impl Iterator for Claims<'_, '_> {
     }
 }
 
-/// Evaluates `pattern` over `log` using up to `num_threads` workers.
-///
-/// Produces exactly the same incident set as
-/// [`Evaluator::evaluate`]; instances are claimed from a shared queue so
-/// skewed instance sizes still balance.
-///
-/// # Errors
-///
-/// Returns [`EngineError::NoWorkers`] if `num_threads` is 0 and
-/// [`EngineError::WorkerPanicked`] if a worker thread panics.
-///
-/// # Examples
-///
-/// ```
-/// use wlq_engine::{evaluate_parallel, Evaluator, Strategy};
-/// use wlq_log::paper;
-/// use wlq_pattern::Pattern;
-///
-/// let log = paper::figure3_log();
-/// let p: Pattern = "SeeDoctor -> PayTreatment".parse()?;
-/// let par = evaluate_parallel(&log, &p, 4, Strategy::Planned)?;
-/// assert_eq!(par, Evaluator::new(&log).evaluate(&p));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn evaluate_parallel(
-    log: &Log,
-    pattern: &Pattern,
-    num_threads: usize,
-    strategy: Strategy,
-) -> Result<IncidentSet, EngineError> {
-    Evaluator::with_strategy(log, strategy).evaluate_parallel(pattern, num_threads)
-}
-
 impl Evaluator<'_> {
     /// Multi-threaded [`evaluate`](Evaluator::evaluate) on the worker
-    /// pool. Reuses this evaluator's prebuilt index, so repeated parallel
-    /// queries pay the indexing cost once.
+    /// pool: the same incident set, with instances claimed from a shared
+    /// queue so skewed instance sizes still balance.
     ///
     /// # Errors
     ///
@@ -157,10 +123,13 @@ impl Evaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlq_log::{attrs, paper, LogBuilder};
+    use crate::{Query, Strategy};
+    use wlq_log::{attrs, paper, Log, LogBuilder};
 
-    fn parse(s: &str) -> Pattern {
-        s.parse().unwrap()
+    /// `src` found on `threads` workers under `strategy`.
+    fn find(log: &Log, src: &str, threads: usize, strategy: Strategy) -> IncidentSet {
+        let q = Query::parse(src).unwrap().strategy(strategy);
+        q.threads(threads).find(log).unwrap()
     }
 
     /// A log with many instances of varied lengths.
@@ -188,17 +157,15 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_figure3() {
         let log = paper::figure3_log();
-        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for threads in [1, 2, 3, 8] {
             for src in [
                 "SeeDoctor -> PayTreatment",
                 "GetRefer ~> CheckIn",
                 "A | SeeDoctor",
             ] {
-                let p = parse(src);
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::NaivePaper).unwrap(),
-                    reference.evaluate(&p),
+                    find(&log, src, threads, Strategy::NaivePaper),
+                    find(&log, src, 1, Strategy::NaivePaper),
                     "threads={threads} pattern={src}"
                 );
             }
@@ -208,13 +175,11 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_many_instances() {
         let log = many_instances(64);
-        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for src in ["A -> B", "A & (B | C)", "!A ~> D", "A -> B -> C"] {
-            let p = parse(src);
             for threads in [2, 4] {
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::NaivePaper).unwrap(),
-                    reference.evaluate(&p),
+                    find(&log, src, threads, Strategy::NaivePaper),
+                    find(&log, src, 1, Strategy::NaivePaper),
                     "threads={threads} pattern={src}"
                 );
             }
@@ -224,28 +189,20 @@ mod tests {
     #[test]
     fn all_strategies_work_under_parallelism() {
         let log = many_instances(16);
-        let p = parse("A -> (B & C)");
-        let naive = evaluate_parallel(&log, &p, 4, Strategy::NaivePaper).unwrap();
-        assert_eq!(
-            naive,
-            Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p)
-        );
-        assert_eq!(
-            naive,
-            evaluate_parallel(&log, &p, 4, Strategy::Planned).unwrap()
-        );
+        let src = "A -> (B & C)";
+        let naive = find(&log, src, 4, Strategy::NaivePaper);
+        assert_eq!(naive, find(&log, src, 1, Strategy::NaivePaper));
+        assert_eq!(naive, find(&log, src, 4, Strategy::Planned));
     }
 
     #[test]
     fn planned_workers_match_sequential_on_many_instances() {
         let log = many_instances(48);
-        let reference = Evaluator::with_strategy(&log, Strategy::Planned);
         for src in ["A -> B", "(A & D) | (B ~> C)", "!A ~> D", "A -> B -> C"] {
-            let p = parse(src);
             for threads in [2, 5] {
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::Planned).unwrap(),
-                    reference.evaluate(&p),
+                    find(&log, src, threads, Strategy::Planned),
+                    find(&log, src, 1, Strategy::Planned),
                     "threads={threads} pattern={src}"
                 );
             }
@@ -257,13 +214,11 @@ mod tests {
     #[test]
     fn batch_workers_match_sequential_on_many_instances() {
         let log = many_instances(48);
-        let reference = Evaluator::with_strategy(&log, Strategy::NaivePaper);
         for src in ["A -> B", "(A & D) | (B ~> C)", "!A ~> D"] {
-            let p = parse(src);
             for threads in [2, 5] {
                 assert_eq!(
-                    evaluate_parallel(&log, &p, threads, Strategy::Planned).unwrap(),
-                    reference.evaluate(&p),
+                    find(&log, src, threads, Strategy::Planned),
+                    find(&log, src, 1, Strategy::NaivePaper),
                     "threads={threads} pattern={src}"
                 );
             }
@@ -273,15 +228,15 @@ mod tests {
     #[test]
     fn more_threads_than_instances_is_fine() {
         let log = paper::figure3_log(); // 3 instances
-        let p = parse("GetRefer");
-        let set = evaluate_parallel(&log, &p, 64, Strategy::Planned).unwrap();
+        let set = find(&log, "GetRefer", 64, Strategy::Planned);
         assert_eq!(set.len(), 3);
     }
 
     #[test]
     fn zero_threads_is_a_typed_error_not_a_panic() {
         let log = paper::figure3_log();
-        let err = evaluate_parallel(&log, &parse("A"), 0, Strategy::Planned).unwrap_err();
+        let q = Query::parse("A").unwrap().threads(0);
+        let err = q.find(&log).unwrap_err();
         assert_eq!(err, EngineError::NoWorkers);
     }
 

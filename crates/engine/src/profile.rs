@@ -1,9 +1,9 @@
 //! Instrumented evaluation.
 //!
-//! There is no profiled executor: a profiled run is the production
+//! There is no profiled executor: [`Query::profile`] runs the production
 //! executor — the planned tree's `run`, or the naive
-//! oracle's recursion — called with a [`Metrics`] probe instead of the
-//! no-op one, on the same worker pool as [`Evaluator::evaluate_parallel`].
+//! oracle's recursion — with a [`Metrics`] probe instead of the
+//! no-op one, on the same worker pool as [`Query::find`].
 //! The probe accumulates per-node [`NodeMetrics`] into a plain `Vec`
 //! indexed by the node's pre-order id. This module only assembles the
 //! header (node shapes with estimates), the comparison models, and the
@@ -34,41 +34,11 @@ use wlq_obs::{ExecutionProfile, NodeMetrics, NodeShape, ProfiledNode, WorkerProf
 use wlq_pattern::{Op, Pattern};
 
 use crate::error::EngineError;
-use crate::eval::{Evaluator, Strategy};
+use crate::eval::Strategy;
 use crate::incident_set::IncidentSet;
 use crate::planner::PlanCost;
 use crate::probe::{Event, Output, Probe};
-
-/// Evaluates `pattern` over `log` under `strategy` with `threads`
-/// workers, recording a per-node [`ExecutionProfile`] alongside the
-/// (identical to unprofiled) incident set.
-///
-/// # Errors
-///
-/// Returns [`EngineError::NoWorkers`] if `threads` is 0 and
-/// [`EngineError::WorkerPanicked`] if a worker thread panics.
-///
-/// # Examples
-///
-/// ```
-/// use wlq_engine::{profile_evaluation, Strategy};
-/// use wlq_log::paper;
-///
-/// let log = paper::figure3_log();
-/// let p = "UpdateRefer -> GetReimburse".parse()?;
-/// let (incidents, profile) = profile_evaluation(&log, &p, Strategy::Planned, 1)?;
-/// assert_eq!(incidents.len() as u64, profile.total_incidents);
-/// println!("{profile}");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn profile_evaluation(
-    log: &Log,
-    pattern: &Pattern,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<(IncidentSet, ExecutionProfile), EngineError> {
-    Evaluator::with_strategy(log, strategy).evaluate_profiled(pattern, threads)
-}
+use crate::query::Query;
 
 /// The metrics probe: one [`NodeMetrics`] per plan node, by pre-order id.
 /// The strategy says which implementations ran the joins: the naive
@@ -110,23 +80,34 @@ impl Probe for Metrics {
     }
 }
 
-impl Evaluator<'_> {
-    /// Profiled [`evaluate`](Evaluator::evaluate): returns the same
-    /// incident set plus an [`ExecutionProfile`] with per-node counters,
-    /// planner estimates next to actuals (under
-    /// [`Strategy::Planned`]), and a per-worker breakdown.
+impl Query {
+    /// Profiled [`find`](Query::find) under the query's strategy and
+    /// thread count: returns the same incident set plus an
+    /// [`ExecutionProfile`] with per-node counters, planner estimates next
+    /// to actuals (under [`Strategy::Planned`]), and a per-worker
+    /// breakdown.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoWorkers`] if `threads` is 0 and
-    /// [`EngineError::WorkerPanicked`] if a worker thread panics.
-    pub fn evaluate_profiled(
-        &self,
-        pattern: &Pattern,
-        threads: usize,
-    ) -> Result<(IncidentSet, ExecutionProfile), EngineError> {
+    /// Same conditions as [`find`](Query::find).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wlq_engine::Query;
+    /// use wlq_log::paper;
+    ///
+    /// let log = paper::figure3_log();
+    /// let q = Query::parse("UpdateRefer -> GetReimburse")?;
+    /// let (incidents, profile) = q.profile(&log)?;
+    /// assert_eq!(incidents.len() as u64, profile.total_incidents);
+    /// println!("{profile}");
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn profile(&self, log: &Log) -> Result<(IncidentSet, ExecutionProfile), EngineError> {
         let start = Instant::now();
-        let plan = self.physical_plan(pattern);
+        let (eval, pattern, threads) = (self.evaluator(log), self.pattern(), self.threads);
+        let plan = eval.physical_plan(pattern);
         let (shapes, plan_text, rule) = match &plan {
             Some(plan) => (
                 plan.root()
@@ -144,21 +125,21 @@ impl Evaluator<'_> {
                 Some(plan.rule().to_string()),
             ),
             None => (
-                pattern_shapes(self.index(), pattern),
+                pattern_shapes(eval.index(), pattern),
                 pattern.to_string(),
                 None,
             ),
         };
         let node_count = shapes.len();
-        let results = self.pool(threads, self.candidates(pattern), |claims| {
+        let results = eval.pool(threads, eval.candidates(pattern), |claims| {
             let busy = Instant::now();
             let mut probe = Metrics {
-                strategy: self.strategy(),
+                strategy: eval.strategy(),
                 nodes: vec![NodeMetrics::new(); node_count],
             };
             let mut claimed = 0u64;
             let claims = claims.inspect(|_| claimed += 1);
-            let part = self.batches(pattern, plan.as_ref(), claims, &mut probe);
+            let part = eval.batches(pattern, plan.as_ref(), claims, &mut probe);
             (part, claimed, probe.nodes, busy.elapsed())
         })?;
 
@@ -181,7 +162,7 @@ impl Evaluator<'_> {
         let profile = ExecutionProfile {
             query: pattern.to_string(),
             plan: plan_text,
-            strategy: strategy_name(self.strategy()).to_string(),
+            strategy: strategy_name(eval.strategy()).to_string(),
             rule,
             threads,
             nodes: shapes
@@ -190,7 +171,7 @@ impl Evaluator<'_> {
                 .map(|(shape, metrics)| ProfiledNode { shape, metrics })
                 .collect(),
             workers,
-            log_instances: self.index().num_instances() as u64,
+            log_instances: eval.index().num_instances() as u64,
             total_wall: start.elapsed(),
             total_incidents: set.len() as u64,
         };
@@ -262,15 +243,14 @@ mod tests {
     use wlq_log::paper;
     use wlq_obs::{render_trace, validate_trace};
 
-    fn parse(s: &str) -> Pattern {
-        s.parse().unwrap()
+    fn query(src: &str, strategy: Strategy) -> Query {
+        Query::parse(src).unwrap().strategy(strategy)
     }
 
     #[test]
     fn profiled_matches_unprofiled_for_every_strategy() {
         let log = paper::figure3_log();
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            let eval = Evaluator::with_strategy(&log, strategy);
             for src in [
                 "SeeDoctor",
                 "UpdateRefer -> GetReimburse",
@@ -278,9 +258,9 @@ mod tests {
                 "(SeeDoctor & PayTreatment) | UpdateRefer",
                 "Nope ~> SeeDoctor",
             ] {
-                let p = parse(src);
-                let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
-                assert_eq!(set, eval.evaluate(&p), "{strategy:?} on {src}");
+                let q = query(src, strategy);
+                let (set, profile) = q.profile(&log).unwrap();
+                assert_eq!(set, q.find(&log).unwrap(), "{strategy:?} on {src}");
                 assert_eq!(
                     profile.total_incidents,
                     set.len() as u64,
@@ -301,10 +281,8 @@ mod tests {
     #[test]
     fn planned_profile_carries_estimates_and_costs() {
         let log = paper::figure3_log();
-        let eval = Evaluator::new(&log);
-        let (_, profile) = eval
-            .evaluate_profiled(&parse("SeeDoctor -> PayTreatment"), 1)
-            .unwrap();
+        let q = Query::parse("SeeDoctor -> PayTreatment").unwrap();
+        let (_, profile) = q.profile(&log).unwrap();
         assert_eq!(profile.strategy, "planned");
         assert!(profile.rule.is_some());
         assert_eq!(profile.nodes.len(), 3);
@@ -326,8 +304,7 @@ mod tests {
     #[test]
     fn leaf_estimates_are_exact_on_atoms() {
         let log = paper::figure3_log();
-        let (_, profile) =
-            profile_evaluation(&log, &parse("SeeDoctor"), Strategy::Planned, 1).unwrap();
+        let (_, profile) = Query::parse("SeeDoctor").unwrap().profile(&log).unwrap();
         assert_eq!(profile.nodes.len(), 1);
         let leaf = &profile.nodes[0];
         assert_eq!(leaf.shape.estimate, Some(4.0));
@@ -338,10 +315,9 @@ mod tests {
     #[test]
     fn parallel_profile_exposes_per_worker_breakdown() {
         let log = paper::figure3_log();
-        let eval = Evaluator::new(&log);
-        let p = parse("GetRefer -> CheckIn");
-        let (seq_set, seq_profile) = eval.evaluate_profiled(&p, 1).unwrap();
-        let (par_set, par_profile) = eval.evaluate_profiled(&p, 2).unwrap();
+        let q = Query::parse("GetRefer -> CheckIn").unwrap();
+        let (seq_set, seq_profile) = q.profile(&log).unwrap();
+        let (par_set, par_profile) = q.threads(2).profile(&log).unwrap();
         assert_eq!(seq_set, par_set);
         assert_eq!(par_profile.workers.len(), 2);
         // The run visits the query's candidates: Figure 3 has 3
@@ -362,9 +338,8 @@ mod tests {
     #[test]
     fn zero_threads_is_a_typed_error() {
         let log = paper::figure3_log();
-        let err = Evaluator::new(&log)
-            .evaluate_profiled(&parse("A"), 0)
-            .unwrap_err();
+        let q = Query::parse("A").unwrap().threads(0);
+        let err = q.profile(&log).unwrap_err();
         assert_eq!(err, EngineError::NoWorkers);
     }
 
@@ -374,20 +349,18 @@ mod tests {
         // Left side never matches: the right subtree is skipped per
         // instance, but its nodes must still exist (zeroed) in the
         // profile rather than shifting later siblings' counters.
-        let p = parse("Nope ~> (SeeDoctor -> PayTreatment)");
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            let eval = Evaluator::with_strategy(&log, strategy);
-            let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
+            let q = query("Nope ~> (SeeDoctor -> PayTreatment)", strategy);
+            let (set, profile) = q.profile(&log).unwrap();
             assert!(set.is_empty());
             assert_eq!(profile.nodes.len(), 5, "{strategy:?}");
             assert_eq!(profile.nodes[0].metrics.incidents_emitted, 0);
         }
         // A skipped subtree followed by a live sibling: the sibling's
         // counters land on its own row.
-        let p = parse("(Nope ~> SeeDoctor) | PayTreatment");
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-            let eval = Evaluator::with_strategy(&log, strategy);
-            let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
+            let q = query("(Nope ~> SeeDoctor) | PayTreatment", strategy);
+            let (set, profile) = q.profile(&log).unwrap();
             assert_eq!(set.len(), 3, "{strategy:?}");
             let row = |label: &str| {
                 profile
@@ -410,9 +383,8 @@ mod tests {
     #[test]
     fn profile_round_trips_through_the_trace_format() {
         let log = paper::figure3_log();
-        let (_, profile) = Evaluator::new(&log)
-            .evaluate_profiled(&parse("GetRefer -> CheckIn -> SeeDoctor"), 2)
-            .unwrap();
+        let q = Query::parse("GetRefer -> CheckIn -> SeeDoctor").unwrap();
+        let (_, profile) = q.threads(2).profile(&log).unwrap();
         let trace = render_trace(&profile);
         let summary = validate_trace(&trace).unwrap();
         assert_eq!(summary.nodes, profile.nodes.len());

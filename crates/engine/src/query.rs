@@ -11,9 +11,9 @@ use crate::incident_set::IncidentSet;
 
 /// A reusable incident-pattern query with evaluation options.
 ///
-/// The pattern runs as written: under [`Strategy::Planned`] the
-/// evaluator's planner chooses the equivalent tree and the physical
-/// operators (see [`crate::planner`]), and there is no separate
+/// This is the one way to ask a query. The pattern runs as written:
+/// under [`Strategy::Planned`] the planner chooses the equivalent tree
+/// to run (see [`crate::planner`]), and there is no separate
 /// pre-optimization pass.
 ///
 /// Evaluation entry points return `Result<_, EngineError>`: with the
@@ -37,7 +37,7 @@ use crate::incident_set::IncidentSet;
 pub struct Query {
     pattern: Pattern,
     strategy: Strategy,
-    threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl Query {
@@ -72,6 +72,16 @@ impl Query {
     ///
     /// The value is not validated here: evaluation methods report a zero
     /// thread count as [`EngineError::NoWorkers`] when they run.
+    ///
+    /// ```
+    /// use wlq_engine::Query;
+    /// use wlq_log::paper;
+    ///
+    /// let log = paper::figure3_log();
+    /// let q = Query::parse("SeeDoctor -> PayTreatment")?;
+    /// assert_eq!(q.clone().threads(4).find(&log)?, q.find(&log)?);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -113,10 +123,10 @@ impl Query {
 
     /// Whether the log contains any incident of the pattern.
     ///
-    /// Runs [`Evaluator::exists`]: under [`Strategy::Planned`], a query in
-    /// the countable fragment (see [`fast_count`](crate::fast_count)) uses
-    /// the enumeration-free counting DP; other queries use per-instance
-    /// evaluation with early exit.
+    /// Under [`Strategy::Planned`], a query in the countable fragment (see
+    /// [`fast_count`](crate::fast_count)) uses the enumeration-free
+    /// counting DP; other queries use per-instance evaluation with early
+    /// exit.
     ///
     /// # Errors
     ///
@@ -128,11 +138,11 @@ impl Query {
 
     /// The number of incidents, `|incL(p)|`.
     ///
-    /// Runs [`Evaluator::count`]: under [`Strategy::Planned`], a query in
-    /// the countable fragment is counted by the enumeration-free dynamic
-    /// program of [`fast_count`](crate::fast_count). Other queries run
-    /// their plan and count each instance's incidents without keeping
-    /// them, on the worker pool when more than one thread is configured.
+    /// Under [`Strategy::Planned`], a query in the countable fragment is
+    /// counted by the enumeration-free dynamic program of
+    /// [`fast_count`](crate::fast_count). Other queries run their plan and
+    /// count each instance's incidents without keeping them, on the worker
+    /// pool when more than one thread is configured.
     ///
     /// # Errors
     ///
@@ -311,8 +321,7 @@ mod tests {
     fn profile_reports_plan_and_counts() {
         let log = paper::figure3_log();
         let q = Query::parse("UpdateRefer -> GetReimburse").unwrap();
-        let (incidents, profile) =
-            crate::profile_evaluation(&log, q.pattern(), q.strategy, q.threads).unwrap();
+        let (incidents, profile) = q.profile(&log).unwrap();
         assert_eq!(incidents, q.find(&log).unwrap());
         assert_eq!(incidents.len(), 1);
         assert_eq!(profile.total_incidents, 1);
@@ -347,5 +356,6 @@ mod tests {
             q.find_first(&log, 1).unwrap_err(),
             crate::EngineError::NoWorkers
         );
+        assert_eq!(q.profile(&log).unwrap_err(), crate::EngineError::NoWorkers);
     }
 }

@@ -1,6 +1,6 @@
 //! Listing a query's incidents allocates per instance and plan node, not
 //! per incident: an answer keeps the executor's per-instance batches, so
-//! evaluating, evaluating on two workers and dropping the result each
+//! `Query::find` on one and on two workers, and dropping its result, each
 //! stay far below one heap call per incident.
 //!
 //! This file holds a single test because it installs a counting global
@@ -10,9 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wlq_engine::Evaluator;
+use wlq_engine::Query;
 use wlq_log::{attrs, Log, LogBuilder};
-use wlq_pattern::Pattern;
 
 /// Counts heap calls: allocations, reallocations and frees.
 struct Counting;
@@ -68,27 +67,27 @@ fn log() -> Log {
 #[test]
 fn listing_allocates_per_instance_not_per_incident() {
     let log = log();
-    let eval = Evaluator::new(&log);
-    let pattern: Pattern = "A -> B".parse().unwrap();
+    let query = Query::parse("A -> B").unwrap();
     let incidents = INSTANCES * RUN * RUN;
     // Per instance and plan node: a few batch buffers and kernel scratch
     // vectors; the constant covers planning and starting two workers. The
     // bound (984) is far below one call per incident (180 000).
-    let nodes = 2 * pattern.num_atoms() - 1;
+    let nodes = 2 * query.pattern().num_atoms() - 1;
     let bound = 16 * INSTANCES * nodes + 600;
 
-    let (set, evaluated) = calls(|| eval.evaluate(&pattern));
+    let (set, evaluated) = calls(|| query.find(&log).unwrap());
     assert_eq!(set.len(), incidents);
     let ((), dropped) = calls(|| drop(set));
-    let (set, parallel) = calls(|| eval.evaluate_parallel(&pattern, 2).unwrap());
+    let two = query.clone().threads(2);
+    let (set, parallel) = calls(|| two.find(&log).unwrap());
     assert_eq!(set.len(), incidents);
     let ((), dropped_parallel) = calls(|| drop(set));
 
     for (what, n) in [
-        ("evaluate", evaluated),
+        ("find", evaluated),
         ("drop", dropped),
-        ("evaluate_parallel(2)", parallel),
-        ("drop after evaluate_parallel(2)", dropped_parallel),
+        ("find on 2 threads", parallel),
+        ("drop after find on 2 threads", dropped_parallel),
     ] {
         assert!(
             n < bound,

@@ -6,10 +6,10 @@
 //!
 //! Each iteration generates a random valid log and a random pattern over
 //! its alphabet, evaluates the pair under NaivePaper (the reference) /
-//! the Algorithm 2 incident tree / Planned evaluate, count and exists /
-//! `Query` count and exists, count on 4 threads and find_first /
-//! parallel Planned (1, 4) / streaming-replay / profiled {NaivePaper,
-//! Planned} x (1, 4) / fast_count, and cross-checks the results. It also
+//! the Algorithm 2 incident tree / `Query` (Planned) find, count and
+//! exists, find and count on 4 threads and find_first / streaming-replay /
+//! `Query::profile` {NaivePaper, Planned} x (1, 4) / fast_count, and
+//! cross-checks the results. It also
 //! mutates a valid log into a Definition 2 violation and asserts that
 //! `Log::new` rejects it with a typed error. Last, it puts `balance`
 //! conditions on the pattern's atoms and checks that pattern the same

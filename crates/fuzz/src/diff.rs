@@ -3,10 +3,7 @@
 
 use std::fmt;
 
-use wlq_engine::{
-    evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, IncidentTree, Query,
-    Strategy, StreamingEvaluator,
-};
+use wlq_engine::{fast_count, IncidentSet, IncidentTree, Query, Strategy, StreamingEvaluator};
 use wlq_log::io::binary::{read_binary, write_binary};
 use wlq_log::io::text::{read_text, write_text};
 use wlq_log::Log;
@@ -45,6 +42,28 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
     }
 }
 
+/// An entry point that failed where the reference found `expected`
+/// incidents.
+fn failed(name: &str, expected: usize, e: impl fmt::Display) -> Divergence {
+    Divergence {
+        strategy: name.to_string(),
+        expected,
+        got: format!("error: {e}"),
+    }
+}
+
+/// [`against`] for an entry point that may fail: an error diverges too.
+fn found(
+    reference: &IncidentSet,
+    name: &str,
+    got: Result<IncidentSet, impl fmt::Display>,
+) -> Option<Divergence> {
+    match got {
+        Ok(set) => against(reference, name, &set),
+        Err(e) => Some(failed(name, reference.len(), e)),
+    }
+}
+
 /// A pattern with attribute conditions, run by `Query::find` on 1 and 4
 /// threads over copies of `log` that went through the binary and the
 /// text encoding. Their maps are decoded lazily, one activity's block on
@@ -65,19 +84,8 @@ fn check_decoded(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> Optio
                 let query = Query::new(pattern.clone()).threads(threads);
                 query.find(&copy).map_err(|e| e.to_string())
             });
-            match got {
-                Ok(set) => {
-                    if let Some(d) = against(reference, &name, &set) {
-                        return Some(d);
-                    }
-                }
-                Err(e) => {
-                    return Some(Divergence {
-                        strategy: name,
-                        expected: reference.len(),
-                        got: format!("error: {e}"),
-                    });
-                }
+            if let Some(d) = found(reference, &name, got) {
+                return Some(d);
             }
         }
     }
@@ -90,24 +98,26 @@ fn check_decoded(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> Optio
 ///
 /// Oracles covered: `NaivePaper` (reference); the incident tree's
 /// post-order evaluation (Algorithm 2 with Algorithm 1's operators);
-/// `Planned` (the cost-based planner) through `evaluate`, `count` and
-/// `exists`; `Query::count` and
-/// `Query::exists` with default options (they decide countability and
-/// plan on the query as written), `Query::count` on 4 threads, and
+/// `Planned` (the cost-based planner, `Query`'s default) through
+/// `Query::{find, count, exists}` (they decide countability and plan on
+/// the query as written), `Query::count` on 4 threads, and
 /// `Query::find_first` for a limit of half the answer and one past all
 /// of it (the reference's first incidents in set order); for a pattern
 /// with attribute conditions, `Query::find` on 1 and 4 threads over the
-/// log's binary and text round trips, whose maps decode lazily; parallel
-/// planned
-/// evaluation with 1 and 4 workers; a full streaming replay, checking each
+/// log's binary and text round trips, whose maps decode lazily;
+/// `Query::find` on 4 workers; a full streaming replay, checking each
 /// append's delta (in the appended record's instance, ending at it,
-/// disjoint from every earlier delta) and the deltas' union; profiled
-/// evaluation under both strategies with 1 and 4 workers (the profile
-/// probe must be strictly read-only); and — when the pattern is in the
-/// countable fragment — the `fast_count` DP.
+/// disjoint from every earlier delta) and the deltas' union;
+/// `Query::profile` under both strategies with 1 and 4 workers (the
+/// profile probe must be strictly read-only); and — when the pattern is
+/// in the countable fragment — the `fast_count` DP.
 #[must_use]
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
-    let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
+    let naive = Query::new(pattern.clone()).strategy(Strategy::NaivePaper);
+    let reference = match naive.find(log) {
+        Ok(set) => set,
+        Err(e) => return Some(failed("NaivePaper", 0, e)),
+    };
 
     // Algorithm 2: the incident tree evaluated node by node over all
     // instances, the paper's other formulation of the same semantics.
@@ -116,31 +126,13 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         return Some(d);
     }
 
-    // The planner picks an arbitrary equivalent rewrite, and count/exists
-    // take the counting DP for the countable fragment — check all three
-    // entry points.
-    let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
-    let planned = planned_eval.evaluate(pattern);
-    if let Some(d) = against(&reference, "Planned", &planned) {
+    // The CLI's path: `Query` with default options. The planner picks an
+    // arbitrary equivalent rewrite, and count/exists take the counting DP
+    // for the countable fragment — check all three entry points.
+    let query = Query::new(pattern.clone());
+    if let Some(d) = found(&reference, "Query::find", query.find(log)) {
         return Some(d);
     }
-    if planned_eval.count(pattern) != reference.len() {
-        return Some(Divergence {
-            strategy: "Planned::count".to_string(),
-            expected: reference.len(),
-            got: format!("{} (count only)", planned_eval.count(pattern)),
-        });
-    }
-    if planned_eval.exists(pattern) == reference.is_empty() {
-        return Some(Divergence {
-            strategy: "Planned::exists".to_string(),
-            expected: reference.len(),
-            got: format!("exists = {}", planned_eval.exists(pattern)),
-        });
-    }
-
-    // The CLI's path: `Query` with default options.
-    let query = Query::new(pattern.clone());
     match query.count(log) {
         Ok(n) if n == reference.len() => {}
         got => {
@@ -179,19 +171,8 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
             .map(|o| o.to_incident())
             .collect();
         let name = format!("Query::find_first({limit})");
-        match query.find_first(log, limit) {
-            Ok(got) => {
-                if let Some(d) = against(&first, &name, &got) {
-                    return Some(d);
-                }
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    strategy: name,
-                    expected: first.len(),
-                    got: format!("error: {e}"),
-                });
-            }
+        if let Some(d) = found(&first, &name, query.find_first(log, limit)) {
+            return Some(d);
         }
     }
 
@@ -199,22 +180,9 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         return Some(d);
     }
 
-    for threads in [1usize, 4] {
-        let name = format!("parallel({threads}, Planned)");
-        match evaluate_parallel(log, pattern, threads, Strategy::Planned) {
-            Ok(set) => {
-                if let Some(d) = against(&reference, &name, &set) {
-                    return Some(d);
-                }
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    strategy: name,
-                    expected: reference.len(),
-                    got: format!("error: {e}"),
-                });
-            }
-        }
+    let parallel = query.clone().threads(4).find(log);
+    if let Some(d) = found(&reference, "Query::threads(4).find", parallel) {
+        return Some(d);
     }
 
     // Streaming: every append's delta lies in the appended record's
@@ -263,35 +231,29 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     for strategy in [Strategy::NaivePaper, Strategy::Planned] {
         for threads in [1usize, 4] {
             let name = format!("profiled({threads}, {strategy:?})");
-            match profile_evaluation(log, pattern, strategy, threads) {
-                Ok((set, profile)) => {
-                    if let Some(d) = against(&reference, &name, &set) {
-                        return Some(d);
-                    }
-                    let root_emitted = profile
-                        .nodes
-                        .first()
-                        .map_or(0, |n| n.metrics.incidents_emitted);
-                    if profile.total_incidents != reference.len() as u64
-                        || root_emitted != reference.len() as u64
-                    {
-                        return Some(Divergence {
-                            strategy: name,
-                            expected: reference.len(),
-                            got: format!(
-                                "profile counters: total {}, root emitted {root_emitted}",
-                                profile.total_incidents
-                            ),
-                        });
-                    }
-                }
-                Err(e) => {
-                    return Some(Divergence {
-                        strategy: name,
-                        expected: reference.len(),
-                        got: format!("error: {e}"),
-                    });
-                }
+            let q = Query::new(pattern.clone()).strategy(strategy);
+            let (set, profile) = match q.threads(threads).profile(log) {
+                Ok(run) => run,
+                Err(e) => return Some(failed(&name, reference.len(), e)),
+            };
+            if let Some(d) = against(&reference, &name, &set) {
+                return Some(d);
+            }
+            let root_emitted = profile
+                .nodes
+                .first()
+                .map_or(0, |n| n.metrics.incidents_emitted);
+            if profile.total_incidents != reference.len() as u64
+                || root_emitted != reference.len() as u64
+            {
+                return Some(Divergence {
+                    strategy: name,
+                    expected: reference.len(),
+                    got: format!(
+                        "profile counters: total {}, root emitted {root_emitted}",
+                        profile.total_incidents
+                    ),
+                });
             }
         }
     }

@@ -9,8 +9,16 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use wlq_analysis::Analyzer;
-use wlq_engine::{Evaluator, Strategy};
+use wlq_engine::{IncidentSet, Query, Strategy};
 use wlq_fuzz::{random_log, random_pattern_for};
+use wlq_log::Log;
+use wlq_pattern::Pattern;
+
+/// `incL(pattern)` by the paper-faithful naive oracle.
+fn naive(log: &Log, pattern: &Pattern) -> IncidentSet {
+    let q = Query::new(pattern.clone()).strategy(Strategy::NaivePaper);
+    q.find(log).unwrap()
+}
 
 /// One soundness trial: a random log, a random pattern over its
 /// alphabet, and the analyzer's verdict cross-checked against the
@@ -21,7 +29,7 @@ fn trial(seed: u64) {
     let pattern = random_pattern_for(&mut rng, &log);
     let report = Analyzer::with_log(&log).analyze_pattern(&pattern);
     if report.unsatisfiable() {
-        let incidents = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&pattern);
+        let incidents = naive(&log, &pattern);
         assert_eq!(
             incidents.len(),
             0,
@@ -62,13 +70,13 @@ fn structural_proofs_hold_across_logs() {
         "A[x = 1, x = 2]",
     ];
     for (i, src) in unsat_sources.iter().enumerate() {
-        let pattern: wlq_pattern::Pattern = src.parse().expect("parses");
+        let pattern: Pattern = src.parse().expect("parses");
         let report = Analyzer::new().analyze_pattern(&pattern);
         assert!(report.unsatisfiable(), "{src} should be provably empty");
         for seed in 0..25u64 {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(i as u64));
             let log = random_log(&mut rng);
-            let incidents = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&pattern);
+            let incidents = naive(&log, &pattern);
             assert_eq!(
                 incidents.len(),
                 0,
@@ -92,8 +100,8 @@ fn satisfiable_shapes_on_figure3_are_not_flagged() {
         "UpdateRefer -> GetReimburse",
         "!START",
     ] {
-        let pattern: wlq_pattern::Pattern = src.parse().expect("parses");
-        let incidents = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&pattern);
+        let pattern: Pattern = src.parse().expect("parses");
+        let incidents = naive(&log, &pattern);
         assert!(!incidents.is_empty(), "{src} should match Figure 3");
         let report = analyzer.analyze_pattern(&pattern);
         assert!(

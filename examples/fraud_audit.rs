@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Drill into the worst offender with the paper-notation rendering.
+    // Drill into the worst offender: its trace, then its anomaly
+    // incidents as is-lsn positions within the instance.
     if let Some((wid, _)) = offenders.first() {
         let sub = log.filter_instances(|w| w == *wid)?;
         println!("\nworst offender (instance {wid}) trace:");
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let q = Query::parse("UpdateRefer -> GetReimburse")?;
         let incidents = q.find(&sub)?;
         if !incidents.is_empty() {
-            println!("  anomaly incidents: {}", incidents.display_in(&sub));
+            println!("  anomaly incidents: {incidents}");
         }
     }
 

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use wlq::{
-    attrs, combine_batch, leaf_incidents, Evaluator, IncidentBatch, IncidentSet, Log, LogBuilder,
-    LogIndex, Op, Pattern, Strategy as EvalStrategy, Wid,
+    attrs, combine_batch, Incident, IncidentBatch, IncidentSet, Log, LogBuilder, Op, Pattern,
+    Query, Strategy as EvalStrategy, Wid,
 };
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
@@ -57,17 +57,27 @@ fn arb_log() -> impl Strategy<Value = Log> {
     )
 }
 
+/// The incidents of `pattern` in instance `wid`, as `strategy` finds
+/// them.
+fn listed(log: &Log, pattern: &Pattern, strategy: EvalStrategy, wid: Wid) -> Vec<Incident> {
+    let set = Query::new(pattern.clone())
+        .strategy(strategy)
+        .find(log)
+        .unwrap();
+    set.for_wid(wid).map(|o| o.to_incident()).collect()
+}
+
 /// `pattern` in instance `wid`, evaluated bottom-up on the batch kernels
 /// with every intermediate result left in flat form.
-fn instance_batch(log: &Log, index: &LogIndex, pattern: &Pattern, wid: Wid) -> IncidentBatch {
+fn instance_batch(log: &Log, pattern: &Pattern, wid: Wid) -> IncidentBatch {
     match pattern {
-        Pattern::Atom(atom) => {
-            IncidentBatch::from_incidents(wid, &leaf_incidents(atom, log, index, wid))
+        Pattern::Atom(_) => {
+            IncidentBatch::from_incidents(wid, &listed(log, pattern, EvalStrategy::NaivePaper, wid))
         }
         Pattern::Binary { op, left, right } => combine_batch(
             *op,
-            &instance_batch(log, index, left, wid),
-            &instance_batch(log, index, right, wid),
+            &instance_batch(log, left, wid),
+            &instance_batch(log, right, wid),
         ),
     }
 }
@@ -98,8 +108,6 @@ fn flat_sets_equal_listed_incidents_despite_pool_slack() {
         }
         b.build().unwrap()
     };
-    let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
-    let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
     for src in [
         "A | A",
         "(A ~> B) | (A ~> B)",
@@ -110,9 +118,9 @@ fn flat_sets_equal_listed_incidents_despite_pool_slack() {
         "(A | (A -> B)) -> ((B -> C) | C)",
     ] {
         let p: Pattern = src.parse().unwrap();
-        let listed =
-            IncidentSet::from_partitions(log.wids().map(|w| (w, naive.evaluate_instance(&p, w))));
-        let flat = planned.evaluate(&p);
+        let naive = |w| (w, listed(&log, &p, EvalStrategy::NaivePaper, w));
+        let listed = IncidentSet::from_partitions(log.wids().map(naive));
+        let flat = Query::new(p).find(&log).unwrap();
         assert_eq!(flat, listed, "{src}");
         assert_eq!(rendered(&flat), rendered(&listed), "{src}");
         assert_eq!(flat.to_string(), listed.to_string(), "{src}");
@@ -127,13 +135,13 @@ proptest! {
     /// 4 workers.
     #[test]
     fn batch_equals_naive_and_optimized(log in arb_log(), p in arb_pattern()) {
-        let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
+        let planned = Query::new(p.clone());
+        let naive = planned.clone().strategy(EvalStrategy::NaivePaper).find(&log).unwrap();
         let expected = rendered(&naive);
-        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
-        let mut sets = vec![("evaluate".to_string(), planned.evaluate(&p))];
+        let mut sets = Vec::new();
         for threads in [1, 2, 4] {
-            let set = planned.evaluate_parallel(&p, threads).unwrap();
-            sets.push((format!("evaluate_parallel({threads})"), set));
+            let set = planned.clone().threads(threads).find(&log).unwrap();
+            sets.push((format!("find on {threads} thread(s)"), set));
         }
         for (path, set) in &sets {
             prop_assert_eq!(set, &naive, "{} diverged on {}", path, &p);
@@ -144,18 +152,12 @@ proptest! {
     /// Ref-based counting and existence agree with materialised results.
     #[test]
     fn batch_count_and_exists_need_no_materialisation(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
-        let batch = Evaluator::with_strategy(&log, EvalStrategy::Planned);
-        let materialised = reference.evaluate(&p);
-        prop_assert_eq!(materialised.len(), batch.count(&p), "count diverged on {}", &p);
-        prop_assert_eq!(reference.count(&p), batch.count(&p), "count diverged on {}", &p);
-        prop_assert_eq!(reference.exists(&p), batch.exists(&p), "exists diverged on {}", &p);
-        prop_assert_eq!(
-            reference.matching_instances(&p),
-            batch.matching_instances(&p),
-            "matching_instances diverged on {}",
-            &p
-        );
+        let batch = Query::new(p.clone());
+        let reference = batch.clone().strategy(EvalStrategy::NaivePaper);
+        let materialised = reference.find(&log).unwrap();
+        prop_assert_eq!(Ok(materialised.len()), batch.count(&log), "count diverged on {}", &p);
+        prop_assert_eq!(reference.count(&log), batch.count(&log), "count diverged on {}", &p);
+        prop_assert_eq!(reference.exists(&log), batch.exists(&log), "exists diverged on {}", &p);
     }
 
     /// Per-instance batch evaluation round-trips through the flat layout:
@@ -163,24 +165,21 @@ proptest! {
     /// already sorted and deduplicated.
     #[test]
     fn instance_batches_are_finished(log in arb_log(), p in arb_pattern()) {
-        let index = log.index();
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
-        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
         for wid in log.wids() {
-            let flat = instance_batch(&log, index, &p, wid);
+            let flat = instance_batch(&log, &p, wid);
             flat.debug_check_invariants();
             let incidents = flat.into_incidents();
             prop_assert!(incidents.windows(2).all(|w| w[0] < w[1]), "unfinished batch for {}", &p);
-            prop_assert_eq!(&incidents, &reference.evaluate_instance(&p, wid));
-            prop_assert_eq!(&incidents, &planned.evaluate_instance(&p, wid));
+            prop_assert_eq!(&incidents, &listed(&log, &p, EvalStrategy::NaivePaper, wid));
+            prop_assert_eq!(&incidents, &listed(&log, &p, EvalStrategy::Planned, wid));
         }
     }
 
     /// Parallel batch evaluation (per-worker arenas) equals sequential.
     #[test]
     fn parallel_batch_workers_agree(log in arb_log(), p in arb_pattern()) {
-        let sequential = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
-        let parallel = wlq::evaluate_parallel(&log, &p, 3, EvalStrategy::Planned).unwrap();
+        let sequential = Query::new(p.clone()).find(&log).unwrap();
+        let parallel = Query::new(p.clone()).threads(3).find(&log).unwrap();
         prop_assert_eq!(sequential, parallel, "parallel batch diverged on {}", &p);
     }
 }

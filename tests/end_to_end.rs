@@ -21,20 +21,27 @@ fn battery() -> Vec<Pattern> {
 #[test]
 fn clinic_pipeline_all_paths_agree() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(150, 5));
-    let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-    let planned = Evaluator::with_strategy(&log, Strategy::Planned);
+    let naive = |p: &Pattern| {
+        let q = Query::new(p.clone()).strategy(Strategy::NaivePaper);
+        q.find(&log).unwrap()
+    };
     let planner = Planner::from_log(&log);
     for p in battery() {
-        let reference = naive.evaluate(&p);
-        assert_eq!(planned.evaluate(&p), reference, "naive vs planned on {p}");
+        let reference = naive(&p);
+        let planned = Query::new(p.clone());
+        assert_eq!(
+            planned.find(&log).unwrap(),
+            reference,
+            "naive vs planned on {p}"
+        );
         let plan = planner.plan(&p);
         let rewritten = plan.pattern();
         assert_eq!(
-            naive.evaluate(rewritten),
+            naive(rewritten),
             reference,
             "planner broke {p} => {rewritten}"
         );
-        let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Planned).unwrap();
+        let parallel = planned.threads(4).find(&log).unwrap();
         assert_eq!(parallel, reference, "parallel eval on {p}");
     }
 }
@@ -53,60 +60,49 @@ fn simulated_logs_survive_serialization() {
 #[test]
 fn clinic_invariants_hold_as_queries() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(200, 21));
-    let eval = Evaluator::new(&log);
+    let query = |src: &str| Query::parse(src).unwrap();
     // Model invariant: PayTreatment is always immediately preceded by
     // SeeDoctor, so the negated-consecutive pattern finds nothing.
-    assert_eq!(
-        eval.count(&"!SeeDoctor ~> PayTreatment".parse().unwrap()),
-        0
-    );
+    assert_eq!(query("!SeeDoctor ~> PayTreatment").count(&log), Ok(0));
     // Every instance starts GetRefer ~> CheckIn.
-    assert_eq!(
-        eval.matching_instances(&"GetRefer ~> CheckIn".parse().unwrap())
-            .len(),
-        200
-    );
+    let opened = query("GetRefer ~> CheckIn")
+        .count_by_instance(&log)
+        .unwrap();
+    assert_eq!(opened.len(), 200);
     // Reimbursement requires an active referral: CompleteRefer never
     // precedes GetReimburse.
-    assert_eq!(
-        eval.count(&"CompleteRefer -> GetReimburse".parse().unwrap()),
-        0
-    );
+    assert_eq!(query("CompleteRefer -> GetReimburse").count(&log), Ok(0));
 }
 
 #[test]
 fn order_parallel_block_queries() {
     let log = simulate(&scenarios::order::model(), &SimulationConfig::new(120, 33));
-    let eval = Evaluator::new(&log);
+    let matching = |src: &str| {
+        let q = Query::parse(src).unwrap();
+        q.find(&log).unwrap().num_matched_instances()
+    };
     // The ⊕ pattern matches every instance regardless of interleaving.
-    let par: Pattern = "(PickItems -> Ship) & (CreateInvoice -> CollectPayment)"
-        .parse()
-        .unwrap();
-    assert_eq!(eval.matching_instances(&par).len(), 120);
+    let par = "(PickItems -> Ship) & (CreateInvoice -> CollectPayment)";
+    assert_eq!(matching(par), 120);
     // A strict sequencing misses instances where invoicing finished first.
-    let seq: Pattern = "(PickItems -> Ship) -> (CreateInvoice -> CollectPayment)"
-        .parse()
-        .unwrap();
-    assert!(eval.matching_instances(&seq).len() < 120);
+    let seq = "(PickItems -> Ship) -> (CreateInvoice -> CollectPayment)";
+    assert!(matching(seq) < 120);
     // Every order eventually closes: CloseOrder → END consecutively.
-    assert_eq!(
-        eval.matching_instances(&"CloseOrder ~> END".parse().unwrap())
-            .len(),
-        120
-    );
+    assert_eq!(matching("CloseOrder ~> END"), 120);
 }
 
 #[test]
 fn loan_choice_queries_partition_outcomes() {
     let log = simulate(&scenarios::loan::model(), &SimulationConfig::new(250, 77));
-    let eval = Evaluator::new(&log);
-    let disbursed = eval.matching_instances(&"Disburse".parse().unwrap());
-    let approved = eval.matching_instances(&"(AutoApprove | Approve) -> Disburse".parse().unwrap());
+    let query = |src: &str| Query::parse(src).unwrap();
+    let matching = |src: &str| query(src).find(&log).unwrap().wids().collect::<Vec<_>>();
+    let disbursed = matching("Disburse");
+    let approved = matching("(AutoApprove | Approve) -> Disburse");
     // Disbursement happens only after an approval of either kind.
     assert_eq!(disbursed, approved);
     // No instance is both auto-approved and manually approved.
-    assert_eq!(eval.count(&"AutoApprove -> Approve".parse().unwrap()), 0);
-    assert_eq!(eval.count(&"Approve -> AutoApprove".parse().unwrap()), 0);
+    assert_eq!(query("AutoApprove -> Approve").count(&log), Ok(0));
+    assert_eq!(query("Approve -> AutoApprove").count(&log), Ok(0));
 }
 
 #[test]
@@ -131,8 +127,7 @@ fn query_builder_threads_and_strategies_compose() {
 fn profile_reports_are_consistent() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(50, 3));
     let q = Query::parse("(GetRefer -> GetReimburse) | (GetRefer -> CompleteRefer)").unwrap();
-    let (incidents, profile) =
-        wlq::profile_evaluation(&log, q.pattern(), Strategy::Planned, 2).unwrap();
+    let (incidents, profile) = q.clone().threads(2).profile(&log).unwrap();
     assert_eq!(incidents, q.find(&log).unwrap());
     assert_eq!(profile.total_incidents, incidents.len() as u64);
     // The plan that ran is the planner's, and it names the shared prefix.

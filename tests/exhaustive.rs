@@ -12,7 +12,12 @@
 //! Within these bounds the theorems are *proved* for this implementation,
 //! not just sampled.
 
-use wlq::{attrs, Evaluator, Log, LogBuilder, Op, Pattern, Strategy, StreamingEvaluator};
+use wlq::{attrs, IncidentSet, Log, LogBuilder, Op, Pattern, Query, Strategy, StreamingEvaluator};
+
+/// `incL(p)` under the default strategy.
+fn find(log: &Log, p: &Pattern) -> IncidentSet {
+    Query::new(p.clone()).find(log).unwrap()
+}
 
 const ALPHABET: [&str; 2] = ["A", "B"];
 const MAX_LEN: usize = 5;
@@ -76,10 +81,9 @@ fn exhaustive_theorem2_associativity_on_atoms() {
                         Pattern::binary(op, p2.clone(), p3.clone()),
                     );
                     for log in &logs {
-                        let eval = Evaluator::new(log);
                         assert_eq!(
-                            eval.evaluate(&left),
-                            eval.evaluate(&right),
+                            find(log, &left),
+                            find(log, &right),
                             "T2 failed: {left} vs {right} on {log}"
                         );
                     }
@@ -111,10 +115,9 @@ fn exhaustive_theorem4_mixed_associativity_on_atoms() {
                         p3.clone(),
                     );
                     for log in &logs {
-                        let eval = Evaluator::new(log);
                         assert_eq!(
-                            eval.evaluate(&a),
-                            eval.evaluate(&b),
+                            find(log, &a),
+                            find(log, &b),
                             "T4 failed: {a} vs {b} on {log}"
                         );
                     }
@@ -141,8 +144,7 @@ fn exhaustive_theorem3_commutativity_on_depth2() {
         }
         let swapped = Pattern::binary(op, right.as_ref().clone(), left.as_ref().clone());
         for log in &logs {
-            let eval = Evaluator::new(log);
-            assert_eq!(eval.evaluate(&p), eval.evaluate(&swapped), "T3 failed: {p}");
+            assert_eq!(find(log, &p), find(log, &swapped), "T3 failed: {p}");
         }
     }
 }
@@ -170,9 +172,8 @@ fn exhaustive_theorem5_distributivity_on_atoms() {
                         p3.clone(),
                     ));
                     for log in &logs {
-                        let eval = Evaluator::new(log);
-                        assert_eq!(eval.evaluate(&lhs), eval.evaluate(&rhs), "T5L: {lhs}");
-                        assert_eq!(eval.evaluate(&lhs2), eval.evaluate(&rhs2), "T5R: {lhs2}");
+                        assert_eq!(find(log, &lhs), find(log, &rhs), "T5L: {lhs}");
+                        assert_eq!(find(log, &lhs2), find(log, &rhs2), "T5R: {lhs2}");
                     }
                 }
             }
@@ -185,16 +186,13 @@ fn exhaustive_strategies_agree_on_depth2() {
     let logs = all_single_instance_logs();
     for p in depth2() {
         for log in &logs {
-            let naive = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-            let planned = Evaluator::with_strategy(log, Strategy::Planned);
+            let planned = Query::new(p.clone());
+            let naive = planned.clone().strategy(Strategy::NaivePaper).find(log);
+            let naive = naive.unwrap();
+            assert_eq!(naive, find(log, &p), "strategy mismatch: {p} on {log}");
             assert_eq!(
-                naive,
-                planned.evaluate(&p),
-                "strategy mismatch: {p} on {log}"
-            );
-            assert_eq!(
-                naive.len(),
-                planned.count(&p),
+                Ok(naive.len()),
+                planned.count(log),
                 "planned count mismatch: {p} on {log}"
             );
         }
@@ -210,7 +208,7 @@ fn exhaustive_streaming_agrees_on_depth2() {
             for record in log.iter() {
                 stream.append(record).unwrap();
             }
-            let batch = Evaluator::new(log).evaluate(&p);
+            let batch = find(log, &p);
             assert_eq!(
                 stream.incidents(),
                 batch,
@@ -241,11 +239,10 @@ fn exhaustive_two_instance_splits_behave_like_projections() {
                 for a in &atoms {
                     for bpat in &atoms {
                         let p = a.clone().seq(bpat.clone());
-                        let eval = Evaluator::new(&log);
-                        let whole = eval.evaluate(&p);
+                        let whole = find(&log, &p);
                         let mut by_parts = 0usize;
                         for wid in log.wids() {
-                            by_parts += eval.evaluate_instance(&p, wid).len();
+                            by_parts += find(&log.project_instance(wid).unwrap(), &p).len();
                         }
                         assert_eq!(whole.len(), by_parts, "{p} on {log}");
                     }

@@ -1,6 +1,6 @@
 //! Cross-crate integration: the paper's worked examples end to end.
 
-use wlq::{io, paper, Evaluator, IncidentTree, IsLsn, LogStats, Pattern, Query, Strategy, Wid};
+use wlq::{io, paper, IncidentTree, IsLsn, LogStats, Pattern, Query, Strategy, Wid};
 
 fn lsns_of(log: &wlq::Log, incident: wlq::IncidentView<'_>) -> Vec<u64> {
     incident
@@ -41,8 +41,10 @@ fn e2_incident_tree_and_examples_3_5() {
     let log = paper::figure3_log();
 
     // Example 3a: incL(UpdateRefer → GetReimburse) = {{l14, l20}}.
-    let p: Pattern = "UpdateRefer -> GetReimburse".parse().unwrap();
-    let set = Evaluator::new(&log).evaluate(&p);
+    let set = Query::parse("UpdateRefer -> GetReimburse")
+        .unwrap()
+        .find(&log)
+        .unwrap();
     assert_eq!(set.len(), 1);
     assert_eq!(lsns_of(&log, set.iter().next().unwrap()), vec![14, 20]);
 
@@ -85,11 +87,17 @@ fn all_evaluation_paths_agree() {
     ];
     for src in battery {
         let p: Pattern = src.parse().unwrap();
-        let a = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
-        let b = Evaluator::with_strategy(&log, Strategy::Planned).evaluate(&p);
+        let q = Query::new(p.clone());
+        let a = q.clone().strategy(Strategy::NaivePaper).find(&log).unwrap();
+        let b = q.find(&log).unwrap();
         let c = IncidentTree::from_pattern(&p).evaluate(&log);
-        let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Planned).unwrap();
-        let e = Query::new(p.clone()).find(&log).unwrap();
+        let d = q.clone().threads(3).find(&log).unwrap();
+        let e = q
+            .clone()
+            .threads(3)
+            .strategy(Strategy::NaivePaper)
+            .find(&log)
+            .unwrap();
         let f = IncidentTree::from_postfix(wlq::to_postfix(&p))
             .unwrap()
             .evaluate(&log);
@@ -105,20 +113,20 @@ fn all_evaluation_paths_agree() {
 #[test]
 fn serialization_round_trips_preserve_query_results() {
     let log = paper::figure3_log();
-    let p: Pattern = "UpdateRefer -> GetReimburse".parse().unwrap();
-    let expected = Evaluator::new(&log).evaluate(&p);
+    let q = Query::parse("UpdateRefer -> GetReimburse").unwrap();
+    let expected = q.find(&log).unwrap();
 
     let text = io::text::write_text(&log);
     let from_text = io::text::read_text(&text).unwrap();
-    assert_eq!(Evaluator::new(&from_text).evaluate(&p), expected);
+    assert_eq!(q.find(&from_text).unwrap(), expected);
 
     let csv = io::csv::write_csv(&log);
     let from_csv = io::csv::read_csv(&csv).unwrap();
-    assert_eq!(Evaluator::new(&from_csv).evaluate(&p), expected);
+    assert_eq!(q.find(&from_csv).unwrap(), expected);
 
     let bin = io::binary::write_binary(&log);
     let from_bin = io::binary::read_binary(bin).unwrap();
-    assert_eq!(Evaluator::new(&from_bin).evaluate(&p), expected);
+    assert_eq!(q.find(&from_bin).unwrap(), expected);
 }
 
 /// Lemma 1 output-size bounds hold on the worst-case generator.
@@ -126,19 +134,18 @@ fn serialization_round_trips_preserve_query_results() {
 fn lemma1_output_size_bounds() {
     use wlq::generator::pair_log;
     let log = pair_log("A", 12, "B", 9, false);
-    let eval = Evaluator::new(&log);
-    let n1 = eval.count(&"A".parse().unwrap());
-    let n2 = eval.count(&"B".parse().unwrap());
+    let count = |src: &str| Query::parse(src).unwrap().count(&log).unwrap();
+    let (n1, n2) = (count("A"), count("B"));
     assert_eq!((n1, n2), (12, 9));
 
     // |incL(p1 → p2)| ≤ n1·n2, with equality on the block layout.
-    assert_eq!(eval.count(&"A -> B".parse().unwrap()), n1 * n2);
+    assert_eq!(count("A -> B"), n1 * n2);
     // |incL(p1 ⊙ p2)| ≤ n1·n2 — here exactly one adjacency.
-    assert_eq!(eval.count(&"A ~> B".parse().unwrap()), 1);
+    assert_eq!(count("A ~> B"), 1);
     // |incL(p1 ⊗ p2)| ≤ n1 + n2 ≤ n1·n2 (paper states n1·n2).
-    assert_eq!(eval.count(&"A | B".parse().unwrap()), n1 + n2);
+    assert_eq!(count("A | B"), n1 + n2);
     // |incL(p1 ⊕ p2)| ≤ n1·n2: disjoint singletons, all pairs qualify.
-    assert_eq!(eval.count(&"A & B".parse().unwrap()), n1 * n2);
+    assert_eq!(count("A & B"), n1 * n2);
 }
 
 /// Theorem 1's worst-case family grows explosively with k.
@@ -147,11 +154,10 @@ fn theorem1_worst_case_growth() {
     use wlq::generator::worst_case_log;
     let m = 10;
     let log = worst_case_log("t", m);
-    let eval = Evaluator::new(&log);
+    let count_at = |k| Query::new(wlq::theorem1_worst_case("t", k)).count(&log);
     let mut previous = 0;
     for k in 0..4 {
-        let p = wlq::theorem1_worst_case("t", k);
-        let count = eval.count(&p);
+        let count = count_at(k).unwrap();
         assert!(
             count > previous,
             "k={k}: expected growth, got {count} after {previous}"
@@ -159,8 +165,7 @@ fn theorem1_worst_case_growth() {
         previous = count;
     }
     // k = 1: pairs of distinct records: C(m, 2).
-    let pairs = eval.count(&wlq::theorem1_worst_case("t", 1));
-    assert_eq!(pairs, m * (m - 1) / 2);
+    assert_eq!(count_at(1), Ok(m * (m - 1) / 2));
 }
 
 /// Query grouping projections work across crates.
@@ -205,10 +210,10 @@ fn fast_count_agrees_with_all_paths() {
             "!SeeDoctor ~> PayTreatment",
             "START -> UpdateRefer -> GetReimburse -> END",
         ] {
-            let p: Pattern = src.parse().unwrap();
-            let by_dp = wlq::fast_count(log, &p).expect("chain");
-            let by_eval = Evaluator::new(log).count(&p);
-            let by_query = Query::new(p.clone()).count(log).unwrap();
+            let q = Query::parse(src).unwrap();
+            let by_dp = wlq::fast_count(log, q.pattern()).expect("chain");
+            let by_eval = q.find(log).unwrap().len();
+            let by_query = q.count(log).unwrap();
             assert_eq!(by_dp, by_eval, "{src}");
             assert_eq!(by_dp, by_query, "{src}");
         }
@@ -225,7 +230,7 @@ fn labelled_patterns_bind_into_their_incidents() {
     );
     let lp = wlq::LabelledPattern::parse("u:UpdateRefer -> r:GetReimburse").unwrap();
     let bound = lp.evaluate(&log);
-    let plain = Evaluator::new(&log).evaluate(lp.pattern());
+    let plain = Query::new(lp.pattern().clone()).find(&log).unwrap();
     assert_eq!(bound.len(), plain.len());
     for b in &bound {
         assert!(plain.contains(&b.incident));
@@ -270,20 +275,17 @@ fn mining_and_projections_on_order_scenario() {
     );
     // Every mined relation with full support must match all 50 instances.
     for relation in wlq::mine_relations(&log, 50) {
-        let matched = Evaluator::new(&log)
-            .matching_instances(&relation.pattern)
-            .len();
-        assert_eq!(matched, 50, "{}", relation.pattern);
+        let matched = Query::new(relation.pattern.clone()).count_by_instance(&log);
+        assert_eq!(matched.unwrap().len(), 50, "{}", relation.pattern);
     }
     // Profiled evaluation agrees with plain evaluation under both
     // strategies.
-    let p: Pattern = "PlaceOrder -> (Ship & CollectPayment)".parse().unwrap();
+    let q = Query::parse("PlaceOrder -> (Ship & CollectPayment)").unwrap();
     for strategy in [Strategy::NaivePaper, Strategy::Planned] {
-        let (incidents, _) = wlq::profile_evaluation(&log, &p, strategy, 1).unwrap();
-        assert_eq!(incidents, Evaluator::new(&log).evaluate(&p));
+        let (incidents, _) = q.clone().strategy(strategy).profile(&log).unwrap();
+        assert_eq!(incidents, q.find(&log).unwrap());
     }
     // find_first returns a bounded subset of the full answer.
-    let q = Query::new(p.clone());
     let some = q.find_first(&log, 7).unwrap();
     assert_eq!(some.len(), 7);
     let all = q.find(&log).unwrap();
@@ -299,9 +301,9 @@ fn timeline_cross_checks_prefix_evaluation_on_helpdesk() {
         &wlq::scenarios::helpdesk::model(),
         &wlq::SimulationConfig::new(40, 5),
     );
-    let p: Pattern = "Escalate -> Fix -> Close".parse().unwrap();
-    for point in wlq::timeline(&log, &p, 97).unwrap() {
+    let q = Query::parse("Escalate -> Fix -> Close").unwrap();
+    for point in wlq::timeline(&log, q.pattern(), 97).unwrap() {
         let prefix = log.prefix(point.lsn).unwrap();
-        assert_eq!(point.incidents, Evaluator::new(&prefix).count(&p));
+        assert_eq!(Ok(point.incidents), q.count(&prefix));
     }
 }

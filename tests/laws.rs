@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use wlq::{attrs, Evaluator, IncidentSet, Log, LogBuilder, Op, Pattern, Strategy as EvalStrategy};
+use wlq::{attrs, IncidentSet, Log, LogBuilder, Op, Pattern, Query, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -54,7 +54,7 @@ fn arb_log() -> impl Strategy<Value = Log> {
 }
 
 fn inc(log: &Log, p: &Pattern) -> IncidentSet {
-    Evaluator::new(log).evaluate(p)
+    Query::new(p.clone()).find(log).unwrap()
 }
 
 fn assert_equiv(log: &Log, p: &Pattern, q: &Pattern) -> Result<(), TestCaseError> {
@@ -164,9 +164,8 @@ proptest! {
     /// identical.
     #[test]
     fn naive_equals_optimized(log in arb_log(), p in arb_pattern()) {
-        let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
-        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
-        prop_assert_eq!(&naive, &planned);
+        let naive = Query::new(p.clone()).strategy(EvalStrategy::NaivePaper).find(&log);
+        prop_assert_eq!(naive.unwrap(), inc(&log, &p));
     }
 
     /// AC-canonicalization (associativity + commutativity) preserves
@@ -252,7 +251,7 @@ proptest! {
         }
         let lp = wlq::LabelledPattern::parse(&src).unwrap();
         let bound = lp.evaluate(&log);
-        let plain = Evaluator::new(&log).evaluate(lp.pattern());
+        let plain = inc(&log, lp.pattern());
         // Every bound incident is a plain incident and each binding is a
         // member record of it.
         for b in &bound {

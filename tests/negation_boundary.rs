@@ -5,10 +5,7 @@
 //! records of the instance). These tests pin that behaviour down at the
 //! boundaries and check every evaluation strategy agrees on it.
 
-use wlq::{
-    evaluate_parallel, Evaluator, IncidentSet, Log, Pattern, Strategy, StreamingEvaluator,
-    END_ACTIVITY, START_ACTIVITY,
-};
+use wlq::{IncidentSet, Log, Query, Strategy, StreamingEvaluator, END_ACTIVITY, START_ACTIVITY};
 
 fn figure3() -> Log {
     wlq::paper::figure3_log()
@@ -17,19 +14,22 @@ fn figure3() -> Log {
 /// Evaluates `src` under every strategy and asserts they agree; returns
 /// the common result.
 fn all_strategies(log: &Log, src: &str) -> IncidentSet {
-    let p: Pattern = src.parse().unwrap();
-    let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-    let planned = Evaluator::with_strategy(log, Strategy::Planned);
-    assert_eq!(planned.evaluate(&p), reference, "Planned diverged on {src}");
-    assert_eq!(planned.count(&p), reference.len(), "Planned count on {src}");
+    let planned = Query::parse(src).unwrap();
+    let naive = planned.clone().strategy(Strategy::NaivePaper);
+    let reference = naive.find(log).unwrap();
+    assert_eq!(
+        planned.count(log),
+        Ok(reference.len()),
+        "Planned count on {src}"
+    );
     for threads in [1, 4] {
         assert_eq!(
-            evaluate_parallel(log, &p, threads, Strategy::Planned).unwrap(),
+            planned.clone().threads(threads).find(log).unwrap(),
             reference,
             "parallel({threads}) diverged on {src}"
         );
     }
-    let mut stream = StreamingEvaluator::new(p);
+    let mut stream = StreamingEvaluator::new(planned.pattern().clone());
     for record in log.iter() {
         stream.append(record).unwrap();
     }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use wlq::{attrs, Evaluator, Log, LogBuilder, Op, Pattern, Planner, Strategy as EvalStrategy};
+use wlq::{attrs, Log, LogBuilder, Op, Pattern, Planner, Query, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -92,11 +92,11 @@ proptest! {
     /// the planner enumerates has the same incident set as the original.
     #[test]
     fn every_rewrite_candidate_preserves_incidents(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
-        let expected = reference.evaluate(&p);
+        let naive = |p: &Pattern| Query::new(p.clone()).strategy(EvalStrategy::NaivePaper);
+        let expected = naive(&p).find(&log).unwrap();
         let planner = Planner::from_log(&log);
         for candidate in planner.candidates(&p) {
-            let got = reference.evaluate(&candidate.pattern);
+            let got = naive(&candidate.pattern).find(&log).unwrap();
             prop_assert_eq!(
                 &expected,
                 &got,
@@ -112,17 +112,16 @@ proptest! {
     /// computes exactly `incL(p)`, whichever candidate won.
     #[test]
     fn planned_execution_matches_naive(log in arb_log(), p in arb_pattern()) {
-        let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
-        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned);
-        let expected = naive.evaluate(&p);
-        let got = planned.evaluate(&p);
+        let planned = Query::new(p.clone());
+        let expected = planned.clone().strategy(EvalStrategy::NaivePaper).find(&log).unwrap();
+        let got = planned.find(&log).unwrap();
         prop_assert_eq!(&expected, &got, "planned evaluation diverged on {}", &p);
         // count/exists go through their own routing (counting DP for
         // chains, ref counting otherwise) — check them independently.
-        prop_assert_eq!(expected.len(), planned.count(&p), "planned count diverged on {}", &p);
+        prop_assert_eq!(Ok(expected.len()), planned.count(&log), "planned count diverged on {}", &p);
         prop_assert_eq!(
-            !expected.is_empty(),
-            planned.exists(&p),
+            Ok(!expected.is_empty()),
+            planned.exists(&log),
             "planned exists diverged on {}",
             &p
         );

@@ -10,16 +10,12 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
 use wlq::{
-    attrs, profile_evaluation, render_trace, validate_trace, Evaluator, Log, LogBuilder, Op,
-    Pattern, Strategy, Wid, TRACE_SCHEMA_VERSION,
+    attrs, render_trace, validate_trace, Log, LogBuilder, Op, Pattern, Query, Strategy, Wid,
+    TRACE_SCHEMA_VERSION,
 };
 
 fn figure3() -> Log {
     wlq::paper::figure3_log()
-}
-
-fn parse(src: &str) -> Pattern {
-    src.parse().unwrap()
 }
 
 const ALL_STRATEGIES: [Strategy; 2] = [Strategy::NaivePaper, Strategy::Planned];
@@ -34,8 +30,8 @@ const ALL_STRATEGIES: [Strategy; 2] = [Strategy::NaivePaper, Strategy::Planned];
 #[test]
 fn golden_analyze_table_for_figure3() {
     let log = figure3();
-    let p = parse("UpdateRefer -> GetReimburse");
-    let (set, profile) = profile_evaluation(&log, &p, Strategy::Planned, 1).unwrap();
+    let q = Query::parse("UpdateRefer -> GetReimburse").unwrap();
+    let (set, profile) = q.profile(&log).unwrap();
     assert_eq!(set.len(), 1);
 
     let rendered = profile.to_string();
@@ -85,10 +81,11 @@ fn golden_analyze_table_for_figure3() {
 #[test]
 fn analyze_works_for_every_strategy() {
     let log = figure3();
-    let p = parse("GetRefer ~> (CheckIn | SeeDoctor)");
     for strategy in ALL_STRATEGIES {
-        let (set, profile) = profile_evaluation(&log, &p, strategy, 1).unwrap();
-        assert_eq!(set, Evaluator::with_strategy(&log, strategy).evaluate(&p));
+        let q = Query::parse("GetRefer ~> (CheckIn | SeeDoctor)").unwrap();
+        let q = q.strategy(strategy);
+        let (set, profile) = q.profile(&log).unwrap();
+        assert_eq!(set, q.find(&log).unwrap());
         assert_eq!(profile.nodes.len(), 5, "{strategy:?}");
         assert!(profile.nodes.iter().all(|n| n.shape.estimate.is_some()));
         if strategy == Strategy::Planned {
@@ -110,8 +107,8 @@ fn analyze_works_for_every_strategy() {
 #[test]
 fn profile_json_schema_is_pinned() {
     let log = figure3();
-    let p = parse("SeeDoctor -> PayTreatment");
-    let (_, profile) = profile_evaluation(&log, &p, Strategy::Planned, 1).unwrap();
+    let q = Query::parse("SeeDoctor -> PayTreatment").unwrap();
+    let (_, profile) = q.profile(&log).unwrap();
     let json = profile.render_json();
     assert!(!json.contains('\n'));
     assert!(
@@ -169,9 +166,9 @@ fn profile_json_schema_is_pinned() {
 #[test]
 fn trace_schema_is_pinned_and_validates() {
     let log = figure3();
-    let p = parse("GetRefer -> CheckIn -> SeeDoctor");
+    let q = Query::parse("GetRefer -> CheckIn -> SeeDoctor").unwrap();
     for threads in [1, 3] {
-        let (_, profile) = profile_evaluation(&log, &p, Strategy::Planned, threads).unwrap();
+        let (_, profile) = q.clone().threads(threads).profile(&log).unwrap();
         let trace = render_trace(&profile);
         let first = trace.lines().next().unwrap();
         assert!(
@@ -266,10 +263,10 @@ proptest! {
     #[test]
     fn root_emission_decomposes_incl(log in arb_log(), p in arb_pattern()) {
         for strategy in ALL_STRATEGIES {
-            let eval = Evaluator::with_strategy(&log, strategy);
-            let expected = eval.evaluate(&p);
+            let q = Query::new(p.clone()).strategy(strategy);
+            let expected = q.find(&log).unwrap();
             for threads in [1, 3] {
-                let (set, profile) = profile_evaluation(&log, &p, strategy, threads).unwrap();
+                let (set, profile) = q.clone().threads(threads).profile(&log).unwrap();
                 prop_assert_eq!(
                     &set, &expected,
                     "profiled evaluation diverged under {:?}x{}", strategy, threads

@@ -6,9 +6,7 @@
 
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
-use wlq::{
-    io, paper, Evaluator, Log, LogError, LogRecord, Lsn, ParseLogError, Pattern, Verdict, Wid,
-};
+use wlq::{io, paper, Log, LogError, LogRecord, Lsn, ParseLogError, Pattern, Query, Verdict, Wid};
 use wlq_workflow::{scenarios, simulate, SimulationConfig};
 
 // ───────────────────────── log-structure corruption ─────────────────────
@@ -281,8 +279,8 @@ fn conformance_catches_injected_reorderings() {
 
     // And the paper's anomaly query sees the reordering too: the update
     // now happens after reimbursement.
-    let eval = Evaluator::new(&corrupted);
-    assert!(eval.exists(&"GetReimburse -> UpdateRefer".parse().unwrap()));
+    let anomaly = Query::parse("GetReimburse -> UpdateRefer").unwrap();
+    assert_eq!(anomaly.exists(&corrupted), Ok(true));
 }
 
 #[test]
@@ -310,9 +308,7 @@ fn merged_logs_answer_queries_like_their_parts() {
         "Submit -> Reject",
         "GetRefer | Submit",
     ] {
-        let p: Pattern = src.parse().unwrap();
-        let merged_count = Evaluator::new(&merged).count(&p);
-        let split_count = Evaluator::new(&clinic).count(&p) + Evaluator::new(&loans).count(&p);
-        assert_eq!(merged_count, split_count, "{src}");
+        let count = |log: &Log| Query::parse(src).unwrap().count(log).unwrap();
+        assert_eq!(count(&merged), count(&clinic) + count(&loans), "{src}");
     }
 }

@@ -11,21 +11,22 @@ fn clinic_referral_protocol_is_visible_through_queries() {
         &scenarios::clinic::model(),
         &SimulationConfig::new(300, 101),
     );
-    let eval = Evaluator::new(&log);
+    let query = |src: &str| Query::parse(src).unwrap();
+    let count = |src: &str| query(src).count(&log).unwrap();
 
     // Protocol: every instance begins START ~> GetRefer ~> CheckIn.
-    let opening: Pattern = "START ~> GetRefer ~> CheckIn".parse().unwrap();
-    assert_eq!(eval.matching_instances(&opening).len(), 300);
+    let opening = query("START ~> GetRefer ~> CheckIn");
+    assert_eq!(opening.count_by_instance(&log).unwrap().len(), 300);
 
     // Payments imply a visit: SeeDoctor ~> PayTreatment covers every
     // payment.
-    let pays = eval.count(&"PayTreatment".parse().unwrap());
-    let visits_then_pay = eval.count(&"SeeDoctor ~> PayTreatment".parse().unwrap());
+    let pays = count("PayTreatment");
+    let visits_then_pay = count("SeeDoctor ~> PayTreatment");
     assert_eq!(pays, visits_then_pay);
 
     // Completion follows reimbursement consecutively in this model.
-    let complete = eval.count(&"CompleteRefer".parse().unwrap());
-    let reimburse_then_complete = eval.count(&"GetReimburse ~> CompleteRefer".parse().unwrap());
+    let complete = count("CompleteRefer");
+    let reimburse_then_complete = count("GetReimburse ~> CompleteRefer");
     assert_eq!(complete, reimburse_then_complete);
 }
 
@@ -68,39 +69,34 @@ fn clinic_high_balance_analysis_matches_threshold_semantics() {
 #[test]
 fn order_join_semantics_are_queryable() {
     let log = simulate(&scenarios::order::model(), &SimulationConfig::new(150, 404));
-    let eval = Evaluator::new(&log);
+    let query = |src: &str| Query::parse(src).unwrap();
     // CloseOrder strictly after both Ship and CollectPayment:
-    let both_then_close: Pattern = "(Ship & CollectPayment) -> CloseOrder".parse().unwrap();
-    assert_eq!(eval.matching_instances(&both_then_close).len(), 150);
+    let both_then_close = query("(Ship & CollectPayment) -> CloseOrder");
+    assert_eq!(both_then_close.count_by_instance(&log).unwrap().len(), 150);
     // An order is never shipped twice.
-    assert_eq!(eval.count(&"Ship -> Ship".parse().unwrap()), 0);
+    assert_eq!(query("Ship -> Ship").count(&log), Ok(0));
 }
 
 #[test]
 fn loan_every_instance_reaches_a_terminal_decision() {
     let log = simulate(&scenarios::loan::model(), &SimulationConfig::new(300, 505));
-    let eval = Evaluator::new(&log);
-    let disbursed: std::collections::BTreeSet<Wid> = eval
-        .matching_instances(&"Disburse ~> END".parse().unwrap())
-        .into_iter()
-        .collect();
-    let rejected_final: std::collections::BTreeSet<Wid> = eval
-        .matching_instances(&"Reject -> END".parse().unwrap())
-        .into_iter()
-        .collect();
+    let query = |src: &str| Query::parse(src).unwrap();
+    let matching = |src: &str| query(src).count_by_instance(&log).unwrap().into_keys();
+    let disbursed: std::collections::BTreeSet<Wid> = matching("Disburse ~> END").collect();
+    let rejected_final: std::collections::BTreeSet<Wid> = matching("Reject -> END").collect();
     // Every instance ends disbursed or rejected; none both ways at END.
     let union: Vec<_> = disbursed.union(&rejected_final).collect();
     assert_eq!(union.len(), 300);
     // A loan that disbursed was never rejected *after* signing.
-    assert_eq!(eval.count(&"SignContract -> Reject".parse().unwrap()), 0);
+    assert_eq!(query("SignContract -> Reject").count(&log), Ok(0));
 }
 
 #[test]
 fn loan_appeals_reenter_review() {
     let log = simulate(&scenarios::loan::model(), &SimulationConfig::new(400, 606));
-    let eval = Evaluator::new(&log);
-    let appeals = eval.count(&"Appeal".parse().unwrap());
-    let appeal_then_review = eval.count(&"Appeal ~> ManualReview".parse().unwrap());
+    let count = |src: &str| Query::parse(src).unwrap().count(&log).unwrap();
+    let appeals = count("Appeal");
+    let appeal_then_review = count("Appeal ~> ManualReview");
     assert_eq!(appeals, appeal_then_review, "every appeal goes to review");
     assert!(appeals > 0, "seed produced no appeals; pick another seed");
 }

@@ -10,6 +10,11 @@ use wlq::{attrs, scenarios, LogBuilder, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 3] = ["A", "B", "C"];
 
+/// `incL(p)` under `strategy`.
+fn find(log: &Log, p: &Pattern, strategy: EvalStrategy) -> IncidentSet {
+    Query::new(p.clone()).strategy(strategy).find(log).unwrap()
+}
+
 /// Values of the integer attribute `x` that `arb_log` attaches.
 const X_VALUES: i64 = 4;
 
@@ -77,7 +82,7 @@ proptest! {
                 prop_assert!(delta_union.insert(incident));
             }
         }
-        let batch = Evaluator::new(&log).evaluate(&p);
+        let batch = find(&log, &p, EvalStrategy::Planned);
         prop_assert_eq!(stream.incidents(), batch.clone());
         prop_assert_eq!(delta_union, batch);
     }
@@ -99,7 +104,7 @@ proptest! {
     /// Algorithm 1 operators: accumulated and as the union of deltas.
     #[test]
     fn streaming_strategies_agree(log in arb_log(), p in arb_pattern()) {
-        let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
+        let naive = find(&log, &p, EvalStrategy::NaivePaper);
         let mut stream = StreamingEvaluator::new(p);
         let mut delta_union = IncidentSet::new();
         for record in log.iter() {
@@ -125,7 +130,7 @@ fn streaming_matches_batch_on_scenarios() {
             for record in log.iter() {
                 stream.append(record).unwrap();
             }
-            let batch = Evaluator::new(&log).evaluate(&p);
+            let batch = find(&log, &p, EvalStrategy::Planned);
             assert_eq!(stream.incidents(), batch, "{} on {}", src, model.name());
         }
     }
@@ -140,15 +145,16 @@ fn monitors_fire_exactly_once_per_incident() {
     for record in log.iter() {
         fired += stream.append(record).unwrap().len();
     }
-    assert_eq!(fired, Evaluator::new(&log).evaluate(&p).len());
+    assert_eq!(fired, find(&log, &p, EvalStrategy::Planned).len());
 }
 
 #[test]
 fn shared_evaluator_supports_concurrent_instances() {
     let log = simulate(&scenarios::order::model(), &SimulationConfig::new(24, 8));
-    let shared = wlq::SharedStreamingEvaluator::new("Ship & CollectPayment".parse().unwrap());
+    let p: Pattern = "Ship & CollectPayment".parse().unwrap();
+    let shared = wlq::SharedStreamingEvaluator::new(p.clone());
     crossbeam_scope(&log, &shared);
-    let batch = Evaluator::new(&log).evaluate(&"Ship & CollectPayment".parse().unwrap());
+    let batch = find(&log, &p, EvalStrategy::Planned);
     assert_eq!(shared.incidents(), batch);
 }
 
