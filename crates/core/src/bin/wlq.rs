@@ -39,6 +39,7 @@
 //! | 5 | malformed log file |
 //! | 6 | engine evaluation error |
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -46,7 +47,7 @@ use std::time::Instant;
 use wlq::{
     denies, io, mine_relations, render_human, render_json, render_parse_error, render_trace,
     scenarios, simulate, validate_trace, Analyzer, EngineError, ExecutionProfile, IncidentSet, Log,
-    LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, WorkflowModel,
+    LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, Wid, WorkflowModel,
 };
 
 /// A CLI failure, categorised for its exit code.
@@ -368,6 +369,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     match mode {
         "count" => println!("{}", query.count(&log)?),
         "exists" => println!("{}", query.exists(&log)?),
+        "by-instance" => print_counts(&query.count_by_instance(&log)?),
         _ => print_listing(mode, &query.find(&log)?),
     }
     Ok(())
@@ -377,10 +379,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
 /// mode, otherwise a header and the first 50 incidents.
 fn print_listing(mode: &str, incidents: &IncidentSet) {
     if mode == "by-instance" {
-        for (wid, count) in incidents.counts_by_wid() {
-            println!("wid {wid}: {count}");
-        }
-        return;
+        return print_counts(&incidents.counts_by_wid());
     }
     println!(
         "{} incident(s) in {} instance(s)",
@@ -392,6 +391,13 @@ fn print_listing(mode: &str, incidents: &IncidentSet) {
     }
     if incidents.len() > 50 {
         println!("  … {} more", incidents.len() - 50);
+    }
+}
+
+/// Prints per-instance incident counts, one `wid` per line.
+fn print_counts(counts: &BTreeMap<Wid, usize>) {
+    for (wid, count) in counts {
+        println!("wid {wid}: {count}");
     }
 }
 

@@ -44,10 +44,10 @@ pub use wlq_analysis::{
 pub use wlq_engine::{
     combine_batch, combine_batch_into, equivalent_up_to, fast_count, mine_relations, timeline,
     BatchArena, BoundIncident, BoundedEquiv, EngineError, EvalTrace, Incident, IncidentBatch,
-    IncidentRef, IncidentSet, IncidentTree, IncidentView, Incidents, JoinShape, LabelledPattern,
-    MinedRelation, Node, NodeTrace, PhysicalPlan, PlanCost, PlanNode, PlanRow, Planner, Query,
-    RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy, StreamingEvaluator,
-    TimelinePoint,
+    IncidentRef, IncidentSet, IncidentSetIter, IncidentTree, IncidentView, Incidents, JoinShape,
+    LabelledPattern, MinedRelation, Node, NodeTrace, PhysicalPlan, PlanCost, PlanNode, PlanRow,
+    Planner, Query, RewriteCandidate, SharedStreamingEvaluator, SpanStats, Strategy,
+    StreamingEvaluator, TimelinePoint,
 };
 pub use wlq_log::{
     attrs, io, paper, Activity, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError, LogIndex,

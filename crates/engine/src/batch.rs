@@ -21,15 +21,17 @@
 //!   [`Incident`] order within a wid, so [`IncidentBatch::iter`] yields
 //!   incidents in set order straight from the refs.
 //!
-//! A finished batch is also the answer's storage: an
-//! [`IncidentSet`](crate::IncidentSet) holds one per matched instance, as
-//! the executor left it.
+//! The same pool-plus-refs layout stores the answer: an
+//! [`IncidentSet`](crate::IncidentSet) is a few batches used as segments,
+//! each holding the root outputs of many matched instances copied back to
+//! back, or one large root output moved in as the executor left it.
 //!
 //! [`BatchArena`] recycles spent batches so a long evaluation (or a
 //! parallel worker sweeping many instances) reuses its pool and ref
 //! allocations instead of returning them to the allocator.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use wlq_log::{IsLsn, Wid};
 
@@ -342,25 +344,20 @@ impl IncidentBatch {
         }
     }
 
-    /// Where `positions` sits among a finished batch's refs: `Ok` with its
-    /// index when present, `Err` with its sorted insertion point.
-    pub(crate) fn find(&self, positions: &[IsLsn]) -> Result<usize, usize> {
+    /// Where `positions` sits among the finished refs `refs` of this
+    /// batch: `Ok` with its index in `refs` when present, `Err` with its
+    /// sorted insertion point there.
+    pub(crate) fn find(&self, refs: Range<usize>, positions: &[IsLsn]) -> Result<usize, usize> {
         // Slice order is incident order: a slice starts with its `first`.
-        self.refs
-            .binary_search_by(|r| self.pool[r.range()].cmp(positions))
+        self.refs[refs].binary_search_by(|r| self.pool[r.range()].cmp(positions))
     }
 
-    /// Adds one incident, given its strictly ascending positions, to a
-    /// finished batch, keeping it sorted and duplicate-free. Returns
-    /// `false` if the incident was already present. The positions go to
-    /// the end of the pool and the ref into its sorted place.
-    pub(crate) fn insert(&mut self, positions: &[IsLsn]) -> bool {
-        let Err(at) = self.find(positions) else {
-            return false;
-        };
+    /// Adds one incident, given its strictly ascending positions, as ref
+    /// `at`: the positions go to the end of the pool and the ref into
+    /// place, shifting the refs from `at` on.
+    pub(crate) fn insert_at(&mut self, at: usize, positions: &[IsLsn]) {
         self.push_sorted_positions(positions);
         self.refs[at..].rotate_right(1);
-        true
     }
 
     /// Adds every incident of the finished batch `new`, none of which may
@@ -403,6 +400,47 @@ impl IncidentBatch {
             }
         }
         self.debug_check_invariants();
+    }
+
+    /// Ref capacity: the incidents the batch holds before its refs grow.
+    pub(crate) fn capacity(&self) -> usize {
+        self.refs.capacity()
+    }
+
+    /// Whether `refs` more incidents over `positions` more pooled
+    /// positions fit without either vector growing, and with every
+    /// offset still a `u32`.
+    pub(crate) fn fits(&self, refs: usize, positions: usize) -> bool {
+        let pooled = self.pool.len() + positions;
+        self.refs.len() + refs <= self.refs.capacity()
+            && pooled <= self.pool.capacity()
+            && pooled <= u32::MAX as usize
+    }
+
+    /// Appends every incident of `other`, a batch of any instance, after
+    /// this batch's: its pool is copied whole and its refs are shifted to
+    /// the copy. This fills an [`IncidentSet`](crate::IncidentSet)'s
+    /// shared segments; the caller checks [`fits`](Self::fits) first.
+    pub(crate) fn append(&mut self, other: &IncidentBatch) {
+        debug_assert!(self.pool.len() + other.pool.len() <= u32::MAX as usize);
+        // Lossless: `fits` held for the whole of `other`'s pool.
+        #[allow(clippy::cast_possible_truncation)]
+        let base = self.pool.len() as u32;
+        self.pool.extend_from_slice(&other.pool);
+        self.refs.extend(other.refs.iter().map(|r| IncidentRef {
+            offset: r.offset + base,
+            ..*r
+        }));
+    }
+
+    /// The incidents of refs `refs`, as incidents of instance `wid` (a
+    /// run of an [`IncidentSet`](crate::IncidentSet) segment).
+    pub(crate) fn run(&self, wid: Wid, refs: Range<usize>) -> Incidents<'_> {
+        Incidents {
+            wid,
+            pool: &self.pool,
+            refs: self.refs.get(refs).unwrap_or_default().iter(),
+        }
     }
 
     /// Compares two refs of *this* batch in incident order: by the cached

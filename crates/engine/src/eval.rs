@@ -401,21 +401,21 @@ impl<'a> Evaluator<'a> {
         self.drive(pattern, plan.as_ref(), candidates, &mut NoProbe, sink);
     }
 
-    /// The root batches of every matched instance in `ordinals`, kept as
-    /// the executor left them.
-    pub(crate) fn batches<P: Probe>(
+    /// The incident set of every matched instance in `ordinals`: each
+    /// root batch goes to [`IncidentSet::push`].
+    pub(crate) fn collect<P: Probe>(
         &self,
         pattern: &Pattern,
         plan: Option<&PhysicalPlan>,
         ordinals: impl IntoIterator<Item = usize>,
         probe: &mut P,
-    ) -> Vec<IncidentBatch> {
-        let mut kept = Vec::new();
-        self.drive(pattern, plan, ordinals, probe, |batch, _| {
-            kept.push(batch);
+    ) -> IncidentSet {
+        let mut set = IncidentSet::new();
+        self.drive(pattern, plan, ordinals, probe, |batch, arena| {
+            set.push(batch, arena);
             ControlFlow::Continue(())
         });
-        kept
+        set
     }
 
     /// The number of incidents in `ordinals`, saturating; each root batch
@@ -450,13 +450,14 @@ impl<'a> Evaluator<'a> {
     /// Under [`Strategy::Planned`] the pattern is planned once and the
     /// chosen physical tree runs per candidate instance in the flat
     /// [`IncidentBatch`] layout, with one [`BatchArena`] reused across all
-    /// instances; each matched instance's root batch becomes part of the
-    /// set as it is, so no incident is copied or allocated on its own.
+    /// instances; each matched instance's root batch is copied into the
+    /// set's open segment, or moved in whole when it is large, so no
+    /// incident is allocated on its own.
     #[must_use]
     pub fn evaluate(&self, pattern: &Pattern) -> IncidentSet {
         let plan = self.physical_plan(pattern);
         let candidates = self.candidates(pattern);
-        IncidentSet::from_batches(self.batches(pattern, plan.as_ref(), candidates, &mut NoProbe))
+        self.collect(pattern, plan.as_ref(), candidates, &mut NoProbe)
     }
 
     /// Whether any incident of `p` exists. Stops at the first instance
@@ -528,13 +529,13 @@ impl<'a> Evaluator<'a> {
     /// The first `limit` incidents of `p` in set order (by instance, then
     /// within it), evaluating instances only until they are in.
     pub(crate) fn first(&self, pattern: &Pattern, limit: usize) -> IncidentSet {
-        let mut kept = Vec::new();
+        let mut set = IncidentSet::new();
         let mut left = limit;
         if left > 0 {
-            self.each(pattern, |mut batch, _| {
+            self.each(pattern, |mut batch, arena| {
                 batch.truncate(left);
                 left -= batch.len();
-                kept.push(batch);
+                set.push(batch, arena);
                 if left == 0 {
                     ControlFlow::Break(())
                 } else {
@@ -542,7 +543,7 @@ impl<'a> Evaluator<'a> {
                 }
             });
         }
-        IncidentSet::from_batches(kept)
+        set
     }
 }
 

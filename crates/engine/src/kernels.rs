@@ -21,6 +21,8 @@
 //! its kernel's cost alone. All kernels produce exactly the incident sets
 //! of [`crate::naive`] (property-tested in `tests/batch_equiv.rs`).
 
+use std::cell::RefCell;
+
 use wlq_pattern::Op;
 
 use crate::batch::{IncidentBatch, IncidentRef};
@@ -49,15 +51,21 @@ fn distinct_firsts(refs: &[IncidentRef]) -> bool {
     refs.windows(2).all(|w| w[0].first() < w[1].first())
 }
 
-/// Suffix position sums over `refs`: `out[i]` = total positions held by
-/// `refs[i..]`. Lets the `→` kernel compute its exact output size (and
-/// reserve pool space once) before emitting anything.
-fn position_suffix_sums(refs: &[IncidentRef]) -> Vec<usize> {
-    let mut sums = vec![0usize; refs.len() + 1];
+thread_local! {
+    /// The `→` kernel's suffix position sums, reused across calls.
+    static SUFFIX: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Fills `sums` with the suffix position sums over `refs`: `sums[i]` =
+/// total positions held by `refs[i..]`. Lets the `→` kernel compute its
+/// exact output size (and reserve pool space once) before emitting
+/// anything.
+fn position_suffix_sums(refs: &[IncidentRef], sums: &mut Vec<usize>) {
+    sums.clear();
+    sums.resize(refs.len() + 1, 0);
     for i in (0..refs.len()).rev() {
         sums[i] = sums[i + 1] + refs[i].len();
     }
-    sums
 }
 
 /// Dispatches one operator to its batch kernel, writing into a fresh
@@ -114,35 +122,46 @@ pub fn consecutive_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut
 /// `→` (sequential): unions of pairs with `first(o2) > last(o1)`.
 ///
 /// Partners are the suffix of the first-sorted right refs past a single
-/// `partition_point`. The kernel runs in two passes: the first finds each
-/// left's partner start and accumulates the exact output size, so the
-/// output pool and refs are reserved in one shot (a wide `→` join emits
-/// `Θ(n1·n2)` positions — growing the pool incrementally re-copies it
-/// `O(log)` times, which dominated the sort it was meant to save); the
-/// second emits every union as a concat. When left `first`s are strictly
-/// distinct the output is sorted and deduplicated by construction and the
-/// `finish_runs` fixup is skipped.
+/// `partition_point`. The kernel runs in two passes, each finding every
+/// left's partner start: the first accumulates the exact output size, so
+/// the output pool and refs are reserved in one shot (a wide `→` join
+/// emits `Θ(n1·n2)` positions — growing the pool incrementally re-copies
+/// it `O(log)` times, which dominated the sort it was meant to save); the
+/// second emits every union as a concat. A suffix's positions are its
+/// length when every right ref is a singleton, and otherwise come from
+/// suffix sums in a per-thread buffer reused across calls, so the kernel
+/// makes no heap call beyond its output's. When left `first`s are
+/// strictly distinct the output is sorted and deduplicated by
+/// construction and the `finish_runs` fixup is skipped.
 pub fn sequential_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut IncidentBatch) {
     check_operands(left, right, out);
     let (lrefs, rrefs) = (left.refs(), right.refs());
     if lrefs.is_empty() || rrefs.is_empty() {
         return;
     }
-    let suffix = position_suffix_sums(rrefs);
-    let mut starts = Vec::with_capacity(lrefs.len());
+    let start = |lref: &IncidentRef| rrefs.partition_point(|r| r.first() <= lref.last());
+    let singletons = rrefs.iter().all(|r| r.len() == 1);
     let (mut total_refs, mut total_positions) = (0usize, 0usize);
-    for lref in lrefs {
-        let last = lref.last();
-        let start = rrefs.partition_point(|r| r.first() <= last);
-        let partners = rrefs.len() - start;
-        total_refs += partners;
-        total_positions += partners * lref.len() + suffix[start];
-        starts.push(start);
-    }
+    SUFFIX.with_borrow_mut(|suffix| {
+        if !singletons {
+            position_suffix_sums(rrefs, suffix);
+        }
+        for lref in lrefs {
+            let start = start(lref);
+            let partners = rrefs.len() - start;
+            let tail = if singletons {
+                partners
+            } else {
+                suffix.get(start).copied().unwrap_or_default()
+            };
+            total_refs += partners;
+            total_positions += partners * lref.len() + tail;
+        }
+    });
     out.reserve(total_refs, total_positions);
-    for (lref, &start) in lrefs.iter().zip(&starts) {
+    for lref in lrefs {
         let lpos = left.positions(lref);
-        for rref in &rrefs[start..] {
+        for rref in &rrefs[start(lref)..] {
             out.push_concat(lpos, right.positions(rref));
         }
     }
@@ -341,7 +360,9 @@ mod tests {
     fn root_set(op: Op, left: &[Incident], right: &[Incident]) -> crate::IncidentSet {
         let lb = IncidentBatch::from_incidents(WID, left);
         let rb = IncidentBatch::from_incidents(WID, right);
-        crate::IncidentSet::from_batches(vec![combine_batch(op, &lb, &rb)])
+        let mut set = crate::IncidentSet::new();
+        set.push(combine_batch(op, &lb, &rb), &mut crate::BatchArena::new());
+        set
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! set `incL(p)` of Definition 4.
 //!
 //! * [`Incident`] / [`IncidentSet`] — the semantic objects; a set keeps
-//!   the executor's per-instance batches and lends out [`IncidentView`]s.
+//!   its incidents in a few shared segments, indexed by `wid`, and lends
+//!   out [`IncidentView`]s.
 //! * [`naive`] — the paper's Algorithm 1 operators, complexity-faithful,
 //!   and their one dispatch [`naive::combine`]: the reference oracle
 //!   ([`Strategy::NaivePaper`]).
@@ -78,7 +79,7 @@ pub use counting::fast_count;
 pub use error::EngineError;
 pub use eval::{Evaluator, Strategy};
 pub use incident::{Incident, IncidentView};
-pub use incident_set::IncidentSet;
+pub use incident_set::{IncidentSet, IncidentSetIter};
 pub use kernels::{combine_batch, combine_batch_into};
 pub use mining::{mine_relations, MinedRelation};
 pub use planner::{

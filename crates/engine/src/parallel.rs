@@ -13,11 +13,14 @@
 //! thread boundary and surfaced as [`EngineError::WorkerPanicked`].
 
 use std::any::Any;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
+use wlq_log::Wid;
 use wlq_pattern::Pattern;
 
+use crate::batch::IncidentBatch;
 use crate::candidates::Candidates;
 use crate::error::EngineError;
 use crate::eval::Evaluator;
@@ -33,6 +36,14 @@ fn describe_panic(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The union of the workers' parts, whose instances are disjoint.
+pub(crate) fn join(parts: Vec<IncidentSet>) -> IncidentSet {
+    parts.into_iter().fold(IncidentSet::new(), |mut set, part| {
+        set.merge(part);
+        set
+    })
 }
 
 /// The instance ordinals one worker claims, one at a time, from the
@@ -64,14 +75,45 @@ impl Evaluator<'_> {
         num_threads: usize,
     ) -> Result<IncidentSet, EngineError> {
         // Plan and resolve once; workers share the immutable tree. Each
-        // worker's batches move into the set, which puts them in wid order.
+        // worker builds a part, and the parts' run indices are merged by
+        // wid without copying an incident.
         let plan = self.physical_plan(pattern);
         let parts = self.pool(num_threads, self.candidates(pattern), |claims| {
-            self.batches(pattern, plan.as_ref(), claims, &mut NoProbe)
+            self.collect(pattern, plan.as_ref(), claims, &mut NoProbe)
         })?;
-        Ok(IncidentSet::from_batches(
-            parts.into_iter().flatten().collect(),
-        ))
+        Ok(join(parts))
+    }
+
+    /// `f` of each matched instance's root batch, with the instance's wid,
+    /// on up to `threads` workers, in no particular order. No batch is
+    /// kept, so only one value per matched instance is.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_parallel`](Self::evaluate_parallel).
+    pub(crate) fn per_instance<T: Send>(
+        &self,
+        pattern: &Pattern,
+        threads: usize,
+        f: impl Fn(&IncidentBatch) -> T + Sync,
+    ) -> Result<Vec<(Wid, T)>, EngineError> {
+        let plan = self.physical_plan(pattern);
+        let parts = self.pool(threads, self.candidates(pattern), |claims| {
+            let mut kept = Vec::new();
+            self.drive(
+                pattern,
+                plan.as_ref(),
+                claims,
+                &mut NoProbe,
+                |batch, arena| {
+                    kept.push((batch.wid(), f(&batch)));
+                    arena.recycle(batch);
+                    ControlFlow::Continue(())
+                },
+            );
+            kept
+        })?;
+        Ok(parts.into_iter().flatten().collect())
     }
 
     /// The worker pool: runs `work` on up to `threads` workers (never more

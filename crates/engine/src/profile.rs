@@ -139,7 +139,7 @@ impl Query {
             };
             let mut claimed = 0u64;
             let claims = claims.inspect(|_| claimed += 1);
-            let part = eval.batches(pattern, plan.as_ref(), claims, &mut probe);
+            let part = eval.collect(pattern, plan.as_ref(), claims, &mut probe);
             (part, claimed, probe.nodes, busy.elapsed())
         })?;
 
@@ -153,12 +153,12 @@ impl Query {
             workers.push(WorkerProfile {
                 worker,
                 instances: claimed,
-                incidents: part.iter().map(|batch| batch.len() as u64).sum(),
+                incidents: part.len() as u64,
                 wall,
             });
-            parts.extend(part);
+            parts.push(part);
         }
-        let set = IncidentSet::from_batches(parts);
+        let set = crate::parallel::join(parts);
         let profile = ExecutionProfile {
             query: pattern.to_string(),
             plan: plan_text,

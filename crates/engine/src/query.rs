@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use wlq_log::{Log, Value, Wid};
 use wlq_pattern::{ParsePatternError, Pattern};
 
+use crate::batch::{IncidentBatch, IncidentRef};
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
@@ -162,13 +163,17 @@ impl Query {
     }
 
     /// Incident counts per workflow instance (instances with none are
-    /// omitted).
+    /// omitted). Each instance's incidents are counted and dropped, never
+    /// kept, on the worker pool when more than one thread is configured.
     ///
     /// # Errors
     ///
     /// Same conditions as [`find`](Self::find).
     pub fn count_by_instance(&self, log: &Log) -> Result<BTreeMap<Wid, usize>, EngineError> {
-        Ok(self.find(log)?.counts_by_wid())
+        let counts =
+            self.evaluator(log)
+                .per_instance(&self.pattern, self.threads, IncidentBatch::len)?;
+        Ok(counts.into_iter().collect())
     }
 
     /// Counts *matching instances* grouped by the value of `attr` at each
@@ -190,13 +195,17 @@ impl Query {
         log: &Log,
         attr: &str,
     ) -> Result<BTreeMap<Value, usize>, EngineError> {
-        let incidents = self.find(log)?;
+        // Only each matched instance's first incident is kept.
+        let firsts = self
+            .evaluator(log)
+            .per_instance(&self.pattern, self.threads, |batch| {
+                batch.refs().first().map(IncidentRef::first)
+            })?;
         let mut out: BTreeMap<Value, usize> = BTreeMap::new();
-        for wid in incidents.wids() {
-            // Every listed instance has a first incident.
-            if let Some(first_incident) = incidents.for_wid(wid).next() {
-                let value = attr_value_at(log, wid, first_incident.first(), attr);
-                *out.entry(value).or_insert(0) += 1;
+        for (wid, first) in firsts {
+            // Every matched instance has a first incident.
+            if let Some(first) = first {
+                *out.entry(attr_value_at(log, wid, first, attr)).or_insert(0) += 1;
             }
         }
         Ok(out)

@@ -323,7 +323,16 @@ impl StreamingEvaluator {
             Some(Held::Batch(root)) => Some(root),
             _ => None,
         });
-        IncidentSet::from_batches(self.ended.iter().chain(open).cloned().collect())
+        let mut roots: Vec<&IncidentBatch> = self.ended.iter().chain(open).collect();
+        roots.sort_unstable_by_key(|root| root.wid());
+        let (refs, positions) = (roots.iter()).fold((0, 0), |(refs, positions), root| {
+            (refs + root.len(), positions + root.pool_len())
+        });
+        let mut set = IncidentSet::with_room(refs, positions);
+        for root in roots {
+            set.push_copy(root);
+        }
+        set
     }
 }
 

@@ -144,9 +144,12 @@ fn find_first_plans_once_per_call() {
         "CheckIn ~> SeeDoctor",
     ] {
         let query = Query::parse(src).unwrap();
+        // Each call starts with the open segment the answer before it
+        // left for reuse on this thread.
         let (all, found) = bytes(|| query.find(&log).unwrap());
+        drop(all);
         let (first, firsted) = bytes(|| query.find_first(&log, usize::MAX).unwrap());
-        assert_eq!(first, all, "{src}");
+        assert_eq!(first, query.find(&log).unwrap(), "{src}");
         assert!(
             firsted <= found + BOUND,
             "find_first({src}) took {firsted} bytes, find {found} (slack {BOUND})"
