@@ -41,6 +41,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -66,6 +67,9 @@ enum CliError {
     /// The command ran but the answer is a failure, e.g. a
     /// non-conforming log (exit 1).
     Domain(String),
+    /// Standard output could not be written (exit 4; a closed pipe ends
+    /// the command quietly instead).
+    Stdout(std::io::Error),
 }
 
 impl CliError {
@@ -74,7 +78,7 @@ impl CliError {
             CliError::Domain(_) => 1,
             CliError::Usage(_) => 2,
             CliError::Parse(_) => 3,
-            CliError::Io(_) => 4,
+            CliError::Io(_) | CliError::Stdout(_) => 4,
             CliError::InvalidLog(_) => 5,
             CliError::Engine(_) => 6,
         }
@@ -90,6 +94,7 @@ impl fmt::Display for CliError {
             | CliError::InvalidLog(m)
             | CliError::Domain(m) => f.write_str(m),
             CliError::Engine(e) => write!(f, "{e}"),
+            CliError::Stdout(e) => write!(f, "cannot write to standard output: {e}"),
         }
     }
 }
@@ -100,10 +105,23 @@ impl From<EngineError> for CliError {
     }
 }
 
+/// Every write to standard output goes through `?`.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let result = run(&args, &mut out);
+    let flushed = out.flush().map_err(CliError::Stdout);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed its end (`wlq … | head`): it has read all it
+        // wanted, so there is nothing left to report.
+        Err(CliError::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("run `wlq help` for usage");
@@ -112,31 +130,31 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
     match command {
         "help" | "--help" | "-h" => {
-            print!("{}", usage());
+            write!(out, "{}", usage())?;
             Ok(())
         }
         "example" => {
-            print!("{}", io::text::write_text(&wlq::paper::figure3_log()));
+            write!(out, "{}", io::text::write_text(&wlq::paper::figure3_log()))?;
             Ok(())
         }
-        "simulate" => cmd_simulate(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "validate" => cmd_validate(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "explain" => cmd_explain(&args[1..]),
-        "trace-check" => cmd_trace_check(&args[1..]),
-        "timeline" => cmd_timeline(&args[1..]),
-        "spans" => cmd_spans(&args[1..]),
-        "mine" => cmd_mine(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "conform" => cmd_conform(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
-        "audit" => cmd_audit(&args[1..]),
-        "dot" => cmd_dot(&args[1..]),
+        "simulate" => cmd_simulate(&args[1..], out),
+        "stats" => cmd_stats(&args[1..], out),
+        "validate" => cmd_validate(&args[1..], out),
+        "query" => cmd_query(&args[1..], out),
+        "explain" => cmd_explain(&args[1..], out),
+        "trace-check" => cmd_trace_check(&args[1..], out),
+        "timeline" => cmd_timeline(&args[1..], out),
+        "spans" => cmd_spans(&args[1..], out),
+        "mine" => cmd_mine(&args[1..], out),
+        "check" => cmd_check(&args[1..], out),
+        "conform" => cmd_conform(&args[1..], out),
+        "convert" => cmd_convert(&args[1..], out),
+        "audit" => cmd_audit(&args[1..], out),
+        "dot" => cmd_dot(&args[1..], out),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
 }
@@ -233,7 +251,7 @@ fn parse_failure(src: &str, err: &wlq::ParsePatternError) -> CliError {
     CliError::Parse(msg.trim_end().to_string())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
+fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [scenario, instances, seed, rest @ ..] = args else {
         return Err(usage_err(
             "usage: simulate <scenario> <instances> <seed> [out-file]",
@@ -248,44 +266,46 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         .map_err(|_| CliError::Usage(format!("seed must be a number, got {seed:?}")))?;
     let log = simulate(&model, &SimulationConfig::new(instances, seed));
     match rest {
-        [] => print!("{}", io::text::write_text(&log)),
+        [] => write!(out, "{}", io::text::write_text(&log))?,
         [path] => {
             write_log(&log, path)?;
-            println!(
+            writeln!(
+                out,
                 "wrote {} records ({} instances) to {path}",
                 log.len(),
                 log.num_instances()
-            );
+            )?;
         }
         _ => return Err(usage_err("too many arguments to simulate")),
     }
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = args else {
         return Err(usage_err("usage: stats <log-file>"));
     };
     let log = read_log(path)?;
-    print!("{}", LogStats::compute(&log));
+    write!(out, "{}", LogStats::compute(&log))?;
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), CliError> {
+fn cmd_validate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = args else {
         return Err(usage_err("usage: validate <log-file>"));
     };
     let log = read_log(path)?;
-    println!(
+    writeln!(
+        out,
         "valid log: {} records, {} instances ({} completed)",
         log.len(),
         log.num_instances(),
         log.wids().filter(|&w| log.is_completed(w)).count()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), CliError> {
+fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path, pattern_src, flags @ ..] = args else {
         return Err(usage_err("usage: query <log-file> <pattern> [flags]"));
     };
@@ -346,9 +366,9 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                 query.exists(&log)?.to_string()
             };
             let wall = start.elapsed();
-            println!("{answer}\n");
+            writeln!(out, "{answer}\n")?;
             if counted {
-                println!("count DP : {wall:?}");
+                writeln!(out, "count DP : {wall:?}")?;
                 return Ok(());
             }
             query.profile(&log)?.1
@@ -356,52 +376,55 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             // Listings answer from the profiled run's set: the probe is
             // read-only, so it is the set the unprofiled run returns.
             let (incidents, profile) = query.profile(&log)?;
-            print_listing(mode, &incidents);
-            println!();
+            print_listing(mode, &incidents, out)?;
+            writeln!(out)?;
             profile
         };
-        print!("{profile}");
-        if let Some(out) = trace_out {
-            write_trace(&profile, out)?;
+        write!(out, "{profile}")?;
+        if let Some(path) = trace_out {
+            write_trace(&profile, path, out)?;
         }
         return Ok(());
     }
     match mode {
-        "count" => println!("{}", query.count(&log)?),
-        "exists" => println!("{}", query.exists(&log)?),
-        "by-instance" => print_counts(&query.count_by_instance(&log)?),
-        _ => print_listing(mode, &query.find(&log)?),
+        "count" => writeln!(out, "{}", query.count(&log)?)?,
+        "exists" => writeln!(out, "{}", query.exists(&log)?)?,
+        "by-instance" => print_counts(&query.count_by_instance(&log)?, out)?,
+        _ => print_listing(mode, &query.find(&log)?, out)?,
     }
     Ok(())
 }
 
 /// Prints a query's incidents: per-instance counts in `by-instance`
 /// mode, otherwise a header and the first 50 incidents.
-fn print_listing(mode: &str, incidents: &IncidentSet) {
+fn print_listing(mode: &str, incidents: &IncidentSet, out: &mut dyn Write) -> Result<(), CliError> {
     if mode == "by-instance" {
-        return print_counts(&incidents.counts_by_wid());
+        return print_counts(&incidents.counts_by_wid(), out);
     }
-    println!(
+    writeln!(
+        out,
         "{} incident(s) in {} instance(s)",
         incidents.len(),
         incidents.num_matched_instances()
-    );
+    )?;
     for incident in incidents.iter().take(50) {
-        println!("  {incident}");
+        writeln!(out, "  {incident}")?;
     }
     if incidents.len() > 50 {
-        println!("  … {} more", incidents.len() - 50);
+        writeln!(out, "  … {} more", incidents.len() - 50)?;
     }
+    Ok(())
 }
 
 /// Prints per-instance incident counts, one `wid` per line.
-fn print_counts(counts: &BTreeMap<Wid, usize>) {
+fn print_counts(counts: &BTreeMap<Wid, usize>, out: &mut dyn Write) -> Result<(), CliError> {
     for (wid, count) in counts {
-        println!("wid {wid}: {count}");
+        writeln!(out, "wid {wid}: {count}")?;
     }
+    Ok(())
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), CliError> {
+fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     const USAGE: &str = "usage: explain <log-file> <pattern> [--analyze] \
                          [--threads N] [--trace-out <trace-file>] \
                          (or: explain --analyze <pattern> --log <log-file>)";
@@ -456,29 +479,37 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let pattern = parse_pattern(pattern_src)?;
     if analyze {
         let (_, profile) = Query::new(pattern).threads(threads).profile(&log)?;
-        print!("{profile}");
-        if let Some(out) = trace_out {
-            write_trace(&profile, out)?;
+        write!(out, "{profile}")?;
+        if let Some(path) = trace_out {
+            write_trace(&profile, path, out)?;
         }
         return Ok(());
     }
     // Without --analyze: the plan the query would run, without running
     // it.
-    print!("{}", Planner::from_log(&log).plan(&pattern));
+    write!(out, "{}", Planner::from_log(&log).plan(&pattern))?;
     Ok(())
 }
 
 /// Writes a profile's JSON Lines trace to `path` and confirms.
-fn write_trace(profile: &ExecutionProfile, path: &str) -> Result<(), CliError> {
+fn write_trace(
+    profile: &ExecutionProfile,
+    path: &str,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let trace = render_trace(profile);
     std::fs::write(path, &trace).map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-    println!("wrote trace ({} events) to {path}", trace.lines().count());
+    writeln!(
+        out,
+        "wrote trace ({} events) to {path}",
+        trace.lines().count()
+    )?;
     Ok(())
 }
 
 /// `wlq trace-check <trace-file>` — validates a JSON Lines execution
 /// trace against the schema `--trace-out` emits (exit 1 if invalid).
-fn cmd_trace_check(args: &[String]) -> Result<(), CliError> {
+fn cmd_trace_check(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = args else {
         return Err(usage_err("usage: trace-check <trace-file>"));
     };
@@ -486,21 +517,22 @@ fn cmd_trace_check(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
     match validate_trace(&text) {
         Ok(summary) => {
-            println!(
+            writeln!(
+                out,
                 "valid trace: version {}, {} node(s), {} worker(s), {} event(s), {} incident(s)",
                 summary.version,
                 summary.nodes,
                 summary.workers,
                 summary.events,
                 summary.total_incidents
-            );
+            )?;
             Ok(())
         }
         Err(e) => Err(CliError::Domain(format!("invalid trace {path}: {e}"))),
     }
 }
 
-fn cmd_timeline(args: &[String]) -> Result<(), CliError> {
+fn cmd_timeline(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (path, pattern_src, step) = match args {
         [path, pattern] => (path, pattern, 0usize),
         [path, pattern, step] => (
@@ -518,32 +550,33 @@ fn cmd_timeline(args: &[String]) -> Result<(), CliError> {
     } else {
         step
     };
-    println!("{:>10} {:>12} {:>8}", "up to lsn", "incidents", "new");
+    writeln!(out, "{:>10} {:>12} {:>8}", "up to lsn", "incidents", "new")?;
     for point in wlq::timeline(&log, &pattern, step)? {
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>12} {:>8}",
             point.lsn.get(),
             point.incidents,
             point.delta
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_spans(args: &[String]) -> Result<(), CliError> {
+fn cmd_spans(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path, pattern_src] = args else {
         return Err(usage_err("usage: spans <log-file> <pattern>"));
     };
     let log = read_log(path)?;
     let query = Query::parse(pattern_src).map_err(|e| parse_failure(pattern_src, &e))?;
     match query.span_stats(&log)? {
-        Some(stats) => println!("{stats}"),
-        None => println!("no incidents"),
+        Some(stats) => writeln!(out, "{stats}")?,
+        None => writeln!(out, "no incidents")?,
     }
     Ok(())
 }
 
-fn cmd_mine(args: &[String]) -> Result<(), CliError> {
+fn cmd_mine(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (path, min_support) = match args {
         [path] => (path, 2),
         [path, support] => (
@@ -556,16 +589,18 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
     };
     let log = read_log(path)?;
     let relations = mine_relations(&log, min_support);
-    println!(
+    writeln!(
+        out,
         "{} relation(s) with support ≥ {min_support}:",
         relations.len()
-    );
+    )?;
     for relation in relations {
-        println!(
+        writeln!(
+            out,
             "  {:<40} support {}",
             relation.pattern.to_string(),
             relation.support
-        );
+        )?;
     }
     Ok(())
 }
@@ -575,7 +610,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
 /// Exit code 0 when the pattern is clean (or has only allowed
 /// warnings/hints), 1 when a lint error fires or `--deny-warnings`
 /// upgrades a warning, 3 on parse errors.
-fn cmd_check(args: &[String]) -> Result<(), CliError> {
+fn cmd_check(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     const USAGE: &str =
         "usage: check <pattern> [--log <log-file>] [--format human|json] [--deny-warnings] [--cost-budget N]";
     let [pattern_src, flags @ ..] = args else {
@@ -629,8 +664,8 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
         .analyze_source(pattern_src)
         .map_err(|e| parse_failure(pattern_src, &e))?;
     match format {
-        "json" => println!("{}", render_json(pattern_src, &report)),
-        _ => print!("{}", render_human(pattern_src, &report)),
+        "json" => writeln!(out, "{}", render_json(pattern_src, &report))?,
+        _ => write!(out, "{}", render_human(pattern_src, &report))?,
     }
     let denied = report
         .diagnostics
@@ -646,7 +681,7 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_conform(args: &[String]) -> Result<(), CliError> {
+fn cmd_conform(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [scenario, path] = args else {
         return Err(usage_err("usage: conform <scenario> <log-file>"));
     };
@@ -655,10 +690,10 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
     let report = model.check_log(&log);
     let violations = report.violations();
     for (wid, verdict) in &report.verdicts {
-        println!("wid {wid}: {verdict:?}");
+        writeln!(out, "wid {wid}: {verdict:?}")?;
     }
     if violations.is_empty() {
-        println!("log conforms to {}", model.name());
+        writeln!(out, "log conforms to {}", model.name())?;
         Ok(())
     } else {
         Err(CliError::Domain(format!(
@@ -668,7 +703,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_audit(args: &[String]) -> Result<(), CliError> {
+fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (path, rules) = match args {
         [path] => (path, wlq::rules::RuleSet::clinic_fraud()),
         [path, rules_file] => {
@@ -683,27 +718,30 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
     };
     let log = read_log(path)?;
     let report = rules.audit(&log)?;
-    print!("{report}");
+    write!(out, "{report}")?;
     for (wid, hits) in report.repeat_offenders(2).into_iter().take(10) {
-        println!("  repeat offender: instance {wid} tripped {hits} rules");
+        writeln!(
+            out,
+            "  repeat offender: instance {wid} tripped {hits} rules"
+        )?;
     }
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), CliError> {
+fn cmd_convert(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [input, output] = args else {
         return Err(usage_err("usage: convert <in-file> <out-file>"));
     };
     let log = read_log(input)?;
     write_log(&log, output)?;
-    println!("converted {} records: {input} -> {output}", log.len());
+    writeln!(out, "converted {} records: {input} -> {output}", log.len())?;
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), CliError> {
+fn cmd_dot(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [scenario] = args else {
         return Err(usage_err("usage: dot <scenario>"));
     };
-    print!("{}", scenario_model(scenario)?.to_dot());
+    write!(out, "{}", scenario_model(scenario)?.to_dot())?;
     Ok(())
 }

@@ -42,7 +42,9 @@ impl BoundIncident {
     #[must_use]
     pub fn lsn_of(&self, var: &str, log: &Log) -> Option<wlq_log::Lsn> {
         let position = *self.bindings.get(var)?;
-        Some(log.record(self.incident.wid(), position)?.lsn())
+        let index = log.index();
+        let offset = index.record_offset(index.ordinal(self.incident.wid())?, position)?;
+        Some(wlq_log::Lsn(offset as u64 + 1))
     }
 }
 

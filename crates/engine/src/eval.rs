@@ -72,16 +72,13 @@ impl<'p> Leaf<'p> {
             }
             // Index positions always have a record in the log the index
             // was built from; a miss conservatively admits nothing.
-            let Some(record) = index
-                .record_offset(ordinal, p)
-                .and_then(|offset| log.records().get(offset))
-            else {
+            let Some([input, output]) = log.maps(ordinal, p) else {
                 return false;
             };
             self.atom
                 .predicates
                 .iter()
-                .all(|pred| pred.matches(record.input(), record.output()))
+                .all(|pred| pred.matches(input, output))
         };
         if self.atom.negated {
             for (p, &id) in (1..).zip(index.instance_activities(ordinal)) {

@@ -3,10 +3,11 @@
 //! Incidents never span workflow instances, so `incL(p)` decomposes into
 //! independent per-instance subproblems (the paper's Algorithm 2 iterates
 //! over `widSet` sequentially). [`Evaluator::pool`] distributes a query's
-//! candidate instances over scoped worker threads ([`std::thread::scope`])
-//! through one shared candidate source; a multi-threaded `Query::find`,
-//! `Query::count` and `Query::profile` all run on it, each worker running
-//! the one per-instance loop over its claims.
+//! candidate instances over the caller's thread and scoped worker threads
+//! ([`std::thread::scope`]) through one shared candidate source; a
+//! multi-threaded `Query::find`, `Query::count` and `Query::profile` all
+//! run on it, each worker running the one per-instance loop over its
+//! claims.
 //!
 //! The entry points are panic-free: a zero worker count is reported as
 //! [`EngineError::NoWorkers`], and a panicking worker is contained at the
@@ -120,8 +121,9 @@ impl Evaluator<'_> {
     /// than there are instances), each handed the [`Claims`] it draws from
     /// `candidates`, and returns every worker's result in worker order.
     /// Each worker owns whatever `work` builds — arena, probe, results —
-    /// so nothing is shared but the candidate source. A single worker runs
-    /// on the caller's thread; every worker's panic is caught.
+    /// so nothing is shared but the candidate source. The last worker runs
+    /// on the caller's thread, whose per-thread buffers are warm, and the
+    /// others on scoped threads; every worker's panic is caught.
     ///
     /// # Errors
     ///
@@ -141,23 +143,26 @@ impl Evaluator<'_> {
         };
         let source = Mutex::new(candidates);
         let claims = || Claims(&source);
+        // The caller's own worker, the last.
+        let own = || panic::catch_unwind(AssertUnwindSafe(|| work(claims()))).map_err(panicked);
         let workers = threads.min(self.index().num_instances());
         if workers <= 1 {
-            return panic::catch_unwind(AssertUnwindSafe(|| vec![work(claims())]))
-                .map_err(panicked);
+            return Ok(vec![own()?]);
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|_| scope.spawn(|| work(claims())))
                 .collect();
+            let own = own();
             // Joining every handle — all of them, before looking at any
             // result — contains worker panics here rather than letting the
             // scope re-raise them on the caller.
-            let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
-            joined
+            let mut joined: Vec<_> = handles
                 .into_iter()
-                .map(|result| result.map_err(panicked))
-                .collect()
+                .map(|handle| handle.join().map_err(panicked))
+                .collect();
+            joined.push(own);
+            joined.into_iter().collect()
         })
     }
 }

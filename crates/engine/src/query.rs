@@ -215,20 +215,17 @@ impl Query {
 /// The value of `attr` visible at `(wid, position)`: the latest write (or
 /// read) of the attribute at or before that record.
 fn attr_value_at(log: &Log, wid: Wid, position: wlq_log::IsLsn, attr: &str) -> Value {
-    let mut latest = Value::Undefined;
-    for record in log.instance(wid) {
-        if record.is_lsn() > position {
-            break;
-        }
-        if let Some(v) = record
-            .output()
-            .get(attr)
-            .or_else(|| record.input().get(attr))
-        {
-            latest = v.clone();
-        }
-    }
-    latest
+    let Some(ordinal) = log.index().ordinal(wid) else {
+        return Value::Undefined;
+    };
+    (1..=position.get())
+        .rev()
+        .find_map(|p| {
+            let [input, output] = log.maps(ordinal, wlq_log::IsLsn(p))?;
+            output.get(attr).or_else(|| input.get(attr))
+        })
+        .cloned()
+        .unwrap_or(Value::Undefined)
 }
 
 #[cfg(test)]

@@ -12,15 +12,18 @@
 //! framing (binary: lengths, value tags, UTF-8 of names and string
 //! values; text and CSV: every entry has a `=` and a non-empty name; all:
 //! the load's entries fit `u32` ids), so a malformed input is still a
-//! typed error at load, and file the map into its activity's [`Block`]:
-//! the map points at the block, which records where the map starts in
-//! the load's undecoded maps; the blocks share those (the binary input
-//! compacted in place, or the copied text fields). The first read of
-//! any map of a block (a lookup, `len`, iteration, equality, order,
-//! hash, display, serialization or a write) parses all of the block's
-//! maps into a dictionary of its own, once, through a `OnceLock`:
-//! threads racing to read a block first wait for one of them to build
-//! it. Since the load checked everything that can
+//! typed error at load, and file the map into its activity's [`Block`]
+//! as the block's next map number. No [`AttrMap`] is made at load: the
+//! decoded log keeps one [`MapColumns`], the blocks by activity and two
+//! map numbers per record, and lends maps out as [`AttrMapRef`] views
+//! ([`Log::maps`](crate::Log::maps)) or, when a caller asks for records,
+//! as maps that point at their block. The blocks share the load's
+//! undecoded maps (the binary input compacted in place, or the copied
+//! text fields). The first read of any map of a block (a lookup, `len`,
+//! iteration, equality, order, hash, display, serialization or a write)
+//! parses all of the block's maps into a dictionary of its own, once,
+//! through a `OnceLock`: threads racing to read a block first wait for
+//! one of them to build it. Since the load checked everything that can
 //! fail, the parse cannot fail; it has no panic path, and would end a map
 //! early on an entry the load should have refused. A query that reads no
 //! attribute parses none, and `GetRefer[balance > 5000]` parses
@@ -30,7 +33,7 @@
 //! an earlier `αout` wrote), so a dictionary holds each distinct entry
 //! once ([`DictBuilder`]; once per 16 384 new entries on larger blocks):
 //! one per block for the lazy decoders, one per load for XES, which
-//! parses at load. Each non-empty map of a decoded log holds one clone of
+//! parses at load. Each non-empty map of a record holds one clone of
 //! its dictionary or block: a map is 16 bytes with no allocation of its
 //! own. Maps built by hand are one-map dictionaries. Mutation is
 //! copy-on-write: a map that is the only user of its dictionary and
@@ -63,12 +66,58 @@ pub(crate) struct AttrDict {
 /// One activity's attribute maps in one load, kept undecoded until one of
 /// them is read. The load checked their framing, so decoding them cannot
 /// fail.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Block {
-    /// Set when the load ends: the load's undecoded maps, and where in
-    /// them each of the block's maps starts.
-    maps: OnceLock<(Source, Vec<usize>)>,
+    /// The load's undecoded maps.
+    source: Source,
+    /// Where in `source` each of the block's maps starts, by map number.
+    starts: Starts,
     built: OnceLock<Built>,
+}
+
+/// Where each map of a block starts in its load's source, in map order:
+/// each start as a `u32` step from the one before (the first from 0),
+/// 4 bytes per map. A start that is no such step (one past `u32::MAX`
+/// bytes further on) is kept whole in `far`, and its step reads
+/// `u32::MAX`.
+#[derive(Debug, Clone, Default)]
+struct Starts {
+    steps: Vec<u32>,
+    far: Vec<usize>,
+    /// The last start pushed.
+    last: usize,
+}
+
+impl Starts {
+    fn push(&mut self, at: usize) {
+        let step = at
+            .checked_sub(self.last)
+            .and_then(|step| u32::try_from(step).ok());
+        match step {
+            Some(step) if step != u32::MAX => self.steps.push(step),
+            _ => {
+                self.steps.push(u32::MAX);
+                self.far.push(at);
+            }
+        }
+        self.last = at;
+    }
+
+    fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The starts, in map order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut far = self.far.iter();
+        self.steps.iter().scan(0usize, move |at, &step| {
+            *at = match step {
+                u32::MAX => far.next().copied().unwrap_or(*at),
+                step => *at + step as usize,
+            };
+            Some(*at)
+        })
+    }
 }
 
 /// The undecoded maps of one load, which its blocks share.
@@ -95,15 +144,11 @@ impl Block {
     /// block until one of them has built it.
     fn built(&self) -> &Built {
         self.built.get_or_init(|| {
-            // Maps are read only once their load has ended.
-            let Some((source, starts)) = self.maps.get() else {
-                return Built::default();
-            };
             let mut dict = DictBuilder::default();
-            let mut runs = Vec::with_capacity(starts.len() + 1);
+            let mut runs = Vec::with_capacity(self.starts.len() + 1);
             runs.push(0);
-            for &at in starts {
-                match source {
+            for at in self.starts.iter() {
+                match &self.source {
                     Source::Binary(maps) => crate::io::binary::decode_map(maps, at, &mut dict),
                     Source::Text(fields, sep) => {
                         let field = fields.get(at..).unwrap_or_default();
@@ -122,6 +167,172 @@ impl Block {
         })
     }
 }
+
+impl AttrDict {
+    /// Map `number` of this block, decoding the block unless that was
+    /// done already; empty if this is no block or has no such map.
+    fn block_map(&self, number: u32) -> AttrMapRef<'_> {
+        let Some(block) = &self.block else {
+            return AttrMapRef::EMPTY;
+        };
+        let built = block.built();
+        let number = number as usize;
+        match built.runs.get(number..number.saturating_add(2)) {
+            Some(&[lo, hi]) => AttrMapRef {
+                ids: built
+                    .dict
+                    .ids
+                    .get(lo as usize..hi as usize)
+                    .unwrap_or_default(),
+                entries: &built.dict.entries,
+            },
+            _ => AttrMapRef::EMPTY,
+        }
+    }
+}
+
+/// The map number of an empty map in [`MapColumns`]; a block holds fewer
+/// maps than entries, and a load fewer than `u32::MAX` entries.
+pub(crate) const NO_MAP: u32 = u32::MAX;
+
+/// A decoded log's attribute maps: per activity id, the block of its
+/// non-empty maps, and per index entry (a record, in (instance, is-lsn)
+/// order) its input and output map numbers in its activity's block, or
+/// [`NO_MAP`]. A log with no non-empty map keeps no numbers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MapColumns {
+    blocks: Vec<Option<Arc<AttrDict>>>,
+    numbers: Vec<[u32; 2]>,
+}
+
+impl MapColumns {
+    /// The columns over `blocks`, by activity id, and `numbers`, by
+    /// entry.
+    pub(crate) fn new(blocks: Vec<Option<Arc<AttrDict>>>, numbers: Vec<[u32; 2]>) -> Self {
+        MapColumns { blocks, numbers }
+    }
+
+    /// The block of `activity` and the map numbers of `entry`, if either
+    /// map is non-empty.
+    fn find(&self, activity: usize, entry: usize) -> Option<(&Arc<AttrDict>, [u32; 2])> {
+        let numbers = *self.numbers.get(entry)?;
+        let block = self.blocks.get(activity)?.as_ref()?;
+        Some((block, numbers))
+    }
+
+    /// The input and output maps of `entry`, whose activity has id
+    /// `activity`, borrowed.
+    pub(crate) fn view(&self, activity: usize, entry: usize) -> [AttrMapRef<'_>; 2] {
+        match self.find(activity, entry) {
+            Some((block, numbers)) => numbers.map(|n| block.block_map(n)),
+            None => [AttrMapRef::EMPTY; 2],
+        }
+    }
+
+    /// The input and output maps of `entry` as maps of their own, each
+    /// pointing at its block.
+    pub(crate) fn maps(&self, activity: usize, entry: usize) -> [AttrMap; 2] {
+        let Some((block, numbers)) = self.find(activity, entry) else {
+            return [AttrMap::new(), AttrMap::new()];
+        };
+        numbers.map(|number| match number {
+            NO_MAP => AttrMap::new(),
+            number => AttrMap {
+                dict: Some(Arc::clone(block)),
+                start: number,
+                len: 1,
+            },
+        })
+    }
+}
+
+/// A borrowed attribute map: what a [`Log`](crate::Log) lends out of a
+/// record's attributes without building the record
+/// ([`Log::maps`](crate::Log::maps)), and what [`AttrMap::view`] lends of
+/// an owned map. Its entries are sorted by name, names unique.
+#[derive(Clone, Copy)]
+pub struct AttrMapRef<'a> {
+    ids: &'a [u32],
+    entries: &'a [(AttrName, Value)],
+}
+
+impl<'a> AttrMapRef<'a> {
+    /// The empty map.
+    pub const EMPTY: AttrMapRef<'static> = AttrMapRef {
+        ids: &[],
+        entries: &[],
+    };
+
+    /// Returns the number of attributes in the map.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.ids.len()
+    }
+
+    /// Returns `true` if the map defines no attribute.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The position in the run of `name`, or where it would go.
+    fn find(self, name: &str) -> Result<usize, usize> {
+        let entries = self.entries;
+        self.ids
+            .binary_search_by(|&id| entries[id as usize].0.as_str().cmp(name))
+    }
+
+    /// Looks up the value of `name`, or `None` if the map does not define it.
+    #[must_use]
+    pub fn get(self, name: &str) -> Option<&'a Value> {
+        let i = self.find(name).ok()?;
+        Some(&self.entries[self.ids[i] as usize].1)
+    }
+
+    /// Returns `true` if the map defines `name`.
+    #[must_use]
+    pub fn contains(self, name: &str) -> bool {
+        self.find(name).is_ok()
+    }
+
+    /// Iterates over `(name, value)` pairs in attribute-name order.
+    pub fn iter(self) -> AttrIter<'a> {
+        AttrIter {
+            ids: self.ids.iter(),
+            entries: self.entries,
+        }
+    }
+}
+
+impl<'a> From<&'a AttrMap> for AttrMapRef<'a> {
+    fn from(map: &'a AttrMap) -> Self {
+        map.view()
+    }
+}
+
+impl<'a> IntoIterator for AttrMapRef<'a> {
+    type Item = (&'a AttrName, &'a Value);
+    type IntoIter = AttrIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for AttrMapRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(*self).finish()
+    }
+}
+
+/// Equal when the entries are, whichever dictionaries hold them.
+impl PartialEq for AttrMapRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(*other)
+    }
+}
+
+impl Eq for AttrMapRef<'_> {}
 
 /// A finite partial map from attribute names to values.
 ///
@@ -154,8 +365,8 @@ pub struct AttrMap {
     dict: Option<Arc<AttrDict>>,
     /// The map is the run `ids[start..start + len]` of the dictionary:
     /// sorted by name, names unique. In a block, the map is the block's
-    /// map number `start`, and `len` counts its entries as encoded, before
-    /// repeated names are dropped: it is 0 exactly for the empty map.
+    /// map number `start`, and `len` is 1: a block holds non-empty maps
+    /// only. `len` is 0 exactly for the empty map.
     start: u32,
     len: u32,
 }
@@ -170,7 +381,7 @@ impl AttrMap {
     /// Returns the number of attributes in the map.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.run().0.len()
+        self.view().len()
     }
 
     /// Returns `true` if the map defines no attribute.
@@ -179,28 +390,21 @@ impl AttrMap {
         self.len == 0
     }
 
-    /// The map's run of entry ids and the entries they index; a map of a
-    /// block decodes the block first, unless that was done already.
-    fn run(&self) -> (&[u32], &[(AttrName, Value)]) {
+    /// The map, borrowed; a map of a block decodes the block first,
+    /// unless that was done already.
+    #[must_use]
+    pub fn view(&self) -> AttrMapRef<'_> {
         let Some(dict) = &self.dict else {
-            return (&[], &[]);
+            return AttrMapRef::EMPTY;
         };
+        if dict.block.is_some() {
+            return dict.block_map(self.start);
+        }
         let start = self.start as usize;
-        let (dict, run) = match &dict.block {
-            None => (&**dict, start..start + self.len as usize),
-            Some(block) => {
-                let built = block.built();
-                let run = built.runs[start] as usize..built.runs[start + 1] as usize;
-                (&built.dict, run)
-            }
-        };
-        (&dict.ids[run], &dict.entries)
-    }
-
-    /// The position in the run of `name`, or where it would go.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        let (ids, entries) = self.run();
-        ids.binary_search_by(|&id| entries[id as usize].0.as_str().cmp(name))
+        AttrMapRef {
+            ids: &dict.ids[start..start + self.len as usize],
+            entries: &dict.entries,
+        }
     }
 
     /// The dictionary to change the map in, copy-on-write: the map's own
@@ -237,7 +441,7 @@ impl AttrMap {
     pub fn set(&mut self, name: impl Into<AttrName>, value: impl Into<Value>) -> Option<Value> {
         let name = name.into();
         let value = value.into();
-        let found = self.find(name.as_str());
+        let found = self.view().find(name.as_str());
         let dict = self.make_mut();
         match found {
             // Names are unique in the run, so no other position shares
@@ -271,9 +475,7 @@ impl AttrMap {
     /// Looks up the value of `name`, or `None` if the map does not define it.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Value> {
-        let i = self.find(name).ok()?;
-        let (ids, entries) = self.run();
-        Some(&entries[ids[i] as usize].1)
+        self.view().get(name)
     }
 
     /// Looks up `name`, treating absence as the undefined value `⊥`.
@@ -288,12 +490,12 @@ impl AttrMap {
     /// Returns `true` if the map defines `name`.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.find(name).is_ok()
+        self.view().contains(name)
     }
 
     /// Removes `name` from the map, returning its value if present.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let i = self.find(name).ok()?;
+        let i = self.view().find(name).ok()?;
         let dict = self.make_mut();
         let id = dict.ids.remove(i) as usize;
         // Move the last entry into the freed slot and renumber it.
@@ -311,11 +513,7 @@ impl AttrMap {
 
     /// Iterates over `(name, value)` pairs in attribute-name order.
     pub fn iter(&self) -> AttrIter<'_> {
-        let (ids, entries) = self.run();
-        AttrIter {
-            ids: ids.iter(),
-            entries,
-        }
+        self.view().iter()
     }
 
     /// Iterates over the attribute names (the map's domain) in order.
@@ -652,61 +850,61 @@ impl DictBuilder {
 }
 
 /// Files a load's non-empty maps into one lazy [`Block`] per activity, as
-/// the binary, text and CSV decoders meet them. A map points at its
-/// block from the start; [`finish`](Self::finish) gives the blocks the
-/// load's undecoded maps.
+/// the binary, text and CSV decoders meet them, and numbers them in their
+/// block; [`finish`](Self::finish) makes the blocks, given the load's
+/// undecoded maps.
 #[derive(Default)]
 pub(crate) struct Blocks {
-    /// By activity id: its block, made at its first non-empty map, and
-    /// where its maps start in the load's [`Source`].
-    blocks: Vec<Option<(Arc<AttrDict>, Vec<usize>)>>,
+    /// By activity id: where its maps start in the load's [`Source`].
+    starts: Vec<Starts>,
     /// Encoded entries so far, over every map of the load.
     entries: u64,
 }
 
 impl Blocks {
-    /// A map of `activity` with `count > 0` entries, starting at byte
-    /// `at` of the load's source. `None` once the load has more entries
-    /// than `u32` ids can number; that bound keeps every block's entry
-    /// ids, and so its map count, within `u32`.
-    pub(crate) fn map(&mut self, activity: u32, at: usize, count: u32) -> Option<AttrMap> {
+    /// Files a map of `activity` with `count > 0` entries, starting at
+    /// byte `at` of the load's source, as the block's next map. `None`
+    /// once the load has more entries than `u32` ids can number; that
+    /// bound keeps every block's entry ids, and so its map numbers, below
+    /// [`NO_MAP`].
+    pub(crate) fn map(&mut self, activity: u32, at: usize, count: u32) -> Option<()> {
         self.entries += u64::from(count);
         if self.entries >= u64::from(u32::MAX) {
             return None;
         }
         let activity = activity as usize;
-        if activity >= self.blocks.len() {
-            self.blocks.resize_with(activity + 1, || None);
+        if activity >= self.starts.len() {
+            self.starts.resize_with(activity + 1, Starts::default);
         }
-        let (block, starts) = self.blocks[activity].get_or_insert_with(|| {
-            let block = AttrDict {
-                block: Some(Box::default()),
-                ..AttrDict::default()
-            };
-            (Arc::new(block), Vec::new())
-        });
-        starts.push(at);
-        Some(AttrMap {
-            dict: Some(Arc::clone(block)),
-            start: (starts.len() - 1) as u32,
-            len: count,
-        })
+        self.starts[activity].push(at);
+        Some(())
     }
 
-    /// Gives every block `source`, the load's undecoded maps. A load with
-    /// no non-empty map keeps no source.
-    pub(crate) fn finish(self, source: impl FnOnce() -> Source) {
+    /// The blocks by activity id, each sharing `source`, the load's
+    /// undecoded maps; `None` for an activity with no non-empty map. A
+    /// load with no non-empty map makes no source.
+    pub(crate) fn finish(self, source: impl FnOnce() -> Source) -> Vec<Option<Arc<AttrDict>>> {
         if self.entries == 0 {
-            return;
+            return Vec::new();
         }
         let source = source();
-        for (block, mut starts) in self.blocks.into_iter().flatten() {
-            if let Some(block) = &block.block {
-                starts.shrink_to_fit();
-                // Set once: the block was made by this load.
-                let _ = block.maps.set((source.clone(), starts));
-            }
-        }
+        self.starts
+            .into_iter()
+            .map(|mut starts| {
+                (starts.len() > 0).then(|| {
+                    starts.steps.shrink_to_fit();
+                    let block = Block {
+                        source: source.clone(),
+                        starts,
+                        built: OnceLock::new(),
+                    };
+                    Arc::new(AttrDict {
+                        block: Some(Box::new(block)),
+                        ..AttrDict::default()
+                    })
+                })
+            })
+            .collect()
     }
 }
 
@@ -823,6 +1021,20 @@ mod tests {
         assert!(Arc::ptr_eq(dict, maps[1].dict.as_ref().unwrap()));
         assert_eq!(dict.entries.len(), 5);
         assert_eq!(std::mem::size_of::<AttrMap>(), 16);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn map_starts_are_kept_as_steps_and_far_ones_whole() {
+        let far = 1usize << 32;
+        let at = [0, 5, 5, 7, far + 7, far + 9, 3, 1 << 40, (1 << 40) + 1];
+        let mut starts = Starts::default();
+        for &a in &at {
+            starts.push(a);
+        }
+        assert_eq!(starts.iter().collect::<Vec<_>>(), at);
+        assert_eq!(starts.len(), at.len());
+        assert_eq!(starts.far, [far + 7, 3, 1 << 40]);
     }
 
     #[test]

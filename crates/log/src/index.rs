@@ -370,6 +370,20 @@ impl LogIndex {
         &self.records[self.span(ordinal)]
     }
 
+    /// The entry of `(ordinal, is_lsn)` in the per-entry columns.
+    #[inline]
+    pub(crate) fn entry(&self, ordinal: usize, is_lsn: IsLsn) -> Option<usize> {
+        let span = self.span(ordinal);
+        let entry = span.start.checked_add(slot(is_lsn))?;
+        (entry < span.end).then_some(entry)
+    }
+
+    /// The CSR offsets, the activity-id column and the record-offset
+    /// column.
+    pub(crate) fn columns(&self) -> (&[u32], &[ActivityId], &[u32]) {
+        (&self.starts, &self.activities, &self.records)
+    }
+
     /// The is-lsns at which activity `id` executed in instance `ordinal`,
     /// ascending.
     #[must_use]

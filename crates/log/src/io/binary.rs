@@ -256,21 +256,21 @@ fn record(input: &[u8], kept: usize, load: &mut Load) -> Option<(usize, usize)> 
     let input_map = map(&mut cursor, kept, activity, load)?;
     let outputs = kept + (input.len() - cursor.data.len()) - maps;
     let output_map = map(&mut cursor, outputs, activity, load)?;
-    load.push((lsn, wid, is_lsn, activity), input_map, output_map);
+    load.push((lsn, wid, is_lsn, activity), [input_map, output_map]);
     Some((maps, input.len() - cursor.data.len()))
 }
 
 /// Checks the map `input` starts with, and files it into `activity`'s
-/// block at offset `at`.
-fn map(input: &mut Cursor<'_>, at: usize, activity: u32, load: &mut Load) -> Option<AttrMap> {
+/// block at offset `at` unless it is empty; returns whether it was.
+fn map(input: &mut Cursor<'_>, at: usize, activity: u32, load: &mut Load) -> Option<bool> {
     let count = input.u32()?;
     for _ in 0..count {
         input.checked_entry()?;
     }
     if count == 0 {
-        return Some(AttrMap::new());
+        return Some(false);
     }
-    load.blocks.map(activity, at, count)
+    load.blocks.map(activity, at, count).map(|()| true)
 }
 
 /// Parses the map a load checked at byte `at` of `data` into `dict`,

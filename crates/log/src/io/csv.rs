@@ -83,23 +83,25 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
         let head = super::parse_head(head, line_no, &mut load.names)?;
         let input = semi_map(&mut load, head.3, input, line_no)?;
         let output = semi_map(&mut load, head.3, output, line_no)?;
-        load.push(head, input, output);
+        load.push(head, [input, output]);
     }
     load.finish(None, b';')
 }
 
 /// An attribute map of `activity` from its `;`-separated column, checked
-/// and filed into the activity's block.
+/// and filed into the activity's block unless it is empty; whether it
+/// was.
 fn semi_map(
     load: &mut Load,
     activity: u32,
     text: &str,
     line_no: usize,
-) -> Result<AttrMap, ParseLogError> {
+) -> Result<bool, ParseLogError> {
     if trim(text).is_empty() {
-        return Ok(AttrMap::new());
+        return Ok(false);
     }
-    load.text_map(activity, text, split_quoted(text, b';'), line_no)
+    load.text_map(activity, text, split_quoted(text, b';'), line_no)?;
+    Ok(true)
 }
 
 /// Splits one CSV row into `fields` (cleared first). A column holding a

@@ -23,9 +23,10 @@ pub mod xes;
 use std::sync::Arc;
 
 use crate::attrs::{Blocks, DictBuilder, Source};
+use crate::log::Rows;
 use crate::names::{AttrName, Interner};
 use crate::value::parse_scalar;
-use crate::{AttrMap, Log, LogRecord, ParseLogError, Value};
+use crate::{AttrMap, Log, ParseLogError, Value};
 
 /// Renders a value for the text/CSV formats. Strings that would not
 /// re-parse as the same string (they look numeric/boolean, are empty,
@@ -167,13 +168,14 @@ pub(crate) fn parse_head(
 }
 
 /// One load of the binary, text or CSV decoder: the interned activity
-/// names, the records with each one's activity id, and their attribute
-/// maps filed undecoded into per-activity [`Blocks`].
+/// names, the records as columns (each with its activity id and whether
+/// each of its maps is non-empty), and their non-empty attribute maps
+/// filed undecoded into per-activity [`Blocks`], input before output.
+/// No [`LogRecord`](crate::LogRecord) or [`AttrMap`] is made.
 pub(crate) struct Load {
     pub(crate) names: Interner,
     pub(crate) blocks: Blocks,
-    records: Vec<LogRecord>,
-    activities: Vec<u32>,
+    rows: Rows,
     /// Text and CSV: the non-empty map fields, each ended by a `\n`.
     fields: String,
 }
@@ -184,23 +186,15 @@ impl Load {
         Load {
             names: Interner::default(),
             blocks: Blocks::default(),
-            records: Vec::with_capacity(records),
-            activities: Vec::with_capacity(records),
+            rows: Rows::with_capacity(records),
             fields: String::new(),
         }
     }
 
-    /// Adds a record whose activity has id `activity`.
-    pub(crate) fn push(
-        &mut self,
-        (lsn, wid, is_lsn, activity): (u64, u64, u32, u32),
-        input: AttrMap,
-        output: AttrMap,
-    ) {
-        let name = self.names.activity_name(activity);
-        self.records
-            .push(LogRecord::new(lsn, wid, is_lsn, name, input, output));
-        self.activities.push(activity);
+    /// Adds a record whose activity has id `activity`, and whose input
+    /// and output maps are non-empty as `filled` says.
+    pub(crate) fn push(&mut self, head: (u64, u64, u32, u32), filled: [bool; 2]) {
+        self.rows.push(head, filled);
     }
 
     /// A non-empty text or CSV map of `activity`: its `field` (which
@@ -214,7 +208,7 @@ impl Load {
         field: &str,
         pieces: impl IntoIterator<Item = &'a str>,
         line_no: usize,
-    ) -> Result<AttrMap, ParseLogError> {
+    ) -> Result<(), ParseLogError> {
         let mut count = 0u32;
         for piece in pieces {
             // What `split_entry` checks, without splitting: a name before
@@ -244,22 +238,17 @@ impl Load {
         let Load {
             names,
             blocks,
-            records,
-            activities,
+            rows,
             mut fields,
         } = self;
-        blocks.finish(|| match maps {
+        let blocks = blocks.finish(|| match maps {
             Some(maps) => Source::Binary(Arc::new(maps)),
             None => {
                 fields.shrink_to_fit();
                 Source::Text(Arc::new(fields), sep)
             }
         });
-        Ok(Log::with_activity_ids(
-            records,
-            activities,
-            names.into_activities(),
-        )?)
+        Ok(Log::decoded(rows, &names.into_activities(), blocks)?)
     }
 }
 
@@ -404,9 +393,9 @@ mod tests {
         let activity = load.names.activity_id(crate::START_ACTIVITY);
         for (i, text) in maps.iter().enumerate() {
             let pieces = scan::split_quoted(text, sep);
-            let map = load.text_map(activity, text, pieces, i + 1)?;
+            load.text_map(activity, text, pieces, i + 1)?;
             let n = i as u64 + 1;
-            load.push((n, n, 1, activity), map, AttrMap::new());
+            load.push((n, n, 1, activity), [true, false]);
         }
         let log = load.finish(None, sep)?;
         Ok(log.iter().map(|r| r.input().clone()).collect())

@@ -35,7 +35,7 @@ use crate::log::Log;
 
 /// Renders a log as a Figure 3-style table with a header line.
 ///
-/// Unlike [`LogRecord`]'s human-oriented `Display`, this renderer quotes
+/// Unlike [`LogRecord`](crate::LogRecord)'s human-oriented `Display`, this renderer quotes
 /// attribute values that would otherwise be ambiguous (numeric-looking
 /// strings, separators), so [`read_text`] round-trips losslessly.
 #[must_use]
@@ -88,7 +88,7 @@ pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
         let (input, output) = entries.split_at(inputs);
         let input = attr_map(&mut load, head.3, (maps[0], input), line_no)?;
         let output = attr_map(&mut load, head.3, (maps[1], output), line_no)?;
-        load.push(head, input, output);
+        load.push(head, [input, output]);
     }
     load.finish(None, b',')
 }
@@ -208,17 +208,19 @@ impl<'a> Lines<'a> {
 }
 
 /// An attribute map of `activity` from its field and the field's pieces,
-/// checked and filed into the activity's block.
+/// checked and filed into the activity's block unless it is empty;
+/// whether it was.
 fn attr_map(
     load: &mut Load,
     activity: u32,
     (field, pieces): (&str, &[&str]),
     line_no: usize,
-) -> Result<AttrMap, ParseLogError> {
+) -> Result<bool, ParseLogError> {
     if is_empty_map(pieces) {
-        return Ok(AttrMap::new());
+        return Ok(false);
     }
-    load.text_map(activity, field, pieces.iter().copied(), line_no)
+    load.text_map(activity, field, pieces.iter().copied(), line_no)?;
+    Ok(true)
 }
 
 /// Whether a map field, given as its pieces, is blank or `-`: one piece,

@@ -12,6 +12,13 @@
 //! activity execution of one workflow instance together with the attribute
 //! values the activity read (`αin`) and wrote (`αout`).
 //!
+//! A decoded log (binary, text or CSV) keeps its records as columns: the
+//! index's columns hold each record's lsn, wid, is-lsn and activity, and
+//! two map numbers per record point into per-activity attribute blocks
+//! that are parsed on first read. Queries read the maps through
+//! [`Log::maps`] without building a record; [`Log::records`] and the
+//! other record accessors build the [`LogRecord`]s once, on first call.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -48,7 +55,7 @@ mod value;
 pub mod io;
 pub mod paper;
 
-pub use attrs::{AttrIter, AttrMap};
+pub use attrs::{AttrIter, AttrMap, AttrMapRef};
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
 pub use index::{ActivityId, LogIndex};

@@ -20,13 +20,13 @@
 //! to file the record's attribute maps into that activity's lazy block
 //! (see the `attrs` module), and hand the numbers to the log's load pass,
 //! which renumbers them into the [`ActivityId`](crate::ActivityId)s of
-//! name order without hashing a name again. Records built by hand (and
-//! the XES decoder's) get their first-seen numbers in
-//! [`Log::new`](crate::Log::new), from a by-name map.
+//! name order without hashing a name again. Records built by hand get
+//! their first-seen numbers in [`Log::new`](crate::Log::new), from a
+//! by-name map.
 //!
 //! These per-load tables (the interners, the attribute dictionaries'
-//! entry lookups, and in `Log::new` the instance map and, for records no
-//! decoder numbered, the activity map) hash with
+//! entry lookups, the instance map of a load or of `Log::new`, and, for
+//! records no decoder numbered, the activity map) hash with
 //! `FxBuildHasher`, a multiply-rotate hash in the style of rustc's
 //! `FxHasher`, instead of the standard SipHash. It is several times
 //! cheaper on short names but is not a keyed cryptographic hash. Each
@@ -261,9 +261,8 @@ impl Hasher for FxHasher {
 
 /// A per-decode table of activity and attribute names: each distinct
 /// name is allocated once and shared. Activity names also get dense ids
-/// in first-seen order, which the lazy decoders hand to
-/// [`Log::with_activity_ids`](crate::Log::with_activity_ids) and use to
-/// pick each map's attribute block.
+/// in first-seen order, which the decoders hand to the log's load pass
+/// and use to pick each map's attribute block.
 #[derive(Default)]
 pub(crate) struct Interner {
     strings: HashSet<Arc<str>, FxBuildHasher>,

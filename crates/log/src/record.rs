@@ -84,6 +84,12 @@ impl IsLsn {
 /// [`input`](Self::input) (`αin(l)`), and [`output`](Self::output)
 /// (`αout(l)`).
 ///
+/// A record is 72 bytes. A [`Log`](crate::Log) built by
+/// [`Log::new`](crate::Log::new) keeps the records it is given; a decoded
+/// log keeps the same six components as columns of its index and its
+/// attribute blocks, and builds its records only when a caller asks for
+/// them ([`Log::records`](crate::Log::records)). Queries never do.
+///
 /// # Examples
 ///
 /// The record `l4` from the paper's Example 1:

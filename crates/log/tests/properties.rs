@@ -2,7 +2,7 @@
 //! round-trips over randomly-shaped logs with arbitrary attribute values,
 //! decoder robustness under byte mutations, decode interning, attribute
 //! maps shared through a load's dictionary, lazily decoded attribute
-//! blocks, and index consistency.
+//! blocks, records built on demand, and index consistency.
 
 use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 
 use std::sync::Barrier;
 
-use wlq_log::{attrs, io, Activity, AttrMap, Log, LogBuilder, LogRecord, LogStats, Value};
+use wlq_log::{attrs, io, Activity, AttrMap, IsLsn, Log, LogBuilder, LogRecord, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -153,6 +153,27 @@ fn maps(log: &Log) -> Vec<&AttrMap> {
     log.iter().flat_map(|r| [r.input(), r.output()]).collect()
 }
 
+/// Every record's maps as [`Log::maps`] lends them without building a
+/// record, as queries read them, in (instance, is-lsn) order, copied out.
+fn lent_maps(log: &Log) -> Vec<[AttrMap; 2]> {
+    let index = log.index();
+    let mut out = Vec::new();
+    for ordinal in 0..index.num_instances() {
+        for p in 1..=index.instance_activities(ordinal).len() as u32 {
+            let maps = log.maps(ordinal, IsLsn(p)).expect("every entry has maps");
+            out.push(maps.map(|m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()));
+        }
+    }
+    out
+}
+
+/// Every record's maps in (instance, is-lsn) order, read off the records.
+fn record_maps(log: &Log) -> Vec<[AttrMap; 2]> {
+    (log.wids().flat_map(|wid| log.instance(wid)))
+        .map(|r| [r.input().clone(), r.output().clone()])
+        .collect()
+}
+
 fn hash_of<T: Hash>(t: &T) -> u64 {
     let mut h = DefaultHasher::new();
     t.hash(&mut h);
@@ -247,6 +268,11 @@ proptest! {
                     _ => io::xes::read_xes(&String::from_utf8_lossy(&data)),
                 };
                 if let Ok(decoded) = decoded {
+                    // The maps queries read, then the records built on
+                    // demand, which read every map again.
+                    let lent = lent_maps(&decoded);
+                    prop_assert_eq!(decoded.records().len(), decoded.len());
+                    prop_assert_eq!(lent, record_maps(&decoded));
                     for map in maps(&decoded) {
                         prop_assert_eq!(map.is_empty(), map.iter().next().is_none());
                     }
@@ -402,6 +428,48 @@ proptest! {
         prop_assert_eq!(&io::binary::read_binary(bin).unwrap(), &log);
         let xes = io::xes::write_xes(&log);
         prop_assert_eq!(&io::xes::read_xes(&xes).unwrap(), &log);
+    }
+
+    /// Every decoder's records, built on demand, equal `Log::new` of the
+    /// same records, whether they are built before or after the maps are
+    /// read the way queries read them; and the maps lent without records
+    /// are the records' maps.
+    #[test]
+    fn records_built_on_demand_equal_the_given_records(log in arb_log()) {
+        let given = Log::new(log.records().to_vec()).unwrap();
+        let expected = record_maps(&given);
+        for first in decode_all(&log) {
+            prop_assert_eq!(first.records(), given.records());
+            prop_assert_eq!(lent_maps(&first), expected.clone());
+        }
+        for later in decode_all(&log) {
+            prop_assert_eq!(lent_maps(&later), expected.clone());
+            prop_assert_eq!(later.records(), given.records());
+        }
+        for consumed in decode_all(&log) {
+            prop_assert_eq!(Log::new(consumed.into_records()).unwrap(), given.clone());
+        }
+    }
+
+    /// Two threads racing to ask one decoded log for its records first
+    /// get the same records: they are built once.
+    #[test]
+    fn racing_first_calls_to_records_get_one_slice(log in arb_log()) {
+        for decoded in decode_all(&log) {
+            let barrier = Barrier::new(2);
+            let read = || {
+                barrier.wait();
+                let records = decoded.records();
+                (records.as_ptr() as usize, records.len())
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(read);
+                let b = s.spawn(read);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(a, (decoded.records().as_ptr() as usize, log.len()));
+        }
     }
 
     /// The index agrees with a direct scan for every (wid, activity).

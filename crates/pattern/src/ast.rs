@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use wlq_log::{Activity, AttrName, Value};
+use wlq_log::{Activity, AttrMapRef, AttrName, Value};
 
 /// The four binary pattern operators of Definition 3, inspired by BPMN
 /// gateways.
@@ -189,13 +189,19 @@ impl Predicate {
         self
     }
 
-    /// Tests the predicate against a record's input/output maps.
+    /// Tests the predicate against a record's input/output maps, owned
+    /// (`&AttrMap`) or borrowed from a log ([`AttrMapRef`]).
     ///
     /// Numeric comparisons coerce between `Int` and `Float`
     /// ([`Value::numeric_cmp`]); other kinds compare only within their kind,
     /// and an undefined attribute satisfies no comparison except `!=`.
     #[must_use]
-    pub fn matches(&self, input: &wlq_log::AttrMap, output: &wlq_log::AttrMap) -> bool {
+    pub fn matches<'a>(
+        &self,
+        input: impl Into<AttrMapRef<'a>>,
+        output: impl Into<AttrMapRef<'a>>,
+    ) -> bool {
+        let (input, output) = (input.into(), output.into());
         let actual = match self.scope {
             Scope::Input => input.get(self.attr.as_str()),
             Scope::Output => output.get(self.attr.as_str()),

@@ -615,3 +615,30 @@ fn trace_check_rejects_invalid_traces() {
 
     std::fs::remove_file(&path).ok();
 }
+
+/// A reader that has gone (`wlq … | head`, `| true`) ends the command
+/// quietly: exit 0, no panic, whichever command was writing.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let path = temp_path("closed-stdout.bin");
+    let p = path.to_str().unwrap();
+    assert!(wlq(&["simulate", "clinic", "200", "7", p]).status.success());
+    for args in [
+        &["query", p, "SeeDoctor & PayTreatment", "--by-instance"][..],
+        &["query", p, "SeeDoctor & PayTreatment"],
+        &["stats", p],
+    ] {
+        // The read end is closed before the child starts, so its first
+        // write fails.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_wlq"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{args:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
