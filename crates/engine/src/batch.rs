@@ -248,6 +248,21 @@ impl IncidentBatch {
         self.push_ref(offset, low.len() + high.len(), low[0], high[high.len() - 1]);
     }
 
+    /// Appends the union of an incident and one position past all of its
+    /// own: [`push_concat`](Self::push_concat) with a singleton `high`,
+    /// which the `⊙`/`→` kernels emit without slicing the singleton out of
+    /// its batch's pool.
+    pub fn push_concat_one(&mut self, low: &[IsLsn], high: IsLsn) {
+        debug_assert!(
+            low.last() < Some(&high),
+            "push_concat_one requires an ordered operand"
+        );
+        let offset = self.pool.len();
+        self.pool.extend_from_slice(low);
+        self.pool.push(high);
+        self.push_ref(offset, low.len() + 1, low[0], high);
+    }
+
     /// Current pool end — the rollback point for a speculative merge.
     #[must_use]
     pub fn pool_mark(&self) -> usize {

@@ -41,7 +41,7 @@
 //! of non-negative numbers preserve that, so a result below `usize::MAX`
 //! is exact even when a prefix count on the way saturated.
 
-use wlq_log::{ActivityId, Log, LogIndex};
+use wlq_log::{ActivityId, Log, LogIndex, PostingsCursor};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::candidates::Candidates;
@@ -105,11 +105,8 @@ impl<'p> Class<'p> {
 
     /// The distinct ids of the log's activities in `names`; names the log
     /// never runs have none.
-    fn named_ids(&self, index: &LogIndex) -> Vec<ActivityId> {
-        self.names
-            .iter()
-            .filter_map(|name| index.activity_id(name))
-            .collect()
+    fn named_ids<'i>(&'i self, index: &'i LogIndex) -> impl Iterator<Item = ActivityId> + 'i {
+        self.names.iter().filter_map(|name| index.activity_id(name))
     }
 }
 
@@ -214,19 +211,22 @@ fn class(p: &Pattern) -> Option<Class<'_>> {
     }
 }
 
-/// A lone class resolved against one index: `named` are the ids of its
-/// names the log runs.
-struct ClassCounter {
+/// A lone class resolved against one index: a cursor over the postings
+/// of each of its names the log runs. The counters visit ascending
+/// ordinals, so each cursor finds an instance's postings in amortized
+/// constant time, and without a search for an activity every instance
+/// runs; their lengths are the named records.
+struct ClassCounter<'i> {
     complement: bool,
-    named: Vec<ActivityId>,
+    named: Vec<PostingsCursor<'i>>,
 }
 
-impl ClassCounter {
-    fn instance(&self, index: &LogIndex, ordinal: usize) -> usize {
+impl ClassCounter<'_> {
+    fn instance(&mut self, index: &LogIndex, ordinal: usize) -> usize {
         let named: usize = self
             .named
-            .iter()
-            .map(|&id| index.instance_postings(ordinal, id).len())
+            .iter_mut()
+            .map(|cursor| cursor.seek(ordinal).len())
             .sum();
         if self.complement {
             index
@@ -271,20 +271,22 @@ impl ChainCounter {
         let classes = std::iter::once(first).chain(tail.iter().map(|(_, class)| class));
         for (j, class) in classes.enumerate() {
             let (word, bit) = (j / 64, 1u64 << (j % 64));
-            let named = class.named_ids(index);
+            let mut named = 0;
             if class.complement {
                 for row in table.chunks_exact_mut(words).take(activities) {
                     row[word] |= bit;
                 }
-                for id in &named {
+                for id in class.named_ids(index) {
                     table[id.index() * words + word] &= !bit;
+                    named += 1;
                 }
-                unmatchable |= named.len() == activities;
+                unmatchable |= named == activities;
             } else {
-                for id in &named {
+                for id in class.named_ids(index) {
                     table[id.index() * words + word] |= bit;
+                    named += 1;
                 }
-                unmatchable |= named.is_empty();
+                unmatchable |= named == 0;
             }
         }
         ChainCounter {
@@ -358,18 +360,20 @@ impl ChainCounter {
 }
 
 /// A [`Shape`] resolved against one index.
-enum Counter {
-    Class(ClassCounter),
+enum Counter<'i> {
+    Class(ClassCounter<'i>),
     Chain(ChainCounter),
-    Product(Box<Counter>, Box<Counter>),
+    Product(Box<Counter<'i>>, Box<Counter<'i>>),
 }
 
-impl Counter {
-    fn new(shape: &Shape<'_>, index: &LogIndex) -> Self {
+impl<'i> Counter<'i> {
+    fn new(shape: &Shape<'_>, index: &'i LogIndex) -> Self {
         match shape {
             Shape::Chain { first, tail } if tail.is_empty() => Counter::Class(ClassCounter {
                 complement: first.complement,
-                named: first.named_ids(index),
+                named: (first.named_ids(index))
+                    .map(|id| index.postings_cursor(id))
+                    .collect(),
             }),
             Shape::Chain { first, tail } => Counter::Chain(ChainCounter::new(first, tail, index)),
             Shape::Product(left, right) => Counter::Product(

@@ -3,9 +3,9 @@
 //!
 //! A query is planned once. [`Evaluator::drive`] turns the physical plan
 //! into an [`Exec`] tree whose atoms are resolved to the index's activity
-//! ids and whose nodes carry their pre-order ids, once per run (a pool
-//! worker's run included), and then runs it over instance ordinals and
-//! ids only.
+//! ids and postings cursors and whose nodes carry their pre-order ids,
+//! once per run (a pool worker's run included), and then runs it over
+//! ascending instance ordinals and ids only.
 //! The naive oracle recurses over the pattern as written. Both report to
 //! a [`Probe`]: [`NoProbe`] here, the metrics probe when profiling. Every
 //! entry point — listing, counting, `exists`, the worker pool,
@@ -14,7 +14,7 @@
 
 use std::ops::ControlFlow;
 
-use wlq_log::{ActivityId, IsLsn, Log, LogIndex, Wid};
+use wlq_log::{ActivityId, IsLsn, Log, LogIndex, PostingsCursor, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::{BatchArena, IncidentBatch};
@@ -46,28 +46,41 @@ pub enum Strategy {
 }
 
 /// An atom resolved against an index: its activity id, `None` when the
-/// activity never occurs in the log.
-#[derive(Debug, Clone, Copy)]
+/// activity never occurs in the log, and a cursor over its postings.
+#[derive(Debug)]
 pub(crate) struct Leaf<'p> {
     atom: &'p Atom,
     id: Option<ActivityId>,
+    postings: Option<PostingsCursor<'p>>,
 }
 
 impl<'p> Leaf<'p> {
-    fn resolve(atom: &'p Atom, index: &LogIndex) -> Self {
+    fn resolve(atom: &'p Atom, index: &'p LogIndex) -> Self {
+        let id = index.activity_id(atom.activity.as_str());
         Leaf {
             atom,
-            id: index.activity_id(atom.activity.as_str()),
+            id,
+            postings: id.map(|id| index.postings_cursor(id)),
         }
     }
 
     /// Calls `emit` with every matching position of instance `ordinal`,
-    /// ascending: the activity's postings for `t`, a walk of the id column
-    /// for `¬t` (the whole instance when `t` never occurs), each filtered
-    /// by the atom's attribute predicates (extension).
-    fn scan(self, log: &Log, index: &LogIndex, ordinal: usize, mut emit: impl FnMut(IsLsn)) {
+    /// ascending, and returns how many index candidates it examined: the
+    /// activity's postings for `t`, read through the leaf's cursor (a run
+    /// over ascending ordinals seeks each in amortized constant time), or
+    /// a walk of the id column for `¬t` (the whole instance when `t` never
+    /// occurs), each filtered by the atom's attribute predicates
+    /// (extension).
+    fn scan(
+        &mut self,
+        log: &Log,
+        index: &LogIndex,
+        ordinal: usize,
+        mut emit: impl FnMut(IsLsn),
+    ) -> u64 {
+        let atom = self.atom;
         let admits = |p: IsLsn| {
-            if self.atom.predicates.is_empty() {
+            if atom.predicates.is_empty() {
                 return true;
             }
             // Index positions always have a record in the log the index
@@ -75,37 +88,30 @@ impl<'p> Leaf<'p> {
             let Some([input, output]) = log.maps(ordinal, p) else {
                 return false;
             };
-            self.atom
-                .predicates
+            atom.predicates
                 .iter()
                 .all(|pred| pred.matches(input, output))
         };
-        if self.atom.negated {
-            for (p, &id) in (1..).zip(index.instance_activities(ordinal)) {
+        if atom.negated {
+            let column = index.instance_activities(ordinal);
+            for (p, &id) in (1..).zip(column) {
                 let p = IsLsn(p);
                 if Some(id) != self.id && admits(p) {
                     emit(p);
                 }
             }
-        } else if let Some(id) = self.id {
-            for &p in index.instance_postings(ordinal, id) {
+            column.len() as u64
+        } else if let Some(cursor) = &mut self.postings {
+            let postings = cursor.seek(ordinal);
+            for &p in postings {
                 if admits(p) {
                     emit(p);
                 }
             }
-        }
-    }
-
-    /// Index candidates [`scan`](Self::scan) examines in instance
-    /// `ordinal`: the postings of `t`, or the whole instance for `¬t`.
-    fn candidates(self, index: &LogIndex, ordinal: usize) -> u64 {
-        let n = if self.atom.negated {
-            index.instance_activities(ordinal).len()
+            postings.len() as u64
         } else {
-            self.id
-                .map_or(0, |id| index.instance_postings(ordinal, id).len())
-        };
-        n as u64
+            0
+        }
     }
 }
 
@@ -141,7 +147,7 @@ pub(crate) enum Exec<'p> {
 
 impl<'p> Exec<'p> {
     /// The subtree at `node`, numbering from `next`.
-    fn build(node: &'p PlanNode, index: &LogIndex, next: &mut usize) -> Self {
+    fn build(node: &'p PlanNode, index: &'p LogIndex, next: &mut usize) -> Self {
         let id = *next;
         *next += 1;
         match node {
@@ -257,7 +263,7 @@ impl<'a> Evaluator<'a> {
     /// batches in the caller's arena.
     fn run<P: Probe>(
         &self,
-        exec: &Exec<'_>,
+        exec: &mut Exec<'_>,
         ordinal: usize,
         wid: Wid,
         arena: &mut BatchArena,
@@ -267,9 +273,9 @@ impl<'a> Evaluator<'a> {
             Exec::Leaf { id, leaf } => {
                 let mark = probe.start();
                 let mut batch = arena.alloc(wid);
-                leaf.scan(self.log, self.index, ordinal, |p| batch.push_singleton(p));
+                let scanned = leaf.scan(self.log, self.index, ordinal, |p| batch.push_singleton(p));
                 probe.record(*id, mark, || Event::Scan {
-                    scanned: leaf.candidates(self.index, ordinal),
+                    scanned,
                     out: Output::batch(&batch),
                 });
                 batch
@@ -317,13 +323,13 @@ impl<'a> Evaluator<'a> {
         match pattern {
             Pattern::Atom(atom) => {
                 let mark = probe.start();
-                let leaf = Leaf::resolve(atom, self.index);
                 let mut out = Vec::new();
-                leaf.scan(self.log, self.index, ordinal, |p| {
-                    out.push(Incident::singleton(wid, p));
-                });
+                let scanned =
+                    Leaf::resolve(atom, self.index).scan(self.log, self.index, ordinal, |p| {
+                        out.push(Incident::singleton(wid, p))
+                    });
                 probe.record(id, mark, || Event::Scan {
-                    scanned: leaf.candidates(self.index, ordinal),
+                    scanned,
                     out: Output::classic(&out),
                 });
                 out
@@ -364,14 +370,16 @@ impl<'a> Evaluator<'a> {
         probe: &mut P,
         mut sink: impl FnMut(IncidentBatch, &mut BatchArena) -> ControlFlow<()>,
     ) {
-        let exec = plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0));
+        // One tree per run, so each pool worker's leaf cursors walk its
+        // own ascending claims.
+        let mut exec = plan.map(|plan| Exec::build(plan.root(), self.index, &mut 0));
         let wids = self.index.instance_wids();
         let mut arena = BatchArena::new();
         for ordinal in ordinals {
             let Some(&wid) = wids.get(ordinal) else {
                 return;
             };
-            let batch = match &exec {
+            let batch = match &mut exec {
                 Some(exec) => self.run(exec, ordinal, wid, &mut arena, probe),
                 None => {
                     let mut batch = arena.alloc(wid);

@@ -98,7 +98,8 @@ pub fn combine_batch_into(
 ///
 /// The right refs are sorted by `first`, so each left incident's partners
 /// are one contiguous run found by binary search on the cached keys — the
-/// pool is touched only to copy the union out.
+/// pool is touched only to copy the union out, and not at all for a
+/// singleton partner, whose one position is its key.
 pub fn consecutive_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut IncidentBatch) {
     check_operands(left, right, out);
     let rrefs = right.refs();
@@ -108,8 +109,13 @@ pub fn consecutive_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut
             continue;
         };
         let start = rrefs.partition_point(|r| r.first() < probe);
+        let lpos = left.positions(lref);
         for rref in rrefs[start..].iter().take_while(|r| r.first() == probe) {
-            out.push_concat(left.positions(lref), right.positions(rref));
+            if rref.len() == 1 {
+                out.push_concat_one(lpos, probe);
+            } else {
+                out.push_concat(lpos, right.positions(rref));
+            }
         }
     }
     if distinct_firsts(left.refs()) {
@@ -127,8 +133,9 @@ pub fn consecutive_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut
 /// the output pool and refs are reserved in one shot (a wide `→` join
 /// emits `Θ(n1·n2)` positions — growing the pool incrementally re-copies
 /// it `O(log)` times, which dominated the sort it was meant to save); the
-/// second emits every union as a concat. A suffix's positions are its
-/// length when every right ref is a singleton, and otherwise come from
+/// second emits every union as a concat. When every right ref is a
+/// singleton, a suffix's positions are its length and each union is the
+/// left slice and one position; otherwise they come from
 /// suffix sums in a per-thread buffer reused across calls, so the kernel
 /// makes no heap call beyond its output's. When left `first`s are
 /// strictly distinct the output is sorted and deduplicated by
@@ -161,8 +168,15 @@ pub fn sequential_kernel(left: &IncidentBatch, right: &IncidentBatch, out: &mut 
     out.reserve(total_refs, total_positions);
     for lref in lrefs {
         let lpos = left.positions(lref);
-        for rref in &rrefs[start(lref)..] {
-            out.push_concat(lpos, right.positions(rref));
+        let partners = &rrefs[start(lref)..];
+        if singletons {
+            for rref in partners {
+                out.push_concat_one(lpos, rref.first());
+            }
+        } else {
+            for rref in partners {
+                out.push_concat(lpos, right.positions(rref));
+            }
         }
     }
     if distinct_firsts(lrefs) {

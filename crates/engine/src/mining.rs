@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use wlq_log::{Activity, Log};
+use wlq_log::{Activity, ActivityId, IsLsn, Log};
 use wlq_pattern::{Op, Pattern};
 
 /// One mined relation with its support.
@@ -49,22 +49,26 @@ pub struct MinedRelation {
 #[must_use]
 pub fn mine_relations(log: &Log, min_support: usize) -> Vec<MinedRelation> {
     let index = log.index();
-    let activities: Vec<Activity> = log
-        .activities()
-        .into_iter()
-        .filter(|a| !a.is_start() && !a.is_end())
-        .collect();
+    // Every activity but the markers, with a cursor over its postings:
+    // walked over the instances in ordinal (wid) order, each finds an
+    // instance's postings in amortized constant time.
+    let (activities, mut cursors): (Vec<&Activity>, Vec<_>) = (0u32..)
+        .zip(index.activities())
+        .filter(|(_, a)| !a.is_start() && !a.is_end())
+        .map(|(id, a)| (a, index.postings_cursor(ActivityId(id))))
+        .unzip();
+    let mut postings: Vec<&[IsLsn]> = Vec::with_capacity(activities.len());
 
     // support[(a, b, op)] = number of instances where the relation holds.
     let mut support: BTreeMap<(Activity, Activity, Op), usize> = BTreeMap::new();
-    for wid in log.wids() {
-        for a in &activities {
-            let pa = index.postings(wid, a.as_str());
+    for ordinal in 0..index.num_instances() {
+        postings.clear();
+        postings.extend(cursors.iter_mut().map(|c| c.seek(ordinal)));
+        for (&a, &pa) in activities.iter().zip(&postings) {
             if pa.is_empty() {
                 continue;
             }
-            for b in &activities {
-                let pb = index.postings(wid, b.as_str());
+            for (&b, &pb) in activities.iter().zip(&postings) {
                 if pb.is_empty() {
                     continue;
                 }

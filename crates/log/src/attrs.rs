@@ -23,9 +23,11 @@
 //! iteration, equality, order, hash, display, serialization or a write)
 //! parses all of the block's maps into a dictionary of its own, once,
 //! through a `OnceLock`: threads racing to read a block first wait for
-//! one of them to build it. Since the load checked everything that can
-//! fail, the parse cannot fail; it has no panic path, and would end a map
-//! early on an entry the load should have refused. A query that reads no
+//! one of them to build it. A built block drops its share of the
+//! undecoded maps and its map starts, so once every block is built the
+//! load's undecoded maps are freed. Since the load checked everything
+//! that can fail, the parse cannot fail; it has no panic path, and would
+//! end a map early on an entry the load should have refused. A query that reads no
 //! attribute parses none, and `GetRefer[balance > 5000]` parses
 //! `GetRefer`'s block only.
 //!
@@ -45,7 +47,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::names::{AttrName, FxBuildHasher, Interner};
 use crate::record::LogRecord;
@@ -66,13 +68,31 @@ pub(crate) struct AttrDict {
 /// One activity's attribute maps in one load, kept undecoded until one of
 /// them is read. The load checked their framing, so decoding them cannot
 /// fail.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Block {
+    /// The undecoded maps until the block is built, which takes them: a
+    /// built block holds neither its share of the load's source nor its
+    /// starts, and the source is freed once its last block is built.
+    pending: Mutex<Option<Pending>>,
+    built: OnceLock<Built>,
+}
+
+/// A block's maps before it is built.
+#[derive(Debug, Clone)]
+struct Pending {
     /// The load's undecoded maps.
     source: Source,
     /// Where in `source` each of the block's maps starts, by map number.
     starts: Starts,
-    built: OnceLock<Built>,
+}
+
+impl Clone for Block {
+    fn clone(&self) -> Self {
+        Block {
+            pending: Mutex::new(self.pending().clone()),
+            built: self.built.clone(),
+        }
+    }
 }
 
 /// Where each map of a block starts in its load's source, in map order:
@@ -140,15 +160,26 @@ struct Built {
 }
 
 impl Block {
-    /// The decoded block, built on the first call. Concurrent first calls
-    /// block until one of them has built it.
+    /// The pending maps. The lock is only held to take or clone them,
+    /// which cannot panic, so a poisoned lock still guards a whole value.
+    fn pending(&self) -> MutexGuard<'_, Option<Pending>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The decoded block, built on the first call from the pending maps,
+    /// which it then drops. Concurrent first calls block until one of them
+    /// has built it.
     fn built(&self) -> &Built {
         self.built.get_or_init(|| {
+            // Only a build that panicked after taking them leaves none.
+            let Some(Pending { source, starts }) = self.pending().take() else {
+                return Built::default();
+            };
             let mut dict = DictBuilder::default();
-            let mut runs = Vec::with_capacity(self.starts.len() + 1);
+            let mut runs = Vec::with_capacity(starts.len() + 1);
             runs.push(0);
-            for at in self.starts.iter() {
-                match &self.source {
+            for at in starts.iter() {
+                match &source {
                     Source::Binary(maps) => crate::io::binary::decode_map(maps, at, &mut dict),
                     Source::Text(fields, sep) => {
                         let field = fields.get(at..).unwrap_or_default();
@@ -894,8 +925,10 @@ impl Blocks {
                 (starts.len() > 0).then(|| {
                     starts.steps.shrink_to_fit();
                     let block = Block {
-                        source: source.clone(),
-                        starts,
+                        pending: Mutex::new(Some(Pending {
+                            source: source.clone(),
+                            starts,
+                        })),
                         built: OnceLock::new(),
                     };
                     Arc::new(AttrDict {

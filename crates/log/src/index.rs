@@ -17,18 +17,28 @@
 //!   (ordinal, is-lsn) to the record's position in [`Log::records`]; the
 //!   log's own `(wid, is-lsn)` lookups read this column too, so it is
 //!   stored once;
-//! - postings over the same entries: each instance's is-lsns grouped by
-//!   activity id, ascending within a group, with per-activity totals;
-//! - per activity id, the ordinals of the instances it occurs in,
-//!   ascending, in CSR form: one `u32` per (instance, activity) pair and
-//!   one offset per id.
+//! - the grouped half, laid out by activity: per activity id the ordinals
+//!   of the instances it occurs in, ascending, in CSR form (one `u32` per
+//!   (instance, activity) *pair* and one offset per id); per pair, where
+//!   its is-lsns start in one postings column (one `u32` per pair, and one
+//!   more to end the last); and that column, which holds every entry's
+//!   is-lsn ordered by activity id, then ordinal, then is-lsn.
 //!
-//! The load pass fills the symbol table and the columns. The postings and
-//! the per-activity instance lists are grouped from the activity-id
-//! column on the first [`Log::index`] call, so a log that is only
-//! replayed record by record (the streaming evaluator) never holds them.
-//! Equality compares the columns; everything grouped is a function of
-//! them.
+//! The load pass fills the symbol table and the columns. The grouped half
+//! is laid out from the activity-id column on the first [`Log::index`]
+//! call, in one counting pass and one filling pass with no sort, so a log
+//! that is only replayed record by record (the streaming evaluator) never
+//! holds it. Equality compares the columns; everything grouped is a
+//! function of them.
+//!
+//! Algorithm 2's constant-time lookup holds amortized: a
+//! [`PostingsCursor`] walks one activity's pairs forward, so a walk over
+//! ascending ordinals (the executor's leaf scans, the counting DP, the
+//! miner) finds each instance's postings in amortized constant time, and
+//! without any search for an activity every instance runs.
+//! [`LogIndex::instance_postings`] is the random access: one search in the
+//! activity's instance list. An activity's total and its largest
+//! per-instance count are read off its pair offsets.
 //!
 //! The load pass takes each record's activity id from the decoder that
 //! interned the name (binary, text, CSV), or else maps the name to its id
@@ -69,7 +79,7 @@ fn slot(is_lsn: IsLsn) -> usize {
 }
 
 /// A dense inverted index over a log: interned activity ids, instance
-/// ordinals, and per-instance postings in CSR form (see the module docs).
+/// ordinals, and postings laid out by activity (see the module docs).
 ///
 /// # Examples
 ///
@@ -103,21 +113,116 @@ pub struct LogIndex {
     grouped: OnceLock<Box<Grouped>>,
 }
 
-/// The postings column, the per-activity instance lists and the
-/// per-activity statistics read off them.
+/// The grouped half of the index, laid out by activity: per activity id
+/// the ordinals of the instances it occurs in, and per (activity,
+/// instance) pair where its is-lsns start in one postings column.
 #[derive(Debug, Clone)]
 struct Grouped {
-    /// Per instance, its is-lsns grouped by activity id.
-    postings: Vec<IsLsn>,
     /// CSR offsets into `instances`; `len = names.len() + 1`.
     instance_starts: Vec<u32>,
     /// Per activity id, the ordinals of the instances it occurs in,
-    /// ascending: id `a` owns `instance_starts[a]..instance_starts[a + 1]`.
+    /// ascending: id `a` owns pairs `instance_starts[a]..instance_starts[a + 1]`.
     instances: Vec<u32>,
-    /// Executions per activity id over the whole log.
-    totals: Vec<usize>,
-    /// Largest per-instance posting count per activity id.
-    max_postings: Vec<usize>,
+    /// Per pair, where its is-lsns start in `postings`; one more entry
+    /// ends the last pair, so pair `k` owns `pair_starts[k]..pair_starts[k + 1]`.
+    pair_starts: Vec<u32>,
+    /// Every entry's is-lsn, ordered by activity id, then ordinal, then
+    /// is-lsn.
+    postings: Vec<IsLsn>,
+}
+
+impl Grouped {
+    /// The pairs of activity `id` (empty for an id the index did not
+    /// issue).
+    fn pairs(&self, id: ActivityId) -> Range<usize> {
+        match self.instance_starts.get(id.index()..id.index() + 2) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+}
+
+/// A forward cursor over one activity's postings, instance by instance
+/// ([`LogIndex::postings_cursor`]).
+///
+/// [`seek`](Self::seek) gallops forward from the pair the last seek
+/// stopped at, so a walk over ascending ordinals costs amortized constant
+/// time per seek plus the logarithm of each gap; an activity that every
+/// instance runs needs no search at all. A seek to an ordinal below the
+/// last one still answers, by searching from the first pair.
+///
+/// # Examples
+///
+/// ```
+/// use wlq_log::{paper, IsLsn};
+///
+/// let log = paper::figure3_log();
+/// let idx = log.index();
+/// let mut cursor = idx.postings_cursor(idx.activity_id("SeeDoctor").unwrap());
+/// assert_eq!(cursor.seek(0), &[IsLsn(4), IsLsn(6)]);
+/// assert_eq!(cursor.seek(2), &[] as &[IsLsn]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PostingsCursor<'a> {
+    /// The activity's instance ordinals, ascending.
+    instances: &'a [u32],
+    /// Where each of its pairs starts in `postings`, and where the last
+    /// one ends.
+    starts: &'a [u32],
+    /// The whole postings column.
+    postings: &'a [IsLsn],
+    /// The first pair whose ordinal the last seek did not pass.
+    at: usize,
+    /// Every instance runs the activity: pair `o` is ordinal `o`.
+    dense: bool,
+}
+
+impl<'a> PostingsCursor<'a> {
+    /// The is-lsns at which the activity executed in instance `ordinal`,
+    /// ascending; empty if it never did there.
+    #[inline]
+    pub fn seek(&mut self, ordinal: usize) -> &'a [IsLsn] {
+        let pair = if self.dense {
+            ordinal
+        } else {
+            self.at = self.find(ordinal);
+            self.at
+        };
+        match (self.instances.get(pair), self.starts.get(pair..pair + 2)) {
+            (Some(&o), Some(&[lo, hi])) if o as usize == ordinal => self
+                .postings
+                .get(lo as usize..hi as usize)
+                .unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// The first pair whose ordinal is at least `ordinal`: galloping
+    /// forward from `at`, or from the first pair when
+    /// `ordinal` lies below the last seek's.
+    #[inline]
+    fn find(&self, ordinal: usize) -> usize {
+        let below = |&o: &u32| (o as usize) < ordinal;
+        let backward = self
+            .at
+            .checked_sub(1)
+            .and_then(|before| self.instances.get(before))
+            .is_some_and(|o| !below(o));
+        let from = if backward { 0 } else { self.at };
+        let rest = self.instances.get(from..).unwrap_or_default();
+        match rest.first() {
+            Some(o) if below(o) => {}
+            _ => return from,
+        }
+        // `rest[..lo]` lies below `ordinal`; probe `rest[2·lo - 1]`
+        // until one does not.
+        let mut lo = 1;
+        while rest.get(2 * lo - 1).is_some_and(below) {
+            lo *= 2;
+        }
+        let hi = (2 * lo).min(rest.len());
+        from + lo + rest.get(lo..hi).unwrap_or_default().partition_point(below)
+    }
 }
 
 /// Equality of the columns; the grouped postings are derived from them,
@@ -211,61 +316,66 @@ impl LogIndex {
     /// The grouped postings and instance lists, built from the
     /// activity-id column on first use.
     fn grouped(&self) -> &Grouped {
-        self.grouped.get_or_init(|| {
-            let mut postings = Vec::with_capacity(self.activities.len());
-            let mut totals = vec![0; self.names.len()];
-            let mut max_postings = vec![0; self.names.len()];
-            // Instances per id, shifted by one: the prefix sums below turn
-            // it into the CSR offsets.
-            let mut instance_starts = vec![0u32; self.names.len() + 1];
-            // Per instance, `(id, is-lsn)` packed into one sortable word.
-            let mut keys: Vec<u64> = Vec::new();
-            // The ids each instance runs, instance after instance.
-            let mut runs: Vec<u32> = Vec::with_capacity(self.activities.len());
-            let mut run_starts: Vec<u32> = Vec::with_capacity(self.wids.len() + 1);
-            for ordinal in 0..self.wids.len() {
-                keys.clear();
-                keys.extend(
-                    (1u32..)
-                        .zip(self.instance_activities(ordinal))
-                        .map(|(p, id)| u64::from(id.0) << 32 | u64::from(p)),
-                );
-                keys.sort_unstable();
-                // The low half is the is-lsn, the high half the id.
-                postings.extend(keys.iter().map(|&key| IsLsn(key as u32)));
-                run_starts.push(runs.len() as u32);
-                for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-                    let id = (run[0] >> 32) as usize;
-                    totals[id] += run.len();
-                    max_postings[id] = max_postings[id].max(run.len());
+        self.grouped
+            .get_or_init(|| Box::new(self.group_by_activity()))
+    }
+
+    /// Lays the postings out by activity in one counting pass over the
+    /// activity-id column and one filling pass. The `u32` counts cannot
+    /// overflow: there are no more pairs than entries, and [`Log::new`]
+    /// rejects logs of more than `u32::MAX` records.
+    fn group_by_activity(&self) -> Grouped {
+        let ids = self.names.len();
+        // Per id, shifted by one so the prefix sums below turn them into
+        // offsets: its entries, and its pairs (counted at their first
+        // entry, found by the last ordinal each id was seen in).
+        let mut posting_starts = vec![0u32; ids + 1];
+        let mut instance_starts = vec![0u32; ids + 1];
+        let mut seen_in = vec![u32::MAX; ids];
+        for ordinal in 0..self.wids.len() as u32 {
+            for &id in self.instance_activities(ordinal as usize) {
+                let id = id.index();
+                posting_starts[id + 1] += 1;
+                if seen_in[id] != ordinal {
+                    seen_in[id] = ordinal;
                     instance_starts[id + 1] += 1;
-                    runs.push(id as u32);
                 }
             }
-            run_starts.push(runs.len() as u32);
-            // The `u32` sums cannot overflow: there are no more (instance,
-            // activity) pairs than records, and `Log::new` rejects logs of
-            // more than `u32::MAX` records.
-            for id in 0..self.names.len() {
-                instance_starts[id + 1] += instance_starts[id];
-            }
-            // Each id's next free slot; ordinals arrive in ascending order.
-            let mut fill = instance_starts.clone();
-            let mut instances = vec![0u32; runs.len()];
-            for (ordinal, span) in run_starts.windows(2).enumerate() {
-                for &id in &runs[span[0] as usize..span[1] as usize] {
-                    instances[fill[id as usize] as usize] = ordinal as u32;
-                    fill[id as usize] += 1;
+        }
+        for id in 0..ids {
+            posting_starts[id + 1] += posting_starts[id];
+            instance_starts[id + 1] += instance_starts[id];
+        }
+        let pairs = instance_starts[ids] as usize;
+        let mut instances = vec![0u32; pairs];
+        let mut pair_starts = vec![0u32; pairs + 1];
+        let mut postings = vec![IsLsn(0); self.activities.len()];
+        // Each id's next free pair and posting; ordinals and is-lsns
+        // arrive in ascending order.
+        let mut next_pair = instance_starts.clone();
+        let mut next_posting = posting_starts;
+        seen_in.fill(u32::MAX);
+        for ordinal in 0..self.wids.len() as u32 {
+            for (p, &id) in (1u32..).zip(self.instance_activities(ordinal as usize)) {
+                let id = id.index();
+                if seen_in[id] != ordinal {
+                    seen_in[id] = ordinal;
+                    let pair = next_pair[id] as usize;
+                    instances[pair] = ordinal;
+                    pair_starts[pair] = next_posting[id];
+                    next_pair[id] += 1;
                 }
+                postings[next_posting[id] as usize] = IsLsn(p);
+                next_posting[id] += 1;
             }
-            Box::new(Grouped {
-                postings,
-                instance_starts,
-                instances,
-                totals,
-                max_postings,
-            })
-        })
+        }
+        pair_starts[pairs] = self.activities.len() as u32;
+        Grouped {
+            instance_starts,
+            instances,
+            pair_starts,
+            postings,
+        }
     }
 
     // ----- symbol table -------------------------------------------------
@@ -291,19 +401,34 @@ impl LogIndex {
         &self.names
     }
 
-    /// Executions of activity `id` across all instances.
+    /// Executions of activity `id` across all instances: where its
+    /// first pair starts in the postings column to where its last ends.
     #[must_use]
     pub fn activity_count(&self, id: ActivityId) -> usize {
-        self.grouped().totals.get(id.index()).copied().unwrap_or(0)
+        let grouped = self.grouped();
+        let pairs = grouped.pairs(id);
+        match (
+            grouped.pair_starts.get(pairs.start),
+            grouped.pair_starts.get(pairs.end),
+        ) {
+            (Some(&lo), Some(&hi)) => (hi - lo) as usize,
+            _ => 0,
+        }
     }
 
-    /// The largest number of executions of activity `id` in one instance.
+    /// The largest number of executions of activity `id` in one
+    /// instance, read off its pairs' extents.
     #[must_use]
     pub fn max_instance_postings(&self, id: ActivityId) -> usize {
-        self.grouped()
-            .max_postings
-            .get(id.index())
-            .copied()
+        let grouped = self.grouped();
+        let pairs = grouped.pairs(id);
+        grouped
+            .pair_starts
+            .get(pairs.start..pairs.end + 1)
+            .unwrap_or_default()
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
             .unwrap_or(0)
     }
 
@@ -312,9 +437,23 @@ impl LogIndex {
     #[must_use]
     pub fn activity_instances(&self, id: ActivityId) -> &[u32] {
         let grouped = self.grouped();
-        match grouped.instance_starts.get(id.index()..id.index() + 2) {
-            Some(&[lo, hi]) => &grouped.instances[lo as usize..hi as usize],
-            _ => &[],
+        &grouped.instances[grouped.pairs(id)]
+    }
+
+    /// A cursor over activity `id`'s postings, instance by instance (no
+    /// postings for an id the index did not issue). Walks over ascending
+    /// ordinals read every instance's postings through one.
+    #[must_use]
+    pub fn postings_cursor(&self, id: ActivityId) -> PostingsCursor<'_> {
+        let grouped = self.grouped();
+        let pairs = grouped.pairs(id);
+        let instances = &grouped.instances[pairs.clone()];
+        PostingsCursor {
+            instances,
+            starts: &grouped.pair_starts[pairs.start..pairs.end + 1],
+            postings: &grouped.postings,
+            at: 0,
+            dense: instances.len() == self.wids.len(),
         }
     }
 
@@ -385,31 +524,12 @@ impl LogIndex {
     }
 
     /// The is-lsns at which activity `id` executed in instance `ordinal`,
-    /// ascending.
+    /// ascending: a random access, one search in the activity's instance
+    /// list. Walks over ascending ordinals read them through a
+    /// [`postings_cursor`](Self::postings_cursor) instead.
     #[must_use]
-    #[inline]
     pub fn instance_postings(&self, ordinal: usize, id: ActivityId) -> &[IsLsn] {
-        // The engine calls this per instance and atom. Grouping is a tail
-        // call out of line, so this path makes no call and saves no
-        // registers for one.
-        let Some(grouped) = self.grouped.get() else {
-            return self.instance_postings_after_grouping(ordinal, id);
-        };
-        let span = self.span(ordinal);
-        let column = &self.activities[span.clone()];
-        let group = &grouped.postings[span];
-        let lo = group.partition_point(|&p| column[slot(p)] < id);
-        let len = group[lo..].partition_point(|&p| column[slot(p)] == id);
-        &group[lo..lo + len]
-    }
-
-    /// [`instance_postings`](Self::instance_postings) on an index whose
-    /// postings are not grouped yet.
-    #[cold]
-    #[inline(never)]
-    fn instance_postings_after_grouping(&self, ordinal: usize, id: ActivityId) -> &[IsLsn] {
-        self.group();
-        self.instance_postings(ordinal, id)
+        self.postings_cursor(id).seek(ordinal)
     }
 
     /// The offset in [`Log::records`] of the record at `(ordinal,

@@ -58,7 +58,7 @@ pub mod paper;
 pub use attrs::{AttrIter, AttrMap, AttrMapRef};
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
-pub use index::{ActivityId, LogIndex};
+pub use index::{ActivityId, LogIndex, PostingsCursor};
 pub use log::Log;
 pub use names::{Activity, AttrName, END_ACTIVITY, START_ACTIVITY};
 pub use record::{IsLsn, LogRecord, Lsn, Wid};

@@ -4,7 +4,11 @@
 //! log was made: records given in any order, logs derived by projection,
 //! prefix, filter and merge, logs decoded from every format, and records
 //! whose activity names are separate allocations. The per-activity
-//! instance lists are checked against the same id columns.
+//! instance lists are checked against the same id columns, and postings
+//! cursors against the random-access postings, over ascending walks with
+//! gaps, repeats and seeks past the last instance, for absent ids and for
+//! activities every instance runs, and with two cursors fed alternating
+//! claims as two pool workers would.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,7 +17,8 @@ use proptest::prelude::{any, prop, prop_assert, prop_assert_eq, proptest, Propte
 use proptest::TestCaseResult;
 
 use wlq_log::{
-    io, Activity, ActivityId, AttrMap, IsLsn, Log, LogIndex, LogRecord, LogStats, Lsn, Wid,
+    io, Activity, ActivityId, AttrMap, IsLsn, Log, LogBuilder, LogIndex, LogRecord, LogStats, Lsn,
+    Wid,
 };
 
 /// Sparse instance ids: `LogBuilder` only numbers instances `1..=n`.
@@ -188,6 +193,58 @@ fn matches_instance_scan(log: &Log) -> TestCaseResult {
     Ok(())
 }
 
+/// A log of one instance per task list, wids `1..=n`, each ended when
+/// its flag is set: long enough for cursors to skip instances.
+fn built_log(instances: &[(Vec<usize>, bool)]) -> Log {
+    let mut b = LogBuilder::new();
+    for (tasks, ended) in instances {
+        let w = b.start_instance();
+        for &t in tasks {
+            b.append(w, NAMES[t], AttrMap::new(), AttrMap::new())
+                .unwrap();
+        }
+        if *ended {
+            b.end_instance(w).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The is-lsns of activity `id` in instance `ordinal`, off the id column.
+fn walked_postings(index: &LogIndex, ordinal: usize, id: ActivityId) -> Vec<IsLsn> {
+    let column = if ordinal < index.num_instances() {
+        index.instance_activities(ordinal)
+    } else {
+        &[]
+    };
+    (1..)
+        .zip(column)
+        .filter(|&(_, &a)| a == id)
+        .map(|(p, _)| IsLsn(p))
+        .collect()
+}
+
+/// Ascending ordinals from `steps`: each step moves on by its gap (0
+/// repeats the last seek), from ordinal 0; they run past the last
+/// instance when the gaps add up to that.
+fn ascending(steps: &[usize]) -> Vec<usize> {
+    steps
+        .iter()
+        .scan(0, |at, &gap| {
+            *at += gap;
+            Some(*at)
+        })
+        .collect()
+}
+
+/// Every id the index issued (`START`'s, which every instance runs,
+/// among them) and one it did not.
+fn probe_ids(index: &LogIndex) -> Vec<ActivityId> {
+    (0..=index.activities().len() as u32)
+        .map(ActivityId)
+        .collect()
+}
+
 /// A deterministic permutation of `records` driven by `seed`.
 fn shuffled(mut records: Vec<LogRecord>, mut seed: u64) -> Vec<LogRecord> {
     for i in (1..records.len()).rev() {
@@ -274,6 +331,70 @@ proptest! {
         for back in &decoded {
             matches_instance_scan(back)?;
             prop_assert_eq!(back.index(), log.index());
+        }
+    }
+
+    /// A cursor walked over ascending ordinals, with gaps, repeated seeks
+    /// and seeks past the last instance, reads what the random access and
+    /// the id column read, for every id, an absent one and `START`
+    /// included; the totals and largest per-instance counts read off the
+    /// layout equal the walked ones.
+    #[test]
+    fn cursors_read_the_postings_of_every_instance_they_seek(
+        instances in prop::collection::vec(
+            (prop::collection::vec(0..NAMES.len(), 0..6), prop::bool::ANY),
+            1..40,
+        ),
+        steps in prop::collection::vec(0..4usize, 1..60),
+    ) {
+        let log = built_log(&instances);
+        let index = log.index();
+        let start = index.activity_id("START").unwrap();
+        prop_assert_eq!(index.activity_instances(start).len(), index.num_instances());
+        let seeks = ascending(&steps);
+        for id in probe_ids(index) {
+            let mut cursor = index.postings_cursor(id);
+            for &ordinal in &seeks {
+                let walked = walked_postings(index, ordinal, id);
+                prop_assert_eq!(cursor.seek(ordinal), walked.as_slice());
+                prop_assert_eq!(index.instance_postings(ordinal, id), walked.as_slice());
+            }
+            // A seek back still answers.
+            let first = walked_postings(index, 0, id);
+            prop_assert_eq!(cursor.seek(0), first.as_slice());
+            let counts: Vec<usize> = (0..index.num_instances())
+                .map(|o| walked_postings(index, o, id).len())
+                .collect();
+            prop_assert_eq!(index.activity_count(id), counts.iter().sum::<usize>());
+            prop_assert_eq!(
+                index.max_instance_postings(id),
+                counts.iter().copied().max().unwrap_or(0)
+            );
+        }
+    }
+
+    /// Two cursors over one activity, fed alternating runs of ascending
+    /// claims as two pool workers would be, each read every claimed
+    /// instance's postings.
+    #[test]
+    fn two_cursors_fed_alternating_claims_agree(
+        instances in prop::collection::vec(
+            (prop::collection::vec(0..NAMES.len(), 0..6), prop::bool::ANY),
+            1..40,
+        ),
+        claims in prop::collection::vec(prop::bool::ANY, 1..40),
+    ) {
+        let log = built_log(&instances);
+        let index = log.index();
+        for id in probe_ids(index) {
+            let mut workers = [index.postings_cursor(id), index.postings_cursor(id)];
+            // Ordinal `o` goes to the worker `claims[o]` names; the calls
+            // interleave in ordinal order, each worker's ascending.
+            for (ordinal, &second) in claims.iter().enumerate() {
+                let walked = walked_postings(index, ordinal, id);
+                let cursor = &mut workers[usize::from(second)];
+                prop_assert_eq!(cursor.seek(ordinal), walked.as_slice());
+            }
         }
     }
 }
