@@ -14,7 +14,7 @@
 //! the load's entries fit `u32` ids), so a malformed input is still a
 //! typed error at load, and file the map into its activity's [`Block`]
 //! as the block's next map number. No [`AttrMap`] is made at load: the
-//! decoded log keeps one [`MapColumns`], the blocks by activity and two
+//! log keeps one [`MapColumns`], the blocks by activity and two
 //! map numbers per record, and lends maps out as [`AttrMapRef`] views
 //! ([`Log::maps`](crate::Log::maps)) or, when a caller asks for records,
 //! as maps that point at their block. The blocks share the load's
@@ -31,13 +31,18 @@
 //! attribute parses none, and `GetRefer[balance > 5000]` parses
 //! `GetRefer`'s block only.
 //!
+//! [`Log::new`](crate::Log::new) and the XES decoder (which parses and
+//! checks each entry as it reads it) file their maps the same way: they
+//! append each non-empty map, as the binary format encodes it, to one
+//! buffer of the load, which its blocks share as they would a binary
+//! input. So every map of a log is a map of a block.
+//!
 //! The workflow model repeats attributes by design (each `αin` reads what
-//! an earlier `αout` wrote), so a dictionary holds each distinct entry
-//! once ([`DictBuilder`]; once per 16 384 new entries on larger blocks):
-//! one per block for the lazy decoders, one per load for XES, which
-//! parses at load. Each non-empty map of a record holds one clone of
-//! its dictionary or block: a map is 16 bytes with no allocation of its
-//! own. Maps built by hand are one-map dictionaries. Mutation is
+//! an earlier `αout` wrote), so a block's dictionary holds each distinct
+//! entry once ([`DictBuilder`]; once per 16 384 new entries on larger
+//! blocks). Each non-empty map of a record holds one clone of its
+//! block: a map is 16 bytes with no allocation of its own. Maps built by
+//! hand are one-map dictionaries. Mutation is
 //! copy-on-write: a map that is the only user of its dictionary and
 //! covers all of its id column changes in place; any other map, a
 //! block's included, is first copied out into a dictionary of its own.
@@ -50,7 +55,6 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::names::{AttrName, FxBuildHasher, Interner};
-use crate::record::LogRecord;
 use crate::value::Value;
 
 /// `(name, value)` entries and the entry-id column whose runs are maps.
@@ -144,7 +148,9 @@ impl Starts {
 #[derive(Debug, Clone)]
 pub(crate) enum Source {
     /// Binary maps as encoded (count, then entries), one after another:
-    /// the input buffer, compacted in place to its maps' bytes.
+    /// the input buffer, compacted in place to its maps' bytes, or the
+    /// buffer [`Log::new`](crate::Log::new) or the XES decoder encoded
+    /// them into.
     Binary(Arc<Vec<u8>>),
     /// Text or CSV map fields, each ended by a `\n` (which no field
     /// holds), their entries separated by the byte.
@@ -226,7 +232,7 @@ impl AttrDict {
 /// maps than entries, and a load fewer than `u32::MAX` entries.
 pub(crate) const NO_MAP: u32 = u32::MAX;
 
-/// A decoded log's attribute maps: per activity id, the block of its
+/// A log's attribute maps: per activity id, the block of its
 /// non-empty maps, and per index entry (a record, in (instance, is-lsn)
 /// order) its input and output map numbers in its activity's block, or
 /// [`NO_MAP`]. A log with no non-empty map keeps no numbers.
@@ -391,8 +397,7 @@ impl Eq for AttrMapRef<'_> {}
     )
 )]
 pub struct AttrMap {
-    /// `None` exactly for the empty map, which allocates nothing (and,
-    /// inside a decoder, for a map whose dictionary is not frozen yet).
+    /// `None` exactly for the empty map, which allocates nothing.
     dict: Option<Arc<AttrDict>>,
     /// The map is the run `ids[start..start + len]` of the dictionary:
     /// sorted by name, names unique. In a block, the map is the block's
@@ -697,16 +702,14 @@ impl From<std::collections::BTreeMap<AttrName, Value>> for AttrMap {
 /// stays in a core's cache however many entries a load has.
 const MAX_SLOTS: usize = 1 << 15;
 
-/// Fills the attribute dictionary of one block (or, for XES, of one
-/// load), and interns its attribute names.
+/// Fills the attribute dictionary of one block, and interns its
+/// attribute names.
 ///
-/// A decoder looks each entry up by its encoded bytes
+/// A block's first read looks each entry up by its encoded bytes
 /// ([`entry`](Self::entry)), so only bytes it has not met recently are
-/// validated and parsed; pushes the entry ids of one map in file order
+/// parsed; pushes the entry ids of one map in file order
 /// ([`push`](Self::push)); and ends the map
-/// ([`end_run`](Self::end_run), or [`finish_map`](Self::finish_map) for
-/// a map to attach). Once every record is decoded,
-/// [`freeze`](Self::freeze) shares the dictionary among their maps.
+/// ([`end_run`](Self::end_run)).
 ///
 /// The lookup table is open-addressed by a hash of the bytes under a
 /// per-load random seed ([`FxBuildHasher`]), and a hit always compares
@@ -719,8 +722,8 @@ const MAX_SLOTS: usize = 1 << 15;
 /// saved.
 #[derive(Default)]
 pub(crate) struct DictBuilder {
-    /// The attribute names (and, for XES, the load's activity names).
-    pub(crate) names: Interner,
+    /// The attribute names.
+    names: Interner,
     dict: AttrDict,
     /// Where the map being built starts in `dict.ids`, and whether its
     /// names have failed to ascend.
@@ -770,7 +773,8 @@ impl DictBuilder {
             slot = (slot + 1) & mask;
         }
         let entry = make(&mut self.names)?;
-        // Past `u32` ids, `finish_map` fails the load.
+        // A load keeps fewer than `u32::MAX` entries (`Blocks::map`), so
+        // ids fit.
         let id = self.dict.entries.len() as u32;
         self.dict.entries.push(entry);
         self.keys.extend_from_slice(key);
@@ -832,28 +836,6 @@ impl DictBuilder {
         ids.len()
     }
 
-    /// Ends the map whose ids were pushed since the last call, as
-    /// [`end_run`](Self::end_run) does, and returns it, to be attached by
-    /// [`freeze`](Self::freeze). `None` once the load has more entries
-    /// than `u32` ids can number.
-    pub(crate) fn finish_map(&mut self) -> Option<AttrMap> {
-        let start = self.run_start;
-        let end = self.end_run();
-        if end > u32::MAX as usize || self.dict.entries.len() >= u32::MAX as usize {
-            return None;
-        }
-        let len = end - start;
-        Some(if len == 0 {
-            AttrMap::new()
-        } else {
-            AttrMap {
-                dict: None,
-                start: start as u32,
-                len: len as u32,
-            }
-        })
-    }
-
     /// The dictionary built, its lookup table and names dropped.
     fn into_dict(self) -> AttrDict {
         let mut dict = self.dict;
@@ -861,28 +843,10 @@ impl DictBuilder {
         dict.ids.shrink_to_fit();
         dict
     }
-
-    /// Shares the dictionary among `records`: each non-empty map of theirs
-    /// that [`finish_map`](Self::finish_map) returned gets one clone.
-    pub(crate) fn freeze(self, records: &mut [LogRecord]) {
-        let dict = self.into_dict();
-        if dict.ids.is_empty() {
-            return;
-        }
-        let dict = Arc::new(dict);
-        for record in records {
-            for map in record.maps_mut() {
-                if map.len > 0 {
-                    map.dict = Some(Arc::clone(&dict));
-                }
-            }
-        }
-    }
 }
 
 /// Files a load's non-empty maps into one lazy [`Block`] per activity, as
-/// the binary, text and CSV decoders meet them, and numbers them in their
-/// block; [`finish`](Self::finish) makes the blocks, given the load's
+/// the load meets them, and numbers them in their block; [`finish`](Self::finish) makes the blocks, given the load's
 /// undecoded maps.
 #[derive(Default)]
 pub(crate) struct Blocks {
@@ -961,6 +925,7 @@ macro_rules! attrs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     #[test]
     fn empty_map_displays_as_dash() {
@@ -1010,29 +975,38 @@ mod tests {
         assert_eq!(names, ["a", "b", "c"]);
     }
 
-    /// Decodes maps given as `(name, value)` entries through one
-    /// dictionary, keyed by `name=value`.
+    /// Files maps given as `(name, value)` entries, in order, into one
+    /// activity's block through [`Blocks`], as a load does, encoded as
+    /// the binary format encodes them; returns them as a log's records
+    /// hold them.
     fn decode(maps: &[&[(&str, i64)]]) -> Vec<AttrMap> {
-        let mut b = DictBuilder::default();
-        let mut out = Vec::new();
+        let mut bytes = bytes::BytesMut::default();
+        let mut blocks = Blocks::default();
+        let (mut numbers, mut filed) = (Vec::new(), 0);
         for map in maps {
+            let at = bytes.len();
+            bytes.put_u32_le(map.len() as u32);
             for &(name, value) in *map {
-                let key = format!("{name}={value}");
-                let id = b
-                    .entry::<()>(key.as_bytes(), |names| {
-                        Ok((names.attr_name(name), Value::Int(value)))
-                    })
-                    .unwrap();
-                b.push(id);
+                crate::io::binary::put_str(&mut bytes, name);
+                crate::io::binary::put_value(&mut bytes, &Value::Int(value));
             }
-            out.push(b.finish_map().unwrap());
+            let number = if map.is_empty() {
+                NO_MAP
+            } else {
+                blocks.map(0, at, map.len() as u32).unwrap();
+                filed += 1;
+                filed - 1
+            };
+            numbers.push([number, NO_MAP]);
         }
-        let mut records: Vec<LogRecord> = out
-            .into_iter()
-            .map(|m| LogRecord::new(1u64, 1u64, 1u32, "A", m, AttrMap::new()))
-            .collect();
-        b.freeze(&mut records);
-        records.iter().map(|r| r.input().clone()).collect()
+        let blocks = blocks.finish(|| Source::Binary(Arc::new(Vec::from(bytes.freeze()))));
+        let columns = MapColumns::new(blocks, numbers);
+        (0..maps.len())
+            .map(|entry| {
+                let [input, _] = columns.maps(0, entry);
+                input
+            })
+            .collect()
     }
 
     #[test]
@@ -1049,10 +1023,11 @@ mod tests {
         assert_eq!(maps[1].to_string(), "a=10, b=2, c=30");
         assert!(maps[2].is_empty() && maps[2].dict.is_none());
         assert_eq!(maps[3], maps[0]);
-        // One dictionary, each distinct entry once.
+        // One block, whose dictionary holds each distinct entry once.
         let dict = maps[0].dict.as_ref().unwrap();
         assert!(Arc::ptr_eq(dict, maps[1].dict.as_ref().unwrap()));
-        assert_eq!(dict.entries.len(), 5);
+        let block = dict.block.as_ref().unwrap();
+        assert_eq!(block.built().dict.entries.len(), 5);
         assert_eq!(std::mem::size_of::<AttrMap>(), 16);
     }
 

@@ -37,26 +37,24 @@
 //! miner) finds each instance's postings in amortized constant time, and
 //! without any search for an activity every instance runs.
 //! [`LogIndex::instance_postings`] is the random access: one search in the
-//! activity's instance list. An activity's total and its largest
-//! per-instance count are read off its pair offsets.
+//! activity's instance list. An activity's total is read off its pair
+//! offsets.
 //!
-//! The load pass takes each record's activity id from the decoder that
-//! interned the name (binary, text, CSV), or else maps the name to its id
-//! itself; it keeps each record's instance ordinal from the validation
-//! pass, so no wid is looked up twice. Its tables hash with the crate's
-//! seeded Fx-style hasher; see the [`names`](crate::names) module docs
-//! for the trust model.
+//! The load pass takes each record's activity id from the load (of a
+//! decoder or of [`Log::new`]) that interned the name, and each record's
+//! instance ordinal from the load's rows, so no wid is looked up twice.
+//! The load's tables hash with the crate's seeded Fx-style hasher; see
+//! the [`names`](crate::names) module docs for the trust model.
 //!
 //! The engine resolves atoms to ids once per query and then works on
 //! ordinals and ids only. The `Wid`/`&str` methods are allocation-free
 //! wrappers for callers that hold names.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::log::Log;
-use crate::names::{Activity, FxBuildHasher};
+use crate::names::Activity;
 use crate::record::{IsLsn, Wid};
 
 /// The dense id of an activity name in one [`LogIndex`]'s symbol table.
@@ -239,34 +237,6 @@ impl PartialEq for LogIndex {
 
 impl Eq for LogIndex {}
 
-/// Numbers activity names densely in first-seen order during the load
-/// pass, by name, for records that no decoder numbered.
-#[derive(Default)]
-pub(crate) struct Symbols<'a> {
-    /// First-seen id by name.
-    by_name: HashMap<&'a str, u32, FxBuildHasher>,
-    /// The names in first-seen order.
-    seen: Vec<Activity>,
-}
-
-impl<'a> Symbols<'a> {
-    /// The first-seen id of `activity`. The `as u32` cannot truncate: a
-    /// log has fewer distinct activities than records, and
-    /// [`Log::new`] rejects logs of more than `u32::MAX` records.
-    pub(crate) fn id(&mut self, activity: &'a Activity) -> u32 {
-        let seen = &mut self.seen;
-        *self.by_name.entry(activity.as_str()).or_insert_with(|| {
-            seen.push(activity.clone());
-            (seen.len() - 1) as u32
-        })
-    }
-
-    /// The names in first-seen order: id `i` names entry `i`.
-    pub(crate) fn into_seen(self) -> Vec<Activity> {
-        self.seen
-    }
-}
-
 /// The symbol table in name order, and each first-seen id's rank in it
 /// (the final [`ActivityId`]).
 pub(crate) fn rank(seen: &[Activity]) -> (Vec<Activity>, Vec<ActivityId>) {
@@ -414,22 +384,6 @@ impl LogIndex {
             (Some(&lo), Some(&hi)) => (hi - lo) as usize,
             _ => 0,
         }
-    }
-
-    /// The largest number of executions of activity `id` in one
-    /// instance, read off its pairs' extents.
-    #[must_use]
-    pub fn max_instance_postings(&self, id: ActivityId) -> usize {
-        let grouped = self.grouped();
-        let pairs = grouped.pairs(id);
-        grouped
-            .pair_starts
-            .get(pairs.start..pairs.end + 1)
-            .unwrap_or_default()
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
     }
 
     /// The ordinals of the instances in which activity `id` occurs,
@@ -728,8 +682,6 @@ mod tests {
         assert_eq!(idx.instance_postings(1, a), &[] as &[IsLsn]);
         assert_eq!(idx.instance_postings(7, a), &[] as &[IsLsn]);
         assert_eq!(idx.activity_count(a), 2);
-        assert_eq!(idx.max_instance_postings(a), 2);
-        assert_eq!(idx.max_instance_postings(b), 1);
         for (ordinal, wid) in idx.wids().enumerate() {
             for record in log.instance(wid) {
                 let offset = idx.record_offset(ordinal, record.is_lsn()).unwrap();

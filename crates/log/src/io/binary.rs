@@ -47,20 +47,25 @@ pub fn write_binary(log: &Log) -> Bytes {
     buf.freeze()
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 fn put_map(buf: &mut BytesMut, map: &AttrMap) {
     buf.put_u32_le(map.len() as u32);
+    put_entries(buf, map);
+}
+
+/// Appends the entries of `map`, without their count.
+pub(crate) fn put_entries(buf: &mut BytesMut, map: &AttrMap) {
     for (k, v) in map.iter() {
         put_str(buf, k.as_str());
         put_value(buf, v);
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
     match v {
         Value::Undefined => buf.put_u8(0),
         Value::Bool(b) => {
@@ -136,8 +141,7 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
         return Err(bad("trailing bytes after last record"));
     }
     data.truncate(kept);
-    data.shrink_to_fit();
-    load.finish(Some(data), 0)
+    Ok(load.finish(Some(data), 0)?)
 }
 
 /// A cursor over undecoded bytes. Every read returns `None` when the

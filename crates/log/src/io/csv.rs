@@ -85,7 +85,7 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
         let output = semi_map(&mut load, head.3, output, line_no)?;
         load.push(head, [input, output]);
     }
-    load.finish(None, b';')
+    Ok(load.finish(None, b';')?)
 }
 
 /// An attribute map of `activity` from its `;`-separated column, checked

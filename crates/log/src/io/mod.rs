@@ -22,11 +22,13 @@ pub mod xes;
 
 use std::sync::Arc;
 
+use bytes::{BufMut, BytesMut};
+
 use crate::attrs::{Blocks, DictBuilder, Source};
 use crate::log::Rows;
 use crate::names::{AttrName, Interner};
 use crate::value::parse_scalar;
-use crate::{AttrMap, Log, ParseLogError, Value};
+use crate::{AttrMap, Log, LogError, ParseLogError, Value};
 
 /// Renders a value for the text/CSV formats. Strings that would not
 /// re-parse as the same string (they look numeric/boolean, are empty,
@@ -167,7 +169,7 @@ pub(crate) fn parse_head(
     Ok((lsn, wid, is_lsn, names.activity_id(activity)))
 }
 
-/// One load of the binary, text or CSV decoder: the interned activity
+/// One load pass, of a decoder or of [`Log::new`]: the interned activity
 /// names, the records as columns (each with its activity id and whether
 /// each of its maps is non-empty), and their non-empty attribute maps
 /// filed undecoded into per-activity [`Blocks`], input before output.
@@ -230,11 +232,35 @@ impl Load {
             })
     }
 
-    /// The log: the records validated with the decoder's activity ids,
-    /// and the blocks given the binary `maps` (the input compacted to its
-    /// maps), or else the copied text fields, whose entries `sep`
-    /// separates. A log with no non-empty map keeps neither.
-    pub(crate) fn finish(self, maps: Option<Vec<u8>>, sep: u8) -> Result<Log, ParseLogError> {
+    /// Appends a map of `activity` with `count` entries to `maps`, as the
+    /// binary format encodes it (the count, then the entries `entries`
+    /// writes), and files it; an empty map is neither. Returns whether
+    /// the map is non-empty, or `None` once the load has more entries
+    /// than `u32` ids can number. [`Log::new`] and the XES decoder fill
+    /// their loads' maps this way.
+    pub(crate) fn put_map(
+        &mut self,
+        maps: &mut BytesMut,
+        activity: u32,
+        count: usize,
+        entries: impl FnOnce(&mut BytesMut),
+    ) -> Option<bool> {
+        if count == 0 {
+            return Some(false);
+        }
+        let count = u32::try_from(count).ok()?;
+        let at = maps.len();
+        maps.put_u32_le(count);
+        entries(maps);
+        self.blocks.map(activity, at, count).map(|()| true)
+    }
+
+    /// The log: the records validated with the load's activity ids, and
+    /// the blocks given the binary `maps` (the load's maps as the binary
+    /// format encodes them), or else the copied text fields, whose
+    /// entries `sep` separates. A log with no non-empty map keeps
+    /// neither.
+    pub(crate) fn finish(self, maps: Option<Vec<u8>>, sep: u8) -> Result<Log, LogError> {
         let Load {
             names,
             blocks,
@@ -242,13 +268,16 @@ impl Load {
             mut fields,
         } = self;
         let blocks = blocks.finish(|| match maps {
-            Some(maps) => Source::Binary(Arc::new(maps)),
+            Some(mut maps) => {
+                maps.shrink_to_fit();
+                Source::Binary(Arc::new(maps))
+            }
             None => {
                 fields.shrink_to_fit();
                 Source::Text(Arc::new(fields), sep)
             }
         });
-        Ok(Log::decoded(rows, &names.into_activities(), blocks)?)
+        Log::decoded(rows, &names.into_activities(), blocks)
     }
 }
 

@@ -90,7 +90,7 @@ pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
         let output = attr_map(&mut load, head.3, (maps[1], output), line_no)?;
         load.push(head, [input, output]);
     }
-    load.finish(None, b',')
+    Ok(load.finish(None, b',')?)
 }
 
 /// A record line's first four fields, how many of the pieces in the

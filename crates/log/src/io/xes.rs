@@ -19,12 +19,15 @@
 //! parser restricted to the subset this writer emits (plus arbitrary
 //! whitespace); it is not a general XML parser.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::attrs::DictBuilder;
+use bytes::{BufMut, BytesMut};
+
+use super::{binary, Load};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::record::{LogRecord, Wid};
+use crate::record::Wid;
 use crate::{AttrMap, Value};
 
 /// Serializes a log as an XES document.
@@ -97,26 +100,38 @@ fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"")
-        .replace("&gt;", ">")
-        .replace("&lt;", "<")
-        .replace("&amp;", "&")
+/// `s` with the entities [`escape`] writes replaced; borrowed when it
+/// holds none.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.replace("&quot;", "\"")
+            .replace("&gt;", ">")
+            .replace("&lt;", "<")
+            .replace("&amp;", "&"),
+    )
 }
 
 /// Parses a log from the XES subset emitted by [`write_xes`].
+///
+/// Each event's attribute entries are parsed and checked as they are
+/// read, then filed with the event into the load pass that
+/// [`Log::new`] and the other decoders share: its maps are encoded as
+/// the binary format encodes them, into one buffer that every activity's
+/// lazy attribute block shares.
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] for malformed documents, missing mandatory
 /// keys, or record sets violating Definition 2.
 pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
-    let mut records: Vec<LogRecord> = Vec::new();
-    let mut activities: Vec<u32> = Vec::new();
+    let mut load = Load::with_capacity(0);
+    let mut maps = BytesMut::default();
     let mut parser = XmlScanner::new(text);
     let mut current_wid: Option<Wid> = None;
     let mut event: Option<EventBuilder> = None;
-    let mut dict = DictBuilder::default();
 
     while let Some(tag) = parser.next_tag()? {
         match tag.name.as_str() {
@@ -128,9 +143,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .ok_or_else(|| bad(parser.line, "</event> without <event>"))?;
                 let wid = current_wid
                     .ok_or_else(|| bad(parser.line, "event before trace concept:name"))?;
-                let (record, activity) = builder.finish(wid, parser.line, &mut dict)?;
-                records.push(record);
-                activities.push(activity);
+                builder.file(wid, parser.line, &mut load, &mut maps)?;
             }
             "string" | "int" | "float" | "boolean" => {
                 let key = tag
@@ -140,7 +153,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .attr("value")
                     .ok_or_else(|| bad(parser.line, "attribute without value"))?;
                 if let Some(ev) = event.as_mut() {
-                    ev.set(&mut dict, &tag.name, &key, &value, parser.line)?;
+                    ev.set(&tag.name, &key, &value, parser.line)?;
                 } else if key == "concept:name" {
                     // Trace-level name: the instance id.
                     let wid: u64 = value
@@ -152,13 +165,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
             _ => {}
         }
     }
-    let names = std::mem::take(&mut dict.names);
-    dict.freeze(&mut records);
-    Ok(Log::with_activity_ids(
-        records,
-        activities,
-        names.into_activities(),
-    )?)
+    Ok(load.finish(Some(Vec::from(maps.freeze())), 0)?)
 }
 
 fn bad(line: usize, message: impl Into<String>) -> ParseLogError {
@@ -173,9 +180,9 @@ struct EventBuilder {
     activity: Option<String>,
     is_lsn: Option<u32>,
     lsn: Option<u64>,
-    /// The dictionary ids of the αin and αout entries, in document order.
-    input: Vec<u32>,
-    output: Vec<u32>,
+    /// The αin and αout entries, in document order, as the binary
+    /// format encodes them, and how many each holds.
+    maps: [(BytesMut, usize); 2],
 }
 
 /// Parses an attribute's `value` by its tag name.
@@ -188,29 +195,22 @@ fn parse_value(kind: &str, raw: &str, line: usize) -> Result<Value, ParseLogErro
             if raw == "⊥" {
                 Value::Undefined
             } else {
-                Value::from(unescape(raw))
+                Value::from(unescape(raw).as_ref())
             }
         }
     })
 }
 
 impl EventBuilder {
-    fn set(
-        &mut self,
-        dict: &mut DictBuilder,
-        kind: &str,
-        key: &str,
-        raw: &str,
-        line: usize,
-    ) -> Result<(), ParseLogError> {
-        let (ids, name) = if let Some(name) = key.strip_prefix("wlq:in:") {
-            (&mut self.input, name)
+    fn set(&mut self, kind: &str, key: &str, raw: &str, line: usize) -> Result<(), ParseLogError> {
+        let value = parse_value(kind, raw, line)?;
+        let ((entries, count), name) = if let Some(name) = key.strip_prefix("wlq:in:") {
+            (&mut self.maps[0], name)
         } else if let Some(name) = key.strip_prefix("wlq:out:") {
-            (&mut self.output, name)
+            (&mut self.maps[1], name)
         } else {
-            let value = parse_value(kind, raw, line)?;
             match key {
-                "concept:name" => self.activity = Some(unescape(raw)),
+                "concept:name" => self.activity = Some(unescape(raw).into_owned()),
                 "wlq:islsn" => {
                     self.is_lsn =
                         Some(value.as_int().ok_or_else(|| bad(line, "islsn not int"))? as u32);
@@ -222,27 +222,21 @@ impl EventBuilder {
             }
             return Ok(());
         };
-        // The entry's bytes: the name and the kind, each length-prefixed,
-        // then the raw value.
-        let mut entry = Vec::with_capacity(8 + name.len() + kind.len() + raw.len());
-        for part in [name, kind] {
-            entry.extend_from_slice(&(part.len() as u32).to_le_bytes());
-            entry.extend_from_slice(part.as_bytes());
-        }
-        entry.extend_from_slice(raw.as_bytes());
-        ids.push(dict.entry(&entry, |names| {
-            parse_value(kind, raw, line).map(|value| (names.attr_name(&unescape(name)), value))
-        })?);
+        binary::put_str(entries, &unescape(name));
+        binary::put_value(entries, &value);
+        *count += 1;
         Ok(())
     }
 
-    /// The event's record, and its activity's first-seen id.
-    fn finish(
+    /// Files the event, a record of instance `wid`, into `load`, and its
+    /// maps into `maps`.
+    fn file(
         self,
         wid: Wid,
         line: usize,
-        dict: &mut DictBuilder,
-    ) -> Result<(LogRecord, u32), ParseLogError> {
+        load: &mut Load,
+        maps: &mut BytesMut,
+    ) -> Result<(), ParseLogError> {
         let activity = self
             .activity
             .ok_or_else(|| bad(line, "event without concept:name"))?;
@@ -250,21 +244,16 @@ impl EventBuilder {
             .is_lsn
             .ok_or_else(|| bad(line, "event without wlq:islsn"))?;
         let lsn = self.lsn.ok_or_else(|| bad(line, "event without wlq:lsn"))?;
-        let mut map = |ids: Vec<u32>| {
-            for id in ids {
-                dict.push(id);
-            }
-            dict.finish_map()
-                .ok_or_else(|| bad(line, "more attribute entries than u32 can number"))
-        };
-        let input = map(self.input)?;
-        let output = map(self.output)?;
-        let id = dict.names.activity_id(&activity);
-        let activity = dict.names.activity_name(id);
-        Ok((
-            LogRecord::new(lsn, wid, is_lsn, activity, input, output),
-            id,
-        ))
+        let activity = load.names.activity_id(&activity);
+        let mut filled = [false; 2];
+        for (filled, (entries, count)) in filled.iter_mut().zip(self.maps) {
+            let entries = entries.freeze();
+            let put = |buf: &mut BytesMut| buf.put_slice(entries.as_ref());
+            *filled = (load.put_map(maps, activity, count, put))
+                .ok_or_else(|| bad(line, "more attribute entries than u32 can number"))?;
+        }
+        load.push((lsn, wid.get(), is_lsn, activity), filled);
+        Ok(())
     }
 }
 

@@ -12,7 +12,8 @@
 //! activity execution of one workflow instance together with the attribute
 //! values the activity read (`αin`) and wrote (`αout`).
 //!
-//! A decoded log (binary, text or CSV) keeps its records as columns: the
+//! Every log, decoded (binary, text, CSV or XES) or built by
+//! [`Log::new`], keeps its records as columns: the
 //! index's columns hold each record's lsn, wid, is-lsn and activity, and
 //! two map numbers per record point into per-activity attribute blocks
 //! that are parsed on first read. Queries read the maps through

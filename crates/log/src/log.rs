@@ -4,9 +4,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use bytes::BytesMut;
+
 use crate::attrs::{AttrDict, AttrMapRef, MapColumns, NO_MAP};
 use crate::error::LogError;
-use crate::index::{rank, ActivityId, LogIndex, Symbols};
+use crate::index::{rank, ActivityId, LogIndex};
+use crate::io::{binary, Load};
 use crate::names::{Activity, FxBuildHasher};
 use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 
@@ -20,20 +23,18 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 ///    instance.
 /// 4. An `END` record is the last record of its instance.
 ///
-/// A `Log` is immutable once constructed; it validates all four
-/// conditions and, in the same pass, lays out the log's [`LogIndex`]
-/// ([`Log::index`]). The index's columns hold every record's lsn, wid,
-/// is-lsn and activity, so a log keeps no other copy of them:
-///
-/// - A log decoded by the binary, text or CSV reader keeps its attribute
-///   maps as columns too: per record, the number of each of its two maps
-///   in its activity's lazy attribute block (8 bytes). Queries read the
-///   maps through [`Log::maps`]. The [`LogRecord`]s are built, once, only
-///   when a caller asks for them: [`records`](Self::records),
-///   [`iter`](Self::iter), [`get`](Self::get), [`record`](Self::record),
-///   [`instance`](Self::instance), [`into_records`](Self::into_records),
-///   equality and `Display`.
-/// - A log built by [`Log::new`] keeps the records it was given.
+/// A `Log` is immutable once constructed. Every log is made by one load
+/// pass, which [`Log::new`] and the binary, text, CSV and XES readers
+/// share: it validates all four conditions and, in the same pass, lays
+/// out the log's [`LogIndex`] ([`Log::index`]). The index's columns hold
+/// every record's lsn, wid, is-lsn and activity, and the log keeps its
+/// attribute maps as columns too: per record, the number of each of its
+/// two maps in its activity's lazy attribute block (8 bytes). Queries
+/// read the maps through [`Log::maps`]. The [`LogRecord`]s are built,
+/// once, only when a caller asks for them: [`records`](Self::records),
+/// [`iter`](Self::iter), [`get`](Self::get), [`record`](Self::record),
+/// [`instance`](Self::instance), [`into_records`](Self::into_records),
+/// equality and `Display`.
 ///
 /// Two logs are equal when their records are. For incremental
 /// construction use [`LogBuilder`](crate::LogBuilder); for append-only
@@ -59,21 +60,14 @@ pub struct Log {
     /// and activities, and its record-offset column also serves the
     /// log's own `(wid, is-lsn)` lookups.
     index: LogIndex,
-    body: Body,
+    /// The maps and the records built from the columns, boxed: one
+    /// allocation per log, so that a `Log` moves as its index and a
+    /// pointer.
+    decoded: Box<Decoded>,
 }
 
-/// Where a log's attribute maps, and its records, are.
-#[derive(Debug, Clone)]
-enum Body {
-    /// The records given to [`Log::new`], sorted by lsn.
-    Given(Vec<LogRecord>),
-    /// A decoded log's columns, boxed so that a `Log` is no larger than
-    /// one holding records.
-    Decoded(Box<Decoded>),
-}
-
-/// A decoded log's maps as columns, and its records, built from the
-/// index and the columns on first request.
+/// A log's maps as columns, and its records, built from the index and
+/// the columns on first request.
 #[derive(Debug, Clone)]
 struct Decoded {
     maps: MapColumns,
@@ -110,7 +104,7 @@ impl Instances {
     }
 }
 
-/// A decoder's records as columns, in file order: 14 bytes per record
+/// A load's records as columns, in file order: 14 bytes per record
 /// while each lsn is its row's position plus one.
 pub(crate) struct Rows {
     /// The lsns, once one is not its row's position plus one; until then
@@ -164,7 +158,7 @@ impl Rows {
     }
 
     /// Each row's map numbers in its activity's block, [`NO_MAP`] for an
-    /// empty map: a block numbers its maps as the decoder filed them, in
+    /// empty map: a block numbers its maps as the load filed them, in
     /// file order, input before output.
     fn number_maps(&self, activities: usize) -> Vec<[u32; 2]> {
         let mut next = vec![0u32; activities];
@@ -226,28 +220,28 @@ fn check_len(len: usize) -> Result<(), LogError> {
     Ok(())
 }
 
-/// Checks Definition 2 over records in lsn order, record `i` having the
-/// lsn and is-lsn `keys(i)`, the instance `wids[ordinals[i]]` and the
-/// activity `seen[ids[i]]`, ordinals and ids dense, and lays out their
-/// index. Returns it with each first-seen id's final [`ActivityId`].
+/// Checks Definition 2 over `rows`, sorted by lsn, whose first-seen
+/// activity ids name `seen`, and lays out their index. Returns it with
+/// each first-seen id's final [`ActivityId`].
 ///
 /// Condition 1 is checked first. Conditions 2–4 are checked in one pass
 /// in lsn order over dense per-instance state, which also sizes each
 /// instance. A second pass places each record in the CSR columns.
-fn layout(
-    keys: impl Fn(usize) -> (Lsn, IsLsn),
-    ordinals: &[u32],
-    wids: &[Wid],
-    ids: &[u32],
-    seen: &[Activity],
-) -> Result<(LogIndex, Vec<ActivityId>), LogError> {
+fn layout(rows: &Rows, seen: &[Activity]) -> Result<(LogIndex, Vec<ActivityId>), LogError> {
+    let Rows {
+        ordinals,
+        instances: Instances { wids, .. },
+        is_lsns,
+        activities: ids,
+        ..
+    } = rows;
     // Condition 1: lsns are a bijection with 1..=|L|.
     for i in 0..ids.len() {
         let expected = Lsn(i as u64 + 1);
-        let found = keys(i).0;
+        let found = rows.lsn(i);
         if found != expected {
             // Distinguish duplicates from gaps for better messages.
-            if i > 0 && keys(i - 1).0 == found {
+            if i > 0 && rows.lsn(i - 1) == found {
                 return Err(LogError::DuplicateLsn(found));
             }
             return Err(LogError::LsnGap { expected, found });
@@ -265,7 +259,7 @@ fn layout(
         })
         .collect();
     for (i, (&ordinal, &id)) in ordinals.iter().zip(ids).enumerate() {
-        let (lsn, is_lsn) = keys(i);
+        let (lsn, is_lsn) = (rows.lsn(i), is_lsns[i]);
         let state = &mut instances[ordinal as usize];
         let wid = state.wid;
         if state.closed {
@@ -320,8 +314,7 @@ fn layout(
     Ok((index, rank))
 }
 
-/// A decoded log's records in lsn order, built from its index and map
-/// columns.
+/// A log's records in lsn order, built from its index and map columns.
 fn build_records(index: &LogIndex, maps: &MapColumns) -> Vec<LogRecord> {
     let (starts, activities, offsets) = index.columns();
     let (wids, names) = (index.instance_wids(), index.activities());
@@ -346,65 +339,48 @@ fn build_records(index: &LogIndex, maps: &MapColumns) -> Vec<LogRecord> {
 }
 
 impl Log {
-    /// Builds a log from records, validating Definition 2. The log keeps
-    /// the records.
+    /// Builds a log from records, validating Definition 2, through the
+    /// decoders' load pass: the records are filed as the binary decoder
+    /// files a file's. Each record's lsn, wid, is-lsn and activity go
+    /// into the load's columns, and each non-empty map is appended, as
+    /// the binary format encodes it, to one buffer that its activity's
+    /// lazy attribute block shares. The log keeps no record; like a
+    /// decoded log's, they are built on first request.
     ///
     /// The records may be supplied in any order; they are sorted by lsn
     /// unless they already ascend. Conditions 2–4 are checked in one pass
     /// in lsn order over dense per-instance state, which also sizes each
-    /// instance and notes each record's instance ordinal. A second pass
-    /// places each record in the CSR columns of the log's [`LogIndex`]
-    /// and gives it its activity id.
+    /// instance. A second pass places each record in the CSR columns of
+    /// the log's [`LogIndex`] and gives it its activity id.
     ///
     /// # Errors
     ///
     /// Returns a [`LogError`] describing the first violated condition, or
-    /// [`LogError::TooManyRecords`] past `u32::MAX` records.
+    /// [`LogError::TooManyRecords`] past `u32::MAX` records, or past
+    /// `u32::MAX` attribute entries over all the maps.
     pub fn new(records: Vec<LogRecord>) -> Result<Self, LogError> {
-        Self::given(records, None)
-    }
-
-    /// [`Log::new`] for decoded records whose activities a decoder has
-    /// already numbered: record `i` runs `seen[ids[i]]`, ids dense in
-    /// first-seen order. The load pass then hashes no activity name. If
-    /// the records need sorting, the numbers are dropped and worked out
-    /// again, as for [`Log::new`].
-    pub(crate) fn with_activity_ids(
-        records: Vec<LogRecord>,
-        ids: Vec<u32>,
-        seen: Vec<Activity>,
-    ) -> Result<Self, LogError> {
-        Self::given(records, Some((ids, seen)))
-    }
-
-    fn given(
-        mut records: Vec<LogRecord>,
-        mut activity_ids: Option<(Vec<u32>, Vec<Activity>)>,
-    ) -> Result<Self, LogError> {
-        check_len(records.len())?;
-        if !records.is_sorted_by_key(LogRecord::lsn) {
-            records.sort_by_key(LogRecord::lsn);
-            activity_ids = None;
+        let len = records.len();
+        check_len(len)?;
+        let mut load = Load::with_capacity(len);
+        let mut maps = BytesMut::default();
+        for record in records {
+            let activity = load.names.activity_id(record.activity().as_str());
+            let mut filled = [false; 2];
+            for (filled, map) in filled.iter_mut().zip([record.input(), record.output()]) {
+                let encode = |buf: &mut BytesMut| binary::put_entries(buf, map);
+                *filled = (load.put_map(&mut maps, activity, map.len(), encode))
+                    .ok_or(LogError::TooManyRecords(len))?;
+            }
+            let (lsn, wid, is_lsn) = (record.lsn(), record.wid(), record.is_lsn());
+            load.push((lsn.get(), wid.get(), is_lsn.get(), activity), filled);
         }
-        let (ids, seen) = activity_ids.unwrap_or_else(|| {
-            let mut symbols = Symbols::default();
-            let ids = records.iter().map(|r| symbols.id(r.activity())).collect();
-            (ids, symbols.into_seen())
-        });
-        let mut instances = Instances::default();
-        let ordinals: Vec<u32> = records.iter().map(|r| instances.ordinal(r.wid())).collect();
-        let keys = |i: usize| (records[i].lsn(), records[i].is_lsn());
-        let (index, _) = layout(keys, &ordinals, &instances.wids, &ids, &seen)?;
-        Ok(Log {
-            index,
-            body: Body::Given(records),
-        })
+        load.finish(Some(Vec::from(maps.freeze())), 0)
     }
 
-    /// The log of a decoder's `rows`, whose first-seen activity ids name
-    /// `seen`, and whose non-empty maps the decoder filed into `blocks`,
+    /// The log of a load's `rows`, whose first-seen activity ids name
+    /// `seen`, and whose non-empty maps the load filed into `blocks`,
     /// by first-seen activity id. The rows are sorted by lsn unless they
-    /// already ascend; the checks and their errors are [`Log::new`]'s.
+    /// already ascend.
     pub(crate) fn decoded(
         mut rows: Rows,
         seen: &[Activity],
@@ -413,9 +389,7 @@ impl Log {
         check_len(rows.activities.len())?;
         let mut maps = rows.number_maps(seen.len());
         rows.sort(&mut maps);
-        let keys = |i: usize| (rows.lsn(i), rows.is_lsns[i]);
-        let wids = &rows.instances.wids;
-        let (index, rank) = layout(keys, &rows.ordinals, wids, &rows.activities, seen)?;
+        let (index, rank) = layout(&rows, seen)?;
         // The blocks by final activity id, and the map numbers by entry;
         // a load with no non-empty map has no blocks.
         let mut by_id = vec![None; seen.len()];
@@ -430,10 +404,10 @@ impl Log {
         };
         Ok(Log {
             index,
-            body: Body::Decoded(Box::new(Decoded {
+            decoded: Box::new(Decoded {
                 maps: MapColumns::new(by_id, numbers),
                 records: OnceLock::new(),
-            })),
+            }),
         })
     }
 
@@ -466,36 +440,24 @@ impl Log {
         self.len() == 0
     }
 
-    /// All records in lsn order. A decoded log builds them on the first
-    /// call of this or any other method that lends out records, and
-    /// keeps them.
+    /// All records in lsn order, built on the first call of this or any
+    /// other method that lends out records, and kept.
     #[must_use]
     pub fn records(&self) -> &[LogRecord] {
-        match &self.body {
-            Body::Given(records) => records,
-            Body::Decoded(decoded) => {
-                (decoded.records).get_or_init(|| build_records(&self.index, &decoded.maps))
-            }
-        }
+        let Decoded { maps, records } = &*self.decoded;
+        records.get_or_init(|| build_records(&self.index, maps))
     }
 
     /// The input and output maps (`αin`, `αout`) of the record at
     /// `(ordinal, is_lsn)`, where `ordinal` is the instance's ordinal in
     /// [`Log::index`]; `None` if there is no such record. Builds no
-    /// record: a decoded log reads its map columns (parsing the
-    /// activity's attribute block on its first read), a log built by
-    /// [`Log::new`] the records it was given.
+    /// record: reads the map columns, parsing the activity's attribute
+    /// block on its first read.
     #[must_use]
     pub fn maps(&self, ordinal: usize, is_lsn: IsLsn) -> Option<[AttrMapRef<'_>; 2]> {
         let entry = self.index.entry(ordinal, is_lsn)?;
-        let (_, activities, offsets) = self.index.columns();
-        Some(match &self.body {
-            Body::Given(records) => {
-                let record = records.get(offsets[entry] as usize)?;
-                [record.input().view(), record.output().view()]
-            }
-            Body::Decoded(decoded) => decoded.maps.view(activities[entry].index(), entry),
-        })
+        let (_, activities, _) = self.index.columns();
+        Some(self.decoded.maps.view(activities[entry].index(), entry))
     }
 
     /// Iterates over records in lsn order.
@@ -567,12 +529,10 @@ impl Log {
     /// Consumes the log, returning its records in lsn order.
     #[must_use]
     pub fn into_records(self) -> Vec<LogRecord> {
-        match self.body {
-            Body::Given(records) => records,
-            Body::Decoded(decoded) => (decoded.records)
-                .into_inner()
-                .unwrap_or_else(|| build_records(&self.index, &decoded.maps)),
-        }
+        let Decoded { maps, records } = *self.decoded;
+        records
+            .into_inner()
+            .unwrap_or_else(|| build_records(&self.index, &maps))
     }
 
     /// Extracts the single-instance sub-log of `wid`, re-numbering lsns to
@@ -827,12 +787,9 @@ mod tests {
         assert!(log.project_instance(Wid(9)).is_err());
     }
 
-    /// Whether a decoded log has built its records.
+    /// Whether a log has built its records.
     fn built(log: &Log) -> bool {
-        match &log.body {
-            Body::Given(_) => true,
-            Body::Decoded(decoded) => decoded.records.get().is_some(),
-        }
+        log.decoded.records.get().is_some()
     }
 
     #[test]
@@ -857,9 +814,11 @@ mod tests {
         assert_eq!((record.lsn(), record.activity().as_str()), (Lsn(2), "A"));
         assert_eq!(record.output().to_string(), "y=2, z=3");
         assert_eq!(log.maps(0, IsLsn(2)).unwrap()[1], record.output().view());
-        let given = Log::new(log.clone().into_records()).unwrap();
-        assert_eq!(given, log);
-        assert_eq!(given.maps(0, IsLsn(2)), log.maps(0, IsLsn(2)));
+        // A log built from records keeps columns too.
+        let rebuilt = Log::new(log.clone().into_records()).unwrap();
+        assert_eq!(rebuilt.maps(0, IsLsn(2)), log.maps(0, IsLsn(2)));
+        assert!(!built(&rebuilt));
+        assert_eq!(rebuilt, log);
     }
 
     #[test]

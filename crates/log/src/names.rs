@@ -5,28 +5,25 @@
 //! reference-counted strings with newtypes keeping the two namespaces apart
 //! at the type level ([C-NEWTYPE]). Clones share one allocation.
 //!
-//! The log decoders intern while they decode: one `Interner` per load
-//! hands out a single `Arc<str>` per distinct activity name, so every
-//! record of a decoded log that names `SeeDoctor` points at the same
-//! bytes. Attribute names are interned the same way where maps are
-//! parsed: per load for XES, and per activity block, on the block's
-//! first read, for the binary, text and CSV decoders (see the `attrs`
-//! module, where attribute values live too). Each table is dropped when
+//! Every load (of a decoder, or of [`Log::new`](crate::Log::new))
+//! interns as it goes: one `Interner` per load hands out a single
+//! `Arc<str>` per distinct activity name, so every record of a log that
+//! names `SeeDoctor` points at the same bytes. Attribute names are
+//! interned the same way where maps are parsed: per activity block, on
+//! the block's first read (see the `attrs` module, where attribute
+//! values live too). Each table is dropped when
 //! its decoding ends; the log keeps only the shared strings. Names built
 //! by hand ([`Activity::new`], `From<&str>`) are not interned.
 //!
 //! The interner also numbers activity names densely in first-seen order.
-//! The binary, text and CSV decoders record each record's number, use it
-//! to file the record's attribute maps into that activity's lazy block
-//! (see the `attrs` module), and hand the numbers to the log's load pass,
-//! which renumbers them into the [`ActivityId`](crate::ActivityId)s of
-//! name order without hashing a name again. Records built by hand get
-//! their first-seen numbers in [`Log::new`](crate::Log::new), from a
-//! by-name map.
+//! A load records each record's number, uses it to file the record's
+//! attribute maps into that activity's lazy block (see the `attrs`
+//! module), and hands the numbers to the log's load pass, which
+//! renumbers them into the [`ActivityId`](crate::ActivityId)s of name
+//! order without hashing a name again.
 //!
 //! These per-load tables (the interners, the attribute dictionaries'
-//! entry lookups, the instance map of a load or of `Log::new`, and, for
-//! records no decoder numbered, the activity map) hash with
+//! entry lookups and the instance map of a load) hash with
 //! `FxBuildHasher`, a multiply-rotate hash in the style of rustc's
 //! `FxHasher`, instead of the standard SipHash. It is several times
 //! cheaper on short names but is not a keyed cryptographic hash. Each
@@ -283,7 +280,7 @@ impl Interner {
     }
 
     /// The dense first-seen id of activity `s`, interned on first sight.
-    /// The `as u32` cannot truncate before `Log::new` rejects the load:
+    /// The `as u32` cannot truncate before the load pass rejects the load:
     /// each record names one activity, and a log has at most `u32::MAX`
     /// records.
     pub(crate) fn activity_id(&mut self, s: &str) -> u32 {
@@ -295,11 +292,6 @@ impl Interner {
         self.activities.push(Activity(Arc::clone(&shared)));
         self.activity_ids.insert(shared, id);
         id
-    }
-
-    /// The activity name of first-seen id `id`.
-    pub(crate) fn activity_name(&self, id: u32) -> Activity {
-        self.activities[id as usize].clone()
     }
 
     /// The activity names in first-seen order: id `i` names entry `i`.
@@ -370,11 +362,12 @@ mod tests {
         assert_eq!(see, again);
         let check_in = table.activity_id("CheckIn");
         assert_ne!(check_in, see);
-        let a = table.activity_name(see);
         let c = table.attr_name("SeeDoctor");
+        let activities = table.into_activities();
+        let a = &activities[see as usize];
         assert_eq!(a.as_str().as_ptr(), c.as_str().as_ptr());
         assert_ne!(
-            table.activity_name(check_in).as_str().as_ptr(),
+            activities[check_in as usize].as_str().as_ptr(),
             a.as_str().as_ptr()
         );
     }

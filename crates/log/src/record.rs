@@ -84,11 +84,11 @@ impl IsLsn {
 /// [`input`](Self::input) (`αin(l)`), and [`output`](Self::output)
 /// (`αout(l)`).
 ///
-/// A record is 72 bytes. A [`Log`](crate::Log) built by
-/// [`Log::new`](crate::Log::new) keeps the records it is given; a decoded
-/// log keeps the same six components as columns of its index and its
-/// attribute blocks, and builds its records only when a caller asks for
-/// them ([`Log::records`](crate::Log::records)). Queries never do.
+/// A record is 72 bytes. A [`Log`](crate::Log), whether decoded or
+/// built by [`Log::new`](crate::Log::new), keeps the same six components
+/// as columns of its index and its attribute blocks, and builds its
+/// records only when a caller asks for them
+/// ([`Log::records`](crate::Log::records)). Queries never do.
 ///
 /// # Examples
 ///
@@ -209,12 +209,6 @@ impl LogRecord {
     #[must_use]
     pub fn is_end(&self) -> bool {
         self.activity.is_end()
-    }
-
-    /// The input and output maps, for a decoder attaching its attribute
-    /// dictionary.
-    pub(crate) fn maps_mut(&mut self) -> [&mut AttrMap; 2] {
-        [&mut self.input, &mut self.output]
     }
 
     /// Re-stamps the global `lsn` (used by log mergers and builders).

@@ -14,7 +14,10 @@ use std::hash::{Hash, Hasher};
 
 use std::sync::Barrier;
 
-use wlq_log::{attrs, io, Activity, AttrMap, IsLsn, Log, LogBuilder, LogRecord, LogStats, Value};
+use wlq_log::{
+    attrs, io, Activity, AttrMap, IsLsn, Log, LogBuilder, LogError, LogRecord, LogStats,
+    ParseLogError, Value,
+};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -122,6 +125,116 @@ fn bin_entry(out: &mut Vec<u8>, name: &str, value: &str) {
     bin_str(out, name);
     out.push(4);
     bin_str(out, value);
+}
+
+/// A binary-format value: its tag, then its payload.
+fn bin_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Undefined => out.push(0),
+        Value::Bool(b) => out.extend_from_slice(&[1, u8::from(*b)]),
+        Value::Int(i) => {
+            out.push(2);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Float(x) => {
+            out.push(3);
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(4);
+            bin_str(out, s);
+        }
+    }
+}
+
+/// `records`, in the order given, hand-encoded as a `WLQ1` file.
+fn bin_log(records: &[LogRecord]) -> Vec<u8> {
+    let mut out = b"WLQ1".to_vec();
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for r in records {
+        out.extend_from_slice(&r.lsn().get().to_le_bytes());
+        out.extend_from_slice(&r.wid().get().to_le_bytes());
+        out.extend_from_slice(&r.is_lsn().get().to_le_bytes());
+        bin_str(&mut out, r.activity().as_str());
+        for map in [r.input(), r.output()] {
+            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
+            for (name, value) in map {
+                bin_str(&mut out, name.as_str());
+                bin_value(&mut out, value);
+            }
+        }
+    }
+    out
+}
+
+/// Records that break Definition 2, and a test of the error they raise.
+type Mutant = (Vec<LogRecord>, fn(&LogError) -> bool);
+
+/// Definition 2 mutants of `records`, a valid log's in lsn order whose
+/// first instance has ended (as `arb_log`'s has), each at a record
+/// `pick` chooses, with the error each must raise.
+fn mutants(records: &[LogRecord], pick: usize) -> Vec<Mutant> {
+    let remade = |r: &LogRecord, lsn: u64, is_lsn: u32, activity: Activity| {
+        LogRecord::new(
+            lsn,
+            r.wid(),
+            is_lsn,
+            activity,
+            r.input().clone(),
+            r.output().clone(),
+        )
+    };
+    let lsn = |r: &LogRecord| r.lsn().get();
+    let is_lsn = |r: &LogRecord| r.is_lsn().get();
+    let n = records.len();
+    let k = pick % n;
+    let mut out: Vec<Mutant> = Vec::new();
+    // Condition 1: a record takes its predecessor's lsn.
+    if n > 1 {
+        let mut m = records.to_vec();
+        let d = 1 + pick % (n - 1);
+        m[d] = remade(&m[d], d as u64, is_lsn(&m[d]), m[d].activity().clone());
+        out.push((m, |e| matches!(e, LogError::DuplicateLsn(_))));
+    }
+    // Condition 1: every record from the `k`th on moves one lsn up.
+    let mut m = records.to_vec();
+    for r in &mut m[k..] {
+        *r = remade(r, lsn(r) + 1, is_lsn(r), r.activity().clone());
+    }
+    out.push((m, |e| matches!(e, LogError::LsnGap { .. })));
+    // Condition 2: a START record runs another activity, or another
+    // record runs START.
+    let mut m = records.to_vec();
+    let swapped = if m[k].is_start() {
+        Activity::new("A")
+    } else {
+        Activity::start()
+    };
+    m[k] = remade(&m[k], lsn(&m[k]), is_lsn(&m[k]), swapped);
+    out.push((m, |e| matches!(e, LogError::StartMismatch { .. })));
+    // Condition 3: a record after a START skips an is-lsn.
+    let mut m = records.to_vec();
+    if let Some(j) = (k..n).chain(0..k).find(|&j| !m[j].is_start()) {
+        m[j] = remade(
+            &m[j],
+            lsn(&m[j]),
+            is_lsn(&m[j]) + 1,
+            m[j].activity().clone(),
+        );
+        out.push((m, |e| matches!(e, LogError::NonConsecutiveIsLsn { .. })));
+    }
+    // Condition 4: an ended instance runs one more record.
+    if let Some(end) = records.iter().find(|r| r.is_end()) {
+        let mut m = records.to_vec();
+        m.push(remade(
+            end,
+            n as u64 + 1,
+            is_lsn(end) + 1,
+            Activity::new("A"),
+        ));
+        out.push((m, |e| matches!(e, LogError::RecordAfterEnd { .. })));
+    }
+    out
 }
 
 /// Asserts that every record naming the same activity shares one string
@@ -448,6 +561,32 @@ proptest! {
         }
         for consumed in decode_all(&log) {
             prop_assert_eq!(Log::new(consumed.into_records()).unwrap(), given.clone());
+        }
+    }
+
+    /// `Log::new` is the decoders' load pass: a log built from records
+    /// agrees with that log through each of the four decoders in its
+    /// records, its index and the maps it lends without building a
+    /// record. Every Definition 2 mutant of the records (a duplicate lsn,
+    /// an lsn gap, a START mismatch, a skipped is-lsn, a record after
+    /// END) makes `Log::new` fail with the error the binary decoder
+    /// raises for the same records hand-encoded.
+    #[test]
+    fn log_new_agrees_with_every_decoder(log in arb_log(), pick in any::<usize>()) {
+        let records = log.records().to_vec();
+        let given = Log::new(records.clone()).unwrap();
+        for decoded in decode_all(&log) {
+            prop_assert_eq!(decoded.index(), given.index());
+            prop_assert_eq!(lent_maps(&decoded), lent_maps(&given));
+            prop_assert_eq!(decoded.records(), given.records());
+        }
+        let mutated = mutants(&records, pick);
+        prop_assert!(mutated.len() >= 4);
+        for (mutant, expected) in mutated {
+            let err = Log::new(mutant.clone()).unwrap_err();
+            prop_assert!(expected(&err), "unexpected error {:?}", err);
+            let read = io::binary::read_binary(bin_log(&mutant).into());
+            prop_assert_eq!(read, Err(ParseLogError::Invalid(err)));
         }
     }
 
