@@ -205,10 +205,12 @@ impl<'a> Cursor<'a> {
         self.value(Self::utf8)
     }
 
-    /// Checks that a string is UTF-8; most are ASCII, tested inline.
+    /// Checks that a string is UTF-8; most are short and ASCII, tested
+    /// by a word or two.
+    #[inline]
     fn utf8(&mut self) -> Option<()> {
         let raw = self.raw_str()?;
-        (raw.is_ascii() || std::str::from_utf8(raw).is_ok()).then_some(())
+        (is_ascii(raw) || std::str::from_utf8(raw).is_ok()).then_some(())
     }
 
     /// Passes over a tagged value, reading a string value with `string`.
@@ -228,6 +230,26 @@ impl<'a> Cursor<'a> {
         }
         Some(())
     }
+}
+
+/// Whether `raw` is ASCII. Up to 16 bytes are tested by two loads of a
+/// word (or of half a word, or byte by byte below four bytes) that may
+/// overlap, for the high bit of any byte; longer strings go to
+/// [`<[u8]>::is_ascii`].
+#[inline(always)]
+fn is_ascii(raw: &[u8]) -> bool {
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let high = if let (Some(lo), Some(hi)) = (raw.first_chunk::<8>(), raw.last_chunk::<8>()) {
+        if raw.len() > 16 {
+            return raw.is_ascii();
+        }
+        u64::from_le_bytes(*lo) | u64::from_le_bytes(*hi)
+    } else if let (Some(lo), Some(hi)) = (raw.first_chunk::<4>(), raw.last_chunk::<4>()) {
+        u64::from(u32::from_le_bytes(*lo) | u32::from_le_bytes(*hi))
+    } else {
+        u64::from(raw.iter().fold(0, |high, &b| high | b))
+    };
+    high & HI == 0
 }
 
 /// Parses the bytes of one map entry that [`Cursor::entry`] delimited,
@@ -255,7 +277,7 @@ fn record(input: &[u8], kept: usize, load: &mut Load) -> Option<(usize, usize)> 
     let lsn = cursor.u64()?;
     let wid = cursor.u64()?;
     let is_lsn = cursor.u32()?;
-    let activity = load.names.activity_id(cursor.str()?);
+    let activity = load.names.activity_id_utf8(cursor.raw_str()?)?;
     let maps = input.len() - cursor.data.len();
     let input_map = map(&mut cursor, kept, activity, load)?;
     let outputs = kept + (input.len() - cursor.data.len()) - maps;
@@ -328,6 +350,20 @@ mod tests {
         let mut raw = write_binary(&log).to_vec();
         raw.push(0xFF);
         assert!(read_binary(Bytes::from(raw)).is_err());
+    }
+
+    #[test]
+    fn short_strings_are_ascii_by_words_exactly() {
+        let ascii = b"balance=4928, hospital=People Hospital";
+        for len in 0..=ascii.len() {
+            let mut raw = ascii[..len].to_vec();
+            assert!(is_ascii(&raw), "{len}");
+            for at in 0..len {
+                raw[at] = 0xC3;
+                assert!(!is_ascii(&raw), "{len} {at}");
+                raw[at] = ascii[at];
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,51 @@ fn arb_log() -> impl Strategy<Value = Log> {
     })
 }
 
+/// Activity names built to meet in the load's table of recent names:
+/// runs of one length and first eight bytes, one-byte names, names of
+/// more than 16 bytes, non-ASCII names, and 300 numbered names, more than
+/// the table's 256 slots.
+fn activity_pool() -> Vec<String> {
+    let mut pool: Vec<String> = ('A'..='Z').map(|c| format!("Referral{c}")).collect();
+    pool.extend(('A'..='Z').map(|c| format!("Referral{c}Updated")));
+    pool.extend(["A", "B", "x", "é", "Überprüfung", "检查", "Zahlung€"].map(String::from));
+    pool.extend((0..4).map(|i| format!("AVeryLongActivityNameOverSixteenBytes{i}")));
+    pool.extend((0..300).map(|i| format!("T{i}")));
+    pool
+}
+
+/// A log over [`activity_pool`] names: either a few short instances of
+/// drawn names with maps, or one instance running every name of the
+/// pool from a drawn offset and one running drawn names.
+fn arb_named_log() -> impl Strategy<Value = Log> {
+    let pool = activity_pool();
+    let name = prop::sample::select(pool.clone());
+    let narrow = prop::collection::vec(
+        prop::collection::vec((name.clone(), arb_map(), arb_map()), 0..6),
+        1..4,
+    );
+    let wide = (0..pool.len(), prop::collection::vec(name, 0..40)).prop_map(move |(at, more)| {
+        let mut all = pool.clone();
+        all.rotate_left(at);
+        let task = |n| (n, AttrMap::new(), AttrMap::new());
+        vec![
+            all.into_iter().map(task).collect(),
+            more.into_iter().map(task).collect(),
+        ]
+    });
+    prop_oneof![narrow, wide].prop_map(|instances: Vec<Vec<(String, AttrMap, AttrMap)>>| {
+        let mut b = LogBuilder::new();
+        for tasks in instances {
+            let wid = b.start_instance();
+            for (act, input, output) in tasks {
+                b.append(wid, act.as_str(), input, output).unwrap();
+            }
+            b.end_instance(wid).unwrap();
+        }
+        b.build().unwrap()
+    })
+}
+
 /// A seeded splitmix64 stream for byte mutations.
 struct Mix(u64);
 
@@ -587,6 +632,21 @@ proptest! {
             prop_assert!(expected(&err), "unexpected error {:?}", err);
             let read = io::binary::read_binary(bin_log(&mutant).into());
             prop_assert_eq!(read, Err(ParseLogError::Invalid(err)));
+        }
+    }
+
+    /// Activity names that share a slot of the load's table of recent
+    /// names (equal length and first eight bytes), names of one byte,
+    /// of more than 16 bytes and not ASCII, and logs naming more
+    /// activities than the table has slots: `Log::new` and the four
+    /// decoders give equal logs.
+    #[test]
+    fn colliding_activity_names_decode_alike(log in arb_named_log()) {
+        let given = Log::new(log.records().to_vec()).unwrap();
+        for decoded in decode_all(&log) {
+            prop_assert_eq!(decoded.index(), given.index());
+            prop_assert_eq!(decoded.records(), given.records());
+            prop_assert_eq!(&decoded, &given);
         }
     }
 
