@@ -169,11 +169,10 @@ impl PlanNode {
 pub struct PhysicalPlan {
     query: Pattern,
     root: PlanNode,
+    rule: &'static str,
+    pattern: Pattern,
     countable: bool,
-    /// Every candidate with its estimated cost, the original first; the
-    /// plan is `scored[chosen]`'s.
-    scored: Vec<(RewriteCandidate, f64)>,
-    chosen: usize,
+    scored: Vec<(String, f64)>,
 }
 
 impl PhysicalPlan {
@@ -192,14 +191,14 @@ impl PhysicalPlan {
     /// The rewrite rule that produced the winning tree.
     #[must_use]
     pub fn rule(&self) -> &'static str {
-        self.scored[self.chosen].0.rule
+        self.rule
     }
 
     /// The rewritten pattern the plan evaluates (equivalent to the query
     /// by Theorems 2–5).
     #[must_use]
     pub fn pattern(&self) -> &Pattern {
-        &self.scored[self.chosen].0.pattern
+        &self.pattern
     }
 
     /// Estimated total cost of the plan.
@@ -224,10 +223,10 @@ impl PhysicalPlan {
         self.scored.first().map_or(self.cost(), |&(_, cost)| cost)
     }
 
-    /// Every candidate considered, with its estimated cost, in
-    /// enumeration order. A candidate displays as `rule: pattern`.
+    /// Every candidate considered, as `(rule: pattern, estimated cost)`,
+    /// in enumeration order.
     #[must_use]
-    pub fn scored_candidates(&self) -> &[(RewriteCandidate, f64)] {
+    pub fn scored_candidates(&self) -> &[(String, f64)] {
         &self.scored
     }
 }
@@ -237,8 +236,8 @@ impl fmt::Display for PhysicalPlan {
         writeln!(
             f,
             "chosen: {}  [{}]  (cost {:.0})",
-            self.pattern(),
-            self.rule(),
+            self.pattern,
+            self.rule,
             self.cost()
         )?;
         if self.countable {
@@ -247,8 +246,8 @@ impl fmt::Display for PhysicalPlan {
         self.root.render(f)?;
         if self.scored.len() > 1 {
             writeln!(f, "candidates considered:")?;
-            for (candidate, cost) in &self.scored {
-                writeln!(f, "  {candidate}  (cost {cost:.0})")?;
+            for (label, cost) in &self.scored {
+                writeln!(f, "  {label}  (cost {cost:.0})")?;
             }
         }
         Ok(())
@@ -331,35 +330,31 @@ impl Planner {
     /// estimate.
     #[must_use]
     pub fn plan(&self, p: &Pattern) -> PhysicalPlan {
-        let mut candidates = self.candidates(p);
-        // `candidates` always returns at least the original pattern; the
-        // fallback keeps the API panic-free.
-        if candidates.is_empty() {
-            candidates.push(RewriteCandidate {
-                pattern: p.clone(),
-                rule: "original",
-            });
-        }
-        let mut scored = Vec::with_capacity(candidates.len());
-        let mut best: Option<(PlanNode, usize)> = None;
-        for candidate in candidates {
+        let mut scored = Vec::new();
+        let mut best: Option<(PlanNode, &'static str, Pattern)> = None;
+        for candidate in self.candidates(p) {
             let node = build_node(&self.cost, &candidate.pattern);
             let cost = node.cost();
-            if best
-                .as_ref()
-                .is_none_or(|(current, _)| cost < current.cost())
-            {
-                best = Some((node, scored.len()));
+            scored.push((format!("{}: {}", candidate.rule, candidate.pattern), cost));
+            let better = match &best {
+                None => true,
+                Some((current, _, _)) => cost < current.cost(),
+            };
+            if better {
+                best = Some((node, candidate.rule, candidate.pattern));
             }
-            scored.push((candidate, cost));
         }
-        let (root, chosen) = best.unwrap_or_else(|| (build_node(&self.cost, p), 0));
+        // `candidates` always returns at least the original pattern, so
+        // `best` is always set; the fallback keeps the API panic-free.
+        let (root, rule, pattern) =
+            best.unwrap_or_else(|| (build_node(&self.cost, p), "original", p.clone()));
         PhysicalPlan {
             query: p.clone(),
             countable: crate::counting::is_countable(p),
             root,
+            rule,
+            pattern,
             scored,
-            chosen,
         }
     }
 }
@@ -405,7 +400,7 @@ mod tests {
         ] {
             let p = parse(src);
             let plan = planner.plan(&p);
-            assert_eq!(plan.scored_candidates()[0].0.rule, "original");
+            assert!(plan.scored_candidates()[0].0.starts_with("original"));
             let original = plan.original_cost();
             assert!(
                 plan.cost() <= original + 1e-9,

@@ -21,8 +21,6 @@
 //! that was going to run anyway. Equivalence of every candidate is
 //! differentially verified (`wlq-difffuzz` and `tests/plan_equiv.rs`).
 
-use std::fmt;
-
 use wlq_pattern::algebra::flatten_chain;
 use wlq_pattern::rewrite::{factor, left_deep, right_deep};
 use wlq_pattern::{choice_normal_form, from_alternatives, Op, Pattern};
@@ -38,13 +36,6 @@ pub struct RewriteCandidate {
     pub pattern: Pattern,
     /// The rewrite rule (for `explain` output).
     pub rule: &'static str,
-}
-
-/// `rule: pattern`, as `explain` lists the candidates.
-impl fmt::Display for RewriteCandidate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.rule, self.pattern)
-    }
 }
 
 /// Distribution to choice normal form is exponential in the number of

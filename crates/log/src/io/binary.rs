@@ -25,7 +25,7 @@ use super::Load;
 use crate::attrs::{AttrMap, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::names::{AttrName, Interner};
+use crate::names::{AttrName, Interner, RecentNames};
 use crate::Value;
 
 const MAGIC: &[u8; 4] = b"WLQ1";
@@ -126,13 +126,14 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
     let mut at = data.len() - header.data.len();
     let fit = header.data.len() / MIN_RECORD_BYTES;
     let mut load = Load::with_capacity(usize::try_from(count).map_or(fit, |n| n.min(fit)));
+    let mut recent = RecentNames::default();
     // The maps' bytes move down to the front as records are read: `kept`
     // bytes of maps so far.
     let mut kept = 0;
     for i in 0..count {
         let truncated = || bad(format!("truncated record {i}"));
         let rest = data.get(at..).ok_or_else(truncated)?;
-        let (maps, end) = record(rest, kept, &mut load).ok_or_else(truncated)?;
+        let (maps, end) = record(rest, kept, &mut load, &mut recent).ok_or_else(truncated)?;
         data.copy_within(at + maps..at + end, kept);
         kept += end - maps;
         at += end;
@@ -205,12 +206,10 @@ impl<'a> Cursor<'a> {
         self.value(Self::utf8)
     }
 
-    /// Checks that a string is UTF-8; most are short and ASCII, tested
-    /// by a word or two.
-    #[inline]
+    /// Checks that a string is UTF-8; most are ASCII, tested inline.
     fn utf8(&mut self) -> Option<()> {
         let raw = self.raw_str()?;
-        (is_ascii(raw) || std::str::from_utf8(raw).is_ok()).then_some(())
+        (raw.is_ascii() || std::str::from_utf8(raw).is_ok()).then_some(())
     }
 
     /// Passes over a tagged value, reading a string value with `string`.
@@ -232,26 +231,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Whether `raw` is ASCII. Up to 16 bytes are tested by two loads of a
-/// word (or of half a word, or byte by byte below four bytes) that may
-/// overlap, for the high bit of any byte; longer strings go to
-/// [`<[u8]>::is_ascii`].
-#[inline(always)]
-fn is_ascii(raw: &[u8]) -> bool {
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let high = if let (Some(lo), Some(hi)) = (raw.first_chunk::<8>(), raw.last_chunk::<8>()) {
-        if raw.len() > 16 {
-            return raw.is_ascii();
-        }
-        u64::from_le_bytes(*lo) | u64::from_le_bytes(*hi)
-    } else if let (Some(lo), Some(hi)) = (raw.first_chunk::<4>(), raw.last_chunk::<4>()) {
-        u64::from(u32::from_le_bytes(*lo) | u32::from_le_bytes(*hi))
-    } else {
-        u64::from(raw.iter().fold(0, |high, &b| high | b))
-    };
-    high & HI == 0
-}
-
 /// Parses the bytes of one map entry that [`Cursor::entry`] delimited,
 /// checking its strings are UTF-8.
 fn parse_entry(entry: &[u8], names: &mut Interner) -> Option<(AttrName, Value)> {
@@ -271,13 +250,19 @@ fn parse_entry(entry: &[u8], names: &mut Interner) -> Option<(AttrName, Value)> 
 /// Decodes the record `input` starts with. Its two maps are checked and
 /// filed into its activity's block at the offsets they will have once
 /// moved to byte `kept` of the compacted maps. Returns where in `input`
-/// the maps start, and where the record ends.
-fn record(input: &[u8], kept: usize, load: &mut Load) -> Option<(usize, usize)> {
+/// the maps start, and where the record ends. The activity name is
+/// looked up in `recent` first, which the decoder keeps for the load.
+fn record(
+    input: &[u8],
+    kept: usize,
+    load: &mut Load,
+    recent: &mut RecentNames,
+) -> Option<(usize, usize)> {
     let mut cursor = Cursor { data: input };
     let lsn = cursor.u64()?;
     let wid = cursor.u64()?;
     let is_lsn = cursor.u32()?;
-    let activity = load.names.activity_id_utf8(cursor.raw_str()?)?;
+    let activity = recent.activity_id(&mut load.names, cursor.raw_str()?)?;
     let maps = input.len() - cursor.data.len();
     let input_map = map(&mut cursor, kept, activity, load)?;
     let outputs = kept + (input.len() - cursor.data.len()) - maps;
@@ -350,20 +335,6 @@ mod tests {
         let mut raw = write_binary(&log).to_vec();
         raw.push(0xFF);
         assert!(read_binary(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn short_strings_are_ascii_by_words_exactly() {
-        let ascii = b"balance=4928, hospital=People Hospital";
-        for len in 0..=ascii.len() {
-            let mut raw = ascii[..len].to_vec();
-            assert!(is_ascii(&raw), "{len}");
-            for at in 0..len {
-                raw[at] = 0xC3;
-                assert!(!is_ascii(&raw), "{len} {at}");
-                raw[at] = ascii[at];
-            }
-        }
     }
 
     #[test]

@@ -221,19 +221,6 @@ impl Load {
             }
             count = count.saturating_add(1);
         }
-        self.file_text_map(activity, field, count, line_no)
-    }
-
-    /// Files a text or CSV map of `activity` whose `count` entries are
-    /// checked: `field` is copied out, to be parsed with its activity's
-    /// block on first read.
-    pub(crate) fn file_text_map(
-        &mut self,
-        activity: u32,
-        field: &str,
-        count: u32,
-        line_no: usize,
-    ) -> Result<(), ParseLogError> {
         let at = self.fields.len();
         self.fields.push_str(field);
         self.fields.push('\n');

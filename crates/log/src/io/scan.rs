@@ -65,25 +65,6 @@ pub(crate) fn find_any<const N: usize>(
     }
 }
 
-/// Whether `bytes[from..end]` holds `needle`, testing eight bytes per
-/// step. Words are read from `bytes` whole, past `end` where they reach
-/// it, so only a range at the very end of `bytes` is padded.
-#[inline]
-pub(crate) fn contains(bytes: &[u8], from: usize, end: usize, needle: u8) -> bool {
-    let mut at = from;
-    while at < end {
-        let Some(word) = word_at(bytes, at) else {
-            return false;
-        };
-        let hits = matches(word, needle);
-        if hits != 0 {
-            return at + ((hits.trailing_zeros() / 8) as usize) < end;
-        }
-        at += 8;
-    }
-    false
-}
-
 /// How many bytes of `bytes` equal `needle` (not zero), counted eight
 /// at a time.
 pub(crate) fn count(bytes: &[u8], needle: u8) -> usize {
@@ -154,18 +135,6 @@ impl<'a> Separators<'a> {
             in_quotes: false,
             skip_to: 0,
         }
-    }
-}
-
-impl Separators<'_> {
-    /// Moves the scan to byte `at`, outside quotes: the next separator
-    /// reported is the first at or after `at`. A caller that has read
-    /// the bytes before `at` itself resumes the scan after them.
-    #[inline]
-    pub(crate) fn resume(&mut self, at: usize) {
-        self.at = at;
-        self.hits = word_at(self.bytes, at).map_or(0, |word| candidates(word, self.needles));
-        self.in_quotes = false;
     }
 }
 
@@ -404,21 +373,6 @@ mod tests {
         }
 
         #[test]
-        fn a_resumed_scan_matches_a_scan_of_the_rest(s in scan_text(), cut in 0usize..40) {
-            // Resuming at a boundary before which no quote opens finds
-            // what a scan of the rest alone finds.
-            let cut = cut.min(s.find('"').unwrap_or(s.len()));
-            let cut = (0..=cut).rev().find(|&c| s.is_char_boundary(c)).unwrap_or(0);
-            let mut resumed = Separators::lines(&s, [b'|', b',']);
-            resumed.next();
-            resumed.resume(cut);
-            let rest: Vec<(usize, u8)> = Separators::lines(&s[cut..], [b'|', b','])
-                .map(|(at, sep)| (at + cut, sep))
-                .collect();
-            prop_assert_eq!(resumed.collect::<Vec<_>>(), rest);
-        }
-
-        #[test]
         fn trim_matches_str_trim(s in scan_text()) {
             prop_assert_eq!(trim(&s), s.trim());
         }
@@ -437,17 +391,6 @@ mod tests {
             let bytes = &text.as_bytes()[..end];
             let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
             assert_eq!(count(bytes, b'\n'), newlines, "{end}");
-        }
-    }
-
-    #[test]
-    fn contains_looks_only_between_its_bounds() {
-        let text = b"ab=cdefghijklmnopqrs=t";
-        for from in 0..text.len() {
-            for end in from..=text.len() {
-                let expected = text[from..end].contains(&b'=');
-                assert_eq!(contains(text, from, end, b'='), expected, "{from}..{end}");
-            }
         }
     }
 

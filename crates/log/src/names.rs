@@ -22,14 +22,19 @@
 //! renumbers them into the [`ActivityId`](crate::ActivityId)s of name
 //! order without hashing a name again.
 //!
-//! A log names few activities, each on many records, so the interner
-//! answers an activity name from a small direct-mapped table before it
-//! hashes: a name's slot comes from its length and first bytes, and holds
-//! the id of the last name seen there. A hit is confirmed by comparing
-//! every byte with that id's name; anything else (an empty slot, or
-//! another name of the same slot) goes to the hash table, which alone
-//! hands out ids, so ids stay dense and in first-seen order whatever the
-//! table holds. Names that share a slot only cost a hash each.
+//! A log names few activities, each on many records, so the binary
+//! decoder, whose names come as unchecked bytes, keeps a small
+//! direct-mapped table ([`RecentNames`]) that it asks before it checks a
+//! name for UTF-8 and hashes it: a name's slot comes from its length and
+//! its first and last eight bytes, and holds the id of the last name
+//! seen there. A hit is confirmed by comparing every byte with that id's
+//! name; anything else (an empty slot, or another name of the same slot)
+//! is checked and goes to the interner, which alone hands out ids, so
+//! ids stay dense and in first-seen order whatever the table holds.
+//! Names that share a slot only cost a compare each. The text, CSV and
+//! XES decoders and [`Log::new`](crate::Log::new) hold checked `str`s and
+//! go to the interner at once: for them the table saved nothing
+//! measurable.
 //!
 //! These per-load tables (the interners, the attribute dictionaries'
 //! entry lookups and the instance map of a load) hash with
@@ -265,52 +270,80 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The slots of [`Interner`]'s table of recent activity names.
-const RECENT_SLOTS: usize = 256;
-
 /// A per-decode table of activity and attribute names: each distinct
 /// name is allocated once and shared. Activity names also get dense ids
 /// in first-seen order, which the decoders hand to the log's load pass
 /// and use to pick each map's attribute block.
+#[derive(Default)]
 pub(crate) struct Interner {
     strings: HashSet<Arc<str>, FxBuildHasher>,
     /// The activity names by first-seen id, and each name's id.
     activities: Vec<Activity>,
     activity_ids: HashMap<Arc<str>, u32, FxBuildHasher>,
-    /// By [`recent_slot`], the id of the activity name last looked up
-    /// there, or `u32::MAX` (no id) while empty.
-    recent: [u32; RECENT_SLOTS],
 }
 
-impl Default for Interner {
+/// The slots of a [`RecentNames`] table.
+const RECENT_SLOTS: usize = 256;
+
+/// A direct-mapped table of recent activity names in front of an
+/// [`Interner`]: by [`recent_slot`], the id of the name last looked up
+/// there, or `u32::MAX` (no id) while empty.
+pub(crate) struct RecentNames([u32; RECENT_SLOTS]);
+
+impl Default for RecentNames {
     fn default() -> Self {
-        Interner {
-            strings: HashSet::default(),
-            activities: Vec::new(),
-            activity_ids: HashMap::default(),
-            recent: [u32::MAX; RECENT_SLOTS],
+        RecentNames([u32::MAX; RECENT_SLOTS])
+    }
+}
+
+impl RecentNames {
+    /// [`Interner::activity_id`] in `names` of the name whose bytes are
+    /// `raw`, or `None` if they are not UTF-8. A name the table holds is
+    /// known to be UTF-8, so only a miss checks and hashes it, and then
+    /// fills the name's slot.
+    #[inline]
+    pub(crate) fn activity_id(&mut self, names: &mut Interner, raw: &[u8]) -> Option<u32> {
+        let slot = recent_slot(raw);
+        let id = self.0[slot];
+        if names
+            .activities
+            .get(id as usize)
+            .is_some_and(|a| a.as_str().as_bytes() == raw)
+        {
+            return Some(id);
         }
+        let id = names.activity_id(std::str::from_utf8(raw).ok()?);
+        self.0[slot] = id;
+        Some(id)
     }
 }
 
 /// The slot of `name` in the table of recent activity names, from its
-/// length and its first eight bytes (all of a shorter name's), read with
-/// loads that may overlap as [`FxHasher`] reads a tail. Not seeded: names
-/// chosen to share a slot cost a hash each, never a wrong id.
+/// length and its first and last eight bytes (all of a name of up to 16
+/// bytes), read with loads that may overlap as [`FxHasher`] reads a tail.
+/// Not seeded: names chosen to share a slot cost a UTF-8 check and a
+/// hash each, never a wrong id.
 #[inline]
 fn recent_slot(name: &[u8]) -> usize {
     let n = name.len();
-    let word = if let Some(head) = name.first_chunk::<8>() {
-        u64::from_le_bytes(*head)
+    let (lo, hi) = if let (Some(lo), Some(hi)) = (name.first_chunk::<8>(), name.last_chunk::<8>()) {
+        (u64::from_le_bytes(*lo), u64::from_le_bytes(*hi))
     } else if let (Some(lo), Some(hi)) = (name.first_chunk::<4>(), name.last_chunk::<4>()) {
-        u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << 32
+        (
+            u64::from(u32::from_le_bytes(*lo)),
+            u64::from(u32::from_le_bytes(*hi)),
+        )
     } else if let (Some(&first), Some(&last)) = (name.first(), name.last()) {
-        u64::from(first) | u64::from(name[n / 2]) << 8 | u64::from(last) << 16
+        (
+            u64::from(first) | u64::from(name[n / 2]) << 8,
+            u64::from(last),
+        )
     } else {
-        0
+        (0, 0)
     };
     // The product's top byte mixes every bit of the key.
-    ((word ^ (n as u64) << 56).wrapping_mul(FX_K) >> 56) as usize
+    let key = lo.wrapping_mul(FX_K).rotate_left(5) ^ hi ^ (n as u64) << 56;
+    (key.wrapping_mul(FX_K) >> 56) as usize
 }
 
 impl Interner {
@@ -328,51 +361,14 @@ impl Interner {
     /// The `as u32` cannot truncate before the load pass rejects the load:
     /// each record names one activity, and a log has at most `u32::MAX`
     /// records.
-    #[inline]
     pub(crate) fn activity_id(&mut self, s: &str) -> u32 {
-        match self.recent_id(s.as_bytes()) {
-            Ok(id) => id,
-            Err(slot) => self.hashed_activity_id(s, slot),
+        if let Some(&id) = self.activity_ids.get(s) {
+            return id;
         }
-    }
-
-    /// [`activity_id`](Self::activity_id) of the name whose bytes are
-    /// `raw`, or `None` if they are not UTF-8. A name the table holds is
-    /// known to be UTF-8, so only a miss checks.
-    #[inline]
-    pub(crate) fn activity_id_utf8(&mut self, raw: &[u8]) -> Option<u32> {
-        match self.recent_id(raw) {
-            Ok(id) => Some(id),
-            Err(slot) => Some(self.hashed_activity_id(std::str::from_utf8(raw).ok()?, slot)),
-        }
-    }
-
-    /// The id of the activity named `raw` if the table holds it, or else
-    /// the name's slot.
-    #[inline(always)]
-    fn recent_id(&self, raw: &[u8]) -> Result<u32, usize> {
-        let slot = recent_slot(raw);
-        let id = self.recent[slot];
-        match self.activities.get(id as usize) {
-            Some(a) if a.as_str().as_bytes() == raw => Ok(id),
-            _ => Err(slot),
-        }
-    }
-
-    /// [`activity_id`](Self::activity_id) through the hash table, which
-    /// then fills the name's `slot`.
-    fn hashed_activity_id(&mut self, s: &str, slot: usize) -> u32 {
-        let id = match self.activity_ids.get(s) {
-            Some(&id) => id,
-            None => {
-                let shared = self.intern(s);
-                let id = self.activities.len() as u32;
-                self.activities.push(Activity(Arc::clone(&shared)));
-                self.activity_ids.insert(shared, id);
-                id
-            }
-        };
-        self.recent[slot] = id;
+        let shared = self.intern(s);
+        let id = self.activities.len() as u32;
+        self.activities.push(Activity(Arc::clone(&shared)));
+        self.activity_ids.insert(shared, id);
         id
     }
 
@@ -456,29 +452,47 @@ mod tests {
 
     #[test]
     fn recent_activity_slots_never_change_an_id() {
-        // Names of one slot: equal length and first eight bytes.
+        // Names of one slot: equal length, first and last eight bytes.
         let names = [
-            "ReferralA",
-            "ReferralB",
+            "Referral_A_Updated",
+            "Referral_B_Updated",
             "A",
             "START",
-            "ReferralA",
+            "Referral_A_Updated",
             "é",
-            "ReferralB",
+            "Referral_B_Updated",
         ];
-        assert_eq!(recent_slot(b"ReferralA"), recent_slot(b"ReferralB"));
-        let mut table = Interner::default();
-        let ids: Vec<u32> = names.iter().map(|n| table.activity_id(n)).collect();
+        assert_eq!(
+            recent_slot(b"Referral_A_Updated"),
+            recent_slot(b"Referral_B_Updated")
+        );
+        let (mut table, mut recent) = (Interner::default(), RecentNames::default());
+        let ids: Vec<u32> = names
+            .iter()
+            .map(|n| recent.activity_id(&mut table, n.as_bytes()).unwrap())
+            .collect();
         assert_eq!(ids, [0, 1, 2, 3, 0, 4, 1]);
+        // Bytes that are not UTF-8 equal no held name, and are refused.
+        assert_eq!(recent.activity_id(&mut table, b"\xC3"), None);
+        assert_eq!(table.activity_id("A"), 2);
         let activities = table.into_activities();
         let seen: Vec<&str> = activities.iter().map(Activity::as_str).collect();
-        assert_eq!(seen, ["ReferralA", "ReferralB", "A", "START", "é"]);
+        assert_eq!(
+            seen,
+            [
+                "Referral_A_Updated",
+                "Referral_B_Updated",
+                "A",
+                "START",
+                "é"
+            ]
+        );
     }
 
     #[test]
     fn the_scenario_activities_each_get_their_own_slot() {
-        // The activity names of the simulator's four scenarios: a load of
-        // any of them answers every record from the table.
+        // The activity names of the simulator's four scenarios: a binary
+        // load of any of them answers every record from the table.
         let scenarios = [
             "START END CheckIn CompleteRefer GetRefer GetReimburse PayTreatment SeeDoctor \
              TakeTreatment UpdateRefer",
@@ -493,6 +507,12 @@ mod tests {
             let slots: HashSet<usize> = names.iter().map(|n| recent_slot(n.as_bytes())).collect();
             assert_eq!(slots.len(), names.len(), "{names:?}");
         }
+        // Numbered names of one prefix and length differ in their last
+        // eight bytes, so they share slots only as hashing does.
+        let numbered: HashSet<usize> = (0..48)
+            .map(|i| recent_slot(format!("Activity_{i:02}").as_bytes()))
+            .collect();
+        assert!(numbered.len() >= 40, "{}", numbered.len());
     }
 
     #[test]

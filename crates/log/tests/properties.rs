@@ -76,13 +76,14 @@ fn arb_log() -> impl Strategy<Value = Log> {
     })
 }
 
-/// Activity names built to meet in the load's table of recent names:
-/// runs of one length and first eight bytes, one-byte names, names of
-/// more than 16 bytes, non-ASCII names, and 300 numbered names, more than
-/// the table's 256 slots.
+/// Activity names built to meet in the binary decoder's table of recent
+/// names: runs of one length and first eight bytes, runs of one length
+/// and first and last eight bytes, one-byte names, names of more than 16
+/// bytes, non-ASCII names, and 300 numbered names, more than the table's
+/// 256 slots.
 fn activity_pool() -> Vec<String> {
     let mut pool: Vec<String> = ('A'..='Z').map(|c| format!("Referral{c}")).collect();
-    pool.extend(('A'..='Z').map(|c| format!("Referral{c}Updated")));
+    pool.extend(('A'..='Z').map(|c| format!("Referral_{c}_Updated")));
     pool.extend(["A", "B", "x", "é", "Überprüfung", "检查", "Zahlung€"].map(String::from));
     pool.extend((0..4).map(|i| format!("AVeryLongActivityNameOverSixteenBytes{i}")));
     pool.extend((0..300).map(|i| format!("T{i}")));
@@ -635,9 +636,9 @@ proptest! {
         }
     }
 
-    /// Activity names that share a slot of the load's table of recent
-    /// names (equal length and first eight bytes), names of one byte,
-    /// of more than 16 bytes and not ASCII, and logs naming more
+    /// Activity names that share a slot of the binary decoder's table of
+    /// recent names (equal length, first and last eight bytes), names of
+    /// one byte, of more than 16 bytes and not ASCII, and logs naming more
     /// activities than the table has slots: `Log::new` and the four
     /// decoders give equal logs.
     #[test]
