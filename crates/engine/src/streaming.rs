@@ -54,7 +54,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use wlq_log::{IsLsn, LogError, LogRecord, Wid};
+use wlq_log::{InstanceState, IsLsn, LogRecord, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
 use crate::batch::IncidentBatch;
@@ -149,8 +149,8 @@ impl Held {
 /// One workflow instance seen by the evaluator.
 #[derive(Debug, Clone)]
 struct Instance {
-    next: IsLsn,
-    closed: bool,
+    /// Its place in Definition 2.
+    state: InstanceState,
     /// The full lists of the nodes with a `row`; empty until the instance
     /// first holds an incident, and again once it has ended.
     row: Box<[Held]>,
@@ -248,49 +248,26 @@ impl StreamingEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidLog`] if the record violates the
-    /// per-instance ordering invariants of Definition 2 (non-consecutive
-    /// `is-lsn`, record after `END`, or a non-`START` first record), or
-    /// if its instance has no is-lsn left after it
-    /// ([`LogError::IsLsnOverflow`]); nothing is recorded then.
+    /// Returns [`EngineError::InvalidLog`] with the error
+    /// [`InstanceState::admit`] gives the record: the first of
+    /// Definition 2's per-instance conditions it breaks (record after
+    /// `END`, `START` exactly at is-lsn 1, consecutive is-lsns), in the
+    /// order the load pass checks them, or no is-lsn left after it;
+    /// nothing is recorded then.
     pub fn append(&mut self, record: &LogRecord) -> Result<Vec<Incident>, EngineError> {
         let wid = record.wid();
         let entry = self.instances.entry(wid);
-        let (expected, closed) = match &entry {
-            Entry::Occupied(seen) => (seen.get().next, seen.get().closed),
-            Entry::Vacant(_) => (IsLsn::FIRST, false),
+        let mut state = match &entry {
+            Entry::Occupied(seen) => seen.get().state,
+            Entry::Vacant(_) => InstanceState::default(),
         };
-        if closed {
-            return Err(LogError::RecordAfterEnd {
-                wid,
-                lsn: record.lsn(),
-            }
-            .into());
-        }
-        if record.is_lsn() != expected {
-            return Err(LogError::NonConsecutiveIsLsn {
-                wid,
-                expected,
-                found: record.is_lsn(),
-            }
-            .into());
-        }
-        if (record.is_lsn() == IsLsn::FIRST) != record.is_start() {
-            return Err(LogError::StartMismatch {
-                lsn: record.lsn(),
-                wid,
-            }
-            .into());
-        }
-        let next = expected
-            .checked_next()
-            .ok_or(LogError::IsLsnOverflow(wid))?;
+        let kind = [record.is_start(), record.is_end()];
+        state.admit(wid, record.lsn(), record.is_lsn(), kind)?;
         let instance = entry.or_insert_with(|| Instance {
-            next: IsLsn::FIRST,
-            closed: false,
+            state,
             row: Box::default(),
         });
-        instance.next = next;
+        instance.state = state;
         self.records_seen += 1;
 
         let rows = Rows {
@@ -304,7 +281,6 @@ impl StreamingEvaluator {
         if record.is_end() {
             // `append` rejects any later record of the instance, so only
             // the root's list is read again.
-            instance.closed = true;
             let mut row = std::mem::take(&mut instance.row).into_vec();
             if let Some(Held::Batch(root)) = row.pop() {
                 if !root.is_empty() {
@@ -507,7 +483,7 @@ impl SharedStreamingEvaluator {
 mod tests {
     use super::*;
     use crate::eval::{Evaluator, Strategy};
-    use wlq_log::{paper, AttrMap};
+    use wlq_log::{paper, AttrMap, LogError};
 
     fn parse(s: &str) -> Pattern {
         s.parse().unwrap()
@@ -595,7 +571,7 @@ mod tests {
         stream.append(&LogRecord::start(1u64, 1u64)).unwrap();
         stream.append(&LogRecord::start(2u64, 2u64)).unwrap();
         if let Some(instance) = stream.instances.get_mut(&Wid(1)) {
-            instance.next = IsLsn(u32::MAX);
+            instance.state.next = IsLsn(u32::MAX);
         }
         let last = |lsn: u64, wid: u64, is_lsn: u32| {
             LogRecord::new(lsn, wid, is_lsn, "A", AttrMap::new(), AttrMap::new())

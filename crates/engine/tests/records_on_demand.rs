@@ -8,7 +8,8 @@
 //! 32 bytes per record: the index's columns and postings (~17), the two map
 //! numbers (8) and what the queries leave in per-thread buffers. A log
 //! holding a 72-byte record per record exceeds it. Asking for the records
-//! afterwards then costs those 72 bytes per record: no query built them.
+//! afterwards then costs those 72 bytes per record: no query built them,
+//! and neither did comparing two decoded logs.
 //!
 //! This file holds a single test because it installs a counting global
 //! allocator, and tests running concurrently in the same binary would
@@ -144,6 +145,18 @@ fn queries_build_no_records_and_a_decoded_log_keeps_columns() {
         assert_eq!(
             log.maps(0, IsLsn(1)).map(|[i, o]| i.len() + o.len()),
             Some(0)
+        );
+    }
+    // Equality reads the columns: comparing two decodes of the binary
+    // builds neither log's records.
+    let [a, b] = [(); 2].map(|()| io::binary::read_binary(bin.clone()).unwrap());
+    assert_eq!(a, b);
+    for log in [&a, &b] {
+        let (records, built) = growth(|| log.records().len());
+        assert_eq!(records, n);
+        assert!(
+            built >= n * std::mem::size_of::<LogRecord>(),
+            "records built by the comparison: {built} B for {n}"
         );
     }
 }

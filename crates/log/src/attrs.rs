@@ -877,13 +877,21 @@ impl Blocks {
 
     /// The blocks by activity id, each sharing `source`, the load's
     /// undecoded maps; `None` for an activity with no non-empty map. A
-    /// load with no non-empty map makes no source.
-    pub(crate) fn finish(self, source: impl FnOnce() -> Source) -> Vec<Option<Arc<AttrDict>>> {
+    /// load with no non-empty map makes no source. `None` if a map was
+    /// refused for having too many entries.
+    pub(crate) fn finish(
+        self,
+        source: impl FnOnce() -> Source,
+    ) -> Option<Vec<Option<Arc<AttrDict>>>> {
+        if self.entries >= u64::from(u32::MAX) {
+            return None;
+        }
         if self.entries == 0 {
-            return Vec::new();
+            return Some(Vec::new());
         }
         let source = source();
-        self.starts
+        let blocks = self
+            .starts
             .into_iter()
             .map(|mut starts| {
                 (starts.len() > 0).then(|| {
@@ -901,7 +909,8 @@ impl Blocks {
                     })
                 })
             })
-            .collect()
+            .collect();
+        Some(blocks)
     }
 }
 
@@ -1000,6 +1009,7 @@ mod tests {
             numbers.push([number, NO_MAP]);
         }
         let blocks = blocks.finish(|| Source::Binary(Arc::new(Vec::from(bytes.freeze()))));
+        let blocks = blocks.unwrap();
         let columns = MapColumns::new(blocks, numbers);
         (0..maps.len())
             .map(|entry| {

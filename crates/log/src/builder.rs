@@ -1,12 +1,11 @@
 //! Incremental, always-valid log construction.
 
-use std::collections::BTreeMap;
-
-use crate::attrs::AttrMap;
+use crate::attrs::{AttrMap, AttrMapRef};
 use crate::error::LogError;
-use crate::log::Log;
-use crate::names::Activity;
-use crate::record::{IsLsn, LogRecord, Lsn, Wid};
+use crate::io::{binary, Load};
+use crate::log::{InstanceState, Log};
+use crate::names::{Activity, END_ACTIVITY, START_ACTIVITY};
+use crate::record::{Lsn, Wid};
 
 /// Builds a [`Log`] record by record, maintaining Definition 2 by
 /// construction: the builder assigns `lsn` and `is-lsn`, emits `START`
@@ -14,6 +13,9 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 ///
 /// This is how a workflow engine writes its log: interleaved appends from
 /// many live instances, each append producing the next global `lsn`.
+/// Each record is filed into the load pass as it is written, its maps
+/// encoded and dropped at once, as [`Log::new`] files its records; no
+/// record is kept.
 ///
 /// # Examples
 ///
@@ -30,17 +32,13 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 /// assert_eq!(log.len(), 5); // 2 STARTs + 2 appends + 1 END
 /// # Ok::<(), wlq_log::LogError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct LogBuilder {
-    records: Vec<LogRecord>,
+    load: Load,
     next_wid: u64,
-    state: BTreeMap<Wid, InstanceState>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InstanceState {
-    next_is_lsn: IsLsn,
-    closed: bool,
+    /// Each instance's wid and place in Definition 2, by the load's
+    /// instance ordinal.
+    instances: Vec<(Wid, InstanceState)>,
 }
 
 impl LogBuilder {
@@ -53,17 +51,13 @@ impl LogBuilder {
     /// Number of records written so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.load.len()
     }
 
     /// Returns `true` if no record has been written yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    fn next_lsn(&self) -> Lsn {
-        Lsn(self.records.len() as u64 + 1)
+        self.len() == 0
     }
 
     /// Opens a new workflow instance, writing its `START` record, and
@@ -71,14 +65,7 @@ impl LogBuilder {
     pub fn start_instance(&mut self) -> Wid {
         self.next_wid += 1;
         let wid = Wid(self.next_wid);
-        self.records.push(LogRecord::start(self.next_lsn(), wid));
-        self.state.insert(
-            wid,
-            InstanceState {
-                next_is_lsn: IsLsn(2),
-                closed: false,
-            },
-        );
+        self.start(wid);
         wid
     }
 
@@ -87,56 +74,46 @@ impl LogBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::DuplicateLsn`] — never; returns
-    /// [`LogError::InstanceClosed`] if `wid` was already started (open or
-    /// closed).
+    /// Returns [`LogError::InstanceClosed`] if `wid` was already started
+    /// (open or closed).
     pub fn start_instance_with_id(&mut self, wid: Wid) -> Result<(), LogError> {
-        if self.state.contains_key(&wid) {
+        if self.load.instance(wid).is_some() {
             return Err(LogError::InstanceClosed(wid));
         }
         self.next_wid = self.next_wid.max(wid.get());
-        self.records.push(LogRecord::start(self.next_lsn(), wid));
-        self.state.insert(
-            wid,
-            InstanceState {
-                next_is_lsn: IsLsn(2),
-                closed: false,
-            },
-        );
+        self.start(wid);
         Ok(())
     }
 
-    /// Appends an activity execution to instance `wid`.
+    /// Writes the `START` record of the new instance `wid`.
+    fn start(&mut self, wid: Wid) {
+        // A new instance's first record, without maps, is always filed.
+        let _ = self.file(wid, START_ACTIVITY, [AttrMapRef::EMPTY; 2]);
+    }
+
+    /// Appends an activity execution to instance `wid`, and returns the
+    /// record's lsn.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::UnknownInstance`] if `wid` was never started,
-    /// [`LogError::InstanceClosed`] if it already has an `END` record, and
-    /// [`LogError::IsLsnOverflow`] if it has no is-lsn left to give the
-    /// record; nothing is written then.
+    /// [`LogError::InstanceClosed`] if it already has an `END` record,
+    /// and otherwise the error [`InstanceState::admit`] gives the record
+    /// (e.g. [`LogError::IsLsnOverflow`] if the instance has no is-lsn
+    /// left after it); nothing is written then. Returns
+    /// [`LogError::TooManyRecords`] once the maps written hold more
+    /// entries than `u32` ids can number; [`build`](Self::build) then
+    /// fails alike.
     pub fn append(
         &mut self,
         wid: Wid,
         activity: impl Into<Activity>,
         input: AttrMap,
         output: AttrMap,
-    ) -> Result<&LogRecord, LogError> {
-        let lsn = self.next_lsn();
-        let st = self
-            .state
-            .get_mut(&wid)
-            .ok_or(LogError::UnknownInstance(wid))?;
-        if st.closed {
-            return Err(LogError::InstanceClosed(wid));
-        }
-        let next = st
-            .next_is_lsn
-            .checked_next()
-            .ok_or(LogError::IsLsnOverflow(wid))?;
-        let rec = LogRecord::new(lsn, wid, st.next_is_lsn, activity, input, output);
-        st.next_is_lsn = next;
-        self.records.push(rec);
-        Ok(&self.records[self.records.len() - 1])
+    ) -> Result<Lsn, LogError> {
+        let activity = activity.into();
+        self.open(wid)?;
+        self.file(wid, activity.as_str(), [input.view(), output.view()])
     }
 
     /// Closes instance `wid` with an `END` record.
@@ -145,42 +122,61 @@ impl LogBuilder {
     ///
     /// Same conditions as [`append`](Self::append).
     pub fn end_instance(&mut self, wid: Wid) -> Result<(), LogError> {
-        let lsn = self.next_lsn();
-        let st = self
-            .state
-            .get_mut(&wid)
-            .ok_or(LogError::UnknownInstance(wid))?;
-        if st.closed {
-            return Err(LogError::InstanceClosed(wid));
-        }
-        let next = st
-            .next_is_lsn
-            .checked_next()
-            .ok_or(LogError::IsLsnOverflow(wid))?;
-        self.records.push(LogRecord::end(lsn, wid, st.next_is_lsn));
-        st.next_is_lsn = next;
-        st.closed = true;
+        self.open(wid)?;
+        self.file(wid, END_ACTIVITY, [AttrMapRef::EMPTY; 2])?;
         Ok(())
+    }
+
+    /// Instance `wid`'s place in Definition 2, if it was started.
+    fn state(&self, wid: Wid) -> Option<InstanceState> {
+        let ordinal = self.load.instance(wid)?;
+        self.instances.get(ordinal).map(|&(_, state)| state)
+    }
+
+    /// `Ok` if `wid` is started and not yet closed.
+    fn open(&self, wid: Wid) -> Result<(), LogError> {
+        match self.state(wid) {
+            None => Err(LogError::UnknownInstance(wid)),
+            Some(state) if state.ended => Err(LogError::InstanceClosed(wid)),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Files the next record of instance `wid`, the first of a new one,
+    /// if Definition 2 admits it, and returns its lsn.
+    fn file(
+        &mut self,
+        wid: Wid,
+        activity: &str,
+        maps: [AttrMapRef<'_>; 2],
+    ) -> Result<Lsn, LogError> {
+        let ordinal = self.load.instance(wid);
+        let mut state = self.state(wid).unwrap_or_default();
+        let (lsn, is_lsn) = (Lsn(self.len() as u64 + 1), state.next);
+        let kind = [activity == START_ACTIVITY, activity == END_ACTIVITY];
+        state.admit(wid, lsn, is_lsn, kind)?;
+        (self
+            .load
+            .file((lsn, wid, is_lsn), activity, maps.map(binary::entries)))
+        .ok_or(LogError::TooManyRecords(self.len() + 1))?;
+        match ordinal.and_then(|o| self.instances.get_mut(o)) {
+            Some(place) => place.1 = state,
+            None => self.instances.push((wid, state)),
+        }
+        Ok(lsn)
     }
 
     /// Returns `true` if `wid` is started and not yet closed.
     #[must_use]
     pub fn is_open(&self, wid: Wid) -> bool {
-        self.state.get(&wid).is_some_and(|s| !s.closed)
+        self.open(wid).is_ok()
     }
 
-    /// The instance ids currently open.
+    /// The instance ids currently open, in the order they were started.
     pub fn open_instances(&self) -> impl Iterator<Item = Wid> + '_ {
-        self.state
-            .iter()
-            .filter(|(_, s)| !s.closed)
-            .map(|(w, _)| *w)
-    }
-
-    /// A view of the records written so far, in lsn order.
-    #[must_use]
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+        (self.instances.iter())
+            .filter(|(_, state)| !state.ended)
+            .map(|&(wid, _)| wid)
     }
 
     /// Finalises the builder into a validated [`Log`].
@@ -189,9 +185,10 @@ impl LogBuilder {
     ///
     /// Returns [`LogError::Empty`] if nothing was written. Any other error
     /// would indicate a bug in the builder, since appends maintain the
-    /// invariants; the result is re-validated regardless (defence in depth).
+    /// invariants; the load pass re-validates the result regardless
+    /// (defence in depth).
     pub fn build(self) -> Result<Log, LogError> {
-        Log::new(self.records)
+        self.load.finish(None, 0)
     }
 }
 
@@ -199,6 +196,7 @@ impl LogBuilder {
 mod tests {
     use super::*;
     use crate::attrs;
+    use crate::record::IsLsn;
 
     #[test]
     fn builder_assigns_lsn_and_is_lsn() {
@@ -263,7 +261,7 @@ mod tests {
         let mut b = LogBuilder::new();
         let w = b.start_instance();
         let other = b.start_instance();
-        b.state.get_mut(&w).unwrap().next_is_lsn = IsLsn(u32::MAX);
+        b.instances[0].1.next = IsLsn(u32::MAX);
         assert_eq!(
             b.append(w, "A", attrs! {}, attrs! {}).unwrap_err(),
             LogError::IsLsnOverflow(w)
@@ -272,8 +270,9 @@ mod tests {
         assert!(b.is_open(w));
         assert_eq!(b.len(), 2);
         // Other instances are unaffected.
-        b.append(other, "A", attrs! {}, attrs! {}).unwrap();
-        assert_eq!(b.records()[2].is_lsn(), IsLsn(2));
+        assert_eq!(b.append(other, "A", attrs! {}, attrs! {}), Ok(Lsn(3)));
+        let log = b.build().unwrap();
+        assert_eq!(log.get(Lsn(3)).unwrap().is_lsn(), IsLsn(2));
     }
 
     #[test]

@@ -86,10 +86,10 @@ fn slot(is_lsn: IsLsn) -> usize {
 ///
 /// let log = paper::figure3_log();
 /// let idx = log.index();
-/// // SeeDoctor executed at is-lsn 4 and 6 in instance 1 (l9, l11).
-/// assert_eq!(idx.postings(Wid(1), "SeeDoctor"), &[IsLsn(4), IsLsn(6)]);
-/// // The same lookup in ids and ordinals.
+/// // SeeDoctor executed at is-lsn 4 and 6 in instance 1 (l9, l11),
+/// // ordinal 0.
 /// let id = idx.activity_id("SeeDoctor").unwrap();
+/// assert_eq!(idx.ordinal(Wid(1)), Some(0));
 /// assert_eq!(idx.instance_postings(0, id), &[IsLsn(4), IsLsn(6)]);
 /// // SeeDoctor runs in instances 1 and 2 (ordinals 0 and 1), not in 3.
 /// assert_eq!(idx.activity_instances(id), &[0, 1]);
@@ -503,50 +503,10 @@ impl LogIndex {
         self.wids.iter().copied()
     }
 
-    /// The is-lsns at which `activity` executed in instance `wid`,
-    /// ascending; empty if it never did.
-    #[must_use]
-    pub fn postings(&self, wid: Wid, activity: &str) -> &[IsLsn] {
-        match (self.ordinal(wid), self.activity_id(activity)) {
-            (Some(ordinal), Some(id)) => self.instance_postings(ordinal, id),
-            _ => &[],
-        }
-    }
-
     /// Number of records of instance `wid` (0 if unknown).
     #[must_use]
     pub fn instance_len(&self, wid: Wid) -> usize {
         self.ordinal(wid).map_or(0, |o| self.span(o).len())
-    }
-
-    /// The activity executed at `(wid, is_lsn)`.
-    #[must_use]
-    pub fn activity_at(&self, wid: Wid, is_lsn: IsLsn) -> Option<&Activity> {
-        let column = self.instance_activities(self.ordinal(wid)?);
-        self.activity(*column.get(slot(is_lsn))?)
-    }
-
-    /// The is-lsns of instance `wid` whose activity is *not* `activity`
-    /// (matches the negated atomic pattern `¬t`), ascending.
-    #[must_use]
-    pub fn complement_postings(&self, wid: Wid, activity: &str) -> Vec<IsLsn> {
-        let Some(ordinal) = self.ordinal(wid) else {
-            return Vec::new();
-        };
-        let id = self.activity_id(activity);
-        (1..)
-            .zip(self.instance_activities(ordinal))
-            .filter(|&(_, &a)| Some(a) != id)
-            .map(|(p, _)| IsLsn(p))
-            .collect()
-    }
-
-    /// Count of executions of `activity` across all instances; this is the
-    /// selectivity statistic the optimizer uses.
-    #[must_use]
-    pub fn total_count(&self, activity: &str) -> usize {
-        self.activity_id(activity)
-            .map_or(0, |id| self.activity_count(id))
     }
 }
 
@@ -569,54 +529,79 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The is-lsns of `activity` in instance `wid`, read by id and
+    /// ordinal.
+    fn postings<'a>(idx: &'a LogIndex, wid: Wid, activity: &str) -> &'a [IsLsn] {
+        match (idx.ordinal(wid), idx.activity_id(activity)) {
+            (Some(ordinal), Some(id)) => idx.instance_postings(ordinal, id),
+            _ => &[],
+        }
+    }
+
     #[test]
     fn postings_are_per_instance_and_sorted() {
         let log = sample();
         let idx = log.index();
-        assert_eq!(idx.postings(Wid(1), "A"), &[IsLsn(2), IsLsn(4)]);
-        assert_eq!(idx.postings(Wid(1), "B"), &[IsLsn(3)]);
-        assert_eq!(idx.postings(Wid(2), "A"), &[] as &[IsLsn]);
-        assert_eq!(idx.postings(Wid(2), "B"), &[IsLsn(2)]);
+        assert_eq!(postings(idx, Wid(1), "A"), &[IsLsn(2), IsLsn(4)]);
+        assert_eq!(postings(idx, Wid(1), "B"), &[IsLsn(3)]);
+        assert_eq!(postings(idx, Wid(2), "A"), &[] as &[IsLsn]);
+        assert_eq!(postings(idx, Wid(2), "B"), &[IsLsn(2)]);
     }
 
     #[test]
     fn start_and_end_are_indexed_like_activities() {
         let log = sample();
         let idx = log.index();
-        assert_eq!(idx.postings(Wid(1), "START"), &[IsLsn(1)]);
-        assert_eq!(idx.postings(Wid(1), "END"), &[IsLsn(5)]);
-        assert_eq!(idx.postings(Wid(2), "END"), &[] as &[IsLsn]);
+        assert_eq!(postings(idx, Wid(1), "START"), &[IsLsn(1)]);
+        assert_eq!(postings(idx, Wid(1), "END"), &[IsLsn(5)]);
+        assert_eq!(postings(idx, Wid(2), "END"), &[] as &[IsLsn]);
     }
 
     #[test]
     fn activity_at_reads_the_sequence() {
         let log = sample();
         let idx = log.index();
-        assert_eq!(idx.activity_at(Wid(1), IsLsn(2)).unwrap().as_str(), "A");
-        assert_eq!(idx.activity_at(Wid(1), IsLsn(5)).unwrap().as_str(), "END");
-        assert_eq!(idx.activity_at(Wid(1), IsLsn(6)), None);
-        assert_eq!(idx.activity_at(Wid(9), IsLsn(1)), None);
+        let at = |ordinal: usize, is_lsn: usize| {
+            let id = idx.instance_activities(ordinal).get(is_lsn - 1)?;
+            idx.activity(*id).map(Activity::as_str)
+        };
+        assert_eq!(at(0, 2), Some("A"));
+        assert_eq!(at(0, 5), Some("END"));
+        assert_eq!(at(0, 6), None);
+        assert_eq!(at(9, 1), None);
     }
 
     #[test]
     fn complement_postings_match_negated_atoms() {
+        // The is-lsns of instance 1 not running A: its sequence minus A's
+        // postings.
         let log = sample();
         let idx = log.index();
-        assert_eq!(
-            idx.complement_postings(Wid(1), "A"),
-            vec![IsLsn(1), IsLsn(3), IsLsn(5)]
-        );
-        assert_eq!(idx.complement_postings(Wid(9), "A"), Vec::<IsLsn>::new());
+        let a = idx.activity_id("A").unwrap();
+        let complement: Vec<IsLsn> = (1..)
+            .zip(idx.instance_activities(0))
+            .filter(|&(_, &id)| id != a)
+            .map(|(p, _)| IsLsn(p))
+            .collect();
+        assert_eq!(complement, vec![IsLsn(1), IsLsn(3), IsLsn(5)]);
+        let hits = idx.instance_postings(0, a);
+        assert_eq!(complement.len() + hits.len(), idx.instance_len(Wid(1)));
+        assert!(hits.iter().all(|p| !complement.contains(p)));
     }
 
     #[test]
     fn total_count_sums_instances() {
         let log = sample();
         let idx = log.index();
-        assert_eq!(idx.total_count("A"), 2);
-        assert_eq!(idx.total_count("B"), 2);
-        assert_eq!(idx.total_count("START"), 2);
-        assert_eq!(idx.total_count("Nope"), 0);
+        for (name, count) in [("A", 2), ("B", 2), ("START", 2)] {
+            let id = idx.activity_id(name).unwrap();
+            assert_eq!(idx.activity_count(id), count);
+            let summed: usize = (0..idx.num_instances())
+                .map(|o| idx.instance_postings(o, id).len())
+                .sum();
+            assert_eq!(summed, count);
+        }
+        assert_eq!(idx.activity_id("Nope"), None);
     }
 
     #[test]
@@ -635,7 +620,7 @@ mod tests {
         // Example 5: incL(SeeDoctor) = {l9, l11, l13, l17}.
         let mut hits: Vec<(Wid, IsLsn)> = Vec::new();
         for w in idx.wids() {
-            for &p in idx.postings(w, "SeeDoctor") {
+            for &p in postings(idx, w, "SeeDoctor") {
                 hits.push((w, p));
             }
         }
@@ -651,7 +636,7 @@ mod tests {
         let log = Log::new(vec![LogRecord::start(1, 1u64)]).unwrap();
         let idx = log.index();
         assert_eq!(idx.instance_len(Wid(1)), 1);
-        assert_eq!(idx.postings(Wid(1), "START"), &[IsLsn(1)]);
+        assert_eq!(postings(idx, Wid(1), "START"), &[IsLsn(1)]);
     }
 
     #[test]

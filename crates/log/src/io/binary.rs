@@ -22,7 +22,7 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use super::Load;
-use crate::attrs::{AttrMap, DictBuilder};
+use crate::attrs::{AttrMap, AttrMapRef, DictBuilder};
 use crate::error::ParseLogError;
 use crate::log::Log;
 use crate::names::{AttrName, Interner, RecentNames};
@@ -54,15 +54,21 @@ pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
 
 fn put_map(buf: &mut BytesMut, map: &AttrMap) {
     buf.put_u32_le(map.len() as u32);
-    put_entries(buf, map);
+    put_entries(buf, map.view());
 }
 
 /// Appends the entries of `map`, without their count.
-pub(crate) fn put_entries(buf: &mut BytesMut, map: &AttrMap) {
-    for (k, v) in map.iter() {
+pub(crate) fn put_entries(buf: &mut BytesMut, map: AttrMapRef<'_>) {
+    for (k, v) in map {
         put_str(buf, k.as_str());
         put_value(buf, v);
     }
+}
+
+/// `map`'s entry count and a writer of its entries, as
+/// [`Load::file`] takes a map.
+pub(crate) fn entries(map: AttrMapRef<'_>) -> (usize, impl FnOnce(&mut BytesMut) + '_) {
+    (map.len(), move |buf: &mut BytesMut| put_entries(buf, map))
 }
 
 pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {

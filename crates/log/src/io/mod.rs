@@ -27,6 +27,7 @@ use bytes::{BufMut, BytesMut};
 use crate::attrs::{Blocks, DictBuilder, Source};
 use crate::log::Rows;
 use crate::names::{AttrName, Interner};
+use crate::record::{IsLsn, Lsn, Wid};
 use crate::value::parse_scalar;
 use crate::{AttrMap, Log, LogError, ParseLogError, Value};
 
@@ -174,22 +175,24 @@ pub(crate) fn parse_head(
 /// each of its maps is non-empty), and their non-empty attribute maps
 /// filed undecoded into per-activity [`Blocks`], input before output.
 /// No [`LogRecord`](crate::LogRecord) or [`AttrMap`] is made.
+#[derive(Default)]
 pub(crate) struct Load {
     pub(crate) names: Interner,
     pub(crate) blocks: Blocks,
     rows: Rows,
     /// Text and CSV: the non-empty map fields, each ended by a `\n`.
     fields: String,
+    /// Records filed by [`Load::file`]: their non-empty maps, as the
+    /// binary format encodes them.
+    encoded: BytesMut,
 }
 
 impl Load {
     /// A load expecting up to `records` records.
     pub(crate) fn with_capacity(records: usize) -> Self {
         Load {
-            names: Interner::default(),
-            blocks: Blocks::default(),
             rows: Rows::with_capacity(records),
-            fields: String::new(),
+            ..Load::default()
         }
     }
 
@@ -232,51 +235,75 @@ impl Load {
             })
     }
 
-    /// Appends a map of `activity` with `count` entries to `maps`, as the
-    /// binary format encodes it (the count, then the entries `entries`
-    /// writes), and files it; an empty map is neither. Returns whether
-    /// the map is non-empty, or `None` once the load has more entries
-    /// than `u32` ids can number. [`Log::new`] and the XES decoder fill
-    /// their loads' maps this way.
-    pub(crate) fn put_map(
+    /// Files a record: its lsn, wid, is-lsn and interned `activity`, and
+    /// its input and output maps, each given as its entry count and a
+    /// writer of its entries. Each non-empty map is encoded as the binary
+    /// format encodes it (the count, then the entries) and filed into its
+    /// activity's block; an empty map is neither. Returns `None` once the
+    /// load has more entries than `u32` ids can number; the load then
+    /// finishes in [`LogError::TooManyRecords`].
+    /// [`Log::new`], the XES decoder, [`LogBuilder`](crate::LogBuilder)
+    /// and the log operations file their records this way.
+    pub(crate) fn file<F: FnOnce(&mut BytesMut)>(
         &mut self,
-        maps: &mut BytesMut,
-        activity: u32,
-        count: usize,
-        entries: impl FnOnce(&mut BytesMut),
-    ) -> Option<bool> {
-        if count == 0 {
-            return Some(false);
+        (lsn, wid, is_lsn): (Lsn, Wid, IsLsn),
+        activity: &str,
+        entries: [(usize, F); 2],
+    ) -> Option<()> {
+        let activity = self.names.activity_id(activity);
+        let mut filled = [false; 2];
+        for (filled, (count, put)) in filled.iter_mut().zip(entries) {
+            if count == 0 {
+                continue;
+            }
+            let count = u32::try_from(count).ok()?;
+            let at = self.encoded.len();
+            self.encoded.put_u32_le(count);
+            put(&mut self.encoded);
+            self.blocks.map(activity, at, count)?;
+            *filled = true;
         }
-        let count = u32::try_from(count).ok()?;
-        let at = maps.len();
-        maps.put_u32_le(count);
-        entries(maps);
-        self.blocks.map(activity, at, count).map(|()| true)
+        self.push((lsn.get(), wid.get(), is_lsn.get(), activity), filled);
+        Some(())
+    }
+
+    /// Number of records filed.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The ordinal of instance `wid` among the records' instances, in
+    /// first-seen order.
+    pub(crate) fn instance(&self, wid: Wid) -> Option<usize> {
+        self.rows.instance(wid)
     }
 
     /// The log: the records validated with the load's activity ids, and
-    /// the blocks given the binary `maps` (the load's maps as the binary
-    /// format encodes them), or else the copied text fields, whose
-    /// entries `sep` separates. A log with no non-empty map keeps
-    /// neither.
+    /// the blocks given the binary decoder's `maps` (its input, whose
+    /// maps the binary format encodes), or else the load's own: the maps
+    /// it [filed](Self::file), or the copied text fields, whose entries
+    /// `sep` separates. A log with no non-empty map keeps none; a load
+    /// whose maps hold more entries than `u32` ids can number is
+    /// [`LogError::TooManyRecords`].
     pub(crate) fn finish(self, maps: Option<Vec<u8>>, sep: u8) -> Result<Log, LogError> {
         let Load {
             names,
             blocks,
             rows,
             mut fields,
+            encoded,
         } = self;
-        let blocks = blocks.finish(|| match maps {
-            Some(mut maps) => {
+        let blocks = blocks.finish(|| {
+            if let Some(mut maps) =
+                maps.or_else(|| (!encoded.is_empty()).then(|| Vec::from(encoded.freeze())))
+            {
                 maps.shrink_to_fit();
-                Source::Binary(Arc::new(maps))
+                return Source::Binary(Arc::new(maps));
             }
-            None => {
-                fields.shrink_to_fit();
-                Source::Text(Arc::new(fields), sep)
-            }
+            fields.shrink_to_fit();
+            Source::Text(Arc::new(fields), sep)
         });
+        let blocks = blocks.ok_or(LogError::TooManyRecords(rows.len()))?;
         Log::decoded(rows, &names.into_activities(), blocks)
     }
 }

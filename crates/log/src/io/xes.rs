@@ -27,7 +27,7 @@ use bytes::{BufMut, BytesMut};
 use super::{binary, Load};
 use crate::error::ParseLogError;
 use crate::log::Log;
-use crate::record::Wid;
+use crate::record::{IsLsn, Lsn, Wid};
 use crate::{AttrMap, Value};
 
 /// Serializes a log as an XES document.
@@ -127,8 +127,7 @@ fn unescape(s: &str) -> Cow<'_, str> {
 /// Returns [`ParseLogError`] for malformed documents, missing mandatory
 /// keys, or record sets violating Definition 2.
 pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
-    let mut load = Load::with_capacity(0);
-    let mut maps = BytesMut::default();
+    let mut load = Load::default();
     let mut parser = XmlScanner::new(text);
     let mut current_wid: Option<Wid> = None;
     let mut event: Option<EventBuilder> = None;
@@ -143,7 +142,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .ok_or_else(|| bad(parser.line, "</event> without <event>"))?;
                 let wid = current_wid
                     .ok_or_else(|| bad(parser.line, "event before trace concept:name"))?;
-                builder.file(wid, parser.line, &mut load, &mut maps)?;
+                builder.file(wid, parser.line, &mut load)?;
             }
             "string" | "int" | "float" | "boolean" => {
                 let key = tag
@@ -165,7 +164,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
             _ => {}
         }
     }
-    Ok(load.finish(Some(Vec::from(maps.freeze())), 0)?)
+    Ok(load.finish(None, 0)?)
 }
 
 fn bad(line: usize, message: impl Into<String>) -> ParseLogError {
@@ -228,15 +227,8 @@ impl EventBuilder {
         Ok(())
     }
 
-    /// Files the event, a record of instance `wid`, into `load`, and its
-    /// maps into `maps`.
-    fn file(
-        self,
-        wid: Wid,
-        line: usize,
-        load: &mut Load,
-        maps: &mut BytesMut,
-    ) -> Result<(), ParseLogError> {
+    /// Files the event, a record of instance `wid`, into `load`.
+    fn file(self, wid: Wid, line: usize, load: &mut Load) -> Result<(), ParseLogError> {
         let activity = self
             .activity
             .ok_or_else(|| bad(line, "event without concept:name"))?;
@@ -244,16 +236,13 @@ impl EventBuilder {
             .is_lsn
             .ok_or_else(|| bad(line, "event without wlq:islsn"))?;
         let lsn = self.lsn.ok_or_else(|| bad(line, "event without wlq:lsn"))?;
-        let activity = load.names.activity_id(&activity);
-        let mut filled = [false; 2];
-        for (filled, (entries, count)) in filled.iter_mut().zip(self.maps) {
-            let entries = entries.freeze();
-            let put = |buf: &mut BytesMut| buf.put_slice(entries.as_ref());
-            *filled = (load.put_map(maps, activity, count, put))
-                .ok_or_else(|| bad(line, "more attribute entries than u32 can number"))?;
-        }
-        load.push((lsn, wid.get(), is_lsn, activity), filled);
-        Ok(())
+        let entries = (self.maps).map(|(entries, count)| {
+            (count, move |buf: &mut BytesMut| {
+                buf.put_slice(entries.freeze().as_ref())
+            })
+        });
+        (load.file((Lsn(lsn), wid, IsLsn(is_lsn)), &activity, entries))
+            .ok_or_else(|| bad(line, "more attribute entries than u32 can number"))
     }
 }
 

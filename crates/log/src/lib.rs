@@ -60,7 +60,7 @@ pub use attrs::{AttrIter, AttrMap, AttrMapRef};
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
 pub use index::{ActivityId, LogIndex, PostingsCursor};
-pub use log::Log;
+pub use log::{InstanceState, Log};
 pub use names::{Activity, AttrName, END_ACTIVITY, START_ACTIVITY};
 pub use record::{IsLsn, LogRecord, Lsn, Wid};
 pub use stats::LogStats;

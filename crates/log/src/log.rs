@@ -4,8 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use bytes::BytesMut;
-
 use crate::attrs::{AttrDict, AttrMapRef, MapColumns, NO_MAP};
 use crate::error::LogError;
 use crate::index::{rank, ActivityId, LogIndex};
@@ -74,14 +72,25 @@ struct Decoded {
     records: OnceLock<Vec<LogRecord>>,
 }
 
-/// Equality of the records.
+/// Equality of the records, read off the columns: the indexes, which
+/// hold every record's lsn, wid, is-lsn and activity, and each entry's
+/// maps. Builds no record.
 impl PartialEq for Log {
     fn eq(&self, other: &Self) -> bool {
-        self.records() == other.records()
+        let (_, activities, _) = self.index.columns();
+        self.index == other.index
+            && (0..activities.len()).all(|entry| {
+                let activity = activities[entry].index();
+                self.decoded.maps.view(activity, entry) == other.decoded.maps.view(activity, entry)
+            })
     }
 }
 
 impl Eq for Log {}
+
+/// A record read off a log's columns: its wid, is-lsn, activity and
+/// maps.
+pub(crate) type Row<'a> = (Wid, IsLsn, &'a Activity, [AttrMapRef<'a>; 2]);
 
 /// Numbers instances in first-seen order by wid.
 #[derive(Default)]
@@ -106,6 +115,7 @@ impl Instances {
 
 /// A load's records as columns, in file order: 14 bytes per record
 /// while each lsn is its row's position plus one.
+#[derive(Default)]
 pub(crate) struct Rows {
     /// The lsns, once one is not its row's position plus one; until then
     /// they are implied.
@@ -150,6 +160,16 @@ impl Rows {
         self.is_lsns.push(IsLsn(is_lsn));
         self.activities.push(activity);
         self.filled.push(filled);
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.activities.len()
+    }
+
+    /// The ordinal of instance `wid`, if a row has it.
+    pub(crate) fn instance(&self, wid: Wid) -> Option<usize> {
+        self.instances.ordinals.get(&wid).map(|&o| o as usize)
     }
 
     /// The lsn of row `i`.
@@ -199,13 +219,69 @@ impl Rows {
     }
 }
 
-/// Per-instance validation state, indexed by first-appearance ordinal.
-struct Instance {
-    wid: Wid,
-    /// Records seen so far, which is also the last is-lsn seen.
-    len: u32,
-    /// An `END` record has been seen.
-    closed: bool,
+/// An instance's place in Definition 2's per-instance conditions (2–4):
+/// the is-lsn its next record must have, and whether its `END` record
+/// has been seen. The load pass, [`LogBuilder`](crate::LogBuilder) and
+/// the engine's streaming evaluator all admit records through
+/// [`admit`](Self::admit), so they refuse the same records with the same
+/// errors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstanceState {
+    /// The is-lsn the instance's next record must have.
+    pub next: IsLsn,
+    /// The instance's `END` record has been seen.
+    pub ended: bool,
+}
+
+impl Default for InstanceState {
+    /// An instance with no record yet.
+    fn default() -> Self {
+        InstanceState {
+            next: IsLsn::FIRST,
+            ended: false,
+        }
+    }
+}
+
+impl InstanceState {
+    /// Admits the instance's next record, `lsn`, with `is_lsn`, whose
+    /// activity is `START` or `END` as `[start, end]` says; the state
+    /// moves past it.
+    ///
+    /// # Errors
+    ///
+    /// The first condition the record breaks, checked in this order, and
+    /// the state is left as it was: [`LogError::RecordAfterEnd`] after
+    /// the instance's `END`; [`LogError::StartMismatch`] unless `is_lsn`
+    /// is 1 exactly when the activity is `START` (condition 2);
+    /// [`LogError::NonConsecutiveIsLsn`] unless `is_lsn` is
+    /// [`next`](Self::next) (condition 3); [`LogError::IsLsnOverflow`]
+    /// if no is-lsn is left after `is_lsn`.
+    #[inline]
+    pub fn admit(
+        &mut self,
+        wid: Wid,
+        lsn: Lsn,
+        is_lsn: IsLsn,
+        [start, end]: [bool; 2],
+    ) -> Result<(), LogError> {
+        if self.ended {
+            return Err(LogError::RecordAfterEnd { wid, lsn });
+        }
+        if (is_lsn == IsLsn::FIRST) != start {
+            return Err(LogError::StartMismatch { lsn, wid });
+        }
+        if is_lsn != self.next {
+            return Err(LogError::NonConsecutiveIsLsn {
+                wid,
+                expected: self.next,
+                found: is_lsn,
+            });
+        }
+        self.next = is_lsn.checked_next().ok_or(LogError::IsLsnOverflow(wid))?;
+        self.ended = end;
+        Ok(())
+    }
 }
 
 /// Refuses an empty log, and one whose record offsets do not fit the
@@ -251,50 +327,28 @@ fn layout(rows: &Rows, seen: &[Activity]) -> Result<(LogIndex, Vec<ActivityId>),
     // Conditions 2–4, checked in one pass in lsn order.
     let id_of = |is: fn(&Activity) -> bool| seen.iter().position(is).map(|id| id as u32);
     let (start, end) = (id_of(Activity::is_start), id_of(Activity::is_end));
-    let mut instances: Vec<Instance> = (wids.iter())
-        .map(|&wid| Instance {
-            wid,
-            len: 0,
-            closed: false,
-        })
-        .collect();
+    let mut instances = vec![InstanceState::default(); wids.len()];
     for (i, (&ordinal, &id)) in ordinals.iter().zip(ids).enumerate() {
-        let (lsn, is_lsn) = (rows.lsn(i), is_lsns[i]);
-        let state = &mut instances[ordinal as usize];
-        let wid = state.wid;
-        if state.closed {
-            return Err(LogError::RecordAfterEnd { wid, lsn });
-        }
-        // Condition 2: is-lsn = 1 iff START.
-        if (is_lsn == IsLsn::FIRST) != (Some(id) == start) {
-            return Err(LogError::StartMismatch { lsn, wid });
-        }
-        // Condition 3: consecutive is-lsn per instance, in lsn order.
-        if u64::from(is_lsn.get()) != u64::from(state.len) + 1 {
-            return Err(LogError::NonConsecutiveIsLsn {
-                wid,
-                expected: IsLsn(state.len.saturating_add(1)),
-                found: is_lsn,
-            });
-        }
-        state.len = is_lsn.get();
-        state.closed = Some(id) == end;
+        let ordinal = ordinal as usize;
+        let kind = [Some(id) == start, Some(id) == end];
+        instances[ordinal].admit(wids[ordinal], rows.lsn(i), is_lsns[i], kind)?;
     }
 
     // The CSR layout, instances by ascending wid; `next[k]` is the
     // entry instance `k`'s next record lands on, first its is-lsn 1.
     let mut order: Vec<u32> = (0..instances.len() as u32).collect();
-    order.sort_unstable_by_key(|&k| instances[k as usize].wid);
+    order.sort_unstable_by_key(|&k| wids[k as usize]);
     let mut next = vec![0u32; instances.len()];
     let mut starts = Vec::with_capacity(order.len() + 1);
     starts.push(0);
     for &k in &order {
         let k = k as usize;
         next[k] = starts[starts.len() - 1];
-        // The entries number the records, which fit in `u32`.
-        starts.push(next[k] + instances[k].len);
+        // The entries number the records, which fit in `u32`; an
+        // instance's next is-lsn is one past its record count.
+        starts.push(next[k] + instances[k].next.get() - 1);
     }
-    let wids = order.iter().map(|&k| instances[k as usize].wid).collect();
+    let wids = order.iter().map(|&k| wids[k as usize]).collect();
 
     // The columns. An instance's records come in is-lsn order from 1
     // (condition 3), so record `i` is the next entry of its instance's
@@ -314,19 +368,25 @@ fn layout(rows: &Rows, seen: &[Activity]) -> Result<(LogIndex, Vec<ActivityId>),
     Ok((index, rank))
 }
 
-/// A log's records in lsn order, built from its index and map columns.
-fn build_records(index: &LogIndex, maps: &MapColumns) -> Vec<LogRecord> {
-    let (starts, activities, offsets) = index.columns();
-    let (wids, names) = (index.instance_wids(), index.activities());
-    // Each record's instance ordinal and entry, by lsn.
+/// Each record's instance ordinal and entry in `index`'s columns, in lsn
+/// order.
+fn lsn_order(index: &LogIndex) -> Vec<(u32, u32)> {
+    let (starts, _, offsets) = index.columns();
     let mut at = vec![(0u32, 0u32); offsets.len()];
     for (ordinal, span) in (0u32..).zip(starts.windows(2)) {
         for entry in span[0]..span[1] {
             at[offsets[entry as usize] as usize] = (ordinal, entry);
         }
     }
+    at
+}
+
+/// A log's records in lsn order, built from its index and map columns.
+fn build_records(index: &LogIndex, maps: &MapColumns) -> Vec<LogRecord> {
+    let (starts, activities, _) = index.columns();
+    let (wids, names) = (index.instance_wids(), index.activities());
     (1u64..)
-        .zip(at)
+        .zip(lsn_order(index))
         .map(|(lsn, (ordinal, entry))| {
             let ordinal = ordinal as usize;
             let activity = activities[entry as usize].index();
@@ -362,19 +422,13 @@ impl Log {
         let len = records.len();
         check_len(len)?;
         let mut load = Load::with_capacity(len);
-        let mut maps = BytesMut::default();
         for record in records {
-            let activity = load.names.activity_id(record.activity().as_str());
-            let mut filled = [false; 2];
-            for (filled, map) in filled.iter_mut().zip([record.input(), record.output()]) {
-                let encode = |buf: &mut BytesMut| binary::put_entries(buf, map);
-                *filled = (load.put_map(&mut maps, activity, map.len(), encode))
-                    .ok_or(LogError::TooManyRecords(len))?;
-            }
-            let (lsn, wid, is_lsn) = (record.lsn(), record.wid(), record.is_lsn());
-            load.push((lsn.get(), wid.get(), is_lsn.get(), activity), filled);
+            let head = (record.lsn(), record.wid(), record.is_lsn());
+            let maps = [record.input().view(), record.output().view()];
+            (load.file(head, record.activity().as_str(), maps.map(binary::entries)))
+                .ok_or(LogError::TooManyRecords(len))?;
         }
-        load.finish(Some(Vec::from(maps.freeze())), 0)
+        load.finish(None, 0)
     }
 
     /// The log of a load's `rows`, whose first-seen activity ids name
@@ -526,6 +580,24 @@ impl Log {
         self.index.activities().to_vec()
     }
 
+    /// Each record's instance ordinal and entry in the index's columns,
+    /// in lsn order.
+    pub(crate) fn lsn_order(&self) -> Vec<(u32, u32)> {
+        lsn_order(&self.index)
+    }
+
+    /// The record at `entry` of the index's columns, of instance
+    /// `ordinal`, built from the columns.
+    pub(crate) fn row(&self, (ordinal, entry): (u32, u32)) -> Row<'_> {
+        let (starts, activities, _) = self.index.columns();
+        let (ordinal, entry) = (ordinal as usize, entry as usize);
+        let activity = activities[entry].index();
+        let is_lsn = IsLsn(entry as u32 - starts[ordinal] + 1);
+        let name = &self.index.activities()[activity];
+        let maps = self.decoded.maps.view(activity, entry);
+        (self.index.instance_wids()[ordinal], is_lsn, name, maps)
+    }
+
     /// Consumes the log, returning its records in lsn order.
     #[must_use]
     pub fn into_records(self) -> Vec<LogRecord> {
@@ -533,23 +605,6 @@ impl Log {
         records
             .into_inner()
             .unwrap_or_else(|| build_records(&self.index, &maps))
-    }
-
-    /// Extracts the single-instance sub-log of `wid`, re-numbering lsns to
-    /// `1..` while preserving order (used by partitioned evaluation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::UnknownInstance`] if `wid` is not in the log.
-    pub fn project_instance(&self, wid: Wid) -> Result<Log, LogError> {
-        if self.positions(wid).is_none() {
-            return Err(LogError::UnknownInstance(wid));
-        }
-        let mut records: Vec<LogRecord> = self.instance(wid).cloned().collect();
-        for (i, r) in records.iter_mut().enumerate() {
-            r.set_lsn(Lsn(i as u64 + 1));
-        }
-        Log::new(records)
     }
 }
 

@@ -4,11 +4,23 @@
 //! logs of several engines into one queryable log, or look at a log "as
 //! of" an earlier point in time.
 
-use std::collections::BTreeMap;
-
 use crate::error::LogError;
-use crate::log::Log;
-use crate::record::{LogRecord, Lsn, Wid};
+use crate::io::{binary, Load};
+use crate::log::{Log, Row};
+use crate::record::{Lsn, Wid};
+
+/// Files a source log's row (its wid, is-lsn, activity and maps, read
+/// off the source's columns) as `load`'s next record, under `wid`: no
+/// source record is built.
+fn file(load: &mut Load, (_, is_lsn, activity, maps): Row<'_>, wid: Wid) -> Result<(), LogError> {
+    let lsn = Lsn(load.len() as u64 + 1);
+    (load.file(
+        (lsn, wid, is_lsn),
+        activity.as_str(),
+        maps.map(binary::entries),
+    ))
+    .ok_or(LogError::TooManyRecords(load.len() + 1))
+}
 
 impl Log {
     /// Merges several logs into one, interleaving records in their
@@ -44,41 +56,31 @@ impl Log {
     /// # Ok::<(), wlq_log::LogError>(())
     /// ```
     pub fn merge(logs: impl IntoIterator<Item = Log>) -> Result<Log, LogError> {
-        let sources: Vec<Vec<LogRecord>> = logs.into_iter().map(Log::into_records).collect();
-        if sources.is_empty() {
-            return Err(LogError::Empty);
-        }
-        let total: usize = sources.iter().map(Vec::len).sum();
-        let mut wid_map: BTreeMap<(usize, Wid), Wid> = BTreeMap::new();
+        let sources: Vec<Log> = logs.into_iter().collect();
+        let orders: Vec<Vec<(u32, u32)>> = sources.iter().map(Log::lsn_order).collect();
+        // Per source, the merged wid of each instance ordinal, once seen.
+        let mut wids: Vec<Vec<Option<Wid>>> = (sources.iter())
+            .map(|log| vec![None; log.num_instances()])
+            .collect();
         let mut next_wid = 0u64;
-        let mut merged: Vec<LogRecord> = Vec::with_capacity(total);
+        let mut load = Load::with_capacity(sources.iter().map(Log::len).sum());
 
         // Round-robin over the sources to interleave fairly; within each
         // source, original order (and thus per-instance order) is kept.
-        let mut cursors = vec![0usize; sources.len()];
-        while merged.len() < total {
-            for (src_idx, source) in sources.iter().enumerate() {
-                let cursor = cursors[src_idx];
-                if cursor >= source.len() {
+        let longest = orders.iter().map(Vec::len).max().unwrap_or(0);
+        for cursor in 0..longest {
+            for ((source, order), wids) in sources.iter().zip(&orders).zip(&mut wids) {
+                let Some(&at) = order.get(cursor) else {
                     continue;
-                }
-                cursors[src_idx] += 1;
-                let record = &source[cursor];
-                let wid = *wid_map.entry((src_idx, record.wid())).or_insert_with(|| {
+                };
+                let wid = *wids[at.0 as usize].get_or_insert_with(|| {
                     next_wid += 1;
                     Wid(next_wid)
                 });
-                merged.push(LogRecord::new(
-                    Lsn(merged.len() as u64 + 1),
-                    wid,
-                    record.is_lsn(),
-                    record.activity().clone(),
-                    record.input().clone(),
-                    record.output().clone(),
-                ));
+                file(&mut load, source.row(at), wid)?;
             }
         }
-        Log::new(merged)
+        load.finish(None, 0)
     }
 
     /// The log "as of" global sequence number `upto` (inclusive): the
@@ -91,7 +93,12 @@ impl Log {
     /// Returns [`LogError::Empty`] when `upto` is 0.
     pub fn prefix(&self, upto: Lsn) -> Result<Log, LogError> {
         let n = (upto.get() as usize).min(self.len());
-        Log::new(self.records()[..n].to_vec())
+        let mut load = Load::with_capacity(n);
+        for &at in &self.lsn_order()[..n] {
+            let row = self.row(at);
+            file(&mut load, row, row.0)?;
+        }
+        load.finish(None, 0)
     }
 
     /// A new log containing only the instances accepted by `keep`,
@@ -101,15 +108,27 @@ impl Log {
     ///
     /// Returns [`LogError::Empty`] when no instance is kept.
     pub fn filter_instances(&self, mut keep: impl FnMut(Wid) -> bool) -> Result<Log, LogError> {
-        let mut records: Vec<LogRecord> = Vec::new();
-        for record in self.iter() {
-            if keep(record.wid()) {
-                let mut r = record.clone();
-                r.set_lsn(Lsn(records.len() as u64 + 1));
-                records.push(r);
+        let mut load = Load::default();
+        for at in self.lsn_order() {
+            let row = self.row(at);
+            if keep(row.0) {
+                file(&mut load, row, row.0)?;
             }
         }
-        Log::new(records)
+        load.finish(None, 0)
+    }
+
+    /// Extracts the single-instance sub-log of `wid`, re-numbering lsns to
+    /// `1..` while preserving order (used by partitioned evaluation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogError::UnknownInstance`] if `wid` is not in the log.
+    pub fn project_instance(&self, wid: Wid) -> Result<Log, LogError> {
+        if self.instance_len(wid) == 0 {
+            return Err(LogError::UnknownInstance(wid));
+        }
+        self.filter_instances(|w| w == wid)
     }
 }
 
@@ -208,8 +227,8 @@ mod tests {
         let only2 = log.filter_instances(|w| w == Wid(2)).unwrap();
         assert_eq!(only2.num_instances(), 1);
         assert_eq!(only2.instance_len(Wid(2)), 9);
-        assert_eq!(only2.records()[0].lsn(), Lsn(1));
-        assert_eq!(only2.records()[0].is_lsn(), IsLsn(1));
+        let first = only2.get(Lsn(1)).unwrap();
+        assert_eq!((first.wid(), first.is_lsn()), (Wid(2), IsLsn(1)));
         assert!(log.filter_instances(|_| false).is_err());
     }
 }

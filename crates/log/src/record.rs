@@ -210,11 +210,6 @@ impl LogRecord {
     pub fn is_end(&self) -> bool {
         self.activity.is_end()
     }
-
-    /// Re-stamps the global `lsn` (used by log mergers and builders).
-    pub(crate) fn set_lsn(&mut self, lsn: Lsn) {
-        self.lsn = lsn;
-    }
 }
 
 impl fmt::Display for LogRecord {

@@ -151,8 +151,9 @@ fn matches_instance_scan(log: &Log) -> TestCaseResult {
             let expected = (is_lsn as usize)
                 .checked_sub(1)
                 .and_then(|i| sequence.get(i).copied());
+            let at = index.record_offset(ordinal, IsLsn(is_lsn));
             prop_assert_eq!(
-                index.activity_at(wid, IsLsn(is_lsn)).map(|a| a.as_str()),
+                at.map(|offset| log.records()[offset].activity().as_str()),
                 expected
             );
         }
@@ -165,25 +166,36 @@ fn matches_instance_scan(log: &Log) -> TestCaseResult {
                     .collect()
             };
             let hits = positions(true);
-            prop_assert_eq!(index.postings(wid, name), hits.as_slice());
-            if let Some(id) = index.activity_id(name) {
-                prop_assert_eq!(index.instance_postings(ordinal, id), hits.as_slice());
-            }
-            prop_assert_eq!(index.complement_postings(wid, name), positions(false));
+            let id = index.activity_id(name);
+            let postings = id.map_or(&[] as &[IsLsn], |id| index.instance_postings(ordinal, id));
+            prop_assert_eq!(postings, hits.as_slice());
+            // The complement, `¬name`'s positions, off the id column.
+            let complement: Vec<IsLsn> = (1..)
+                .zip(index.instance_activities(ordinal))
+                .filter(|&(_, &a)| Some(a) != id)
+                .map(|(p, _)| IsLsn(p))
+                .collect();
+            prop_assert_eq!(complement, positions(false));
         }
     }
 
     for name in PROBES {
         let total = log.iter().filter(|r| r.activity().as_str() == name).count();
-        prop_assert_eq!(index.total_count(name), total);
+        let count = index
+            .activity_id(name)
+            .map_or(0, |id| index.activity_count(id));
+        prop_assert_eq!(count, total);
     }
 
     // Instances the log does not hold read as empty.
     let absent = (0..).map(Wid).find(|w| !wids.contains(w)).unwrap();
-    prop_assert_eq!(index.postings(absent, "START"), &[] as &[IsLsn]);
-    prop_assert_eq!(index.complement_postings(absent, "A"), Vec::<IsLsn>::new());
+    prop_assert_eq!(index.ordinal(absent), None);
     prop_assert_eq!(index.instance_len(absent), 0);
-    prop_assert_eq!(index.activity_at(absent, IsLsn(1)), None);
+    let past = wids.len();
+    let start = index.activity_id("START").unwrap();
+    prop_assert_eq!(index.instance_postings(past, start), &[] as &[IsLsn]);
+    prop_assert_eq!(index.instance_activities(past), &[] as &[ActivityId]);
+    prop_assert_eq!(index.record_offset(past, IsLsn(1)), None);
     Ok(())
 }
 
@@ -413,7 +425,9 @@ fn separate_allocations_get_one_id_per_name() {
     let names: Vec<&str> = index.activities().iter().map(Activity::as_str).collect();
     assert_eq!(names, ["A", "B", "START"]);
     assert_eq!(index.activity_count(ActivityId(0)), 4);
-    assert_eq!(index.postings(Wid(1), "A"), &[IsLsn(2), IsLsn(3)]);
-    assert_eq!(index.postings(Wid(2), "A"), &[IsLsn(3), IsLsn(4)]);
-    assert_eq!(index.postings(Wid(2), "B"), &[IsLsn(2)]);
+    let [a, b] = ["A", "B"].map(|name| index.activity_id(name).unwrap());
+    assert_eq!(index.ordinal(Wid(2)), Some(1));
+    assert_eq!(index.instance_postings(0, a), &[IsLsn(2), IsLsn(3)]);
+    assert_eq!(index.instance_postings(1, a), &[IsLsn(3), IsLsn(4)]);
+    assert_eq!(index.instance_postings(1, b), &[IsLsn(2)]);
 }

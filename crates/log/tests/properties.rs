@@ -14,9 +14,11 @@ use std::hash::{Hash, Hasher};
 
 use std::sync::Barrier;
 
+use proptest::test_runner::TestCaseError;
+
 use wlq_log::{
-    attrs, io, Activity, AttrMap, IsLsn, Log, LogBuilder, LogError, LogRecord, LogStats,
-    ParseLogError, Value,
+    attrs, io, Activity, AttrMap, IsLsn, Log, LogBuilder, LogError, LogRecord, LogStats, Lsn,
+    ParseLogError, Value, Wid,
 };
 
 /// Arbitrary attribute values covering every kind.
@@ -397,6 +399,173 @@ fn binary_maps_with_repeated_or_unsorted_names_decode_last_wins() {
     assert_eq!(again, log);
 }
 
+/// One step of a builder run.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Start an instance, under a drawn id or the builder's next one.
+    Start(Option<u64>),
+    /// Append to the `n`th instance started (to an unknown one when none
+    /// was), with maps.
+    Append(usize, &'static str, AttrMap, AttrMap),
+    /// End the `n`th instance started.
+    End(usize),
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let activity = prop::sample::select(vec!["A", "B", "C", "END", "START"]);
+    let step = prop_oneof![
+        1 => prop_oneof![Just(None), (0..6u64).prop_map(Some)].prop_map(Step::Start),
+        4 => (any::<usize>(), activity, arb_map(), arb_map())
+            .prop_map(|(n, act, input, output)| Step::Append(n, act, input, output)),
+        1 => any::<usize>().prop_map(Step::End),
+    ];
+    prop::collection::vec(step, 0..30)
+}
+
+/// Runs `steps` on a builder, and checks each step's result against a
+/// model of Definition 2 that writes the records by hand; returns the
+/// built log and the model's records.
+fn run_builder(steps: &[Step]) -> Result<(Result<Log, LogError>, Vec<LogRecord>), String> {
+    let mut b = LogBuilder::new();
+    let mut records: Vec<LogRecord> = Vec::new();
+    // Per started instance, in start order: its wid, next is-lsn and
+    // whether it has ended.
+    let mut started: Vec<(Wid, u32, bool)> = Vec::new();
+    let mut next_wid = 0u64;
+    let lsn = |records: &Vec<LogRecord>| records.len() as u64 + 1;
+    for step in steps {
+        match step {
+            Step::Start(id) => {
+                let wid = match id {
+                    Some(id) => {
+                        let wid = Wid(*id);
+                        let got = b.start_instance_with_id(wid);
+                        if started.iter().any(|s| s.0 == wid) {
+                            check(got, Err(LogError::InstanceClosed(wid)))?;
+                            continue;
+                        }
+                        check(got, Ok(()))?;
+                        next_wid = next_wid.max(*id);
+                        wid
+                    }
+                    None => {
+                        next_wid += 1;
+                        check(b.start_instance(), Wid(next_wid))?;
+                        Wid(next_wid)
+                    }
+                };
+                records.push(LogRecord::start(lsn(&records), wid));
+                started.push((wid, 2, false));
+            }
+            Step::Append(n, act, input, output) => {
+                let Some(at) = n.checked_rem(started.len()) else {
+                    let got = b.append(Wid(99), *act, input.clone(), output.clone());
+                    check(got, Err(LogError::UnknownInstance(Wid(99))))?;
+                    continue;
+                };
+                let (wid, next, ended) = started[at];
+                let got = b.append(wid, *act, input.clone(), output.clone());
+                let lsn = lsn(&records);
+                if ended {
+                    check(got, Err(LogError::InstanceClosed(wid)))?;
+                } else if *act == "START" {
+                    check(got, Err(LogError::StartMismatch { lsn: Lsn(lsn), wid }))?;
+                } else {
+                    check(got, Ok(Lsn(lsn)))?;
+                    let (input, output) = (input.clone(), output.clone());
+                    records.push(LogRecord::new(lsn, wid, next, *act, input, output));
+                    started[at] = (wid, next + 1, *act == "END");
+                }
+            }
+            Step::End(n) => {
+                let Some(at) = n.checked_rem(started.len()) else {
+                    continue;
+                };
+                let (wid, next, ended) = started[at];
+                let got = b.end_instance(wid);
+                if ended {
+                    check(got, Err(LogError::InstanceClosed(wid)))?;
+                } else {
+                    check(got, Ok(()))?;
+                    records.push(LogRecord::end(lsn(&records), wid, next));
+                    started[at] = (wid, next + 1, true);
+                }
+            }
+        }
+        check(b.len(), records.len())?;
+        for &(wid, _, ended) in &started {
+            check(b.is_open(wid), !ended)?;
+        }
+    }
+    let open: Vec<Wid> = (started.iter()).filter(|s| !s.2).map(|s| s.0).collect();
+    check(b.open_instances().collect::<Vec<_>>(), open)?;
+    Ok((b.build(), records))
+}
+
+/// `Ok` if `got` is `expected`.
+fn check<T: PartialEq + std::fmt::Debug>(got: T, expected: T) -> Result<(), String> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(format!("got {got:?}, expected {expected:?}"))
+    }
+}
+
+/// `Ok` if an operation's result is the oracle's: equal logs (or
+/// errors) with equal records and equal binary encodings.
+fn agree(got: Result<Log, LogError>, oracle: Result<Log, LogError>) -> Result<(), TestCaseError> {
+    check(&got, &oracle).map_err(TestCaseError::fail)?;
+    if let (Ok(got), Ok(oracle)) = (got, oracle) {
+        check(got.records(), oracle.records()).map_err(TestCaseError::fail)?;
+        let encoded = [&got, &oracle].map(io::binary::write_binary);
+        check(&encoded[0], &encoded[1]).map_err(TestCaseError::fail)?;
+    }
+    Ok(())
+}
+
+/// `log`'s records, with wids mapped through `wid` and lsns renumbered
+/// to `1..` in the order given.
+fn renumbered<'a>(
+    records: impl IntoIterator<Item = &'a LogRecord>,
+    mut wid: impl FnMut(Wid) -> Wid,
+) -> Vec<LogRecord> {
+    (1u64..)
+        .zip(records)
+        .map(|(lsn, r)| {
+            let (input, output) = (r.input().clone(), r.output().clone());
+            LogRecord::new(
+                lsn,
+                wid(r.wid()),
+                r.is_lsn(),
+                r.activity().clone(),
+                input,
+                output,
+            )
+        })
+        .collect()
+}
+
+/// [`Log::merge`] by cloning records: round-robin over the inputs, wids
+/// renumbered densely in order of first appearance.
+fn merge_by_records(logs: &[Log]) -> Result<Log, LogError> {
+    let mut merged: Vec<(usize, &LogRecord)> = Vec::new();
+    let longest = logs.iter().map(Log::len).max().unwrap_or(0);
+    for at in 0..longest {
+        for (source, log) in logs.iter().enumerate() {
+            merged.extend(log.records().get(at).map(|r| (source, r)));
+        }
+    }
+    let mut wids: std::collections::BTreeMap<(usize, Wid), Wid> = Default::default();
+    let sources: Vec<usize> = merged.iter().map(|&(source, _)| source).collect();
+    let mut source = sources.into_iter();
+    let records = renumbered(merged.iter().map(|&(_, r)| r), |wid| {
+        let key = (source.next().unwrap(), wid);
+        let next = Wid(wids.len() as u64 + 1);
+        *wids.entry(key).or_insert(next)
+    });
+    Log::new(records)
+}
+
 proptest! {
     /// Byte mutations of every encoding (binary, text, CSV, XES) decode
     /// to a log or a typed error, never a panic; whatever decodes is a
@@ -636,6 +805,50 @@ proptest! {
         }
     }
 
+    /// A builder run of random starts, appends with maps and ends, to
+    /// open, ended and unknown instances, gives each call the result
+    /// Definition 2 calls for, and builds the log `Log::new` makes of the
+    /// same records written by hand, down to its binary encoding.
+    #[test]
+    fn builder_runs_equal_log_new_of_their_records(steps in arb_steps()) {
+        let (built, records) = run_builder(&steps).map_err(TestCaseError::fail)?;
+        agree(built, Log::new(records))?;
+    }
+
+    /// `merge`, `prefix`, `filter_instances` and `project_instance` equal
+    /// the same operations done by cloning and renumbering records, over
+    /// logs whose wids ascend in first-seen order and logs whose wids do
+    /// not.
+    #[test]
+    fn log_operations_equal_a_record_cloning_oracle(
+        a in arb_log(),
+        b in arb_log(),
+        upto in 0..40u64,
+        keep in any::<u8>(),
+    ) {
+        // `b` with its wids reversed, so that first-seen order is not
+        // ascending wid order.
+        let b = Log::new(renumbered(b.records(), |w| Wid(100 - w.get()))).unwrap();
+        let logs = [a.clone(), b.clone(), a.clone()];
+        agree(Log::merge(logs.clone()), merge_by_records(&logs))?;
+        let kept = |w: Wid| keep >> (w.get() % 8) & 1 == 1;
+        for log in [&a, &b] {
+            let n = (upto as usize).min(log.len());
+            agree(log.prefix(Lsn(upto)), Log::new(log.records()[..n].to_vec()))?;
+            let filtered = renumbered(log.iter().filter(|r| kept(r.wid())), |w| w);
+            agree(log.filter_instances(kept), Log::new(filtered))?;
+            for wid in log.wids().chain([Wid(1000)]) {
+                let projected = renumbered(log.instance(wid), |w| w);
+                let projected = if projected.is_empty() {
+                    Err(LogError::UnknownInstance(wid))
+                } else {
+                    Log::new(projected)
+                };
+                agree(log.project_instance(wid), projected)?;
+            }
+        }
+    }
+
     /// Activity names that share a slot of the binary decoder's table of
     /// recent names (equal length, first and last eight bytes), names of
     /// one byte, of more than 16 bytes and not ASCII, and logs naming more
@@ -676,23 +889,21 @@ proptest! {
     #[test]
     fn index_matches_direct_scan(log in arb_log()) {
         let index = log.index();
-        for wid in log.wids() {
+        for (ordinal, wid) in log.wids().enumerate() {
+            prop_assert_eq!(index.ordinal(wid), Some(ordinal));
             for activity in log.activities() {
                 let scanned: Vec<_> = log
                     .instance(wid)
                     .filter(|r| r.activity() == &activity)
                     .map(wlq_log::LogRecord::is_lsn)
                     .collect();
-                prop_assert_eq!(
-                    index.postings(wid, activity.as_str()),
-                    scanned.as_slice()
-                );
+                let id = index.activity_id(activity.as_str()).unwrap();
+                prop_assert_eq!(index.instance_postings(ordinal, id), scanned.as_slice());
                 // Complement partitions the instance.
-                let complement = index.complement_postings(wid, activity.as_str());
-                prop_assert_eq!(
-                    complement.len() + scanned.len(),
-                    log.instance_len(wid)
-                );
+                let complement = (index.instance_activities(ordinal).iter())
+                    .filter(|&&a| a != id)
+                    .count();
+                prop_assert_eq!(complement + scanned.len(), log.instance_len(wid));
             }
         }
     }

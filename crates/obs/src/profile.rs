@@ -121,67 +121,6 @@ impl ExecutionProfile {
             .filter_map(ProfiledNode::q_error)
             .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
     }
-
-    /// Renders the profile as one line of JSON with a stable schema
-    /// (`version` [`crate::TRACE_SCHEMA_VERSION`]): header fields, then
-    /// `nodes` in pre-order, then `workers`.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"version\":");
-        let _ = write!(
-            out,
-            "{},\"query\":{},\"plan\":{},\"strategy\":{},\"rule\":{},\"threads\":{},\
-             \"total_wall_ns\":{},\"total_incidents\":{},\"nodes\":[",
-            crate::TRACE_SCHEMA_VERSION,
-            json_str(&self.query),
-            json_str(&self.plan),
-            json_str(&self.strategy),
-            self.rule
-                .as_deref()
-                .map_or_else(|| "null".to_string(), json_str),
-            self.threads,
-            self.total_wall.as_nanos(),
-            self.total_incidents,
-        );
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":{},\"pattern\":{},\"depth\":{},\"estimate\":{},\"cost\":{},\
-                 \"wall_ns\":{},\"records_scanned\":{},\"pairs_compared\":{},\
-                 \"incidents_emitted\":{},\"output_bytes\":{},\"q_error\":{}}}",
-                json_str(&node.shape.label),
-                json_str(&node.shape.pattern),
-                node.shape.depth,
-                json_num(node.shape.estimate),
-                json_num(node.shape.cost),
-                node.metrics.wall.as_nanos(),
-                node.metrics.records_scanned,
-                node.metrics.pairs_compared,
-                node.metrics.incidents_emitted,
-                node.metrics.output_bytes,
-                json_num(node.q_error()),
-            );
-        }
-        out.push_str("],\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"instances\":{},\"incidents\":{},\"wall_ns\":{}}}",
-                w.worker,
-                w.instances,
-                w.incidents,
-                w.wall.as_nanos(),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl fmt::Display for ExecutionProfile {
@@ -370,16 +309,6 @@ mod tests {
 
     #[test]
     fn json_escapes_and_orders_keys() {
-        let json = sample().render_json();
-        assert!(
-            json.starts_with("{\"version\":1,\"query\":\"A -> B\""),
-            "{json}"
-        );
-        let nodes_at = json.find("\"nodes\":[").unwrap();
-        let workers_at = json.find("\"workers\":[").unwrap();
-        assert!(nodes_at < workers_at);
-        assert!(json.contains("\"rule\":\"original\""), "{json}");
-        assert!(json.contains("\"q_error\":2"), "{json}");
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_num(None), "null");
         assert_eq!(json_num(Some(f64::NAN)), "null");

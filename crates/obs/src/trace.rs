@@ -24,8 +24,8 @@ use std::fmt;
 
 use crate::profile::{json_num, json_str, ExecutionProfile};
 
-/// The trace and profile JSON schema version. Bump on any
-/// breaking change to event shapes or [`ExecutionProfile::render_json`].
+/// The trace's JSON schema version. Bump on any breaking change to
+/// event shapes.
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
 /// Renders a profile as a span-style JSON Lines trace.

@@ -359,4 +359,41 @@ mod tests {
     fn zero_instances_panics() {
         let _ = simulate(&linear_model(), &SimulationConfig::new(0, 1));
     }
+
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The generated logs are pinned: the text of 200 seed-7 instances of
+    /// the clinic and the helpdesk scenario hashes to the digest recorded
+    /// when the simulator's builder kept its records, so no change to the
+    /// builder or the simulator changes a generated log (and with it the
+    /// benchmark's inputs) unnoticed.
+    #[test]
+    fn generated_logs_match_their_golden_digests() {
+        for (model, len, digest) in [
+            (
+                crate::scenarios::clinic::model(),
+                141_797,
+                0x8284_bb41_1b67_030e,
+            ),
+            (
+                crate::scenarios::helpdesk::model(),
+                98_104,
+                0x1f8c_4b44_5cc8_74b4,
+            ),
+        ] {
+            let log = simulate(&model, &SimulationConfig::new(200, 7));
+            let text = wlq_log::io::text::write_text(&log);
+            assert_eq!(
+                (text.len(), fnv1a(text.as_bytes())),
+                (len, digest),
+                "{}",
+                model.name()
+            );
+        }
+    }
 }

@@ -99,63 +99,75 @@ fn analyze_works_for_every_strategy() {
 }
 
 // ---------------------------------------------------------------------
-// Pinned JSON schema (profile and trace)
+// Pinned JSON schema (the trace)
 // ---------------------------------------------------------------------
 
-/// The single-line JSON profile schema is pinned: top-level key order,
-/// per-node key order, per-worker key order, and the version field.
+/// The trace's event shapes are pinned: each event's key order, and the
+/// version field on `trace_begin`.
 #[test]
-fn profile_json_schema_is_pinned() {
+fn trace_event_keys_are_pinned() {
     let log = figure3();
     let q = Query::parse("SeeDoctor -> PayTreatment").unwrap();
     let (_, profile) = q.profile(&log).unwrap();
-    let json = profile.render_json();
-    assert!(!json.contains('\n'));
+    let trace = render_trace(&profile);
     assert!(
-        json.starts_with("{\"version\":1,\"query\":\"SeeDoctor -> PayTreatment\",\"plan\":"),
-        "{json}"
+        trace.starts_with(
+            "{\"event\":\"trace_begin\",\"version\":1,\"query\":\"SeeDoctor -> PayTreatment\",\"plan\":"
+        ),
+        "{trace}"
     );
-    for ordered_keys in [
-        // Top-level header, in order.
-        vec![
-            "\"version\":",
-            "\"query\":",
-            "\"plan\":",
-            "\"strategy\":",
-            "\"rule\":",
-            "\"threads\":",
-            "\"total_wall_ns\":",
-            "\"total_incidents\":",
-            "\"nodes\":[",
-            "\"workers\":[",
-        ],
-        // One node object, in order.
-        vec![
-            "\"label\":",
-            "\"pattern\":",
-            "\"depth\":",
-            "\"estimate\":",
-            "\"cost\":",
-            "\"wall_ns\":",
-            "\"records_scanned\":",
-            "\"pairs_compared\":",
-            "\"incidents_emitted\":",
-            "\"output_bytes\":",
-            "\"q_error\":",
-        ],
-        // One worker object, in order.
-        vec![
-            "\"worker\":",
-            "\"instances\":",
-            "\"incidents\":",
-            "\"wall_ns\":",
-        ],
+    for (event, ordered_keys) in [
+        (
+            "trace_begin",
+            &[
+                "\"version\":",
+                "\"query\":",
+                "\"plan\":",
+                "\"strategy\":",
+                "\"threads\":",
+            ][..],
+        ),
+        (
+            "node_begin",
+            &["\"node\":", "\"depth\":", "\"label\":", "\"pattern\":"][..],
+        ),
+        (
+            "node_end",
+            &[
+                "\"node\":",
+                "\"wall_ns\":",
+                "\"records_scanned\":",
+                "\"pairs_compared\":",
+                "\"incidents_emitted\":",
+                "\"output_bytes\":",
+                "\"estimate\":",
+                "\"cost\":",
+                "\"q_error\":",
+            ][..],
+        ),
+        (
+            "worker",
+            &[
+                "\"worker\":",
+                "\"instances\":",
+                "\"incidents\":",
+                "\"wall_ns\":",
+            ][..],
+        ),
+        (
+            "trace_end",
+            &["\"total_wall_ns\":", "\"total_incidents\":"][..],
+        ),
     ] {
-        let mut pos = 0;
+        let tag = format!("{{\"event\":\"{event}\",");
+        let line = (trace.lines())
+            .find(|line| line.starts_with(&tag))
+            .unwrap_or_else(|| panic!("no {event} event in {trace}"));
+        let mut pos = tag.len();
         for key in ordered_keys {
-            let at = json[pos..]
+            let at = line[pos..]
                 .find(key)
-                .unwrap_or_else(|| panic!("key {key} missing (or out of order) in {json}"));
+                .unwrap_or_else(|| panic!("key {key} missing (or out of order) in {line}"));
             pos += at + key.len();
         }
     }
